@@ -10,25 +10,18 @@
 //!
 //! The client starts out addressing [`DEFAULT_KEY`]; [`HistClient::with_key`]
 //! / [`HistClient::set_key`] retarget every subsequent query and admin call.
-//! [`HistClient::with_protocol_version`] pins the wire version — v1 speaks
-//! the legacy keyless layout (default key only, no store-wide ops), which is
-//! how the compat suite drives a v2 server with v1 frames.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use hist_core::{Interval, Synopsis};
-use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
+use hist_persist::{decode_synopsis, encode_synopsis};
 use hist_serve::{MergedView, DEFAULT_KEY};
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{
-    check_envelope, read_message, write_message, DEFAULT_MAX_FRAME_BYTES, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+use crate::frame::{check_envelope, read_message, write_message, DEFAULT_MAX_FRAME_BYTES};
 use crate::proto::{
-    decode_response_frame, encode_request_versioned, Request, Response, StoreWideStats,
-    SynopsisStats,
+    decode_response_frame, encode_request, Request, Response, StoreWideStats, SynopsisStats,
 };
 
 /// A value together with the epoch it was computed at.
@@ -65,13 +58,11 @@ pub struct HistClient {
     stream: TcpStream,
     max_frame_bytes: usize,
     key: String,
-    version: u16,
     read_timeout: Option<Duration>,
 }
 
 impl HistClient {
-    /// Connects to a server, addressing [`DEFAULT_KEY`] at the current
-    /// protocol version.
+    /// Connects to a server, addressing [`DEFAULT_KEY`].
     pub fn connect(addr: impl ToSocketAddrs) -> NetResult<Self> {
         let stream = TcpStream::connect(addr)?;
         Self::from_stream(stream)
@@ -112,7 +103,6 @@ impl HistClient {
             stream,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             key: DEFAULT_KEY.to_owned(),
-            version: PROTOCOL_VERSION,
             read_timeout: None,
         })
     }
@@ -157,37 +147,14 @@ impl HistClient {
         &self.key
     }
 
-    /// Pins the wire protocol version this client speaks (builder form).
-    /// Version 1 is the legacy keyless layout: it only addresses
-    /// [`DEFAULT_KEY`] and cannot express the store-wide ops
-    /// ([`list_keys`](Self::list_keys) and friends) — those return a typed
-    /// encode error instead of lying on the wire.
-    pub fn with_protocol_version(mut self, version: u16) -> NetResult<Self> {
-        if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-            return Err(NetError::Frame(CodecError::UnsupportedVersion {
-                found: version,
-                supported: PROTOCOL_VERSION,
-            }));
-        }
-        self.version = version;
-        Ok(self)
-    }
-
-    /// The wire protocol version this client speaks.
-    #[inline]
-    pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
     /// One request/response exchange.
     fn round_trip(&mut self, request: &Request) -> NetResult<Response> {
-        let message = encode_request_versioned(self.version, request).map_err(NetError::Frame)?;
-        write_message(&mut self.stream, &message)?;
+        write_message(&mut self.stream, &encode_request(request))?;
         let frame = read_message(&mut self.stream, self.max_frame_bytes)
             .map_err(|e| self.classify_read_error(e))?
             .ok_or(NetError::Disconnected)?;
-        let (version, op, payload) = check_envelope(&frame)?;
-        let response = decode_response_frame(version, op, payload)?;
+        let (op, payload) = check_envelope(&frame)?;
+        let response = decode_response_frame(op, payload)?;
         if let Response::Error { epoch, code, message } = response {
             return Err(NetError::Remote { epoch, code, message });
         }
@@ -266,7 +233,7 @@ impl HistClient {
     }
 
     /// Store-wide summary: key count, served count, total pieces, epoch
-    /// range. (Protocol v2 only.)
+    /// range.
     pub fn store_stats(&mut self) -> NetResult<Stamped<StoreWideStats>> {
         match self.round_trip(&Request::StoreStats)? {
             Response::StoreStats { epoch, stats } => Ok(Stamped { epoch, value: stats }),
@@ -275,7 +242,6 @@ impl HistClient {
     }
 
     /// Every key of the served store map, in canonical (ascending) order.
-    /// (Protocol v2 only.)
     pub fn list_keys(&mut self) -> NetResult<Stamped<Vec<String>>> {
         match self.round_trip(&Request::ListKeys)? {
             Response::KeyList { epoch, keys } => Ok(Stamped { epoch, value: keys }),
@@ -287,7 +253,6 @@ impl HistClient {
     /// to `budget` pieces, decoded back to a queryable [`Synopsis`] — the
     /// same [`MergedView`] the in-process
     /// [`StoreMap::merged_view`](hist_serve::StoreMap::merged_view) returns.
-    /// (Protocol v2 only.)
     pub fn merged_view(&mut self, budget: usize) -> NetResult<MergedView> {
         match self.round_trip(&Request::MergedView { budget: budget as u64 })? {
             Response::MergedView { epoch, keys, synopsis } => {
@@ -326,7 +291,6 @@ impl HistClient {
 
     /// Admin: evicts `key` (not necessarily the addressed one) and its
     /// store. Returns whether the key existed, stamped with its last epoch.
-    /// (Protocol v2 only.)
     pub fn drop_key(&mut self, key: &str) -> NetResult<Stamped<bool>> {
         match self.round_trip(&Request::DropKey { key: key.to_owned() })? {
             Response::Dropped { epoch, existed } => Ok(Stamped { epoch, value: existed }),

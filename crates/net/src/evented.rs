@@ -40,10 +40,9 @@
 //!
 //! Mirrors the blocking path frame-for-frame: envelope/decode errors are
 //! answered and the connection continues (the stream is still framed);
-//! framing errors and budget exhaustion are answered at the minimum
-//! protocol version, then the write side is half-closed and reads are
-//! drained for up to two seconds so the kernel delivers the final frame
-//! instead of clobbering it with an RST.
+//! framing errors and budget exhaustion are answered, then the write side
+//! is half-closed and reads are drained for up to two seconds so the kernel
+//! delivers the final frame instead of clobbering it with an RST.
 
 #![cfg(unix)]
 
@@ -59,8 +58,8 @@ use std::time::{Duration, Instant};
 use hist_serve::ThreadPool;
 use polling::{Backend, Event, Events, Poller};
 
-use crate::frame::{ENVELOPE_BYTES, LENGTH_PREFIX_BYTES, MIN_PROTOCOL_VERSION};
-use crate::proto::{encode_response_into, ErrorCode, Response};
+use crate::frame::{ENVELOPE_BYTES, LENGTH_PREFIX_BYTES};
+use crate::proto::{encode_response_into, Response};
 use crate::server::{answer_frame, Responder, ServerConfig};
 
 /// Poller key of the listening socket. Slab keys count up from zero; the
@@ -445,20 +444,8 @@ impl EventLoop {
             let mut staging = staging;
             let cap_before = staging.capacity();
             for &(start, len) in &ranges {
-                let (version, response) = answer_frame(&responder, &buffer[start..start + len]);
-                if let Err(e) = encode_response_into(version, &response, &mut staging) {
-                    // A response kind the mirrored version cannot express —
-                    // unreachable by construction (v2-only responses only
-                    // answer v2-only requests), but kept total, exactly as
-                    // the blocking path's send fallback.
-                    let fallback = Response::Error {
-                        epoch: 0,
-                        code: ErrorCode::MalformedFrame,
-                        message: e.to_string(),
-                    };
-                    encode_response_into(MIN_PROTOCOL_VERSION, &fallback, &mut staging)
-                        .expect("an error frame encodes at every version");
-                }
+                let response = answer_frame(&responder, &buffer[start..start + len]);
+                encode_response_into(&response, &mut staging);
             }
             if staging.capacity() != cap_before {
                 write_allocs.fetch_add(1, Ordering::Relaxed);
@@ -482,8 +469,7 @@ impl EventLoop {
         let Some(fatal) = conn.fatal.take() else { return };
         let mut staging = conn.spare_staging.pop().unwrap_or_default();
         let cap_before = staging.capacity();
-        encode_response_into(MIN_PROTOCOL_VERSION, &fatal, &mut staging)
-            .expect("an error frame encodes at every version");
+        encode_response_into(&fatal, &mut staging);
         if staging.capacity() != cap_before {
             self.write_allocs.fetch_add(1, Ordering::Relaxed);
         }

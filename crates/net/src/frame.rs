@@ -29,27 +29,15 @@ use crate::error::{NetError, NetResult};
 /// Magic bytes opening every protocol frame.
 pub const NET_MAGIC: [u8; 8] = *b"AHISTNET";
 
-/// Newest protocol version this build speaks and the one it writes by
-/// default. Version 3 appended the maintenance counters (merges, refits,
-/// merged mass, accumulated merge error) to the `Stats` and `StoreStats`
-/// answers; version 2 added the multi-tenant key field on every query/admin
-/// op plus the `StoreStats`/`ListKeys`/`MergedView`/`DropKey` ops; version 1
-/// (keyless, single-store) is still decoded for compatibility.
+/// The protocol version this build reads and writes — the only one. A
+/// frame announcing any other version is rejected with a typed
+/// [`CodecError::UnsupportedVersion`] before its payload is looked at.
 pub const PROTOCOL_VERSION: u16 = 3;
 
-/// Oldest protocol version this build still decodes. A v1 frame is answered
-/// with a v1 frame, so pre-keyed clients keep working against a v3 server.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-const _: () = assert!(
-    MIN_PROTOCOL_VERSION <= PROTOCOL_VERSION,
-    "the accepted version range must be non-empty"
-);
-
-// Every protocol version carries synopses as nested `AHISTSYN` containers in
-// the persist encoding, so the protocol pins the persist format version it
-// ships. If FORMAT_VERSION ever bumps, a new PROTOCOL_VERSION must carry it
-// (and this assertion must be revisited alongside the golden fixtures).
+// The protocol carries synopses as nested `AHISTSYN` containers in the
+// persist encoding, so it pins the persist format version it ships. If
+// FORMAT_VERSION ever bumps, a new PROTOCOL_VERSION must carry it (and this
+// assertion must be revisited alongside the golden fixtures).
 const _: () = assert!(
     hist_persist::FORMAT_VERSION == 1 && PROTOCOL_VERSION == 3,
     "the wire protocol carries AHISTSYN blobs: bump PROTOCOL_VERSION with FORMAT_VERSION"
@@ -69,18 +57,11 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 << 20;
 /// Builds one complete wire message at [`PROTOCOL_VERSION`]: length prefix +
 /// envelope around `op` and `payload`.
 pub fn seal_message(op: u8, payload: &[u8]) -> Vec<u8> {
-    seal_message_versioned(PROTOCOL_VERSION, op, payload)
-}
-
-/// Builds one complete wire message announcing `version` — how a server
-/// mirrors a v1 request with a v1 response (old clients reject any other
-/// version on the answer frame).
-pub fn seal_message_versioned(version: u16, op: u8, payload: &[u8]) -> Vec<u8> {
     let frame_len = ENVELOPE_BYTES + payload.len();
     let mut out = Vec::with_capacity(LENGTH_PREFIX_BYTES + frame_len);
     out.extend_from_slice(&(frame_len as u32).to_le_bytes());
     out.extend_from_slice(&NET_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     out.push(op);
     out.extend_from_slice(payload);
     let crc = crc32(&out[LENGTH_PREFIX_BYTES..]);
@@ -88,11 +69,10 @@ pub fn seal_message_versioned(version: u16, op: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Verifies a frame (the bytes *after* the length prefix): magic, version,
-/// CRC trailer. Returns the announced version (any in
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`]), the op byte and the
+/// Verifies a frame (the bytes *after* the length prefix): magic, version
+/// (exactly [`PROTOCOL_VERSION`]), CRC trailer. Returns the op byte and the
 /// payload.
-pub fn check_envelope(frame: &[u8]) -> Result<(u16, u8, &[u8]), CodecError> {
+pub fn check_envelope(frame: &[u8]) -> Result<(u8, &[u8]), CodecError> {
     if frame.len() < NET_MAGIC.len() {
         if *frame == NET_MAGIC[..frame.len()] {
             return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: frame.len() });
@@ -106,7 +86,7 @@ pub fn check_envelope(frame: &[u8]) -> Result<(u16, u8, &[u8]), CodecError> {
         return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: frame.len() });
     }
     let found = u16::from_le_bytes([frame[8], frame[9]]);
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&found) {
+    if found != PROTOCOL_VERSION {
         return Err(CodecError::UnsupportedVersion { found, supported: PROTOCOL_VERSION });
     }
     if frame.len() < ENVELOPE_BYTES {
@@ -118,14 +98,14 @@ pub fn check_envelope(frame: &[u8]) -> Result<(u16, u8, &[u8]), CodecError> {
     if stored != computed {
         return Err(CodecError::ChecksumMismatch { stored, computed });
     }
-    Ok((found, frame[10], &content[11..]))
+    Ok((frame[10], &content[11..]))
 }
 
-/// Splits a complete wire message (length prefix included) into version,
-/// op and payload, verifying the prefix against the actual byte count and
-/// the envelope in full — the entry point golden-fixture tests and
-/// in-memory decoding use.
-pub fn split_message(message: &[u8]) -> Result<(u16, u8, &[u8]), CodecError> {
+/// Splits a complete wire message (length prefix included) into op and
+/// payload, verifying the prefix against the actual byte count and the
+/// envelope in full — the entry point golden-fixture tests and in-memory
+/// decoding use.
+pub fn split_message(message: &[u8]) -> Result<(u8, &[u8]), CodecError> {
     if message.len() < LENGTH_PREFIX_BYTES {
         return Err(CodecError::Truncated {
             needed: LENGTH_PREFIX_BYTES,
@@ -210,27 +190,16 @@ mod tests {
     #[test]
     fn seal_and_check_round_trip() {
         let message = seal_message(0x42, b"hello frame");
-        let (version, op, payload) = split_message(&message).unwrap();
-        assert_eq!(version, PROTOCOL_VERSION);
+        let (op, payload) = split_message(&message).unwrap();
+        assert_eq!(message[LENGTH_PREFIX_BYTES + 8..][..2], PROTOCOL_VERSION.to_le_bytes());
         assert_eq!(op, 0x42);
         assert_eq!(payload, b"hello frame");
         // The same frame through the stream reader.
         let mut cursor = std::io::Cursor::new(message.clone());
         let frame = read_message(&mut cursor, DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
-        assert_eq!(check_envelope(&frame).unwrap(), (PROTOCOL_VERSION, 0x42, &b"hello frame"[..]));
+        assert_eq!(check_envelope(&frame).unwrap(), (0x42, &b"hello frame"[..]));
         // Clean EOF at the boundary.
         assert!(read_message(&mut cursor, DEFAULT_MAX_FRAME_BYTES).unwrap().is_none());
-    }
-
-    #[test]
-    fn every_supported_version_seals_and_checks() {
-        for version in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-            let message = seal_message_versioned(version, 0x04, b"");
-            let (found, op, payload) = split_message(&message).unwrap();
-            assert_eq!(found, version);
-            assert_eq!(op, 0x04);
-            assert!(payload.is_empty());
-        }
     }
 
     #[test]
@@ -242,22 +211,21 @@ mod tests {
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(check_envelope(&wrong_magic), Err(CodecError::BadMagic)));
 
-        let mut future = frame.to_vec();
-        future[8] = 9;
-        // A version flip also breaks the CRC; the version is checked first so
-        // the peer learns *why* rather than seeing a generic mismatch.
-        assert!(matches!(
-            check_envelope(&future),
-            Err(CodecError::UnsupportedVersion { found: 9, .. })
-        ));
-
-        // Version 0 predates MIN_PROTOCOL_VERSION: also unsupported.
-        let mut ancient = frame.to_vec();
-        ancient[8] = 0;
-        assert!(matches!(
-            check_envelope(&ancient),
-            Err(CodecError::UnsupportedVersion { found: 0, .. })
-        ));
+        // Every version but the current one is rejected. A version flip
+        // also breaks the CRC; the version is checked first so the peer
+        // learns *why* rather than seeing a generic mismatch.
+        for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+            let mut other = frame.to_vec();
+            other[8..10].copy_from_slice(&u16::to_le_bytes(version));
+            assert!(
+                matches!(
+                    check_envelope(&other),
+                    Err(CodecError::UnsupportedVersion { found, supported: PROTOCOL_VERSION })
+                        if found == version
+                ),
+                "version {version} must be rejected"
+            );
+        }
 
         let mut flipped = frame.to_vec();
         let mid = flipped.len() / 2;

@@ -27,25 +27,21 @@
 //! length u32 LE | "AHISTNET" | version u16 LE | op u8 | payload | crc32 u32 LE
 //! ```
 //!
-//! **Protocol v3** (current): the v2 keyed layout with maintenance
-//! counters appended to the `Stats`/`StoreStats` answers (merges, refits,
-//! accumulated merge-error bound; requests are unchanged). Every
-//! query/admin payload opens with a *key* section (length-prefixed,
+//! The version is always [`PROTOCOL_VERSION`] (3); a frame announcing any
+//! other version is answered with a typed `UnsupportedVersion` error frame.
+//! Every query/admin payload opens with a *key* section (length-prefixed,
 //! non-empty UTF-8, at most [`hist_persist::MAX_KEY_BYTES`] bytes)
-//! addressing one store of the map.
+//! addressing one store of the map, and the `Stats`/`StoreStats` answers
+//! carry the maintenance counters (merges, refits, accumulated merge-error
+//! bound).
 //! Request ops: `CdfBatch` (0x01), `QuantileBatch` (0x02), `MassBatch`
 //! (0x03), `Stats` (0x04), `StoreStats` (0x05), `ListKeys` (0x06),
 //! `MergedView` (0x07), `Publish` (0x10), `UpdateMerge` (0x11), `DropKey`
 //! (0x12). Response ops mirror them (`| 0x80`), plus `Updated` (0x90),
 //! `Dropped` (0x91) and the typed `Error` frame (0xEE).
 //!
-//! **Protocol v2** (legacy) is the same keyed layout without the
-//! maintenance counters; **protocol v1** (legacy) is the keyless
-//! single-store layout — the server still decodes both (a v1 frame
-//! addresses [`DEFAULT_KEY`](hist_serve::DEFAULT_KEY)) and mirrors the
-//! request's version in its answer, omitting the newer fields, so
-//! unmodified v1/v2 clients keep working against a maintained server. The version pair (persist format, wire protocol) is pinned
-//! by a compile-time assertion, because `Publish`/`UpdateMerge` payloads are
+//! The version pair (persist format, wire protocol) is pinned by a
+//! compile-time assertion, because `Publish`/`UpdateMerge` payloads are
 //! `AHISTSYN` containers.
 //!
 //! ## Safety on hostile peers
@@ -109,14 +105,12 @@ pub mod server;
 pub use client::{HistClient, Stamped, StoreStats};
 pub use error::{NetError, NetResult};
 pub use frame::{
-    check_envelope, read_message, seal_message, seal_message_versioned, split_message,
-    write_message, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES,
-    MIN_PROTOCOL_VERSION, NET_MAGIC, PROTOCOL_VERSION,
+    check_envelope, read_message, seal_message, split_message, write_message,
+    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES, NET_MAGIC, PROTOCOL_VERSION,
 };
 pub use hist_serve::MergedView;
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_request_versioned, encode_response,
-    encode_response_into, encode_response_versioned, ErrorCode, Request, Response, StoreWideStats,
-    SynopsisStats,
+    decode_request, decode_response, encode_request, encode_response, encode_response_into,
+    ErrorCode, Request, Response, StoreWideStats, SynopsisStats,
 };
 pub use server::{HistServer, ServerConfig, ServerMode};

@@ -1,5 +1,5 @@
-//! Request/response messages and their payload codecs, for both protocol
-//! versions this build speaks.
+//! Request/response messages and their payload codecs, at
+//! [`PROTOCOL_VERSION`].
 //!
 //! Payloads are little-endian with count-prefixed repeats, parsed through the
 //! bounded [`hist_persist::wire::Reader`] — every count is validated against
@@ -11,37 +11,23 @@
 //! validating path a file load uses, which is what makes a published synopsis
 //! answer queries bit-identically to the local original.
 //!
-//! ## Versions
-//!
-//! * **v3** (current): the `Stats` and `StoreStats` answers append the
-//!   self-tuning maintenance counters (merge count, refit count, merged
-//!   mass, accumulated merge error). Requests are unchanged from v2; a v2
-//!   frame simply omits the counters and decodes them as zero.
-//! * **v2**: every query/admin op opens with a *key* section — a
-//!   length-prefixed, non-empty UTF-8 tenant/metric name of at most
-//!   [`hist_persist::MAX_KEY_BYTES`] bytes — addressing one store of the
-//!   server's keyed [`StoreMap`](hist_serve::StoreMap). Four ops are
-//!   v2-only: `StoreStats`, `ListKeys`, `MergedView`, `DropKey`.
-//! * **v1** (legacy, decode + mirrored answers): the keyless single-store
-//!   layout. A v1 frame decodes as the same request addressed at
-//!   [`hist_serve::DEFAULT_KEY`], so old clients and a keyed server agree on
-//!   which store "the" store is. v2-only ops do not exist in v1: their op
-//!   bytes in a v1 frame are unknown ops, and their response kinds refuse to
-//!   encode at v1.
+//! Every query/admin op opens with a *key* section — a length-prefixed,
+//! non-empty UTF-8 tenant/metric name of at most
+//! [`hist_persist::MAX_KEY_BYTES`] bytes — addressing one store of the
+//! server's keyed [`StoreMap`](hist_serve::StoreMap). The store-wide ops
+//! (`StoreStats`, `ListKeys`, `MergedView`) carry no key. The `Stats` and
+//! `StoreStats` answers include the self-tuning maintenance counters (merge
+//! count, refit count, merged mass, accumulated merge error).
 //!
 //! Every response payload opens with the epoch the answer was computed at
 //! (the addressed key's epoch; store-wide answers carry the largest per-key
 //! epoch), so a client can order responses across reconnects and publishes.
 
+use hist_persist::crc32::crc32;
 use hist_persist::wire::{put_f64, put_u64, Reader};
 use hist_persist::{CodecError, CodecResult};
-use hist_serve::DEFAULT_KEY;
 
-use hist_persist::crc32::crc32;
-
-use crate::frame::{
-    seal_message_versioned, split_message, LENGTH_PREFIX_BYTES, NET_MAGIC, PROTOCOL_VERSION,
-};
+use crate::frame::{seal_message, split_message, LENGTH_PREFIX_BYTES, NET_MAGIC, PROTOCOL_VERSION};
 
 // Request opcodes.
 const OP_CDF_BATCH: u8 = 0x01;
@@ -68,8 +54,7 @@ const OP_DROPPED: u8 = 0x91;
 const OP_ERROR: u8 = 0xEE;
 
 /// A client request. Keyed ops address one store of the server's
-/// [`StoreMap`](hist_serve::StoreMap); protocol v1 frames decode with
-/// `key == `[`DEFAULT_KEY`].
+/// [`StoreMap`](hist_serve::StoreMap).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Normalized cdf at each index, answered from one snapshot of `key`.
@@ -99,12 +84,12 @@ pub enum Request {
         key: String,
     },
     /// Store-wide summary: key count, served count, total pieces, epoch
-    /// range. (v2 only.)
+    /// range.
     StoreStats,
-    /// Every key, in canonical (ascending) order. (v2 only.)
+    /// Every key, in canonical (ascending) order.
     ListKeys,
     /// Tree-merge every served key's synopsis into one global view with the
-    /// given piece budget. (v2 only.)
+    /// given piece budget.
     MergedView {
         /// Piece budget of the merged synopsis.
         budget: u64,
@@ -127,7 +112,7 @@ pub enum Request {
         /// `AHISTSYN`-encoded chunk synopsis.
         synopsis: Vec<u8>,
     },
-    /// Admin: evict `key` and its store. (v2 only.)
+    /// Admin: evict `key` and its store.
     DropKey {
         /// Key to evict.
         key: String,
@@ -148,13 +133,12 @@ pub struct SynopsisStats {
     pub total_mass: f64,
     /// Name of the estimator that produced the synopsis.
     pub estimator: String,
-    /// Merges absorbed by this key's store since it was created. (v3+;
-    /// decodes as 0 from older frames.)
+    /// Merges absorbed by this key's store since it was created.
     pub merges: u64,
-    /// Maintenance refits published for this key. (v3+; 0 from older frames.)
+    /// Maintenance refits published for this key.
     pub refits: u64,
     /// Accumulated merge-error bound (summed per-merge ℓ₂ deltas) since the
-    /// last refit. (v3+; 0 from older frames.)
+    /// last refit.
     pub merge_error: f64,
 }
 
@@ -172,16 +156,14 @@ pub struct StoreWideStats {
     pub min_epoch: u64,
     /// Largest per-key epoch (0 if no keys).
     pub max_epoch: u64,
-    /// Merges absorbed across every key. (v3+; decodes as 0 from older
-    /// frames.)
+    /// Merges absorbed across every key.
     pub merges: u64,
-    /// Maintenance refits published across every key. (v3+; 0 from older
-    /// frames.)
+    /// Maintenance refits published across every key.
     pub refits: u64,
-    /// Total mass of every merged-in chunk. (v3+; 0 from older frames.)
+    /// Total mass of every merged-in chunk.
     pub merged_mass: f64,
     /// Summed accumulated merge-error bounds across keys since their last
-    /// refits. (v3+; 0 from older frames.)
+    /// refits.
     pub merge_error: f64,
 }
 
@@ -193,7 +175,7 @@ pub enum ErrorCode {
     MalformedFrame,
     /// The request announced a protocol version this server does not speak.
     UnsupportedVersion,
-    /// The op byte is not a request this version defines.
+    /// The op byte is not a request the protocol defines.
     UnknownOp,
     /// The request decoded but a query argument is invalid for the served
     /// synopsis (index out of domain, fraction outside `[0, 1]`, …).
@@ -230,30 +212,6 @@ impl ErrorCode {
             ErrorCode::UnknownKey => 9,
             ErrorCode::InvalidKey => 10,
             ErrorCode::Unknown(raw) => raw,
-        }
-    }
-
-    /// The oldest protocol version whose peers know this code: the
-    /// `UnknownKey`/`InvalidKey` pair shipped with the keyed v2 layout;
-    /// everything else is v1-era. [`ErrorCode::Unknown`] reports v1 because
-    /// it is a passthrough of a foreign peer's byte, not a code this build
-    /// mints — downgrading it would mangle a code we do not understand.
-    fn min_version(self) -> u16 {
-        match self {
-            ErrorCode::UnknownKey | ErrorCode::InvalidKey => 2,
-            _ => 1,
-        }
-    }
-
-    /// The code an error frame may carry when answering at `version`: codes
-    /// newer than the mirrored version downgrade to the v1-era
-    /// [`ErrorCode::InvalidQuery`], so a v1 client is never handed a byte its
-    /// protocol never defined (the human-readable message keeps the detail).
-    pub fn for_version(self, version: u16) -> Self {
-        if version < self.min_version() {
-            ErrorCode::InvalidQuery
-        } else {
-            self
         }
     }
 
@@ -310,21 +268,21 @@ pub enum Response {
         /// nothing.
         synopsis: Option<SynopsisStats>,
     },
-    /// Store-wide statistics. (v2 only.)
+    /// Store-wide statistics.
     StoreStats {
         /// Largest per-key epoch.
         epoch: u64,
         /// The summary.
         stats: StoreWideStats,
     },
-    /// The key listing, in canonical (ascending) order. (v2 only.)
+    /// The key listing, in canonical (ascending) order.
     KeyList {
         /// Largest per-key epoch when the listing was taken.
         epoch: u64,
         /// Every key.
         keys: Vec<String>,
     },
-    /// The merged global view. (v2 only.)
+    /// The merged global view.
     MergedView {
         /// Largest epoch among the contributing snapshots.
         epoch: u64,
@@ -339,7 +297,7 @@ pub enum Response {
         /// The new epoch.
         epoch: u64,
     },
-    /// A `DropKey` was processed. (v2 only.)
+    /// A `DropKey` was processed.
     Dropped {
         /// The dropped key's last epoch (0 if it was absent).
         epoch: u64,
@@ -398,46 +356,17 @@ fn read_key(reader: &mut Reader<'_>) -> CodecResult<String> {
     Ok(key.to_owned())
 }
 
-/// The typed error for a request that protocol v1 cannot express.
-fn v1_cannot_express() -> CodecError {
-    CodecError::UnsupportedVersion { found: 1, supported: PROTOCOL_VERSION }
-}
-
 // ---------------------------------------------------------------------------
 // Encoding.
 // ---------------------------------------------------------------------------
 
 /// Encodes a request into one complete wire message (length prefix included)
-/// at the current [`PROTOCOL_VERSION`] — exactly the bytes a v2 client
-/// writes to the socket.
+/// — exactly the bytes a client writes to the socket.
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    encode_request_versioned(PROTOCOL_VERSION, request)
-        .expect("the current protocol version encodes every request")
-}
-
-/// Encodes a request at an explicit protocol version.
-///
-/// v1 is keyless single-store: requests addressing any key other than
-/// [`DEFAULT_KEY`], and the v2-only ops, return a typed error instead of
-/// silently dropping information.
-pub fn encode_request_versioned(version: u16, request: &Request) -> CodecResult<Vec<u8>> {
-    check_encodable_version(version)?;
-    let keyed = version >= 2;
-    let key_fits_v1 = |key: &str| {
-        if key == DEFAULT_KEY {
-            Ok(())
-        } else {
-            Err(CodecError::InvalidKey { reason: "protocol v1 addresses only the default key" })
-        }
-    };
     let mut payload = Vec::new();
     let op = match request {
         Request::CdfBatch { key, xs } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             put_u64(&mut payload, xs.len() as u64);
             for &x in xs {
                 put_u64(&mut payload, x);
@@ -445,11 +374,7 @@ pub fn encode_request_versioned(version: u16, request: &Request) -> CodecResult<
             OP_CDF_BATCH
         }
         Request::QuantileBatch { key, ps } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             put_u64(&mut payload, ps.len() as u64);
             for &p in ps {
                 put_f64(&mut payload, p);
@@ -457,11 +382,7 @@ pub fn encode_request_versioned(version: u16, request: &Request) -> CodecResult<
             OP_QUANTILE_BATCH
         }
         Request::MassBatch { key, ranges } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             put_u64(&mut payload, ranges.len() as u64);
             for &(start, end) in ranges {
                 put_u64(&mut payload, start);
@@ -470,118 +391,65 @@ pub fn encode_request_versioned(version: u16, request: &Request) -> CodecResult<
             OP_MASS_BATCH
         }
         Request::Stats { key } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             OP_STATS
         }
-        Request::StoreStats => {
-            if !keyed {
-                return Err(v1_cannot_express());
-            }
-            OP_STORE_STATS
-        }
-        Request::ListKeys => {
-            if !keyed {
-                return Err(v1_cannot_express());
-            }
-            OP_LIST_KEYS
-        }
+        Request::StoreStats => OP_STORE_STATS,
+        Request::ListKeys => OP_LIST_KEYS,
         Request::MergedView { budget } => {
-            if !keyed {
-                return Err(v1_cannot_express());
-            }
             put_u64(&mut payload, *budget);
             OP_MERGED_VIEW
         }
         Request::Publish { key, synopsis } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             put_u64(&mut payload, synopsis.len() as u64);
             payload.extend_from_slice(synopsis);
             OP_PUBLISH
         }
         Request::UpdateMerge { key, budget, synopsis } => {
-            if keyed {
-                put_key(&mut payload, key);
-            } else {
-                key_fits_v1(key)?;
-            }
+            put_key(&mut payload, key);
             put_u64(&mut payload, *budget);
             put_u64(&mut payload, synopsis.len() as u64);
             payload.extend_from_slice(synopsis);
             OP_UPDATE_MERGE
         }
         Request::DropKey { key } => {
-            if !keyed {
-                return Err(v1_cannot_express());
-            }
             put_key(&mut payload, key);
             OP_DROP_KEY
         }
     };
-    Ok(seal_message_versioned(version, op, &payload))
+    seal_message(op, &payload)
 }
 
 /// Encodes a response into one complete wire message (length prefix
-/// included) at the current [`PROTOCOL_VERSION`].
+/// included).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    encode_response_versioned(PROTOCOL_VERSION, response)
-        .expect("the current protocol version encodes every response")
-}
-
-/// Encodes a response at an explicit protocol version — how a server mirrors
-/// a v1 request with a v1 answer frame. The v2-only response kinds
-/// (`StoreStats`/`KeyList`/`MergedView`/`Dropped`) refuse to encode at v1,
-/// and v2-only error codes ([`ErrorCode::UnknownKey`]/[`ErrorCode::InvalidKey`])
-/// downgrade to [`ErrorCode::InvalidQuery`] inside a v1 error frame
-/// ([`ErrorCode::for_version`]) rather than leaking a byte v1 never defined.
-pub fn encode_response_versioned(version: u16, response: &Response) -> CodecResult<Vec<u8>> {
     let mut out = Vec::new();
-    encode_response_into(version, response, &mut out)?;
-    Ok(out)
+    encode_response_into(response, &mut out);
+    out
 }
 
 /// Appends a complete response wire message (length prefix included) onto
 /// `out`, building the frame in place: no intermediate payload `Vec`, and no
 /// allocation at all once `out` has warmed-up capacity. This is the evented
-/// server's steady-state write path; [`encode_response_versioned`] delegates
-/// here, so both server modes emit byte-identical frames by construction.
-/// On error `out` is restored to its original length.
-pub fn encode_response_into(
-    version: u16,
-    response: &Response,
-    out: &mut Vec<u8>,
-) -> CodecResult<()> {
-    check_encodable_version(version)?;
+/// server's steady-state write path; [`encode_response`] delegates here, so
+/// both server modes emit byte-identical frames by construction.
+pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     let start = out.len();
     // Placeholder length prefix, patched once the payload size is known.
     out.extend_from_slice(&[0u8; LENGTH_PREFIX_BYTES]);
     out.extend_from_slice(&NET_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     out.push(response.op());
-    if let Err(err) = write_response_payload(version, response, out) {
-        out.truncate(start);
-        return Err(err);
-    }
+    write_response_payload(response, out);
     // frame = magic + version + op + payload + the 4-byte CRC trailer below.
     let frame_len = out.len() - start - LENGTH_PREFIX_BYTES + 4;
     out[start..start + LENGTH_PREFIX_BYTES].copy_from_slice(&(frame_len as u32).to_le_bytes());
     let crc = crc32(&out[start + LENGTH_PREFIX_BYTES..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
 }
 
-fn write_response_payload(
-    version: u16,
-    response: &Response,
-    payload: &mut Vec<u8>,
-) -> CodecResult<()> {
+fn write_response_payload(response: &Response, payload: &mut Vec<u8>) {
     match response {
         Response::CdfBatch { epoch, values } => {
             put_u64(payload, *epoch);
@@ -616,37 +484,25 @@ fn write_response_payload(
                     put_f64(payload, stats.total_mass);
                     put_u64(payload, stats.estimator.len() as u64);
                     payload.extend_from_slice(stats.estimator.as_bytes());
-                    // The maintenance counters shipped with v3; mirroring an
-                    // older request omits them (the decoder defaults to 0).
-                    if version >= 3 {
-                        put_u64(payload, stats.merges);
-                        put_u64(payload, stats.refits);
-                        put_f64(payload, stats.merge_error);
-                    }
+                    put_u64(payload, stats.merges);
+                    put_u64(payload, stats.refits);
+                    put_f64(payload, stats.merge_error);
                 }
             }
         }
         Response::StoreStats { epoch, stats } => {
-            if version < 2 {
-                return Err(v1_cannot_express());
-            }
             put_u64(payload, *epoch);
             put_u64(payload, stats.keys);
             put_u64(payload, stats.served);
             put_u64(payload, stats.total_pieces);
             put_u64(payload, stats.min_epoch);
             put_u64(payload, stats.max_epoch);
-            if version >= 3 {
-                put_u64(payload, stats.merges);
-                put_u64(payload, stats.refits);
-                put_f64(payload, stats.merged_mass);
-                put_f64(payload, stats.merge_error);
-            }
+            put_u64(payload, stats.merges);
+            put_u64(payload, stats.refits);
+            put_f64(payload, stats.merged_mass);
+            put_f64(payload, stats.merge_error);
         }
         Response::KeyList { epoch, keys } => {
-            if version < 2 {
-                return Err(v1_cannot_express());
-            }
             put_u64(payload, *epoch);
             put_u64(payload, keys.len() as u64);
             for key in keys {
@@ -654,9 +510,6 @@ fn write_response_payload(
             }
         }
         Response::MergedView { epoch, keys, synopsis } => {
-            if version < 2 {
-                return Err(v1_cannot_express());
-            }
             put_u64(payload, *epoch);
             put_u64(payload, *keys);
             put_u64(payload, synopsis.len() as u64);
@@ -666,53 +519,29 @@ fn write_response_payload(
             put_u64(payload, *epoch);
         }
         Response::Dropped { epoch, existed } => {
-            if version < 2 {
-                return Err(v1_cannot_express());
-            }
             put_u64(payload, *epoch);
             payload.push(u8::from(*existed));
         }
         Response::Error { epoch, code, message } => {
             put_u64(payload, *epoch);
-            // Mirroring a v1 request must not leak a v2-only code byte into
-            // the v1 frame — old clients have no decoding for it.
-            payload.push(code.for_version(version).to_u8());
+            payload.push(code.to_u8());
             put_u64(payload, message.len() as u64);
             payload.extend_from_slice(message.as_bytes());
         }
     };
-    Ok(())
-}
-
-/// A version this build can *write*: same range it reads.
-fn check_encodable_version(version: u16) -> CodecResult<()> {
-    if !(crate::frame::MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        return Err(CodecError::UnsupportedVersion { found: version, supported: PROTOCOL_VERSION });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding.
 // ---------------------------------------------------------------------------
 
-/// Decodes a request from a verified frame's announced version, op byte and
-/// payload (the shape [`crate::frame::check_envelope`] returns). v1 payloads
-/// decode keyless and address [`DEFAULT_KEY`]; v2-only op bytes inside a v1
-/// frame are unknown ops.
-pub fn decode_request_frame(version: u16, op: u8, payload: &[u8]) -> CodecResult<Request> {
-    let keyed = version >= 2;
+/// Decodes a request from a verified frame's op byte and payload (the shape
+/// [`crate::frame::check_envelope`] returns).
+pub fn decode_request_frame(op: u8, payload: &[u8]) -> CodecResult<Request> {
     let mut reader = Reader::new(payload);
-    let key_for = |reader: &mut Reader<'_>| -> CodecResult<String> {
-        if keyed {
-            read_key(reader)
-        } else {
-            Ok(DEFAULT_KEY.to_owned())
-        }
-    };
     let request = match op {
         OP_CDF_BATCH => {
-            let key = key_for(&mut reader)?;
+            let key = read_key(&mut reader)?;
             let count = reader.count("cdf indices", 8)?;
             let mut xs = Vec::with_capacity(count);
             for _ in 0..count {
@@ -721,7 +550,7 @@ pub fn decode_request_frame(version: u16, op: u8, payload: &[u8]) -> CodecResult
             Request::CdfBatch { key, xs }
         }
         OP_QUANTILE_BATCH => {
-            let key = key_for(&mut reader)?;
+            let key = read_key(&mut reader)?;
             let count = reader.count("quantile fractions", 8)?;
             let mut ps = Vec::with_capacity(count);
             for _ in 0..count {
@@ -730,7 +559,7 @@ pub fn decode_request_frame(version: u16, op: u8, payload: &[u8]) -> CodecResult
             Request::QuantileBatch { key, ps }
         }
         OP_MASS_BATCH => {
-            let key = key_for(&mut reader)?;
+            let key = read_key(&mut reader)?;
             let count = reader.count("mass ranges", 16)?;
             let mut ranges = Vec::with_capacity(count);
             for _ in 0..count {
@@ -740,41 +569,44 @@ pub fn decode_request_frame(version: u16, op: u8, payload: &[u8]) -> CodecResult
             }
             Request::MassBatch { key, ranges }
         }
-        OP_STATS => Request::Stats { key: key_for(&mut reader)? },
-        OP_STORE_STATS if keyed => Request::StoreStats,
-        OP_LIST_KEYS if keyed => Request::ListKeys,
-        OP_MERGED_VIEW if keyed => Request::MergedView { budget: reader.u64()? },
+        OP_STATS => Request::Stats { key: read_key(&mut reader)? },
+        OP_STORE_STATS => Request::StoreStats,
+        OP_LIST_KEYS => Request::ListKeys,
+        OP_MERGED_VIEW => Request::MergedView { budget: reader.u64()? },
         OP_PUBLISH => {
-            let key = key_for(&mut reader)?;
+            let key = read_key(&mut reader)?;
             Request::Publish { key, synopsis: reader.section("synopsis blob")?.to_vec() }
         }
         OP_UPDATE_MERGE => {
-            let key = key_for(&mut reader)?;
+            let key = read_key(&mut reader)?;
             let budget = reader.u64()?;
             let synopsis = reader.section("synopsis blob")?.to_vec();
             Request::UpdateMerge { key, budget, synopsis }
         }
-        OP_DROP_KEY if keyed => Request::DropKey { key: read_key(&mut reader)? },
+        OP_DROP_KEY => Request::DropKey { key: read_key(&mut reader)? },
         found => return Err(CodecError::InvalidTag { what: "request op", found }),
     };
     reader.finish()?;
     Ok(request)
 }
 
-/// Decodes a response from a verified frame's announced version, op byte and
-/// payload. The v2-only response ops inside a v1 frame are unknown ops.
-pub fn decode_response_frame(version: u16, op: u8, payload: &[u8]) -> CodecResult<Response> {
-    let keyed = version >= 2;
+/// Decodes a response from a verified frame's op byte and payload.
+pub fn decode_response_frame(op: u8, payload: &[u8]) -> CodecResult<Response> {
     // The op is validated before the payload is touched, so an unknown op is
     // reported as such rather than as a truncation further in.
-    let known =
-        matches!(op, OP_CDF_OK | OP_QUANTILE_OK | OP_MASS_OK | OP_STATS_OK | OP_UPDATED | OP_ERROR)
-            || (keyed
-                && matches!(
-                    op,
-                    OP_STORE_STATS_OK | OP_LIST_KEYS_OK | OP_MERGED_VIEW_OK | OP_DROPPED
-                ));
-    if !known {
+    if !matches!(
+        op,
+        OP_CDF_OK
+            | OP_QUANTILE_OK
+            | OP_MASS_OK
+            | OP_STATS_OK
+            | OP_STORE_STATS_OK
+            | OP_LIST_KEYS_OK
+            | OP_MERGED_VIEW_OK
+            | OP_UPDATED
+            | OP_DROPPED
+            | OP_ERROR
+    ) {
         return Err(CodecError::InvalidTag { what: "response op", found: op });
     }
     let mut reader = Reader::new(payload);
@@ -815,20 +647,15 @@ pub fn decode_response_frame(version: u16, op: u8, payload: &[u8]) -> CodecResul
                     let name = reader.section("estimator name")?;
                     let estimator =
                         std::str::from_utf8(name).map_err(|_| CodecError::NonUtf8Name)?.to_string();
-                    let (merges, refits, merge_error) = if version >= 3 {
-                        (reader.u64()?, reader.u64()?, reader.f64()?)
-                    } else {
-                        (0, 0, 0.0)
-                    };
                     Some(SynopsisStats {
                         domain,
                         pieces,
                         target_k,
                         total_mass,
                         estimator,
-                        merges,
-                        refits,
-                        merge_error,
+                        merges: reader.u64()?,
+                        refits: reader.u64()?,
+                        merge_error: reader.f64()?,
                     })
                 }
                 found => {
@@ -837,26 +664,20 @@ pub fn decode_response_frame(version: u16, op: u8, payload: &[u8]) -> CodecResul
             };
             Response::Stats { epoch, synopsis }
         }
-        OP_STORE_STATS_OK => {
-            let mut stats = StoreWideStats {
+        OP_STORE_STATS_OK => Response::StoreStats {
+            epoch,
+            stats: StoreWideStats {
                 keys: reader.u64()?,
                 served: reader.u64()?,
                 total_pieces: reader.u64()?,
                 min_epoch: reader.u64()?,
                 max_epoch: reader.u64()?,
-                merges: 0,
-                refits: 0,
-                merged_mass: 0.0,
-                merge_error: 0.0,
-            };
-            if version >= 3 {
-                stats.merges = reader.u64()?;
-                stats.refits = reader.u64()?;
-                stats.merged_mass = reader.f64()?;
-                stats.merge_error = reader.f64()?;
-            }
-            Response::StoreStats { epoch, stats }
-        }
+                merges: reader.u64()?,
+                refits: reader.u64()?,
+                merged_mass: reader.f64()?,
+                merge_error: reader.f64()?,
+            },
+        },
         OP_LIST_KEYS_OK => {
             // Smallest possible key section: 8-byte length + 1 byte.
             let count = reader.count("keys", 9)?;
@@ -894,24 +715,22 @@ pub fn decode_response_frame(version: u16, op: u8, payload: &[u8]) -> CodecResul
     Ok(response)
 }
 
-/// Decodes a complete wire message (length prefix included) as a request,
-/// honouring the version its envelope announces.
+/// Decodes a complete wire message (length prefix included) as a request.
 pub fn decode_request(message: &[u8]) -> CodecResult<Request> {
-    let (version, op, payload) = split_message(message)?;
-    decode_request_frame(version, op, payload)
+    let (op, payload) = split_message(message)?;
+    decode_request_frame(op, payload)
 }
 
-/// Decodes a complete wire message (length prefix included) as a response,
-/// honouring the version its envelope announces.
+/// Decodes a complete wire message (length prefix included) as a response.
 pub fn decode_response(message: &[u8]) -> CodecResult<Response> {
-    let (version, op, payload) = split_message(message)?;
-    decode_response_frame(version, op, payload)
+    let (op, payload) = split_message(message)?;
+    decode_response_frame(op, payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::seal_message;
+    use hist_serve::DEFAULT_KEY;
 
     fn round_trip_request(request: Request) {
         let decoded = decode_request(&encode_request(&request)).unwrap();
@@ -998,133 +817,35 @@ mod tests {
         });
     }
 
-    #[test]
-    fn v1_round_trips_keyless_default_requests() {
-        let requests = [
-            Request::CdfBatch { key: DEFAULT_KEY.into(), xs: vec![1, 2] },
-            Request::QuantileBatch { key: DEFAULT_KEY.into(), ps: vec![0.5] },
-            Request::MassBatch { key: DEFAULT_KEY.into(), ranges: vec![(0, 9)] },
-            Request::Stats { key: DEFAULT_KEY.into() },
-            Request::Publish { key: DEFAULT_KEY.into(), synopsis: vec![1] },
-            Request::UpdateMerge { key: DEFAULT_KEY.into(), budget: 4, synopsis: vec![2] },
-        ];
-        for request in requests {
-            let v1 = encode_request_versioned(1, &request).unwrap();
-            let decoded = decode_request(&v1).unwrap();
-            assert_eq!(decoded, request, "v1 frames decode back with the default key");
-            // And the v1 bytes are strictly shorter than v2 (no key section).
-            assert!(v1.len() < encode_request(&request).len());
-        }
+    /// Re-stamps an encoded message with another version, recomputing the
+    /// CRC so the version is the only thing wrong with the frame.
+    fn restamp(mut message: Vec<u8>, version: u16) -> Vec<u8> {
+        let at = LENGTH_PREFIX_BYTES + NET_MAGIC.len();
+        message[at..at + 2].copy_from_slice(&version.to_le_bytes());
+        let body = message.len() - 4;
+        let crc = crc32(&message[LENGTH_PREFIX_BYTES..body]);
+        message[body..].copy_from_slice(&crc.to_le_bytes());
+        message
     }
 
     #[test]
-    fn v1_refuses_keys_and_keyed_ops() {
-        let keyed_request = Request::CdfBatch { key: "tenant".into(), xs: vec![1] };
-        assert!(matches!(
-            encode_request_versioned(1, &keyed_request),
-            Err(CodecError::InvalidKey { .. })
-        ));
-        for request in [Request::StoreStats, Request::ListKeys, Request::MergedView { budget: 4 }] {
-            assert!(matches!(
-                encode_request_versioned(1, &request),
-                Err(CodecError::UnsupportedVersion { found: 1, .. })
-            ));
-        }
-        assert!(matches!(
-            encode_request_versioned(1, &Request::DropKey { key: DEFAULT_KEY.into() }),
-            Err(CodecError::UnsupportedVersion { found: 1, .. })
-        ));
-        // The v2-only response kinds refuse v1 too.
-        let dropped = Response::Dropped { epoch: 1, existed: true };
-        assert!(encode_response_versioned(1, &dropped).is_err());
-        // Unknown versions refuse outright.
-        assert!(encode_request_versioned(0, &Request::ListKeys).is_err());
-        assert!(encode_request_versioned(4, &Request::ListKeys).is_err());
-    }
-
-    #[test]
-    fn v2_stats_frames_omit_and_zero_the_maintenance_counters() {
-        // A v3 build mirroring a v2 peer drops the counters on the wire; the
-        // decoder fills zeros, so a v2 exchange round-trips exactly with the
-        // maintenance fields blanked.
-        let stats = Response::Stats {
-            epoch: 9,
-            synopsis: Some(SynopsisStats {
-                domain: 64,
-                pieces: 7,
-                target_k: 3,
-                total_mass: 128.0,
-                estimator: "merging".into(),
-                merges: 99,
-                refits: 4,
-                merge_error: 1.5,
-            }),
-        };
-        let v2 = encode_response_versioned(2, &stats).unwrap();
-        let v3 = encode_response_versioned(3, &stats).unwrap();
-        assert!(v2.len() < v3.len(), "the v2 frame must omit the counters");
-        match decode_response(&v2).unwrap() {
-            Response::Stats { synopsis: Some(decoded), .. } => {
-                assert_eq!((decoded.merges, decoded.refits, decoded.merge_error), (0, 0, 0.0));
-                assert_eq!(decoded.domain, 64);
-                assert_eq!(decoded.estimator, "merging");
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
-        assert_eq!(decode_response(&v3).unwrap(), stats);
-
-        let wide = Response::StoreStats {
-            epoch: 3,
-            stats: StoreWideStats {
-                keys: 2,
-                served: 2,
-                total_pieces: 22,
-                min_epoch: 1,
-                max_epoch: 3,
-                merges: 7,
-                refits: 1,
-                merged_mass: 640.0,
-                merge_error: 0.25,
-            },
-        };
-        let v2 = encode_response_versioned(2, &wide).unwrap();
-        match decode_response(&v2).unwrap() {
-            Response::StoreStats { stats: decoded, .. } => {
-                assert_eq!((decoded.merges, decoded.refits), (0, 0));
-                assert_eq!((decoded.merged_mass, decoded.merge_error), (0.0, 0.0));
-                assert_eq!(decoded.keys, 2);
-                assert_eq!(decoded.max_epoch, 3);
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
-        let v3 = encode_response_versioned(3, &wide).unwrap();
-        assert_eq!(decode_response(&v3).unwrap(), wide);
-    }
-
-    #[test]
-    fn v2_only_ops_in_a_v1_frame_are_unknown_ops() {
-        use crate::frame::seal_message_versioned;
-        for op in [0x05u8, 0x06, 0x07, 0x12] {
-            let message = seal_message_versioned(1, op, &[]);
-            assert!(
+    fn every_other_version_is_an_unsupported_version_error() {
+        let request = encode_request(&Request::Stats { key: "t".into() });
+        let response = encode_response(&Response::Updated { epoch: 1 });
+        assert_eq!(restamp(request.clone(), PROTOCOL_VERSION), request);
+        assert_eq!(restamp(response.clone(), PROTOCOL_VERSION), response);
+        for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+            let rejected = |r: CodecResult<()>| {
                 matches!(
-                    decode_request(&message),
-                    Err(CodecError::InvalidTag { what: "request op", .. })
-                ),
-                "op {op:#04x} must be unknown under v1"
-            );
-        }
-        for op in [0x85u8, 0x86, 0x87, 0x91] {
-            let mut payload = Vec::new();
-            put_u64(&mut payload, 1);
-            let message = seal_message_versioned(1, op, &payload);
-            assert!(
-                matches!(
-                    decode_response(&message),
-                    Err(CodecError::InvalidTag { what: "response op", .. })
-                ),
-                "op {op:#04x} must be unknown under v1"
-            );
+                    r,
+                    Err(CodecError::UnsupportedVersion { found, supported: PROTOCOL_VERSION })
+                        if found == version
+                )
+            };
+            let request = restamp(request.clone(), version);
+            assert!(rejected(decode_request(&request).map(drop)), "request at v{version}");
+            let response = restamp(response.clone(), version);
+            assert!(rejected(decode_response(&response).map(drop)), "response at v{version}");
         }
     }
 
@@ -1174,45 +895,6 @@ mod tests {
         assert_eq!(ErrorCode::from_u8(9), ErrorCode::UnknownKey);
         assert_eq!(ErrorCode::from_u8(10), ErrorCode::InvalidKey);
         assert_eq!(ErrorCode::from_u8(200), ErrorCode::Unknown(200));
-    }
-
-    #[test]
-    fn v1_error_frames_never_carry_v2_only_codes() {
-        use crate::frame::check_envelope;
-        // Regression: mirroring a v1 request's version used to stamp the
-        // v2-only UnknownKey/InvalidKey bytes into v1 error frames, which v1
-        // clients have no decoding for. At v1 they downgrade to InvalidQuery;
-        // at v2 they pass through untouched.
-        for code in [ErrorCode::UnknownKey, ErrorCode::InvalidKey] {
-            let response =
-                Response::Error { epoch: 3, code, message: "no such key `api/login`".into() };
-            let message = encode_response_versioned(1, &response).unwrap();
-            let (version, op, payload) = check_envelope(&message[4..]).unwrap();
-            assert_eq!(version, 1);
-            match decode_response_frame(version, op, payload).unwrap() {
-                Response::Error { epoch, code, message } => {
-                    assert_eq!(epoch, 3);
-                    assert_eq!(code, ErrorCode::InvalidQuery, "v1 must get a v1-era code");
-                    assert_eq!(message, "no such key `api/login`");
-                }
-                other => panic!("expected an error frame, got {other:?}"),
-            }
-
-            // v2 frames keep the precise code.
-            let message = encode_response_versioned(2, &response).unwrap();
-            let (version, op, payload) = check_envelope(&message[4..]).unwrap();
-            match decode_response_frame(version, op, payload).unwrap() {
-                Response::Error { code: decoded, .. } => assert_eq!(decoded, code),
-                other => panic!("expected an error frame, got {other:?}"),
-            }
-        }
-
-        // v1-era codes and foreign (Unknown) passthrough bytes are untouched
-        // at both versions.
-        for code in [ErrorCode::MalformedFrame, ErrorCode::EmptyStore, ErrorCode::Unknown(200)] {
-            assert_eq!(code.for_version(1), code);
-            assert_eq!(code.for_version(2), code);
-        }
     }
 
     #[test]

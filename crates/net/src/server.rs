@@ -20,19 +20,12 @@
 //! frames: they share one request→response core ([`Responder`] +
 //! `answer_frame`) and one in-place frame encoder.
 //!
-//! ## Protocol versions
+//! ## Protocol version
 //!
-//! The server speaks every version in
-//! [`MIN_PROTOCOL_VERSION`](crate::frame::MIN_PROTOCOL_VERSION)`..=`
-//! [`PROTOCOL_VERSION`](crate::frame::PROTOCOL_VERSION) and *mirrors* the
-//! request's announced version in its answer: a v1 (keyless) request decodes
-//! as addressing [`DEFAULT_KEY`] and is answered with a v1 frame, so
-//! unmodified v1 clients keep working against a keyed server. Frames whose
-//! version the envelope check rejects are answered at the minimum version —
-//! the one frame shape every client generation decodes. Mirroring never
-//! leaks v2-only error codes into a v1 frame: the encoder downgrades
-//! `UnknownKey`/`InvalidKey` to `InvalidQuery` at v1 (see
-//! [`ErrorCode::for_version`](crate::proto::ErrorCode::for_version)).
+//! The server reads and writes exactly
+//! [`PROTOCOL_VERSION`](crate::frame::PROTOCOL_VERSION). A frame announcing
+//! any other version is answered with a typed
+//! [`ErrorCode::UnsupportedVersion`] frame and the connection carries on.
 //!
 //! Hostile peers are contained at three layers: the frame length prefix is
 //! checked against [`ServerConfig::max_frame_bytes`] *before* any allocation,
@@ -55,11 +48,9 @@ use hist_core::Interval;
 use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
 use hist_serve::{MaintenancePolicy, QueryExecutor, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
 
-use crate::frame::{
-    check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES, MIN_PROTOCOL_VERSION,
-};
+use crate::frame::{check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES};
 use crate::proto::{
-    decode_request_frame, encode_response_versioned, ErrorCode, Request, Response, StoreWideStats,
+    decode_request_frame, encode_response, ErrorCode, Request, Response, StoreWideStats,
     SynopsisStats,
 };
 
@@ -359,18 +350,17 @@ impl Connection {
                 // Clean close, peer gone, or shutdown: nothing left to say.
                 Ok(None) => return,
                 // Framing errors desynchronize the stream: answer with a
-                // typed error frame, then close. The version is unknowable
-                // here, so the answer goes out at the minimum version.
-                Err(response) => return self.send_and_close(MIN_PROTOCOL_VERSION, &response),
+                // typed error frame, then close.
+                Err(response) => return self.send_and_close(&response),
             };
             if served >= self.config.max_requests_per_connection {
                 let response =
                     self.responder.budget_exceeded_error(self.config.max_requests_per_connection);
-                return self.send_and_close(MIN_PROTOCOL_VERSION, &response);
+                return self.send_and_close(&response);
             }
             served += 1;
-            let (version, response) = answer_frame(&self.responder, &frame);
-            if !self.send(version, &response) {
+            let response = answer_frame(&self.responder, &frame);
+            if !self.send(&response) {
                 return;
             }
         }
@@ -436,22 +426,9 @@ impl Connection {
         Fill::Done
     }
 
-    /// Writes a response at the version the request announced (mirroring);
-    /// `false` means the peer is gone. A response kind the mirrored version
-    /// cannot express falls back to a malformed-frame error at that version
-    /// — unreachable by construction, since v2-only responses only answer
-    /// v2-only requests, but the fallback keeps the handler total.
-    fn send(&mut self, version: u16, response: &Response) -> bool {
-        let message = encode_response_versioned(version, response).unwrap_or_else(|e| {
-            let fallback = Response::Error {
-                epoch: 0,
-                code: ErrorCode::MalformedFrame,
-                message: e.to_string(),
-            };
-            encode_response_versioned(MIN_PROTOCOL_VERSION, &fallback)
-                .expect("an error frame encodes at every version")
-        });
-        write_message(&mut self.stream, &message).is_ok()
+    /// Writes a response; `false` means the peer is gone.
+    fn send(&mut self, response: &Response) -> bool {
+        write_message(&mut self.stream, &encode_response(response)).is_ok()
     }
 
     /// Sends a final response, then closes *gracefully*: half-close the
@@ -459,8 +436,8 @@ impl Connection {
     /// kernel delivers the last frame instead of clobbering it with an RST
     /// (closing a socket with unread bytes resets the connection and
     /// discards data the peer has not consumed yet).
-    fn send_and_close(mut self, version: u16, response: &Response) {
-        let _ = self.send(version, response);
+    fn send_and_close(mut self, response: &Response) {
+        let _ = self.send(response);
         let _ = self.stream.shutdown(Shutdown::Write);
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut scratch = [0u8; 4096];
@@ -490,19 +467,13 @@ pub(crate) struct Responder {
 }
 
 /// Answers one complete frame (the bytes after the length prefix): envelope
-/// check, request decode, dispatch. Returns the version to mirror on the
-/// answer frame alongside the response. An invalid envelope makes the
-/// announced version untrusted (it may be the very thing that was rejected),
-/// so those answers go out at the minimum version — the one frame shape
-/// every client generation decodes; the stream itself is still framed (the
+/// check, request decode, dispatch. A rejected envelope or payload is
+/// answered with a typed error frame; the stream itself is still framed (the
 /// length prefix was honoured), so the connection continues either way.
-pub(crate) fn answer_frame(responder: &Responder, frame: &[u8]) -> (u16, Response) {
-    match check_envelope(frame) {
-        Ok((version, op, payload)) => match decode_request_frame(version, op, payload) {
-            Ok(request) => (version, responder.respond(request)),
-            Err(e) => (version, responder.error(decode_error_code(&e), e.to_string())),
-        },
-        Err(e) => (MIN_PROTOCOL_VERSION, responder.error(decode_error_code(&e), e.to_string())),
+pub(crate) fn answer_frame(responder: &Responder, frame: &[u8]) -> Response {
+    match check_envelope(frame).and_then(|(op, payload)| decode_request_frame(op, payload)) {
+        Ok(request) => responder.respond(request),
+        Err(e) => responder.error(decode_error_code(&e), e.to_string()),
     }
 }
 

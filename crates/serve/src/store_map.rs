@@ -32,9 +32,8 @@ use hist_stream::tree_merge;
 use crate::maintenance::{MaintenancePolicy, MaintenanceWorker};
 use crate::store::{Snapshot, SynopsisStore};
 
-/// The key a keyless (protocol v1) operation targets: a v2 server treats
-/// single-store traffic as traffic on this key, so a v1 client and a keyed
-/// client observing `DEFAULT_KEY` see the same store.
+/// The key single-store traffic targets: a client that never picks a key
+/// addresses this one, and [`StoreMap::with_initial`] seeds it.
 pub const DEFAULT_KEY: &str = "default";
 
 /// Default number of shards (must be a power of two): enough that 8–16

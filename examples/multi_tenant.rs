@@ -1,8 +1,7 @@
 //! Multi-tenant serving end to end: many keys behind one server, concurrent
 //! per-key writers shipping merge-updates over the wire, keyed readers, the
 //! key lifecycle (`list_keys`/`store_stats`/`drop_key`), a merged global
-//! view, and whole-map persistence — all through protocol v2, with a legacy
-//! v1 client reading the default key alongside.
+//! view, and whole-map persistence — all over the keyed wire protocol.
 //!
 //! ```text
 //! cargo run --release --example multi_tenant
@@ -12,7 +11,7 @@ use std::sync::Arc;
 
 use approx_hist::{
     Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, ServerConfig, Signal,
-    StoreMap, DEFAULT_KEY,
+    StoreMap,
 };
 
 const K: usize = 8;
@@ -106,21 +105,6 @@ fn main() {
         view.synopsis.domain(),
         view.synopsis.num_pieces(),
         view.synopsis.quantile(0.99).expect("global p99")
-    );
-
-    // --- v1 compatibility: a legacy keyless client talks to the same
-    //     server, addressing the default key.
-    let mut legacy = HistClient::connect(addr)
-        .expect("legacy connect")
-        .with_protocol_version(1)
-        .expect("v1 supported");
-    let fit =
-        GreedyMerging::new(EstimatorBuilder::new(K)).fit(&tenant_chunk(0, 0)).expect("default fit");
-    legacy.publish(&fit).expect("v1 publish");
-    let p50 = legacy.quantile_batch(&[0.5]).expect("v1 quantile");
-    println!(
-        "compat:    v1 client served at {DEFAULT_KEY:?}: p50 {} at epoch {}",
-        p50.value[0], p50.epoch
     );
 
     // --- Persistence: the whole keyed map in one atomic AHISTMAP container.

@@ -93,7 +93,7 @@
 //!   multi-lane [`TelemetryPipeline`] ingest thread, with crash/resume of
 //!   the ingester that leaves served answers bit-identical;
 //! * [`net`] (`hist-net`) — the network serving layer: a length-prefixed,
-//!   CRC-trailed binary TCP protocol (v3, with v1/v2 compat) over the
+//!   CRC-trailed binary TCP protocol (one version, v3) over the
 //!   keyed store map ([`HistServer`] / [`HistClient`]), with per-key batch
 //!   query ops, store-wide admin ops (key listing/eviction, merged global
 //!   view, store stats with maintenance counters), admin publish/merge ops

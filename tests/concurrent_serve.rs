@@ -59,7 +59,13 @@ fn assert_snapshot_invariants(reader: usize, snapshot: &approx_hist::Snapshot, r
     // monotone and complete. A torn synopsis (pieces from one version, masses
     // from another) cannot pass these.
     let pieces = snapshot.num_pieces();
-    assert!((1..=BUDGET).contains(&pieces), "{}: {pieces} pieces", context());
+    assert!(pieces >= 1, "{}: no pieces", context());
+    // Every merge re-merges down to BUDGET; the seed publish (epoch 1) is a
+    // raw fit, which may hold more pieces, and readers can observe it before
+    // the first merge lands.
+    if epoch > 1 {
+        assert!(pieces <= BUDGET, "{}: {pieces} pieces", context());
+    }
     let mut expected_start = 0usize;
     for j in 0..pieces {
         let interval = snapshot.piece_interval(j);

@@ -8,13 +8,9 @@
 //!   `merged_view` (bit-identical to the in-process tree merge) and
 //!   `drop_key` over the wire, with typed `UnknownKey`/`EmptyStore` errors
 //!   for absent and unserved keys.
-//! * **v1 compatibility** — a protocol-v1 client serves correctly against
-//!   the v2 server (default key, bit-identical answers) while v2 clients
-//!   work the same store; keyed and store-wide ops are refused client-side
-//!   at v1 with typed errors, never sent as lies on the wire.
 //! * **100k-key stress** — a hundred thousand tenants plus a hot set under
-//!   concurrent per-key wire writers, randomized keyed readers and a v1
-//!   legacy reader: per-key epoch monotonicity, zero lost updates, and
+//!   concurrent per-key wire writers, randomized keyed readers and a
+//!   default-key reader: per-key epoch monotonicity, zero lost updates, and
 //!   final served synopses bit-identical to locally maintained mirrors of
 //!   each writer's merge sequence. Registered under the shared stress gate
 //!   from `tests/common`.
@@ -209,54 +205,6 @@ fn missing_and_unserved_keys_are_typed_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn a_v1_client_is_served_correctly_by_a_v2_server(mode: ServerMode) {
-    let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 3);
-    let addr = server.local_addr();
-
-    let mut v1 = HistClient::connect(addr).unwrap().with_protocol_version(1).unwrap();
-    let mut v2 = HistClient::connect(addr).unwrap();
-
-    // The v1 client publishes and queries the default key; answers are
-    // bit-identical to the local fit, exactly as for a v2 client.
-    let local = chunk(42);
-    let epoch = v1.publish(&local).unwrap();
-    assert_eq!(epoch, 1);
-    let n = local.domain();
-    let xs: Vec<usize> = (0..n).step_by(7).collect();
-    let remote = v1.cdf_batch(&xs).unwrap();
-    let local_cdf: Vec<f64> = xs.iter().map(|&x| local.cdf(x).unwrap()).collect();
-    assert_eq!(bits(&remote.value), bits(&local_cdf), "v1 cdf bits");
-
-    // Both protocol generations see the same store: a v2 keyed client reads
-    // what the v1 client published at the default key, and a v1 client
-    // observes epochs advanced by v2 writers.
-    let through_v2 = v2.cdf_batch(&xs).unwrap();
-    assert_eq!(bits(&through_v2.value), bits(&local_cdf), "v2 view of a v1 publish");
-    assert_eq!(v2.list_keys().unwrap().value, [DEFAULT_KEY]);
-    let merged = v2.update_merge(&chunk(43), BUDGET).unwrap();
-    assert_eq!(v1.stats().unwrap().epoch, merged, "v1 sees the v2 merge epoch");
-
-    // Keyed addressing and store-wide ops cannot be expressed at v1: the
-    // client refuses locally with a typed error instead of lying on the wire.
-    v1.set_key("tenants/a").unwrap();
-    match v1.quantile_batch(&[0.5]) {
-        Err(NetError::Frame(approx_hist::CodecError::InvalidKey { .. })) => {}
-        other => panic!("expected a local InvalidKey refusal, got {other:?}"),
-    }
-    v1.set_key(DEFAULT_KEY).unwrap();
-    match v1.list_keys() {
-        Err(NetError::Frame(approx_hist::CodecError::UnsupportedVersion { found: 1, .. })) => {}
-        other => panic!("expected a local UnsupportedVersion refusal, got {other:?}"),
-    }
-
-    // The version gate itself is typed: version 0 and a future version are
-    // refused at connect time.
-    assert!(HistClient::connect(addr).unwrap().with_protocol_version(0).is_err());
-    assert!(HistClient::connect(addr).unwrap().with_protocol_version(99).is_err());
-    server.shutdown();
-}
-
 const TENANTS: usize = 100_000;
 const WRITERS: usize = 4;
 const KEYS_PER_WRITER: usize = 2;
@@ -272,7 +220,7 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
     let _gate = common::stress_gate();
 
     // 100k cold tenants (never written during the stress), a hot set owned
-    // by the writers, and the default key for the legacy v1 reader.
+    // by the writers, and the default key for the default-key reader.
     let map = Arc::new(StoreMap::new());
     for i in 0..TENANTS {
         map.publish(&format!("tenant/{i:06}"), tiny_synopsis(i as u64)).unwrap();
@@ -393,28 +341,25 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
             }));
         }
 
-        // The legacy reader: a v1 client polling the default key, which no
-        // writer touches — its keyless answers must stay bit-identical to
-        // the local synopsis for the whole run.
-        let v1_reader = {
+        // The default-key reader: a client polling the default key, which no
+        // writer touches — its answers must stay bit-identical to the local
+        // synopsis for the whole run.
+        let default_reader = {
             let done = Arc::clone(&done);
             let local = default_local.clone();
             scope.spawn(move || {
-                let mut client = HistClient::connect(addr)
-                    .expect("v1 connect")
-                    .with_protocol_version(1)
-                    .expect("v1 is in range");
+                let mut client = HistClient::connect(addr).expect("default-key reader connect");
                 let mut rng = StdRng::seed_from_u64(0x001E_9AC1);
                 let n = local.domain();
                 let mut reads = 0usize;
                 while !done.load(Ordering::Acquire) {
                     let xs: Vec<usize> = (0..8).map(|_| rng.gen_range(0..n)).collect();
-                    let remote = client.cdf_batch(&xs).expect("v1 cdf");
+                    let remote = client.cdf_batch(&xs).expect("default-key cdf");
                     let local_cdf: Vec<f64> = xs.iter().map(|&x| local.cdf(x).unwrap()).collect();
                     assert_eq!(
                         bits(&remote.value),
                         bits(&local_cdf),
-                        "v1 reader diverged from the local default-key synopsis"
+                        "default-key reader diverged from the local synopsis"
                     );
                     reads += 1;
                 }
@@ -430,7 +375,8 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
             assert!(tenant_reads > 0, "reader never exercised the tenant space");
             assert!(hot_reads > 0, "reader never exercised the hot set");
         }
-        assert!(v1_reader.join().expect("v1 reader panicked") > 0, "v1 reader never ran");
+        let default_reads = default_reader.join().expect("default-key reader panicked");
+        assert!(default_reads > 0, "default-key reader never ran");
         merges
     });
 
@@ -465,6 +411,5 @@ for_each_server_mode!(
     keyed_answers_are_bit_identical_to_local_fits,
     the_key_lifecycle_works_over_the_wire,
     missing_and_unserved_keys_are_typed_errors,
-    a_v1_client_is_served_correctly_by_a_v2_server,
     a_hundred_thousand_keys_survive_concurrent_writers_and_readers,
 );

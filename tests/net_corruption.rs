@@ -1,9 +1,9 @@
 //! Corruption suite for the wire protocol, mirroring `persist_corruption.rs`
 //! one layer up: a *live* server fed truncations at every prefix length,
 //! byte flips at every offset, forged huge length prefixes behind valid
-//! CRCs, unknown ops, future versions and seeded random soup must answer a
-//! typed error frame (or cleanly close the connection) — and never panic,
-//! hang, or allocate at the attacker's command.
+//! CRCs, unknown ops, other protocol versions and seeded random soup must
+//! answer a typed error frame (or cleanly close the connection) — and never
+//! panic, hang, or allocate at the attacker's command.
 //!
 //! A server-side panic cannot hide: connection handlers run on the
 //! `hist-serve` pool, whose drop re-panics if any worker died, so the final
@@ -53,8 +53,9 @@ fn health_probe() -> Vec<u8> {
 
 /// Writes `bytes` to a fresh connection, closes the write side, and collects
 /// every response frame the server sends before closing. Panics if a frame
-/// does not decode as a well-formed [`Response`] — the server must never
-/// answer garbage with garbage — or if the server hangs.
+/// does not announce [`PROTOCOL_VERSION`] or does not decode as a
+/// well-formed [`Response`] — the server must never answer garbage with
+/// garbage — or if the server hangs.
 fn poke(server: &HistServer, bytes: &[u8]) -> Vec<Response> {
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -64,6 +65,8 @@ fn poke(server: &HistServer, bytes: &[u8]) -> Vec<Response> {
     loop {
         match read_message(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
             Ok(Some(frame)) => {
+                let version = &frame[NET_MAGIC.len()..NET_MAGIC.len() + 2];
+                assert_eq!(version, PROTOCOL_VERSION.to_le_bytes(), "answer frame version");
                 let mut message = (frame.len() as u32).to_le_bytes().to_vec();
                 message.extend_from_slice(&frame);
                 responses.push(decode_response(&message).expect("server sent undecodable frame"));
@@ -188,23 +191,40 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
         responses[0]
     );
 
-    // An op this version does not define.
+    // An op the protocol does not define.
     let responses = poke(&server, &seal_message(0x77, &[]));
     assert_eq!(responses.len(), 1);
     assert!(matches!(&responses[0], Response::Error { code: ErrorCode::UnknownOp, .. }));
 
-    // A future protocol version with an internally consistent frame.
-    let mut future = Vec::new();
-    future.extend_from_slice(&NET_MAGIC);
-    future.extend_from_slice(&(PROTOCOL_VERSION + 1).to_le_bytes());
-    future.push(0x04); // Stats op
-    let crc = crc32(&future);
-    future.extend_from_slice(&crc.to_le_bytes());
-    let mut message = (future.len() as u32).to_le_bytes().to_vec();
-    message.extend_from_slice(&future);
-    let responses = poke(&server, &message);
-    assert_eq!(responses.len(), 1);
-    assert!(matches!(&responses[0], Response::Error { code: ErrorCode::UnsupportedVersion, .. }));
+    // Every version but the current one, each in an internally consistent
+    // Stats frame that would be valid at the current version: a typed
+    // UnsupportedVersion answer (announcing the current version, checked by
+    // `poke`), and the connection still serves the valid request behind it.
+    for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&NET_MAGIC);
+        frame.extend_from_slice(&version.to_le_bytes());
+        frame.push(0x04); // Stats op
+        frame.extend_from_slice(&(DEFAULT_KEY.len() as u64).to_le_bytes());
+        frame.extend_from_slice(DEFAULT_KEY.as_bytes());
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        let mut message = (frame.len() as u32).to_le_bytes().to_vec();
+        message.extend_from_slice(&frame);
+        message.extend_from_slice(&health_probe());
+        let responses = poke(&server, &message);
+        assert_eq!(responses.len(), 2, "version {version}: {responses:?}");
+        assert!(
+            matches!(&responses[0], Response::Error { code: ErrorCode::UnsupportedVersion, .. }),
+            "version {version}: got {:?}",
+            responses[0]
+        );
+        assert!(
+            matches!(&responses[1], Response::QuantileBatch { .. }),
+            "version {version}: the connection must stay usable, got {:?}",
+            responses[1]
+        );
+    }
 
     // Semantic errors keep the connection usable: a malformed request, then
     // a valid one, on the same stream.

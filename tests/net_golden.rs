@@ -1,28 +1,14 @@
-//! Golden *binary* fixtures for the wire protocol: canonical request and
-//! response messages committed under `tests/fixtures/net_*_v{1,2,3}.bin`,
-//! decoded and checked against their construction values — so any
-//! accidental change to the on-wire format (field order, widths,
-//! endianness, opcode values, CRC parameterization, length-prefix
-//! semantics, key sections) fails CI even while encode/decode still
-//! round-trip each other.
-//!
-//! Three generations are pinned:
-//!
-//! * the `*_v1.bin` set froze protocol v1 (keyless single-store) — a newer
-//!   build must keep decoding those exact bytes (to [`DEFAULT_KEY`]) *and*
-//!   keep producing them bit for bit through the versioned encoder, since
-//!   that is what "v1 clients still work" means;
-//! * the `*_v2.bin` set froze protocol v2 (keyed multi-tenant), covering
-//!   every op including the v2-only `StoreStats`/`ListKeys`/`MergedView`/
-//!   `DropKey` family; its stats answers carry no maintenance counters and
-//!   decode them as zero;
-//! * the `*_v3.bin` set freezes protocol v3: the `Stats`/`StoreStats`
-//!   answers append the self-tuning maintenance counters.
+//! Golden *binary* fixtures for the wire protocol: one canonical message per
+//! request op and one per response op, committed under
+//! `tests/fixtures/net_*_v3.bin`, decoded and checked against their
+//! construction values — so any accidental change to the on-wire format
+//! (field order, widths, endianness, opcode values, CRC parameterization,
+//! length-prefix semantics, key sections, maintenance counters) fails CI even
+//! while encode/decode still round-trip each other.
 //!
 //! The publish/update fixtures nest the *committed persist fixture*
 //! (`synopsis_merging_steps_v1.bin`) as their synopsis blob, pinning the
-//! protocol-version ↔ persist-format coupling in bytes: both protocol
-//! generations carry format v1 containers.
+//! protocol-version ↔ persist-format coupling in bytes.
 //!
 //! If one of these fails after an *intentional* format change, bump
 //! `PROTOCOL_VERSION`, regenerate with
@@ -32,12 +18,10 @@
 use std::path::PathBuf;
 
 use approx_hist::net::{
-    decode_request, decode_response, encode_request, encode_request_versioned, encode_response,
-    encode_response_versioned, ErrorCode, Request, Response, StoreWideStats, SynopsisStats,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, encode_response, ErrorCode, Request, Response,
+    StoreWideStats, SynopsisStats, PROTOCOL_VERSION,
 };
 use approx_hist::persist::FORMAT_VERSION;
-use approx_hist::DEFAULT_KEY;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -50,193 +34,48 @@ fn synopsis_blob() -> Vec<u8> {
         .expect("the persist golden fixture is committed")
 }
 
-/// The v1 request fixtures: the keyless layout, frozen when v1 was current.
-/// Construction values are unchanged from that release; under v2 they
-/// decode as addressing [`DEFAULT_KEY`].
-fn golden_requests_v1() -> Vec<(&'static str, Request)> {
-    let key = || DEFAULT_KEY.to_string();
+/// One fixture per request op.
+fn golden_requests() -> Vec<(&'static str, Request)> {
+    let key = || "tenants/api-login".to_string();
     vec![
-        ("net_cdf_request_v1.bin", Request::CdfBatch { key: key(), xs: vec![0, 7, 128, 255] }),
+        ("net_cdf_request_v3.bin", Request::CdfBatch { key: key(), xs: vec![0, 7, 128, 255] }),
         (
-            "net_quantile_request_v1.bin",
+            "net_quantile_request_v3.bin",
             Request::QuantileBatch { key: key(), ps: vec![0.0, 0.25, 0.5, 0.75, 1.0] },
         ),
         (
-            "net_mass_request_v1.bin",
+            "net_mass_request_v3.bin",
             Request::MassBatch { key: key(), ranges: vec![(0, 63), (64, 255), (10, 10)] },
         ),
-        ("net_stats_request_v1.bin", Request::Stats { key: key() }),
-        ("net_publish_request_v1.bin", Request::Publish { key: key(), synopsis: synopsis_blob() }),
-        (
-            "net_update_request_v1.bin",
-            Request::UpdateMerge { key: key(), budget: 11, synopsis: synopsis_blob() },
-        ),
-    ]
-}
-
-/// The v1 response fixtures (every response kind v1 could express).
-fn golden_responses_v1() -> Vec<(&'static str, Response)> {
-    vec![
-        (
-            "net_cdf_response_v1.bin",
-            Response::CdfBatch { epoch: 7, values: vec![0.0, 0.109375, 0.6015625, 1.0] },
-        ),
-        (
-            "net_quantile_response_v1.bin",
-            Response::QuantileBatch { epoch: 7, indices: vec![0, 79, 114, 207, 236] },
-        ),
-        (
-            "net_mass_response_v1.bin",
-            Response::MassBatch { epoch: 7, masses: vec![135.0, 825.0, 1.5] },
-        ),
-        (
-            "net_stats_response_v1.bin",
-            Response::Stats {
-                epoch: 7,
-                // v1 frames have no maintenance counters: they decode as 0.
-                synopsis: Some(SynopsisStats {
-                    domain: 256,
-                    pieces: 13,
-                    target_k: 5,
-                    total_mass: 960.0,
-                    estimator: "merging".into(),
-                    merges: 0,
-                    refits: 0,
-                    merge_error: 0.0,
-                }),
-            },
-        ),
-        ("net_updated_response_v1.bin", Response::Updated { epoch: 8 }),
-        (
-            "net_error_response_v1.bin",
-            Response::Error {
-                epoch: 7,
-                code: ErrorCode::InvalidQuery,
-                message: "index 900 out of domain 256".into(),
-            },
-        ),
-    ]
-}
-
-/// The v2 request fixtures: the keyed layout plus the v2-only ops.
-fn golden_requests_v2() -> Vec<(&'static str, Request)> {
-    let key = || "tenants/api-login".to_string();
-    vec![
-        ("net_cdf_request_v2.bin", Request::CdfBatch { key: key(), xs: vec![0, 7, 128, 255] }),
-        (
-            "net_quantile_request_v2.bin",
-            Request::QuantileBatch { key: key(), ps: vec![0.0, 0.25, 0.5, 0.75, 1.0] },
-        ),
-        (
-            "net_mass_request_v2.bin",
-            Request::MassBatch { key: key(), ranges: vec![(0, 63), (64, 255), (10, 10)] },
-        ),
-        ("net_stats_request_v2.bin", Request::Stats { key: key() }),
-        ("net_store_stats_request_v2.bin", Request::StoreStats),
-        ("net_list_keys_request_v2.bin", Request::ListKeys),
-        ("net_merged_view_request_v2.bin", Request::MergedView { budget: 11 }),
-        ("net_publish_request_v2.bin", Request::Publish { key: key(), synopsis: synopsis_blob() }),
-        (
-            "net_update_request_v2.bin",
-            Request::UpdateMerge { key: key(), budget: 11, synopsis: synopsis_blob() },
-        ),
-        ("net_drop_key_request_v2.bin", Request::DropKey { key: key() }),
-    ]
-}
-
-/// The v2 response fixtures: every response kind, v2-only ones included.
-fn golden_responses_v2() -> Vec<(&'static str, Response)> {
-    vec![
-        (
-            "net_cdf_response_v2.bin",
-            Response::CdfBatch { epoch: 7, values: vec![0.0, 0.109375, 0.6015625, 1.0] },
-        ),
-        (
-            "net_quantile_response_v2.bin",
-            Response::QuantileBatch { epoch: 7, indices: vec![0, 79, 114, 207, 236] },
-        ),
-        (
-            "net_mass_response_v2.bin",
-            Response::MassBatch { epoch: 7, masses: vec![135.0, 825.0, 1.5] },
-        ),
-        (
-            "net_stats_response_v2.bin",
-            Response::Stats {
-                epoch: 7,
-                // v2 frames have no maintenance counters: they decode as 0.
-                synopsis: Some(SynopsisStats {
-                    domain: 256,
-                    pieces: 13,
-                    target_k: 5,
-                    total_mass: 960.0,
-                    estimator: "merging".into(),
-                    merges: 0,
-                    refits: 0,
-                    merge_error: 0.0,
-                }),
-            },
-        ),
-        (
-            "net_store_stats_response_v2.bin",
-            Response::StoreStats {
-                epoch: 9,
-                stats: StoreWideStats {
-                    keys: 3,
-                    served: 2,
-                    total_pieces: 26,
-                    min_epoch: 0,
-                    max_epoch: 9,
-                    merges: 0,
-                    refits: 0,
-                    merged_mass: 0.0,
-                    merge_error: 0.0,
-                },
-            },
-        ),
-        (
-            "net_list_keys_response_v2.bin",
-            Response::KeyList {
-                epoch: 9,
-                keys: vec![
-                    "default".into(),
-                    "tenants/api-login".into(),
-                    "tenants/api-search".into(),
-                ],
-            },
-        ),
-        (
-            "net_merged_view_response_v2.bin",
-            Response::MergedView { epoch: 9, keys: 2, synopsis: synopsis_blob() },
-        ),
-        ("net_updated_response_v2.bin", Response::Updated { epoch: 8 }),
-        ("net_dropped_response_v2.bin", Response::Dropped { epoch: 8, existed: true }),
-        (
-            "net_error_response_v2.bin",
-            Response::Error {
-                epoch: 7,
-                code: ErrorCode::UnknownKey,
-                message: "key \"tenants/api-logout\" is not present in the store map".into(),
-            },
-        ),
-    ]
-}
-
-/// The v3 request fixtures. Requests did not change shape between v2 and
-/// v3, so the set pins the v3 envelope on one query op and one admin op
-/// (the latter also pinning the protocol ↔ persist coupling at v3).
-fn golden_requests_v3() -> Vec<(&'static str, Request)> {
-    let key = || "tenants/api-login".to_string();
-    vec![
         ("net_stats_request_v3.bin", Request::Stats { key: key() }),
+        ("net_store_stats_request_v3.bin", Request::StoreStats),
+        ("net_list_keys_request_v3.bin", Request::ListKeys),
+        ("net_merged_view_request_v3.bin", Request::MergedView { budget: 11 }),
         ("net_publish_request_v3.bin", Request::Publish { key: key(), synopsis: synopsis_blob() }),
+        (
+            "net_update_request_v3.bin",
+            Request::UpdateMerge { key: key(), budget: 11, synopsis: synopsis_blob() },
+        ),
+        ("net_drop_key_request_v3.bin", Request::DropKey { key: key() }),
     ]
 }
 
-/// The v3 response fixtures: the two kinds whose payloads grew the
-/// maintenance counters, with nonzero counter values so the new bytes are
-/// actually pinned.
-fn golden_responses_v3() -> Vec<(&'static str, Response)> {
+/// One fixture per response op. The stats answers carry nonzero maintenance
+/// counters so those bytes are actually pinned.
+fn golden_responses() -> Vec<(&'static str, Response)> {
     vec![
+        (
+            "net_cdf_response_v3.bin",
+            Response::CdfBatch { epoch: 7, values: vec![0.0, 0.109375, 0.6015625, 1.0] },
+        ),
+        (
+            "net_quantile_response_v3.bin",
+            Response::QuantileBatch { epoch: 7, indices: vec![0, 79, 114, 207, 236] },
+        ),
+        (
+            "net_mass_response_v3.bin",
+            Response::MassBatch { epoch: 7, masses: vec![135.0, 825.0, 1.5] },
+        ),
         (
             "net_stats_response_v3.bin",
             Response::Stats {
@@ -270,60 +109,43 @@ fn golden_responses_v3() -> Vec<(&'static str, Response)> {
                 },
             },
         ),
+        (
+            "net_list_keys_response_v3.bin",
+            Response::KeyList {
+                epoch: 9,
+                keys: vec![
+                    "default".into(),
+                    "tenants/api-login".into(),
+                    "tenants/api-search".into(),
+                ],
+            },
+        ),
+        (
+            "net_merged_view_response_v3.bin",
+            Response::MergedView { epoch: 9, keys: 2, synopsis: synopsis_blob() },
+        ),
+        ("net_updated_response_v3.bin", Response::Updated { epoch: 8 }),
+        ("net_dropped_response_v3.bin", Response::Dropped { epoch: 8, existed: true }),
+        (
+            "net_error_response_v3.bin",
+            Response::Error {
+                epoch: 7,
+                code: ErrorCode::UnknownKey,
+                message: "key \"tenants/api-logout\" is not present in the store map".into(),
+            },
+        ),
     ]
-}
-
-/// The construction value and committed file of the v1 *downgrade* fixture:
-/// a response built with the v2-only [`ErrorCode::UnknownKey`] but encoded
-/// at v1, where the code must leave the encoder as `InvalidQuery`. Kept out
-/// of [`golden_responses_v1`] on purpose — the downgrade makes the frame
-/// decode differently from its construction value, which is the point.
-fn downgraded_error_fixture() -> (&'static str, Response) {
-    (
-        "net_error_downgraded_response_v1.bin",
-        Response::Error {
-            epoch: 7,
-            code: ErrorCode::UnknownKey,
-            message: "key \"tenants/api-logout\" is not present in the store map".into(),
-        },
-    )
 }
 
 #[test]
 #[ignore = "fixture-regeneration helper, not a regression test"]
 fn regenerate_net_fixtures() {
-    {
-        let (name, response) = downgraded_error_fixture();
-        let bytes = encode_response_versioned(1, &response).expect("error frames encode at v1");
-        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
-        println!("{name}: {} bytes", bytes.len());
-    }
-    for (name, request) in golden_requests_v1() {
-        let bytes = encode_request_versioned(1, &request).expect("v1-expressible request");
-        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
-        println!("{name}: {} bytes", bytes.len());
-    }
-    for (name, response) in golden_responses_v1() {
-        let bytes = encode_response_versioned(1, &response).expect("v1-expressible response");
-        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
-        println!("{name}: {} bytes", bytes.len());
-    }
-    for (name, request) in golden_requests_v2() {
-        let bytes = encode_request_versioned(2, &request).expect("v2-expressible request");
-        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
-        println!("{name}: {} bytes", bytes.len());
-    }
-    for (name, response) in golden_responses_v2() {
-        let bytes = encode_response_versioned(2, &response).expect("v2-expressible response");
-        std::fs::write(fixture_path(name), &bytes).expect("write fixture");
-        println!("{name}: {} bytes", bytes.len());
-    }
-    for (name, request) in golden_requests_v3() {
+    for (name, request) in golden_requests() {
         let bytes = encode_request(&request);
         std::fs::write(fixture_path(name), &bytes).expect("write fixture");
         println!("{name}: {} bytes", bytes.len());
     }
-    for (name, response) in golden_responses_v3() {
+    for (name, response) in golden_responses() {
         let bytes = encode_response(&response);
         std::fs::write(fixture_path(name), &bytes).expect("write fixture");
         println!("{name}: {} bytes", bytes.len());
@@ -331,72 +153,8 @@ fn regenerate_net_fixtures() {
 }
 
 #[test]
-fn committed_v1_request_frames_still_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_requests_v1() {
-        let committed = std::fs::read(fixture_path(name))
-            .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
-        let decoded = decode_request(&committed)
-            .unwrap_or_else(|e| panic!("committed fixture {name} no longer decodes: {e:?}"));
-        assert_eq!(decoded, expected, "{name}: decoded request changed");
-        assert_eq!(
-            encode_request_versioned(1, &expected).expect("v1-expressible request"),
-            committed,
-            "{name}: re-encoded v1 bytes diverged"
-        );
-    }
-}
-
-#[test]
-fn committed_v1_response_frames_still_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_responses_v1() {
-        let committed = std::fs::read(fixture_path(name))
-            .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
-        let decoded = decode_response(&committed)
-            .unwrap_or_else(|e| panic!("committed fixture {name} no longer decodes: {e:?}"));
-        assert_eq!(decoded, expected, "{name}: decoded response changed");
-        assert_eq!(
-            encode_response_versioned(1, &expected).expect("v1-expressible response"),
-            committed,
-            "{name}: re-encoded v1 bytes diverged"
-        );
-    }
-}
-
-#[test]
-fn committed_v2_request_frames_still_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_requests_v2() {
-        let committed = std::fs::read(fixture_path(name))
-            .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
-        let decoded = decode_request(&committed)
-            .unwrap_or_else(|e| panic!("committed fixture {name} no longer decodes: {e:?}"));
-        assert_eq!(decoded, expected, "{name}: decoded request changed");
-        assert_eq!(
-            encode_request_versioned(2, &expected).expect("v2-expressible request"),
-            committed,
-            "{name}: re-encoded v2 bytes diverged"
-        );
-    }
-}
-
-#[test]
-fn committed_v2_response_frames_still_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_responses_v2() {
-        let committed = std::fs::read(fixture_path(name))
-            .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
-        let decoded = decode_response(&committed)
-            .unwrap_or_else(|e| panic!("committed fixture {name} no longer decodes: {e:?}"));
-        assert_eq!(decoded, expected, "{name}: decoded response changed");
-        assert_eq!(
-            encode_response_versioned(2, &expected).expect("v2-expressible response"),
-            committed,
-            "{name}: re-encoded v2 bytes diverged"
-        );
-    }
-}
-
-#[test]
 fn committed_v3_request_frames_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_requests_v3() {
+    for (name, expected) in golden_requests() {
         let committed = std::fs::read(fixture_path(name))
             .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
         let decoded = decode_request(&committed)
@@ -408,7 +166,7 @@ fn committed_v3_request_frames_decode_and_reencode_bit_for_bit() {
 
 #[test]
 fn committed_v3_response_frames_decode_and_reencode_bit_for_bit() {
-    for (name, expected) in golden_responses_v3() {
+    for (name, expected) in golden_responses() {
         let committed = std::fs::read(fixture_path(name))
             .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
         let decoded = decode_response(&committed)
@@ -419,70 +177,31 @@ fn committed_v3_response_frames_decode_and_reencode_bit_for_bit() {
 }
 
 #[test]
-fn v1_error_frames_downgrade_v2_only_codes_bit_for_bit() {
-    // Regression: a v2 server mirroring a v1 request used to stamp the
-    // v2-only UnknownKey byte (9) straight into the v1 error frame. The
-    // committed fixture pins the fixed behavior in bytes: encoding an
-    // UnknownKey error at v1 produces a frame whose code byte is the v1-era
-    // InvalidQuery (4), and that is what a v1 client decodes.
-    let (name, response) = downgraded_error_fixture();
-    let committed = std::fs::read(fixture_path(name))
-        .unwrap_or_else(|e| panic!("committed fixture {name} unreadable: {e}"));
-    let encoded = encode_response_versioned(1, &response).expect("error frames encode at v1");
-    assert_eq!(encoded, committed, "{name}: re-encoded v1 bytes diverged");
-
-    // The code byte sits at a fixed offset: length prefix (4) + magic (8) +
-    // version (2) + op (1) + epoch (8).
-    let code_offset = 4 + 8 + 2 + 1 + 8;
-    assert_eq!(committed[code_offset], ErrorCode::InvalidQuery.to_u8(), "code byte must be v1-era");
-    assert_ne!(committed[code_offset], ErrorCode::UnknownKey.to_u8());
-
-    let decoded = decode_response(&committed).expect("v1 clients must decode the frame");
-    match decoded {
-        Response::Error { epoch, code, message } => {
-            assert_eq!(epoch, 7);
-            assert_eq!(code, ErrorCode::InvalidQuery);
-            assert!(message.contains("tenants/api-logout"), "detail stays in the message");
-        }
-        other => panic!("expected an error frame, got {other:?}"),
-    }
-}
-
-#[test]
 fn protocol_versions_are_pinned_to_the_persist_format_version() {
     // Protocol frames carry AHISTSYN blobs: the (format, protocol) version
-    // pair is pinned — every protocol generation this build speaks ships
-    // format-v1 containers. Bump the fixture file names with either version.
+    // pair is pinned. Bump the fixture file names with either version.
     assert_eq!(PROTOCOL_VERSION, 3, "bump the net fixture file names with the protocol version");
-    assert_eq!(MIN_PROTOCOL_VERSION, 1, "v1 compat decode is part of the v3 contract");
-    assert_eq!(FORMAT_VERSION, 1, "every protocol generation pins persist format v1");
-    // The committed publish fixtures begin, after their frame headers, with
-    // a nested AHISTSYN container — the coupling is visible in the bytes of
-    // every generation.
-    for name in
-        ["net_publish_request_v1.bin", "net_publish_request_v2.bin", "net_publish_request_v3.bin"]
-    {
-        let publish = std::fs::read(fixture_path(name)).unwrap();
-        let needle = b"AHISTSYN";
-        assert!(
-            publish.windows(needle.len()).any(|w| w == needle),
-            "{name} must nest an AHISTSYN container"
-        );
-    }
+    assert_eq!(FORMAT_VERSION, 1, "protocol v3 pins persist format v1");
+    // The committed publish fixture nests an AHISTSYN container after its
+    // frame header — the coupling is visible in the bytes.
+    let publish = std::fs::read(fixture_path("net_publish_request_v3.bin")).unwrap();
+    let needle = b"AHISTSYN";
+    assert!(
+        publish.windows(needle.len()).any(|w| w == needle),
+        "net_publish_request_v3.bin must nest an AHISTSYN container"
+    );
 }
 
 #[test]
-fn the_v2_key_section_is_visible_in_the_bytes() {
+fn the_key_section_is_visible_in_the_bytes() {
     // The keyed layout is not an abstraction detail: the key's UTF-8 bytes
-    // sit verbatim in the frame, after a u64 length prefix.
-    let committed = std::fs::read(fixture_path("net_stats_request_v2.bin")).unwrap();
-    let needle = b"tenants/api-login";
-    assert!(
-        committed.windows(needle.len()).any(|w| w == needle),
-        "the key bytes must appear verbatim in the v2 frame"
-    );
-    // And the v1 frame of the same op has no key section at all: it is
-    // exactly one envelope with an empty payload.
-    let v1 = std::fs::read(fixture_path("net_stats_request_v1.bin")).unwrap();
-    assert!(v1.len() < committed.len(), "the v1 stats frame must be smaller than the keyed v2 one");
+    // sit verbatim in the frame, right after a u64 length prefix that opens
+    // the payload (length prefix 4 + magic 8 + version 2 + op 1).
+    let committed = std::fs::read(fixture_path("net_stats_request_v3.bin")).unwrap();
+    let key = b"tenants/api-login";
+    let payload = &committed[4 + 8 + 2 + 1..];
+    assert_eq!(payload[..8], (key.len() as u64).to_le_bytes(), "the key length opens the payload");
+    assert_eq!(&payload[8..8 + key.len()], key, "the key bytes must follow verbatim");
+    // A stats request is nothing but the key section and the CRC trailer.
+    assert_eq!(payload.len(), 8 + key.len() + 4);
 }
