@@ -461,11 +461,18 @@ fn validate_fraction(name: &'static str, p: f64) -> Result<()> {
     Ok(())
 }
 
-/// Target number of entries in a [`FlatKernel`] position lookup table. The
-/// actual table holds `⌈domain / block⌉` entries for the smallest
-/// power-of-two block with at most this many — ≤ 8 KiB of `u32`s, sized so a
-/// hot synopsis keeps it resident in L1/L2.
+/// Most entries a [`FlatKernel`] position lookup table aims for. The actual
+/// table holds `⌈domain / block⌉` entries for the smallest power-of-two
+/// block with at most `min(POSITION_LUT_TARGET, POSITION_LUT_PER_PIECE · k)`
+/// — ≤ 8 KiB of `u32`s, sized so a hot synopsis keeps it resident in L1/L2.
 const POSITION_LUT_TARGET: usize = 2048;
+
+/// Position lookup-table entries aimed for per fitted piece: enough that a
+/// block rarely holds a piece boundary (the scan after the table read is
+/// then almost always zero steps), few enough that a small-`k` synopsis
+/// keeps an `O(k)` table instead of one entry per domain index. From 128
+/// pieces up the cap above binds instead.
+const POSITION_LUT_PER_PIECE: usize = 16;
 
 /// The flat structure-of-arrays serving state every public query kernel runs
 /// on: the fitted model's piece extents — and, for histograms, its raw and
@@ -523,7 +530,8 @@ impl FlatKernel {
             FittedModel::Polynomial(_) => (Vec::new(), Vec::new()),
         };
         let domain = model.domain();
-        let shift = domain.div_ceil(POSITION_LUT_TARGET).next_power_of_two().trailing_zeros();
+        let target = POSITION_LUT_TARGET.min(POSITION_LUT_PER_PIECE * k);
+        let shift = domain.div_ceil(target).next_power_of_two().trailing_zeros();
         let lut_len = ((domain - 1) >> shift) + 1;
         let mut lut = Vec::with_capacity(lut_len);
         let mut j = 0usize;
@@ -1013,6 +1021,11 @@ impl Synopsis {
         for &p in ps {
             validate_fraction("ps", p)?;
         }
+        // Like `cdf_batch`/`mass_batch`: an empty batch asks nothing of the
+        // mass, so even a zero-mass synopsis answers it.
+        if ps.is_empty() {
+            return Ok(Vec::new());
+        }
         let total = self.clamped_total()?;
         let mut out = Vec::with_capacity(ps.len());
         for &p in ps {
@@ -1114,6 +1127,9 @@ impl Synopsis {
     pub fn quantile_batch_ref(&self, ps: &[f64]) -> Result<Vec<usize>> {
         for &p in ps {
             validate_fraction("ps", p)?;
+        }
+        if ps.is_empty() {
+            return Ok(Vec::new());
         }
         let total = self.clamped_total()?;
         let mut order: Vec<usize> = (0..ps.len()).collect();
@@ -1419,6 +1435,16 @@ mod tests {
         assert_eq!(synopsis.mass_batch(&[]).unwrap(), Vec::<f64>::new());
         assert_eq!(synopsis.quantile_batch(&[]).unwrap(), Vec::<usize>::new());
         assert_eq!(synopsis.cdf_batch(&[]).unwrap(), Vec::<f64>::new());
+
+        // An empty batch never needs the mass, so a zero-mass synopsis
+        // answers it too; a non-empty one is still a typed error.
+        let zero =
+            Synopsis::new("zero", 1, FittedModel::Histogram(Histogram::constant(5, 0.0).unwrap()));
+        assert_eq!(zero.quantile_batch(&[]).unwrap(), Vec::<usize>::new());
+        assert_eq!(zero.quantile_batch_ref(&[]).unwrap(), Vec::<usize>::new());
+        assert_eq!(zero.cdf_batch(&[]).unwrap(), Vec::<f64>::new());
+        assert_eq!(zero.mass_batch(&[]).unwrap(), Vec::<f64>::new());
+        assert!(matches!(zero.quantile_batch(&[0.5]), Err(Error::InvalidDistribution { .. })));
     }
 
     #[test]
@@ -1497,6 +1523,26 @@ mod tests {
             let reference: Vec<u64> =
                 synopsis.mass_batch_ref(&ranges).unwrap().iter().map(|m| m.to_bits()).collect();
             assert_eq!(flat, reference);
+        }
+    }
+
+    #[test]
+    fn position_tables_scale_with_the_piece_count_up_to_the_cap() {
+        let n = 2048;
+        for pieces in [1usize, 3, 35, 200, 1024] {
+            let breaks: Vec<usize> = (1..pieces).map(|j| j * n / pieces).collect();
+            let values: Vec<f64> = (0..pieces).map(|j| (j % 7) as f64 + 0.5).collect();
+            let model = Histogram::from_breakpoints(n, &breaks, values).unwrap();
+            let synopsis = Synopsis::new("test", pieces, FittedModel::Histogram(model));
+            let entries = synopsis.flat.lut.len();
+            assert!(entries <= POSITION_LUT_TARGET.min(POSITION_LUT_PER_PIECE * pieces));
+            assert!(2 * entries > POSITION_LUT_TARGET.min(POSITION_LUT_PER_PIECE * pieces));
+            for x in 0..n {
+                assert_eq!(
+                    synopsis.cdf(x).unwrap().to_bits(),
+                    synopsis.cdf_ref(x).unwrap().to_bits()
+                );
+            }
         }
     }
 

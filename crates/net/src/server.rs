@@ -4,7 +4,7 @@
 //! * [`ServerMode::Blocking`] (the default): one accept thread; each
 //!   accepted connection is dispatched onto the crate-shared [`ThreadPool`]
 //!   from `hist-serve`, where a handler loops over framed requests with
-//!   blocking reads.
+//!   blocking reads, polling briefly for each next request before it parks.
 //! * [`ServerMode::Evented`]: a single readiness loop (epoll(7) on Linux,
 //!   portable poll(2) fallback) multiplexes every connection over
 //!   non-blocking sockets with request pipelining and reused write buffers;
@@ -12,8 +12,10 @@
 //!   [`crate::evented`].
 //!
 //! In either mode, reads go through an epoch-stamped snapshot of the
-//! addressed key's store (wait-free in practice), batch queries are sharded
-//! through a [`QueryExecutor`], and admin writes (`Publish`/`UpdateMerge`)
+//! addressed key's store (wait-free in practice), batch queries are answered
+//! by that snapshot's own batch kernel on the thread that decoded the
+//! request (the connection's worker in blocking mode, the batch's pool
+//! worker in evented mode), and admin writes (`Publish`/`UpdateMerge`)
 //! serialize on the addressed store's writer path — exactly the concurrency
 //! contract the in-process serving layer already guarantees, now over the
 //! wire and per key. Both modes answer every byte stream with byte-identical
@@ -46,9 +48,11 @@ use std::time::{Duration, Instant};
 
 use hist_core::Interval;
 use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
-use hist_serve::{MaintenancePolicy, QueryExecutor, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
+use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
 
-use crate::frame::{check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES};
+use crate::frame::{
+    await_readable, check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES,
+};
 use crate::proto::{
     decode_request_frame, encode_response, ErrorCode, Request, Response, StoreWideStats,
     SynopsisStats,
@@ -74,7 +78,7 @@ pub enum ServerMode {
 
 /// Tuning knobs of a [`HistServer`]. The defaults serve tests and examples;
 /// production deployments mostly care about `max_frame_bytes` (hostile-peer
-/// allocation bound) and the two thread counts.
+/// allocation bound) and `connection_threads`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Socket-driving strategy; see [`ServerMode`].
@@ -97,8 +101,6 @@ pub struct ServerConfig {
     /// these workers execute pipelined request batches handed off by the
     /// event loop, so a handful serve thousands of connections.
     pub connection_threads: usize,
-    /// Workers in the batch-query executor shared by all connections.
-    pub query_threads: usize,
     /// Socket read timeout used to poll the shutdown flag between requests;
     /// bounds how long a graceful shutdown waits for idle connections.
     pub poll_interval: Duration,
@@ -119,7 +121,6 @@ impl Default for ServerConfig {
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_requests_per_connection: u64::MAX,
             connection_threads: 4,
-            query_threads: 4,
             poll_interval: Duration::from_millis(25),
             maintenance: None,
             maintenance_threads: 1,
@@ -182,8 +183,7 @@ impl HistServer {
         }
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(ThreadPool::new(config.connection_threads));
-        let executor = Arc::new(QueryExecutor::new(config.query_threads));
-        let responder = Arc::new(Responder { map: Arc::clone(&map), executor });
+        let responder = Arc::new(Responder { map: Arc::clone(&map) });
         let mode = config.mode;
         let (accept, write_allocs) = match mode {
             ServerMode::Blocking => {
@@ -371,6 +371,9 @@ impl Connection {
     /// failure, or shutdown); `Err(response)` carries the typed error frame
     /// to send before closing (frame too large / truncated announcement).
     fn read_frame(&mut self) -> Result<Option<Vec<u8>>, Response> {
+        if await_readable(&self.stream).is_err() {
+            return Ok(None);
+        }
         let mut prefix = [0u8; LENGTH_PREFIX_BYTES];
         let mut got = 0usize;
         loop {
@@ -458,12 +461,11 @@ impl Connection {
 }
 
 /// The request→response core both server modes share: a decoded request in,
-/// a typed response out, over the shared [`StoreMap`] and [`QueryExecutor`].
+/// a typed response out, over the shared [`StoreMap`].
 /// Owning this logic in one place is what makes the two modes byte-identical
 /// on every input the dual-mode suites replay.
 pub(crate) struct Responder {
     pub(crate) map: Arc<StoreMap>,
-    pub(crate) executor: Arc<QueryExecutor>,
 }
 
 /// Answers one complete frame (the bytes after the length prefix): envelope
@@ -553,7 +555,7 @@ impl Responder {
                             }
                         }
                     }
-                    match self.executor.cdf_batch(snapshot.synopsis(), &indices) {
+                    match snapshot.cdf_batch(&indices) {
                         Ok(values) => Response::CdfBatch { epoch: snapshot.epoch(), values },
                         Err(e) => self.keyed_error(&key, ErrorCode::InvalidQuery, e.to_string()),
                     }
@@ -561,7 +563,7 @@ impl Responder {
             },
             Request::QuantileBatch { key, ps } => match self.snapshot(&key) {
                 Err(e) => e,
-                Ok(snapshot) => match self.executor.quantile_batch(snapshot.synopsis(), &ps) {
+                Ok(snapshot) => match snapshot.quantile_batch(&ps) {
                     Ok(indices) => Response::QuantileBatch {
                         epoch: snapshot.epoch(),
                         indices: indices.into_iter().map(|i| i as u64).collect(),
@@ -589,7 +591,7 @@ impl Responder {
                             }
                         }
                     }
-                    match self.executor.mass_batch(snapshot.synopsis(), &ranges) {
+                    match snapshot.mass_batch(&ranges) {
                         Ok(masses) => Response::MassBatch { epoch: snapshot.epoch(), masses },
                         Err(e) => self.keyed_error(&key, ErrorCode::InvalidQuery, e.to_string()),
                     }

@@ -3,7 +3,7 @@
 //! The concurrent serving layer of the workspace: keep one synopsis live
 //! under heavy read traffic while a background writer refreshes it.
 //!
-//! Three pieces, all `std`-only:
+//! Two pieces, all `std`-only:
 //!
 //! * [`SynopsisStore`] — an epoch/snapshot store. Readers clone an
 //!   `Arc<Synopsis>` snapshot (wait-free in practice: the read-side lock is
@@ -23,10 +23,10 @@
 //!   global view (`tree_merge` over every served key in canonical key
 //!   order), and whole-map persistence (`AHISTMAP`) with per-key epochs
 //!   monotone across restarts.
-//! * [`QueryExecutor`] — a fixed [`ThreadPool`] sharding
-//!   `mass_batch`/`quantile_batch` workloads into contiguous per-worker
-//!   shards and recombining the answers in input order, identical to the
-//!   unsharded batch.
+//!
+//! Batch queries need no scheduler of their own: a [`Snapshot`] derefs to
+//! its synopsis, whose `mass_batch`/`quantile_batch`/`cdf_batch` kernels
+//! answer the whole batch on the calling thread.
 //!
 //! Construction parallelism lives next door in `hist-stream`
 //! (`ParallelChunkedFitter`); this crate is the read side. The multi-thread
@@ -40,7 +40,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use hist_core::{Estimator, EstimatorBuilder, GreedyMerging, Signal};
-//! use hist_serve::{QueryExecutor, SynopsisStore};
+//! use hist_serve::SynopsisStore;
 //!
 //! let estimator = GreedyMerging::new(EstimatorBuilder::new(4));
 //! let chunk = move |level: f64| {
@@ -49,7 +49,6 @@
 //! };
 //!
 //! let store = Arc::new(SynopsisStore::with_initial(chunk(1.0)));
-//! let executor = QueryExecutor::new(4);
 //!
 //! // A background writer merges new chunks in while readers keep serving.
 //! let writer = {
@@ -64,20 +63,20 @@
 //! // Every read sees *some* complete snapshot, never a torn one.
 //! let snapshot = store.snapshot().unwrap();
 //! let ps: Vec<f64> = (0..50).map(|i| i as f64 / 49.0).collect();
-//! let quantiles = executor.quantile_batch(snapshot.synopsis(), &ps).unwrap();
-//! assert_eq!(quantiles, snapshot.quantile_batch(&ps).unwrap());
+//! let quantiles = snapshot.quantile_batch(&ps).unwrap();
+//! for (&p, &q) in ps.iter().zip(&quantiles) {
+//!     assert_eq!(q, snapshot.quantile(p).unwrap());
+//! }
 //!
 //! writer.join().unwrap();
 //! assert_eq!(store.snapshot().unwrap().domain(), 3 * 128);
 //! ```
 
-pub mod executor;
 pub mod maintenance;
 pub mod pool;
 pub mod store;
 pub mod store_map;
 
-pub use executor::QueryExecutor;
 pub use maintenance::{MaintenancePolicy, MaintenanceStats, MaintenanceWorker};
 pub use pool::ThreadPool;
 pub use store::{Snapshot, SynopsisStore};

@@ -78,8 +78,8 @@
 //!   background refitter, durable via `save`/`open`), the multi-tenant
 //!   [`StoreMap`] (many keyed stores behind sharded locks, with key
 //!   listing/eviction, an on-demand tree-merged global view and whole-map
-//!   persistence) and [`QueryExecutor`] (batched queries sharded over a
-//!   fixed thread pool);
+//!   persistence), whose [`Snapshot`]s answer batch queries directly with
+//!   the synopsis' own batch kernels;
 //! * [`persist`] (`hist-persist`) — the persistent synopsis format: a
 //!   versioned, CRC-checked binary codec ([`encode_synopsis`] /
 //!   [`decode_synopsis`], panic-free on arbitrary bytes) with file helpers
@@ -137,8 +137,8 @@ pub use hist_pipeline::{
 pub use hist_poly::PiecewisePoly;
 pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
-    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, MergedView, QueryExecutor, Snapshot,
-    StoreMap, StoreMapStats, SynopsisStore, DEFAULT_KEY,
+    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, MergedView, Snapshot, StoreMap,
+    StoreMapStats, SynopsisStore, DEFAULT_KEY,
 };
 pub use hist_stream::{
     ChunkedFitter, ParallelChunkedFitter, SlidingWindow, StreamingBuilder, StreamingMerging,

@@ -114,10 +114,15 @@ fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(mode: ServerMod
 }
 
 fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
-    // Regression companion to the QueryExecutor empty-slice fix: the server
-    // routes batch queries through the executor, so the degenerate batches
-    // must round-trip the wire too.
+    // The server answers batch queries with the snapshot's own batch
+    // kernels, so the degenerate batches must round-trip the wire exactly as
+    // they answer in process — including on a key with no positive mass.
     let map = Arc::new(StoreMap::with_initial(chunk(1)));
+    let zero = GreedyMerging::new(EstimatorBuilder::new(common::FIXTURE_K))
+        .fit(&Signal::from_dense(vec![0.0; 64]).unwrap())
+        .unwrap();
+    assert_eq!(zero.quantile_batch(&[]).unwrap(), Vec::<usize>::new());
+    map.publish("zero", zero).unwrap();
     let mut server = spawn_server(map, mode, 2);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let local = server.store_map().snapshot(DEFAULT_KEY).unwrap();
@@ -136,6 +141,17 @@ fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
     assert_eq!(bits(&one.value), bits(&local.mass_batch(&range).unwrap()));
     let one = client.cdf_batch(&[17]).unwrap();
     assert_eq!(bits(&one.value), bits(&[local.cdf(17).unwrap()]));
+
+    // Zero mass: empty batches still answer empty; a non-empty quantile
+    // batch is a typed error.
+    client.set_key("zero").unwrap();
+    assert_eq!(client.quantile_batch(&[]).unwrap().value, Vec::<usize>::new());
+    assert_eq!(client.cdf_batch(&[]).unwrap().value, Vec::<f64>::new());
+    assert_eq!(client.mass_batch(&[]).unwrap().value, Vec::<f64>::new());
+    match client.quantile_batch(&[0.5]) {
+        Err(NetError::Remote { code: ErrorCode::InvalidQuery, .. }) => {}
+        other => panic!("expected a remote InvalidQuery error, got {other:?}"),
+    }
 
     drop(client);
     server.shutdown();
