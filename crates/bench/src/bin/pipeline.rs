@@ -30,8 +30,7 @@ use std::time::{Duration, Instant};
 use approx_hist::datasets::gaussian_mixture;
 use approx_hist::{
     Estimator, EstimatorBuilder, EventSource, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MetricPipeline, ServerConfig, ServerMode, Signal, StoreMap,
-    TelemetryPipeline,
+    MaintenancePolicy, MetricPipeline, ServerConfig, Signal, StoreMap, TelemetryPipeline,
 };
 
 const K: usize = 12;
@@ -85,16 +84,8 @@ fn run_sustained(duration: Duration, chunk_len: usize) -> SustainedRun {
     // Prime every key so query threads never race the first publish.
     pipeline.run_until(chunk_len).expect("priming chunk");
 
-    let server = HistServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&map),
-        ServerConfig {
-            mode: ServerMode::Evented,
-            connection_threads: 2,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("ephemeral bind");
+    let server = HistServer::bind("127.0.0.1:0", Arc::clone(&map), ServerConfig::default())
+        .expect("ephemeral bind");
     let addr = server.local_addr();
 
     let stop = Arc::new(AtomicBool::new(false));

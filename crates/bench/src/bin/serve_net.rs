@@ -17,12 +17,11 @@
 //!   cost of the keyed lookup path (shard hash + HashMap probe + key section
 //!   on the wire) from the query itself.
 //! * **Connection sweep** — fleets of 1, 64 and 1024 concurrent pipelined
-//!   connections against BOTH server modes (thread-per-connection blocking
-//!   vs the evented readiness loop). Every connection ships 32 batch-1
-//!   quantile requests per write and drains 32 in-order responses, so the
-//!   sweep measures aggregate request throughput when per-request syscalls
-//!   are amortized away — the workload the evented mode exists for. Latency
-//!   columns report amortized per-request time inside a pipelined wave.
+//!   connections against the server's readiness loop. Every connection
+//!   ships 32 batch-1 quantile requests per write and drains 32 in-order
+//!   responses, so the sweep measures aggregate request throughput when
+//!   per-request syscalls are amortized away. Latency columns report
+//!   amortized per-request time inside a pipelined wave.
 //!
 //! A correctness gate cross-checks every batch against the local synopsis
 //! bit for bit before timing starts.
@@ -35,7 +34,7 @@ use std::time::{Duration, Instant};
 use approx_hist::net::{encode_request, read_message, Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use approx_hist::{
     Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, Interval, ServerConfig,
-    ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,7 +119,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 struct Measurement {
     op: String,
-    mode: &'static str,
     conns: usize,
     keys: usize,
     batch: usize,
@@ -129,13 +127,6 @@ struct Measurement {
     queries_per_s: f64,
     p50_us: f64,
     p99_us: f64,
-}
-
-fn mode_name(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Blocking => "blocking",
-        ServerMode::Evented => "evented",
-    }
 }
 
 fn measure(
@@ -162,7 +153,6 @@ fn measure(
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let m = Measurement {
         op: op.to_string(),
-        mode: "blocking",
         conns: 1,
         keys,
         batch,
@@ -285,8 +275,7 @@ fn connect_retrying(addr: SocketAddr) -> TcpStream {
     }
 }
 
-/// The connection sweep: pipelined fleets of growing size against both
-/// server modes. Every connection writes `PIPELINE_DEPTH` identical batch-1
+/// The connection sweep: pipelined fleets of growing size. Every connection writes `PIPELINE_DEPTH` identical batch-1
 /// quantile requests in one syscall and drains the (fixed-size, in-order)
 /// responses; driver threads multiplex the fleet in waves so up to
 /// `conns * PIPELINE_DEPTH` requests are in flight at once.
@@ -300,124 +289,113 @@ fn conn_sweep(results: &mut Vec<Measurement>) {
     let wire: Vec<u8> =
         std::iter::repeat_with(|| request.clone()).take(PIPELINE_DEPTH).flatten().collect();
 
-    for mode in [ServerMode::Blocking, ServerMode::Evented] {
-        for &conns in &conn_counts {
-            let map = Arc::new(StoreMap::with_initial(synopsis.clone()));
-            let config = ServerConfig {
-                mode,
-                // Blocking mode parks one worker on every live connection;
-                // evented mode needs only a small batch-worker pool (this
-                // box has one core — more workers just thrash it).
-                connection_threads: if mode == ServerMode::Blocking { conns + 1 } else { 2 },
-                ..ServerConfig::default()
-            };
-            let server =
-                HistServer::bind("127.0.0.1:0", map, config).expect("ephemeral loopback bind");
-            let addr = server.local_addr();
+    for &conns in &conn_counts {
+        let map = Arc::new(StoreMap::with_initial(synopsis.clone()));
+        let server = HistServer::bind("127.0.0.1:0", map, ServerConfig::default())
+            .expect("ephemeral loopback bind");
+        let addr = server.local_addr();
 
-            // Correctness gate + frame-size probe: one fully decoded
-            // pipelined round. Identical requests yield identical-length
-            // responses, so the timed loop can drain by exact byte count.
-            let mut response_len = 0usize;
-            let mut probe = connect_retrying(addr);
-            probe.write_all(&wire).expect("probe pipeline");
-            for _ in 0..PIPELINE_DEPTH {
-                let frame = read_message(&mut probe, DEFAULT_MAX_FRAME_BYTES)
-                    .expect("probe read")
-                    .expect("probe response");
-                let mut message = (frame.len() as u32).to_le_bytes().to_vec();
-                message.extend_from_slice(&frame);
-                match approx_hist::net::decode_response(&message).expect("probe decode") {
-                    Response::QuantileBatch { indices, .. } => {
-                        assert_eq!(indices, vec![expected], "conn-sweep correctness gate")
-                    }
-                    other => panic!("conn-sweep gate: unexpected {other:?}"),
+        // Correctness gate + frame-size probe: one fully decoded
+        // pipelined round. Identical requests yield identical-length
+        // responses, so the timed loop can drain by exact byte count.
+        let mut response_len = 0usize;
+        let mut probe = connect_retrying(addr);
+        probe.write_all(&wire).expect("probe pipeline");
+        for _ in 0..PIPELINE_DEPTH {
+            let frame = read_message(&mut probe, DEFAULT_MAX_FRAME_BYTES)
+                .expect("probe read")
+                .expect("probe response");
+            let mut message = (frame.len() as u32).to_le_bytes().to_vec();
+            message.extend_from_slice(&frame);
+            match approx_hist::net::decode_response(&message).expect("probe decode") {
+                Response::QuantileBatch { indices, .. } => {
+                    assert_eq!(indices, vec![expected], "conn-sweep correctness gate")
                 }
-                response_len = 4 + frame.len();
+                other => panic!("conn-sweep gate: unexpected {other:?}"),
             }
-            drop(probe);
-
-            let threads = conns.min(CONN_SWEEP_THREADS);
-            let rounds = rounds_for(conns);
-            let barrier = Barrier::new(threads + 1);
-            let total_requests = conns * rounds * PIPELINE_DEPTH;
-            let mut latencies: Vec<f64> = Vec::with_capacity(threads * rounds);
-            let mut elapsed = 0.0f64;
-
-            std::thread::scope(|scope| {
-                let barrier = &barrier;
-                let wire = &wire;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            let my_conns = conns / threads + usize::from(t < conns % threads);
-                            let mut sockets: Vec<TcpStream> =
-                                (0..my_conns).map(|_| connect_retrying(addr)).collect();
-                            let mut buf = vec![0u8; response_len * PIPELINE_DEPTH];
-                            // Untimed warm-up waves: grow every buffer on
-                            // both sides to its steady-state capacity before
-                            // the clock starts.
-                            for _ in 0..2 {
-                                for socket in &mut sockets {
-                                    socket.write_all(wire).expect("warmup write");
-                                }
-                                for socket in &mut sockets {
-                                    socket.read_exact(&mut buf).expect("warmup drain");
-                                }
-                            }
-                            barrier.wait();
-                            // One wave per round: write every pipeline, then
-                            // drain every connection in order. Latency is
-                            // amortized per request inside the wave.
-                            let mut wave_latencies = Vec::with_capacity(rounds);
-                            for _ in 0..rounds {
-                                let t0 = Instant::now();
-                                for socket in &mut sockets {
-                                    socket.write_all(wire).expect("pipeline write");
-                                }
-                                for socket in &mut sockets {
-                                    socket.read_exact(&mut buf).expect("pipeline drain");
-                                }
-                                let per_request = t0.elapsed().as_secs_f64() * 1e6
-                                    / (my_conns * PIPELINE_DEPTH) as f64;
-                                wave_latencies.push(per_request);
-                                // Cheap integrity check: the first frame in
-                                // the wave still has the probed length.
-                                let announced =
-                                    u32::from_le_bytes(buf[0..4].try_into().expect("prefix"));
-                                assert_eq!(announced as usize, response_len - 4, "frame drift");
-                            }
-                            wave_latencies
-                        })
-                    })
-                    .collect();
-                barrier.wait();
-                let t0 = Instant::now();
-                for handle in handles {
-                    latencies.extend(handle.join().expect("driver thread"));
-                }
-                elapsed = t0.elapsed().as_secs_f64();
-            });
-
-            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let m = Measurement {
-                op: "pipelined_quantile".to_string(),
-                mode: mode_name(mode),
-                conns,
-                keys: 1,
-                batch: 1,
-                requests: total_requests,
-                requests_per_s: total_requests as f64 / elapsed,
-                queries_per_s: total_requests as f64 / elapsed,
-                p50_us: percentile(&latencies, 0.50),
-                p99_us: percentile(&latencies, 0.99),
-            };
-            println!(
-                "{:>14} {:>9} conns {:>5}: {:>9.0} req/s | amortized p50 {:>7.2}us p99 {:>7.2}us",
-                m.op, m.mode, m.conns, m.requests_per_s, m.p50_us, m.p99_us
-            );
-            results.push(m);
+            response_len = 4 + frame.len();
         }
+        drop(probe);
+
+        let threads = conns.min(CONN_SWEEP_THREADS);
+        let rounds = rounds_for(conns);
+        let barrier = Barrier::new(threads + 1);
+        let total_requests = conns * rounds * PIPELINE_DEPTH;
+        let mut latencies: Vec<f64> = Vec::with_capacity(threads * rounds);
+        let mut elapsed = 0.0f64;
+
+        std::thread::scope(|scope| {
+            let barrier = &barrier;
+            let wire = &wire;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let my_conns = conns / threads + usize::from(t < conns % threads);
+                        let mut sockets: Vec<TcpStream> =
+                            (0..my_conns).map(|_| connect_retrying(addr)).collect();
+                        let mut buf = vec![0u8; response_len * PIPELINE_DEPTH];
+                        // Untimed warm-up waves: grow every buffer on
+                        // both sides to its steady-state capacity before
+                        // the clock starts.
+                        for _ in 0..2 {
+                            for socket in &mut sockets {
+                                socket.write_all(wire).expect("warmup write");
+                            }
+                            for socket in &mut sockets {
+                                socket.read_exact(&mut buf).expect("warmup drain");
+                            }
+                        }
+                        barrier.wait();
+                        // One wave per round: write every pipeline, then
+                        // drain every connection in order. Latency is
+                        // amortized per request inside the wave.
+                        let mut wave_latencies = Vec::with_capacity(rounds);
+                        for _ in 0..rounds {
+                            let t0 = Instant::now();
+                            for socket in &mut sockets {
+                                socket.write_all(wire).expect("pipeline write");
+                            }
+                            for socket in &mut sockets {
+                                socket.read_exact(&mut buf).expect("pipeline drain");
+                            }
+                            let per_request = t0.elapsed().as_secs_f64() * 1e6
+                                / (my_conns * PIPELINE_DEPTH) as f64;
+                            wave_latencies.push(per_request);
+                            // Cheap integrity check: the first frame in
+                            // the wave still has the probed length.
+                            let announced =
+                                u32::from_le_bytes(buf[0..4].try_into().expect("prefix"));
+                            assert_eq!(announced as usize, response_len - 4, "frame drift");
+                        }
+                        wave_latencies
+                    })
+                })
+                .collect();
+            barrier.wait();
+            let t0 = Instant::now();
+            for handle in handles {
+                latencies.extend(handle.join().expect("driver thread"));
+            }
+            elapsed = t0.elapsed().as_secs_f64();
+        });
+
+        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let m = Measurement {
+            op: "pipelined_quantile".to_string(),
+            conns,
+            keys: 1,
+            batch: 1,
+            requests: total_requests,
+            requests_per_s: total_requests as f64 / elapsed,
+            queries_per_s: total_requests as f64 / elapsed,
+            p50_us: percentile(&latencies, 0.50),
+            p99_us: percentile(&latencies, 0.99),
+        };
+        println!(
+            "{:>14} conns {:>5}: {:>9.0} req/s | amortized p50 {:>7.2}us p99 {:>7.2}us",
+            m.op, m.conns, m.requests_per_s, m.p50_us, m.p99_us
+        );
+        results.push(m);
     }
 }
 
@@ -427,19 +405,18 @@ fn main() {
     keyed_sweep(&mut results);
     conn_sweep(&mut results);
 
-    // The ISSUE's headline ratio: aggregate pipelined throughput at the
-    // largest evented fleet over the classic one-connection synchronous
-    // baseline measured in the same run.
+    // Aggregate pipelined throughput at the largest fleet over the classic
+    // one-connection synchronous baseline measured in the same run.
     let baseline =
         results.iter().find(|m| m.op == "quantile" && m.batch == 1).map(|m| m.requests_per_s);
     let peak = results
         .iter()
-        .filter(|m| m.op == "pipelined_quantile" && m.mode == "evented")
+        .filter(|m| m.op == "pipelined_quantile")
         .max_by_key(|m| m.conns)
         .map(|m| (m.conns, m.requests_per_s));
     if let (Some(baseline), Some((conns, peak))) = (baseline, peak) {
         println!(
-            "evented {conns}-conn aggregate vs 1-conn sync baseline: {:.1}x ({:.0} vs {:.0} req/s)",
+            "{conns}-conn pipelined aggregate vs 1-conn sync baseline: {:.1}x ({:.0} vs {:.0} req/s)",
             peak / baseline,
             peak,
             baseline
@@ -452,7 +429,6 @@ fn main() {
             format!(
                 r#"    {{
       "op": "{}",
-      "mode": "{}",
       "conns": {},
       "keys": {},
       "batch": {},
@@ -463,7 +439,6 @@ fn main() {
       "p99_latency_us": {:.2}
     }}"#,
                 m.op,
-                m.mode,
                 m.conns,
                 m.keys,
                 m.batch,
@@ -481,7 +456,7 @@ fn main() {
   "n": {N},
   "k": {K},
   "seed": {SEED},
-  "transport": "tcp loopback; batch/keyed sweeps: one synchronous connection; conn sweep: pipelined fleets vs both server modes",
+  "transport": "tcp loopback; batch/keyed sweeps: one synchronous connection; conn sweep: pipelined fleets",
   "batch_sizes": [1, 64, 4096],
   "key_counts": [1, 1000, 100000],
   "conn_counts": [1, 64, 1024],

@@ -117,10 +117,8 @@ impl HistClient {
     }
 
     /// Bounds how long a single response read may block (`None`, the
-    /// default, waits forever). A server whose connection pool is fully
-    /// occupied queues new connections instead of refusing them, so a
-    /// timeout turns "the server is saturated" from a silent hang into a
-    /// typed [`NetError::Timeout`].
+    /// default, waits forever). A stalled or saturated server then surfaces
+    /// as a typed [`NetError::Timeout`] instead of a silent hang.
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> NetResult<Self> {
         self.stream.set_read_timeout(timeout)?;
         self.read_timeout = timeout;

@@ -1,5 +1,5 @@
-//! The evented server mode: one readiness loop multiplexing every
-//! connection over non-blocking sockets.
+//! The server's I/O loop: one readiness loop multiplexing every connection
+//! over non-blocking sockets and answering every request inline.
 //!
 //! ## Architecture
 //!
@@ -8,41 +8,55 @@
 //! — forceable via [`ServerConfig::force_poll_backend`]) and a slab of
 //! connection states keyed by slot index. Readable wakeups append bytes to a
 //! per-connection read buffer and *pipeline*: every complete frame in the
-//! buffer is split off in one pass, so N requests written in one syscall
-//! become one batch. Batches execute off-loop on the shared `hist-serve`
-//! [`ThreadPool`] through the same [`Responder`] core the blocking mode
-//! uses; a finished batch hands its encoded responses back through a
-//! completion queue and wakes the loop via the poller's self-pipe
-//! ([`polling::Poller::notify`]).
+//! buffer is answered in one pass, on the loop thread, through the
+//! [`Responder`] core, and the responses are encoded in order into one
+//! staging buffer that is flushed before the loop moves on.
+//!
+//! Answering on the loop keeps a request on one thread from read to write,
+//! the shortest path for a closed-loop client. The price is that a long
+//! request (a `MergedView` over many keys, a 4096-range `MassBatch`, a large
+//! `Publish`) delays every connection's answers while it runs, and that a
+//! fleet of pipelining connections is served by one CPU.
+//!
+//! ## Waiting
+//!
+//! After a wait that returned events, the loop polls with a zero timeout,
+//! yielding the CPU between polls, for up to [`READ_SPIN`] before it blocks
+//! for [`ServerConfig::poll_interval`] again. A closed-loop client sends its
+//! next request microseconds after the last answer, and a loop parked in the
+//! kernel must then be woken by the scheduler, whose placement of the two
+//! threads sets the request rate (on a 2-CPU VM, one closed-loop client ran
+//! at about 27k req/s with the threads pinned to different CPUs and 55k
+//! pinned to one, and drifted between the two from run to run). A polling
+//! loop is not parked while its client is busy, so the rate no longer rests
+//! on that placement; yielding lets a client that shares the loop's CPU run
+//! meanwhile.
 //!
 //! ## Ordering
 //!
-//! Responses go out in request order, per connection, always: at most one
-//! batch per connection is in flight (`busy`), frames arriving meanwhile
-//! queue in `inbox`, and a batch encodes all of its responses into a single
-//! staging buffer in order. A terminal error (oversized/short length prefix,
-//! exhausted request budget) is sequenced *after* every previously accepted
-//! frame's response, exactly where the blocking path would have emitted it.
+//! Responses go out in request order, per connection, always: frames are
+//! answered in the order they were read, into one staging buffer. A
+//! terminal error (oversized/short length prefix, exhausted request budget)
+//! is encoded after every previously accepted frame's response.
 //!
 //! ## Buffer reuse
 //!
 //! The response write path recycles its buffers: staging buffers cycle
-//! through a small per-connection spare pool, batch containers are handed
-//! back by completions, and flushed frames leave via vectored writes from
-//! the queued buffers themselves. In a warmed-up steady state a response
-//! frame therefore costs zero allocations; every violation (a staging
-//! buffer growing, the spare pool running dry, a queue container growing)
-//! increments the counter behind
+//! through a small per-connection spare pool and flushed frames leave via
+//! vectored writes from the queued buffers themselves. In a warmed-up steady
+//! state a response frame therefore costs zero allocations; every violation
+//! (a staging buffer growing, the spare pool running dry, a queue container
+//! growing) increments the counter behind
 //! [`HistServer::write_path_allocations`](crate::HistServer::write_path_allocations),
 //! which tests assert stays flat.
 //!
 //! ## Close semantics
 //!
-//! Mirrors the blocking path frame-for-frame: envelope/decode errors are
-//! answered and the connection continues (the stream is still framed);
-//! framing errors and budget exhaustion are answered, then the write side
-//! is half-closed and reads are drained for up to two seconds so the kernel
-//! delivers the final frame instead of clobbering it with an RST.
+//! Envelope/decode errors are answered and the connection continues (the
+//! stream is still framed); framing errors and budget exhaustion are
+//! answered, then the write side is half-closed and reads are drained for up
+//! to two seconds so the kernel delivers the final frame instead of
+//! clobbering it with an RST.
 
 #![cfg(unix)]
 
@@ -51,20 +65,18 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hist_serve::ThreadPool;
 use polling::{Backend, Event, Events, Poller};
 
 use crate::frame::{ENVELOPE_BYTES, LENGTH_PREFIX_BYTES};
-use crate::proto::{encode_response_into, Response};
+use crate::proto::encode_response_into;
 use crate::server::{answer_frame, Responder, ServerConfig};
 
-/// Poller key of the listening socket. Slab keys count up from zero; the
-/// shim reserves `u64::MAX` for its internal notify pipe, so this cannot
-/// collide with either.
+/// Poller key of the listening socket. Slab keys count up from zero, so
+/// they cannot collide with it.
 const LISTENER_KEY: usize = usize::MAX - 1;
 
 /// Bytes per `read(2)` into a connection's read buffer.
@@ -80,89 +92,45 @@ const MAX_WRITE_VECTORS: usize = 8;
 /// Staging buffers a connection keeps for reuse.
 const SPARE_STAGING: usize = 2;
 
-/// How long a closing connection drains reads / a shutting-down server
-/// drains in-flight work — the same bound the blocking path uses.
+/// How long the loop keeps polling without blocking after a wait that
+/// returned events; see the module docs.
+const READ_SPIN: Duration = Duration::from_micros(50);
+
+/// How long a closing connection drains reads, and how long a shutting-down
+/// server waits for queued responses to reach the wire.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
 
-/// Spawns the event-loop thread. Mirrors what `HistServer::bind` needs:
-/// the returned handle joins on shutdown, `write_allocs` counts write-path
-/// allocations for the buffer-reuse guarantee.
+/// Spawns the event-loop thread. The returned handle joins on shutdown;
+/// `write_allocs` counts write-path allocations for the buffer-reuse
+/// guarantee.
 pub(crate) fn spawn(
     listener: TcpListener,
-    responder: Arc<Responder>,
+    responder: Responder,
     shutdown: Arc<AtomicBool>,
-    pool: Arc<ThreadPool>,
     config: ServerConfig,
     write_allocs: Arc<AtomicU64>,
 ) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
-    let poller = Arc::new(if config.force_poll_backend {
+    let poller = if config.force_poll_backend {
         Poller::with_backend(Backend::Poll)?
     } else {
         Poller::new()?
-    });
+    };
     poller.add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
-    let completions = Arc::new(Completions {
-        queue: Mutex::new(Vec::new()),
-        notified: AtomicBool::new(false),
-        poller: Arc::clone(&poller),
-    });
     let mut event_loop = EventLoop {
         listener,
         poller,
         responder,
-        pool,
         config,
         shutdown,
-        completions,
         write_allocs,
         slots: Vec::new(),
         free: Vec::new(),
-        pending: Vec::new(),
         scratch: vec![0u8; READ_CHUNK],
         stopping: None,
         draining: 0,
     };
     std::thread::Builder::new().name("hist-net-evented".into()).spawn(move || event_loop.run())
-}
-
-/// One batch's encoded responses travelling back from a pool worker to the
-/// loop. `generation` guards against the slot having been recycled while
-/// the batch was in flight.
-struct Completion {
-    token: usize,
-    generation: u64,
-    /// Every response of the batch, encoded in request order.
-    staging: Vec<u8>,
-    /// The read buffer the batch's frames lived in, emptied, handed back.
-    buffer: Vec<u8>,
-    /// The frame-range container, emptied, handed back for reuse.
-    ranges: Vec<(usize, usize)>,
-}
-
-/// The loop↔worker hand-off: workers push, then wake the poller.
-struct Completions {
-    queue: Mutex<Vec<Completion>>,
-    /// Coalesces wakeups: only the first push after a drain pays the
-    /// self-pipe write syscall, no matter how many batches finish per cycle.
-    notified: AtomicBool,
-    poller: Arc<Poller>,
-}
-
-impl Completions {
-    fn push(&self, completion: Completion) {
-        self.queue.lock().expect("completion queue poisoned").push(completion);
-        if !self.notified.swap(true, Ordering::AcqRel) {
-            let _ = self.poller.notify();
-        }
-    }
-
-    fn drain_into(&self, out: &mut Vec<Completion>) {
-        // Clear the flag before draining: a push that lands after the drain
-        // sees `false` and raises its own wakeup, so nothing is lost.
-        self.notified.store(false, Ordering::Release);
-        out.append(&mut self.queue.lock().expect("completion queue poisoned"));
-    }
 }
 
 /// An entry of the response write queue: an encoded buffer and how much of
@@ -176,32 +144,18 @@ struct WriteBuf {
 /// thread touching it.
 struct Conn {
     stream: TcpStream,
-    /// Inbound bytes. `..rpos` is covered by `ranges` (parsed frames waiting
-    /// for dispatch); `rpos..` is a partial frame. Dispatch hands the whole
-    /// buffer to the worker zero-copy and moves the partial tail into a
-    /// recycled spare, so frames are never copied out individually.
+    /// Inbound bytes not answered yet: a partial frame between wakeups (or,
+    /// while the server stops, frames it no longer answers).
     rbuf: Vec<u8>,
-    rpos: usize,
-    /// Parsed frames (`(start, len)` into `rbuf`) waiting for the current
-    /// batch to finish.
-    ranges: Vec<(usize, usize)>,
     /// Encoded responses waiting for socket writability.
     outq: VecDeque<WriteBuf>,
     /// Reusable staging buffers (response encode targets).
     spare_staging: Vec<Vec<u8>>,
-    /// Reusable read buffer (swap target at dispatch).
-    spare_rbuf: Option<Vec<u8>>,
-    /// Reusable frame-range container.
-    spare_ranges: Option<Vec<(usize, usize)>>,
-    /// A batch is in flight on the pool; frames queue in `ranges` meanwhile.
-    busy: bool,
     /// Frames accepted toward `max_requests_per_connection`.
     parsed: u64,
-    /// A terminal error to emit once all prior responses are out.
-    fatal: Option<Response>,
-    /// The fatal frame has been queued: the connection is terminal, inbound
-    /// bytes are discarded from here on.
-    fatal_queued: bool,
+    /// A terminal error frame has been queued: inbound bytes are discarded
+    /// from here on.
+    terminal: bool,
     /// Peer half-closed (or closed) its write side.
     read_closed: bool,
     /// We half-closed our write side (final frame flushed).
@@ -217,56 +171,35 @@ impl Conn {
         Self {
             stream,
             rbuf: Vec::new(),
-            rpos: 0,
-            ranges: Vec::new(),
             outq: VecDeque::with_capacity(4),
             spare_staging: Vec::with_capacity(SPARE_STAGING),
-            spare_rbuf: None,
-            spare_ranges: None,
-            busy: false,
             parsed: 0,
-            fatal: None,
-            fatal_queued: false,
+            terminal: false,
             read_closed: false,
             write_shut: false,
             drain_deadline: None,
             interest: (true, false),
         }
     }
-
-    /// The connection has nothing in flight and nothing buffered.
-    fn quiescent(&self) -> bool {
-        !self.busy && self.outq.is_empty()
-    }
-}
-
-/// A slab slot: `generation` increments every time the slot is vacated, so
-/// completions addressed to a previous occupant are recognized as stale.
-struct Slot {
-    generation: u64,
-    conn: Option<Conn>,
 }
 
 struct EventLoop {
     listener: TcpListener,
-    poller: Arc<Poller>,
-    responder: Arc<Responder>,
-    pool: Arc<ThreadPool>,
+    poller: Poller,
+    responder: Responder,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    completions: Arc<Completions>,
     write_allocs: Arc<AtomicU64>,
-    slots: Vec<Slot>,
+    /// Connection slab, indexed by poller key; `None` marks a free slot.
+    slots: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Reused drain target for the completion queue.
-    pending: Vec<Completion>,
     /// Loop-owned read target: sockets read into this one hot buffer and
     /// only the bytes actually received are appended to the connection's
     /// `rbuf`, so a fleet of mostly-idle connections costs no per-connection
     /// read-buffer footprint (and no `resize` memset per read syscall).
     scratch: Vec<u8>,
-    /// Set when the shutdown flag is first observed: deadline for finishing
-    /// in-flight batches and flushing queued responses.
+    /// Set when the shutdown flag is first observed: deadline for flushing
+    /// queued responses.
     stopping: Option<Instant>,
     /// Connections currently holding a post-error read-drain deadline —
     /// lets the per-tick deadline sweep skip the slab entirely in the
@@ -277,15 +210,25 @@ struct EventLoop {
 impl EventLoop {
     fn run(&mut self) {
         let mut events = Events::with_capacity(1024);
+        let mut spin_until: Option<Instant> = None;
         loop {
-            let _ = self.poller.wait(&mut events, Some(self.config.poll_interval));
+            let timeout = match spin_until {
+                Some(until) if Instant::now() < until => {
+                    std::thread::yield_now();
+                    Duration::ZERO
+                }
+                _ => self.config.poll_interval,
+            };
+            let _ = self.poller.wait(&mut events, Some(timeout));
+            if !events.is_empty() {
+                spin_until = Some(Instant::now() + READ_SPIN);
+            }
             if self.stopping.is_none() && self.shutdown.load(Ordering::Acquire) {
-                // Stop accepting and dispatching; give in-flight batches and
-                // queued responses a bounded window to reach the wire.
+                // Stop accepting and answering; give queued responses a
+                // bounded window to reach the wire.
                 self.stopping = Some(Instant::now() + DRAIN_GRACE);
                 let _ = self.poller.delete(self.listener.as_raw_fd());
             }
-            self.apply_completions();
             for event in events.iter() {
                 if event.key == LISTENER_KEY {
                     if self.stopping.is_none() {
@@ -297,8 +240,8 @@ impl EventLoop {
             }
             self.sweep_deadlines();
             if let Some(deadline) = self.stopping {
-                let mut live = self.slots.iter().filter_map(|s| s.conn.as_ref());
-                if live.all(Conn::quiescent) || Instant::now() >= deadline {
+                let mut live = self.slots.iter().flatten();
+                if live.all(|conn| conn.outq.is_empty()) || Instant::now() >= deadline {
                     return;
                 }
             }
@@ -324,7 +267,7 @@ impl EventLoop {
             let token = match self.free.pop() {
                 Some(token) => token,
                 None => {
-                    self.slots.push(Slot { generation: 0, conn: None });
+                    self.slots.push(None);
                     self.slots.len() - 1
                 }
             };
@@ -332,7 +275,7 @@ impl EventLoop {
                 self.free.push(token);
                 continue;
             }
-            self.slots[token].conn = Some(Conn::new(stream));
+            self.slots[token] = Some(Conn::new(stream));
         }
     }
 
@@ -340,22 +283,24 @@ impl EventLoop {
     /// connection closed earlier in this same tick) are ignored.
     fn handle_socket(&mut self, event: Event) {
         let token = event.key;
-        if self.slots.get(token).is_none_or(|slot| slot.conn.is_none()) {
+        if self.slots.get(token).is_none_or(Option::is_none) {
             return;
         }
         if event.readable && !self.read_ready(token) {
             return;
         }
-        self.service(token);
+        if self.flush_writes(token) {
+            self.maybe_finish(token);
+        }
     }
 
-    /// Drains the socket's readable bytes into the connection. Returns
-    /// `false` when the connection was torn down.
+    /// Drains the socket's readable bytes into the connection and answers
+    /// every complete frame. Returns `false` when the connection was torn
+    /// down.
     fn read_ready(&mut self, token: usize) -> bool {
-        let conn = self.slots[token].conn.as_mut().expect("checked by caller");
-        if conn.fatal.is_some() || conn.fatal_queued {
-            // Terminal: discard inbound bytes (the blocking path's
-            // post-error drain) so the peer's writes keep completing and
+        let conn = self.slots[token].as_mut().expect("checked by caller");
+        if conn.terminal {
+            // Discard inbound bytes so the peer's writes keep completing and
             // the final frame is deliverable.
             let mut scratch = [0u8; 4096];
             loop {
@@ -392,96 +337,24 @@ impl EventLoop {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => {
-                    // A failed socket with nobody left to answer: same
-                    // silent teardown as the blocking path's `Fill::Failed`.
+                    // A failed socket with nobody left to answer: silent
+                    // teardown.
                     self.close(token);
                     return false;
                 }
             }
         }
-        parse_frames(conn, &self.config, &self.responder);
-        true
-    }
-
-    /// Splits every complete frame out of the read buffer, then advances
-    /// the connection's state machine: dispatch, fatal sequencing, flush,
-    /// half-close, close, interest. Safe to call from any wakeup.
-    fn service(&mut self, token: usize) {
         if self.stopping.is_none() {
-            self.maybe_dispatch(token);
+            let staging = answer_frames(conn, &self.config, &self.responder, &self.write_allocs);
+            self.queue_response(token, staging);
         }
-        self.maybe_queue_fatal(token);
-        if !self.flush_writes(token) {
-            return;
-        }
-        self.maybe_finish(token);
-    }
-
-    /// Hands the parsed frames to a pool worker when the connection is idle
-    /// — one batch in flight per connection keeps responses in order. The
-    /// read buffer travels to the worker as-is (frames are answered straight
-    /// out of it); only a partial trailing frame is moved into the recycled
-    /// spare buffer that takes over reading.
-    fn maybe_dispatch(&mut self, token: usize) {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
-        if conn.busy || conn.ranges.is_empty() {
-            return;
-        }
-        let buffer = std::mem::replace(&mut conn.rbuf, conn.spare_rbuf.take().unwrap_or_default());
-        let ranges =
-            std::mem::replace(&mut conn.ranges, conn.spare_ranges.take().unwrap_or_default());
-        if conn.rpos < buffer.len() {
-            conn.rbuf.extend_from_slice(&buffer[conn.rpos..]);
-        }
-        conn.rpos = 0;
-        let staging = conn.spare_staging.pop().unwrap_or_default();
-        conn.busy = true;
-        let generation = self.slots[token].generation;
-        let responder = Arc::clone(&self.responder);
-        let completions = Arc::clone(&self.completions);
-        let write_allocs = Arc::clone(&self.write_allocs);
-        self.pool.execute(move || {
-            let mut staging = staging;
-            let cap_before = staging.capacity();
-            for &(start, len) in &ranges {
-                let response = answer_frame(&responder, &buffer[start..start + len]);
-                encode_response_into(&response, &mut staging);
-            }
-            if staging.capacity() != cap_before {
-                write_allocs.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut buffer = buffer;
-            let mut ranges = ranges;
-            buffer.clear();
-            ranges.clear();
-            completions.push(Completion { token, generation, staging, buffer, ranges });
-        });
-    }
-
-    /// Once every previously accepted frame has been answered, emits the
-    /// pending terminal error frame and marks the connection as draining —
-    /// the evented mirror of the blocking `send_and_close`.
-    fn maybe_queue_fatal(&mut self, token: usize) {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
-        if conn.busy || !conn.ranges.is_empty() {
-            return;
-        }
-        let Some(fatal) = conn.fatal.take() else { return };
-        let mut staging = conn.spare_staging.pop().unwrap_or_default();
-        let cap_before = staging.capacity();
-        encode_response_into(&fatal, &mut staging);
-        if staging.capacity() != cap_before {
-            self.write_allocs.fetch_add(1, Ordering::Relaxed);
-        }
-        self.queue_response(token, staging);
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
-        conn.fatal_queued = true;
+        true
     }
 
     /// Appends an encoded buffer to the write queue, counting container
     /// growth against the buffer-reuse guarantee.
     fn queue_response(&mut self, token: usize, staging: Vec<u8>) {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
+        let conn = self.slots[token].as_mut().expect("live connection");
         if staging.is_empty() {
             recycle_staging(conn, staging);
             return;
@@ -496,7 +369,7 @@ impl EventLoop {
     /// to [`MAX_WRITE_VECTORS`] buffers. Returns `false` when the
     /// connection was torn down.
     fn flush_writes(&mut self, token: usize) -> bool {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
+        let conn = self.slots[token].as_mut().expect("live connection");
         while !conn.outq.is_empty() {
             let mut slices = [IoSlice::new(&[]); MAX_WRITE_VECTORS];
             let mut count = 0;
@@ -537,8 +410,8 @@ impl EventLoop {
     /// Post-flush transitions: half-close after the final frame, close when
     /// fully quiescent, and refresh poller interest.
     fn maybe_finish(&mut self, token: usize) {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
-        if conn.outq.is_empty() && conn.fatal_queued && !conn.write_shut {
+        let conn = self.slots[token].as_mut().expect("live connection");
+        if conn.outq.is_empty() && conn.terminal && !conn.write_shut {
             // Final frame flushed: half-close the write side and drain the
             // peer's reads so the kernel delivers it instead of RSTing.
             let _ = conn.stream.shutdown(Shutdown::Write);
@@ -547,11 +420,7 @@ impl EventLoop {
             self.draining += 1;
         }
         let done_draining = conn.write_shut && conn.read_closed;
-        let idle_eof = conn.read_closed
-            && !conn.fatal_queued
-            && conn.fatal.is_none()
-            && conn.quiescent()
-            && conn.ranges.is_empty();
+        let idle_eof = conn.read_closed && !conn.terminal && conn.outq.is_empty();
         if done_draining || idle_eof {
             self.close(token);
             return;
@@ -562,7 +431,7 @@ impl EventLoop {
     /// Syncs the poller registration with what the connection can make
     /// progress on, skipping the syscall when unchanged.
     fn update_interest(&mut self, token: usize) {
-        let conn = self.slots[token].conn.as_mut().expect("live connection");
+        let conn = self.slots[token].as_mut().expect("live connection");
         let readable = !conn.read_closed;
         let writable = !conn.outq.is_empty() && !conn.write_shut;
         if conn.interest != (readable, writable) {
@@ -574,28 +443,6 @@ impl EventLoop {
         }
     }
 
-    /// Applies every queued batch completion: recycle buffers, queue the
-    /// encoded responses, advance the connection. Stale completions (the
-    /// slot was vacated or recycled mid-flight) only return their buffers
-    /// to the allocator.
-    fn apply_completions(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        self.completions.drain_into(&mut pending);
-        for completion in pending.drain(..) {
-            let Some(slot) = self.slots.get_mut(completion.token) else { continue };
-            if slot.generation != completion.generation || slot.conn.is_none() {
-                continue;
-            }
-            let conn = slot.conn.as_mut().expect("checked above");
-            conn.busy = false;
-            conn.spare_rbuf = Some(completion.buffer);
-            conn.spare_ranges = Some(completion.ranges);
-            self.queue_response(completion.token, completion.staging);
-            self.service(completion.token);
-        }
-        self.pending = pending;
-    }
-
     /// Closes connections whose post-error read drain has outlived its
     /// grace period. Free when nothing is draining.
     fn sweep_deadlines(&mut self) {
@@ -605,7 +452,6 @@ impl EventLoop {
         let now = Instant::now();
         for token in 0..self.slots.len() {
             let expired = self.slots[token]
-                .conn
                 .as_ref()
                 .and_then(|conn| conn.drain_deadline)
                 .is_some_and(|deadline| now >= deadline);
@@ -615,15 +461,13 @@ impl EventLoop {
         }
     }
 
-    /// Vacates a slot: deregister, bump the generation (stale-completion
-    /// guard), drop the stream (closing the fd).
+    /// Vacates a slot: deregister, drop the stream (closing the fd).
     fn close(&mut self, token: usize) {
-        if let Some(conn) = self.slots[token].conn.take() {
+        if let Some(conn) = self.slots[token].take() {
             if conn.drain_deadline.is_some() {
                 self.draining -= 1;
             }
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.slots[token].generation += 1;
             self.free.push(token);
         }
     }
@@ -638,50 +482,60 @@ fn recycle_staging(conn: &mut Conn, mut buf: Vec<u8>) {
     }
 }
 
-/// Marks every complete frame in `rbuf` as a `(start, len)` range in
-/// `ranges` — zero-copy; dispatch hands the buffer itself to the worker —
-/// enforcing the same guards in the same order as the blocking `read_frame`:
-/// oversized announcement, short announcement, then the per-connection
-/// request budget — each producing a terminal error sequenced after the
-/// accepted frames.
-fn parse_frames(conn: &mut Conn, config: &ServerConfig, responder: &Responder) {
-    if conn.fatal.is_some() || conn.fatal_queued {
-        conn.rbuf.clear();
-        conn.rpos = 0;
-        return;
-    }
+/// Answers every complete frame in `rbuf`, in order, into one staging
+/// buffer, which it returns. Checks the guards in this order: oversized
+/// announcement, short announcement, then the per-connection request budget.
+/// A failed guard appends its terminal error frame after the accepted
+/// frames' responses and marks the connection terminal.
+fn answer_frames(
+    conn: &mut Conn,
+    config: &ServerConfig,
+    responder: &Responder,
+    write_allocs: &AtomicU64,
+) -> Vec<u8> {
+    let mut staging = conn.spare_staging.pop().unwrap_or_default();
+    let cap_before = staging.capacity();
+    let mut pos = 0;
+    let mut fatal = None;
     loop {
-        let avail = conn.rbuf.len() - conn.rpos;
+        let avail = conn.rbuf.len() - pos;
         if avail < LENGTH_PREFIX_BYTES {
             break;
         }
-        let prefix: [u8; LENGTH_PREFIX_BYTES] = conn.rbuf
-            [conn.rpos..conn.rpos + LENGTH_PREFIX_BYTES]
-            .try_into()
-            .expect("slice of prefix length");
+        let prefix: [u8; LENGTH_PREFIX_BYTES] =
+            conn.rbuf[pos..pos + LENGTH_PREFIX_BYTES].try_into().expect("slice of prefix length");
         let len = u32::from_le_bytes(prefix) as usize;
         if len > config.max_frame_bytes {
-            conn.fatal = Some(responder.oversized_frame_error(len, config.max_frame_bytes));
+            fatal = Some(responder.oversized_frame_error(len, config.max_frame_bytes));
             break;
         }
         if len < ENVELOPE_BYTES {
-            conn.fatal = Some(responder.short_frame_error(len));
+            fatal = Some(responder.short_frame_error(len));
             break;
         }
         if avail < LENGTH_PREFIX_BYTES + len {
             break;
         }
         if conn.parsed >= config.max_requests_per_connection {
-            conn.fatal = Some(responder.budget_exceeded_error(config.max_requests_per_connection));
+            fatal = Some(responder.budget_exceeded_error(config.max_requests_per_connection));
             break;
         }
         conn.parsed += 1;
-        let start = conn.rpos + LENGTH_PREFIX_BYTES;
-        conn.ranges.push((start, len));
-        conn.rpos = start + len;
+        let start = pos + LENGTH_PREFIX_BYTES;
+        let response = answer_frame(responder, &conn.rbuf[start..start + len]);
+        encode_response_into(&response, &mut staging);
+        pos = start + len;
     }
-    if conn.fatal.is_some() {
-        // Terminal: bytes past the last accepted frame are never parsed.
-        conn.rbuf.truncate(conn.rpos);
+    if let Some(fatal) = fatal {
+        encode_response_into(&fatal, &mut staging);
+        conn.terminal = true;
+        // Bytes past the last accepted frame are never parsed.
+        conn.rbuf.clear();
+    } else {
+        conn.rbuf.drain(..pos);
     }
+    if staging.capacity() != cap_before {
+        write_allocs.fetch_add(1, Ordering::Relaxed);
+    }
+    staging
 }

@@ -20,8 +20,6 @@
 //! typed errors, never panics, never an allocation beyond the frame itself.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
 use hist_persist::crc32::crc32;
 use hist_persist::CodecError;
@@ -178,32 +176,6 @@ pub fn read_message(r: &mut impl Read, max_frame_bytes: usize) -> NetResult<Opti
     Ok(Some(frame))
 }
 
-/// How long [`await_readable`] polls before a reader parks in `read`.
-pub(crate) const READ_SPIN: Duration = Duration::from_micros(50);
-
-/// Polls `stream` until it has bytes to read (or has ended), for at most
-/// [`READ_SPIN`], yielding the CPU between polls; the socket is left in
-/// blocking mode. An error means the socket could not switch modes. A blocking-mode connection worker calls it before each
-/// request read: a closed-loop client sends its next request microseconds
-/// after the last answer, and a worker parked in `read` must then be woken
-/// by the scheduler, whose placement of the two threads sets the request
-/// rate (on a 2-CPU VM, one closed-loop client ran at about 27k req/s with
-/// the threads pinned to different CPUs and 55k pinned to one, and drifted
-/// between the two from run to run). A polling worker is never parked while
-/// its client is busy, so the rate no longer rests on that placement;
-/// yielding lets a client that shares the worker's CPU run meanwhile.
-pub(crate) fn await_readable(stream: &TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(true)?;
-    let started = Instant::now();
-    let mut probe = [0u8; 1];
-    while matches!(stream.peek(&mut probe), Err(e) if e.kind() == ErrorKind::WouldBlock)
-        && started.elapsed() < READ_SPIN
-    {
-        std::thread::yield_now();
-    }
-    stream.set_nonblocking(false)
-}
-
 /// Writes one complete wire message and flushes.
 pub fn write_message(w: &mut impl Write, message: &[u8]) -> NetResult<()> {
     w.write_all(message)?;
@@ -292,37 +264,6 @@ mod tests {
             read_message(&mut cursor, DEFAULT_MAX_FRAME_BYTES),
             Err(NetError::Frame(CodecError::Truncated { needed: 64, available: 10 }))
         ));
-    }
-
-    #[test]
-    fn awaiting_a_message_polls_briefly_and_leaves_the_socket_blocking() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut reader, _) = listener.accept().unwrap();
-
-        // Nothing to read: gives up after the poll budget.
-        let started = Instant::now();
-        await_readable(&reader).unwrap();
-        assert!(started.elapsed() >= READ_SPIN);
-
-        // A message in flight: the blocking read that follows returns it.
-        let message = seal_message(7, b"ready");
-        write_message(&mut writer, &message).unwrap();
-        await_readable(&reader).unwrap();
-        let frame = read_message(&mut reader, DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
-        assert_eq!(check_envelope(&frame).unwrap(), (7, &b"ready"[..]));
-
-        // Blocking again: a read with a timeout times out instead of
-        // failing with `WouldBlock` at once.
-        reader.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
-        let started = Instant::now();
-        assert!(reader.read(&mut [0u8; 1]).is_err());
-        assert!(started.elapsed() >= Duration::from_millis(10));
-
-        // End of stream ends the poll as well.
-        drop(writer);
-        await_readable(&reader).unwrap();
-        assert!(read_message(&mut reader, DEFAULT_MAX_FRAME_BYTES).unwrap().is_none());
     }
 
     #[test]

@@ -10,14 +10,22 @@
 //! the loop: a [`HistServer`] serves the keyed
 //! [`StoreMap`](hist_serve::StoreMap) (one epoch/snapshot store per
 //! tenant/metric key — reads wait-free, writes serialized per key, every
-//! response stamped with the snapshot epoch) in either of two I/O modes
-//! behind one API — thread-per-connection blocking I/O
-//! ([`ServerMode::Blocking`]) or a pipelining epoll/poll readiness loop
-//! ([`ServerMode::Evented`], see [`evented`]) — and a blocking [`HistClient`]
-//! exposes batch helpers whose answers are **bit-identical** to querying the
-//! local [`Synopsis`](hist_core::Synopsis) directly — `f64`s travel as raw
+//! response stamped with the snapshot epoch) from one pipelining epoll/poll
+//! readiness loop that answers every request inline (see [`evented`]), and a
+//! blocking [`HistClient`] exposes batch helpers whose answers are
+//! **bit-identical** to querying the local
+//! [`Synopsis`](hist_core::Synopsis) directly — `f64`s travel as raw
 //! IEEE-754 bits, and published synopses ship in the `hist-persist`
 //! `AHISTSYN` encoding whose decode path is already proven bit-exact.
+//!
+//! The loop is the only server path, and it has three costs:
+//!
+//! * a long request (a `MergedView` over many keys, a 4096-range
+//!   `MassBatch`, a large `Publish`) delays every connection's answers while
+//!   it runs, not just its own connection's;
+//! * a fleet of pipelining connections is served by one CPU;
+//! * [`HistServer::bind`] needs a Unix host and returns an `Unsupported`
+//!   error elsewhere.
 //!
 //! ## Wire format
 //!
@@ -113,4 +121,4 @@ pub use proto::{
     decode_request, decode_response, encode_request, encode_response, encode_response_into,
     ErrorCode, Request, Response, StoreWideStats, SynopsisStats,
 };
-pub use server::{HistServer, ServerConfig, ServerMode};
+pub use server::{HistServer, ServerConfig};

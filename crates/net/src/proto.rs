@@ -431,9 +431,9 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
 
 /// Appends a complete response wire message (length prefix included) onto
 /// `out`, building the frame in place: no intermediate payload `Vec`, and no
-/// allocation at all once `out` has warmed-up capacity. This is the evented
-/// server's steady-state write path; [`encode_response`] delegates here, so
-/// both server modes emit byte-identical frames by construction.
+/// allocation at all once `out` has warmed-up capacity. This is the server's
+/// steady-state write path; [`encode_response`] delegates here, so the two
+/// emit byte-identical frames by construction.
 pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     let start = out.len();
     // Placeholder length prefix, patched once the payload size is known.

@@ -1,26 +1,21 @@
-//! The serving side: a TCP server over a shared keyed [`StoreMap`], in one
-//! of two I/O modes behind the same [`HistServer`] API.
+//! The serving side: a TCP server over a shared keyed [`StoreMap`].
 //!
-//! * [`ServerMode::Blocking`] (the default): one accept thread; each
-//!   accepted connection is dispatched onto the crate-shared [`ThreadPool`]
-//!   from `hist-serve`, where a handler loops over framed requests with
-//!   blocking reads, polling briefly for each next request before it parks.
-//! * [`ServerMode::Evented`]: a single readiness loop (epoll(7) on Linux,
-//!   portable poll(2) fallback) multiplexes every connection over
-//!   non-blocking sockets with request pipelining and reused write buffers;
-//!   request batches still execute on the `hist-serve` [`ThreadPool`]. See
-//!   [`crate::evented`].
+//! A [`HistServer`] runs one readiness loop (epoll(7) on Linux, portable
+//! poll(2) elsewhere on Unix) that multiplexes every connection over
+//! non-blocking sockets, pipelines requests and answers each of them on the
+//! loop thread; see [`crate::evented`]. Reads go through an epoch-stamped
+//! snapshot of the addressed key's store (wait-free in practice), batch
+//! queries are answered by that snapshot's own batch kernel, and admin
+//! writes (`Publish`/`UpdateMerge`) serialize on the addressed store's
+//! writer path — exactly the concurrency contract the in-process serving
+//! layer already guarantees, now over the wire and per key.
 //!
-//! In either mode, reads go through an epoch-stamped snapshot of the
-//! addressed key's store (wait-free in practice), batch queries are answered
-//! by that snapshot's own batch kernel on the thread that decoded the
-//! request (the connection's worker in blocking mode, the batch's pool
-//! worker in evented mode), and admin writes (`Publish`/`UpdateMerge`)
-//! serialize on the addressed store's writer path — exactly the concurrency
-//! contract the in-process serving layer already guarantees, now over the
-//! wire and per key. Both modes answer every byte stream with byte-identical
-//! frames: they share one request→response core ([`Responder`] +
-//! `answer_frame`) and one in-place frame encoder.
+//! A request runs on the loop, so a long one (a `MergedView` over many keys,
+//! a 4096-range `MassBatch`, a large `Publish`) delays every connection's
+//! answers while it runs, not just its own connection's, and a fleet of
+//! pipelining connections is served by one CPU. The server needs a Unix
+//! host: elsewhere [`HistServer::bind`] returns an
+//! [`ErrorKind::Unsupported`] error.
 //!
 //! ## Protocol version
 //!
@@ -39,53 +34,32 @@
 //! closed where it is not (a length prefix that is oversized or shorter
 //! than an envelope, or an exhausted request budget).
 
-use std::io::{ErrorKind, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hist_core::Interval;
 use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
-use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, ThreadPool, DEFAULT_KEY};
+use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, DEFAULT_KEY};
 
-use crate::frame::{
-    await_readable, check_envelope, write_message, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES,
-};
+#[cfg(unix)]
+use crate::evented::spawn as spawn_loop;
+use crate::frame::check_envelope;
 use crate::proto::{
-    decode_request_frame, encode_response, ErrorCode, Request, Response, StoreWideStats,
-    SynopsisStats,
+    decode_request_frame, ErrorCode, Request, Response, StoreWideStats, SynopsisStats,
 };
-
-/// How a [`HistServer`] drives its sockets. Both modes speak the identical
-/// wire protocol through the same request→response core, so clients cannot
-/// tell them apart byte-for-byte; the dual-mode integration suites assert
-/// exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// Thread-per-connection blocking I/O: each connection owns one
-    /// [`ServerConfig::connection_threads`] pool worker for its lifetime.
-    /// Simple, portable, and the conservative default.
-    #[default]
-    Blocking,
-    /// One evented readiness loop (epoll(7) on Linux, poll(2) fallback)
-    /// multiplexing every connection over non-blocking sockets: request
-    /// pipelining, vectored writes, reused response buffers. Scales to
-    /// thousands of connections; Unix only.
-    Evented,
-}
 
 /// Tuning knobs of a [`HistServer`]. The defaults serve tests and examples;
 /// production deployments mostly care about `max_frame_bytes` (hostile-peer
-/// allocation bound) and `connection_threads`.
+/// allocation bound).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Socket-driving strategy; see [`ServerMode`].
-    pub mode: ServerMode,
-    /// Evented mode only: force the portable poll(2) backend even where a
-    /// better platform backend (epoll) exists. Exists so tests can cover the
-    /// fallback path on any host.
+    /// Force the portable poll(2) backend even where a better platform
+    /// backend (epoll) exists. Exists so tests can cover the fallback path
+    /// on any host.
     pub force_poll_backend: bool,
     /// Largest frame accepted from a peer; larger announcements are rejected
     /// before any allocation. (Response frames the server *builds* are not
@@ -95,14 +69,8 @@ pub struct ServerConfig {
     /// Requests a single connection may issue before the server answers a
     /// typed [`ErrorCode::RequestLimit`] frame and closes it.
     pub max_requests_per_connection: u64,
-    /// Workers in the connection pool. Blocking mode: a connection holds its
-    /// worker for its whole lifetime (= connections served concurrently), so
-    /// size it to the expected number of simultaneous clients. Evented mode:
-    /// these workers execute pipelined request batches handed off by the
-    /// event loop, so a handful serve thousands of connections.
-    pub connection_threads: usize,
-    /// Socket read timeout used to poll the shutdown flag between requests;
-    /// bounds how long a graceful shutdown waits for idle connections.
+    /// Longest the idle loop blocks in one readiness wait; bounds how long
+    /// a shutdown takes to be noticed.
     pub poll_interval: Duration,
     /// Self-tuning maintenance policy applied to the served [`StoreMap`] at
     /// bind time: every key then refits/compacts in the background once its
@@ -116,11 +84,9 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            mode: ServerMode::default(),
             force_poll_backend: false,
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_requests_per_connection: u64::MAX,
-            connection_threads: 4,
             poll_interval: Duration::from_millis(25),
             maintenance: None,
             maintenance_threads: 1,
@@ -128,12 +94,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running multi-tenant synopsis server: accept loop + connection pool
-/// over a shared keyed [`StoreMap`].
+/// A running multi-tenant synopsis server: one readiness-loop thread over a
+/// shared keyed [`StoreMap`].
 ///
-/// Dropping the server (or calling [`HistServer::shutdown`]) stops accepting,
-/// wakes every idle connection handler and joins all threads — no detached
-/// threads outlive the value.
+/// Dropping the server (or calling [`HistServer::shutdown`]) stops accepting
+/// and joins the loop thread — no detached thread outlives the value.
 ///
 /// ```no_run
 /// use std::sync::Arc;
@@ -149,11 +114,9 @@ impl Default for ServerConfig {
 pub struct HistServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<Arc<ThreadPool>>,
+    event_loop: Option<JoinHandle<()>>,
     map: Arc<StoreMap>,
-    mode: ServerMode,
-    write_allocs: Option<Arc<AtomicU64>>,
+    write_allocs: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for HistServer {
@@ -169,7 +132,8 @@ impl std::fmt::Debug for HistServer {
 
 impl HistServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `map` immediately, in the I/O mode `config.mode` selects.
+    /// `map` immediately. Off Unix this is an [`ErrorKind::Unsupported`]
+    /// error.
     pub fn bind(
         addr: impl ToSocketAddrs,
         map: Arc<StoreMap>,
@@ -182,76 +146,15 @@ impl HistServer {
                 .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
         }
         let shutdown = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(ThreadPool::new(config.connection_threads));
-        let responder = Arc::new(Responder { map: Arc::clone(&map) });
-        let mode = config.mode;
-        let (accept, write_allocs) = match mode {
-            ServerMode::Blocking => {
-                (Self::spawn_blocking(listener, responder, &shutdown, &pool, config)?, None)
-            }
-            #[cfg(unix)]
-            ServerMode::Evented => {
-                let allocs = Arc::new(AtomicU64::new(0));
-                let handle = crate::evented::spawn(
-                    listener,
-                    responder,
-                    Arc::clone(&shutdown),
-                    Arc::clone(&pool),
-                    config,
-                    Arc::clone(&allocs),
-                )?;
-                (handle, Some(allocs))
-            }
-            #[cfg(not(unix))]
-            ServerMode::Evented => {
-                return Err(std::io::Error::new(
-                    ErrorKind::Unsupported,
-                    "ServerMode::Evented requires a Unix host; use ServerMode::Blocking",
-                ));
-            }
-        };
-        Ok(Self {
-            local_addr,
-            shutdown,
-            accept: Some(accept),
-            pool: Some(pool),
-            map,
-            mode,
-            write_allocs,
-        })
-    }
-
-    /// Spawns the blocking accept loop: every accepted connection takes a
-    /// pool worker for its lifetime.
-    fn spawn_blocking(
-        listener: TcpListener,
-        responder: Arc<Responder>,
-        shutdown: &Arc<AtomicBool>,
-        pool: &Arc<ThreadPool>,
-        config: ServerConfig,
-    ) -> std::io::Result<JoinHandle<()>> {
-        let shutdown = Arc::clone(shutdown);
-        let pool = Arc::clone(pool);
-        std::thread::Builder::new().name("hist-net-accept".into()).spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(stream) = stream else {
-                    // Persistent accept errors (EMFILE under fd
-                    // exhaustion) return immediately: back off instead
-                    // of hot-looping exactly when the host is starved.
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                };
-                let shutdown = Arc::clone(&shutdown);
-                let responder = Arc::clone(&responder);
-                let config = config.clone();
-                pool.execute(move || {
-                    Connection { stream, responder, config, shutdown }.run();
-                });
-            }
-        })
+        let write_allocs = Arc::new(AtomicU64::new(0));
+        let event_loop = spawn_loop(
+            listener,
+            Responder { map: Arc::clone(&map) },
+            Arc::clone(&shutdown),
+            config,
+            Arc::clone(&write_allocs),
+        )?;
+        Ok(Self { local_addr, shutdown, event_loop: Some(event_loop), map, write_allocs })
     }
 
     /// The address the server is listening on (resolves ephemeral ports).
@@ -267,49 +170,25 @@ impl HistServer {
         &self.map
     }
 
-    /// The I/O mode this server was bound in.
+    /// How many times the response write path has had to allocate (grow a
+    /// staging buffer, mint a fresh one because the reuse pool ran dry, or
+    /// grow a queue container) since bind. Flat across a warmed-up steady
+    /// state — the buffer-reuse guarantee the loop makes — and asserted flat
+    /// by the `net_evented` suite.
     #[inline]
-    pub fn mode(&self) -> ServerMode {
-        self.mode
+    pub fn write_path_allocations(&self) -> u64 {
+        self.write_allocs.load(Ordering::Acquire)
     }
 
-    /// Evented mode: how many times the response write path has had to
-    /// allocate (grow a staging buffer, mint a fresh one because the reuse
-    /// pool ran dry, or grow a queue container) since bind. Flat across a
-    /// warmed-up steady state — the buffer-reuse guarantee the evented
-    /// design makes — and asserted flat by the `net_evented` suite. `None`
-    /// in blocking mode, which allocates one message per response by design.
-    #[inline]
-    pub fn write_path_allocations(&self) -> Option<u64> {
-        self.write_allocs.as_ref().map(|counter| counter.load(Ordering::Acquire))
-    }
-
-    /// Graceful shutdown: stop accepting, let in-flight requests finish,
-    /// wake idle connection handlers (they poll the shutdown flag on the
-    /// [`ServerConfig::poll_interval`] read timeout) and join every thread.
-    /// Idempotent; also invoked by `Drop`.
+    /// Graceful shutdown: stop accepting, give queued responses up to two
+    /// seconds to reach the wire and join the loop thread, which notices the
+    /// request within [`ServerConfig::poll_interval`]. Idempotent; also
+    /// invoked by `Drop`.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() && self.pool.is_none() {
-            return;
-        }
         self.shutdown.store(true, Ordering::Release);
-        // Wake the blocking accept call with a throwaway connection. A
-        // wildcard bind address (0.0.0.0 / ::) is not itself connectable
-        // everywhere, so the waker targets loopback on the bound port.
-        let mut wake_addr = self.local_addr;
-        if wake_addr.ip().is_unspecified() {
-            wake_addr.set_ip(match wake_addr {
-                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-            });
+        if let Some(event_loop) = self.event_loop.take() {
+            let _ = event_loop.join();
         }
-        let _ = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1));
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        // The accept thread has exited, so this is the last Arc: dropping it
-        // joins the pool workers, whose handlers exit on the shutdown flag.
-        self.pool.take();
     }
 }
 
@@ -319,153 +198,22 @@ impl Drop for HistServer {
     }
 }
 
-/// Outcome of one incremental read attempt.
-enum Fill {
-    /// The buffer is full.
-    Done,
-    /// The peer closed the stream.
-    Eof,
-    /// The read timed out (poll the shutdown flag and retry).
-    Timeout,
-    /// The socket failed.
-    Failed,
+/// Off Unix there is no readiness poller to drive the loop.
+#[cfg(not(unix))]
+fn spawn_loop(
+    _: TcpListener,
+    _: Responder,
+    _: Arc<AtomicBool>,
+    _: ServerConfig,
+    _: Arc<AtomicU64>,
+) -> std::io::Result<JoinHandle<()>> {
+    Err(std::io::Error::new(ErrorKind::Unsupported, "HistServer requires a Unix host"))
 }
 
-/// One accepted connection, running on a pool worker (blocking mode).
-struct Connection {
-    stream: TcpStream,
-    responder: Arc<Responder>,
-    config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl Connection {
-    fn run(mut self) {
-        let _ = self.stream.set_read_timeout(Some(self.config.poll_interval));
-        let _ = self.stream.set_nodelay(true);
-        let mut served = 0u64;
-        loop {
-            let frame = match self.read_frame() {
-                Ok(Some(frame)) => frame,
-                // Clean close, peer gone, or shutdown: nothing left to say.
-                Ok(None) => return,
-                // Framing errors desynchronize the stream: answer with a
-                // typed error frame, then close.
-                Err(response) => return self.send_and_close(&response),
-            };
-            if served >= self.config.max_requests_per_connection {
-                let response =
-                    self.responder.budget_exceeded_error(self.config.max_requests_per_connection);
-                return self.send_and_close(&response);
-            }
-            served += 1;
-            let response = answer_frame(&self.responder, &frame);
-            if !self.send(&response) {
-                return;
-            }
-        }
-    }
-
-    /// Reads one length-prefixed frame, polling the shutdown flag on read
-    /// timeouts. `Ok(None)` means the connection is over (clean EOF, socket
-    /// failure, or shutdown); `Err(response)` carries the typed error frame
-    /// to send before closing (frame too large / truncated announcement).
-    fn read_frame(&mut self) -> Result<Option<Vec<u8>>, Response> {
-        if await_readable(&self.stream).is_err() {
-            return Ok(None);
-        }
-        let mut prefix = [0u8; LENGTH_PREFIX_BYTES];
-        let mut got = 0usize;
-        loop {
-            match self.fill(&mut prefix, &mut got) {
-                Fill::Done => break,
-                // EOF before any prefix byte is a clean close; EOF inside
-                // the prefix means the peer gave up mid-message — nobody is
-                // left to read an error frame either way.
-                Fill::Eof | Fill::Failed => return Ok(None),
-                Fill::Timeout => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > self.config.max_frame_bytes {
-            return Err(self.responder.oversized_frame_error(len, self.config.max_frame_bytes));
-        }
-        if len < ENVELOPE_BYTES {
-            return Err(self.responder.short_frame_error(len));
-        }
-        let mut frame = vec![0u8; len];
-        let mut filled = 0usize;
-        loop {
-            match self.fill(&mut frame, &mut filled) {
-                Fill::Done => return Ok(Some(frame)),
-                Fill::Eof | Fill::Failed => return Ok(None),
-                Fill::Timeout => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advances `filled` toward `buf.len()`, mapping socket conditions to
-    /// [`Fill`] outcomes.
-    fn fill(&mut self, buf: &mut [u8], filled: &mut usize) -> Fill {
-        while *filled < buf.len() {
-            match self.stream.read(&mut buf[*filled..]) {
-                Ok(0) => return Fill::Eof,
-                Ok(n) => *filled += n,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Fill::Timeout
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Fill::Failed,
-            }
-        }
-        Fill::Done
-    }
-
-    /// Writes a response; `false` means the peer is gone.
-    fn send(&mut self, response: &Response) -> bool {
-        write_message(&mut self.stream, &encode_response(response)).is_ok()
-    }
-
-    /// Sends a final response, then closes *gracefully*: half-close the
-    /// write side and drain whatever the peer already pipelined, so the
-    /// kernel delivers the last frame instead of clobbering it with an RST
-    /// (closing a socket with unread bytes resets the connection and
-    /// discards data the peer has not consumed yet).
-    fn send_and_close(mut self, response: &Response) {
-        let _ = self.send(response);
-        let _ = self.stream.shutdown(Shutdown::Write);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut scratch = [0u8; 4096];
-        while Instant::now() < deadline {
-            match self.stream.read(&mut scratch) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// The request→response core both server modes share: a decoded request in,
-/// a typed response out, over the shared [`StoreMap`].
-/// Owning this logic in one place is what makes the two modes byte-identical
-/// on every input the dual-mode suites replay.
+/// The request→response core: a decoded request in, a typed response out,
+/// over the shared [`StoreMap`].
 pub(crate) struct Responder {
-    pub(crate) map: Arc<StoreMap>,
+    map: Arc<StoreMap>,
 }
 
 /// Answers one complete frame (the bytes after the length prefix): envelope

@@ -6,7 +6,7 @@
 //! Two backends hide behind one API:
 //!
 //! * **epoll(7)** on Linux — `O(ready)` wakeups, the production path for the
-//!   evented server's thousands of connections.
+//!   server's thousands of connections.
 //! * **poll(2)** everywhere else on Unix — `O(registered)` per wait, but
 //!   portable. On Linux it can be forced with
 //!   [`Poller::with_backend(Backend::Poll)`](Poller::with_backend) so tests
@@ -20,12 +20,6 @@
 //! observes the failure and tears the connection down; they can never be
 //! masked by interest flags.
 //!
-//! The poller embeds a self-pipe: [`Poller::notify`] is safe to call from
-//! any thread and wakes a concurrent [`Poller::wait`] — the completion
-//! hand-off mechanism worker threads use to hand finished responses back to
-//! an event loop. Notifications are internal: `wait` drains the pipe and
-//! never surfaces it as a user event.
-//!
 //! No external crates: the syscalls are declared `extern "C"` against the
 //! libc every Rust `std` program on Unix already links.
 
@@ -37,8 +31,8 @@ pub use unix_imp::{Backend, Events, Poller};
 #[cfg(not(unix))]
 mod imp {
     //! Non-Unix stub: construction reports the platform gap as a plain
-    //! `io::Error`, so callers (the evented server) can fall back to
-    //! blocking mode instead of failing to compile.
+    //! `io::Error`, so callers compile everywhere and report it at run
+    //! time.
     use std::io;
     use std::time::Duration;
 
@@ -89,9 +83,6 @@ mod imp {
             Err(unsupported())
         }
         pub fn wait(&self, _events: &mut Events, _timeout: Option<Duration>) -> io::Result<usize> {
-            Err(unsupported())
-        }
-        pub fn notify(&self) -> io::Result<()> {
             Err(unsupported())
         }
     }
@@ -162,8 +153,6 @@ mod sys {
 
     extern "C" {
         pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
         // `nfds_t` is `unsigned long` on the platforms this shim targets;
         // `usize` matches its width on LP64 and ILP32 alike.
         pub fn poll(fds: *mut pollfd, nfds: usize, timeout: c_int) -> c_int;
@@ -204,21 +193,6 @@ mod sys {
                 timeout: c_int,
             ) -> c_int;
         }
-    }
-
-    #[cfg(target_os = "linux")]
-    extern "C" {
-        pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-    }
-    #[cfg(target_os = "linux")]
-    pub const O_NONBLOCK_FLAG: c_int = 0x800;
-    #[cfg(target_os = "linux")]
-    pub const O_CLOEXEC_FLAG: c_int = 0x80000;
-
-    #[cfg(all(unix, not(target_os = "linux")))]
-    extern "C" {
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
     }
 }
 
@@ -307,8 +281,6 @@ mod unix_imp {
     /// A readiness poller over one of the two [`Backend`]s.
     pub struct Poller {
         backend: BackendState,
-        notify_read: i32,
-        notify_write: i32,
     }
 
     impl std::fmt::Debug for Poller {
@@ -334,33 +306,6 @@ mod unix_imp {
         }
     }
 
-    /// A nonblocking close-on-exec pipe (read end, write end).
-    fn nonblocking_pipe() -> io::Result<(i32, i32)> {
-        let mut fds = [0i32; 2];
-        #[cfg(target_os = "linux")]
-        cvt(unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK_FLAG | sys::O_CLOEXEC_FLAG) })?;
-        #[cfg(all(unix, not(target_os = "linux")))]
-        {
-            cvt(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
-            // F_SETFL = 4, O_NONBLOCK = 0x4 on the BSD family this branch
-            // serves; close fds on failure rather than leaking them.
-            for fd in fds {
-                if unsafe { sys::fcntl(fd, 4, 0x4) } < 0 {
-                    let e = last_err();
-                    unsafe {
-                        sys::close(fds[0]);
-                        sys::close(fds[1]);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok((fds[0], fds[1]))
-    }
-
-    /// Reserved key marking the internal notify pipe inside the epoll set.
-    const NOTIFY_KEY: u64 = u64::MAX;
-
     impl Poller {
         /// The platform's best backend: epoll on Linux, poll elsewhere.
         pub fn new() -> io::Result<Self> {
@@ -374,50 +319,15 @@ mod unix_imp {
         /// Linux host. [`Backend::Epoll`] off Linux is a typed
         /// `Unsupported` error.
         pub fn with_backend(backend: Backend) -> io::Result<Self> {
-            let (notify_read, notify_write) = nonblocking_pipe()?;
             let state = match backend {
                 #[cfg(target_os = "linux")]
                 Backend::Epoll => {
-                    let epfd = cvt(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) });
-                    match epfd {
-                        Ok(epfd) => {
-                            // The notify pipe is a permanent member of the set.
-                            let mut ev = sys::epoll::epoll_event {
-                                events: sys::epoll::EPOLLIN,
-                                data: NOTIFY_KEY,
-                            };
-                            if let Err(e) = cvt(unsafe {
-                                sys::epoll::epoll_ctl(
-                                    epfd,
-                                    sys::epoll::EPOLL_CTL_ADD,
-                                    notify_read,
-                                    &mut ev,
-                                )
-                            }) {
-                                unsafe {
-                                    sys::close(epfd);
-                                    sys::close(notify_read);
-                                    sys::close(notify_write);
-                                }
-                                return Err(e);
-                            }
-                            BackendState::Epoll { epfd }
-                        }
-                        Err(e) => {
-                            unsafe {
-                                sys::close(notify_read);
-                                sys::close(notify_write);
-                            }
-                            return Err(e);
-                        }
-                    }
+                    let epfd =
+                        cvt(unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) })?;
+                    BackendState::Epoll { epfd }
                 }
                 #[cfg(not(target_os = "linux"))]
                 Backend::Epoll => {
-                    unsafe {
-                        sys::close(notify_read);
-                        sys::close(notify_write);
-                    }
                     return Err(io::Error::new(
                         io::ErrorKind::Unsupported,
                         "the epoll backend requires Linux; use Backend::Poll",
@@ -425,7 +335,7 @@ mod unix_imp {
                 }
                 Backend::Poll => BackendState::Poll { registrations: Mutex::new(HashMap::new()) },
             };
-            Ok(Self { backend: state, notify_read, notify_write })
+            Ok(Self { backend: state })
         }
 
         fn backend_kind(&self) -> Backend {
@@ -516,8 +426,8 @@ mod unix_imp {
             }
         }
 
-        /// Blocks until at least one registered fd is ready, the timeout
-        /// elapses (`None` waits forever), or [`Poller::notify`] is called.
+        /// Blocks until at least one registered fd is ready or the timeout
+        /// elapses (`None` waits forever).
         /// Returns the number of occurrences written into `events`; an
         /// interrupted wait (`EINTR`) returns 0 occurrences rather than an
         /// error. Error/hang-up conditions report as readable **and**
@@ -556,10 +466,6 @@ mod unix_imp {
                     for raw in &events.raw[..n as usize] {
                         let data = raw.data;
                         let bits = raw.events;
-                        if data == NOTIFY_KEY {
-                            self.drain_notifications();
-                            continue;
-                        }
                         let hangup = bits & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0;
                         events.list.push(Event {
                             key: data as usize,
@@ -570,10 +476,10 @@ mod unix_imp {
                 }
                 BackendState::Poll { registrations } => {
                     // Snapshot the registrations into the reused pollfd
-                    // array; the lock is released before blocking so other
-                    // threads can notify (registration changes mid-wait take
-                    // effect on the next wait, as with epoll semantics the
-                    // single-owner event loop relies on).
+                    // array; the lock is released before blocking
+                    // (registration changes mid-wait take effect on the next
+                    // wait, as with epoll semantics the single-owner event
+                    // loop relies on).
                     events.raw_poll.clear();
                     events.keys.clear();
                     {
@@ -590,11 +496,6 @@ mod unix_imp {
                             events.keys.push(interest.key);
                         }
                     }
-                    events.raw_poll.push(sys::pollfd {
-                        fd: self.notify_read,
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
                     let n = unsafe {
                         sys::poll(events.raw_poll.as_mut_ptr(), events.raw_poll.len(), timeout_ms)
                     };
@@ -605,12 +506,7 @@ mod unix_imp {
                         }
                         return Err(e);
                     }
-                    let (regs_slice, notify_slot) =
-                        events.raw_poll.split_at(events.raw_poll.len() - 1);
-                    if notify_slot[0].revents & sys::POLLIN != 0 {
-                        self.drain_notifications();
-                    }
-                    for (slot, &key) in regs_slice.iter().zip(&events.keys) {
+                    for (slot, &key) in events.raw_poll.iter().zip(&events.keys) {
                         let re = slot.revents;
                         if re == 0 {
                             continue;
@@ -626,41 +522,6 @@ mod unix_imp {
             }
             Ok(events.list.len())
         }
-
-        /// Wakes a concurrent [`Poller::wait`] from any thread. Coalesces: a
-        /// full notify pipe already guarantees a wakeup.
-        pub fn notify(&self) -> io::Result<()> {
-            loop {
-                let n = unsafe { sys::write(self.notify_write, [1u8].as_ptr(), 1) };
-                if n >= 0 {
-                    return Ok(());
-                }
-                let e = last_err();
-                match e.kind() {
-                    io::ErrorKind::Interrupted => continue,
-                    // Pipe full: a wakeup is already pending.
-                    io::ErrorKind::WouldBlock => return Ok(()),
-                    _ => return Err(e),
-                }
-            }
-        }
-
-        fn drain_notifications(&self) {
-            let mut scratch = [0u8; 64];
-            loop {
-                let n = unsafe { sys::read(self.notify_read, scratch.as_mut_ptr(), scratch.len()) };
-                if n <= 0 {
-                    let e = last_err();
-                    if n < 0 && e.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    return;
-                }
-                if (n as usize) < scratch.len() {
-                    return;
-                }
-            }
-        }
     }
 
     impl Drop for Poller {
@@ -670,10 +531,6 @@ mod unix_imp {
                 unsafe {
                     sys::close(*epfd);
                 }
-            }
-            unsafe {
-                sys::close(self.notify_read);
-                sys::close(self.notify_write);
             }
         }
     }
@@ -697,7 +554,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     fn backends() -> Vec<Backend> {
         #[cfg(target_os = "linux")]
@@ -760,41 +617,6 @@ mod tests {
             assert_eq!(n, 1, "{backend:?}: hang-up not surfaced");
             assert!(events.iter().next().unwrap().readable);
             poller.delete(server_side.as_raw_fd()).unwrap();
-        }
-    }
-
-    #[test]
-    fn notify_wakes_a_blocked_wait_from_another_thread() {
-        for backend in backends() {
-            let poller = std::sync::Arc::new(Poller::with_backend(backend).unwrap());
-            let waker = std::sync::Arc::clone(&poller);
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                waker.notify().unwrap();
-            });
-            let mut events = Events::with_capacity(4);
-            let started = Instant::now();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
-            let waited = started.elapsed();
-            // The notification itself is internal: no user event surfaces.
-            assert_eq!(n, 0, "{backend:?}: notify leaked a user event");
-            assert!(
-                waited < Duration::from_secs(5),
-                "{backend:?}: notify did not wake the wait ({waited:?})"
-            );
-            handle.join().unwrap();
-
-            // Notifications coalesce and drain: the next wait times out.
-            poller.notify().unwrap();
-            poller.notify().unwrap();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(5))).unwrap();
-            assert_eq!(n, 0);
-            let started = Instant::now();
-            poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
-            assert!(
-                started.elapsed() >= Duration::from_millis(15),
-                "{backend:?}: stale notification short-circuited the wait"
-            );
         }
     }
 

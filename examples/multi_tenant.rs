@@ -33,12 +33,8 @@ fn tenant_chunk(tenant: usize, round: usize) -> Signal {
 fn main() {
     // --- Spawn: one keyed store map behind an ephemeral loopback port.
     let map = Arc::new(StoreMap::new());
-    let server = HistServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&map),
-        ServerConfig { connection_threads: TENANTS + 2, ..ServerConfig::default() },
-    )
-    .expect("ephemeral loopback bind");
+    let server = HistServer::bind("127.0.0.1:0", Arc::clone(&map), ServerConfig::default())
+        .expect("ephemeral loopback bind");
     let addr = server.local_addr();
     println!("server:    listening on {addr}");
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use approx_hist::{
     Estimator, EstimatorBuilder, EstimatorKind, GreedyMerging, HistClient, HistServer, Interval,
-    ServerConfig, ServerMode, Signal, StoreMap, DEFAULT_KEY,
+    ServerConfig, Signal, StoreMap, DEFAULT_KEY,
 };
 
 fn signal(lo: usize, n: usize) -> Signal {
@@ -24,14 +24,12 @@ fn main() {
     let n = 1 << 14;
 
     // --- Spawn: an empty keyed store map behind an ephemeral loopback port.
-    //     `ServerMode::Evented` multiplexes every connection on one readiness
-    //     loop; swap in `ServerMode::Blocking` for thread-per-connection —
-    //     the wire behaviour is byte-identical either way.
+    //     One readiness loop multiplexes every connection and answers each
+    //     request inline.
     let map = Arc::new(StoreMap::new());
-    let config = ServerConfig { mode: ServerMode::Evented, ..ServerConfig::default() };
-    let server =
-        HistServer::bind("127.0.0.1:0", Arc::clone(&map), config).expect("ephemeral loopback bind");
-    println!("server:    listening on {} ({:?} mode)", server.local_addr(), server.mode());
+    let server = HistServer::bind("127.0.0.1:0", Arc::clone(&map), ServerConfig::default())
+        .expect("ephemeral loopback bind");
+    println!("server:    listening on {}", server.local_addr());
 
     // --- Publish: fit locally, ship the synopsis over the wire.
     let fitted = EstimatorKind::Merging

@@ -51,7 +51,6 @@ fn main() {
         "127.0.0.1:0",
         Arc::new(StoreMap::new()),
         ServerConfig {
-            connection_threads: 2,
             maintenance: Some(policy),
             maintenance_threads: 1,
             ..ServerConfig::default()

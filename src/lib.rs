@@ -122,8 +122,8 @@ pub use hist_core::{
     Signal, Synopsis,
 };
 pub use hist_net::{
-    ErrorCode, HistClient, HistServer, NetError, ServerConfig, ServerMode, Stamped, StoreStats,
-    StoreWideStats, SynopsisStats,
+    ErrorCode, HistClient, HistServer, NetError, ServerConfig, Stamped, StoreStats, StoreWideStats,
+    SynopsisStats,
 };
 pub use hist_persist::{
     decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,

@@ -12,44 +12,28 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use approx_hist::{
-    Estimator, EstimatorBuilder, HistServer, ServerConfig, ServerMode, Signal, StoreMap,
-};
+use approx_hist::{Estimator, EstimatorBuilder, HistServer, ServerConfig, Signal, StoreMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Both server I/O modes, for suites that must prove the evented path
-/// behaves byte-for-byte like the blocking one.
-pub const SERVER_MODES: [ServerMode; 2] = [ServerMode::Blocking, ServerMode::Evented];
-
-/// The shared server config of the dual-mode net suites: everything default
-/// except the I/O mode and the connection worker count (blocking mode holds
-/// one worker per live connection; evented mode uses them as batch workers).
-pub fn net_config(mode: ServerMode, connection_threads: usize) -> ServerConfig {
-    ServerConfig { mode, connection_threads, ..ServerConfig::default() }
+/// Binds an ephemeral loopback server over `map` with the default config.
+pub fn spawn_server(map: Arc<StoreMap>) -> HistServer {
+    HistServer::bind("127.0.0.1:0", map, ServerConfig::default()).expect("ephemeral bind")
 }
 
-/// Binds an ephemeral loopback server over `map` in the given mode.
-pub fn spawn_server(map: Arc<StoreMap>, mode: ServerMode, connection_threads: usize) -> HistServer {
-    HistServer::bind("127.0.0.1:0", map, net_config(mode, connection_threads))
-        .expect("ephemeral bind")
-}
-
-/// Expands `fn $name(mode: ServerMode)` into `$name::blocking` and
-/// `$name::evented` test cases — the dual-mode harness every net suite runs
-/// its whole body through.
+/// Registers each scenario `fn $name()` as the test case `$name::evented`:
+/// the scenario run once against the server's evented readiness loop. The
+/// per-scenario module gives every net suite the same test paths, with room
+/// for a sibling case where a suite adds one (`net_evented` pairs its
+/// pipelining scenarios with `::blocking` lock-step controls).
 #[macro_export]
-macro_rules! for_each_server_mode {
+macro_rules! evented_cases {
     ($($name:ident),+ $(,)?) => {
         $(
             mod $name {
                 #[test]
-                fn blocking() {
-                    super::$name(approx_hist::ServerMode::Blocking);
-                }
-                #[test]
                 fn evented() {
-                    super::$name(approx_hist::ServerMode::Evented);
+                    super::$name();
                 }
             }
         )+

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     encode_synopsis, ErrorCode, Estimator, EstimatorBuilder, FittedModel, GreedyMerging,
-    HistClient, Histogram, Interval, NetError, ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    HistClient, Histogram, Interval, NetError, Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,8 +54,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn keyed_answers_are_bit_identical_to_local_fits(mode: ServerMode) {
-    let mut server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn keyed_answers_are_bit_identical_to_local_fits() {
+    let mut server = spawn_server(Arc::new(StoreMap::new()));
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(0x2015_600D);
 
@@ -108,9 +108,9 @@ fn keyed_answers_are_bit_identical_to_local_fits(mode: ServerMode) {
     server.shutdown();
 }
 
-fn the_key_lifecycle_works_over_the_wire(mode: ServerMode) {
+fn the_key_lifecycle_works_over_the_wire() {
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     for (i, key) in ["api/login", "api/search", "jobs/nightly"].iter().enumerate() {
@@ -162,9 +162,9 @@ fn the_key_lifecycle_works_over_the_wire(mode: ServerMode) {
     server.shutdown();
 }
 
-fn missing_and_unserved_keys_are_typed_errors(mode: ServerMode) {
+fn missing_and_unserved_keys_are_typed_errors() {
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), mode, 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     // An empty map: the default key is "empty store", an absent named key is
@@ -216,7 +216,7 @@ fn hot_key(writer: usize, slot: usize) -> String {
     format!("hot/{writer}-{slot}")
 }
 
-fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMode) {
+fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers() {
     let _gate = common::stress_gate();
 
     // 100k cold tenants (never written during the stress), a hot set owned
@@ -233,7 +233,7 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
     map.publish(DEFAULT_KEY, chunk(7_000)).unwrap();
     let default_local = map.snapshot(DEFAULT_KEY).unwrap().synopsis().as_ref().clone();
 
-    let mut server = spawn_server(Arc::clone(&map), mode, WRITERS + READERS + 3);
+    let mut server = spawn_server(Arc::clone(&map));
     let addr = server.local_addr();
     let done = Arc::new(AtomicBool::new(false));
     let deadline = Instant::now() + RUN_FOR;
@@ -407,7 +407,7 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers(mode: ServerMo
     server.shutdown();
 }
 
-for_each_server_mode!(
+evented_cases!(
     keyed_answers_are_bit_identical_to_local_fits,
     the_key_lifecycle_works_over_the_wire,
     missing_and_unserved_keys_are_typed_errors,

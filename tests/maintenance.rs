@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     Error, ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MaintenanceWorker, NetError, ServerConfig, ServerMode, Signal, StoreMap,
-    Synopsis, SynopsisStore,
+    MaintenancePolicy, MaintenanceWorker, NetError, ServerConfig, Signal, StoreMap, Synopsis,
+    SynopsisStore,
 };
 use common::{fixture_builder, noisy_steps, spawn_server, split_chunks, FIXTURE_K};
 
@@ -346,8 +346,8 @@ fn a_failed_merge_never_creates_a_phantom_key() {
     assert_eq!(map.keys(), vec!["tenants/real".to_string()]);
 }
 
-fn failed_wire_merges_leave_no_phantom_key(mode: ServerMode) {
-    let server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn failed_wire_merges_leave_no_phantom_key() {
+    let server = spawn_server(Arc::new(StoreMap::new()));
     let mut client =
         HistClient::connect(server.local_addr()).unwrap().with_key("tenants/ghost").unwrap();
 
@@ -371,10 +371,8 @@ fn failed_wire_merges_leave_no_phantom_key(mode: ServerMode) {
 // Maintenance over the wire.
 // ---------------------------------------------------------------------------
 
-fn maintenance_counters_and_refits_flow_over_the_wire(mode: ServerMode) {
+fn maintenance_counters_and_refits_flow_over_the_wire() {
     let config = ServerConfig {
-        mode,
-        connection_threads: 2,
         maintenance: Some(hair_trigger()),
         maintenance_threads: 1,
         ..ServerConfig::default()
@@ -413,6 +411,11 @@ fn maintenance_counters_and_refits_flow_over_the_wire(mode: ServerMode) {
     assert!(store_stats.merged_mass > 0.0);
     assert!(store_stats.merge_error >= 0.0);
 }
+
+evented_cases!(
+    failed_wire_merges_leave_no_phantom_key,
+    maintenance_counters_and_refits_flow_over_the_wire,
+);
 
 // ---------------------------------------------------------------------------
 // Client deadlines.
@@ -453,7 +456,7 @@ fn an_unresponsive_server_read_times_out_with_a_typed_error() {
 
 #[test]
 fn connect_timeouts_are_typed_and_the_happy_path_connects() {
-    let server = spawn_server(Arc::new(StoreMap::new()), ServerMode::Blocking, 1);
+    let server = spawn_server(Arc::new(StoreMap::new()));
 
     // Happy path: a generous deadline connects and serves normally.
     let mut client =
@@ -534,8 +537,3 @@ fn dropping_keys_while_merging_views_never_poisons_the_tree() {
 
     assert_eq!(map.len(), KEYS, "every dropped key was re-created");
 }
-
-for_each_server_mode!(
-    failed_wire_merges_leave_no_phantom_key,
-    maintenance_counters_and_refits_flow_over_the_wire,
-);

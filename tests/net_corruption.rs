@@ -5,11 +5,10 @@
 //! answer a typed error frame (or cleanly close the connection) — and never
 //! panic, hang, or allocate at the attacker's command.
 //!
-//! A server-side panic cannot hide: connection handlers run on the
-//! `hist-serve` pool, whose drop re-panics if any worker died, so the final
-//! `drop(server)` in each test doubles as the no-panic assertion. After
-//! every hostile sweep a well-formed request must still be answered — the
-//! server survived, it didn't just go quiet.
+//! A server-side panic cannot hide: the server answers every request on its
+//! one loop thread, so a panic would stop it, and after every hostile sweep
+//! a well-formed request must still be answered — the server survived, it
+//! didn't just go quiet.
 
 mod common;
 
@@ -24,8 +23,8 @@ use approx_hist::net::{
 };
 use approx_hist::persist::crc32;
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, NetError, ServerMode,
-    Signal, StoreMap, DEFAULT_KEY,
+    Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, NetError, Signal, StoreMap,
+    DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,9 +37,9 @@ fn served_synopsis() -> approx_hist::Synopsis {
         .unwrap()
 }
 
-fn spawn_server(mode: ServerMode) -> HistServer {
+fn spawn_server() -> HistServer {
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    common::spawn_server(map, mode, 4)
+    common::spawn_server(map)
 }
 
 /// A benign request whose answer proves the server is still alive.
@@ -108,8 +107,8 @@ fn assert_all_errors(responses: &[Response], context: &str) {
     }
 }
 
-fn truncation_at_every_prefix_length_closes_cleanly_or_errors(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn truncation_at_every_prefix_length_closes_cleanly_or_errors() {
+    let mut server = spawn_server();
     let requests = [
         approx_hist::net::encode_request(&Request::CdfBatch {
             key: DEFAULT_KEY.into(),
@@ -135,8 +134,8 @@ fn truncation_at_every_prefix_length_closes_cleanly_or_errors(mode: ServerMode) 
     server.shutdown(); // re-panics if any handler panicked
 }
 
-fn single_byte_flips_at_every_offset_are_contained(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn single_byte_flips_at_every_offset_are_contained() {
+    let mut server = spawn_server();
     let message = approx_hist::net::encode_request(&Request::CdfBatch {
         key: DEFAULT_KEY.into(),
         xs: vec![3, 200],
@@ -163,8 +162,8 @@ fn single_byte_flips_at_every_offset_are_contained(mode: ServerMode) {
     server.shutdown();
 }
 
-fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn forged_lengths_counts_ops_and_versions_are_typed_errors() {
+    let mut server = spawn_server();
 
     // A length prefix announcing ~2 GiB: rejected before any allocation,
     // answered with FrameTooLarge, connection closed.
@@ -239,7 +238,7 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
     let small = HistServer::bind(
         "127.0.0.1:0",
         Arc::new(StoreMap::with_initial(served_synopsis())),
-        approx_hist::ServerConfig { max_frame_bytes: 256, ..common::net_config(mode, 4) },
+        approx_hist::ServerConfig { max_frame_bytes: 256, ..approx_hist::ServerConfig::default() },
     )
     .unwrap();
     let big_batch = approx_hist::net::encode_request(&Request::CdfBatch {
@@ -255,8 +254,8 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection() {
+    let mut server = spawn_server();
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     // Out-of-domain index / fraction / range: InvalidQuery, connection kept.
@@ -299,8 +298,8 @@ fn invalid_queries_and_synopses_are_typed_errors_on_a_live_connection(mode: Serv
     server.shutdown();
 }
 
-fn queries_against_an_empty_store_get_typed_empty_store_errors(mode: ServerMode) {
-    let mut server = common::spawn_server(Arc::new(StoreMap::new()), mode, 4);
+fn queries_against_an_empty_store_get_typed_empty_store_errors() {
+    let mut server = common::spawn_server(Arc::new(StoreMap::new()));
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     for result in [
         client.cdf_batch(&[0]).map(|_| ()),
@@ -322,8 +321,8 @@ fn queries_against_an_empty_store_get_typed_empty_store_errors(mode: ServerMode)
     server.shutdown();
 }
 
-fn seeded_random_soup_never_kills_the_server(mode: ServerMode) {
-    let mut server = spawn_server(mode);
+fn seeded_random_soup_never_kills_the_server() {
+    let mut server = spawn_server();
     let mut rng = StdRng::seed_from_u64(0x000B_AD50_CCE7);
     for round in 0..150 {
         let len = rng.gen_range(0..192);
@@ -347,6 +346,15 @@ fn seeded_random_soup_never_kills_the_server(mode: ServerMode) {
     server.shutdown();
 }
 
+evented_cases!(
+    truncation_at_every_prefix_length_closes_cleanly_or_errors,
+    single_byte_flips_at_every_offset_are_contained,
+    forged_lengths_counts_ops_and_versions_are_typed_errors,
+    invalid_queries_and_synopses_are_typed_errors_on_a_live_connection,
+    queries_against_an_empty_store_get_typed_empty_store_errors,
+    seeded_random_soup_never_kills_the_server,
+);
+
 /// Whether a framed soup message happens to be a structurally valid request
 /// (possible: e.g. a lucky count prefix) — those may get real answers.
 fn decodes_as_request(_op: u8, message: &[u8]) -> bool {
@@ -367,12 +375,3 @@ fn raw_message_decoders_are_total_on_soup() {
         let _ = decode_response(&framed);
     }
 }
-
-for_each_server_mode!(
-    truncation_at_every_prefix_length_closes_cleanly_or_errors,
-    single_byte_flips_at_every_offset_are_contained,
-    forged_lengths_counts_ops_and_versions_are_typed_errors,
-    invalid_queries_and_synopses_are_typed_errors_on_a_live_connection,
-    queries_against_an_empty_store_get_typed_empty_store_errors,
-    seeded_random_soup_never_kills_the_server,
-);

@@ -1,15 +1,16 @@
-//! Evented-server suite: the behaviors the readiness-loop mode adds on top
-//! of byte-level equivalence (which the dual-mode `net_serve`/`keyed_serve`/
-//! `net_corruption` suites already prove):
+//! Readiness-loop suite: the behaviors of the server's I/O loop beyond the
+//! request/response answers the `net_serve`/`keyed_serve`/`net_corruption`
+//! suites check:
 //!
 //! * **Pipelining** — N requests written in one syscall come back as N
 //!   in-order responses, including interleaved keyed admin ops; a request
 //!   budget exceeded mid-pipeline answers every in-budget request before
-//!   the terminal `RequestLimit` frame.
+//!   the terminal `RequestLimit` frame. Each pipelining scenario is the
+//!   `::evented` case; its `::blocking` case replays the same script in
+//!   lock-step (one request, then its answer) and must get the same answers.
 //! * **Torture** — frames split at every byte boundary (the short-read
-//!   audit's regression net, run against BOTH modes), one-byte-at-a-time
-//!   writers, and a slow reader that forces the server through partial
-//!   vectored writes.
+//!   audit's regression net), one-byte-at-a-time writers, and a slow reader
+//!   that forces the server through partial vectored writes.
 //! * **Lifecycle** — idle connections don't wedge the loop, mid-frame
 //!   disconnects (both clean half-close and hard drop) are contained.
 //! * **Scale** — a 1024-connection soak under a live writer: zero lost
@@ -29,8 +30,7 @@ use std::time::Duration;
 
 use approx_hist::net::{encode_request, read_message, Request, Response, DEFAULT_MAX_FRAME_BYTES};
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, HistServer, ServerMode, Signal, StoreMap, Synopsis,
-    DEFAULT_KEY,
+    Estimator, EstimatorBuilder, GreedyMerging, HistServer, Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 
 /// The synopsis every test serves and checks answers against.
@@ -41,8 +41,8 @@ fn served_synopsis() -> Synopsis {
         .unwrap()
 }
 
-fn spawn(mode: ServerMode) -> HistServer {
-    common::spawn_server(Arc::new(StoreMap::with_initial(served_synopsis())), mode, 4)
+fn spawn() -> HistServer {
+    common::spawn_server(Arc::new(StoreMap::with_initial(served_synopsis())))
 }
 
 fn quantile_request(p: f64) -> Vec<u8> {
@@ -80,22 +80,46 @@ fn read_until_eof(stream: &mut TcpStream) -> Vec<Response> {
     responses
 }
 
-fn pipelined_requests_in_one_write_come_back_in_order(mode: ServerMode) {
-    let mut server = spawn(mode);
+/// How a scenario ships its request script. `Pipelined` is the `evented`
+/// case of the pipelining scenarios; `LockStep` is their `blocking` control,
+/// the pattern of the blocking `HistClient`, which must get the same answers.
+#[derive(Clone, Copy)]
+enum Delivery {
+    /// Every frame in one write call, then all the answers are read.
+    Pipelined,
+    /// One frame, then its answer, then the next frame.
+    LockStep,
+}
+
+/// Ships `script` over `stream` as `delivery` says and returns one response
+/// per request, in request order.
+fn exchange(stream: &mut TcpStream, script: &[Vec<u8>], delivery: Delivery) -> Vec<Response> {
+    match delivery {
+        Delivery::Pipelined => {
+            stream.write_all(&script.concat()).expect("one-syscall pipeline");
+            read_responses(stream, script.len())
+        }
+        Delivery::LockStep => script
+            .iter()
+            .flat_map(|request| {
+                stream.write_all(request).expect("lock-step request");
+                read_responses(stream, 1)
+            })
+            .collect(),
+    }
+}
+
+fn pipelined_requests_in_one_write_come_back_in_order(delivery: Delivery) {
+    let mut server = spawn();
     let local = served_synopsis();
     let n = 32;
 
     // N distinguishable requests — each quantile fraction has a known
     // answer — concatenated into one buffer, shipped in one write call.
     let ps: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
-    let mut wire = Vec::new();
-    for &p in &ps {
-        wire.extend_from_slice(&quantile_request(p));
-    }
+    let script: Vec<Vec<u8>> = ps.iter().map(|&p| quantile_request(p)).collect();
     let mut stream = connect(server.local_addr());
-    stream.write_all(&wire).expect("one-syscall pipeline");
-
-    let responses = read_responses(&mut stream, n);
+    let responses = exchange(&mut stream, &script, delivery);
     for (i, (response, &p)) in responses.iter().zip(&ps).enumerate() {
         match response {
             Response::QuantileBatch { indices, .. } => {
@@ -109,8 +133,8 @@ fn pipelined_requests_in_one_write_come_back_in_order(mode: ServerMode) {
     server.shutdown();
 }
 
-fn interleaved_keyed_ops_pipeline_in_order(mode: ServerMode) {
-    let mut server = spawn(mode);
+fn interleaved_keyed_ops_pipeline_in_order(delivery: Delivery) {
+    let mut server = spawn();
     let blob = approx_hist::encode_synopsis(&served_synopsis());
 
     // Admin writes and queries interleaved across keys, one write call; the
@@ -124,10 +148,8 @@ fn interleaved_keyed_ops_pipeline_in_order(mode: ServerMode) {
         encode_request(&Request::DropKey { key: "b".into() }),
         encode_request(&Request::ListKeys),
     ];
-    let wire: Vec<u8> = script.concat();
     let mut stream = connect(server.local_addr());
-    stream.write_all(&wire).expect("pipeline");
-    let responses = read_responses(&mut stream, script.len());
+    let responses = exchange(&mut stream, &script, delivery);
 
     assert!(matches!(responses[0], Response::Updated { epoch: 1 }), "got {:?}", responses[0]);
     assert!(matches!(&responses[1], Response::Stats { epoch: 1, synopsis: Some(_) }));
@@ -148,11 +170,11 @@ fn interleaved_keyed_ops_pipeline_in_order(mode: ServerMode) {
     server.shutdown();
 }
 
-fn frames_split_at_every_byte_boundary_still_answer(mode: ServerMode) {
+fn frames_split_at_every_byte_boundary_still_answer() {
     // The short-read audit's regression net: a frame arriving in two
     // arbitrarily split pieces (with a delay forcing the server to observe
     // the boundary) must decode exactly like an unsplit one.
-    let mut server = spawn(mode);
+    let mut server = spawn();
     let local = served_synopsis();
     let message = quantile_request(0.375);
     let expected = local.quantile(0.375).unwrap() as u64;
@@ -175,20 +197,35 @@ fn frames_split_at_every_byte_boundary_still_answer(mode: ServerMode) {
     server.shutdown();
 }
 
-fn one_byte_writes_across_three_pipelined_frames(mode: ServerMode) {
+fn one_byte_writes_across_three_pipelined_frames(delivery: Delivery) {
     // The pathological slow client: three pipelined requests dribbled one
     // byte per write. The server must reassemble all frame boundaries and
-    // answer all three, in order.
-    let mut server = spawn(mode);
+    // answer all three, in order. (Lock-step dribbles one frame, reads its
+    // answer, then dribbles the next.)
+    let mut server = spawn();
     let local = served_synopsis();
     let ps = [0.125, 0.5, 0.875];
-    let wire: Vec<u8> = ps.iter().flat_map(|&p| quantile_request(p)).collect();
+    let script: Vec<Vec<u8>> = ps.iter().map(|&p| quantile_request(p)).collect();
+    let dribble = |stream: &mut TcpStream, bytes: &[u8]| {
+        for &byte in bytes {
+            stream.write_all(&[byte]).expect("one-byte write");
+        }
+    };
 
     let mut stream = connect(server.local_addr());
-    for &byte in &wire {
-        stream.write_all(&[byte]).expect("one-byte write");
-    }
-    let responses = read_responses(&mut stream, ps.len());
+    let responses = match delivery {
+        Delivery::Pipelined => {
+            dribble(&mut stream, &script.concat());
+            read_responses(&mut stream, ps.len())
+        }
+        Delivery::LockStep => script
+            .iter()
+            .flat_map(|request| {
+                dribble(&mut stream, request);
+                read_responses(&mut stream, 1)
+            })
+            .collect(),
+    };
     for (i, (response, &p)) in responses.iter().zip(&ps).enumerate() {
         match response {
             Response::QuantileBatch { indices, .. } => {
@@ -201,11 +238,11 @@ fn one_byte_writes_across_three_pipelined_frames(mode: ServerMode) {
     server.shutdown();
 }
 
-fn a_slow_reader_forces_partial_writes_without_loss(mode: ServerMode) {
+fn a_slow_reader_forces_partial_writes_without_loss() {
     // Big pipelined responses against a reader that drains slowly: the
     // socket's send buffer fills, the server sees short/blocked writes, and
     // must still deliver every byte of every frame in order.
-    let mut server = spawn(mode);
+    let mut server = spawn();
     let local = served_synopsis();
     let n = local.domain();
     // ~64 KiB per response x 32 pipelined rounds = ~2 MiB of queued answers,
@@ -258,21 +295,43 @@ fn a_slow_reader_forces_partial_writes_without_loss(mode: ServerMode) {
     server.shutdown();
 }
 
-fn budget_exhaustion_mid_pipeline_answers_then_closes(mode: ServerMode) {
+fn budget_exhaustion_mid_pipeline_answers_then_closes(delivery: Delivery) {
     // Budget 3, five pipelined requests: the first three get real answers,
     // the fourth gets the terminal RequestLimit frame — sequenced after the
     // in-budget responses — and the stream closes. The fifth is never
-    // answered.
+    // answered. (Lock-step stops sending at the terminal frame: a write
+    // after the close would only earn a reset.)
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    let config =
-        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(mode, 4) };
+    let config = approx_hist::ServerConfig {
+        max_requests_per_connection: 3,
+        ..approx_hist::ServerConfig::default()
+    };
     let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
-    let wire: Vec<u8> = (0..5).flat_map(|i| quantile_request(i as f64 / 4.0)).collect();
+    let script: Vec<Vec<u8>> = (0..5).map(|i| quantile_request(i as f64 / 4.0)).collect();
 
     let mut stream = connect(server.local_addr());
-    stream.write_all(&wire).expect("pipeline");
-    stream.shutdown(Shutdown::Write).unwrap();
-    let responses = read_until_eof(&mut stream);
+    let responses = match delivery {
+        Delivery::Pipelined => {
+            stream.write_all(&script.concat()).expect("pipeline");
+            stream.shutdown(Shutdown::Write).unwrap();
+            read_until_eof(&mut stream)
+        }
+        Delivery::LockStep => {
+            let mut responses = Vec::new();
+            for request in &script {
+                stream.write_all(request).expect("lock-step request");
+                let response = read_responses(&mut stream, 1).remove(0);
+                let terminal = matches!(response, Response::Error { .. });
+                responses.push(response);
+                if terminal {
+                    break;
+                }
+            }
+            let after = read_until_eof(&mut stream);
+            assert!(after.is_empty(), "the terminal frame must close the stream, got {after:?}");
+            responses
+        }
+    };
 
     assert_eq!(responses.len(), 4, "3 answers + 1 terminal error, got {responses:?}");
     for (i, response) in responses[..3].iter().enumerate() {
@@ -288,8 +347,8 @@ fn budget_exhaustion_mid_pipeline_answers_then_closes(mode: ServerMode) {
     server.shutdown();
 }
 
-fn idle_connections_and_mid_frame_disconnects_are_contained(mode: ServerMode) {
-    let mut server = spawn(mode);
+fn idle_connections_and_mid_frame_disconnects_are_contained() {
+    let mut server = spawn();
     let addr = server.local_addr();
     let message = quantile_request(0.5);
 
@@ -326,15 +385,67 @@ fn idle_connections_and_mid_frame_disconnects_are_contained(mode: ServerMode) {
     server.shutdown();
 }
 
-for_each_server_mode!(
-    pipelined_requests_in_one_write_come_back_in_order,
-    interleaved_keyed_ops_pipeline_in_order,
+evented_cases!(
     frames_split_at_every_byte_boundary_still_answer,
-    one_byte_writes_across_three_pipelined_frames,
     a_slow_reader_forces_partial_writes_without_loss,
-    budget_exhaustion_mid_pipeline_answers_then_closes,
     idle_connections_and_mid_frame_disconnects_are_contained,
 );
+
+mod pipelined_requests_in_one_write_come_back_in_order {
+    use super::Delivery;
+
+    #[test]
+    fn evented() {
+        super::pipelined_requests_in_one_write_come_back_in_order(Delivery::Pipelined);
+    }
+
+    #[test]
+    fn blocking() {
+        super::pipelined_requests_in_one_write_come_back_in_order(Delivery::LockStep);
+    }
+}
+
+mod interleaved_keyed_ops_pipeline_in_order {
+    use super::Delivery;
+
+    #[test]
+    fn evented() {
+        super::interleaved_keyed_ops_pipeline_in_order(Delivery::Pipelined);
+    }
+
+    #[test]
+    fn blocking() {
+        super::interleaved_keyed_ops_pipeline_in_order(Delivery::LockStep);
+    }
+}
+
+mod one_byte_writes_across_three_pipelined_frames {
+    use super::Delivery;
+
+    #[test]
+    fn evented() {
+        super::one_byte_writes_across_three_pipelined_frames(Delivery::Pipelined);
+    }
+
+    #[test]
+    fn blocking() {
+        super::one_byte_writes_across_three_pipelined_frames(Delivery::LockStep);
+    }
+}
+
+mod budget_exhaustion_mid_pipeline_answers_then_closes {
+    use super::Delivery;
+
+    #[test]
+    fn evented() {
+        super::budget_exhaustion_mid_pipeline_answers_then_closes(Delivery::Pipelined);
+    }
+
+    #[test]
+    fn blocking() {
+        super::budget_exhaustion_mid_pipeline_answers_then_closes(Delivery::LockStep);
+    }
+}
 
 #[test]
 fn the_poll_backend_serves_identically_to_the_platform_backend() {
@@ -343,10 +454,9 @@ fn the_poll_backend_serves_identically_to_the_platform_backend() {
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
     let config = approx_hist::ServerConfig {
         force_poll_backend: true,
-        ..common::net_config(ServerMode::Evented, 4)
+        ..approx_hist::ServerConfig::default()
     };
     let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
-    assert_eq!(server.mode(), ServerMode::Evented);
     let local = served_synopsis();
 
     let ps = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -372,7 +482,7 @@ fn the_response_write_path_does_not_allocate_in_steady_state() {
     // counter: after a warm-up phase at a fixed pipelining depth, thousands
     // more identical request/response cycles must not allocate on the write
     // path at all.
-    let mut server = spawn(ServerMode::Evented);
+    let mut server = spawn();
     let depth = 8usize;
     let wire: Vec<u8> =
         (0..depth).flat_map(|i| quantile_request(i as f64 / (depth - 1) as f64)).collect();
@@ -382,13 +492,13 @@ fn the_response_write_path_does_not_allocate_in_steady_state() {
         stream.write_all(&wire).unwrap();
         read_responses(&mut stream, depth);
     }
-    let warmed = server.write_path_allocations().expect("evented mode counts");
+    let warmed = server.write_path_allocations();
 
     for _ in 0..500 {
         stream.write_all(&wire).unwrap();
         read_responses(&mut stream, depth);
     }
-    let after = server.write_path_allocations().expect("evented mode counts");
+    let after = server.write_path_allocations();
     assert_eq!(
         after,
         warmed,
@@ -396,14 +506,6 @@ fn the_response_write_path_does_not_allocate_in_steady_state() {
         after - warmed
     );
     drop(stream);
-    server.shutdown();
-}
-
-#[test]
-fn blocking_mode_reports_no_write_path_counter() {
-    let mut server = spawn(ServerMode::Blocking);
-    assert_eq!(server.mode(), ServerMode::Blocking);
-    assert_eq!(server.write_path_allocations(), None);
     server.shutdown();
 }
 
@@ -415,7 +517,7 @@ const SOAK_REQUESTS_PER_CONN: usize = 4;
 fn a_1024_connection_soak_loses_nothing_and_keeps_epochs_monotone() {
     let _gate = common::stress_gate();
     let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    let mut server = common::spawn_server(Arc::clone(&map), ServerMode::Evented, 4);
+    let mut server = common::spawn_server(Arc::clone(&map));
     let addr = server.local_addr();
 
     let stop_writer = Arc::new(AtomicBool::new(false));

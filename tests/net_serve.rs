@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer, Interval,
-    NetError, ServerMode, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    NetError, Signal, StoreMap, Synopsis, DEFAULT_KEY,
 };
 use common::spawn_server;
 use rand::rngs::StdRng;
@@ -46,8 +46,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(mode: ServerMode) {
-    let mut server = spawn_server(Arc::new(StoreMap::new()), mode, 2);
+fn loopback_round_trip_is_bit_identical_for_every_estimator_kind() {
+    let mut server = spawn_server(Arc::new(StoreMap::new()));
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let mut rng = StdRng::seed_from_u64(0x2015_0BEE);
 
@@ -113,7 +113,32 @@ fn loopback_round_trip_is_bit_identical_for_every_estimator_kind(mode: ServerMod
     server.shutdown();
 }
 
-fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
+#[test]
+fn the_default_server_answers_eight_clients_held_open_at_once() {
+    // One server loop serves every open connection: with the default config,
+    // eight clients connected at once are each answered, none left waiting
+    // for another connection to close.
+    let mut server = spawn_server(Arc::new(StoreMap::with_initial(chunk(3))));
+    let local = server.store_map().snapshot(DEFAULT_KEY).unwrap();
+    let mut clients: Vec<HistClient> = (0..8)
+        .map(|_| {
+            HistClient::connect(server.local_addr())
+                .unwrap()
+                .with_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap()
+        })
+        .collect();
+    for (i, client) in clients.iter_mut().enumerate() {
+        match client.quantile_batch(&[0.5]) {
+            Ok(answer) => assert_eq!(answer.value, vec![local.quantile(0.5).unwrap()]),
+            Err(e) => panic!("client {i} of 8 open at once got no answer: {e}"),
+        }
+    }
+    drop(clients);
+    server.shutdown();
+}
+
+fn empty_and_singleton_batches_work_through_the_network_path() {
     // The server answers batch queries with the snapshot's own batch
     // kernels, so the degenerate batches must round-trip the wire exactly as
     // they answer in process — including on a key with no positive mass.
@@ -123,7 +148,7 @@ fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
         .unwrap();
     assert_eq!(zero.quantile_batch(&[]).unwrap(), Vec::<usize>::new());
     map.publish("zero", zero).unwrap();
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
     let local = server.store_map().snapshot(DEFAULT_KEY).unwrap();
 
@@ -157,13 +182,13 @@ fn empty_and_singleton_batches_work_through_the_network_path(mode: ServerMode) {
     server.shutdown();
 }
 
-fn non_finite_fractions_come_back_as_invalid_query_errors(mode: ServerMode) {
+fn non_finite_fractions_come_back_as_invalid_query_errors() {
     // Regression companion to the Synopsis finiteness fix: a hostile client
     // shipping NaN/±inf fractions must get the typed InvalidQuery error over
     // the wire — with the finiteness diagnosis in the message — and the
     // connection must stay usable afterwards.
     let map = Arc::new(StoreMap::with_initial(chunk(3)));
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map);
     let mut client = HistClient::connect(server.local_addr()).unwrap();
 
     for p in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -183,10 +208,12 @@ fn non_finite_fractions_come_back_as_invalid_query_errors(mode: ServerMode) {
     server.shutdown();
 }
 
-fn per_connection_request_limits_are_enforced(mode: ServerMode) {
+fn per_connection_request_limits_are_enforced() {
     let map = Arc::new(StoreMap::with_initial(chunk(2)));
-    let config =
-        approx_hist::ServerConfig { max_requests_per_connection: 3, ..common::net_config(mode, 2) };
+    let config = approx_hist::ServerConfig {
+        max_requests_per_connection: 3,
+        ..approx_hist::ServerConfig::default()
+    };
     let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
 
     let mut client = HistClient::connect(server.local_addr()).unwrap();
@@ -207,9 +234,9 @@ fn per_connection_request_limits_are_enforced(mode: ServerMode) {
     server.shutdown();
 }
 
-fn shutdown_is_graceful_and_idempotent(mode: ServerMode) {
+fn shutdown_is_graceful_and_idempotent() {
     let map = Arc::new(StoreMap::with_initial(chunk(3)));
-    let mut server = spawn_server(map, mode, 2);
+    let mut server = spawn_server(map);
     let addr = server.local_addr();
 
     // An idle connection is open while the server shuts down; shutdown must
@@ -228,14 +255,12 @@ fn shutdown_is_graceful_and_idempotent(mode: ServerMode) {
     assert!(idle.stats().is_err());
 }
 
-fn loopback_queries_ride_over_live_merge_updates(mode: ServerMode) {
+fn loopback_queries_ride_over_live_merge_updates() {
     let _gate = common::stress_gate();
     let map = Arc::new(StoreMap::with_initial(chunk(100)));
     let initial_epoch = map.epoch(DEFAULT_KEY);
     let initial_domain = map.snapshot(DEFAULT_KEY).unwrap().domain();
-    // Enough connection workers for every reader + the writer + health room:
-    // a connection holds its worker for its lifetime.
-    let mut server = spawn_server(Arc::clone(&map), mode, READERS + 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let addr = server.local_addr();
 
     let done = Arc::new(AtomicBool::new(false));
@@ -390,7 +415,7 @@ fn loopback_queries_ride_over_live_merge_updates(mode: ServerMode) {
     server.shutdown();
 }
 
-for_each_server_mode!(
+evented_cases!(
     loopback_round_trip_is_bit_identical_for_every_estimator_kind,
     empty_and_singleton_batches_work_through_the_network_path,
     non_finite_fractions_come_back_as_invalid_query_errors,

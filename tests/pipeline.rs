@@ -33,7 +33,7 @@ use approx_hist::datasets::gaussian_mixture;
 use approx_hist::persist::encode_synopsis;
 use approx_hist::{
     EstimatorBuilder, EventSource, GreedyMerging, HistClient, MaintenancePolicy, MetricPipeline,
-    ServerMode, Signal, StoreMap, TelemetryPipeline,
+    Signal, StoreMap, TelemetryPipeline,
 };
 use common::{spawn_server, FIXTURE_K};
 
@@ -90,7 +90,7 @@ fn consistent_read(
 /// Tentpole acceptance: at every publish epoch, quantiles served over the
 /// wire (against a maintenance-enabled server) track the exactly-computed
 /// true stream quantiles within the merge-error bound.
-fn served_quantiles_track_true_stream_quantiles(mode: ServerMode) {
+fn served_quantiles_track_true_stream_quantiles() {
     const CHUNK: usize = 512;
     const EPOCHS: usize = 12;
     // The tracking bound is Cauchy–Schwarz, so its tightness is governed by
@@ -104,7 +104,7 @@ fn served_quantiles_track_true_stream_quantiles(mode: ServerMode) {
     let map = Arc::new(StoreMap::new());
     map.enable_maintenance(MaintenancePolicy::new(50.0, 2 * K + 1).min_interval(2), 1)
         .expect("maintenance policy");
-    let mut server = spawn_server(Arc::clone(&map), mode, 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let mut client =
         HistClient::connect(server.local_addr()).expect("connect").with_key(key).expect("key");
 
@@ -181,7 +181,7 @@ fn served_quantiles_track_true_stream_quantiles(mode: ServerMode) {
 /// the server still answering, resume from the checkpoint into the same live
 /// store, and prove every subsequently served answer matches an
 /// uninterrupted control run bit for bit.
-fn killed_ingester_resumes_and_serves_identical_answers(mode: ServerMode) {
+fn killed_ingester_resumes_and_serves_identical_answers() {
     const CHUNK: usize = 256;
     let key = "svc/latency";
     let ps = [0.1, 0.5, 0.9, 0.99, 0.999];
@@ -190,7 +190,7 @@ fn killed_ingester_resumes_and_serves_identical_answers(mode: ServerMode) {
     // Maintenance stays OFF on both sides — async refits are wall-clock
     // scheduled, so bit-identity is only meaningful for the pure merge chain.
     let map_a = Arc::new(StoreMap::new());
-    let mut server_a = spawn_server(Arc::clone(&map_a), mode, 2);
+    let mut server_a = spawn_server(Arc::clone(&map_a));
     let mut client_a =
         HistClient::connect(server_a.local_addr()).expect("connect").with_key(key).expect("key");
 
@@ -234,7 +234,7 @@ fn killed_ingester_resumes_and_serves_identical_answers(mode: ServerMode) {
 
     // Uninterrupted control: same stream, same lane config, fresh store.
     let map_b = Arc::new(StoreMap::new());
-    let mut server_b = spawn_server(Arc::clone(&map_b), mode, 2);
+    let mut server_b = spawn_server(Arc::clone(&map_b));
     let mut client_b =
         HistClient::connect(server_b.local_addr()).expect("connect").with_key(key).expect("key");
     let control = MetricPipeline::cumulative(key, fixture_inner(), FIXTURE_K, CHUNK).expect("lane");
@@ -288,7 +288,7 @@ fn killed_ingester_resumes_and_serves_identical_answers(mode: ServerMode) {
     server_b.shutdown();
 }
 
-for_each_server_mode!(
+evented_cases!(
     served_quantiles_track_true_stream_quantiles,
     killed_ingester_resumes_and_serves_identical_answers,
 );
@@ -316,7 +316,7 @@ fn checkpoint_resume_bit_identity_at_every_split_point() {
 
     // A live server over the already-published reference key; it must keep
     // answering, unperturbed, while the sweep below churns.
-    let mut server = spawn_server(Arc::clone(&map), ServerMode::Blocking, 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let mut client = HistClient::connect(server.local_addr())
         .expect("connect")
         .with_key("sweep/ref")
@@ -371,7 +371,7 @@ fn windowed_lane_republishes_and_serves_the_window() {
     let inner = || Box::new(GreedyMerging::new(EstimatorBuilder::new(K)));
 
     let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map), ServerMode::Blocking, 2);
+    let mut server = spawn_server(Arc::clone(&map));
     let mut client =
         HistClient::connect(server.local_addr()).expect("connect").with_key(key).expect("key");
 
