@@ -68,7 +68,7 @@ struct SustainedRun {
 fn run_sustained(duration: Duration, chunk_len: usize) -> SustainedRun {
     const LANES: usize = 4;
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8), 1)
+    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8))
         .expect("maintenance policy");
 
     let mut pipeline = TelemetryPipeline::new(Arc::clone(&map)).with_batch(chunk_len);

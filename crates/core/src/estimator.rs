@@ -13,8 +13,6 @@
 //! (`MergingParams`, the learners' configs) behind one builder-style surface;
 //! each adapter reads the knobs it cares about and ignores the rest.
 
-use std::time::Duration;
-
 use crate::construct::construct_histogram;
 use crate::error::{Error, Result};
 use crate::fast::construct_histogram_fast;
@@ -30,8 +28,8 @@ use crate::synopsis::{FittedModel, Synopsis};
 /// with internal randomness derive it from [`EstimatorBuilder::seed`]), and
 /// thread-safe: `Send + Sync` is a supertrait, so a `Box<dyn Estimator>` can
 /// be shared by parallel construction workers and shipped to background
-/// refitter threads. Estimators are configuration plus pure fitting logic —
-/// no interior mutability — so this costs implementations nothing.
+/// threads. Estimators are configuration plus pure fitting logic — no
+/// interior mutability — so this costs implementations nothing.
 pub trait Estimator: Send + Sync {
     /// Short algorithm name, as used in the paper's tables (`merging`,
     /// `exactdp`, `dual`, …).
@@ -81,12 +79,6 @@ pub struct EstimatorBuilder {
     approx_delta: f64,
     chunk_len: Option<usize>,
     threads: Option<usize>,
-    maintenance_error_budget: Option<f64>,
-    refit_min_interval: u64,
-    refit_max_interval: Option<u64>,
-    refit_wall_interval: Option<Duration>,
-    compaction_budget: Option<usize>,
-    retained_chunks: usize,
 }
 
 impl EstimatorBuilder {
@@ -105,12 +97,6 @@ impl EstimatorBuilder {
             approx_delta: 0.1,
             chunk_len: None,
             threads: None,
-            maintenance_error_budget: None,
-            refit_min_interval: 1,
-            refit_max_interval: None,
-            refit_wall_interval: None,
-            compaction_budget: None,
-            retained_chunks: 64,
         }
     }
 
@@ -234,85 +220,6 @@ impl EstimatorBuilder {
         self
     }
 
-    /// Enables self-tuning maintenance in the serving layer: once the
-    /// accumulated merge error (`ℓ₂`, summed per merge step) of a served
-    /// synopsis exceeds this budget, the maintenance worker schedules a refit.
-    /// Unset means no error-driven maintenance.
-    pub fn maintenance_error_budget(mut self, budget: f64) -> Self {
-        self.maintenance_error_budget = Some(budget);
-        self
-    }
-
-    /// Bounds how often maintenance may refit a synopsis, in merges: at least
-    /// `min` merges between refits (back-pressure) and, if `max` is set, a
-    /// forced refit every `max` merges even while under the error budget.
-    pub fn refit_interval(mut self, min: u64, max: Option<u64>) -> Self {
-        self.refit_min_interval = min;
-        self.refit_max_interval = max;
-        self
-    }
-
-    /// Forces a maintenance refit once `max` wall-clock time has passed
-    /// since a synopsis's last refit, even if no further merges arrive — the
-    /// freshness bound for idle keys, which the merge-counted intervals of
-    /// [`EstimatorBuilder::refit_interval`] can never trigger.
-    pub fn refit_wall_interval(mut self, max: Duration) -> Self {
-        self.refit_wall_interval = Some(max);
-        self
-    }
-
-    /// Sets the compaction target: the piece budget a maintenance refit
-    /// tree-merges down to. Unset means the serving layer derives `2k + 1`
-    /// from the builder's `k`.
-    pub fn compaction_budget(mut self, budget: usize) -> Self {
-        self.compaction_budget = Some(budget);
-        self
-    }
-
-    /// Caps how many chunk synopses the store retains between refits for the
-    /// maintenance worker to rebuild from (oldest pairs are folded together
-    /// once the cap is hit, bounding memory).
-    pub fn retained_chunks(mut self, cap: usize) -> Self {
-        self.retained_chunks = cap;
-        self
-    }
-
-    /// The maintenance error budget, when maintenance is enabled.
-    #[inline]
-    pub fn maintenance_error_budget_value(&self) -> Option<f64> {
-        self.maintenance_error_budget
-    }
-
-    /// Minimum merges between maintenance refits.
-    #[inline]
-    pub fn refit_min_interval_value(&self) -> u64 {
-        self.refit_min_interval
-    }
-
-    /// Forced-refit interval in merges, when set.
-    #[inline]
-    pub fn refit_max_interval_value(&self) -> Option<u64> {
-        self.refit_max_interval
-    }
-
-    /// Forced-refit wall-clock interval, when set.
-    #[inline]
-    pub fn refit_wall_interval_value(&self) -> Option<Duration> {
-        self.refit_wall_interval
-    }
-
-    /// Explicit compaction piece budget, when set.
-    #[inline]
-    pub fn compaction_budget_value(&self) -> Option<usize> {
-        self.compaction_budget
-    }
-
-    /// Retained-chunk cap of the maintenance worker.
-    #[inline]
-    pub fn retained_chunks_value(&self) -> usize {
-        self.retained_chunks
-    }
-
     /// Explicit chunk length for the chunked/streaming estimators, when set.
     #[inline]
     pub fn chunk_len_value(&self) -> Option<usize> {
@@ -356,43 +263,6 @@ impl EstimatorBuilder {
             return Err(Error::InvalidParameter {
                 name: "threads",
                 reason: "parallel construction needs at least one worker thread".into(),
-            });
-        }
-        if let Some(budget) = self.maintenance_error_budget {
-            if !budget.is_finite() || budget <= 0.0 {
-                return Err(Error::InvalidParameter {
-                    name: "maintenance_error_budget",
-                    reason: format!("must be a positive finite number, got {budget}"),
-                });
-            }
-        }
-        if let Some(max) = self.refit_max_interval {
-            if max == 0 || max < self.refit_min_interval {
-                return Err(Error::InvalidParameter {
-                    name: "refit_interval",
-                    reason: format!(
-                        "inverted interval: max {max} must be ≥ min {} and ≥ 1",
-                        self.refit_min_interval
-                    ),
-                });
-            }
-        }
-        if self.refit_wall_interval.is_some_and(|max| max.is_zero()) {
-            return Err(Error::InvalidParameter {
-                name: "refit_wall_interval",
-                reason: "the wall-clock refit interval must be non-zero".into(),
-            });
-        }
-        if self.compaction_budget == Some(0) {
-            return Err(Error::InvalidParameter {
-                name: "compaction_budget",
-                reason: "a refit must keep at least one piece".into(),
-            });
-        }
-        if self.retained_chunks < 2 {
-            return Err(Error::InvalidParameter {
-                name: "retained_chunks",
-                reason: "maintenance needs at least two retained chunks to fold".into(),
             });
         }
         Ok(())

@@ -249,10 +249,9 @@ fn greedy_remerge(pieces: &mut Vec<MergePiece>, budget: usize) -> f64 {
 /// squared-`ℓ₂` accuracy the budgeted re-merge spent relative to the plain
 /// concatenation of the two inputs.
 ///
-/// Maintenance policies accumulate [`MergeStats::l2_delta`] across a merge
-/// chain: by the triangle inequality the summed deltas upper-bound the total
-/// drift of the served synopsis away from the concatenation of everything it
-/// absorbed, which is the trigger metric for scheduling a refit.
+/// Summed across a merge chain, the [`MergeStats::l2_delta`]s upper-bound
+/// (by the triangle inequality) the total drift of the result away from the
+/// concatenation of everything it absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MergeStats {
     /// Sum of the accepted greedy merge costs: exactly

@@ -73,12 +73,11 @@ pub struct ServerConfig {
     /// a shutdown takes to be noticed.
     pub poll_interval: Duration,
     /// Self-tuning maintenance policy applied to the served [`StoreMap`] at
-    /// bind time: every key then refits/compacts in the background once its
-    /// merge-error budget is spent. `None` (the default) serves merge-only.
+    /// bind time: every key then refits/compacts on the map's one
+    /// maintenance thread once its merge-error budget is spent, and that
+    /// thread also sweeps idle keys if the policy has a wall-clock bound.
+    /// `None` (the default) serves merge-only and spawns no thread.
     pub maintenance: Option<MaintenancePolicy>,
-    /// Workers in the maintenance pool (only spun up when `maintenance` is
-    /// set). One is plenty: refits are rare and bounded.
-    pub maintenance_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -89,7 +88,6 @@ impl Default for ServerConfig {
             max_requests_per_connection: u64::MAX,
             poll_interval: Duration::from_millis(25),
             maintenance: None,
-            maintenance_threads: 1,
         }
     }
 }
@@ -142,7 +140,7 @@ impl HistServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         if let Some(policy) = &config.maintenance {
-            map.enable_maintenance(policy.clone(), config.maintenance_threads)
+            map.enable_maintenance(policy.clone())
                 .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
         }
         let shutdown = Arc::new(AtomicBool::new(false));

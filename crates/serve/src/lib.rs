@@ -3,7 +3,7 @@
 //! The concurrent serving layer of the workspace: keep one synopsis live
 //! under heavy read traffic while a background writer refreshes it.
 //!
-//! Two pieces, all `std`-only:
+//! Two stores, all `std`-only:
 //!
 //! * [`SynopsisStore`] — an epoch/snapshot store. Readers clone an
 //!   `Arc<Synopsis>` snapshot (wait-free in practice: the read-side lock is
@@ -23,6 +23,12 @@
 //!   global view (`tree_merge` over every served key in canonical key
 //!   order), and whole-map persistence (`AHISTMAP`) with per-key epochs
 //!   monotone across restarts.
+//!
+//! Self-tuning maintenance is optional and configured by one type,
+//! [`MaintenancePolicy`]: a store or map with a policy refits a served
+//! synopsis from its retained chunks once its merge-error budget is spent.
+//! A map runs those refits on one [`MaintenanceWorker`] thread, which also
+//! sweeps idle keys when the policy has a wall-clock bound.
 //!
 //! Batch queries need no scheduler of their own: a [`Snapshot`] derefs to
 //! its synopsis, whose `mass_batch`/`quantile_batch`/`cdf_batch` kernels
@@ -73,11 +79,9 @@
 //! ```
 
 pub mod maintenance;
-pub mod pool;
 pub mod store;
 pub mod store_map;
 
 pub use maintenance::{MaintenancePolicy, MaintenanceStats, MaintenanceWorker};
-pub use pool::ThreadPool;
 pub use store::{Snapshot, SynopsisStore};
 pub use store_map::{validate_key, MergedView, StoreMap, StoreMapStats, DEFAULT_KEY};

@@ -1,7 +1,7 @@
 //! Self-tuning maintenance: an error-budget policy deciding *when* the cheap
 //! merge steps a store pays in steady state ([`SynopsisStore::update_merge`])
-//! have degraded the served synopsis enough to be worth a refit, and a
-//! background worker carrying the refits out.
+//! have degraded the served synopsis enough to be worth a refit, and the one
+//! background thread carrying the refits out.
 //!
 //! The economics come straight from the paper's merge/refit trade-off:
 //! merging an adjacent-chunk synopsis into the served one is ~two orders of
@@ -13,20 +13,23 @@
 //! concatenation of everything it absorbed. [`MaintenancePolicy`] turns the
 //! accumulator into a decision: once the spent error exceeds the budget (and
 //! a minimum merge interval has passed, or a maximum interval forces the
-//! issue), [`SynopsisStore::try_begin_refit`] claims a refit and a
-//! [`MaintenanceWorker`] rebuilds the synopsis by `tree_merge`-ing the
-//! retained chunk synopses down to the compaction budget — a balanced merge
-//! tree whose error does not carry the left-deep chain's accumulated drift —
-//! publishing the result through the normal epoch-stamped path. Readers are
-//! never blocked (they only ever touch the snapshot pointer) and no epoch is
-//! lost (refits serialize with writers on the store's writer mutex).
+//! issue), [`SynopsisStore::try_begin_refit`] claims a refit and the
+//! [`MaintenanceWorker`]'s thread rebuilds the synopsis by `tree_merge`-ing
+//! the retained chunk synopses down to the compaction budget — a balanced
+//! merge tree whose error does not carry the left-deep chain's accumulated
+//! drift — publishing the result through the normal epoch-stamped path.
+//! Readers are never blocked (they only ever touch the snapshot pointer) and
+//! no epoch is lost (refits serialize with writers on the store's writer
+//! mutex). The same thread sweeps every key of a [`crate::StoreMap`] whose
+//! policy has a wall-clock bound, so idle keys are refreshed too.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hist_core::{Error, EstimatorBuilder, Result, Synopsis};
+use hist_core::{Error, Result, Synopsis};
 
-use crate::pool::ThreadPool;
 use crate::store::SynopsisStore;
 
 /// When to stop paying cheap merges and schedule a refit: the error-budget
@@ -48,7 +51,7 @@ use crate::store::SynopsisStore;
 /// counters — deliberately bypassing the `min_merges_between_refits`
 /// back-pressure, because for an idle key freshness is the whole point.
 /// Wall-clock triggers are evaluated by the write path *and* by the
-/// [`crate::StoreMap`] maintenance ticker, which sweeps keys whose writers
+/// [`crate::StoreMap`]'s maintenance thread, which sweeps keys whose writers
 /// have paused.
 ///
 /// The refit `tree_merge`s the retained chunk synopses down to
@@ -187,27 +190,6 @@ impl MaintenancePolicy {
         Ok(())
     }
 
-    /// Builds the policy an [`EstimatorBuilder`]'s maintenance knobs
-    /// describe, validated: `None` when the builder has no maintenance error
-    /// budget set (maintenance off), with the compaction budget defaulting
-    /// to `2k + 1` — the piece count Algorithm 1 targets for the builder's
-    /// `k`.
-    pub fn from_builder(builder: &EstimatorBuilder) -> Result<Option<Self>> {
-        let Some(error_budget) = builder.maintenance_error_budget_value() else {
-            return Ok(None);
-        };
-        let policy = Self {
-            error_budget,
-            min_merges_between_refits: builder.refit_min_interval_value(),
-            max_merges_between_refits: builder.refit_max_interval_value(),
-            max_wall_between_refits: builder.refit_wall_interval_value(),
-            compaction_budget: builder.compaction_budget_value().unwrap_or(2 * builder.k() + 1),
-            max_retained_chunks: builder.retained_chunks_value(),
-        };
-        policy.validate()?;
-        Ok(Some(policy))
-    }
-
     /// Whether a synopsis with `merges_since_refit` merges and
     /// `accumulated_error` spent since its last refit is due for one,
     /// considering only the merge-counted triggers (as if no wall-clock bound
@@ -341,45 +323,111 @@ impl MaintenanceState {
     }
 }
 
-/// A background worker running maintenance refits on the serve
-/// [`ThreadPool`], so they never run on (or block) a query or ingest thread.
+/// The one background thread running maintenance refits, so they never
+/// run on (or block) a query or ingest thread.
 ///
-/// Scheduling is idempotent per store: [`SynopsisStore::try_begin_refit`]
-/// claims an in-flight slot before a job is enqueued, so at most one refit
-/// per store is queued or running at any time.
+/// Scheduling is idempotent per store: [`MaintenanceWorker::schedule`]
+/// claims the store's in-flight slot ([`SynopsisStore::try_begin_refit`])
+/// before enqueueing, so at most one refit per store is queued or running at
+/// any time. Dropping the worker runs every queued refit and joins the
+/// thread.
+#[derive(Debug)]
 pub struct MaintenanceWorker {
-    pool: ThreadPool,
+    jobs: Option<mpsc::Sender<Arc<SynopsisStore>>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for MaintenanceWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintenanceWorker").field("threads", &self.pool.threads()).finish()
+/// The stores a maintenance thread sweeps for due refits, and how often —
+/// the evaluation point of the policy's wall-clock trigger on keys whose
+/// writers have paused (their write path never comes back to evaluate it).
+pub(crate) struct Sweep {
+    pub(crate) every: Duration,
+    pub(crate) stores: Box<dyn Fn() -> Vec<Arc<SynopsisStore>> + Send>,
+}
+
+impl Default for MaintenanceWorker {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl MaintenanceWorker {
-    /// A worker with `threads` refit threads (at least one).
-    pub fn new(threads: usize) -> Self {
-        Self { pool: ThreadPool::new(threads) }
+    /// A worker running scheduled refits on its own thread.
+    pub fn new() -> Self {
+        Self::spawn(None)
     }
 
-    /// Number of refit threads.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
+    /// A worker whose thread also runs `sweep`, if given, on a deadline.
+    pub(crate) fn spawn(sweep: Option<Sweep>) -> Self {
+        let (jobs, queue) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name("hist-maintenance".into())
+            .spawn(move || run(&queue, sweep))
+            .expect("spawning the maintenance thread");
+        Self { jobs: Some(jobs), thread: Some(thread) }
     }
 
-    /// Enqueues a refit of `store`. The caller must have claimed the store's
-    /// in-flight slot via [`SynopsisStore::try_begin_refit`]; the job
-    /// releases it when the refit publishes (or is found unnecessary).
-    pub fn schedule(&self, store: Arc<SynopsisStore>) {
-        self.pool.execute(move || {
-            // A failed refit (nothing retained, policy raced off) already
-            // cleared the in-flight flag and left the served synopsis as it
-            // was; the counters keep accumulating toward the next attempt.
-            let _ = store.run_refit();
-        });
+    /// Enqueues a refit of `store` if it is due and none is in flight;
+    /// returns whether it did. The refit releases the in-flight slot when it
+    /// publishes (or is found unnecessary).
+    pub fn schedule(&self, store: &Arc<SynopsisStore>) -> bool {
+        if !store.try_begin_refit() {
+            return false;
+        }
+        self.jobs
+            .as_ref()
+            .expect("the job sender lives until drop")
+            .send(Arc::clone(store))
+            .expect("the maintenance thread lives until drop");
+        true
     }
+}
+
+impl Drop for MaintenanceWorker {
+    fn drop(&mut self) {
+        // Closing the channel ends the thread once the queue has drained.
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            if thread.join().is_err() && !thread::panicking() {
+                panic!("the maintenance thread panicked while running a refit");
+            }
+        }
+    }
+}
+
+/// The maintenance thread: runs queued refits in order until the worker is
+/// dropped. With a sweep, each wait is bounded by the next sweep's deadline
+/// and the deadline is checked after every job too, so a steady stream of
+/// refits cannot starve the sweep the way a plain idle timeout would.
+fn run(queue: &mpsc::Receiver<Arc<SynopsisStore>>, sweep: Option<Sweep>) {
+    let Some(sweep) = sweep else {
+        queue.iter().for_each(|store| refit(&store));
+        return;
+    };
+    let mut next_sweep = Instant::now() + sweep.every;
+    loop {
+        match queue.recv_timeout(next_sweep.saturating_duration_since(Instant::now())) {
+            Ok(store) => refit(&store),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
+        }
+        if Instant::now() >= next_sweep {
+            for store in (sweep.stores)() {
+                if store.try_begin_refit() {
+                    refit(&store);
+                }
+            }
+            next_sweep = Instant::now() + sweep.every;
+        }
+    }
+}
+
+/// Runs a refit whose in-flight slot the caller claimed.
+fn refit(store: &SynopsisStore) {
+    // A failed refit (nothing retained, policy raced off) already cleared
+    // the in-flight flag and left the served synopsis as it was; the
+    // counters keep accumulating toward the next attempt.
+    let _ = store.run_refit();
 }
 
 #[cfg(test)]
@@ -440,46 +488,5 @@ mod tests {
         assert!(!unbounded.due_with_elapsed(1, 0.0, Some(secs(3600))));
         // The merge-counted triggers still work alongside the wall bound.
         assert!(policy.due_with_elapsed(10, 200.0, Some(secs(1))));
-    }
-
-    #[test]
-    fn builder_knobs_round_trip_into_a_policy() {
-        let builder = EstimatorBuilder::new(5);
-        assert!(MaintenancePolicy::from_builder(&builder).unwrap().is_none());
-        let builder = EstimatorBuilder::new(5)
-            .maintenance_error_budget(4.5)
-            .refit_interval(2, Some(64))
-            .retained_chunks(16);
-        let policy = MaintenancePolicy::from_builder(&builder).unwrap().unwrap();
-        assert_eq!(policy.error_budget(), 4.5);
-        assert_eq!(policy.min_merges_between_refits(), 2);
-        assert_eq!(policy.max_merges_between_refits(), Some(64));
-        assert_eq!(policy.max_wall_between_refits(), None);
-        assert_eq!(policy.compaction_budget(), 11, "defaults to 2k + 1");
-        assert_eq!(policy.max_retained_chunks(), 16);
-        let explicit = MaintenancePolicy::from_builder(
-            &EstimatorBuilder::new(5).maintenance_error_budget(4.5).compaction_budget(7),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(explicit.compaction_budget(), 7);
-        let timed = MaintenancePolicy::from_builder(
-            &EstimatorBuilder::new(5)
-                .maintenance_error_budget(4.5)
-                .refit_wall_interval(Duration::from_millis(250)),
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(timed.max_wall_between_refits(), Some(Duration::from_millis(250)));
-        // Hostile builder knobs surface as typed errors through from_builder.
-        let hostile = EstimatorBuilder::new(5).maintenance_error_budget(-1.0);
-        assert!(MaintenancePolicy::from_builder(&hostile).is_err());
-        let zero_wall = EstimatorBuilder::new(5)
-            .maintenance_error_budget(1.0)
-            .refit_wall_interval(Duration::ZERO);
-        assert!(MaintenancePolicy::from_builder(&zero_wall).is_err());
-        let inverted =
-            EstimatorBuilder::new(5).maintenance_error_budget(1.0).refit_interval(9, Some(2));
-        assert!(MaintenancePolicy::from_builder(&inverted).is_err());
     }
 }

@@ -238,8 +238,8 @@ impl SynopsisStore {
     /// is attached, the policy's trigger fires for the current accumulator,
     /// at least two retained synopses exist to rebuild from, and no other
     /// refit is queued or running. Returns whether the caller now owns the
-    /// slot (and must follow up with [`SynopsisStore::run_refit`], typically
-    /// via a [`crate::MaintenanceWorker`]).
+    /// slot and must follow up with [`SynopsisStore::run_refit`];
+    /// [`crate::MaintenanceWorker::schedule`] does both.
     pub fn try_begin_refit(&self) -> bool {
         let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
         let Some(policy) = &maintenance.policy else {

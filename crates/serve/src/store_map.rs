@@ -22,14 +22,14 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use hist_core::{Error, Result, Synopsis};
 use hist_persist::{load_store_map, save_store_map, PersistResult, StoreMapEntry};
 use hist_stream::tree_merge;
 
-use crate::maintenance::{MaintenancePolicy, MaintenanceWorker};
+use crate::maintenance::{MaintenancePolicy, MaintenanceWorker, Sweep};
 use crate::store::{Snapshot, SynopsisStore};
 
 /// The key single-store traffic targets: a client that never picks a key
@@ -49,6 +49,12 @@ type Shard = RwLock<HashMap<String, Arc<SynopsisStore>>>;
 pub fn validate_key(key: &str) -> Result<()> {
     hist_persist::validate_key(key)
         .map_err(|e| hist_core::Error::InvalidParameter { name: "key", reason: e.to_string() })
+}
+
+/// A snapshot of the stores in `shard`, taken under its read lock only for
+/// the `Arc` clones.
+fn shard_stores(shard: &Shard) -> Vec<Arc<SynopsisStore>> {
+    shard.read().expect("shard lock poisoned").values().cloned().collect()
 }
 
 /// Store-wide summary of a [`StoreMap`]: key count, served-key count, total
@@ -91,6 +97,15 @@ pub struct MergedView {
     pub synopsis: Synopsis,
 }
 
+/// The maintenance side of a [`StoreMap`]: the policy every store shares
+/// and the one worker thread that runs its refits and, when the policy
+/// carries a wall-clock refit bound, sweeps idle keys.
+#[derive(Debug)]
+struct MaintenanceEngine {
+    policy: MaintenancePolicy,
+    worker: MaintenanceWorker,
+}
+
 /// A keyed namespace of [`SynopsisStore`]s: per-key publish/update/snapshot
 /// with the single-store guarantees, key listing and eviction, an on-demand
 /// merged global view, and whole-map persistence (`AHISTMAP`).
@@ -121,77 +136,10 @@ pub struct MergedView {
 /// assert!(map.drop_key("api/login"));
 /// assert_eq!(map.len(), 1);
 /// ```
-/// The maintenance side of a [`StoreMap`]: the policy every store shares,
-/// the background worker refits run on, and — when the policy carries a
-/// wall-clock refit bound — the ticker thread that sweeps idle keys.
-#[derive(Debug)]
-struct MaintenanceEngine {
-    policy: MaintenancePolicy,
-    worker: Arc<MaintenanceWorker>,
-    /// Present iff the policy has a `max_wall_between_refits`: merge-counted
-    /// triggers are evaluated on the write path, but an idle key's writer
-    /// never comes back to evaluate anything, so the wall-clock bound needs
-    /// its own clock. Held only so disabling/replacing the engine stops and
-    /// joins the thread.
-    _ticker: Option<MaintenanceTicker>,
-}
-
-/// A background thread periodically sweeping every store for a due refit —
-/// the evaluation point of the policy's wall-clock trigger on keys whose
-/// writers have paused. Stopped (and joined) on drop via its stop channel.
-struct MaintenanceTicker {
-    stop: mpsc::Sender<()>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for MaintenanceTicker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintenanceTicker").finish_non_exhaustive()
-    }
-}
-
-impl MaintenanceTicker {
-    /// Spawns a sweeper waking every `tick`: each wake-up runs
-    /// `try_begin_refit` on every store and schedules the due ones on
-    /// `worker`. The claim-then-schedule protocol is the same one the write
-    /// path uses, so a sweep racing a writer never double-schedules.
-    fn spawn(shards: Arc<[Shard]>, worker: Arc<MaintenanceWorker>, tick: Duration) -> Self {
-        let (stop, wake) = mpsc::channel::<()>();
-        let handle = std::thread::Builder::new()
-            .name("hist-maintenance-ticker".into())
-            .spawn(move || {
-                // A send (or a dropped sender) ends the loop immediately;
-                // otherwise each timeout is one sweep.
-                while let Err(mpsc::RecvTimeoutError::Timeout) = wake.recv_timeout(tick) {
-                    for shard in shards.iter() {
-                        let stores: Vec<Arc<SynopsisStore>> =
-                            shard.read().expect("shard lock poisoned").values().cloned().collect();
-                        for store in stores {
-                            if store.try_begin_refit() {
-                                worker.schedule(store);
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawning the maintenance ticker thread");
-        Self { stop, handle: Some(handle) }
-    }
-}
-
-impl Drop for MaintenanceTicker {
-    fn drop(&mut self) {
-        let _ = self.stop.send(());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[derive(Debug)]
 pub struct StoreMap {
-    /// Shared with the maintenance ticker thread, which holds its own
-    /// `Arc` clone so it can sweep after the map handle moves.
+    /// Shared with the maintenance thread's sweep, which holds its own
+    /// `Arc` clone so it can run after the map handle moves.
     shards: Arc<[Shard]>,
     /// Set by [`StoreMap::enable_maintenance`]; applied to every existing
     /// store at enable time and to new stores at creation.
@@ -222,32 +170,30 @@ impl StoreMap {
 
     /// Turns on self-tuning maintenance for every key: the validated
     /// `policy` is attached to every existing store (re-baselining each on
-    /// its served synopsis) and to every store created later, and a
-    /// background [`MaintenanceWorker`] with `threads` refit threads carries
-    /// out the refits [`StoreMap::update_merge`] triggers.
-    /// If the policy carries a wall-clock refit bound
-    /// ([`MaintenancePolicy::max_wall_interval`]), a ticker thread is also
-    /// started that periodically sweeps every key for a due refit — the
+    /// its served synopsis) and to every store created later, and one
+    /// background [`MaintenanceWorker`] thread carries out the refits
+    /// [`StoreMap::update_merge`] triggers. If the policy carries a
+    /// wall-clock refit bound ([`MaintenancePolicy::max_wall_interval`]),
+    /// that thread also periodically sweeps every key for a due refit — the
     /// only way an *idle* key (no writes arriving) can ever be refreshed.
-    pub fn enable_maintenance(&self, policy: MaintenancePolicy, threads: usize) -> Result<()> {
+    pub fn enable_maintenance(&self, policy: MaintenancePolicy) -> Result<()> {
         policy.validate()?;
-        let worker = Arc::new(MaintenanceWorker::new(threads));
-        let ticker = policy.max_wall_between_refits().map(|max| {
-            // Sweep a few times per interval so an idle key is refreshed
-            // within ~max + tick of falling due, without busy-spinning for
-            // long intervals.
-            let tick = (max / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
-            MaintenanceTicker::spawn(Arc::clone(&self.shards), Arc::clone(&worker), tick)
-        });
-        let mut guard = self.maintenance.write().expect("maintenance lock poisoned");
-        *guard = Some(MaintenanceEngine { policy: policy.clone(), worker, _ticker: ticker });
-        drop(guard);
-        for shard in self.shards.iter() {
-            let stores: Vec<Arc<SynopsisStore>> =
-                shard.read().expect("shard lock poisoned").values().cloned().collect();
-            for store in stores {
-                store.set_maintenance(Some(policy.clone()))?;
+        let sweep = policy.max_wall_between_refits().map(|max| {
+            let shards = Arc::clone(&self.shards);
+            Sweep {
+                // A few sweeps per interval: an idle key is refreshed within
+                // one `every` of falling due, without busy-spinning for long
+                // intervals.
+                every: (max / 8).clamp(Duration::from_millis(5), Duration::from_millis(500)),
+                stores: Box::new(move || shards.iter().flat_map(shard_stores).collect()),
             }
+        });
+        let worker = MaintenanceWorker::spawn(sweep);
+        let mut guard = self.maintenance.write().expect("maintenance lock poisoned");
+        *guard = Some(MaintenanceEngine { policy: policy.clone(), worker });
+        drop(guard);
+        for store in self.shards.iter().flat_map(shard_stores) {
+            store.set_maintenance(Some(policy.clone()))?;
         }
         Ok(())
     }
@@ -259,17 +205,6 @@ impl StoreMap {
             .expect("maintenance lock poisoned")
             .as_ref()
             .map(|engine| engine.policy.clone())
-    }
-
-    /// Schedules a background refit of `store` if its budget is spent and no
-    /// refit is already in flight.
-    fn maybe_schedule_refit(&self, store: &Arc<SynopsisStore>) {
-        let guard = self.maintenance.read().expect("maintenance lock poisoned");
-        if let Some(engine) = guard.as_ref() {
-            if store.try_begin_refit() {
-                engine.worker.schedule(Arc::clone(store));
-            }
-        }
     }
 
     /// A map already serving `synopsis` at [`DEFAULT_KEY`], epoch 1 — the
@@ -351,7 +286,9 @@ impl StoreMap {
             None => self.store_or_create(key)?,
         };
         let epoch = store.update_merge(chunk, budget)?;
-        self.maybe_schedule_refit(&store);
+        if let Some(engine) = self.maintenance.read().expect("maintenance lock poisoned").as_ref() {
+            engine.worker.schedule(&store);
+        }
         Ok(epoch)
     }
 

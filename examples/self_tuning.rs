@@ -1,6 +1,6 @@
 //! Self-tuning maintenance end to end: a maintenance-enabled server absorbs
 //! a noisy merge stream, the error-budget policy trips background refits on
-//! the serve pool, and the v3 wire stats expose the whole story — merge
+//! the map's maintenance thread, and the v3 wire stats expose the whole story — merge
 //! count, accumulated drift bound, refit count — while clients with connect
 //! and read deadlines keep querying throughout.
 //!
@@ -50,11 +50,7 @@ fn main() {
     let mut server = HistServer::bind(
         "127.0.0.1:0",
         Arc::new(StoreMap::new()),
-        ServerConfig {
-            maintenance: Some(policy),
-            maintenance_threads: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { maintenance: Some(policy), ..ServerConfig::default() },
     )
     .expect("ephemeral loopback bind");
     let addr = server.local_addr();

@@ -27,7 +27,7 @@ fn main() {
     // The shared store: ingest publishes into it, the server reads from it,
     // and background maintenance keeps merge drift inside an error budget.
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8), 1)
+    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8))
         .expect("valid policy");
 
     // Two metric lanes: a cumulative one (everything since stream start,

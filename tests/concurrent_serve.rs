@@ -362,7 +362,7 @@ fn background_refits_under_stress_block_no_reader_and_lose_no_epoch() {
     let _gate = common::stress_gate();
     let store = Arc::new(SynopsisStore::with_initial(chunk_pool(99).pop().unwrap()));
     store.set_maintenance(Some(MaintenancePolicy::new(1e-9, BUDGET).min_interval(4))).unwrap();
-    let worker = MaintenanceWorker::new(2);
+    let worker = MaintenanceWorker::new();
     let done = Arc::new(AtomicBool::new(false));
     let deadline = Instant::now() + RUN_FOR;
 
@@ -415,9 +415,7 @@ fn background_refits_under_stress_block_no_reader_and_lose_no_epoch() {
             let done = Arc::clone(&done);
             scope.spawn(move || {
                 while !done.load(Ordering::Acquire) {
-                    if store.try_begin_refit() {
-                        worker.schedule(Arc::clone(&store));
-                    }
+                    worker.schedule(&store);
                     std::thread::yield_now();
                 }
             })
@@ -436,7 +434,7 @@ fn background_refits_under_stress_block_no_reader_and_lose_no_epoch() {
         total_merges
     });
 
-    // Dropping the worker joins its pool, so every scheduled refit has
+    // Dropping the worker joins its thread, so every scheduled refit has
     // published before the final accounting below.
     drop(worker);
     let stats = store.maintenance_stats();

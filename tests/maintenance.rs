@@ -8,13 +8,16 @@
 //!   `tests/merge_streaming.rs` pins for tree-merged construction).
 //! * **Wall-clock freshness** — a key whose writer pauses below every
 //!   merge-counted threshold is still refitted once the policy's
-//!   `max_wall_interval` elapses (the map's ticker sweeps idle keys), and an
-//!   already-refreshed idle key is never refitted again.
+//!   `max_wall_interval` elapses (the map's maintenance thread sweeps idle
+//!   keys), an already-refreshed idle key is never refitted again, and the
+//!   sweep still runs while refits of a busy key keep the thread fed.
+//! * **Scheduling** — `MaintenanceWorker::schedule` claims the refit slot
+//!   itself: a store that is not due is never refitted.
 //! * **Hostile knobs** — non-positive/non-finite error budgets, inverted
 //!   refit intervals, zero wall-clock intervals, zero compaction budgets and
 //!   sub-2 retention caps are typed errors at every layer they can be
-//!   injected: the policy itself, the estimator builder, a single store, the
-//!   keyed map, and server bind.
+//!   injected: the policy itself, a single store, the keyed map, and server
+//!   bind.
 //! * **Epoch accounting** — refits racing concurrent `update_merge` writers
 //!   lose no epochs: the final epoch is exactly seeds + merges + refits.
 //! * **Phantom keys** — a failed `update_merge` (zero budget, bad key) on a
@@ -38,9 +41,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use approx_hist::{
-    Error, ErrorCode, Estimator, EstimatorBuilder, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MaintenanceWorker, NetError, ServerConfig, Signal, StoreMap, Synopsis,
-    SynopsisStore,
+    Error, ErrorCode, Estimator, GreedyMerging, HistClient, HistServer, MaintenancePolicy,
+    MaintenanceWorker, NetError, ServerConfig, Signal, StoreMap, Synopsis, SynopsisStore,
 };
 use common::{fixture_builder, noisy_steps, spawn_server, split_chunks, FIXTURE_K};
 
@@ -134,9 +136,9 @@ fn the_error_budget_trips_a_refit_that_restores_direct_fit_accuracy() {
 
 /// The wall-clock freshness bound: a key whose writer pauses below every
 /// merge-counted threshold still gets refitted once
-/// `MaintenancePolicy::max_wall_interval` elapses — the map's ticker thread
-/// sweeps idle keys, and the trigger deliberately bypasses the min-merge
-/// back-pressure (an idle key will never accumulate more merges).
+/// `MaintenancePolicy::max_wall_interval` elapses — the map's maintenance
+/// thread sweeps idle keys, and the trigger deliberately bypasses the
+/// min-merge back-pressure (an idle key will never accumulate more merges).
 #[test]
 fn a_paused_writer_is_refreshed_by_the_wall_clock_bound() {
     let map = StoreMap::new();
@@ -146,7 +148,7 @@ fn a_paused_writer_is_refreshed_by_the_wall_clock_bound() {
     let policy = MaintenancePolicy::new(1e18, BUDGET)
         .min_interval(1_000)
         .max_wall_interval(Duration::from_millis(250));
-    map.enable_maintenance(policy, 1).unwrap();
+    map.enable_maintenance(policy).unwrap();
 
     for seed in 0..4 {
         map.update_merge("idle", &chunk(seed), BUDGET).unwrap();
@@ -156,7 +158,7 @@ fn a_paused_writer_is_refreshed_by_the_wall_clock_bound() {
     assert!(stats.retained_chunks >= 2, "there is something to rebuild from");
     let epoch_before = map.epoch("idle");
 
-    // Writer paused. Within the wall interval plus a few ticker sweeps the
+    // Writer paused. Within the wall interval plus a few sweeps the
     // idle key must be refitted in the background.
     let deadline = Instant::now() + Duration::from_secs(10);
     let stats = loop {
@@ -181,6 +183,87 @@ fn a_paused_writer_is_refreshed_by_the_wall_clock_bound() {
     );
 }
 
+/// The sweep shares its thread with the refits the write path schedules, so
+/// it runs on a deadline that is checked between jobs too: a writer keeping
+/// the thread fed with refits of a hot key must not starve the wall-clock
+/// refresh of an idle one.
+#[test]
+fn a_busy_maintenance_thread_still_sweeps_idle_keys() {
+    let _gate = common::stress_gate();
+    let map = StoreMap::new();
+    // `hot` comes due every 8 merges; `idle` gets fewer than 8, so only the
+    // sweep's wall-clock trigger can refit it.
+    let policy = MaintenancePolicy::new(1e-12, BUDGET)
+        .min_interval(8)
+        .max_wall_interval(Duration::from_millis(250));
+    map.enable_maintenance(policy).unwrap();
+    for seed in 0..4 {
+        map.update_merge("idle", &chunk(seed), BUDGET).unwrap();
+    }
+    assert_eq!(map.store("idle").unwrap().maintenance_stats().refits, 0);
+
+    let chunks: Vec<Synopsis> = (0..16).map(|i| chunk(0x4000 + i)).collect();
+    let done = AtomicBool::new(false);
+    let refitted = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut merges = 0usize;
+            while !done.load(Ordering::Acquire) {
+                map.update_merge("hot", &chunks[merges % chunks.len()], BUDGET).unwrap();
+                merges += 1;
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let refitted = loop {
+            if map.store("idle").unwrap().maintenance_stats().refits >= 1 {
+                break true;
+            }
+            if Instant::now() >= deadline {
+                break false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        done.store(true, Ordering::Release);
+        writer.join().expect("writer");
+        refitted
+    });
+
+    assert!(refitted, "the sweep never refitted the idle key while the hot key kept refitting");
+    let hot = map.store("hot").unwrap().maintenance_stats();
+    assert!(hot.refits >= 1, "the hot key's refits must have kept the thread busy");
+}
+
+/// `schedule` claims the in-flight slot itself, so handing it a store that
+/// is not due (here: ≥ 2 retained chunks, but every trigger far away) runs
+/// nothing, while a due store is refitted exactly once.
+#[test]
+fn scheduling_a_store_that_is_not_due_refits_nothing() {
+    let store = Arc::new(SynopsisStore::new());
+    store.set_maintenance(Some(MaintenancePolicy::new(1e18, BUDGET).min_interval(1_000))).unwrap();
+    for seed in 0..4 {
+        store.update_merge(&chunk(seed), BUDGET).unwrap();
+    }
+    assert!(store.maintenance_stats().retained_chunks >= 2, "a refit would have input");
+    let epoch_before = store.epoch();
+
+    let worker = MaintenanceWorker::new();
+    assert!(!worker.schedule(&store), "a store that is not due must not be enqueued");
+    drop(worker); // runs every queued refit and joins the thread
+    assert_eq!(store.maintenance_stats().refits, 0, "no refit may have been published");
+    assert_eq!(store.epoch(), epoch_before, "no refit epoch may have been minted");
+
+    let due = Arc::new(SynopsisStore::new());
+    due.set_maintenance(Some(hair_trigger())).unwrap();
+    for seed in 0..4 {
+        due.update_merge(&chunk(seed), BUDGET).unwrap();
+    }
+    let worker = MaintenanceWorker::new();
+    assert!(worker.schedule(&due), "a due store must be enqueued");
+    assert!(!worker.schedule(&due), "the in-flight (or finished) refit holds the slot");
+    drop(worker);
+    assert_eq!(due.maintenance_stats().refits, 1);
+    assert_eq!(due.epoch(), 5, "four updates and one refit");
+}
+
 #[test]
 fn refits_racing_concurrent_merges_lose_no_epochs() {
     const WRITERS: usize = 4;
@@ -188,7 +271,7 @@ fn refits_racing_concurrent_merges_lose_no_epochs() {
 
     let store = Arc::new(SynopsisStore::new());
     store.set_maintenance(Some(MaintenancePolicy::new(1e-12, BUDGET).min_interval(2))).unwrap();
-    let worker = MaintenanceWorker::new(2);
+    let worker = MaintenanceWorker::new();
     let done = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -230,9 +313,7 @@ fn refits_racing_concurrent_merges_lose_no_epochs() {
             let done = Arc::clone(&done);
             scope.spawn(move || {
                 while !done.load(Ordering::Acquire) {
-                    if store.try_begin_refit() {
-                        worker.schedule(Arc::clone(&store));
-                    }
+                    worker.schedule(&store);
                     std::thread::yield_now();
                 }
             })
@@ -246,7 +327,7 @@ fn refits_racing_concurrent_merges_lose_no_epochs() {
         maintainer.join().expect("maintainer");
     });
 
-    // Dropping the worker joins its pool: every scheduled refit has run.
+    // Dropping the worker joins its thread: every scheduled refit has run.
     drop(worker);
 
     let total = (WRITERS * MERGES) as u64;
@@ -295,13 +376,6 @@ fn hostile_policy_knobs_are_typed_errors_at_every_layer() {
         "zero wall-clock interval",
     );
 
-    // The estimator-builder path rejects the same knobs.
-    let builder = EstimatorBuilder::new(FIXTURE_K).maintenance_error_budget(-1.0);
-    assert!(MaintenancePolicy::from_builder(&builder).is_err(), "builder: negative budget");
-    let builder =
-        EstimatorBuilder::new(FIXTURE_K).maintenance_error_budget(0.5).refit_interval(8, Some(4));
-    assert!(MaintenancePolicy::from_builder(&builder).is_err(), "builder: inverted interval");
-
     // A store refuses to attach a hostile policy and keeps its previous one.
     let bad = MaintenancePolicy::new(0.0, BUDGET);
     let store = SynopsisStore::new();
@@ -310,7 +384,7 @@ fn hostile_policy_knobs_are_typed_errors_at_every_layer() {
 
     // The keyed map refuses the same policy for its fleet.
     let map = StoreMap::new();
-    assert_invalid(map.enable_maintenance(bad.clone(), 1), "map enable_maintenance");
+    assert_invalid(map.enable_maintenance(bad.clone()), "map enable_maintenance");
     assert!(map.maintenance_policy().is_none());
 
     // And server bind refuses to come up with one.
@@ -372,11 +446,7 @@ fn failed_wire_merges_leave_no_phantom_key() {
 // ---------------------------------------------------------------------------
 
 fn maintenance_counters_and_refits_flow_over_the_wire() {
-    let config = ServerConfig {
-        maintenance: Some(hair_trigger()),
-        maintenance_threads: 1,
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { maintenance: Some(hair_trigger()), ..ServerConfig::default() };
     let server = HistServer::bind("127.0.0.1:0", Arc::new(StoreMap::new()), config).unwrap();
     let mut client =
         HistClient::connect(server.local_addr()).unwrap().with_key("tenants/api").unwrap();
@@ -482,7 +552,7 @@ fn dropping_keys_while_merging_views_never_poisons_the_tree() {
     const KEYS: usize = 8;
 
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(hair_trigger(), 2).unwrap();
+    map.enable_maintenance(hair_trigger()).unwrap();
     for k in 0..KEYS {
         map.update_merge(&format!("tenants/{k}"), &chunk(k as u64), BUDGET).unwrap();
     }

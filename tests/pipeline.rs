@@ -102,7 +102,7 @@ fn served_quantiles_track_true_stream_quantiles() {
     let key = "api/latency";
 
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(50.0, 2 * K + 1).min_interval(2), 1)
+    map.enable_maintenance(MaintenancePolicy::new(50.0, 2 * K + 1).min_interval(2))
         .expect("maintenance policy");
     let mut server = spawn_server(Arc::clone(&map));
     let mut client =
