@@ -7,6 +7,11 @@
 //! would incur, keeps the `(1 + 1/δ)k` pairs with the largest errors unmerged
 //! and merges the rest, until at most `(2 + 2/δ)k + γ` intervals remain.
 //!
+//! Each round is one in-place `merge_pair_round` (see `crate::segment`) over
+//! buffers a fit allocates once; ties follow `crate::select`'s rule. A dense
+//! [`Signal`](crate::Signal) starts from one point segment per value, with no
+//! sparse copy.
+//!
 //! Guarantees (Theorems 3.3 and 3.4):
 //! * the output has at most `(2 + 2/δ)k + γ` pieces,
 //! * its error is at most `√(1 + δ) · opt_k`, where `opt_k` is the error of the
@@ -19,8 +24,9 @@ use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::partition::Partition;
-use crate::segment::{initial_segments, segments_to_histogram, segments_to_partition, Segment};
-use crate::select::top_t_mask;
+use crate::segment::{
+    initial_segments, merge_pair_round, segments_to_histogram, segments_to_partition, Segment,
+};
 use crate::sparse::SparseFunction;
 
 /// Summary statistics of one run of the merging algorithm, useful for
@@ -38,13 +44,12 @@ pub struct MergingReport {
 /// Runs Algorithm 1 and returns the output histogram (the flattening of `q`
 /// over the final partition).
 pub fn construct_histogram(q: &SparseFunction, params: &MergingParams) -> Result<Histogram> {
-    let (segments, _) = merge_segments(q, params);
-    Ok(segments_to_histogram(q.domain(), &segments))
+    Ok(construct_histogram_with_report(q, params)?.0)
 }
 
 /// Runs Algorithm 1 and returns only the final partition.
 pub fn construct_partition(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_segments(q, params);
+    let (segments, _) = merge_segments(initial_segments(q), params);
     Ok(segments_to_partition(q.domain(), &segments))
 }
 
@@ -53,7 +58,7 @@ pub fn construct_histogram_with_report(
     q: &SparseFunction,
     params: &MergingParams,
 ) -> Result<(Histogram, MergingReport)> {
-    let (segments, report) = merge_segments(q, params);
+    let (segments, report) = merge_segments(initial_segments(q), params);
     Ok((segments_to_histogram(q.domain(), &segments), report))
 }
 
@@ -64,39 +69,23 @@ pub fn construct_histogram_dense(values: &[f64], params: &MergingParams) -> Resu
     construct_histogram(&q, params)
 }
 
-/// The core merging loop shared by the public entry points.
-fn merge_segments(q: &SparseFunction, params: &MergingParams) -> (Vec<Segment>, MergingReport) {
-    let mut segments = initial_segments(q);
+/// The merging loop behind every Algorithm 1 entry point: rounds of
+/// [`merge_pair_round`] over `segments` until at most `(2 + 2/δ)k + γ`
+/// intervals remain. The round's buffers are allocated once per fit.
+pub(crate) fn merge_segments(
+    mut segments: Vec<Segment>,
+    params: &MergingParams,
+) -> (Vec<Segment>, MergingReport) {
     let initial_intervals = segments.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
     let mut rounds = 0usize;
 
-    while segments.len() > max_intervals {
-        let num_pairs = segments.len() / 2;
-        // If every pair would be kept, no merge can happen and the loop cannot
-        // make progress; this only occurs for extreme parameter choices.
-        if num_pairs <= keep {
-            break;
-        }
-        let errors: Vec<f64> =
-            (0..num_pairs).map(|u| segments[2 * u].merged_sse(&segments[2 * u + 1])).collect();
-        let keep_mask = top_t_mask(&errors, keep);
-
-        let kept_pairs = keep.min(num_pairs);
-        let mut next = Vec::with_capacity(num_pairs + kept_pairs + 1);
-        for (u, &kept) in keep_mask.iter().enumerate() {
-            if kept {
-                next.push(segments[2 * u]);
-                next.push(segments[2 * u + 1]);
-            } else {
-                next.push(segments[2 * u].merged(&segments[2 * u + 1]));
-            }
-        }
-        if segments.len() % 2 == 1 {
-            next.push(*segments.last().expect("non-empty segment list"));
-        }
-        segments = next;
+    // If every pair would be kept, no merge can happen and the loop cannot
+    // make progress; this only occurs for extreme parameter choices.
+    while segments.len() > max_intervals && segments.len() / 2 > keep {
+        merge_pair_round(&mut segments, keep, &mut errors, &mut scratch);
         rounds += 1;
     }
 
@@ -108,43 +97,7 @@ fn merge_segments(q: &SparseFunction, params: &MergingParams) -> (Vec<Segment>, 
 mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
-
-    /// Brute-force optimal k-histogram error via dynamic programming, used only
-    /// on tiny inputs to validate the approximation guarantee.
-    #[allow(clippy::needless_range_loop)]
-    fn opt_k_sse(values: &[f64], k: usize) -> f64 {
-        let n = values.len();
-        let prefix = crate::prefix::DensePrefix::new(values).unwrap();
-        let inf = f64::INFINITY;
-        // dp[j][i]: best SSE of covering the first i points with j pieces.
-        let mut prev = vec![inf; n + 1];
-        prev[0] = 0.0;
-        let mut curr = vec![inf; n + 1];
-        for _j in 1..=k {
-            curr.iter_mut().for_each(|v| *v = inf);
-            curr[0] = 0.0;
-            for i in 1..=n {
-                let mut best = inf;
-                for b in 0..i {
-                    if prev[b] == inf {
-                        continue;
-                    }
-                    let cost = prev[b] + prefix.sse_range(b, i);
-                    if cost < best {
-                        best = cost;
-                    }
-                }
-                curr[i] = best;
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
+    use crate::test_support::{lcg, opt_k_sse};
 
     #[test]
     fn exact_recovery_of_a_k_histogram() {

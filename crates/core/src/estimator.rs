@@ -13,11 +13,12 @@
 //! (`MergingParams`, the learners' configs) behind one builder-style surface;
 //! each adapter reads the knobs it cares about and ignores the rest.
 
-use crate::construct::construct_histogram;
+use crate::construct::merge_segments;
 use crate::error::{Error, Result};
-use crate::fast::construct_histogram_fast;
-use crate::hierarchical::construct_hierarchical_histogram;
+use crate::fast::merge_groups;
+use crate::hierarchical::{hierarchy_from_segments, histogram_for_k, HierarchicalHistogram};
 use crate::params::MergingParams;
+use crate::segment::segments_to_histogram;
 use crate::signal::Signal;
 use crate::synopsis::{FittedModel, Synopsis};
 
@@ -297,7 +298,8 @@ impl Estimator for GreedyMerging {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         let params = self.builder.merging_params()?;
-        let histogram = construct_histogram(signal.as_sparse().as_ref(), &params)?;
+        let (segments, _) = merge_segments(signal.initial_segments(), &params);
+        let histogram = segments_to_histogram(signal.domain(), &segments);
         Ok(Synopsis::new(self.name, self.builder.k(), FittedModel::Histogram(histogram)))
     }
 }
@@ -329,14 +331,15 @@ impl Estimator for FastMerging {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         let params = self.builder.merging_params()?;
-        let histogram = construct_histogram_fast(signal.as_sparse().as_ref(), &params)?;
+        let (segments, _) = merge_groups(signal.initial_segments(), &params);
+        let histogram = segments_to_histogram(signal.domain(), &segments);
         Ok(Synopsis::new(self.name, self.builder.k(), FittedModel::Histogram(histogram)))
     }
 }
 
-/// Algorithm 2 (multi-scale construction) as an [`Estimator`]: builds the full
-/// hierarchy, then serves the level Theorem 3.5 promises for the builder's `k`
-/// (`≤ 8k` pieces, error `≤ 2·opt_k`).
+/// Algorithm 2 (multi-scale construction) as an [`Estimator`]: runs the
+/// hierarchy's rounds down to the level Theorem 3.5 promises for the
+/// builder's `k` (`≤ 8k` pieces, error `≤ 2·opt_k`) and serves that level.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hierarchical {
     builder: EstimatorBuilder,
@@ -351,11 +354,8 @@ impl Hierarchical {
     /// Fits the full multi-scale hierarchy (every level, not just the one a
     /// single [`Synopsis`] serves) — the entry point for Pareto sweeps over
     /// all piece budgets at once.
-    pub fn fit_hierarchy(
-        &self,
-        signal: &Signal,
-    ) -> Result<crate::hierarchical::HierarchicalHistogram> {
-        construct_hierarchical_histogram(signal.as_sparse().as_ref())
+    pub fn fit_hierarchy(&self, signal: &Signal) -> Result<HierarchicalHistogram> {
+        Ok(hierarchy_from_segments(signal.domain(), signal.initial_segments()))
     }
 }
 
@@ -366,8 +366,8 @@ impl Estimator for Hierarchical {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         self.builder.merging_params()?; // validate k
-        let hierarchy = construct_hierarchical_histogram(signal.as_sparse().as_ref())?;
-        let (histogram, _) = hierarchy.histogram_for_k(self.builder.k());
+        let histogram =
+            histogram_for_k(signal.domain(), signal.initial_segments(), self.builder.k());
         Ok(Synopsis::new(self.name(), self.builder.k(), FittedModel::Histogram(histogram)))
     }
 }

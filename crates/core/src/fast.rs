@@ -7,6 +7,10 @@
 //! working partition shrinks), so the interval count drops much faster while the
 //! total running time is still dominated by the first round and remains `O(s)`.
 //!
+//! Rounds run in place like Algorithm 1's: `mark_top_t` marks the kept groups
+//! (same selection and tie rule as pairs) and `compact_groups` moves them forward
+//! with `copy_within`, writing merged groups over the list's own front.
+//!
 //! The approximation argument of Theorem 3.3 carries over: a group is only
 //! merged when its flattening error is not among the `(1 + 1/δ)k` largest, so
 //! every merged group containing a jump of the optimal `k`-histogram contributes
@@ -18,7 +22,7 @@ use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::partition::Partition;
 use crate::segment::{initial_segments, segments_to_histogram, segments_to_partition, Segment};
-use crate::select::top_t_mask;
+use crate::select::{compact_groups, mark_top_t};
 use crate::sparse::SparseFunction;
 
 /// Summary statistics of one run of the `fastmerging` algorithm.
@@ -36,13 +40,12 @@ pub struct FastMergingReport {
 
 /// Runs the `fastmerging` variant and returns the output histogram.
 pub fn construct_histogram_fast(q: &SparseFunction, params: &MergingParams) -> Result<Histogram> {
-    let (segments, _) = merge_groups(q, params);
-    Ok(segments_to_histogram(q.domain(), &segments))
+    Ok(construct_histogram_fast_with_report(q, params)?.0)
 }
 
 /// Runs the `fastmerging` variant and returns only the final partition.
 pub fn construct_partition_fast(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_groups(q, params);
+    let (segments, _) = merge_groups(initial_segments(q), params);
     Ok(segments_to_partition(q.domain(), &segments))
 }
 
@@ -51,7 +54,7 @@ pub fn construct_histogram_fast_with_report(
     q: &SparseFunction,
     params: &MergingParams,
 ) -> Result<(Histogram, FastMergingReport)> {
-    let (segments, report) = merge_groups(q, params);
+    let (segments, report) = merge_groups(initial_segments(q), params);
     Ok((segments_to_histogram(q.domain(), &segments), report))
 }
 
@@ -64,45 +67,34 @@ fn group_size(current: usize, keep: usize) -> usize {
     (current / (4 * keep.max(1))).max(2)
 }
 
-fn merge_groups(q: &SparseFunction, params: &MergingParams) -> (Vec<Segment>, FastMergingReport) {
-    let mut segments = initial_segments(q);
+/// The merging loop behind every `fastmerging` entry point. Like Algorithm 1,
+/// each round rewrites `segments` in place and reuses its buffers.
+pub(crate) fn merge_groups(
+    mut segments: Vec<Segment>,
+    params: &MergingParams,
+) -> (Vec<Segment>, FastMergingReport) {
     let initial_intervals = segments.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
     let mut rounds = 0usize;
     let mut max_group_size = 0usize;
 
     while segments.len() > max_intervals {
         let g = group_size(segments.len(), keep);
-        let num_groups = segments.len() / g;
         // If every group would be kept, no merge can happen and the loop cannot
         // make progress; this only occurs for extreme parameter choices.
-        if num_groups <= keep {
+        if segments.len() / g <= keep {
             break;
         }
         max_group_size = max_group_size.max(g);
 
         // Error incurred by flattening each group of g consecutive segments.
-        let errors: Vec<f64> = (0..num_groups)
-            .map(|u| {
-                let group = &segments[u * g..(u + 1) * g];
-                merged_group_sse(group)
-            })
-            .collect();
-        let keep_mask = top_t_mask(&errors, keep);
-
-        let mut next = Vec::with_capacity(keep * g + num_groups + g);
-        for (u, &kept) in keep_mask.iter().enumerate() {
-            let group = &segments[u * g..(u + 1) * g];
-            if kept {
-                next.extend_from_slice(group);
-            } else {
-                next.push(merge_group(group));
-            }
-        }
+        errors.clear();
+        errors.extend(segments.chunks_exact(g).map(|group| merge_group(group).sse()));
+        mark_top_t(&mut errors, keep, &mut scratch);
         // Leftover segments that did not form a complete group are carried over.
-        next.extend_from_slice(&segments[num_groups * g..]);
-        segments = next;
+        compact_groups(&mut segments, g, &errors, merge_group);
         rounds += 1;
     }
 
@@ -113,14 +105,6 @@ fn merge_groups(q: &SparseFunction, params: &MergingParams) -> (Vec<Segment>, Fa
         max_group_size,
     };
     (segments, report)
-}
-
-/// Flattening error of the union of a run of adjacent segments, in `O(g)` time.
-fn merged_group_sse(group: &[Segment]) -> f64 {
-    let sum: f64 = group.iter().map(|s| s.sum).sum();
-    let sum_sq: f64 = group.iter().map(|s| s.sum_sq).sum();
-    let len: usize = group.iter().map(Segment::len).sum();
-    (sum_sq - sum * sum / len as f64).max(0.0)
 }
 
 /// Merges a run of adjacent segments into a single segment.
@@ -140,41 +124,7 @@ mod tests {
     use super::*;
     use crate::construct::construct_histogram;
     use crate::function::DiscreteFunction;
-    use crate::prefix::DensePrefix;
-
-    #[allow(clippy::needless_range_loop)]
-    fn opt_k_sse(values: &[f64], k: usize) -> f64 {
-        let n = values.len();
-        let prefix = DensePrefix::new(values).unwrap();
-        let inf = f64::INFINITY;
-        let mut prev = vec![inf; n + 1];
-        prev[0] = 0.0;
-        let mut curr = vec![inf; n + 1];
-        for _ in 1..=k {
-            curr.iter_mut().for_each(|v| *v = inf);
-            curr[0] = 0.0;
-            for i in 1..=n {
-                let mut best = inf;
-                for b in 0..i {
-                    if prev[b] == inf {
-                        continue;
-                    }
-                    let cost = prev[b] + prefix.sse_range(b, i);
-                    if cost < best {
-                        best = cost;
-                    }
-                }
-                curr[i] = best;
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
+    use crate::test_support::{lcg, opt_k_sse};
 
     #[test]
     fn respects_piece_budget() {

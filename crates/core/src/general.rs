@@ -18,7 +18,7 @@ use crate::oracle::ProjectionOracle;
 use crate::params::MergingParams;
 use crate::piecewise_poly::{PiecewisePolynomial, PolynomialPiece};
 use crate::segment::initial_segments;
-use crate::select::top_t_mask;
+use crate::select::{compact_groups, mark_top_t};
 use crate::sparse::SparseFunction;
 
 /// One interval of the working partition of the generalized algorithm together
@@ -65,41 +65,19 @@ pub fn construct_general_with_report<O: ProjectionOracle>(
     let initial_intervals = intervals.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
     let mut rounds = 0usize;
     let mut oracle_calls = 0usize;
 
-    while intervals.len() > max_intervals {
-        let num_pairs = intervals.len() / 2;
-        if num_pairs <= keep {
-            break;
-        }
-        let mut errors = Vec::with_capacity(num_pairs);
-        for u in 0..num_pairs {
-            let merged = intervals[2 * u]
-                .union(&intervals[2 * u + 1])
-                .expect("consecutive working intervals are adjacent");
-            errors.push(oracle.project_error(q, merged)?);
+    // Algorithm 1's round, with oracle errors in place of flattening errors.
+    while intervals.len() > max_intervals && intervals.len() / 2 > keep {
+        errors.clear();
+        for pair in intervals.chunks_exact(2) {
+            errors.push(oracle.project_error(q, union(pair))?);
             oracle_calls += 1;
         }
-        let keep_mask = top_t_mask(&errors, keep);
-
-        let mut next = Vec::with_capacity(num_pairs + keep + 1);
-        for (u, &kept) in keep_mask.iter().enumerate() {
-            if kept {
-                next.push(intervals[2 * u]);
-                next.push(intervals[2 * u + 1]);
-            } else {
-                next.push(
-                    intervals[2 * u]
-                        .union(&intervals[2 * u + 1])
-                        .expect("consecutive working intervals are adjacent"),
-                );
-            }
-        }
-        if intervals.len() % 2 == 1 {
-            next.push(*intervals.last().expect("non-empty interval list"));
-        }
-        intervals = next;
+        mark_top_t(&mut errors, keep, &mut scratch);
+        compact_groups(&mut intervals, 2, &errors, union);
         rounds += 1;
     }
 
@@ -118,17 +96,18 @@ pub fn construct_general_with_report<O: ProjectionOracle>(
     Ok((PiecewisePolynomial::new(q.domain(), pieces)?, report))
 }
 
+/// The union of a pair of consecutive working intervals.
+fn union(pair: &[Interval]) -> Interval {
+    pair[0].union(&pair[1]).expect("consecutive working intervals are adjacent")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::construct::construct_histogram;
     use crate::function::DiscreteFunction;
     use crate::oracle::ConstantOracle;
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
+    use crate::test_support::lcg;
 
     #[test]
     fn constant_oracle_reproduces_algorithm_1() {

@@ -7,6 +7,11 @@
 //! Theorem 3.5 guarantees that for every `1 ≤ k ≤ s` there is a level `I_j` with
 //! at most `8k` intervals whose flattening has error at most `2·opt_k`.
 //!
+//! Each level comes from Algorithm 1's in-place pair round (same tie rule),
+//! shown to a visitor: [`construct_hierarchical_histogram`] records
+//! every level, the [`Hierarchical`](crate::Hierarchical) estimator stops at
+//! the first with at most `8k` intervals and builds only that histogram.
+//!
 //! The returned [`HierarchicalHistogram`] stores every level together with its
 //! exact flattening error, so callers can walk the whole Pareto curve between
 //! the number of pieces and the achieved error, or query the best level for a
@@ -16,8 +21,10 @@ use crate::error::Result;
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::partition::Partition;
-use crate::segment::{initial_segments, segments_to_partition, total_sse, Segment};
-use crate::select::top_t_mask;
+use crate::segment::{
+    initial_segments, merge_pair_round, segments_to_histogram, segments_to_partition, total_sse,
+    Segment,
+};
 use crate::sparse::SparseFunction;
 
 /// One level of the merging hierarchy: a partition of the domain, the flattening
@@ -147,76 +154,50 @@ impl HierarchicalHistogram {
 /// level. The loop stops when fewer than 8 intervals remain. Total running
 /// time and memory are `O(s)` (the level sizes decay geometrically).
 pub fn construct_hierarchical_histogram(q: &SparseFunction) -> Result<HierarchicalHistogram> {
-    let domain = q.domain();
-    let mut segments = initial_segments(q);
-    let mut levels = vec![HierarchyLevel::from_segments(domain, &segments)];
+    Ok(hierarchy_from_segments(q.domain(), initial_segments(q)))
+}
 
-    while segments.len() >= 8 {
-        let num_pairs = segments.len() / 2;
+/// Every level of the hierarchy grown from the initial `segments`.
+pub(crate) fn hierarchy_from_segments(
+    domain: usize,
+    segments: Vec<Segment>,
+) -> HierarchicalHistogram {
+    let mut levels = Vec::new();
+    merge_levels(segments, |level| {
+        levels.push(HierarchyLevel::from_segments(domain, level));
+        true
+    });
+    HierarchicalHistogram { domain, levels }
+}
+
+/// The histogram of the level [`HierarchicalHistogram::level_for_k`] serves,
+/// built without the levels after it or the partitions before it.
+pub(crate) fn histogram_for_k(domain: usize, segments: Vec<Segment>, k: usize) -> Histogram {
+    // The last level has fewer than 8 ≤ 8k intervals, so one is always found.
+    let level = merge_levels(segments, |level| level.len() > 8 * k.max(1));
+    segments_to_histogram(domain, &level)
+}
+
+/// Algorithm 2's rounds: shows each level to `visit`, level 0 first, and runs
+/// one more in-place round while `visit` asks for it and at least 8 intervals
+/// remain. Returns the last level visited.
+fn merge_levels(
+    mut segments: Vec<Segment>,
+    mut visit: impl FnMut(&[Segment]) -> bool,
+) -> Vec<Segment> {
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
+    while visit(&segments) && segments.len() >= 8 {
         let keep = segments.len() / 4;
-        let errors: Vec<f64> =
-            (0..num_pairs).map(|u| segments[2 * u].merged_sse(&segments[2 * u + 1])).collect();
-        let keep_mask = top_t_mask(&errors, keep);
-
-        let mut next = Vec::with_capacity(num_pairs + keep + 1);
-        for (u, &kept) in keep_mask.iter().enumerate() {
-            if kept {
-                next.push(segments[2 * u]);
-                next.push(segments[2 * u + 1]);
-            } else {
-                next.push(segments[2 * u].merged(&segments[2 * u + 1]));
-            }
-        }
-        if segments.len() % 2 == 1 {
-            next.push(*segments.last().expect("non-empty segment list"));
-        }
-        segments = next;
-        levels.push(HierarchyLevel::from_segments(domain, &segments));
+        merge_pair_round(&mut segments, keep, &mut errors, &mut scratch);
     }
-
-    Ok(HierarchicalHistogram { domain, levels })
+    segments
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
-    use crate::prefix::DensePrefix;
-
-    /// Exact optimal k-histogram SSE by dynamic programming (tiny inputs only).
-    #[allow(clippy::needless_range_loop)]
-    fn opt_k_sse(values: &[f64], k: usize) -> f64 {
-        let n = values.len();
-        let prefix = DensePrefix::new(values).unwrap();
-        let inf = f64::INFINITY;
-        let mut prev = vec![inf; n + 1];
-        prev[0] = 0.0;
-        let mut curr = vec![inf; n + 1];
-        for _ in 1..=k {
-            curr.iter_mut().for_each(|v| *v = inf);
-            curr[0] = 0.0;
-            for i in 1..=n {
-                let mut best = inf;
-                for b in 0..i {
-                    if prev[b] == inf {
-                        continue;
-                    }
-                    let cost = prev[b] + prefix.sse_range(b, i);
-                    if cost < best {
-                        best = cost;
-                    }
-                }
-                curr[i] = best;
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        prev[n]
-    }
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
+    use crate::test_support::{lcg, opt_k_sse};
 
     #[test]
     fn levels_shrink_and_errors_grow() {

@@ -70,11 +70,13 @@ pub mod piecewise_poly;
 pub mod prefix;
 pub mod query;
 pub mod segment;
-pub mod select;
+mod select;
 pub mod signal;
 pub mod sparse;
 pub mod stats;
 pub mod synopsis;
+#[cfg(test)]
+mod test_support;
 
 pub use construct::{
     construct_histogram, construct_histogram_dense, construct_histogram_with_report,

@@ -5,11 +5,16 @@
 //! constant time. These statistics play the role of the precomputed partial
 //! sums `r_j`, `t_j` in Algorithm 1 of the paper: once the initial segments are
 //! built in `O(s)` time, every candidate merge error is an `O(1)` computation.
+//!
+//! `merge_pair_round` is the one pair round under Algorithms 1 and 2: it fills
+//! a reused error buffer, marks the `keep` largest with `mark_top_t` (the tie
+//! rule the golden tests pin bit for bit) and compacts the list in place.
 
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
 use crate::partition::Partition;
+use crate::select::{compact_groups, mark_top_t};
 use crate::sparse::SparseFunction;
 
 /// One interval of the working partition, with cached sum and sum of squares of
@@ -86,10 +91,7 @@ impl Segment {
     /// segments — the merging error `e_u` of Algorithm 1, computed in `O(1)`.
     #[inline]
     pub fn merged_sse(&self, other: &Segment) -> f64 {
-        let sum = self.sum + other.sum;
-        let sum_sq = self.sum_sq + other.sum_sq;
-        let len = (self.len() + other.len()) as f64;
-        (sum_sq - sum * sum / len).max(0.0)
+        self.merged(other).sse()
     }
 }
 
@@ -116,6 +118,22 @@ pub fn initial_segments(q: &SparseFunction) -> Vec<Segment> {
         segments.push(Segment::zero(0, n - 1));
     }
     segments
+}
+
+/// One merging round over consecutive pairs of `segments`, in place: the
+/// `keep` pairs with the largest merging errors stay unmerged, every other
+/// pair becomes one segment, and a trailing odd segment is carried over.
+/// `errors` and `scratch` are working buffers reused across rounds.
+pub(crate) fn merge_pair_round(
+    segments: &mut Vec<Segment>,
+    keep: usize,
+    errors: &mut Vec<f64>,
+    scratch: &mut Vec<(f64, usize)>,
+) {
+    errors.clear();
+    errors.extend(segments.chunks_exact(2).map(|pair| pair[0].merged_sse(&pair[1])));
+    mark_top_t(errors, keep, scratch);
+    compact_groups(segments, 2, errors, |pair| pair[0].merged(&pair[1]));
 }
 
 /// Converts a list of contiguous segments into a [`Partition`].

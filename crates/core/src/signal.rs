@@ -12,6 +12,7 @@ use std::borrow::Cow;
 use crate::error::{Error, Result};
 use crate::function::{DenseFunction, DiscreteFunction};
 use crate::interval::Interval;
+use crate::segment::{initial_segments, Segment};
 use crate::sparse::SparseFunction;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -106,6 +107,17 @@ impl Signal {
                 SparseFunction::from_dense_keep_zeros(f.values())
                     .expect("dense signals are validated at construction"),
             ),
+        }
+    }
+
+    /// The merging algorithms' exact initial segmentation: for a dense signal,
+    /// what [`initial_segments`] yields on [`Signal::as_sparse`], uncopied.
+    pub(crate) fn initial_segments(&self) -> Vec<Segment> {
+        match &self.repr {
+            Repr::Sparse(q) => initial_segments(q),
+            Repr::Dense(f) => {
+                f.values().iter().enumerate().map(|(i, &v)| Segment::point(i, v)).collect()
+            }
         }
     }
 
@@ -207,6 +219,13 @@ mod tests {
         assert!(sparse.is_sparse());
         assert_eq!(dense.mass(), 4.0);
         assert_eq!(dense.l2_norm_squared(), 1.5 * 1.5 + 2.5 * 2.5);
+    }
+
+    #[test]
+    fn dense_initial_segments_match_the_sparse_view() {
+        let values = vec![0.0, -1.5, 0.0, 2.5, -0.0];
+        let dense = Signal::from_slice(&values).unwrap();
+        assert_eq!(dense.initial_segments(), initial_segments(&dense.as_sparse()));
     }
 
     #[test]
