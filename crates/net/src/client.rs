@@ -15,8 +15,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use hist_core::{Interval, Synopsis};
-use hist_persist::{decode_synopsis, encode_synopsis};
-use hist_serve::{MergedView, DEFAULT_KEY};
+use hist_persist::encode_synopsis;
+use hist_serve::DEFAULT_KEY;
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{check_envelope, read_message, write_message, DEFAULT_MAX_FRAME_BYTES};
@@ -243,20 +243,6 @@ impl HistClient {
     pub fn list_keys(&mut self) -> NetResult<Stamped<Vec<String>>> {
         match self.round_trip(&Request::ListKeys)? {
             Response::KeyList { epoch, keys } => Ok(Stamped { epoch, value: keys }),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// The merged global view: every served key's synopsis tree-merged down
-    /// to `budget` pieces, decoded back to a queryable [`Synopsis`] — the
-    /// same [`MergedView`] the in-process
-    /// [`StoreMap::merged_view`](hist_serve::StoreMap::merged_view) returns.
-    pub fn merged_view(&mut self, budget: usize) -> NetResult<MergedView> {
-        match self.round_trip(&Request::MergedView { budget: budget as u64 })? {
-            Response::MergedView { epoch, keys, synopsis } => {
-                let synopsis = decode_synopsis(&synopsis).map_err(NetError::Frame)?;
-                Ok(MergedView { epoch, keys, synopsis })
-            }
             other => Err(unexpected(&other)),
         }
     }

@@ -3,20 +3,19 @@
 //!
 //! ## Architecture
 //!
-//! A single `hist-net-evented` thread owns the listener, a
-//! [`polling::Poller`] (epoll(7) on Linux, portable poll(2) everywhere else
-//! — forceable via [`ServerConfig::force_poll_backend`]) and a slab of
-//! connection states keyed by slot index. Readable wakeups append bytes to a
-//! per-connection read buffer and *pipeline*: every complete frame in the
-//! buffer is answered in one pass, on the loop thread, through the
-//! [`Responder`] core, and the responses are encoded in order into one
-//! staging buffer that is flushed before the loop moves on.
+//! A single `hist-net-evented` thread owns the listener, an epoll(7)
+//! [`polling::Poller`] and a slab of connection states keyed by slot index.
+//! Readable wakeups append bytes to a per-connection read buffer and
+//! *pipeline*: every complete frame in the buffer is answered in one pass,
+//! on the loop thread, through the [`Responder`] core, and the responses
+//! are encoded in order into one staging buffer that is flushed before the
+//! loop moves on.
 //!
 //! Answering on the loop keeps a request on one thread from read to write,
 //! the shortest path for a closed-loop client. The price is that a long
-//! request (a `MergedView` over many keys, a 4096-range `MassBatch`, a large
-//! `Publish`) delays every connection's answers while it runs, and that a
-//! fleet of pipelining connections is served by one CPU.
+//! request (a 4096-range `MassBatch`, a large `Publish`) delays every
+//! connection's answers while it runs, and that a fleet of pipelining
+//! connections is served by one CPU.
 //!
 //! ## Waiting
 //!
@@ -58,8 +57,6 @@
 //! to two seconds so the kernel delivers the final frame instead of
 //! clobbering it with an RST.
 
-#![cfg(unix)]
-
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -69,7 +66,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use polling::{Backend, Event, Events, Poller};
+use polling::{Event, Events, Poller};
 
 use crate::frame::{ENVELOPE_BYTES, LENGTH_PREFIX_BYTES};
 use crate::proto::encode_response_into;
@@ -111,11 +108,7 @@ pub(crate) fn spawn(
     write_allocs: Arc<AtomicU64>,
 ) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
-    let poller = if config.force_poll_backend {
-        Poller::with_backend(Backend::Poll)?
-    } else {
-        Poller::new()?
-    };
+    let poller = Poller::new()?;
     poller.add(listener.as_raw_fd(), Event::readable(LISTENER_KEY))?;
     let mut event_loop = EventLoop {
         listener,

@@ -10,7 +10,7 @@
 //! the loop: a [`HistServer`] serves the keyed
 //! [`StoreMap`](hist_serve::StoreMap) (one epoch/snapshot store per
 //! tenant/metric key — reads wait-free, writes serialized per key, every
-//! response stamped with the snapshot epoch) from one pipelining epoll/poll
+//! response stamped with the snapshot epoch) from one pipelining epoll(7)
 //! readiness loop that answers every request inline (see [`evented`]), and a
 //! blocking [`HistClient`] exposes batch helpers whose answers are
 //! **bit-identical** to querying the local
@@ -20,12 +20,12 @@
 //!
 //! The loop is the only server path, and it has three costs:
 //!
-//! * a long request (a `MergedView` over many keys, a 4096-range
-//!   `MassBatch`, a large `Publish`) delays every connection's answers while
-//!   it runs, not just its own connection's;
+//! * a long request (a 4096-range `MassBatch`, a large `Publish`) delays
+//!   every connection's answers while it runs, not just its own
+//!   connection's;
 //! * a fleet of pipelining connections is served by one CPU;
-//! * [`HistServer::bind`] needs a Unix host and returns an `Unsupported`
-//!   error elsewhere.
+//! * [`HistServer::bind`] needs Linux and returns an `Unsupported` error
+//!   elsewhere.
 //!
 //! ## Wire format
 //!
@@ -44,9 +44,10 @@
 //! bound).
 //! Request ops: `CdfBatch` (0x01), `QuantileBatch` (0x02), `MassBatch`
 //! (0x03), `Stats` (0x04), `StoreStats` (0x05), `ListKeys` (0x06),
-//! `MergedView` (0x07), `Publish` (0x10), `UpdateMerge` (0x11), `DropKey`
-//! (0x12). Response ops mirror them (`| 0x80`), plus `Updated` (0x90),
-//! `Dropped` (0x91) and the typed `Error` frame (0xEE).
+//! `Publish` (0x10), `UpdateMerge` (0x11), `DropKey` (0x12). Response ops
+//! mirror them (`| 0x80`), plus `Updated` (0x90), `Dropped` (0x91) and the
+//! typed `Error` frame (0xEE). Op 0x07 is retired and answered with a typed
+//! `UnknownOp` error frame.
 //!
 //! The version pair (persist format, wire protocol) is pinned by a
 //! compile-time assertion, because `Publish`/`UpdateMerge` payloads are
@@ -105,6 +106,7 @@
 
 pub mod client;
 pub mod error;
+#[cfg(target_os = "linux")]
 pub mod evented;
 pub mod frame;
 pub mod proto;
@@ -116,7 +118,6 @@ pub use frame::{
     check_envelope, read_message, seal_message, split_message, write_message,
     DEFAULT_MAX_FRAME_BYTES, ENVELOPE_BYTES, LENGTH_PREFIX_BYTES, NET_MAGIC, PROTOCOL_VERSION,
 };
-pub use hist_serve::MergedView;
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, encode_response_into,
     ErrorCode, Request, Response, StoreWideStats, SynopsisStats,

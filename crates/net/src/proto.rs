@@ -5,17 +5,17 @@
 //! bounded [`hist_persist::wire::Reader`] — every count is validated against
 //! the bytes actually remaining before any `Vec` is sized from it, so
 //! decoding hostile payloads is total (typed errors, no panics, no
-//! over-allocation). Synopses travel inside `Publish`/`UpdateMerge` (and the
-//! `MergedView` answer) as nested `AHISTSYN` containers, reusing the
-//! `hist-persist` codec verbatim: the server decodes them through the same
-//! validating path a file load uses, which is what makes a published synopsis
-//! answer queries bit-identically to the local original.
+//! over-allocation). Synopses travel inside `Publish`/`UpdateMerge` as nested
+//! `AHISTSYN` containers, reusing the `hist-persist` codec verbatim: the
+//! server decodes them through the same validating path a file load uses,
+//! which is what makes a published synopsis answer queries bit-identically
+//! to the local original.
 //!
 //! Every query/admin op opens with a *key* section — a length-prefixed,
 //! non-empty UTF-8 tenant/metric name of at most
 //! [`hist_persist::MAX_KEY_BYTES`] bytes — addressing one store of the
 //! server's keyed [`StoreMap`](hist_serve::StoreMap). The store-wide ops
-//! (`StoreStats`, `ListKeys`, `MergedView`) carry no key. The `Stats` and
+//! (`StoreStats`, `ListKeys`) carry no key. The `Stats` and
 //! `StoreStats` answers include the self-tuning maintenance counters (merge
 //! count, refit count, merged mass, accumulated merge error).
 //!
@@ -36,7 +36,8 @@ const OP_MASS_BATCH: u8 = 0x03;
 const OP_STATS: u8 = 0x04;
 const OP_STORE_STATS: u8 = 0x05;
 const OP_LIST_KEYS: u8 = 0x06;
-const OP_MERGED_VIEW: u8 = 0x07;
+// 0x07 (a retired store-wide merge) is never reused, so an older peer's
+// frame is answered as an unknown op rather than misread.
 const OP_PUBLISH: u8 = 0x10;
 const OP_UPDATE_MERGE: u8 = 0x11;
 const OP_DROP_KEY: u8 = 0x12;
@@ -48,7 +49,6 @@ const OP_MASS_OK: u8 = 0x83;
 const OP_STATS_OK: u8 = 0x84;
 const OP_STORE_STATS_OK: u8 = 0x85;
 const OP_LIST_KEYS_OK: u8 = 0x86;
-const OP_MERGED_VIEW_OK: u8 = 0x87;
 const OP_UPDATED: u8 = 0x90;
 const OP_DROPPED: u8 = 0x91;
 const OP_ERROR: u8 = 0xEE;
@@ -88,12 +88,6 @@ pub enum Request {
     StoreStats,
     /// Every key, in canonical (ascending) order.
     ListKeys,
-    /// Tree-merge every served key's synopsis into one global view with the
-    /// given piece budget.
-    MergedView {
-        /// Piece budget of the merged synopsis.
-        budget: u64,
-    },
     /// Admin: replace `key`'s served synopsis with the shipped `AHISTSYN`
     /// blob (creating the key on first use).
     Publish {
@@ -282,15 +276,6 @@ pub enum Response {
         /// Every key.
         keys: Vec<String>,
     },
-    /// The merged global view.
-    MergedView {
-        /// Largest epoch among the contributing snapshots.
-        epoch: u64,
-        /// Number of keys that contributed a synopsis.
-        keys: u64,
-        /// The merged synopsis as a nested `AHISTSYN` container.
-        synopsis: Vec<u8>,
-    },
     /// A `Publish`/`UpdateMerge` landed; the key's store now serves this
     /// epoch.
     Updated {
@@ -328,7 +313,6 @@ impl Response {
             Response::Stats { .. } => OP_STATS_OK,
             Response::StoreStats { .. } => OP_STORE_STATS_OK,
             Response::KeyList { .. } => OP_LIST_KEYS_OK,
-            Response::MergedView { .. } => OP_MERGED_VIEW_OK,
             Response::Updated { .. } => OP_UPDATED,
             Response::Dropped { .. } => OP_DROPPED,
             Response::Error { .. } => OP_ERROR,
@@ -396,10 +380,6 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
         }
         Request::StoreStats => OP_STORE_STATS,
         Request::ListKeys => OP_LIST_KEYS,
-        Request::MergedView { budget } => {
-            put_u64(&mut payload, *budget);
-            OP_MERGED_VIEW
-        }
         Request::Publish { key, synopsis } => {
             put_key(&mut payload, key);
             put_u64(&mut payload, synopsis.len() as u64);
@@ -509,12 +489,6 @@ fn write_response_payload(response: &Response, payload: &mut Vec<u8>) {
                 put_key(payload, key);
             }
         }
-        Response::MergedView { epoch, keys, synopsis } => {
-            put_u64(payload, *epoch);
-            put_u64(payload, *keys);
-            put_u64(payload, synopsis.len() as u64);
-            payload.extend_from_slice(synopsis);
-        }
         Response::Updated { epoch } => {
             put_u64(payload, *epoch);
         }
@@ -572,7 +546,6 @@ pub fn decode_request_frame(op: u8, payload: &[u8]) -> CodecResult<Request> {
         OP_STATS => Request::Stats { key: read_key(&mut reader)? },
         OP_STORE_STATS => Request::StoreStats,
         OP_LIST_KEYS => Request::ListKeys,
-        OP_MERGED_VIEW => Request::MergedView { budget: reader.u64()? },
         OP_PUBLISH => {
             let key = read_key(&mut reader)?;
             Request::Publish { key, synopsis: reader.section("synopsis blob")?.to_vec() }
@@ -602,7 +575,6 @@ pub fn decode_response_frame(op: u8, payload: &[u8]) -> CodecResult<Response> {
             | OP_STATS_OK
             | OP_STORE_STATS_OK
             | OP_LIST_KEYS_OK
-            | OP_MERGED_VIEW_OK
             | OP_UPDATED
             | OP_DROPPED
             | OP_ERROR
@@ -687,11 +659,6 @@ pub fn decode_response_frame(op: u8, payload: &[u8]) -> CodecResult<Response> {
             }
             Response::KeyList { epoch, keys }
         }
-        OP_MERGED_VIEW_OK => {
-            let keys = reader.u64()?;
-            let synopsis = reader.section("merged synopsis blob")?.to_vec();
-            Response::MergedView { epoch, keys, synopsis }
-        }
         OP_UPDATED => Response::Updated { epoch },
         OP_DROPPED => {
             let existed = match reader.u8()? {
@@ -751,7 +718,6 @@ mod tests {
         round_trip_request(Request::Stats { key: DEFAULT_KEY.into() });
         round_trip_request(Request::StoreStats);
         round_trip_request(Request::ListKeys);
-        round_trip_request(Request::MergedView { budget: 12 });
         round_trip_request(Request::Publish {
             key: "p".into(),
             synopsis: b"AHISTSYN-ish bytes".to_vec(),
@@ -802,11 +768,6 @@ mod tests {
             keys: vec!["a".into(), "b".into(), "c".into()],
         });
         round_trip_response(Response::KeyList { epoch: 0, keys: vec![] });
-        round_trip_response(Response::MergedView {
-            epoch: 8,
-            keys: 3,
-            synopsis: b"AHISTSYN-ish".to_vec(),
-        });
         round_trip_response(Response::Updated { epoch: 42 });
         round_trip_response(Response::Dropped { epoch: 4, existed: true });
         round_trip_response(Response::Dropped { epoch: 0, existed: false });

@@ -1,21 +1,20 @@
 //! The serving side: a TCP server over a shared keyed [`StoreMap`].
 //!
-//! A [`HistServer`] runs one readiness loop (epoll(7) on Linux, portable
-//! poll(2) elsewhere on Unix) that multiplexes every connection over
-//! non-blocking sockets, pipelines requests and answers each of them on the
-//! loop thread; see [`crate::evented`]. Reads go through an epoch-stamped
-//! snapshot of the addressed key's store (wait-free in practice), batch
-//! queries are answered by that snapshot's own batch kernel, and admin
-//! writes (`Publish`/`UpdateMerge`) serialize on the addressed store's
-//! writer path — exactly the concurrency contract the in-process serving
-//! layer already guarantees, now over the wire and per key.
+//! A [`HistServer`] runs one epoll(7) readiness loop that multiplexes every
+//! connection over non-blocking sockets, pipelines requests and answers
+//! each of them on the loop thread; see [`crate::evented`]. Reads go
+//! through an epoch-stamped snapshot of the addressed key's store
+//! (wait-free in practice), batch queries are answered by that snapshot's
+//! own batch kernel, and admin writes (`Publish`/`UpdateMerge`) serialize
+//! on the addressed store's writer path — exactly the concurrency contract
+//! the in-process serving layer already guarantees, now over the wire and
+//! per key.
 //!
-//! A request runs on the loop, so a long one (a `MergedView` over many keys,
-//! a 4096-range `MassBatch`, a large `Publish`) delays every connection's
-//! answers while it runs, not just its own connection's, and a fleet of
-//! pipelining connections is served by one CPU. The server needs a Unix
-//! host: elsewhere [`HistServer::bind`] returns an
-//! [`ErrorKind::Unsupported`] error.
+//! A request runs on the loop, so a long one (a 4096-range `MassBatch`, a
+//! large `Publish`) delays every connection's answers while it runs, not
+//! just its own connection's, and a fleet of pipelining connections is
+//! served by one CPU. The server needs Linux: elsewhere
+//! [`HistServer::bind`] returns an [`ErrorKind::Unsupported`] error.
 //!
 //! ## Protocol version
 //!
@@ -42,10 +41,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hist_core::Interval;
-use hist_persist::{decode_synopsis, encode_synopsis, CodecError};
+use hist_persist::{decode_synopsis, CodecError};
 use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, DEFAULT_KEY};
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 use crate::evented::spawn as spawn_loop;
 use crate::frame::check_envelope;
 use crate::proto::{
@@ -57,10 +56,6 @@ use crate::proto::{
 /// allocation bound).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Force the portable poll(2) backend even where a better platform
-    /// backend (epoll) exists. Exists so tests can cover the fallback path
-    /// on any host.
-    pub force_poll_backend: bool,
     /// Largest frame accepted from a peer; larger announcements are rejected
     /// before any allocation. (Response frames the server *builds* are not
     /// checked against this: a client mirroring the limit should allow the
@@ -83,7 +78,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            force_poll_backend: false,
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_requests_per_connection: u64::MAX,
             poll_interval: Duration::from_millis(25),
@@ -130,7 +124,7 @@ impl std::fmt::Debug for HistServer {
 
 impl HistServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `map` immediately. Off Unix this is an [`ErrorKind::Unsupported`]
+    /// `map` immediately. Off Linux this is an [`ErrorKind::Unsupported`]
     /// error.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -196,8 +190,8 @@ impl Drop for HistServer {
     }
 }
 
-/// Off Unix there is no readiness poller to drive the loop.
-#[cfg(not(unix))]
+/// Off Linux there is no readiness poller to drive the loop.
+#[cfg(not(target_os = "linux"))]
 fn spawn_loop(
     _: TcpListener,
     _: Responder,
@@ -205,7 +199,7 @@ fn spawn_loop(
     _: ServerConfig,
     _: Arc<AtomicU64>,
 ) -> std::io::Result<JoinHandle<()>> {
-    Err(std::io::Error::new(ErrorKind::Unsupported, "HistServer requires a Unix host"))
+    Err(std::io::Error::new(ErrorKind::Unsupported, "HistServer requires Linux"))
 }
 
 /// The request→response core: a decoded request in, a typed response out,
@@ -383,26 +377,6 @@ impl Responder {
             }
             Request::ListKeys => {
                 Response::KeyList { epoch: self.map.max_epoch(), keys: self.map.keys() }
-            }
-            Request::MergedView { budget } => {
-                let Ok(budget) = usize::try_from(budget) else {
-                    return self.error(
-                        ErrorCode::InvalidQuery,
-                        format!("budget {budget} does not fit this platform's usize"),
-                    );
-                };
-                match self.map.merged_view(budget) {
-                    Ok(Some(view)) => Response::MergedView {
-                        epoch: view.epoch,
-                        keys: view.keys,
-                        synopsis: encode_synopsis(&view.synopsis),
-                    },
-                    Ok(None) => self.error(
-                        ErrorCode::EmptyStore,
-                        "no key serves a synopsis to merge yet".into(),
-                    ),
-                    Err(e) => self.error(ErrorCode::InvalidQuery, e.to_string()),
-                }
             }
             Request::Publish { key, synopsis: blob } => match decode_synopsis(&blob) {
                 Ok(synopsis) => match self.map.publish(&key, synopsis) {

@@ -19,10 +19,8 @@
 //!   continuing monotonically.
 //! * [`StoreMap`] — the multi-tenant layer: many keyed [`SynopsisStore`]s
 //!   behind a shard-by-key-hash array of locks, with per-key
-//!   publish/update/snapshot, key listing and eviction, an on-demand merged
-//!   global view (`tree_merge` over every served key in canonical key
-//!   order), and whole-map persistence (`AHISTMAP`) with per-key epochs
-//!   monotone across restarts.
+//!   publish/update/snapshot, key listing and eviction, and whole-map
+//!   persistence (`AHISTMAP`) with per-key epochs monotone across restarts.
 //!
 //! Self-tuning maintenance is optional and configured by one type,
 //! [`MaintenancePolicy`]: a store or map with a policy refits a served
@@ -84,4 +82,4 @@ pub mod store_map;
 
 pub use maintenance::{MaintenancePolicy, MaintenanceStats, MaintenanceWorker};
 pub use store::{Snapshot, SynopsisStore};
-pub use store_map::{validate_key, MergedView, StoreMap, StoreMapStats, DEFAULT_KEY};
+pub use store_map::{validate_key, StoreMap, StoreMapStats, DEFAULT_KEY};

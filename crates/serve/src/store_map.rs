@@ -14,11 +14,9 @@
 //! store's `Arc`), never across merge work or queries, so the hot path of a
 //! keyed read is: hash, shard read-lock, `Arc` clone, unlock, query.
 //!
-//! Cross-key fan-in reuses the mergeable-summaries property (Agarwal et
-//! al., PODS'12): [`StoreMap::merged_view`] collects every key's served
-//! synopsis in canonical key order and `tree_merge`s them into one global
-//! view on demand — per-key synopses summarize adjacent chunks of a global
-//! signal, concatenated in ascending key order.
+//! Merging is per key: [`StoreMap::update_merge`] folds an adjacent chunk's
+//! synopsis into one key's served synopsis. No operation merges across
+//! keys.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -27,7 +25,6 @@ use std::time::Duration;
 
 use hist_core::{Error, Result, Synopsis};
 use hist_persist::{load_store_map, save_store_map, PersistResult, StoreMapEntry};
-use hist_stream::tree_merge;
 
 use crate::maintenance::{MaintenancePolicy, MaintenanceWorker, Sweep};
 use crate::store::{Snapshot, SynopsisStore};
@@ -85,18 +82,6 @@ pub struct StoreMapStats {
     pub merge_error: f64,
 }
 
-/// A merged global view over every served key, built on demand by
-/// [`StoreMap::merged_view`].
-#[derive(Debug, Clone)]
-pub struct MergedView {
-    /// Number of keys that contributed a synopsis.
-    pub keys: u64,
-    /// Largest epoch among the contributing snapshots.
-    pub epoch: u64,
-    /// The tree-merged global synopsis.
-    pub synopsis: Synopsis,
-}
-
 /// The maintenance side of a [`StoreMap`]: the policy every store shares
 /// and the one worker thread that runs its refits and, when the policy
 /// carries a wall-clock refit bound, sweeps idle keys.
@@ -107,8 +92,8 @@ struct MaintenanceEngine {
 }
 
 /// A keyed namespace of [`SynopsisStore`]s: per-key publish/update/snapshot
-/// with the single-store guarantees, key listing and eviction, an on-demand
-/// merged global view, and whole-map persistence (`AHISTMAP`).
+/// with the single-store guarantees, per-key merges, key listing and
+/// eviction, and whole-map persistence (`AHISTMAP`).
 ///
 /// ```
 /// use hist_core::{FittedModel, Histogram, Synopsis};
@@ -128,10 +113,10 @@ struct MaintenanceEngine {
 /// assert_eq!(snap.epoch(), 1);
 /// assert_eq!(snap.total_mass(), 5.0 * 64.0);
 ///
-/// // The global view tree-merges every key's synopsis in key order.
-/// let merged = map.merged_view(8).unwrap().unwrap();
-/// assert_eq!(merged.keys, 2);
-/// assert_eq!(merged.synopsis.domain(), 128);
+/// // A merge folds an adjacent chunk into one key's synopsis.
+/// let epoch = map.update_merge("api/search", &syn(1.0), 8).unwrap();
+/// assert_eq!(epoch, 2);
+/// assert_eq!(map.snapshot("api/search").unwrap().domain(), 128);
 ///
 /// assert!(map.drop_key("api/login"));
 /// assert_eq!(map.len(), 1);
@@ -387,37 +372,6 @@ impl StoreMap {
         stats
     }
 
-    /// The merging coordinator: fans every served key's synopsis into one
-    /// on-demand global view via `tree_merge`, contributors taken in
-    /// canonical (ascending key) order — per-key synopses summarize
-    /// adjacent chunks of a global signal, concatenated key by key.
-    ///
-    /// Returns `Ok(None)` if no key serves a synopsis. Fails on a zero
-    /// `budget` (rejected by `tree_merge`). Each contributing snapshot is
-    /// individually consistent; the view is not a single atomic cut across
-    /// keys (a writer may publish to key B while key A's snapshot is taken).
-    pub fn merged_view(&self, budget: usize) -> Result<Option<MergedView>> {
-        let mut contributors: Vec<(String, Snapshot)> = Vec::new();
-        for shard in self.shards.iter() {
-            let guard = shard.read().expect("shard lock poisoned");
-            for (key, store) in guard.iter() {
-                if let Some(snapshot) = store.snapshot() {
-                    contributors.push((key.clone(), snapshot));
-                }
-            }
-        }
-        if contributors.is_empty() {
-            return Ok(None);
-        }
-        contributors.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let keys = contributors.len() as u64;
-        let epoch = contributors.iter().map(|(_, s)| s.epoch()).max().unwrap_or(0);
-        let synopses: Vec<Synopsis> =
-            contributors.iter().map(|(_, s)| s.synopsis().as_ref().clone()).collect();
-        let synopsis = tree_merge(synopses, budget)?;
-        Ok(Some(MergedView { keys, epoch, synopsis }))
-    }
-
     /// Persists the whole map to `path` as an `AHISTMAP` container (atomic
     /// write-then-rename): one entry per key with its epoch and served
     /// synopsis. Each per-key `(epoch, synopsis)` pair is captured under
@@ -519,23 +473,6 @@ mod tests {
         let snapshot = map.snapshot("ephemeral").unwrap();
         assert!(map.drop_key("ephemeral"));
         assert_eq!(snapshot.total_mass(), 2.0 * 16.0, "held snapshots outlive eviction");
-    }
-
-    #[test]
-    fn merged_view_concatenates_in_key_order() {
-        let map = StoreMap::new();
-        assert!(map.merged_view(8).unwrap().is_none(), "empty maps have no view");
-        map.publish("b", syn(8, 2.0)).unwrap();
-        map.publish("a", syn(8, 1.0)).unwrap();
-        map.store_or_create("c-empty").unwrap(); // present but serving nothing
-        let view = map.merged_view(16).unwrap().unwrap();
-        assert_eq!(view.keys, 2, "only served keys contribute");
-        assert_eq!(view.synopsis.domain(), 16);
-        // Key order fixes the concatenation order: "a" (mass 8) precedes
-        // "b" (mass 16), so the CDF at the seam is 8/24.
-        assert_eq!(view.synopsis.total_mass(), 24.0);
-        assert_eq!(view.synopsis.cdf(7).unwrap(), 8.0 / 24.0);
-        assert!(map.merged_view(0).is_err(), "zero budgets are rejected");
     }
 
     #[test]

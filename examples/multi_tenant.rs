@@ -1,7 +1,7 @@
 //! Multi-tenant serving end to end: many keys behind one server, concurrent
 //! per-key writers shipping merge-updates over the wire, keyed readers, the
-//! key lifecycle (`list_keys`/`store_stats`/`drop_key`), a merged global
-//! view, and whole-map persistence — all over the keyed wire protocol.
+//! key lifecycle (`list_keys`/`store_stats`/`drop_key`), and whole-map
+//! persistence — all over the keyed wire protocol.
 //!
 //! ```text
 //! cargo run --release --example multi_tenant
@@ -90,17 +90,6 @@ fn main() {
     println!(
         "evict:     dropped {retired} -> {} keys",
         client.list_keys().expect("list").value.len()
-    );
-
-    // --- The merged global view: every remaining tenant's synopsis
-    //     tree-merged on demand into one fleet-wide distribution.
-    let view = client.merged_view(2 * K + 1).expect("merged view");
-    println!(
-        "merge:     global view over {} keys: domain {}, {} pieces, p99 {}",
-        view.keys,
-        view.synopsis.domain(),
-        view.synopsis.num_pieces(),
-        view.synopsis.quantile(0.99).expect("global p99")
     );
 
     // --- Persistence: the whole keyed map in one atomic AHISTMAP container.

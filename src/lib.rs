@@ -76,9 +76,8 @@
 //! * [`serve`] (`hist-serve`) — the concurrent serving layer:
 //!   [`SynopsisStore`] (epoch/snapshot store with wait-free reads under a
 //!   background refitter, durable via `save`/`open`), the multi-tenant
-//!   [`StoreMap`] (many keyed stores behind sharded locks, with key
-//!   listing/eviction, an on-demand tree-merged global view and whole-map
-//!   persistence), whose [`Snapshot`]s answer batch queries directly with
+//!   [`StoreMap`] (many keyed stores behind sharded locks, with per-key
+//!   merges, key listing/eviction and whole-map persistence), whose [`Snapshot`]s answer batch queries directly with
 //!   the synopsis' own batch kernels;
 //! * [`persist`] (`hist-persist`) — the persistent synopsis format: a
 //!   versioned, CRC-checked binary codec ([`encode_synopsis`] /
@@ -95,8 +94,8 @@
 //! * [`net`] (`hist-net`) — the network serving layer: a length-prefixed,
 //!   CRC-trailed binary TCP protocol (one version, v3) over the
 //!   keyed store map ([`HistServer`] / [`HistClient`]), with per-key batch
-//!   query ops, store-wide admin ops (key listing/eviction, merged global
-//!   view, store stats with maintenance counters), admin publish/merge ops
+//!   query ops, store-wide admin ops (key listing/eviction, store stats
+//!   with maintenance counters), admin publish/merge ops
 //!   shipping synopses in the `AHISTSYN` encoding, typed error frames,
 //!   client connect/read deadlines, and hostile-peer bounds (max frame
 //!   size, per-connection request budgets).
@@ -137,8 +136,8 @@ pub use hist_pipeline::{
 pub use hist_poly::PiecewisePoly;
 pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
-    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, MergedView, Snapshot, StoreMap,
-    StoreMapStats, SynopsisStore, DEFAULT_KEY,
+    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, Snapshot, StoreMap, StoreMapStats,
+    SynopsisStore, DEFAULT_KEY,
 };
 pub use hist_stream::{
     ChunkedFitter, ParallelChunkedFitter, SlidingWindow, StreamingBuilder, StreamingMerging,

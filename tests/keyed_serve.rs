@@ -4,8 +4,7 @@
 //! * **Keyed bit-identity** — synopses published at distinct keys over the
 //!   wire answer `cdf`/`quantile`/`mass` batches bit-identically to the
 //!   local fits, and retargeting a client between keys never bleeds state.
-//! * **Key lifecycle** — `list_keys`, per-key and store-wide stats,
-//!   `merged_view` (bit-identical to the in-process tree merge) and
+//! * **Key lifecycle** — `list_keys`, per-key and store-wide stats and
 //!   `drop_key` over the wire, with typed `UnknownKey`/`EmptyStore` errors
 //!   for absent and unserved keys.
 //! * **100k-key stress** — a hundred thousand tenants plus a hot set under
@@ -134,17 +133,6 @@ fn the_key_lifecycle_works_over_the_wire() {
     assert_eq!((remote.value.min_epoch, remote.value.max_epoch), (1, 2));
     assert_eq!(remote.epoch, local.max_epoch);
 
-    // The wire merged view is the in-process tree merge, bit for bit.
-    let local_view = map.merged_view(BUDGET).unwrap().expect("served keys");
-    let remote_view = client.merged_view(BUDGET).unwrap();
-    assert_eq!(remote_view.keys, 3);
-    assert_eq!(remote_view.epoch, local_view.epoch);
-    assert_eq!(
-        encode_synopsis(&remote_view.synopsis),
-        encode_synopsis(&local_view.synopsis),
-        "merged synopsis bytes diverged"
-    );
-
     // drop_key: reports prior existence, then the key is really gone.
     let dropped = client.drop_key("api/search").unwrap();
     assert!(dropped.value, "first drop sees the key");
@@ -177,12 +165,6 @@ fn missing_and_unserved_keys_are_typed_errors() {
     match client.cdf_batch(&[0]) {
         Err(NetError::Remote { code: ErrorCode::UnknownKey, .. }) => {}
         other => panic!("expected UnknownKey, got {other:?}"),
-    }
-
-    // A merged view over a map with nothing served is a typed EmptyStore.
-    match client.merged_view(BUDGET) {
-        Err(NetError::Remote { code: ErrorCode::EmptyStore, .. }) => {}
-        other => panic!("expected EmptyStore merged view, got {other:?}"),
     }
 
     // Stats are total: absent keys answer epoch 0 / no synopsis rather than

@@ -190,10 +190,26 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors() {
         responses[0]
     );
 
-    // An op the protocol does not define.
-    let responses = poke(&server, &seal_message(0x77, &[]));
-    assert_eq!(responses.len(), 1);
-    assert!(matches!(&responses[0], Response::Error { code: ErrorCode::UnknownOp, .. }));
+    // An op the protocol does not define: one it never had, and the retired
+    // 0x07 (a store-wide merge) with the 8-byte budget payload it carried.
+    // Each is a typed UnknownOp, and the connection serves the request
+    // behind it.
+    for (op, payload) in [(0x77, Vec::new()), (0x07, 11u64.to_le_bytes().to_vec())] {
+        let mut message = seal_message(op, &payload);
+        message.extend_from_slice(&health_probe());
+        let responses = poke(&server, &message);
+        assert_eq!(responses.len(), 2, "op {op:#04x}: {responses:?}");
+        assert!(
+            matches!(&responses[0], Response::Error { code: ErrorCode::UnknownOp, .. }),
+            "op {op:#04x}: got {:?}",
+            responses[0]
+        );
+        assert!(
+            matches!(&responses[1], Response::QuantileBatch { .. }),
+            "op {op:#04x}: the connection must stay usable, got {:?}",
+            responses[1]
+        );
+    }
 
     // Every version but the current one, each in an internally consistent
     // Stats frame that would be valid at the current version: a typed
@@ -224,15 +240,6 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors() {
             responses[1]
         );
     }
-
-    // Semantic errors keep the connection usable: a malformed request, then
-    // a valid one, on the same stream.
-    let mut both = seal_message(0x77, &[]);
-    both.extend_from_slice(&health_probe());
-    let responses = poke(&server, &both);
-    assert_eq!(responses.len(), 2);
-    assert!(matches!(&responses[0], Response::Error { code: ErrorCode::UnknownOp, .. }));
-    assert!(matches!(&responses[1], Response::QuantileBatch { .. }));
 
     // A server configured with a small frame limit enforces *its* limit.
     let small = HistServer::bind(

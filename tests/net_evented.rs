@@ -17,8 +17,6 @@
 //!   responses, per-connection epoch monotonicity.
 //! * **Buffer reuse** — the write path performs zero allocations across a
 //!   warmed-up steady state, via the server's debug counter.
-//! * **Fallback** — the portable poll(2) backend serves identically to the
-//!   platform epoll backend.
 
 mod common;
 
@@ -445,35 +443,6 @@ mod budget_exhaustion_mid_pipeline_answers_then_closes {
     fn blocking() {
         super::budget_exhaustion_mid_pipeline_answers_then_closes(Delivery::LockStep);
     }
-}
-
-#[test]
-fn the_poll_backend_serves_identically_to_the_platform_backend() {
-    // Force the portable poll(2) fallback and replay the pipelining check:
-    // backend selection must be invisible on the wire.
-    let map = Arc::new(StoreMap::with_initial(served_synopsis()));
-    let config = approx_hist::ServerConfig {
-        force_poll_backend: true,
-        ..approx_hist::ServerConfig::default()
-    };
-    let mut server = HistServer::bind("127.0.0.1:0", map, config).unwrap();
-    let local = served_synopsis();
-
-    let ps = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let wire: Vec<u8> = ps.iter().flat_map(|&p| quantile_request(p)).collect();
-    let mut stream = connect(server.local_addr());
-    stream.write_all(&wire).unwrap();
-    let responses = read_responses(&mut stream, ps.len());
-    for (response, &p) in responses.iter().zip(&ps) {
-        match response {
-            Response::QuantileBatch { indices, .. } => {
-                assert_eq!(indices, &[local.quantile(p).unwrap() as u64])
-            }
-            other => panic!("got {other:?}"),
-        }
-    }
-    drop(stream);
-    server.shutdown();
 }
 
 #[test]

@@ -50,7 +50,6 @@ fn golden_requests() -> Vec<(&'static str, Request)> {
         ("net_stats_request_v3.bin", Request::Stats { key: key() }),
         ("net_store_stats_request_v3.bin", Request::StoreStats),
         ("net_list_keys_request_v3.bin", Request::ListKeys),
-        ("net_merged_view_request_v3.bin", Request::MergedView { budget: 11 }),
         ("net_publish_request_v3.bin", Request::Publish { key: key(), synopsis: synopsis_blob() }),
         (
             "net_update_request_v3.bin",
@@ -119,10 +118,6 @@ fn golden_responses() -> Vec<(&'static str, Response)> {
                     "tenants/api-search".into(),
                 ],
             },
-        ),
-        (
-            "net_merged_view_response_v3.bin",
-            Response::MergedView { epoch: 9, keys: 2, synopsis: synopsis_blob() },
         ),
         ("net_updated_response_v3.bin", Response::Updated { epoch: 8 }),
         ("net_dropped_response_v3.bin", Response::Dropped { epoch: 8, existed: true }),
