@@ -7,10 +7,11 @@
 //! would incur, keeps the `(1 + 1/δ)k` pairs with the largest errors unmerged
 //! and merges the rest, until at most `(2 + 2/δ)k + γ` intervals remain.
 //!
-//! Each round is one in-place `merge_pair_round` (see `crate::segment`) over
-//! buffers a fit allocates once; ties follow `crate::select`'s rule. A dense
-//! [`Signal`](crate::Signal) starts from one point segment per value, with no
-//! sparse copy.
+//! The rounds are `crate::segment`'s, with groups of two: the first reads the
+//! exact segmentation straight from the input (a sparse function, a dense
+//! slice or a [`Signal`](crate::Signal), never copied) and writes the next
+//! level to a buffer of about half its length; later rounds run in place on
+//! that buffer. Ties follow `crate::select`'s rule.
 //!
 //! Guarantees (Theorems 3.3 and 3.4):
 //! * the output has at most `(2 + 2/δ)k + γ` pieces,
@@ -19,13 +20,13 @@
 //! * the running time is `O(s + k(1 + 1/δ)·log((1 + 1/δ)k/γ))`, which is `O(s)`
 //!   for the parameterization of Corollary 3.1.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::partition::Partition;
 use crate::segment::{
-    initial_segments, merge_pair_round, segments_to_histogram, segments_to_partition, Segment,
+    merge_rounds, segments_to_histogram, segments_to_partition, Segment, Segments,
 };
 use crate::sparse::SparseFunction;
 
@@ -49,7 +50,7 @@ pub fn construct_histogram(q: &SparseFunction, params: &MergingParams) -> Result
 
 /// Runs Algorithm 1 and returns only the final partition.
 pub fn construct_partition(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_segments(initial_segments(q), params);
+    let (segments, _) = merge_segments(Segments::Sparse(q), params);
     Ok(segments_to_partition(q.domain(), &segments))
 }
 
@@ -58,36 +59,42 @@ pub fn construct_histogram_with_report(
     q: &SparseFunction,
     params: &MergingParams,
 ) -> Result<(Histogram, MergingReport)> {
-    let (segments, report) = merge_segments(initial_segments(q), params);
+    let (segments, report) = merge_segments(Segments::Sparse(q), params);
     Ok((segments_to_histogram(q.domain(), &segments), report))
 }
 
 /// Convenience wrapper for dense inputs: the signal is treated as an `n`-sparse
-/// function (this is the "offline" setting of the paper's experiments).
+/// function (this is the "offline" setting of the paper's experiments), read
+/// in place.
 pub fn construct_histogram_dense(values: &[f64], params: &MergingParams) -> Result<Histogram> {
-    let q = SparseFunction::from_dense_keep_zeros(values)?;
-    construct_histogram(&q, params)
+    if values.is_empty() {
+        return Err(Error::EmptyDomain);
+    }
+    if values.iter().any(|v| !v.is_finite()) {
+        return Err(Error::NonFiniteValue { context: "construct_histogram_dense" });
+    }
+    let (segments, _) = merge_segments(Segments::Dense(values), params);
+    Ok(segments_to_histogram(values.len(), &segments))
 }
 
-/// The merging loop behind every Algorithm 1 entry point: rounds of
-/// [`merge_pair_round`] over `segments` until at most `(2 + 2/δ)k + γ`
-/// intervals remain. The round's buffers are allocated once per fit.
+/// The merging loop behind every Algorithm 1 entry point: pair rounds over
+/// `src` until at most `(2 + 2/δ)k + γ` intervals remain.
 pub(crate) fn merge_segments(
-    mut segments: Vec<Segment>,
+    src: Segments<'_>,
     params: &MergingParams,
 ) -> (Vec<Segment>, MergingReport) {
-    let initial_intervals = segments.len();
+    let initial_intervals = src.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
-    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
     let mut rounds = 0usize;
 
     // If every pair would be kept, no merge can happen and the loop cannot
     // make progress; this only occurs for extreme parameter choices.
-    while segments.len() > max_intervals && segments.len() / 2 > keep {
-        merge_pair_round(&mut segments, keep, &mut errors, &mut scratch);
-        rounds += 1;
-    }
+    let segments = merge_rounds(src, |len| {
+        let more = len > max_intervals && len / 2 > keep;
+        rounds += usize::from(more);
+        more.then_some((2, keep))
+    });
 
     let report = MergingReport { initial_intervals, final_intervals: segments.len(), rounds };
     (segments, report)

@@ -16,7 +16,7 @@
 use crate::construct::merge_segments;
 use crate::error::{Error, Result};
 use crate::fast::merge_groups;
-use crate::hierarchical::{hierarchy_from_segments, histogram_for_k, HierarchicalHistogram};
+use crate::hierarchical::{hierarchy, histogram_for_k, HierarchicalHistogram};
 use crate::params::MergingParams;
 use crate::segment::segments_to_histogram;
 use crate::signal::Signal;
@@ -298,7 +298,7 @@ impl Estimator for GreedyMerging {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         let params = self.builder.merging_params()?;
-        let (segments, _) = merge_segments(signal.initial_segments(), &params);
+        let (segments, _) = merge_segments(signal.segments(), &params);
         let histogram = segments_to_histogram(signal.domain(), &segments);
         Ok(Synopsis::new(self.name, self.builder.k(), FittedModel::Histogram(histogram)))
     }
@@ -331,7 +331,7 @@ impl Estimator for FastMerging {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         let params = self.builder.merging_params()?;
-        let (segments, _) = merge_groups(signal.initial_segments(), &params);
+        let (segments, _) = merge_groups(signal.segments(), &params);
         let histogram = segments_to_histogram(signal.domain(), &segments);
         Ok(Synopsis::new(self.name, self.builder.k(), FittedModel::Histogram(histogram)))
     }
@@ -355,7 +355,7 @@ impl Hierarchical {
     /// single [`Synopsis`] serves) — the entry point for Pareto sweeps over
     /// all piece budgets at once.
     pub fn fit_hierarchy(&self, signal: &Signal) -> Result<HierarchicalHistogram> {
-        Ok(hierarchy_from_segments(signal.domain(), signal.initial_segments()))
+        Ok(hierarchy(signal.domain(), signal.segments()))
     }
 }
 
@@ -366,8 +366,7 @@ impl Estimator for Hierarchical {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         self.builder.merging_params()?; // validate k
-        let histogram =
-            histogram_for_k(signal.domain(), signal.initial_segments(), self.builder.k());
+        let histogram = histogram_for_k(signal.domain(), signal.segments(), self.builder.k());
         Ok(Synopsis::new(self.name(), self.builder.k(), FittedModel::Histogram(histogram)))
     }
 }

@@ -7,9 +7,11 @@
 //! working partition shrinks), so the interval count drops much faster while the
 //! total running time is still dominated by the first round and remains `O(s)`.
 //!
-//! Rounds run in place like Algorithm 1's: `mark_top_t` marks the kept groups
-//! (same selection and tie rule as pairs) and `compact_groups` moves them forward
-//! with `copy_within`, writing merged groups over the list's own front.
+//! The rounds are Algorithm 1's (see `crate::segment`) with groups of `g`:
+//! the first reads the exact segmentation straight from the input and writes
+//! about `1/g` of it to a new buffer, later ones rewrite that buffer in place.
+//! `mark_top_t` marks the kept groups (same selection and tie rule as pairs)
+//! and each other full group becomes one segment by the same fold.
 //!
 //! The approximation argument of Theorem 3.3 carries over: a group is only
 //! merged when its flattening error is not among the `(1 + 1/δ)k` largest, so
@@ -21,8 +23,9 @@ use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::partition::Partition;
-use crate::segment::{initial_segments, segments_to_histogram, segments_to_partition, Segment};
-use crate::select::{compact_groups, mark_top_t};
+use crate::segment::{
+    merge_rounds, segments_to_histogram, segments_to_partition, Segment, Segments,
+};
 use crate::sparse::SparseFunction;
 
 /// Summary statistics of one run of the `fastmerging` algorithm.
@@ -45,7 +48,7 @@ pub fn construct_histogram_fast(q: &SparseFunction, params: &MergingParams) -> R
 
 /// Runs the `fastmerging` variant and returns only the final partition.
 pub fn construct_partition_fast(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_groups(initial_segments(q), params);
+    let (segments, _) = merge_groups(Segments::Sparse(q), params);
     Ok(segments_to_partition(q.domain(), &segments))
 }
 
@@ -54,7 +57,7 @@ pub fn construct_histogram_fast_with_report(
     q: &SparseFunction,
     params: &MergingParams,
 ) -> Result<(Histogram, FastMergingReport)> {
-    let (segments, report) = merge_groups(initial_segments(q), params);
+    let (segments, report) = merge_groups(Segments::Sparse(q), params);
     Ok((segments_to_histogram(q.domain(), &segments), report))
 }
 
@@ -67,36 +70,29 @@ fn group_size(current: usize, keep: usize) -> usize {
     (current / (4 * keep.max(1))).max(2)
 }
 
-/// The merging loop behind every `fastmerging` entry point. Like Algorithm 1,
-/// each round rewrites `segments` in place and reuses its buffers.
+/// The merging loop behind every `fastmerging` entry point: group rounds over
+/// `src` until at most `(2 + 2/δ)k + γ` intervals remain.
 pub(crate) fn merge_groups(
-    mut segments: Vec<Segment>,
+    src: Segments<'_>,
     params: &MergingParams,
 ) -> (Vec<Segment>, FastMergingReport) {
-    let initial_intervals = segments.len();
+    let initial_intervals = src.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
-    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
     let mut rounds = 0usize;
     let mut max_group_size = 0usize;
 
-    while segments.len() > max_intervals {
-        let g = group_size(segments.len(), keep);
-        // If every group would be kept, no merge can happen and the loop cannot
-        // make progress; this only occurs for extreme parameter choices.
-        if segments.len() / g <= keep {
-            break;
+    let segments = merge_rounds(src, |len| {
+        let g = group_size(len, keep);
+        // If every group would be kept, no merge can happen and the loop
+        // cannot make progress; this only occurs for extreme parameter choices.
+        if len <= max_intervals || len / g <= keep {
+            return None;
         }
         max_group_size = max_group_size.max(g);
-
-        // Error incurred by flattening each group of g consecutive segments.
-        errors.clear();
-        errors.extend(segments.chunks_exact(g).map(|group| merge_group(group).sse()));
-        mark_top_t(&mut errors, keep, &mut scratch);
-        // Leftover segments that did not form a complete group are carried over.
-        compact_groups(&mut segments, g, &errors, merge_group);
         rounds += 1;
-    }
+        Some((g, keep))
+    });
 
     let report = FastMergingReport {
         initial_intervals,
@@ -105,18 +101,6 @@ pub(crate) fn merge_groups(
         max_group_size,
     };
     (segments, report)
-}
-
-/// Merges a run of adjacent segments into a single segment.
-fn merge_group(group: &[Segment]) -> Segment {
-    let first = group.first().expect("groups are non-empty");
-    let last = group.last().expect("groups are non-empty");
-    Segment {
-        start: first.start,
-        end: last.end,
-        sum: group.iter().map(|s| s.sum).sum(),
-        sum_sq: group.iter().map(|s| s.sum_sq).sum(),
-    }
 }
 
 #[cfg(test)]

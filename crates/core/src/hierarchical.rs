@@ -7,10 +7,12 @@
 //! Theorem 3.5 guarantees that for every `1 ≤ k ≤ s` there is a level `I_j` with
 //! at most `8k` intervals whose flattening has error at most `2·opt_k`.
 //!
-//! Each level comes from Algorithm 1's in-place pair round (same tie rule),
-//! shown to a visitor: [`construct_hierarchical_histogram`] records
-//! every level, the [`Hierarchical`](crate::Hierarchical) estimator stops at
-//! the first with at most `8k` intervals and builds only that histogram.
+//! Each level comes from Algorithm 1's pair round (same tie rule, see
+//! `crate::segment`). [`construct_hierarchical_histogram`] records every
+//! level, so it collects level 0 and runs every round in place on it. The
+//! [`Hierarchical`](crate::Hierarchical) estimator reads level 0 straight from
+//! the signal, stops at the first level with at most `8k` intervals and
+//! builds only that histogram.
 //!
 //! The returned [`HierarchicalHistogram`] stores every level together with its
 //! exact flattening error, so callers can walk the whole Pareto curve between
@@ -22,8 +24,8 @@ use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::partition::Partition;
 use crate::segment::{
-    initial_segments, merge_pair_round, segments_to_histogram, segments_to_partition, total_sse,
-    Segment,
+    merge_round, merge_rounds, segments_to_histogram, segments_to_partition, total_sse, Segment,
+    Segments,
 };
 use crate::sparse::SparseFunction;
 
@@ -129,7 +131,7 @@ impl HierarchicalHistogram {
     /// level with at most `8k` intervals. Its flattening error is at most
     /// `2·opt_k`.
     pub fn level_for_k(&self, k: usize) -> &HierarchyLevel {
-        &self.levels[self.level_for_pieces(8 * k.max(1))]
+        &self.levels[self.level_for_pieces(max_pieces_for_k(k))]
     }
 
     /// Convenience wrapper around [`Self::level_for_k`] returning the histogram
@@ -154,43 +156,36 @@ impl HierarchicalHistogram {
 /// level. The loop stops when fewer than 8 intervals remain. Total running
 /// time and memory are `O(s)` (the level sizes decay geometrically).
 pub fn construct_hierarchical_histogram(q: &SparseFunction) -> Result<HierarchicalHistogram> {
-    Ok(hierarchy_from_segments(q.domain(), initial_segments(q)))
+    Ok(hierarchy(q.domain(), Segments::Sparse(q)))
 }
 
-/// Every level of the hierarchy grown from the initial `segments`.
-pub(crate) fn hierarchy_from_segments(
-    domain: usize,
-    segments: Vec<Segment>,
-) -> HierarchicalHistogram {
-    let mut levels = Vec::new();
-    merge_levels(segments, |level| {
-        levels.push(HierarchyLevel::from_segments(domain, level));
-        true
-    });
+/// Theorem 3.5's piece budget `8k` for `k ≥ 1` (saturating: a `k` whose `8k`
+/// overflows is served by level 0, as an unbounded budget would be).
+fn max_pieces_for_k(k: usize) -> usize {
+    k.max(1).saturating_mul(8)
+}
+
+/// Every level of the hierarchy grown from `src`.
+pub(crate) fn hierarchy(domain: usize, src: Segments<'_>) -> HierarchicalHistogram {
+    let mut segments = src.to_vec();
+    let mut levels = vec![HierarchyLevel::from_segments(domain, &segments)];
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
+    while segments.len() >= 8 {
+        let keep = segments.len() / 4;
+        merge_round(&mut segments, 2, keep, &mut errors, &mut scratch);
+        levels.push(HierarchyLevel::from_segments(domain, &segments));
+    }
     HierarchicalHistogram { domain, levels }
 }
 
 /// The histogram of the level [`HierarchicalHistogram::level_for_k`] serves,
 /// built without the levels after it or the partitions before it.
-pub(crate) fn histogram_for_k(domain: usize, segments: Vec<Segment>, k: usize) -> Histogram {
-    // The last level has fewer than 8 ≤ 8k intervals, so one is always found.
-    let level = merge_levels(segments, |level| level.len() > 8 * k.max(1));
+pub(crate) fn histogram_for_k(domain: usize, src: Segments<'_>, k: usize) -> Histogram {
+    // At least 8 pieces are allowed, so the rounds stop at the latest on the
+    // hierarchy's last level (fewer than 8 intervals).
+    let max_pieces = max_pieces_for_k(k);
+    let level = merge_rounds(src, |len| (len > max_pieces).then_some((2, len / 4)));
     segments_to_histogram(domain, &level)
-}
-
-/// Algorithm 2's rounds: shows each level to `visit`, level 0 first, and runs
-/// one more in-place round while `visit` asks for it and at least 8 intervals
-/// remain. Returns the last level visited.
-fn merge_levels(
-    mut segments: Vec<Segment>,
-    mut visit: impl FnMut(&[Segment]) -> bool,
-) -> Vec<Segment> {
-    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
-    while visit(&segments) && segments.len() >= 8 {
-        let keep = segments.len() / 4;
-        merge_pair_round(&mut segments, keep, &mut errors, &mut scratch);
-    }
-    segments
 }
 
 #[cfg(test)]
@@ -287,6 +282,23 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1].0 < w[0].0);
             assert!(w[1].1 + 1e-12 >= w[0].1);
+        }
+    }
+
+    /// A `k` whose `8k` overflows allows every level: level 0 is served, in
+    /// release and debug builds alike.
+    #[test]
+    fn huge_k_serves_level_zero() {
+        use crate::{Estimator, EstimatorBuilder, Hierarchical, Signal};
+        let mut seed = 17u64;
+        let values: Vec<f64> = (0..4_096).map(|_| lcg(&mut seed)).collect();
+        let signal = Signal::from_slice(&values).unwrap();
+        let hier = construct_hierarchical_histogram(&signal.as_sparse()).unwrap();
+        assert!(hier.num_levels() > 1);
+        for k in [usize::MAX / 8 + 1, usize::MAX] {
+            assert_eq!(hier.level_for_k(k).num_pieces(), 4_096, "k = {k}");
+            let fit = Hierarchical::new(EstimatorBuilder::new(k)).fit(&signal).unwrap();
+            assert_eq!(fit.histogram().unwrap(), &hier.level(0).histogram(), "k = {k}");
         }
     }
 

@@ -3,18 +3,27 @@
 //! A [`Segment`] is one interval of the evolving partition together with the
 //! sufficient statistics (`Σ q`, `Σ q²`) needed to evaluate merging errors in
 //! constant time. These statistics play the role of the precomputed partial
-//! sums `r_j`, `t_j` in Algorithm 1 of the paper: once the initial segments are
-//! built in `O(s)` time, every candidate merge error is an `O(1)` computation.
+//! sums `r_j`, `t_j` in Algorithm 1 of the paper: every candidate merge error
+//! is an `O(1)` computation.
 //!
-//! `merge_pair_round` is the one pair round under Algorithms 1 and 2: it fills
-//! a reused error buffer, marks the `keep` largest with `mark_top_t` (the tie
-//! rule the golden tests pin bit for bit) and compacts the list in place.
+//! A fit does not build the initial segmentation `I₀` as a list. [`Segments`]
+//! generates it on demand from the signal, and [`merge_rounds`] runs one
+//! round shape under Algorithms 1 and 2 and `fastmerging`: the first round
+//! reads `I₀` twice (once for the group errors, once to emit the next level
+//! into a buffer about `1/g` of its length), and every later round rewrites
+//! that buffer in place. Each round marks the `keep` largest group errors with
+//! `mark_top_t` (the tie rule the golden tests pin bit for bit) and merges
+//! every other full group with [`merge_run`]. `I₀` becomes a list only when
+//! it is the output (no round runs) or when the caller records level 0 (the
+//! full hierarchy, through [`Segments::to_vec`]).
+
+use std::iter;
 
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
 use crate::partition::Partition;
-use crate::select::{compact_groups, mark_top_t};
+use crate::select::{compact_groups, mark_top_t, KEPT};
 use crate::sparse::SparseFunction;
 
 /// One interval of the working partition, with cached sum and sum of squares of
@@ -120,20 +129,196 @@ pub fn initial_segments(q: &SparseFunction) -> Vec<Segment> {
     segments
 }
 
-/// One merging round over consecutive pairs of `segments`, in place: the
-/// `keep` pairs with the largest merging errors stay unmerged, every other
-/// pair becomes one segment, and a trailing odd segment is carried over.
-/// `errors` and `scratch` are working buffers reused across rounds.
-pub(crate) fn merge_pair_round(
+/// The exact initial segmentation `I₀` of a signal, generated on demand
+/// rather than stored: what [`initial_segments`] returns, for either
+/// representation.
+#[derive(Clone, Copy)]
+pub(crate) enum Segments<'a> {
+    /// One [`Segment::point`] per value.
+    Dense(&'a [f64]),
+    /// Every entry as a point and every maximal run of zeros as one segment.
+    Sparse(&'a SparseFunction),
+}
+
+impl Segments<'_> {
+    /// Number of segments in `I₀`.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Segments::Dense(values) => values.len(),
+            Segments::Sparse(q) => {
+                // The entries, and one zero run per gap before, between and
+                // after them.
+                let starts = iter::once(0).chain(q.entries().iter().map(|&(i, _)| i + 1));
+                let ends = q.entries().iter().map(|&(i, _)| i).chain(iter::once(q.domain()));
+                q.sparsity() + starts.zip(ends).filter(|(start, end)| start < end).count()
+            }
+        }
+    }
+
+    /// `I₀` as a list.
+    pub(crate) fn to_vec(self) -> Vec<Segment> {
+        match self {
+            Segments::Dense(values) => dense_points(values).collect(),
+            Segments::Sparse(q) => SparseRuns::new(q).collect(),
+        }
+    }
+}
+
+/// [`Segments::Dense`]'s segments.
+fn dense_points(values: &[f64]) -> impl Iterator<Item = Segment> + Clone + '_ {
+    values.iter().enumerate().map(|(i, &v)| Segment::point(i, v))
+}
+
+/// [`Segments::Sparse`]'s segments: the zero run before each entry, the
+/// entry's point, and the zero run after the last entry.
+#[derive(Clone)]
+struct SparseRuns<'a> {
+    entries: &'a [(usize, f64)],
+    /// First index not yet covered.
+    cursor: usize,
+    domain: usize,
+}
+
+impl<'a> SparseRuns<'a> {
+    fn new(q: &'a SparseFunction) -> Self {
+        Self { entries: q.entries(), cursor: 0, domain: q.domain() }
+    }
+}
+
+impl Iterator for SparseRuns<'_> {
+    type Item = Segment;
+
+    #[inline]
+    fn next(&mut self) -> Option<Segment> {
+        let start = self.cursor;
+        match self.entries.split_first() {
+            Some((&(i, _), _)) if i > start => {
+                self.cursor = i;
+                Some(Segment::zero(start, i - 1))
+            }
+            Some((&(i, v), rest)) => {
+                self.entries = rest;
+                self.cursor = i + 1;
+                Some(Segment::point(i, v))
+            }
+            None if start < self.domain => {
+                self.cursor = self.domain;
+                Some(Segment::zero(start, self.domain - 1))
+            }
+            None => None,
+        }
+    }
+}
+
+/// The one group merge of every round: the segment covering a run of
+/// adjacent segments, folded left to right with [`Segment::merged`]. Its sums
+/// equal `Iterator::sum`'s, which folds from `−0.0` (and `−0.0 + x` is `x`
+/// bit for bit).
+#[inline]
+fn merge_run(mut run: impl Iterator<Item = Segment>) -> Segment {
+    let first = run.next().expect("runs are non-empty");
+    run.fold(first, |merged, s| merged.merged(&s))
+}
+
+/// Runs a fit's merging rounds over `src` and returns the last level.
+/// `plan(len)` gives the next round's group size `g ≥ 2` and keep count for a
+/// level of `len` segments, or `None` to stop there. The first round reads
+/// `src` itself; later rounds run in place on the buffer it wrote, so the
+/// full-length `I₀` is never built unless no round runs.
+pub(crate) fn merge_rounds(
+    src: Segments<'_>,
+    plan: impl FnMut(usize) -> Option<(usize, usize)>,
+) -> Vec<Segment> {
+    // One dispatch per fit: every round below is monomorphic in its source.
+    match src {
+        Segments::Dense(values) => rounds_from(dense_points(values), src.len(), plan),
+        Segments::Sparse(q) => rounds_from(SparseRuns::new(q), src.len(), plan),
+    }
+}
+
+fn rounds_from<S: Iterator<Item = Segment> + Clone>(
+    src: S,
+    len: usize,
+    mut plan: impl FnMut(usize) -> Option<(usize, usize)>,
+) -> Vec<Segment> {
+    let Some((g, keep)) = plan(len) else {
+        return src.collect();
+    };
+    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
+    let mut segments = match g {
+        2 => round_into::<2, S>(src, len, g, keep, &mut errors, &mut scratch),
+        _ => round_into::<0, S>(src, len, g, keep, &mut errors, &mut scratch),
+    };
+    while let Some((g, keep)) = plan(segments.len()) {
+        merge_round(&mut segments, g, keep, &mut errors, &mut scratch);
+    }
+    segments
+}
+
+/// One round from a source of `len` segments into a new buffer: the `keep`
+/// groups of `g` with the largest merging errors are copied through, every
+/// other full group becomes one segment, and the segments after the last full
+/// group are carried over. `errors` and `scratch` are the round's working
+/// buffers.
+///
+/// `G` is `g` when the caller knows it at compile time (2, for pair rounds)
+/// and 0 otherwise: each `G` gets its own code, so a pair's merge is one add
+/// rather than a loop over a run-time group size.
+fn round_into<const G: usize, S: Iterator<Item = Segment> + Clone>(
+    src: S,
+    len: usize,
+    g: usize,
+    keep: usize,
+    errors: &mut Vec<f64>,
+    scratch: &mut Vec<(f64, usize)>,
+) -> Vec<Segment> {
+    let g = if G == 0 { g } else { G };
+    let mut items = src.clone();
+    errors.clear();
+    errors.extend((0..len / g).map(|_| merge_run(items.by_ref().take(g)).sse()));
+    mark_top_t(errors, keep, scratch);
+
+    let mut out = Vec::with_capacity(len.div_ceil(g) + keep * (g - 1) + g);
+    let mut items = src;
+    for &error in errors.iter() {
+        if error == KEPT {
+            out.extend(items.by_ref().take(g));
+        } else {
+            out.push(merge_run(items.by_ref().take(g)));
+        }
+    }
+    out.extend(items);
+    out
+}
+
+/// The same round as [`round_into`], in place on `segments`.
+pub(crate) fn merge_round(
     segments: &mut Vec<Segment>,
+    g: usize,
     keep: usize,
     errors: &mut Vec<f64>,
     scratch: &mut Vec<(f64, usize)>,
 ) {
+    match g {
+        2 => round_in_place::<2>(segments, g, keep, errors, scratch),
+        _ => round_in_place::<0>(segments, g, keep, errors, scratch),
+    }
+}
+
+/// [`merge_round`] with `G` as in [`round_into`].
+fn round_in_place<const G: usize>(
+    segments: &mut Vec<Segment>,
+    g: usize,
+    keep: usize,
+    errors: &mut Vec<f64>,
+    scratch: &mut Vec<(f64, usize)>,
+) {
+    let g = if G == 0 { g } else { G };
+    let merge = |group: &[Segment]| merge_run(group.iter().copied());
     errors.clear();
-    errors.extend(segments.chunks_exact(2).map(|pair| pair[0].merged_sse(&pair[1])));
+    errors.extend(segments.chunks_exact(g).map(|group| merge(group).sse()));
     mark_top_t(errors, keep, scratch);
-    compact_groups(segments, 2, errors, |pair| pair[0].merged(&pair[1]));
+    compact_groups(segments, g, errors, merge);
 }
 
 /// Converts a list of contiguous segments into a [`Partition`].

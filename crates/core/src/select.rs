@@ -3,14 +3,26 @@
 //!
 //! Each round keeps the `t` candidates (pairs, or groups in `fastmerging`) with
 //! the largest merging errors. Where the paper uses linear-time selection,
-//! `mark_top_t` runs introselect (`select_nth_unstable_by`) over a reused
-//! buffer of `(error, position)` pairs; `compact_groups` applies the marks in
-//! place. Ties at the threshold fall where introselect's comparisons put them:
-//! exactly the positions an indirect selection over a position array picks.
+//! `mark_top_t` first tries a threshold when `t` is small next to the
+//! candidate count (at most 1/64 of it, the first rounds of Algorithm 1): one
+//! pass with a size-`t` min-heap finds the `t`-th largest error `τ`, a second
+//! counts the errors `≥ τ`, and if there are exactly `t` they are the unique
+//! top-`t` set, which any exact selection picks. Otherwise (a tie straddles
+//! `τ`, or `t` is large) it runs introselect (`select_nth_unstable_by`) over a
+//! reused buffer of `(error, position)` pairs; ties at the threshold fall where
+//! introselect's comparisons put them: exactly the positions an indirect
+//! selection over a position array picks. `compact_groups` applies the marks
+//! in place.
 
 /// The value [`mark_top_t`] writes over a kept error. Merging errors are
 /// squared distances, so they are never negative.
 pub(crate) const KEPT: f64 = -1.0;
+
+/// `mark_top_t` tries the threshold only while `t · HEAP_RATIO ≤ len`. The
+/// heap pass pays `O(log t)` per replacement (about `t·ln(len/t)` of them on
+/// errors in random order), so with larger `t` introselect is as fast, and
+/// a failed attempt is pure overhead.
+const HEAP_RATIO: usize = 64;
 
 /// Marks the `t` largest of `errors` by overwriting them with [`KEPT`],
 /// choosing exactly `min(t, len)` positions (ties at the threshold are broken
@@ -24,6 +36,12 @@ pub(crate) fn mark_top_t(errors: &mut [f64], t: usize, scratch: &mut Vec<(f64, u
         errors.fill(KEPT);
         return;
     }
+    if t <= errors.len() / HEAP_RATIO && unique_top_t(errors, t, scratch) {
+        for &(_, pos) in scratch.iter() {
+            errors[pos] = KEPT;
+        }
+        return;
+    }
     scratch.clear();
     scratch.extend(errors.iter().copied().zip(0..));
     scratch.select_nth_unstable_by(t - 1, |a, b| {
@@ -31,6 +49,42 @@ pub(crate) fn mark_top_t(errors: &mut [f64], t: usize, scratch: &mut Vec<(f64, u
     });
     for &(_, pos) in &scratch[..t] {
         errors[pos] = KEPT;
+    }
+}
+
+/// Leaves in `heap` the `(error, position)` pairs of `t` largest errors
+/// (`0 < t < len`) and returns whether no other error equals the smallest of
+/// them, i.e. whether they are the only top-`t` set.
+fn unique_top_t(errors: &[f64], t: usize, heap: &mut Vec<(f64, usize)>) -> bool {
+    heap.clear();
+    heap.extend(errors[..t].iter().copied().zip(0..));
+    for i in (0..t / 2).rev() {
+        sift_down(heap, i);
+    }
+    for (pos, &error) in errors.iter().enumerate().skip(t) {
+        if error > heap[0].0 {
+            heap[0] = (error, pos);
+            sift_down(heap, 0);
+        }
+    }
+    let threshold = heap[0].0;
+    errors.iter().filter(|&&error| error >= threshold).count() == t
+}
+
+/// Restores the min-heap order below `i`.
+fn sift_down(heap: &mut [(f64, usize)], mut i: usize) {
+    loop {
+        let mut least = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < heap.len() && heap[child].0 < heap[least].0 {
+                least = child;
+            }
+        }
+        if least == i {
+            return;
+        }
+        heap.swap(i, least);
+        i = least;
     }
 }
 
@@ -132,12 +186,23 @@ mod tests {
         }
     }
 
+    /// The bits `mark_top_t` leaves, and the bits the oracle's mask gives.
+    fn marked_and_expected_bits(values: &[f64], t: usize) -> (Vec<u64>, Vec<u64>) {
+        let mut errors = values.to_vec();
+        mark_top_t(&mut errors, t, &mut Vec::new());
+        let mask = top_t_mask(values, t);
+        let expected = values.iter().zip(mask).map(|(&v, kept)| if kept { KEPT } else { v });
+        (errors.iter().map(|e| e.to_bits()).collect(), expected.map(f64::to_bits).collect())
+    }
+
     /// `mark_top_t` must choose exactly the positions the indirect selection
-    /// chooses, ties included: the merging outputs depend on it.
+    /// chooses, ties included, and leave every other bit alone: the merging
+    /// outputs depend on it. Small `t` next to `len` takes the threshold, and
+    /// its introselect fallback when a tie straddles it.
     #[test]
     fn marks_exactly_the_indirect_selection() {
         let mut cases: Vec<Vec<f64>> = Vec::new();
-        for len in [1, 2, 7, 16, 17, 33, 64, 65, 500, 4_099] {
+        for len in [1, 2, 7, 16, 17, 33, 64, 65, 500, 4_096, 4_099, 16_384] {
             cases.push(lcg_values(len as u64, len));
             cases.push(vec![3.5; len]);
             cases.push(vec![0.0; len]);
@@ -148,11 +213,33 @@ mod tests {
             let mid = len / 2;
             ramp[mid.saturating_sub(3)..(mid + 3).min(len)].fill(len as f64 / 2.0);
             cases.push(ramp);
+            // Zeros of both signs, and a positive value every 97 positions.
+            let signed_zero = |i: usize| if i & 1 == 0 { -0.0 } else { 0.0 };
+            cases.push(
+                (0..len)
+                    .map(|i| if i % 97 == 0 { (i + 1) as f64 } else { signed_zero(i) })
+                    .collect(),
+            );
         }
+        // Noise below 1 under 9.0 three times and 5.0 four times: the 1 or 5
+        // largest straddle a tie, the 3 or 7 largest do not.
+        let mut straddled = lcg_values(99, 8_192);
+        for pos in [10, 900, 4_000] {
+            straddled[pos] = 9.0;
+        }
+        for pos in [5, 77, 6_000, 8_191] {
+            straddled[pos] = 5.0;
+        }
+        assert!(unique_top_t(&straddled, 7, &mut Vec::new()));
+        assert!(!unique_top_t(&straddled, 5, &mut Vec::new()));
+        cases.push(straddled);
+
         for values in &cases {
             let len = values.len();
-            for t in [0, 1, len / 3, len / 2, len - 1, len, len + 3] {
-                assert_eq!(marked(values, t), top_t_mask(values, t), "len {len}, t = {t}");
+            let small = [1, 3, 5, 7, 65, len / 64, len / 64 + 1];
+            for t in small.into_iter().chain([0, len / 3, len / 2, len - 1, len, len + 3]) {
+                let (got, want) = marked_and_expected_bits(values, t);
+                assert_eq!(got, want, "len {len}, t = {t}");
             }
         }
     }

@@ -6,13 +6,18 @@
 //! from an unknown distribution. [`Signal`] unifies those shapes behind cheap
 //! conversions so that a single [`Estimator::fit`](crate::Estimator::fit)
 //! entry point serves them all.
+//!
+//! The merging estimators read a signal's exact initial segmentation straight
+//! from whichever representation it stores (one point per dense value, or the
+//! sparse entries and the zero runs between them), so a fit converts neither
+//! view into the other.
 
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
 use crate::function::{DenseFunction, DiscreteFunction};
 use crate::interval::Interval;
-use crate::segment::{initial_segments, Segment};
+use crate::segment::Segments;
 use crate::sparse::SparseFunction;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -110,14 +115,12 @@ impl Signal {
         }
     }
 
-    /// The merging algorithms' exact initial segmentation: for a dense signal,
-    /// what [`initial_segments`] yields on [`Signal::as_sparse`], uncopied.
-    pub(crate) fn initial_segments(&self) -> Vec<Segment> {
+    /// The merging algorithms' exact initial segmentation, read from the
+    /// stored representation as the rounds need it (no copy of either view).
+    pub(crate) fn segments(&self) -> Segments<'_> {
         match &self.repr {
-            Repr::Sparse(q) => initial_segments(q),
-            Repr::Dense(f) => {
-                f.values().iter().enumerate().map(|(i, &v)| Segment::point(i, v)).collect()
-            }
+            Repr::Sparse(q) => Segments::Sparse(q),
+            Repr::Dense(f) => Segments::Dense(f.values()),
         }
     }
 
@@ -205,6 +208,7 @@ impl DiscreteFunction for Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{initial_segments, Segment};
 
     #[test]
     fn dense_and_sparse_views_agree() {
@@ -221,11 +225,36 @@ mod tests {
         assert_eq!(dense.l2_norm_squared(), 1.5 * 1.5 + 2.5 * 2.5);
     }
 
+    /// The segments the rounds read are [`initial_segments`]'s, bit for bit.
     #[test]
-    fn dense_initial_segments_match_the_sparse_view() {
+    fn segments_match_initial_segments() {
+        let cases = [
+            (1, vec![]),
+            (1, vec![(0, -0.0)]),
+            (9, vec![]),
+            (9, vec![(0, 2.0)]),
+            (9, vec![(8, -3.0)]),
+            (9, vec![(0, 1.0), (8, 4.0)]),
+            (9, vec![(2, 1.0), (3, 0.0), (4, -0.0), (7, 5.0)]),
+            (9, (0..9).map(|i| (i, i as f64)).collect()),
+        ];
+        let bits = |segs: &[Segment]| -> Vec<_> {
+            segs.iter().map(|s| (s.start, s.end, s.sum.to_bits(), s.sum_sq.to_bits())).collect()
+        };
+        for (domain, entries) in cases {
+            let q = SparseFunction::new(domain, entries).unwrap();
+            let signal = Signal::from_sparse(q.clone());
+            let want = initial_segments(&q);
+            assert_eq!(bits(&signal.segments().to_vec()), bits(&want), "{q:?}");
+            assert_eq!(signal.segments().len(), want.len(), "{q:?}");
+        }
+
         let values = vec![0.0, -1.5, 0.0, 2.5, -0.0];
         let dense = Signal::from_slice(&values).unwrap();
-        assert_eq!(dense.initial_segments(), initial_segments(&dense.as_sparse()));
+        let points: Vec<_> =
+            values.iter().enumerate().map(|(i, &v)| Segment::point(i, v)).collect();
+        assert_eq!(bits(&dense.segments().to_vec()), bits(&points));
+        assert_eq!(dense.segments().len(), values.len());
     }
 
     #[test]

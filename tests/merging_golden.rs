@@ -1,16 +1,22 @@
 //! Differential goldens for the merging algorithms: a checksum of every
 //! `merging`, `fastmerging` and `hierarchical` fit over a set of seeded,
-//! Table 1 and tie-heavy inputs, so a change to the merge rounds that moves
-//! one boundary or one value bit anywhere fails here.
+//! Table 1, tie-heavy and sparse edge-case inputs, so a change to the merge
+//! rounds that moves one boundary or one value bit anywhere fails here, and
+//! the round counts of Algorithm 1's and `fastmerging`'s reports.
 //!
 //! The checksum is FNV-1a over each piece's interval end and value bits. The
-//! constants were captured from the copy-per-round loops the in-place rounds
-//! replaced, so they hold the rounds to that output bit for bit. If one fails
-//! after an *intentional* algorithm change, re-derive them with
+//! first eight inputs' constants were captured from the copy-per-round loops
+//! the in-place rounds replaced; `ties` and `sparse-edges` and the report
+//! counts were captured from the in-place rounds before the first round read
+//! its input directly. If one fails after an *intentional* algorithm change,
+//! re-derive them with
 //! `cargo test --release --test merging_golden -- --ignored --nocapture`
 //! and update them in the same commit.
 
-use approx_hist::core::construct_hierarchical_histogram;
+use approx_hist::core::{
+    construct_hierarchical_histogram, construct_histogram_fast_with_report,
+    construct_histogram_with_report,
+};
 use approx_hist::datasets::{dow_dataset, hist_dataset, poly_dataset};
 use approx_hist::{
     Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, Histogram, Signal,
@@ -47,6 +53,19 @@ fn sparse(seed: u64, domain: usize, nonzeros: usize) -> SparseFunction {
     SparseFunction::new(domain, entries.collect()).unwrap()
 }
 
+/// Entries at `0` and `n − 1`, runs of adjacent entries (explicit zeros and
+/// negative values among them) and gaps of every length in between.
+fn sparse_edges(domain: usize) -> SparseFunction {
+    let mut entries = vec![(0, 2.5)];
+    for i in 1..domain / 32 - 1 {
+        let base = i * 32 + (i * 7) % 29;
+        let run = 1 + usize::from(i % 3 == 0) + usize::from(i % 5 == 0);
+        entries.extend((base..base + run).map(|j| (j, ((j * 13) % 9) as f64 - 4.0)));
+    }
+    entries.extend([(domain - 2, -1.0), (domain - 1, 7.0)]);
+    SparseFunction::new(domain, entries).unwrap()
+}
+
 /// The golden inputs, by name.
 fn inputs() -> Vec<(&'static str, Signal)> {
     let dense = |values: Vec<f64>| Signal::from_dense(values).unwrap();
@@ -59,6 +78,10 @@ fn inputs() -> Vec<(&'static str, Signal)> {
         ("steps", dense((0..4_096).map(|i| ((i / 300) % 5) as f64).collect())),
         ("zeros", dense(vec![0.0; 1_000])),
         ("periodic", dense((0..5_001).map(|i| (i % 7) as f64).collect())),
+        // Few distinct pair errors: the keep threshold falls inside a tie
+        // from the first round on.
+        ("ties", dense((0..1 << 15).map(|i| ((i * 5) % 11) as f64).collect())),
+        ("sparse-edges", Signal::from_sparse(sparse_edges(1 << 16))),
     ]
 }
 
@@ -98,6 +121,19 @@ fn checksum(algo: &str, signal: &Signal) -> u64 {
 
 const ALGOS: [&str; 3] = ["merging", "fastmerging", "hierarchical"];
 
+/// `[initial_intervals, rounds, fastmerging rounds, max_group_size]` of the
+/// reports Algorithm 1 and `fastmerging` give for `signal` under every builder.
+fn reports(signal: &Signal) -> [[usize; 4]; 3] {
+    let q = signal.as_sparse();
+    builders().map(|builder| {
+        let params = builder.merging_params().unwrap();
+        let (_, pair) = construct_histogram_with_report(&q, &params).unwrap();
+        let (_, fast) = construct_histogram_fast_with_report(&q, &params).unwrap();
+        assert_eq!(pair.initial_intervals, fast.initial_intervals);
+        [pair.initial_intervals, pair.rounds, fast.rounds, fast.max_group_size]
+    })
+}
+
 #[test]
 #[ignore = "golden-regeneration helper, not a regression test"]
 fn print_merging_checksums() {
@@ -106,10 +142,13 @@ fn print_merging_checksums() {
             ALGOS.iter().map(|algo| format!("0x{:016x}", checksum(algo, &signal))).collect();
         println!("(\"{name}\", [{}]),", sums.join(", "));
     }
+    for (name, signal) in inputs() {
+        println!("(\"{name}\", {:?}),", reports(&signal));
+    }
 }
 
 /// `(input, [merging, fastmerging, hierarchical])` checksums.
-const GOLDEN: [(&str, [u64; 3]); 8] = [
+const GOLDEN: [(&str, [u64; 3]); 10] = [
     ("plateau", [0x677c868f2af8c8cd, 0x44e521df9cdefe91, 0xcada386559df8171]),
     ("sparse", [0x53c095efadb856b9, 0xea00e233ac11b1f5, 0x29a5d35f2d052a9a]),
     ("hist", [0xd37cf04231ee9c2d, 0xcad59ae85d7dc76c, 0x91d699cce1e205f4]),
@@ -118,6 +157,22 @@ const GOLDEN: [(&str, [u64; 3]); 8] = [
     ("steps", [0x617891a3b24c3495, 0x4617d9cf132b165b, 0x6d18badfb84f1702]),
     ("zeros", [0x368c27563736fec2, 0x05e17f0dfe49a671, 0x7150309f2a679de0]),
     ("periodic", [0x3a2614907eef0226, 0x8bd10233e77cdbe7, 0x202ccea70b33bf57]),
+    ("ties", [0xdb927d0a3bccb936, 0x93c3b3f3f2dd7247, 0x10bc3cffe32d7ce9]),
+    ("sparse-edges", [0x389be7c233482671, 0xe2bdee9356b7f879, 0x174ae2dac1fa1d79]),
+];
+
+/// `(input, reports(input))`, captured with the golden checksums.
+const REPORTS: [(&str, [[usize; 4]; 3]); 10] = [
+    ("plateau", [[65536, 16, 11, 2730], [65536, 16, 13, 321], [65536, 12, 8, 1638]]),
+    ("sparse", [[2049, 11, 9, 85], [2049, 11, 10, 10], [2049, 7, 5, 51]]),
+    ("hist", [[1000, 10, 8, 41], [1000, 10, 10, 4], [1000, 6, 4, 25]]),
+    ("poly", [[4000, 12, 9, 166], [4000, 12, 11, 19], [4000, 8, 6, 100]]),
+    ("dow", [[16384, 14, 10, 682], [16384, 14, 12, 80], [16384, 10, 7, 409]]),
+    ("steps", [[4096, 12, 9, 170], [4096, 12, 11, 20], [4096, 8, 6, 102]]),
+    ("zeros", [[1000, 10, 8, 41], [1000, 10, 10, 4], [1000, 6, 4, 25]]),
+    ("periodic", [[5001, 13, 10, 208], [5001, 13, 11, 24], [5001, 8, 5, 125]]),
+    ("ties", [[32768, 15, 11, 1365], [32768, 15, 12, 160], [32768, 11, 7, 819]]),
+    ("sparse-edges", [[5187, 13, 10, 216], [5187, 13, 11, 25], [5187, 9, 6, 129]]),
 ];
 
 #[test]
@@ -128,6 +183,14 @@ fn merging_fits_match_the_committed_checksums() {
             let got = checksum(algo, &signal);
             assert_eq!(got, want, "{name}/{algo}: checksum 0x{got:016x} != golden 0x{want:016x}");
         }
+    }
+}
+
+#[test]
+fn merging_reports_match_the_committed_counts() {
+    for ((name, signal), (golden_name, want)) in inputs().into_iter().zip(REPORTS) {
+        assert_eq!(name, golden_name);
+        assert_eq!(reports(&signal), want, "{name}: report counts differ");
     }
 }
 
