@@ -20,7 +20,7 @@
 //! * the running time is `O(s + k(1 + 1/δ)·log((1 + 1/δ)k/γ))`, which is `O(s)`
 //!   for the parameterization of Corollary 3.1.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
@@ -28,7 +28,7 @@ use crate::partition::Partition;
 use crate::segment::{
     merge_rounds, segments_to_histogram, segments_to_partition, Segment, Segments,
 };
-use crate::sparse::SparseFunction;
+use crate::sparse::{validate_dense, SparseFunction};
 
 /// Summary statistics of one run of the merging algorithm, useful for
 /// diagnostics, tests and the ablation experiments.
@@ -67,12 +67,7 @@ pub fn construct_histogram_with_report(
 /// function (this is the "offline" setting of the paper's experiments), read
 /// in place.
 pub fn construct_histogram_dense(values: &[f64], params: &MergingParams) -> Result<Histogram> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "construct_histogram_dense" });
-    }
+    validate_dense(values, "construct_histogram_dense")?;
     let (segments, _) = merge_segments(Segments::Dense(values), params);
     Ok(segments_to_histogram(values.len(), &segments))
 }
@@ -83,14 +78,13 @@ pub(crate) fn merge_segments(
     src: Segments<'_>,
     params: &MergingParams,
 ) -> (Vec<Segment>, MergingReport) {
-    let initial_intervals = src.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
     let mut rounds = 0usize;
 
     // If every pair would be kept, no merge can happen and the loop cannot
     // make progress; this only occurs for extreme parameter choices.
-    let segments = merge_rounds(src, |len| {
+    let (segments, initial_intervals) = merge_rounds(src, |len| {
         let more = len > max_intervals && len / 2 > keep;
         rounds += usize::from(more);
         more.then_some((2, keep))
@@ -187,6 +181,11 @@ mod tests {
         let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
         let b = construct_histogram(&q, &params).unwrap();
         assert_eq!(a, b);
+        // Input is checked as `SparseFunction::from_dense_keep_zeros` checks it.
+        let empty = construct_histogram_dense(&[], &params);
+        assert!(matches!(empty, Err(crate::Error::EmptyDomain)), "{empty:?}");
+        let nan = construct_histogram_dense(&[1.0, f64::NAN], &params);
+        assert!(matches!(nan, Err(crate::Error::NonFiniteValue { .. })), "{nan:?}");
     }
 
     #[test]

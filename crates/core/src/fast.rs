@@ -76,13 +76,12 @@ pub(crate) fn merge_groups(
     src: Segments<'_>,
     params: &MergingParams,
 ) -> (Vec<Segment>, FastMergingReport) {
-    let initial_intervals = src.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
     let mut rounds = 0usize;
     let mut max_group_size = 0usize;
 
-    let segments = merge_rounds(src, |len| {
+    let (segments, initial_intervals) = merge_rounds(src, |len| {
         let g = group_size(len, keep);
         // If every group would be kept, no merge can happen and the loop
         // cannot make progress; this only occurs for extreme parameter choices.

@@ -184,7 +184,7 @@ pub(crate) fn histogram_for_k(domain: usize, src: Segments<'_>, k: usize) -> His
     // At least 8 pieces are allowed, so the rounds stop at the latest on the
     // hierarchy's last level (fewer than 8 intervals).
     let max_pieces = max_pieces_for_k(k);
-    let level = merge_rounds(src, |len| (len > max_pieces).then_some((2, len / 4)));
+    let (level, _) = merge_rounds(src, |len| (len > max_pieces).then_some((2, len / 4)));
     segments_to_histogram(domain, &level)
 }
 

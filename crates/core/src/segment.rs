@@ -17,8 +17,6 @@
 //! it is the output (no round runs) or when the caller records level 0 (the
 //! full hierarchy, through [`Segments::to_vec`]).
 
-use std::iter;
-
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
@@ -109,24 +107,7 @@ impl Segment {
 /// becomes one segment. The flattening of `q` over this partition equals `q`,
 /// and there are at most `2s + 1` segments.
 pub fn initial_segments(q: &SparseFunction) -> Vec<Segment> {
-    let n = q.domain();
-    let mut segments = Vec::with_capacity(2 * q.sparsity() + 1);
-    let mut cursor = 0usize;
-    for (i, v) in q.iter() {
-        if i > cursor {
-            segments.push(Segment::zero(cursor, i - 1));
-        }
-        segments.push(Segment::point(i, v));
-        cursor = i + 1;
-    }
-    if cursor < n {
-        segments.push(Segment::zero(cursor, n - 1));
-    }
-    if segments.is_empty() {
-        // Completely zero function.
-        segments.push(Segment::zero(0, n - 1));
-    }
-    segments
+    SparseRuns::new(q).collect()
 }
 
 /// The exact initial segmentation `I₀` of a signal, generated on demand
@@ -145,13 +126,7 @@ impl Segments<'_> {
     pub(crate) fn len(self) -> usize {
         match self {
             Segments::Dense(values) => values.len(),
-            Segments::Sparse(q) => {
-                // The entries, and one zero run per gap before, between and
-                // after them.
-                let starts = iter::once(0).chain(q.entries().iter().map(|&(i, _)| i + 1));
-                let ends = q.entries().iter().map(|&(i, _)| i).chain(iter::once(q.domain()));
-                q.sparsity() + starts.zip(ends).filter(|(start, end)| start < end).count()
-            }
+            Segments::Sparse(q) => SparseRuns::new(q).count(),
         }
     }
 
@@ -208,6 +183,11 @@ impl Iterator for SparseRuns<'_> {
             None => None,
         }
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        // A point per entry left, each perhaps after a zero run, and a last run.
+        (self.entries.len(), Some(2 * self.entries.len() + 1))
+    }
 }
 
 /// The one group merge of every round: the segment covering a run of
@@ -220,20 +200,22 @@ fn merge_run(mut run: impl Iterator<Item = Segment>) -> Segment {
     run.fold(first, |merged, s| merged.merged(&s))
 }
 
-/// Runs a fit's merging rounds over `src` and returns the last level.
-/// `plan(len)` gives the next round's group size `g ≥ 2` and keep count for a
-/// level of `len` segments, or `None` to stop there. The first round reads
-/// `src` itself; later rounds run in place on the buffer it wrote, so the
-/// full-length `I₀` is never built unless no round runs.
+/// Runs a fit's merging rounds over `src` and returns the last level and the
+/// length of `I₀`. `plan(len)` gives the next round's group size `g ≥ 2` and
+/// keep count for a level of `len` segments, or `None` to stop there. The
+/// first round reads `src` itself; later rounds run in place on the buffer it
+/// wrote, so the full-length `I₀` is never built unless no round runs.
 pub(crate) fn merge_rounds(
     src: Segments<'_>,
     plan: impl FnMut(usize) -> Option<(usize, usize)>,
-) -> Vec<Segment> {
+) -> (Vec<Segment>, usize) {
+    let len = src.len();
     // One dispatch per fit: every round below is monomorphic in its source.
-    match src {
-        Segments::Dense(values) => rounds_from(dense_points(values), src.len(), plan),
-        Segments::Sparse(q) => rounds_from(SparseRuns::new(q), src.len(), plan),
-    }
+    let level = match src {
+        Segments::Dense(values) => rounds_from(dense_points(values), len, plan),
+        Segments::Sparse(q) => rounds_from(SparseRuns::new(q), len, plan),
+    };
+    (level, len)
 }
 
 fn rounds_from<S: Iterator<Item = Segment> + Clone>(

@@ -5,14 +5,17 @@
 //! the largest merging errors. Where the paper uses linear-time selection,
 //! `mark_top_t` first tries a threshold when `t` is small next to the
 //! candidate count (at most 1/64 of it, the first rounds of Algorithm 1): one
-//! pass with a size-`t` min-heap finds the `t`-th largest error `τ`, a second
-//! counts the errors `≥ τ`, and if there are exactly `t` they are the unique
-//! top-`t` set, which any exact selection picks. Otherwise (a tie straddles
-//! `τ`, or `t` is large) it runs introselect (`select_nth_unstable_by`) over a
-//! reused buffer of `(error, position)` pairs; ties at the threshold fall where
-//! introselect's comparisons put them: exactly the positions an indirect
-//! selection over a position array picks. `compact_groups` applies the marks
-//! in place.
+//! pass with a size-`t` min-heap finds the `t`-th largest error `τ` and
+//! tracks whether an error outside the heap equals it. If none does, the heap
+//! holds the unique top-`t` set, which any exact selection picks. Otherwise (a
+//! tie straddles `τ`, or `t` is large) it runs introselect
+//! (`select_nth_unstable_by`) over a reused buffer of `(error, position)`
+//! pairs; ties at the threshold fall where introselect's comparisons put them:
+//! exactly the positions an indirect selection over a position array picks.
+//! On quantized input the heap pass gives up as soon as its tie is at the
+//! largest error seen, so the fallback costs introselect plus a short prefix;
+//! a tie that straddles `τ` below the largest error costs one extra pass.
+//! `compact_groups` applies the marks in place.
 
 /// The value [`mark_top_t`] writes over a kept error. Merging errors are
 /// squared distances, so they are never negative.
@@ -54,21 +57,41 @@ pub(crate) fn mark_top_t(errors: &mut [f64], t: usize, scratch: &mut Vec<(f64, u
 
 /// Leaves in `heap` the `(error, position)` pairs of `t` largest errors
 /// (`0 < t < len`) and returns whether no other error equals the smallest of
-/// them, i.e. whether they are the only top-`t` set.
+/// them, i.e. whether they are the only top-`t` set. Returns `false` early
+/// once `t + 1` errors equal the largest positive error so far: only `t`
+/// larger errors still to come could clear that tie, and on quantized input
+/// (few distinct errors) they seldom come. Ties at zero (equal neighbours, a
+/// flat stretch) never stop the pass: they often open a signal and seldom
+/// reach the threshold.
 fn unique_top_t(errors: &[f64], t: usize, heap: &mut Vec<(f64, usize)>) -> bool {
     heap.clear();
     heap.extend(errors[..t].iter().copied().zip(0..));
     for i in (0..t / 2).rev() {
         sift_down(heap, i);
     }
+    let mut largest = heap.iter().fold(0.0, |most: f64, &(error, _)| most.max(error));
+    // Whether an error outside the heap equals its least one. Outside errors
+    // never exceed the least, so only a rise of the least clears a tie.
+    let mut tied = false;
     for (pos, &error) in errors.iter().enumerate().skip(t) {
-        if error > heap[0].0 {
+        let least = heap[0].0;
+        if error < least {
+            continue;
+        }
+        if error > least {
             heap[0] = (error, pos);
             sift_down(heap, 0);
+            // The evicted error is outside now, tied unless the least rose.
+            tied = heap[0].0 == least;
+            largest = largest.max(error);
+        } else {
+            tied = true;
+        }
+        if tied && heap[0].0 == largest && largest > 0.0 {
+            return false;
         }
     }
-    let threshold = heap[0].0;
-    errors.iter().filter(|&&error| error >= threshold).count() == t
+    !tied
 }
 
 /// Restores the min-heap order below `i`.
@@ -232,7 +255,25 @@ mod tests {
         }
         assert!(unique_top_t(&straddled, 7, &mut Vec::new()));
         assert!(!unique_top_t(&straddled, 5, &mut Vec::new()));
+        // A tie at the largest error stops the pass, at 9.0 after a prefix.
+        assert!(!unique_top_t(&straddled, 1, &mut Vec::new()));
         cases.push(straddled);
+        // 9.0 evicts one 5.0 and the other becomes the least: the evicted
+        // 5.0 ties it, and nothing after them rises above it.
+        let mut evicted_tie = vec![5.0, 5.0, 9.0];
+        evicted_tie.extend(lcg_values(3, 200));
+        assert!(!unique_top_t(&evicted_tie, 2, &mut Vec::new()));
+        cases.push(evicted_tie);
+        // Ties at zero open the errors, then distinct values clear them.
+        let mut flat_start = vec![0.0; 2_000];
+        flat_start.extend(lcg_values(5, 6_192).iter().map(|v| v + 1.0));
+        assert!(unique_top_t(&flat_start, 65, &mut Vec::new()));
+        cases.push(flat_start);
+        // Two distinct errors, periodically: the top set always straddles a tie.
+        let periodic: Vec<f64> =
+            (0..8_192).map(|i| [12.5, 18.0][usize::from(i % 11 < 5)]).collect();
+        assert!(!unique_top_t(&periodic, 65, &mut Vec::new()));
+        cases.push(periodic);
 
         for values in &cases {
             let len = values.len();

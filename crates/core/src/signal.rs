@@ -225,7 +225,8 @@ mod tests {
         assert_eq!(dense.l2_norm_squared(), 1.5 * 1.5 + 2.5 * 2.5);
     }
 
-    /// The segments the rounds read are [`initial_segments`]'s, bit for bit.
+    /// The segments the rounds read, and [`initial_segments`], are the exact
+    /// segmentation a walk over the domain finds, bit for bit.
     #[test]
     fn segments_match_initial_segments() {
         let cases = [
@@ -241,11 +242,32 @@ mod tests {
         let bits = |segs: &[Segment]| -> Vec<_> {
             segs.iter().map(|s| (s.start, s.end, s.sum.to_bits(), s.sum_sq.to_bits())).collect()
         };
+        // A point per entry and one zero run per maximal stretch without one.
+        let walk = |q: &SparseFunction| {
+            let (mut segments, mut run_start) = (Vec::new(), None);
+            let mut entries = q.entries().iter().peekable();
+            for i in 0..q.domain() {
+                match entries.next_if(|&&(j, _)| j == i) {
+                    Some(&(_, v)) => {
+                        if let Some(start) = run_start.take() {
+                            segments.push(Segment::zero(start, i - 1));
+                        }
+                        segments.push(Segment::point(i, v));
+                    }
+                    None => _ = run_start.get_or_insert(i),
+                }
+            }
+            if let Some(start) = run_start {
+                segments.push(Segment::zero(start, q.domain() - 1));
+            }
+            segments
+        };
         for (domain, entries) in cases {
             let q = SparseFunction::new(domain, entries).unwrap();
             let signal = Signal::from_sparse(q.clone());
-            let want = initial_segments(&q);
+            let want = walk(&q);
             assert_eq!(bits(&signal.segments().to_vec()), bits(&want), "{q:?}");
+            assert_eq!(bits(&initial_segments(&q)), bits(&want), "{q:?}");
             assert_eq!(signal.segments().len(), want.len(), "{q:?}");
         }
 

@@ -72,12 +72,7 @@ impl SparseFunction {
 
     /// Builds a sparse function from a dense vector, dropping exact zeros.
     pub fn from_dense(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::EmptyDomain);
-        }
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteValue { context: "SparseFunction::from_dense" });
-        }
+        validate_dense(values, "SparseFunction::from_dense")?;
         let entries =
             values.iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(i, &v)| (i, v)).collect();
         Ok(Self { domain: values.len(), entries })
@@ -88,12 +83,7 @@ impl SparseFunction {
     /// This is the representation used by the "offline" experiments of the paper
     /// where the input signal is fully dense.
     pub fn from_dense_keep_zeros(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::EmptyDomain);
-        }
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteValue { context: "SparseFunction::from_dense_keep_zeros" });
-        }
+        validate_dense(values, "SparseFunction::from_dense_keep_zeros")?;
         Ok(Self { domain: values.len(), entries: values.iter().copied().enumerate().collect() })
     }
 
@@ -195,6 +185,18 @@ impl DiscreteFunction for SparseFunction {
     fn total_mass(&self) -> f64 {
         self.sum()
     }
+}
+
+/// Checks that a dense signal is non-empty and finite; `context` names the
+/// caller in the error.
+pub(crate) fn validate_dense(values: &[f64], context: &'static str) -> Result<()> {
+    if values.is_empty() {
+        return Err(Error::EmptyDomain);
+    }
+    if values.iter().any(|v| !v.is_finite()) {
+        return Err(Error::NonFiniteValue { context });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
