@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use approx_hist::datasets::gaussian_mixture;
 use approx_hist::{
     Estimator, EstimatorBuilder, EventSource, GreedyMerging, HistClient, HistServer,
-    MaintenancePolicy, MetricPipeline, ServerConfig, Signal, StoreMap, TelemetryPipeline,
+    MetricPipeline, ServerConfig, Signal, StoreMap, TelemetryPipeline,
 };
 
 const K: usize = 12;
@@ -68,8 +68,6 @@ struct SustainedRun {
 fn run_sustained(duration: Duration, chunk_len: usize) -> SustainedRun {
     const LANES: usize = 4;
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8))
-        .expect("maintenance policy");
 
     let mut pipeline = TelemetryPipeline::new(Arc::clone(&map)).with_batch(chunk_len);
     let mut keys = Vec::new();

@@ -32,14 +32,14 @@ pub const NET_MAGIC: [u8; 8] = *b"AHISTNET";
 /// The protocol version this build reads and writes — the only one. A
 /// frame announcing any other version is rejected with a typed
 /// [`CodecError::UnsupportedVersion`] before its payload is looked at.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 // The protocol carries synopses as nested `AHISTSYN` containers in the
 // persist encoding, so it pins the persist format version it ships. If
 // FORMAT_VERSION ever bumps, a new PROTOCOL_VERSION must carry it (and this
 // assertion must be revisited alongside the golden fixtures).
 const _: () = assert!(
-    hist_persist::FORMAT_VERSION == 1 && PROTOCOL_VERSION == 3,
+    hist_persist::FORMAT_VERSION == 1 && PROTOCOL_VERSION == 4,
     "the wire protocol carries AHISTSYN blobs: bump PROTOCOL_VERSION with FORMAT_VERSION"
 );
 
@@ -214,7 +214,7 @@ mod tests {
         // Every version but the current one is rejected. A version flip
         // also breaks the CRC; the version is checked first so the peer
         // learns *why* rather than seeing a generic mismatch.
-        for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+        for version in [0, 1, 2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
             let mut other = frame.to_vec();
             other[8..10].copy_from_slice(&u16::to_le_bytes(version));
             assert!(

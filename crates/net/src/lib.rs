@@ -35,13 +35,13 @@
 //! length u32 LE | "AHISTNET" | version u16 LE | op u8 | payload | crc32 u32 LE
 //! ```
 //!
-//! The version is always [`PROTOCOL_VERSION`] (3); a frame announcing any
+//! The version is always [`PROTOCOL_VERSION`] (4); a frame announcing any
 //! other version is answered with a typed `UnsupportedVersion` error frame.
 //! Every query/admin payload opens with a *key* section (length-prefixed,
 //! non-empty UTF-8, at most [`hist_persist::MAX_KEY_BYTES`] bytes)
 //! addressing one store of the map, and the `Stats`/`StoreStats` answers
-//! carry the maintenance counters (merges, refits, accumulated merge-error
-//! bound).
+//! carry the merge counters (merges and the accumulated merge-error bound;
+//! `StoreStats` adds the merged mass).
 //! Request ops: `CdfBatch` (0x01), `QuantileBatch` (0x02), `MassBatch`
 //! (0x03), `Stats` (0x04), `StoreStats` (0x05), `ListKeys` (0x06),
 //! `Publish` (0x10), `UpdateMerge` (0x11), `DropKey` (0x12). Response ops
@@ -93,7 +93,7 @@
 //! let answers = client.quantile_batch(&[0.25, 0.5, 0.75]).unwrap();
 //! assert_eq!(answers.epoch, first);
 //!
-//! // A background refit merges the adjacent chunk in; the epoch advances.
+//! // A background writer merges the adjacent chunk in; the epoch advances.
 //! let second = client.update_merge(&fit(2.0), 9).unwrap();
 //! assert!(second > first);
 //! let stats = client.stats().unwrap();

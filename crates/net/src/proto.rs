@@ -16,8 +16,11 @@
 //! [`hist_persist::MAX_KEY_BYTES`] bytes — addressing one store of the
 //! server's keyed [`StoreMap`](hist_serve::StoreMap). The store-wide ops
 //! (`StoreStats`, `ListKeys`) carry no key. The `Stats` and
-//! `StoreStats` answers include the self-tuning maintenance counters (merge
-//! count, refit count, merged mass, accumulated merge error).
+//! `StoreStats` answers end with the merge counters of
+//! [`MergeCounters`](hist_serve::MergeCounters): `Stats` carries the key's
+//! merge count (`u64`) and merge error (`f64`); `StoreStats` carries the
+//! merge count (`u64`), merged mass (`f64`) and merge error (`f64`) summed
+//! over every key.
 //!
 //! Every response payload opens with the epoch the answer was computed at
 //! (the addressed key's epoch; store-wide answers carry the largest per-key
@@ -129,10 +132,8 @@ pub struct SynopsisStats {
     pub estimator: String,
     /// Merges absorbed by this key's store since it was created.
     pub merges: u64,
-    /// Maintenance refits published for this key.
-    pub refits: u64,
     /// Accumulated merge-error bound (summed per-merge ℓ₂ deltas) since the
-    /// last refit.
+    /// key's last direct publish.
     pub merge_error: f64,
 }
 
@@ -152,12 +153,10 @@ pub struct StoreWideStats {
     pub max_epoch: u64,
     /// Merges absorbed across every key.
     pub merges: u64,
-    /// Maintenance refits published across every key.
-    pub refits: u64,
     /// Total mass of every merged-in chunk.
     pub merged_mass: f64,
     /// Summed accumulated merge-error bounds across keys since their last
-    /// refits.
+    /// direct publishes.
     pub merge_error: f64,
 }
 
@@ -465,7 +464,6 @@ fn write_response_payload(response: &Response, payload: &mut Vec<u8>) {
                     put_u64(payload, stats.estimator.len() as u64);
                     payload.extend_from_slice(stats.estimator.as_bytes());
                     put_u64(payload, stats.merges);
-                    put_u64(payload, stats.refits);
                     put_f64(payload, stats.merge_error);
                 }
             }
@@ -478,7 +476,6 @@ fn write_response_payload(response: &Response, payload: &mut Vec<u8>) {
             put_u64(payload, stats.min_epoch);
             put_u64(payload, stats.max_epoch);
             put_u64(payload, stats.merges);
-            put_u64(payload, stats.refits);
             put_f64(payload, stats.merged_mass);
             put_f64(payload, stats.merge_error);
         }
@@ -626,7 +623,6 @@ pub fn decode_response_frame(op: u8, payload: &[u8]) -> CodecResult<Response> {
                         total_mass,
                         estimator,
                         merges: reader.u64()?,
-                        refits: reader.u64()?,
                         merge_error: reader.f64()?,
                     })
                 }
@@ -645,7 +641,6 @@ pub fn decode_response_frame(op: u8, payload: &[u8]) -> CodecResult<Response> {
                 min_epoch: reader.u64()?,
                 max_epoch: reader.u64()?,
                 merges: reader.u64()?,
-                refits: reader.u64()?,
                 merged_mass: reader.f64()?,
                 merge_error: reader.f64()?,
             },
@@ -745,7 +740,6 @@ mod tests {
                 total_mass: 960.0,
                 estimator: "merging".into(),
                 merges: 41,
-                refits: 3,
                 merge_error: 0.625,
             }),
         });
@@ -758,7 +752,6 @@ mod tests {
                 min_epoch: 0,
                 max_epoch: 17,
                 merges: 4_242,
-                refits: 17,
                 merged_mass: 1e9,
                 merge_error: 123.5,
             },
@@ -795,7 +788,7 @@ mod tests {
         let response = encode_response(&Response::Updated { epoch: 1 });
         assert_eq!(restamp(request.clone(), PROTOCOL_VERSION), request);
         assert_eq!(restamp(response.clone(), PROTOCOL_VERSION), response);
-        for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+        for version in [0, 1, 2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
             let rejected = |r: CodecResult<()>| {
                 matches!(
                     r,

@@ -14,7 +14,7 @@
 //! large `Publish`) delays every connection's answers while it runs, not
 //! just its own connection's, and a fleet of pipelining connections is
 //! served by one CPU. The server needs Linux: elsewhere
-//! [`HistServer::bind`] returns an [`ErrorKind::Unsupported`] error.
+//! [`HistServer::bind`] returns an [`std::io::ErrorKind::Unsupported`] error.
 //!
 //! ## Protocol version
 //!
@@ -33,7 +33,6 @@
 //! closed where it is not (a length prefix that is oversized or shorter
 //! than an envelope, or an exhausted request budget).
 
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +41,7 @@ use std::time::Duration;
 
 use hist_core::Interval;
 use hist_persist::{decode_synopsis, CodecError};
-use hist_serve::{MaintenancePolicy, Snapshot, StoreMap, DEFAULT_KEY};
+use hist_serve::{Snapshot, StoreMap, DEFAULT_KEY};
 
 #[cfg(target_os = "linux")]
 use crate::evented::spawn as spawn_loop;
@@ -67,12 +66,6 @@ pub struct ServerConfig {
     /// Longest the idle loop blocks in one readiness wait; bounds how long
     /// a shutdown takes to be noticed.
     pub poll_interval: Duration,
-    /// Self-tuning maintenance policy applied to the served [`StoreMap`] at
-    /// bind time: every key then refits/compacts on the map's one
-    /// maintenance thread once its merge-error budget is spent, and that
-    /// thread also sweeps idle keys if the policy has a wall-clock bound.
-    /// `None` (the default) serves merge-only and spawns no thread.
-    pub maintenance: Option<MaintenancePolicy>,
 }
 
 impl Default for ServerConfig {
@@ -81,7 +74,6 @@ impl Default for ServerConfig {
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             max_requests_per_connection: u64::MAX,
             poll_interval: Duration::from_millis(25),
-            maintenance: None,
         }
     }
 }
@@ -124,7 +116,7 @@ impl std::fmt::Debug for HistServer {
 
 impl HistServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-    /// `map` immediately. Off Linux this is an [`ErrorKind::Unsupported`]
+    /// `map` immediately. Off Linux this is an [`std::io::ErrorKind::Unsupported`]
     /// error.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -133,10 +125,6 @@ impl HistServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        if let Some(policy) = &config.maintenance {
-            map.enable_maintenance(policy.clone())
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e.to_string()))?;
-        }
         let shutdown = Arc::new(AtomicBool::new(false));
         let write_allocs = Arc::new(AtomicU64::new(0));
         let event_loop = spawn_loop(
@@ -199,7 +187,7 @@ fn spawn_loop(
     _: ServerConfig,
     _: Arc<AtomicU64>,
 ) -> std::io::Result<JoinHandle<()>> {
-    Err(std::io::Error::new(ErrorKind::Unsupported, "HistServer requires Linux"))
+    Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "HistServer requires Linux"))
 }
 
 /// The request→response core: a decoded request in, a typed response out,
@@ -342,7 +330,7 @@ impl Responder {
                 // so an unknown key reports epoch 0 / no synopsis rather
                 // than erroring.
                 let store = self.map.store(&key);
-                let maintenance = store.as_ref().map(|s| s.maintenance_stats()).unwrap_or_default();
+                let counters = store.as_ref().map(|s| s.merge_counters()).unwrap_or_default();
                 let snapshot = store.and_then(|s| s.snapshot());
                 Response::Stats {
                     epoch: snapshot.as_ref().map_or_else(|| self.map.epoch(&key), |s| s.epoch()),
@@ -352,9 +340,8 @@ impl Responder {
                         target_k: s.target_k() as u64,
                         total_mass: s.total_mass(),
                         estimator: s.estimator().to_string(),
-                        merges: maintenance.merges,
-                        refits: maintenance.refits,
-                        merge_error: maintenance.accumulated_error,
+                        merges: counters.merges,
+                        merge_error: counters.merge_error,
                     }),
                 }
             }
@@ -369,7 +356,6 @@ impl Responder {
                         min_epoch: stats.min_epoch,
                         max_epoch: stats.max_epoch,
                         merges: stats.merges,
-                        refits: stats.refits,
                         merged_mass: stats.merged_mass,
                         merge_error: stats.merge_error,
                     },

@@ -2,8 +2,11 @@
 //! write-then-rename, so a crash mid-save leaves the previous snapshot
 //! intact instead of a torn file (a torn file would be *detected* by the
 //! CRC trailer, but detection is worse than never corrupting the file).
+//! The temp file is synced before the rename and its directory after it,
+//! so this holds across power loss too, not only across process crashes.
 
 use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use hist_core::Synopsis;
@@ -28,18 +31,38 @@ fn temp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes `bytes` to `path` atomically: write a uniquely named temp sibling,
-/// then rename over the destination.
+/// Writes `bytes` to `path` atomically and durably: write and sync a
+/// uniquely named temp sibling, rename it over the destination, then sync
+/// the directory so the rename itself survives power loss.
 fn write_atomic(path: &Path, bytes: &[u8]) -> PersistResult<()> {
     let tmp = temp_sibling(path);
-    if let Err(e) = fs::write(&tmp, bytes) {
+    if let Err(e) = write_synced(&tmp, bytes).and_then(|()| fs::rename(&tmp, path)) {
         let _ = fs::remove_file(&tmp);
         return Err(e.into());
     }
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e.into());
-    }
+    sync_parent(path)?;
+    Ok(())
+}
+
+/// Creates `path` holding exactly `bytes`, flushed to the device.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()
+}
+
+/// Syncs the directory entry of `path`, which is what makes a rename into
+/// that directory durable.
+#[cfg(unix)]
+fn sync_parent(path: &Path) -> io::Result<()> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fs::File::open(parent)?.sync_all()
+}
+
+/// Directories cannot be opened as files off Unix; the rename is as durable
+/// as the platform makes it.
+#[cfg(not(unix))]
+fn sync_parent(_: &Path) -> io::Result<()> {
     Ok(())
 }
 
@@ -153,6 +176,14 @@ mod tests {
         let next = Synopsis::new("merged", 1, FittedModel::Histogram(h));
         save_synopsis(&path, &next).unwrap();
         assert_eq!(load_synopsis(&path).unwrap(), next);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        sync_parent(Path::new("fit.synopsis")).unwrap();
+        let err = sync_parent(&scratch_dir("sync").join("absent").join("fit.synopsis"));
+        assert!(err.is_err(), "a missing directory cannot be synced");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! ```text
 //!   EventSource ──► MetricPipeline ──► StoreMap ──► HistServer ──► HistClient
-//!   (synthetic      (StreamingBuilder/  (keyed,      (wire v3,      (live
-//!    events,         SlidingWindow;      epoch-       maintenance-   p50/p99/
-//!    seekable)       chunk fits)         stamped)     enabled)       p999)
+//!   (synthetic      (StreamingBuilder/  (keyed,      (wire v4)      (live
+//!    events,         SlidingWindow;      epoch-                      p50/p99/
+//!    seekable)       chunk fits)         stamped)                    p999)
 //!        │                │  update_merge / publish        ▲
 //!        │                └── checkpoint ──► resume ───────┘
 //!        └── one lane per metric, all lanes on one ingest thread
@@ -33,9 +33,10 @@
 //!
 //! The publish cadence (chunk/bucket length) is the freshness/accuracy knob:
 //! shorter chunks mint epochs more often but spend more merge error per
-//! event — `BENCH_pipeline.json` quantifies the trade-off, and the serving
-//! layer's maintenance (error-budget refits, `hist-serve`) keeps the drift
-//! bounded either way.
+//! event — `BENCH_pipeline.json` quantifies the trade-off. Each store
+//! reports the merge error it has accumulated
+//! ([`MergeCounters`](hist_serve::MergeCounters)), a bound on the served
+//! synopsis' drift from the concatenated chunk fits.
 //!
 //! ## Example: one metric, ingest to query
 //!

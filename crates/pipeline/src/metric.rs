@@ -10,8 +10,7 @@ enum Lane {
     /// Everything since stream start: a [`StreamingBuilder`] whose completed
     /// chunk synopses are merged into the store (`update_merge`), one epoch
     /// per chunk — the store's left-deep merge chain *is* the served
-    /// synopsis, and maintenance refits keep its drift inside the error
-    /// budget. Checkpointable: the builder round-trips through
+    /// synopsis. Checkpointable: the builder round-trips through
     /// `checkpoint`/`resume` bit-identically.
     Cumulative(StreamingBuilder),
     /// The last `bucket_len · num_buckets` values only: a [`SlidingWindow`]

@@ -1,7 +1,8 @@
 //! # hist-serve
 //!
 //! The concurrent serving layer of the workspace: keep one synopsis live
-//! under heavy read traffic while a background writer refreshes it.
+//! under heavy read traffic while a background writer merges new chunks
+//! into it.
 //!
 //! Two stores, all `std`-only:
 //!
@@ -9,10 +10,11 @@
 //!   `Arc<Synopsis>` snapshot (wait-free in practice: the read-side lock is
 //!   held only for the clone), writers serialize on a mutex and build the
 //!   next synopsis *outside* every lock before installing it with a pointer
-//!   swap. [`SynopsisStore::update_merge`] is the background-refitter cycle:
+//!   swap. [`SynopsisStore::update_merge`] is the background-writer cycle:
 //!   merge a new adjacent-chunk synopsis into the served one
 //!   ([`Synopsis::merge`](hist_core::Synopsis::merge)) and publish the
-//!   result under live query traffic. The store is durable:
+//!   result under live query traffic, counting merges, merged mass and the
+//!   accumulated merge error in its [`MergeCounters`]. The store is durable:
 //!   [`SynopsisStore::save`] persists the served synopsis plus its epoch
 //!   (via the `hist-persist` binary format) and [`SynopsisStore::open`]
 //!   warm-starts a store across a process restart with the epoch sequence
@@ -22,11 +24,10 @@
 //!   publish/update/snapshot, key listing and eviction, and whole-map
 //!   persistence (`AHISTMAP`) with per-key epochs monotone across restarts.
 //!
-//! Self-tuning maintenance is optional and configured by one type,
-//! [`MaintenancePolicy`]: a store or map with a policy refits a served
-//! synopsis from its retained chunks once its merge-error budget is spent.
-//! A map runs those refits on one [`MaintenanceWorker`] thread, which also
-//! sweeps idle keys when the policy has a wall-clock bound.
+//! Serving is merge-only: the paper's merging output is itself mergeable,
+//! so each [`Synopsis::merge`](hist_core::Synopsis::merge) of adjacent
+//! chunks is one more budgeted merging step, and neither store runs a
+//! thread of its own.
 //!
 //! Batch queries need no scheduler of their own: a [`Snapshot`] derefs to
 //! its synopsis, whose `mass_batch`/`quantile_batch`/`cdf_batch` kernels
@@ -39,7 +40,7 @@
 //! reader threads assert every observed snapshot still satisfies the
 //! serving invariants.
 //!
-//! ## Example: queries riding over a live refit
+//! ## Example: queries riding over a live merge
 //!
 //! ```
 //! use std::sync::Arc;
@@ -76,10 +77,8 @@
 //! assert_eq!(store.snapshot().unwrap().domain(), 3 * 128);
 //! ```
 
-pub mod maintenance;
 pub mod store;
 pub mod store_map;
 
-pub use maintenance::{MaintenancePolicy, MaintenanceStats, MaintenanceWorker};
-pub use store::{Snapshot, SynopsisStore};
+pub use store::{MergeCounters, Snapshot, SynopsisStore};
 pub use store_map::{validate_key, StoreMap, StoreMapStats, DEFAULT_KEY};

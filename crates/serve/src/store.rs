@@ -15,9 +15,6 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use hist_core::{Error, Result, Synopsis};
 use hist_persist::{load_store_snapshot, save_store_snapshot, PersistResult};
-use hist_stream::tree_merge;
-
-use crate::maintenance::{MaintenancePolicy, MaintenanceState, MaintenanceStats};
 
 /// An epoch-stamped, immutable view of the synopsis a [`SynopsisStore`]
 /// served at some instant.
@@ -55,6 +52,29 @@ impl Deref for Snapshot {
     }
 }
 
+/// Merge accounting of a [`SynopsisStore`], kept under its writer mutex and
+/// surfaced through [`SynopsisStore::merge_counters`],
+/// [`crate::StoreMapStats`] and the wire protocol's stats answers.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MergeCounters {
+    /// `update_merge` merges absorbed over the store's lifetime.
+    pub merges: u64,
+    /// Cumulative mass of every merged-in chunk.
+    pub merged_mass: f64,
+    /// Summed per-merge `ℓ₂` deltas since the last direct publish. By the
+    /// triangle inequality this bounds how far the served synopsis has
+    /// drifted from the concatenation of everything merged into it.
+    pub merge_error: f64,
+}
+
+/// What a writer holds its mutex over: the last published epoch and the
+/// merge accounting that advances with it.
+#[derive(Debug, Default)]
+struct WriterState {
+    epoch: u64,
+    counters: MergeCounters,
+}
+
 /// A read-mostly store for the synopsis a query layer is currently serving,
 /// supporting atomic replacement under live traffic.
 ///
@@ -64,7 +84,7 @@ impl Deref for Snapshot {
 ///   lock across real work.
 /// * **Writers** serialize on an internal mutex. [`SynopsisStore::publish`]
 ///   swaps in a fully built synopsis; [`SynopsisStore::update_merge`] is the
-///   read-modify-publish cycle of a background refitter: merge an
+///   read-modify-publish cycle of a background writer: merge an
 ///   adjacent-chunk synopsis into the current one
 ///   ([`Synopsis::merge`]), re-merged to `budget` pieces, and publish the
 ///   result — all merge work happening outside the read-side lock.
@@ -97,14 +117,10 @@ impl Deref for Snapshot {
 #[derive(Debug, Default)]
 pub struct SynopsisStore {
     current: RwLock<Option<Snapshot>>,
-    /// Last published epoch; holding this lock serializes the whole
-    /// read-modify-publish cycle of a writer, so concurrent `update_merge`
-    /// calls never lose each other's chunks.
-    writer: Mutex<u64>,
-    /// Maintenance accounting and (when a policy is attached) the retained
-    /// chunk decomposition a background refit rebuilds from. Mutating paths
-    /// hold the writer mutex first, then this — never the other order.
-    maintenance: Mutex<MaintenanceState>,
+    /// Last published epoch and merge accounting; holding this lock
+    /// serializes the whole read-modify-publish cycle of a writer, so
+    /// concurrent `update_merge` calls never lose each other's chunks.
+    writer: Mutex<WriterState>,
 }
 
 impl SynopsisStore {
@@ -133,17 +149,18 @@ impl SynopsisStore {
     }
 
     /// Atomically replaces the served synopsis with a fully built one and
-    /// returns the new epoch. Use this when a refitter rebuilt the synopsis
+    /// returns the new epoch. Use this when a writer rebuilt the synopsis
     /// from scratch (e.g. a better fit over the full signal).
     pub fn publish(&self, synopsis: Synopsis) -> u64 {
         self.install(synopsis.into_shared())
     }
 
-    /// The read-modify-publish cycle of a background refitter: merges
+    /// The read-modify-publish cycle of a background writer: merges
     /// `chunk` — a synopsis fitted on the signal chunk *adjacent to the
     /// right* of the currently served domain — into the current synopsis
     /// with [`Synopsis::merge`] (re-merged down to `budget` pieces) and
     /// publishes the result. An empty store just publishes `chunk` as is.
+    /// Each merge advances the store's [`MergeCounters`].
     ///
     /// Returns the new epoch. Concurrent callers serialize; readers keep
     /// serving the previous snapshot until the merged one is installed.
@@ -157,148 +174,32 @@ impl SynopsisStore {
                 reason: "the merge budget must be at least 1".into(),
             });
         }
-        let mut last_epoch = self.writer.lock().expect("writer lock poisoned");
-        let (next, stats) = match self.snapshot() {
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let next = match self.snapshot() {
             Some(current) => {
                 let (merged, stats) = current.merge_with_stats(chunk, budget)?;
-                (merged, Some(stats))
+                let counters = &mut writer.counters;
+                counters.merges += 1;
+                counters.merged_mass += stats.incoming_mass;
+                counters.merge_error += stats.l2_delta;
+                merged
             }
-            None => (chunk.clone(), None),
+            // First publish: the chunk itself is the baseline.
+            None => chunk.clone(),
         };
-        *last_epoch += 1;
-        let epoch = *last_epoch;
-        {
-            let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
-            match stats {
-                Some(stats) => {
-                    maintenance.merges += 1;
-                    maintenance.merges_since_refit += 1;
-                    maintenance.merged_mass += stats.incoming_mass;
-                    maintenance.accumulated_error += stats.l2_delta;
-                    maintenance.total_error += stats.l2_delta;
-                    if maintenance.policy.is_some() {
-                        if maintenance.retained.is_empty() {
-                            // The decomposition was dropped (fold failure):
-                            // reseed from the merged whole.
-                            maintenance.retained.push(next.clone());
-                        } else {
-                            maintenance.retain_chunk(chunk.clone());
-                        }
-                    }
-                }
-                // First publish: the chunk itself is the baseline.
-                None => {
-                    let seed = maintenance.policy.is_some().then(|| next.clone());
-                    maintenance.rebaseline(seed);
-                }
-            }
-        }
+        writer.epoch += 1;
+        let epoch = writer.epoch;
         *self.current.write().expect("store lock poisoned") =
             Some(Snapshot { epoch, synopsis: next.into_shared() });
         Ok(epoch)
     }
 
-    /// Attaches (or with `None` detaches) a maintenance policy, validated.
-    ///
-    /// Attaching re-baselines the error-budget accounting on the currently
-    /// served synopsis: the accumulator starts at zero and the retained
-    /// decomposition starts from the served state, so refits rebuild exactly
-    /// what later merges extend.
-    pub fn set_maintenance(&self, policy: Option<MaintenancePolicy>) -> Result<()> {
-        if let Some(policy) = &policy {
-            policy.validate()?;
-        }
-        // Serialize with writers so the baseline matches the served synopsis.
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
-        maintenance.policy = policy;
-        let seed = if maintenance.policy.is_some() {
-            self.snapshot().map(|s| s.synopsis().as_ref().clone())
-        } else {
-            None
-        };
-        maintenance.rebaseline(seed);
-        Ok(())
-    }
-
-    /// The attached maintenance policy, if any.
-    pub fn maintenance_policy(&self) -> Option<MaintenancePolicy> {
-        self.maintenance.lock().expect("maintenance lock poisoned").policy.clone()
-    }
-
-    /// The store's maintenance accounting: merge counters, the error-budget
-    /// accumulator, refit history and the retained-chunk count. Counters
-    /// accumulate whether or not a policy is attached (the accounting is a
-    /// byproduct of the merge the store performs anyway).
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.maintenance.lock().expect("maintenance lock poisoned").stats()
-    }
-
-    /// Claims the store's single refit slot if maintenance is due: a policy
-    /// is attached, the policy's trigger fires for the current accumulator,
-    /// at least two retained synopses exist to rebuild from, and no other
-    /// refit is queued or running. Returns whether the caller now owns the
-    /// slot and must follow up with [`SynopsisStore::run_refit`];
-    /// [`crate::MaintenanceWorker::schedule`] does both.
-    pub fn try_begin_refit(&self) -> bool {
-        let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
-        let Some(policy) = &maintenance.policy else {
-            return false;
-        };
-        let elapsed = maintenance.last_refit_at.map(|at| at.elapsed());
-        if maintenance.inflight
-            || maintenance.retained.len() < 2
-            || !policy.due_with_elapsed(
-                maintenance.merges_since_refit,
-                maintenance.accumulated_error,
-                elapsed,
-            )
-        {
-            return false;
-        }
-        maintenance.inflight = true;
-        true
-    }
-
-    /// Rebuilds the served synopsis from the retained chunk decomposition —
-    /// a balanced `tree_merge` down to the policy's compaction budget, which
-    /// does not carry the accumulated error of the left-deep merge chain the
-    /// steady-state updates built — and publishes it through the normal
-    /// epoch-stamped path. Readers are never blocked (they only touch the
-    /// snapshot pointer); concurrent writers briefly queue on the writer
-    /// mutex exactly as they do behind each other, so no epoch is lost.
-    ///
-    /// Returns the refit's epoch, or `Ok(None)` when there is nothing to do
-    /// (no policy attached, or fewer than two retained synopses). Always
-    /// releases the in-flight slot.
-    pub fn run_refit(&self) -> Result<Option<u64>> {
-        let mut last_epoch = self.writer.lock().expect("writer lock poisoned");
-        let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
-        let Some(policy) = maintenance.policy.clone() else {
-            maintenance.inflight = false;
-            return Ok(None);
-        };
-        if maintenance.retained.len() < 2 {
-            maintenance.inflight = false;
-            return Ok(None);
-        }
-        let compacted = match tree_merge(maintenance.retained.clone(), policy.compaction_budget()) {
-            Ok(compacted) => compacted,
-            Err(e) => {
-                maintenance.inflight = false;
-                return Err(e);
-            }
-        };
-        *last_epoch += 1;
-        let epoch = *last_epoch;
-        maintenance.refits += 1;
-        maintenance.last_refit_epoch = epoch;
-        maintenance.rebaseline(Some(compacted.clone()));
-        maintenance.inflight = false;
-        drop(maintenance);
-        *self.current.write().expect("store lock poisoned") =
-            Some(Snapshot { epoch, synopsis: compacted.into_shared() });
-        Ok(Some(epoch))
+    /// The store's merge accounting: merges absorbed, merged mass, and the
+    /// `ℓ₂` merge error accumulated since the last direct publish. A
+    /// byproduct of the merge [`SynopsisStore::update_merge`] performs
+    /// anyway ([`Synopsis::merge_with_stats`]).
+    pub fn merge_counters(&self) -> MergeCounters {
+        self.writer.lock().expect("writer lock poisoned").counters
     }
 
     /// Persists the store to `path` as an `AHISTSTO` container (atomic
@@ -323,8 +224,8 @@ impl SynopsisStore {
     /// the capture (install/update_merge write both fields under that lock),
     /// so callers can encode or ship the pair without stalling writers.
     pub fn persisted_state(&self) -> (u64, Option<Snapshot>) {
-        let last_epoch = self.writer.lock().expect("writer lock poisoned");
-        (*last_epoch, self.snapshot())
+        let writer = self.writer.lock().expect("writer lock poisoned");
+        (writer.epoch, self.snapshot())
     }
 
     /// Reopens a store previously [`SynopsisStore::save`]d: the returned
@@ -359,7 +260,7 @@ impl SynopsisStore {
             .into());
         }
         let store = Self::new();
-        *store.writer.lock().expect("writer lock poisoned") = epoch;
+        store.writer.lock().expect("writer lock poisoned").epoch = epoch;
         if let Some(synopsis) = synopsis {
             *store.current.write().expect("store lock poisoned") =
                 Some(Snapshot { epoch, synopsis: synopsis.into_shared() });
@@ -368,16 +269,12 @@ impl SynopsisStore {
     }
 
     fn install(&self, synopsis: Arc<Synopsis>) -> u64 {
-        let mut last_epoch = self.writer.lock().expect("writer lock poisoned");
-        *last_epoch += 1;
-        let epoch = *last_epoch;
-        {
-            // A direct publish replaces the served synopsis wholesale: the
-            // error-budget accounting re-baselines on it, like a refit would.
-            let mut maintenance = self.maintenance.lock().expect("maintenance lock poisoned");
-            let seed = maintenance.policy.is_some().then(|| synopsis.as_ref().clone());
-            maintenance.rebaseline(seed);
-        }
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        // A direct publish replaces the served synopsis wholesale, so the
+        // merge error restarts from it.
+        writer.counters.merge_error = 0.0;
+        writer.epoch += 1;
+        let epoch = writer.epoch;
         *self.current.write().expect("store lock poisoned") = Some(Snapshot { epoch, synopsis });
         epoch
     }
@@ -432,6 +329,32 @@ mod tests {
         assert!(snapshot.num_pieces() <= 7);
         assert!(store.update_merge(&step_chunk(2.0), 0).is_err(), "zero budgets are rejected");
         assert_eq!(store.epoch(), 2, "a failed merge must not bump the epoch");
+    }
+
+    #[test]
+    fn merge_counters_accumulate_and_restart_on_publish() {
+        let flat = fit_values(vec![2.0; 64]);
+        let store = SynopsisStore::new();
+        for _ in 0..24 {
+            store.update_merge(&flat, 7).unwrap();
+        }
+        let counters = store.merge_counters();
+        assert_eq!(counters.merges, 23, "first call publishes, the rest merge");
+        assert_eq!(counters.merge_error, 0.0, "flat merges cost exactly nothing");
+        assert_eq!(counters.merged_mass, 23.0 * 2.0 * 64.0);
+        assert_eq!(store.epoch(), 24);
+
+        store.publish(step_chunk(1.0));
+        let noisy = fit_values((0..64).map(|i| ((i * 7) % 5) as f64).collect());
+        store.update_merge(&noisy, 1).unwrap();
+        let merged = store.merge_counters();
+        assert_eq!(merged.merges, 24);
+        assert!(merged.merge_error > 0.0, "a one-piece budget must cost error");
+        store.publish(step_chunk(2.0));
+        let republished = store.merge_counters();
+        assert_eq!(republished.merge_error, 0.0, "a direct publish restarts the merge error");
+        assert_eq!(republished.merges, 24, "lifetime counters survive a publish");
+        assert_eq!(republished.merged_mass, merged.merged_mass);
     }
 
     #[test]

@@ -21,12 +21,10 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 use hist_core::{Error, Result, Synopsis};
 use hist_persist::{load_store_map, save_store_map, PersistResult, StoreMapEntry};
 
-use crate::maintenance::{MaintenancePolicy, MaintenanceWorker, Sweep};
 use crate::store::{Snapshot, SynopsisStore};
 
 /// The key single-store traffic targets: a client that never picks a key
@@ -48,16 +46,9 @@ pub fn validate_key(key: &str) -> Result<()> {
         .map_err(|e| hist_core::Error::InvalidParameter { name: "key", reason: e.to_string() })
 }
 
-/// A snapshot of the stores in `shard`, taken under its read lock only for
-/// the `Arc` clones.
-fn shard_stores(shard: &Shard) -> Vec<Arc<SynopsisStore>> {
-    shard.read().expect("shard lock poisoned").values().cloned().collect()
-}
-
 /// Store-wide summary of a [`StoreMap`]: key count, served-key count, total
-/// pieces across served synopses, the epoch range, and the aggregated
-/// maintenance accounting (merge/refit counters and the outstanding
-/// error-budget accumulators, summed over every key).
+/// pieces across served synopses, the epoch range, and the merge accounting
+/// ([`crate::MergeCounters`]) summed over every key.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StoreMapStats {
     /// Number of keys present (served or not).
@@ -72,23 +63,11 @@ pub struct StoreMapStats {
     pub max_epoch: u64,
     /// Total `update_merge` merges absorbed, summed over every key.
     pub merges: u64,
-    /// Background maintenance refits published, summed over every key.
-    pub refits: u64,
     /// Cumulative mass of every merged-in chunk, summed over every key.
     pub merged_mass: f64,
-    /// Outstanding merge error (`ℓ₂`, accumulated since each key's last
-    /// refit), summed over every key — the store-wide view of how much of
-    /// the error budget is currently spent.
+    /// Merge error (`ℓ₂`, accumulated since each key's last direct
+    /// publish), summed over every key.
     pub merge_error: f64,
-}
-
-/// The maintenance side of a [`StoreMap`]: the policy every store shares
-/// and the one worker thread that runs its refits and, when the policy
-/// carries a wall-clock refit bound, sweeps idle keys.
-#[derive(Debug)]
-struct MaintenanceEngine {
-    policy: MaintenancePolicy,
-    worker: MaintenanceWorker,
 }
 
 /// A keyed namespace of [`SynopsisStore`]s: per-key publish/update/snapshot
@@ -123,12 +102,7 @@ struct MaintenanceEngine {
 /// ```
 #[derive(Debug)]
 pub struct StoreMap {
-    /// Shared with the maintenance thread's sweep, which holds its own
-    /// `Arc` clone so it can run after the map handle moves.
-    shards: Arc<[Shard]>,
-    /// Set by [`StoreMap::enable_maintenance`]; applied to every existing
-    /// store at enable time and to new stores at creation.
-    maintenance: RwLock<Option<MaintenanceEngine>>,
+    shards: Box<[Shard]>,
 }
 
 impl Default for StoreMap {
@@ -147,49 +121,7 @@ impl StoreMap {
     /// two, minimum 1).
     pub fn with_shards(shards: usize) -> Self {
         let count = shards.max(1).next_power_of_two();
-        Self {
-            shards: (0..count).map(|_| Shard::default()).collect(),
-            maintenance: RwLock::new(None),
-        }
-    }
-
-    /// Turns on self-tuning maintenance for every key: the validated
-    /// `policy` is attached to every existing store (re-baselining each on
-    /// its served synopsis) and to every store created later, and one
-    /// background [`MaintenanceWorker`] thread carries out the refits
-    /// [`StoreMap::update_merge`] triggers. If the policy carries a
-    /// wall-clock refit bound ([`MaintenancePolicy::max_wall_interval`]),
-    /// that thread also periodically sweeps every key for a due refit — the
-    /// only way an *idle* key (no writes arriving) can ever be refreshed.
-    pub fn enable_maintenance(&self, policy: MaintenancePolicy) -> Result<()> {
-        policy.validate()?;
-        let sweep = policy.max_wall_between_refits().map(|max| {
-            let shards = Arc::clone(&self.shards);
-            Sweep {
-                // A few sweeps per interval: an idle key is refreshed within
-                // one `every` of falling due, without busy-spinning for long
-                // intervals.
-                every: (max / 8).clamp(Duration::from_millis(5), Duration::from_millis(500)),
-                stores: Box::new(move || shards.iter().flat_map(shard_stores).collect()),
-            }
-        });
-        let worker = MaintenanceWorker::spawn(sweep);
-        let mut guard = self.maintenance.write().expect("maintenance lock poisoned");
-        *guard = Some(MaintenanceEngine { policy: policy.clone(), worker });
-        drop(guard);
-        for store in self.shards.iter().flat_map(shard_stores) {
-            store.set_maintenance(Some(policy.clone()))?;
-        }
-        Ok(())
-    }
-
-    /// The maintenance policy the map applies, if enabled.
-    pub fn maintenance_policy(&self) -> Option<MaintenancePolicy> {
-        self.maintenance
-            .read()
-            .expect("maintenance lock poisoned")
-            .as_ref()
-            .map(|engine| engine.policy.clone())
+        Self { shards: (0..count).map(|_| Shard::default()).collect() }
     }
 
     /// A map already serving `synopsis` at [`DEFAULT_KEY`], epoch 1 — the
@@ -224,17 +156,8 @@ impl StoreMap {
         if let Some(store) = self.store(key) {
             return Ok(store);
         }
-        let store = {
-            let mut shard = self.shard(key).write().expect("shard lock poisoned");
-            Arc::clone(shard.entry(key.to_owned()).or_default())
-        };
-        // New stores inherit the map's maintenance policy. (A concurrent
-        // creator may apply it too — attaching is idempotent on an empty
-        // store.)
-        if let Some(policy) = self.maintenance_policy() {
-            store.set_maintenance(Some(policy))?;
-        }
-        Ok(store)
+        let mut shard = self.shard(key).write().expect("shard lock poisoned");
+        Ok(Arc::clone(shard.entry(key.to_owned()).or_default()))
     }
 
     /// Publishes a fully built synopsis under `key` (creating the key on
@@ -245,9 +168,7 @@ impl StoreMap {
 
     /// Per-key [`SynopsisStore::update_merge`]: merges `chunk` into `key`'s
     /// served synopsis (re-merged to `budget` pieces), creating the key on
-    /// first use, and returns the new epoch. If the map's maintenance is
-    /// enabled and this merge spends the key's error budget, a background
-    /// refit is scheduled before returning.
+    /// first use, and returns the new epoch.
     ///
     /// Validation runs *before* any key is created: a failed merge on a
     /// fresh key (zero budget, invalid key) must not leave an empty phantom
@@ -270,11 +191,7 @@ impl StoreMap {
             // created by that concurrent writer.
             None => self.store_or_create(key)?,
         };
-        let epoch = store.update_merge(chunk, budget)?;
-        if let Some(engine) = self.maintenance.read().expect("maintenance lock poisoned").as_ref() {
-            engine.worker.schedule(&store);
-        }
-        Ok(epoch)
+        store.update_merge(chunk, budget)
     }
 
     /// The snapshot `key` currently serves, or `None` for an absent key or a
@@ -359,11 +276,10 @@ impl StoreMap {
                     stats.served += 1;
                     stats.total_pieces += snapshot.num_pieces() as u64;
                 }
-                let maintenance = store.maintenance_stats();
-                stats.merges += maintenance.merges;
-                stats.refits += maintenance.refits;
-                stats.merged_mass += maintenance.merged_mass;
-                stats.merge_error += maintenance.accumulated_error;
+                let counters = store.merge_counters();
+                stats.merges += counters.merges;
+                stats.merged_mass += counters.merged_mass;
+                stats.merge_error += counters.merge_error;
             }
         }
         if stats.keys > 0 {

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use approx_hist::{
-    EstimatorBuilder, EventSource, GreedyMerging, HistClient, HistServer, MaintenancePolicy,
-    MetricPipeline, ServerConfig, StoreMap, TelemetryPipeline,
+    EstimatorBuilder, EventSource, GreedyMerging, HistClient, HistServer, MetricPipeline,
+    ServerConfig, StoreMap, TelemetryPipeline,
 };
 
 const K: usize = 12;
@@ -24,11 +24,8 @@ fn estimator() -> Box<GreedyMerging> {
 }
 
 fn main() {
-    // The shared store: ingest publishes into it, the server reads from it,
-    // and background maintenance keeps merge drift inside an error budget.
+    // The shared store: ingest publishes into it, the server reads from it.
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(1e6, 2 * K + 1).min_interval(8))
-        .expect("valid policy");
 
     // Two metric lanes: a cumulative one (everything since stream start,
     // merged chunk by chunk) and a sliding window (the last 8 buckets only,

@@ -75,7 +75,7 @@
 //!   built on [`Synopsis::merge`](hist_core::Synopsis::merge);
 //! * [`serve`] (`hist-serve`) — the concurrent serving layer:
 //!   [`SynopsisStore`] (epoch/snapshot store with wait-free reads under a
-//!   background refitter, durable via `save`/`open`), the multi-tenant
+//!   background writer's merges, durable via `save`/`open`), the multi-tenant
 //!   [`StoreMap`] (many keyed stores behind sharded locks, with per-key
 //!   merges, key listing/eviction and whole-map persistence), whose [`Snapshot`]s answer batch queries directly with
 //!   the synopsis' own batch kernels;
@@ -92,10 +92,10 @@
 //!   multi-lane [`TelemetryPipeline`] ingest thread, with crash/resume of
 //!   the ingester that leaves served answers bit-identical;
 //! * [`net`] (`hist-net`) — the network serving layer: a length-prefixed,
-//!   CRC-trailed binary TCP protocol (one version, v3) over the
+//!   CRC-trailed binary TCP protocol (one version, v4) over the
 //!   keyed store map ([`HistServer`] / [`HistClient`]), with per-key batch
 //!   query ops, store-wide admin ops (key listing/eviction, store stats
-//!   with maintenance counters), admin publish/merge ops
+//!   with merge counters), admin publish/merge ops
 //!   shipping synopses in the `AHISTSYN` encoding, typed error frames,
 //!   client connect/read deadlines, and hostile-peer bounds (max frame
 //!   size, per-connection request budgets).
@@ -136,8 +136,7 @@ pub use hist_pipeline::{
 pub use hist_poly::PiecewisePoly;
 pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
-    MaintenancePolicy, MaintenanceStats, MaintenanceWorker, Snapshot, StoreMap, StoreMapStats,
-    SynopsisStore, DEFAULT_KEY,
+    MergeCounters, Snapshot, StoreMap, StoreMapStats, SynopsisStore, DEFAULT_KEY,
 };
 pub use hist_stream::{
     ChunkedFitter, ParallelChunkedFitter, SlidingWindow, StreamingBuilder, StreamingMerging,

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, Interval, MaintenancePolicy, MaintenanceWorker,
-    Signal, StreamingBuilder, Synopsis, SynopsisStore,
+    Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal, StreamingBuilder, Synopsis,
+    SynopsisStore,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -349,107 +349,4 @@ fn concurrent_writers_and_readers_never_observe_a_torn_snapshot() {
             "merged domains must concatenate exactly"
         );
     });
-}
-
-/// The torn-snapshot stress again, with a self-tuning maintenance policy
-/// attached and a background worker refitting throughout: readers must stay
-/// wait-free with monotone epochs and whole snapshots, and the final epoch
-/// must account for every merge *and* every refit — a refit that blocked a
-/// reader would stall the reader loop, and a lost epoch breaks the exact
-/// count below.
-#[test]
-fn background_refits_under_stress_block_no_reader_and_lose_no_epoch() {
-    let _gate = common::stress_gate();
-    let store = Arc::new(SynopsisStore::with_initial(chunk_pool(99).pop().unwrap()));
-    store.set_maintenance(Some(MaintenancePolicy::new(1e-9, BUDGET).min_interval(4))).unwrap();
-    let worker = MaintenanceWorker::new();
-    let done = Arc::new(AtomicBool::new(false));
-    let deadline = Instant::now() + RUN_FOR;
-
-    let total_merges = std::thread::scope(|scope| {
-        let mut writers = Vec::new();
-        for w in 0..WRITERS {
-            let store = Arc::clone(&store);
-            writers.push(scope.spawn(move || {
-                let pool = chunk_pool(w);
-                let mut merges = 0usize;
-                let mut last_epoch = 0u64;
-                while Instant::now() < deadline || merges < MIN_MERGES_PER_WRITER {
-                    let chunk = &pool[merges % pool.len()];
-                    let epoch = store.update_merge(chunk, BUDGET).unwrap();
-                    assert!(epoch > last_epoch, "writer {w}: epoch went backwards");
-                    last_epoch = epoch;
-                    merges += 1;
-                }
-                merges
-            }));
-        }
-
-        let mut readers = Vec::new();
-        for r in 0..READERS {
-            let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
-            readers.push(scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0x0EF1_0000 + r as u64);
-                let mut last_epoch = 0u64;
-                let mut observed = 0usize;
-                while !done.load(Ordering::Acquire) {
-                    let snapshot = store.snapshot().expect("store was seeded");
-                    assert!(
-                        snapshot.epoch() >= last_epoch,
-                        "reader {r}: epoch went backwards under refits ({} < {last_epoch})",
-                        snapshot.epoch()
-                    );
-                    last_epoch = snapshot.epoch();
-                    assert_snapshot_invariants(r, &snapshot, &mut rng);
-                    observed += 1;
-                }
-                observed
-            }));
-        }
-
-        // The maintainer schedules due refits exactly as the keyed map does.
-        let worker = &worker;
-        let maintainer = {
-            let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
-            scope.spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    worker.schedule(&store);
-                    std::thread::yield_now();
-                }
-            })
-        };
-
-        let total_merges: usize = writers.into_iter().map(|w| w.join().expect("writer")).sum();
-        done.store(true, Ordering::Release);
-        let total_reads: usize = readers.into_iter().map(|r| r.join().expect("reader")).sum();
-        maintainer.join().expect("maintainer");
-
-        assert!(
-            total_merges >= WRITERS * MIN_MERGES_PER_WRITER,
-            "writers made too little progress: {total_merges} merges"
-        );
-        assert!(total_reads >= READERS, "readers made too little progress: {total_reads} reads");
-        total_merges
-    });
-
-    // Dropping the worker joins its thread, so every scheduled refit has
-    // published before the final accounting below.
-    drop(worker);
-    let stats = store.maintenance_stats();
-    assert!(stats.refits >= 1, "the error budget must have tripped under stress");
-    assert_eq!(stats.merges, total_merges as u64);
-    assert_eq!(
-        store.epoch(),
-        1 + total_merges as u64 + stats.refits,
-        "lost epochs under refit contention"
-    );
-    // The refit rebuilds from the retained decomposition of the served
-    // domain, so merged domains still concatenate exactly.
-    assert_eq!(
-        store.snapshot().unwrap().domain(),
-        CHUNK_DOMAIN * (1 + total_merges),
-        "a refit must preserve the served domain"
-    );
 }

@@ -7,6 +7,11 @@
 //! * **Key lifecycle** — `list_keys`, per-key and store-wide stats and
 //!   `drop_key` over the wire, with typed `UnknownKey`/`EmptyStore` errors
 //!   for absent and unserved keys.
+//! * **Phantom keys** — a failed wire `UpdateMerge` on a fresh key creates
+//!   nothing: `ListKeys` and `StoreStats` never show it.
+//! * **Merge counters** — per-key `Stats` and store-wide `StoreStats` carry
+//!   the merge count, merged mass and merge error, equal to an in-process
+//!   store's after the same merges.
 //! * **100k-key stress** — a hundred thousand tenants plus a hot set under
 //!   concurrent per-key wire writers, randomized keyed readers and a
 //!   default-key reader: per-key epoch monotonicity, zero lost updates, and
@@ -23,7 +28,8 @@ use std::time::{Duration, Instant};
 
 use approx_hist::{
     encode_synopsis, ErrorCode, Estimator, EstimatorBuilder, FittedModel, GreedyMerging,
-    HistClient, Histogram, Interval, NetError, Signal, StoreMap, Synopsis, DEFAULT_KEY,
+    HistClient, Histogram, Interval, NetError, Signal, StoreMap, Synopsis, SynopsisStore,
+    DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -389,9 +395,71 @@ fn a_hundred_thousand_keys_survive_concurrent_writers_and_readers() {
     server.shutdown();
 }
 
+fn failed_wire_merges_leave_no_phantom_key() {
+    let server = spawn_server(Arc::new(StoreMap::new()));
+    let mut client =
+        HistClient::connect(server.local_addr()).unwrap().with_key("tenants/ghost").unwrap();
+
+    let err = client.update_merge(&chunk(7), 0).unwrap_err();
+    assert!(
+        matches!(err, NetError::Remote { code: ErrorCode::InvalidSynopsis, .. }),
+        "a zero-budget wire merge must be a typed remote error, got {err:?}"
+    );
+
+    let keys = client.list_keys().unwrap();
+    assert!(keys.value.is_empty(), "ListKeys must not show the phantom key");
+    let store_stats = client.store_stats().unwrap();
+    assert_eq!(store_stats.value.keys, 0, "the failed merge must not have counted a key");
+
+    // The key works normally once the request is valid.
+    assert_eq!(client.update_merge(&chunk(7), BUDGET).unwrap(), 1);
+    assert_eq!(client.list_keys().unwrap().value, vec!["tenants/ghost".to_string()]);
+}
+
+fn merge_counters_flow_over_the_wire() {
+    let server = spawn_server(Arc::new(StoreMap::new()));
+    let mut client =
+        HistClient::connect(server.local_addr()).unwrap().with_key("tenants/api").unwrap();
+    let local = SynopsisStore::new();
+
+    const UPDATES: u64 = 12;
+    let mut last_epoch = 0;
+    for i in 0..UPDATES {
+        let chunk = chunk(0x3000 + i);
+        let epoch = client.update_merge(&chunk, BUDGET).unwrap();
+        assert!(epoch > last_epoch, "wire epochs must be monotone");
+        last_epoch = epoch;
+        local.update_merge(&chunk, BUDGET).unwrap();
+    }
+    let counters = local.merge_counters();
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.epoch, UPDATES, "every update minted exactly one epoch");
+    let synopsis_stats = stats.synopsis.expect("the key serves a synopsis");
+    assert_eq!(synopsis_stats.merges, UPDATES - 1, "first update published, the rest merged");
+    assert!(synopsis_stats.merge_error > 0.0, "noisy merges must accumulate error");
+    assert_eq!(synopsis_stats.merge_error.to_bits(), counters.merge_error.to_bits());
+
+    let store_stats = client.store_stats().unwrap().value;
+    assert_eq!(store_stats.keys, 1);
+    assert_eq!(store_stats.merges, UPDATES - 1);
+    assert!(store_stats.merged_mass > 0.0);
+    assert!(store_stats.merge_error >= 0.0);
+    assert_eq!(store_stats.merged_mass.to_bits(), counters.merged_mass.to_bits());
+    assert_eq!(store_stats.merge_error.to_bits(), counters.merge_error.to_bits());
+
+    // A direct publish restarts the merge error; the lifetime counters stay.
+    client.publish(&chunk(1)).unwrap();
+    let synopsis_stats = client.stats().unwrap().synopsis.unwrap();
+    assert_eq!(synopsis_stats.merges, UPDATES - 1);
+    assert_eq!(synopsis_stats.merge_error, 0.0);
+}
+
 evented_cases!(
     keyed_answers_are_bit_identical_to_local_fits,
     the_key_lifecycle_works_over_the_wire,
     missing_and_unserved_keys_are_typed_errors,
     a_hundred_thousand_keys_survive_concurrent_writers_and_readers,
+    failed_wire_merges_leave_no_phantom_key,
+    merge_counters_flow_over_the_wire,
 );

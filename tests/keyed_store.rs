@@ -14,16 +14,23 @@
 //!   hostile count's command.
 //! * **Scale** — a 100 000-key map encodes, saves, loads and reopens within
 //!   a generous wall-clock bound, so the per-key open path stays linear.
+//! * **Phantom keys** — a failed `update_merge` (zero budget, bad key) on a
+//!   fresh key creates nothing: `keys()` never shows it.
+//! * **Drop-while-merging** — `drop_key` racing per-key `update_merge`s and
+//!   `snapshot` readers never panics or poisons a shard lock.
 
 mod common;
 
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use approx_hist::persist::{
     crc32, decode_store_map, encode_store_map, CodecError, FORMAT_VERSION, MAP_MAGIC, MAX_KEY_BYTES,
 };
 use approx_hist::{
-    Estimator, FittedModel, Histogram, StoreMap, StoreMapEntry, Synopsis, DEFAULT_KEY,
+    Error, Estimator, FittedModel, GreedyMerging, Histogram, StoreMap, StoreMapEntry, Synopsis,
+    DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,6 +47,16 @@ fn tiny_synopsis(seed: u64) -> Synopsis {
     let mass = 1.0 + (seed % 97) as f64;
     let h = Histogram::from_breakpoints(8, &[], vec![mass]).unwrap();
     Synopsis::new("merging", 1, FittedModel::Histogram(h))
+}
+
+/// Piece budget merges re-merge down to (`2k + 1` for fixture `k`).
+const BUDGET: usize = 2 * common::FIXTURE_K + 1;
+
+/// A noisy chunk synopsis: every merge of one of these costs real error.
+fn chunk(seed: u64) -> Synopsis {
+    GreedyMerging::new(common::fixture_builder())
+        .fit(&common::noisy_steps(seed, 96, 4, 0.35))
+        .unwrap()
 }
 
 /// A small canonical store-map encoding the corruption sweeps run over:
@@ -365,4 +382,87 @@ fn a_hundred_thousand_keys_save_and_open_within_bound() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_merge_never_creates_a_phantom_key() {
+    let map = StoreMap::new();
+
+    let err = map.update_merge("tenants/ghost", &chunk(1), 0).unwrap_err();
+    assert!(
+        matches!(err, Error::InvalidParameter { name: "budget", .. }),
+        "zero budget must be a typed error, got {err:?}"
+    );
+    assert!(!map.contains_key("tenants/ghost"), "a failed merge must not create its key");
+    assert!(map.keys().is_empty());
+    assert_eq!(map.len(), 0);
+
+    // A hostile key fails validation before any store exists either.
+    assert!(map.update_merge("", &chunk(1), BUDGET).is_err());
+    assert!(map.is_empty(), "a rejected key must not appear");
+
+    // The same chunk at a valid budget still lands normally.
+    let epoch = map.update_merge("tenants/real", &chunk(1), BUDGET).unwrap();
+    assert_eq!(epoch, 1);
+    assert_eq!(map.keys(), vec!["tenants/real".to_string()]);
+}
+
+#[test]
+fn dropping_keys_while_merging_and_reading_never_poisons_the_map() {
+    let _gate = common::stress_gate();
+    const KEYS: usize = 8;
+
+    let map = Arc::new(StoreMap::new());
+    for k in 0..KEYS {
+        map.update_merge(&format!("tenants/{k}"), &chunk(k as u64), BUDGET).unwrap();
+    }
+
+    let done = Arc::new(AtomicBool::new(false));
+    let deadline = Instant::now() + Duration::from_millis(400);
+
+    std::thread::scope(|scope| {
+        let mut readers = Vec::new();
+        for offset in 0..2 {
+            let map = Arc::clone(&map);
+            let done = Arc::clone(&done);
+            readers.push(scope.spawn(move || {
+                let mut reads = 0usize;
+                let mut i = offset;
+                while !done.load(Ordering::Acquire) {
+                    // A key between its drop and its re-merge has no snapshot.
+                    if let Some(snapshot) = map.snapshot(&format!("tenants/{}", i % KEYS)) {
+                        assert!(snapshot.domain() > 0);
+                        snapshot.quantile_batch(&[0.5]).expect("a served snapshot answers");
+                        reads += 1;
+                    }
+                    i += 1;
+                }
+                reads
+            }));
+        }
+
+        let churner = {
+            let map = Arc::clone(&map);
+            scope.spawn(move || {
+                let mut round = 0usize;
+                while Instant::now() < deadline || round < 2 * KEYS {
+                    let key = format!("tenants/{}", round % KEYS);
+                    map.drop_key(&key);
+                    map.update_merge(&key, &chunk(round as u64), BUDGET).unwrap();
+                    map.update_merge(&key, &chunk(round as u64 + 1), BUDGET).unwrap();
+                    round += 1;
+                }
+                round
+            })
+        };
+
+        let rounds = churner.join().expect("churner");
+        done.store(true, Ordering::Release);
+        let reads: usize = readers.into_iter().map(|r| r.join().expect("reader")).sum();
+
+        assert!(rounds >= 2 * KEYS, "the churner must cycle every key at least twice");
+        assert!(reads >= 2, "readers must have observed snapshots under churn");
+    });
+
+    assert_eq!(map.len(), KEYS, "every dropped key was re-created");
 }

@@ -215,7 +215,7 @@ fn forged_lengths_counts_ops_and_versions_are_typed_errors() {
     // Stats frame that would be valid at the current version: a typed
     // UnsupportedVersion answer (announcing the current version, checked by
     // `poke`), and the connection still serves the valid request behind it.
-    for version in [0, 1, 2, PROTOCOL_VERSION + 1] {
+    for version in [0, 1, 2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
         let mut frame = Vec::new();
         frame.extend_from_slice(&NET_MAGIC);
         frame.extend_from_slice(&version.to_le_bytes());

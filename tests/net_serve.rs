@@ -11,9 +11,14 @@
 //!   against a locally maintained mirror of the merge sequence. Registered
 //!   under the shared stress gate from `tests/common`, like the in-process
 //!   stress harness.
+//! * **Client deadlines** — connect and response-read timeouts surface as
+//!   the typed [`NetError::Timeout`], proven against a deliberately
+//!   unresponsive socket.
 
 mod common;
 
+use std::io::Read;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -423,3 +428,54 @@ evented_cases!(
     shutdown_is_graceful_and_idempotent,
     loopback_queries_ride_over_live_merge_updates,
 );
+
+#[test]
+fn an_unresponsive_server_read_times_out_with_a_typed_error() {
+    // A deliberately unresponsive socket: accepts the connection, reads the
+    // request, never answers.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let silent = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        // Drain until the client gives up and closes.
+        let mut sink = [0u8; 256];
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+
+    let mut client = HistClient::connect(addr)
+        .unwrap()
+        .with_read_timeout(Some(Duration::from_millis(120)))
+        .unwrap();
+    let start = Instant::now();
+    let err = client.list_keys().unwrap_err();
+    assert!(
+        matches!(err, NetError::Timeout { what: "response read", .. }),
+        "a silent server must surface the typed read timeout, got {err:?}"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the deadline must bound the wait, waited {:?}",
+        start.elapsed()
+    );
+
+    drop(client);
+    silent.join().expect("silent server");
+}
+
+#[test]
+fn connect_timeouts_are_typed_and_the_happy_path_connects() {
+    let server = spawn_server(Arc::new(StoreMap::new()));
+
+    // Happy path: a generous deadline connects and serves normally.
+    let mut client =
+        HistClient::connect_timeout(server.local_addr(), Duration::from_secs(5)).unwrap();
+    assert!(client.list_keys().unwrap().value.is_empty());
+
+    // A 1 ns deadline expires before even a loopback handshake completes.
+    let err =
+        HistClient::connect_timeout(server.local_addr(), Duration::from_nanos(1)).unwrap_err();
+    assert!(
+        matches!(err, NetError::Timeout { what: "connect", .. }),
+        "an expired connect deadline must be the typed timeout, got {err:?}"
+    );
+}

@@ -3,7 +3,7 @@
 //! keyed store → wire serving, with crash/resume.
 //!
 //! * **Quantile tracking** — served p50/p99/p999 fetched through a
-//!   [`HistClient`] against a maintenance-enabled server track the
+//!   [`HistClient`] against a plain merge-only server track the
 //!   exactly-computed true stream quantiles within the merge-error bound at
 //!   every publish epoch. The bound is Cauchy–Schwarz on prefix masses: for
 //!   any index `x`, `|S([0,x]) − T([0,x])| ≤ √n · ‖s − t‖₂`, so the served
@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use approx_hist::datasets::gaussian_mixture;
 use approx_hist::persist::encode_synopsis;
 use approx_hist::{
-    EstimatorBuilder, EventSource, GreedyMerging, HistClient, MaintenancePolicy, MetricPipeline,
-    Signal, StoreMap, TelemetryPipeline,
+    EstimatorBuilder, EventSource, GreedyMerging, HistClient, MetricPipeline, Signal, StoreMap,
+    TelemetryPipeline,
 };
 use common::{spawn_server, FIXTURE_K};
 
@@ -62,33 +62,25 @@ fn exact_cdf(source: &EventSource, n: usize) -> (Vec<f64>, f64, f64) {
     (cdf, total, max_step)
 }
 
-/// Queries the live server until a consistent epoch is observed (maintenance
-/// refits may swap the served synopsis between reads): returns the snapshot
-/// plus the quantile and cdf answers all stamped with its epoch.
+/// Reads the served snapshot plus the quantile and cdf answers over the
+/// wire. The caller ingests on its own thread and nothing else writes the
+/// map, so all three must carry the same epoch.
 fn consistent_read(
     map: &StoreMap,
     client: &mut HistClient,
     key: &str,
     xs: &[usize],
 ) -> (approx_hist::Snapshot, Vec<usize>, Vec<f64>) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let before = map.snapshot(key).expect("the lane has published");
-        let quants = client.quantile_batch(&PS).expect("quantile_batch");
-        let cdfs = client.cdf_batch(xs).expect("cdf_batch");
-        let after = map.snapshot(key).expect("the lane has published");
-        if before.epoch() == quants.epoch
-            && quants.epoch == cdfs.epoch
-            && after.epoch() == before.epoch()
-        {
-            return (before, quants.value, cdfs.value);
-        }
-        assert!(Instant::now() < deadline, "maintenance kept churning the served epoch for 20s");
-    }
+    let snapshot = map.snapshot(key).expect("the lane has published");
+    let quants = client.quantile_batch(&PS).expect("quantile_batch");
+    let cdfs = client.cdf_batch(xs).expect("cdf_batch");
+    assert_eq!(quants.epoch, snapshot.epoch(), "no publish may land between reads");
+    assert_eq!(cdfs.epoch, snapshot.epoch(), "no publish may land between reads");
+    (snapshot, quants.value, cdfs.value)
 }
 
 /// Tentpole acceptance: at every publish epoch, quantiles served over the
-/// wire (against a maintenance-enabled server) track the exactly-computed
+/// wire (against a plain merge-only server) track the exactly-computed
 /// true stream quantiles within the merge-error bound.
 fn served_quantiles_track_true_stream_quantiles() {
     const CHUNK: usize = 512;
@@ -102,8 +94,6 @@ fn served_quantiles_track_true_stream_quantiles() {
     let key = "api/latency";
 
     let map = Arc::new(StoreMap::new());
-    map.enable_maintenance(MaintenancePolicy::new(50.0, 2 * K + 1).min_interval(2))
-        .expect("maintenance policy");
     let mut server = spawn_server(Arc::clone(&map));
     let mut client =
         HistClient::connect(server.local_addr()).expect("connect").with_key(key).expect("key");
@@ -187,8 +177,6 @@ fn killed_ingester_resumes_and_serves_identical_answers() {
     let ps = [0.1, 0.5, 0.9, 0.99, 0.999];
 
     // Interrupted side: background ingest thread into a live served store.
-    // Maintenance stays OFF on both sides — async refits are wall-clock
-    // scheduled, so bit-identity is only meaningful for the pure merge chain.
     let map_a = Arc::new(StoreMap::new());
     let mut server_a = spawn_server(Arc::clone(&map_a));
     let mut client_a =
