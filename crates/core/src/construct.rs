@@ -11,7 +11,8 @@
 //! exact segmentation straight from the input (a sparse function, a dense
 //! slice or a [`Signal`](crate::Signal), never copied) and writes the next
 //! level to a buffer of about half its length; later rounds run in place on
-//! that buffer. Ties follow `crate::select`'s rule.
+//! that buffer, and each round's compaction writes the next round's pair
+//! errors. Ties follow `crate::select`'s rule.
 //!
 //! Guarantees (Theorems 3.3 and 3.4):
 //! * the output has at most `(2 + 2/δ)k + γ` pieces,
@@ -51,7 +52,7 @@ pub fn construct_histogram(q: &SparseFunction, params: &MergingParams) -> Result
 /// Runs Algorithm 1 and returns only the final partition.
 pub fn construct_partition(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
     let (segments, _) = merge_segments(Segments::Sparse(q), params);
-    Ok(segments_to_partition(q.domain(), &segments))
+    Ok(segments_to_partition(q.domain(), segments))
 }
 
 /// Runs Algorithm 1 and additionally returns a [`MergingReport`].
@@ -84,11 +85,12 @@ pub(crate) fn merge_segments(
 
     // If every pair would be kept, no merge can happen and the loop cannot
     // make progress; this only occurs for extreme parameter choices.
-    let (segments, initial_intervals) = merge_rounds(src, |len| {
+    let plan = |len| {
         let more = len > max_intervals && len / 2 > keep;
         rounds += usize::from(more);
         more.then_some((2, keep))
-    });
+    };
+    let (segments, initial_intervals) = merge_rounds(src, plan, |_, _| {});
 
     let report = MergingReport { initial_intervals, final_intervals: segments.len(), rounds };
     (segments, report)

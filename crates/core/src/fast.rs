@@ -10,8 +10,8 @@
 //! The rounds are Algorithm 1's (see `crate::segment`) with groups of `g`:
 //! the first reads the exact segmentation straight from the input and writes
 //! about `1/g` of it to a new buffer, later ones rewrite that buffer in place.
-//! `mark_top_t` marks the kept groups (same selection and tie rule as pairs)
-//! and each other full group becomes one segment by the same fold.
+//! `keep_threshold` picks the kept groups (same selection and tie rule as
+//! pairs) and each other full group becomes one segment by the same fold.
 //!
 //! The approximation argument of Theorem 3.3 carries over: a group is only
 //! merged when its flattening error is not among the `(1 + 1/δ)k` largest, so
@@ -49,7 +49,7 @@ pub fn construct_histogram_fast(q: &SparseFunction, params: &MergingParams) -> R
 /// Runs the `fastmerging` variant and returns only the final partition.
 pub fn construct_partition_fast(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
     let (segments, _) = merge_groups(Segments::Sparse(q), params);
-    Ok(segments_to_partition(q.domain(), &segments))
+    Ok(segments_to_partition(q.domain(), segments))
 }
 
 /// Runs the `fastmerging` variant and additionally returns a [`FastMergingReport`].
@@ -64,7 +64,7 @@ pub fn construct_histogram_fast_with_report(
 /// Group size used when `current` intervals remain: aggressive while the working
 /// partition is much larger than the keep budget, degrading gracefully to pair
 /// merging as the target size is approached.
-fn group_size(current: usize, keep: usize) -> usize {
+pub(crate) fn group_size(current: usize, keep: usize) -> usize {
     // Aim for roughly 4·keep groups per round so that at least 3·keep of them are
     // merged; early rounds therefore shrink the partition by ~4× per round.
     (current / (4 * keep.max(1))).max(2)
@@ -81,7 +81,7 @@ pub(crate) fn merge_groups(
     let mut rounds = 0usize;
     let mut max_group_size = 0usize;
 
-    let (segments, initial_intervals) = merge_rounds(src, |len| {
+    let plan = |len| {
         let g = group_size(len, keep);
         // If every group would be kept, no merge can happen and the loop
         // cannot make progress; this only occurs for extreme parameter choices.
@@ -91,7 +91,8 @@ pub(crate) fn merge_groups(
         max_group_size = max_group_size.max(g);
         rounds += 1;
         Some((g, keep))
-    });
+    };
+    let (segments, initial_intervals) = merge_rounds(src, plan, |_, _| {});
 
     let report = FastMergingReport {
         initial_intervals,

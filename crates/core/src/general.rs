@@ -17,8 +17,8 @@ use crate::interval::Interval;
 use crate::oracle::ProjectionOracle;
 use crate::params::MergingParams;
 use crate::piecewise_poly::{PiecewisePolynomial, PolynomialPiece};
-use crate::segment::initial_segments;
-use crate::select::{compact_groups, mark_top_t};
+use crate::segment::{with_starts, Segments};
+use crate::select::{compact_groups, keep_threshold, SelectBuffers};
 use crate::sparse::SparseFunction;
 
 /// One interval of the working partition of the generalized algorithm together
@@ -61,11 +61,13 @@ pub fn construct_general_with_report<O: ProjectionOracle>(
     params: &MergingParams,
     oracle: &O,
 ) -> Result<(PiecewisePolynomial, GeneralMergingReport)> {
-    let mut intervals: Vec<Interval> = initial_segments(q).iter().map(|s| s.interval()).collect();
+    let mut intervals: Vec<Interval> = with_starts(Segments::Sparse(q).iter())
+        .map(|(start, s)| Interval::new_unchecked(start, s.end))
+        .collect();
     let initial_intervals = intervals.len();
     let max_intervals = params.max_intervals().max(1);
     let keep = params.keep_count();
-    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
+    let (mut errors, mut buffers) = (Vec::new(), SelectBuffers::default());
     let mut rounds = 0usize;
     let mut oracle_calls = 0usize;
 
@@ -73,11 +75,12 @@ pub fn construct_general_with_report<O: ProjectionOracle>(
     while intervals.len() > max_intervals && intervals.len() / 2 > keep {
         errors.clear();
         for pair in intervals.chunks_exact(2) {
-            errors.push(oracle.project_error(q, union(pair))?);
+            // Kept finite, as the selection needs (`f64::MAX` ranks as `+∞`).
+            errors.push(oracle.project_error(q, union(pair))?.min(f64::MAX));
             oracle_calls += 1;
         }
-        mark_top_t(&mut errors, keep, &mut scratch);
-        compact_groups(&mut intervals, 2, &errors, union);
+        let (tau, _) = keep_threshold(&mut errors, keep, &mut buffers);
+        compact_groups(&mut intervals, 2, &errors, tau, union);
         rounds += 1;
     }
 
@@ -107,6 +110,7 @@ mod tests {
     use crate::construct::construct_histogram;
     use crate::function::DiscreteFunction;
     use crate::oracle::ConstantOracle;
+    use crate::partition::Partition;
     use crate::test_support::lcg;
 
     #[test]
@@ -135,6 +139,25 @@ mod tests {
         for i in 0..values.len() {
             assert!((general.value(i) - direct.value(i)).abs() < 1e-12);
         }
+    }
+
+    /// Oracle errors whose squares overflow to `+∞` all tie; the rounds must
+    /// still keep exactly `keep` pairs each and match Algorithm 1.
+    #[test]
+    fn overflowing_errors_still_merge() {
+        let mut seed = 5u64;
+        let values: Vec<f64> =
+            (0..1_001).map(|i| [1e154, -1e154][i % 2] * (1.0 + lcg(&mut seed))).collect();
+        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+        let params = MergingParams::new(4, 1.0, 1.0).unwrap();
+        let (general, report) =
+            construct_general_with_report(&q, &params, &ConstantOracle::new()).unwrap();
+        let direct = construct_histogram(&q, &params).unwrap();
+        assert!(report.final_intervals <= params.output_pieces_bound());
+        let ends = |p: &Partition| p.iter().map(|i| i.end()).collect::<Vec<_>>();
+        let general_ends: Vec<usize> =
+            general.pieces().iter().map(|p| p.interval().end()).collect();
+        assert_eq!(general_ends, ends(direct.partition()));
     }
 
     #[test]

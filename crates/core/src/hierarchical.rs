@@ -8,11 +8,11 @@
 //! at most `8k` intervals whose flattening has error at most `2·opt_k`.
 //!
 //! Each level comes from Algorithm 1's pair round (same tie rule, see
-//! `crate::segment`). [`construct_hierarchical_histogram`] records every
-//! level, so it collects level 0 and runs every round in place on it. The
-//! [`Hierarchical`](crate::Hierarchical) estimator reads level 0 straight from
-//! the signal, stops at the first level with at most `8k` intervals and
-//! builds only that histogram.
+//! `crate::segment`): the first reads level 0 straight from the signal,
+//! later ones run in place. [`construct_hierarchical_histogram`] records
+//! level 0 and every level a round writes. The
+//! [`Hierarchical`](crate::Hierarchical) estimator stops at the first level
+//! with at most `8k` intervals and builds only that histogram.
 //!
 //! The returned [`HierarchicalHistogram`] stores every level together with its
 //! exact flattening error, so callers can walk the whole Pareto curve between
@@ -24,8 +24,8 @@ use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::partition::Partition;
 use crate::segment::{
-    merge_round, merge_rounds, segments_to_histogram, segments_to_partition, total_sse, Segment,
-    Segments,
+    merge_rounds, segment_means, segments_to_histogram, segments_to_partition, with_starts,
+    Segment, Segments,
 };
 use crate::sparse::SparseFunction;
 
@@ -39,10 +39,10 @@ pub struct HierarchyLevel {
 }
 
 impl HierarchyLevel {
-    fn from_segments(domain: usize, segments: &[Segment]) -> Self {
-        let partition = segments_to_partition(domain, segments);
-        let values = segments.iter().map(Segment::mean).collect();
-        let sse = total_sse(segments);
+    fn from_segments(domain: usize, segments: impl Iterator<Item = Segment> + Clone) -> Self {
+        let partition = segments_to_partition(domain, segments.clone());
+        let values = segment_means(segments.clone());
+        let sse = with_starts(segments).map(|(start, s)| s.sse(start)).sum();
         Self { partition, values, sse }
     }
 
@@ -165,16 +165,19 @@ fn max_pieces_for_k(k: usize) -> usize {
     k.max(1).saturating_mul(8)
 }
 
-/// Every level of the hierarchy grown from `src`.
+/// The hierarchy's round plan: pairs, keeping a quarter of the intervals'
+/// count (half the pairs), while at least 8 intervals remain.
+fn plan(len: usize) -> Option<(usize, usize)> {
+    (len >= 8).then_some((2, len / 4))
+}
+
+/// Every level of the hierarchy grown from `src`: level 0 read from the
+/// signal, every later one recorded as the rounds write it.
 pub(crate) fn hierarchy(domain: usize, src: Segments<'_>) -> HierarchicalHistogram {
-    let mut segments = src.to_vec();
-    let mut levels = vec![HierarchyLevel::from_segments(domain, &segments)];
-    let (mut errors, mut scratch) = (Vec::new(), Vec::new());
-    while segments.len() >= 8 {
-        let keep = segments.len() / 4;
-        merge_round(&mut segments, 2, keep, &mut errors, &mut scratch);
-        levels.push(HierarchyLevel::from_segments(domain, &segments));
-    }
+    let mut levels = vec![HierarchyLevel::from_segments(domain, src.iter())];
+    merge_rounds(src, plan, |level, _| {
+        levels.push(HierarchyLevel::from_segments(domain, level.iter().copied()));
+    });
     HierarchicalHistogram { domain, levels }
 }
 
@@ -184,7 +187,8 @@ pub(crate) fn histogram_for_k(domain: usize, src: Segments<'_>, k: usize) -> His
     // At least 8 pieces are allowed, so the rounds stop at the latest on the
     // hierarchy's last level (fewer than 8 intervals).
     let max_pieces = max_pieces_for_k(k);
-    let (level, _) = merge_rounds(src, |len| (len > max_pieces).then_some((2, len / 4)));
+    let until_k = |len| if len > max_pieces { plan(len) } else { None };
+    let (level, _) = merge_rounds(src, until_k, |_, _| {});
     segments_to_histogram(domain, &level)
 }
 

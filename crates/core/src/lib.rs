@@ -69,7 +69,7 @@ pub mod partition;
 pub mod piecewise_poly;
 pub mod prefix;
 pub mod query;
-pub mod segment;
+mod segment;
 mod select;
 pub mod signal;
 pub mod sparse;
@@ -102,7 +102,6 @@ pub use params::MergingParams;
 pub use partition::Partition;
 pub use piecewise_poly::{PiecewisePolynomial, PolynomialPiece};
 pub use prefix::{DensePrefix, SparsePrefix};
-pub use segment::{initial_segments, segments_to_histogram, segments_to_partition, Segment};
 pub use signal::Signal;
 pub use sparse::SparseFunction;
 pub use stats::{flatten, flatten_dense, flattening_sse, interval_mean, interval_sse};

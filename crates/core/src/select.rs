@@ -1,105 +1,136 @@
 //! Linear-time selection of the largest merging errors, and the in-place
-//! compaction that applies a round's decisions.
+//! compaction the generalized merging applies a round's decisions with.
 //!
-//! Each round keeps the `t` candidates (pairs, or groups in `fastmerging`) with
-//! the largest merging errors. Where the paper uses linear-time selection,
-//! `mark_top_t` first tries a threshold when `t` is small next to the
-//! candidate count (at most 1/64 of it, the first rounds of Algorithm 1): one
-//! pass with a size-`t` min-heap finds the `t`-th largest error `τ` and
-//! tracks whether an error outside the heap equals it. If none does, the heap
-//! holds the unique top-`t` set, which any exact selection picks. Otherwise (a
-//! tie straddles `τ`, or `t` is large) it runs introselect
-//! (`select_nth_unstable_by`) over a reused buffer of `(error, position)`
-//! pairs; ties at the threshold fall where introselect's comparisons put them:
-//! exactly the positions an indirect selection over a position array picks.
-//! On quantized input the heap pass gives up as soon as its tie is at the
-//! largest error seen, so the fallback costs introselect plus a short prefix;
-//! a tie that straddles `τ` below the largest error costs one extra pass.
-//! `compact_groups` applies the marks in place.
+//! Each round keeps the `t` candidates (pairs, or groups in `fastmerging`)
+//! with the largest merging errors. [`keep_threshold`] returns a threshold
+//! `τ`: a candidate is kept exactly when its error is `≥ τ`, so a round needs
+//! no mask and no marking pass. Where the paper uses linear-time selection,
+//! three ways find `τ`:
+//!
+//! * **Heap** (`t` at most 1/64 of the candidates, the first rounds of
+//!   Algorithm 1): one pass with a size-`t` min-heap finds the `t`-th largest
+//!   error and tracks whether an error outside the heap equals it.
+//! * **Sample** (larger `t` up to half of at least `4 · SAMPLE` candidates,
+//!   Algorithm 2's rounds): Floyd–Rivest selection (Floyd & Rivest,
+//!   "Expected time bounds for selection", CACM 1975). A strided sample
+//!   gives two values that bracket `τ` with high probability; one pass counts
+//!   the errors above the bracket and collects the few inside it, and a
+//!   selection over those finds `τ`.
+//! * **Introselect**, when neither applies, the sample misses or a tie
+//!   straddles `τ`: `select_nth_unstable_by` over a reused buffer of
+//!   `(error, position)` pairs. Ties at the threshold fall where
+//!   introselect's comparisons put them: exactly the positions an indirect
+//!   selection over a position array picks. The picks are overwritten with
+//!   `+∞` and `τ = +∞`.
+//!
+//! When the heap or the sample finds `τ` and no error below the top `t`
+//! equals it, the top-`t` set is unique, so any exact selection, introselect
+//! included, picks it. On quantized input the heap pass gives up as soon as
+//! its tie is at the largest error seen, and the sample gives up before its
+//! pass when its bracket is one value, so a fallback there costs introselect
+//! plus a short prefix.
 
-/// The value [`mark_top_t`] writes over a kept error. Merging errors are
-/// squared distances, so they are never negative.
-pub(crate) const KEPT: f64 = -1.0;
-
-/// `mark_top_t` tries the threshold only while `t · HEAP_RATIO ≤ len`. The
-/// heap pass pays `O(log t)` per replacement (about `t·ln(len/t)` of them on
-/// errors in random order), so with larger `t` introselect is as fast, and
-/// a failed attempt is pure overhead.
-const HEAP_RATIO: usize = 64;
-
-/// Marks the `t` largest of `errors` by overwriting them with [`KEPT`],
-/// choosing exactly `min(t, len)` positions (ties at the threshold are broken
-/// by introselect's order). `scratch` is reused across calls. Runs in
-/// expected `O(len)` time.
-pub(crate) fn mark_top_t(errors: &mut [f64], t: usize, scratch: &mut Vec<(f64, usize)>) {
-    if t == 0 {
-        return;
-    }
-    if t >= errors.len() {
-        errors.fill(KEPT);
-        return;
-    }
-    if t <= errors.len() / HEAP_RATIO && unique_top_t(errors, t, scratch) {
-        for &(_, pos) in scratch.iter() {
-            errors[pos] = KEPT;
-        }
-        return;
-    }
-    scratch.clear();
-    scratch.extend(errors.iter().copied().zip(0..));
-    scratch.select_nth_unstable_by(t - 1, |a, b| {
-        b.0.partial_cmp(&a.0).expect("merging errors are finite")
-    });
-    for &(_, pos) in &scratch[..t] {
-        errors[pos] = KEPT;
-    }
+/// Which way [`keep_threshold`] found its threshold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Path {
+    /// `t = 0` or `t ≥ len`: nothing or everything is kept.
+    Trivial,
+    Heap,
+    Sample,
+    Introselect,
 }
 
-/// Leaves in `heap` the `(error, position)` pairs of `t` largest errors
-/// (`0 < t < len`) and returns whether no other error equals the smallest of
-/// them, i.e. whether they are the only top-`t` set. Returns `false` early
-/// once `t + 1` errors equal the largest positive error so far: only `t`
-/// larger errors still to come could clear that tie, and on quantized input
-/// (few distinct errors) they seldom come. Ties at zero (equal neighbours, a
-/// flat stretch) never stop the pass: they often open a signal and seldom
-/// reach the threshold.
-fn unique_top_t(errors: &[f64], t: usize, heap: &mut Vec<(f64, usize)>) -> bool {
+/// The heap is tried only while `t · HEAP_RATIO ≤ len`. The heap pass pays
+/// `O(log t)` per replacement (about `t·ln(len/t)` of them on errors in
+/// random order), so with larger `t` the other ways are as fast, and a failed
+/// attempt is pure overhead.
+const HEAP_RATIO: usize = 64;
+
+/// Errors in the sampled threshold's sample. The sample is taken once the
+/// stride is at least 4: with a stride of 2 it is no faster than introselect.
+const SAMPLE: usize = 2048;
+
+/// The selection's reused buffers: the heap, sample or bracket values, and
+/// the fallback's `(error, position)` pairs.
+#[derive(Default)]
+pub(crate) struct SelectBuffers {
+    values: Vec<f64>,
+    pairs: Vec<(f64, usize)>,
+}
+
+/// The threshold `τ` that keeps exactly `min(t, len)` of `errors`: the
+/// positions with error `≥ τ` are the ones the indirect introselect picks,
+/// ties at the threshold included. Errors stay as they are, except on the
+/// introselect path, which overwrites its picks with `+∞`; so they must be
+/// finite, or an unpicked `+∞` would read as kept. Runs in expected `O(len)`
+/// time.
+pub(crate) fn keep_threshold(
+    errors: &mut [f64],
+    t: usize,
+    buffers: &mut SelectBuffers,
+) -> (f64, Path) {
+    debug_assert!(errors.iter().all(|e| e.is_finite()), "merging errors are finite");
+    let len = errors.len();
+    if t == 0 {
+        return (f64::INFINITY, Path::Trivial);
+    }
+    if t >= len {
+        return (f64::NEG_INFINITY, Path::Trivial);
+    }
+    let found = if t <= len / HEAP_RATIO {
+        heap_threshold(errors, t, &mut buffers.values).map(|tau| (tau, Path::Heap))
+    } else if len / SAMPLE >= 4 && t <= len / 2 {
+        sampled_threshold(errors, t, &mut buffers.values).map(|tau| (tau, Path::Sample))
+    } else {
+        None
+    };
+    found.unwrap_or_else(|| (introselect(errors, t, &mut buffers.pairs), Path::Introselect))
+}
+
+/// The `t`-th largest error (`0 < t < len`) if no error outside the `t`
+/// largest equals it, i.e. if the top-`t` set is unique. Gives up early once
+/// `t + 1` errors equal the largest positive error so far: only `t` larger
+/// errors still to come could clear that tie, and on quantized input (few
+/// distinct errors) they seldom come. Ties at zero (equal neighbours, a flat
+/// stretch) never stop the pass: they often open a signal and seldom reach
+/// the threshold.
+fn heap_threshold(errors: &[f64], t: usize, heap: &mut Vec<f64>) -> Option<f64> {
     heap.clear();
-    heap.extend(errors[..t].iter().copied().zip(0..));
+    heap.extend_from_slice(&errors[..t]);
     for i in (0..t / 2).rev() {
         sift_down(heap, i);
     }
-    let mut largest = heap.iter().fold(0.0, |most: f64, &(error, _)| most.max(error));
+    let mut largest = heap.iter().fold(0.0, |most: f64, &error| most.max(error));
     // Whether an error outside the heap equals its least one. Outside errors
     // never exceed the least, so only a rise of the least clears a tie.
     let mut tied = false;
-    for (pos, &error) in errors.iter().enumerate().skip(t) {
-        let least = heap[0].0;
+    for &error in &errors[t..] {
+        let least = heap[0];
         if error < least {
             continue;
         }
         if error > least {
-            heap[0] = (error, pos);
+            heap[0] = error;
             sift_down(heap, 0);
             // The evicted error is outside now, tied unless the least rose.
-            tied = heap[0].0 == least;
+            tied = heap[0] == least;
             largest = largest.max(error);
         } else {
             tied = true;
         }
-        if tied && heap[0].0 == largest && largest > 0.0 {
-            return false;
+        if tied && heap[0] == largest && largest > 0.0 {
+            return None;
         }
     }
-    !tied
+    (!tied).then_some(heap[0])
 }
 
 /// Restores the min-heap order below `i`.
-fn sift_down(heap: &mut [(f64, usize)], mut i: usize) {
+fn sift_down(heap: &mut [f64], mut i: usize) {
     loop {
         let mut least = i;
         for child in [2 * i + 1, 2 * i + 2] {
-            if child < heap.len() && heap[child].0 < heap[least].0 {
+            if child < heap.len() && heap[child] < heap[least] {
                 least = child;
             }
         }
@@ -111,21 +142,88 @@ fn sift_down(heap: &mut [(f64, usize)], mut i: usize) {
     }
 }
 
+/// The `t`-th largest error (`0 < t ≤ len/2`, `len ≥ 4 · SAMPLE`) if the
+/// top-`t` set is unique, found from a strided sample; `None` if the sample
+/// misses (the threshold is outside its bracket) or a tie straddles it.
+fn sampled_threshold(errors: &[f64], t: usize, buf: &mut Vec<f64>) -> Option<f64> {
+    let len = errors.len();
+    buf.clear();
+    buf.extend(errors.iter().step_by(len / SAMPLE).take(SAMPLE));
+    // τ's expected rank in the sample, largest first, and four standard
+    // deviations of the sample rank either side.
+    let (m, p) = (SAMPLE as f64, t as f64 / len as f64);
+    let center = p * m;
+    let margin = 4.0 * (center * (1.0 - p)).sqrt() + 1.0;
+    let (high_rank, low_rank) = ((center - margin).floor(), (center + margin).ceil());
+    let descending = |a: &f64, b: &f64| b.total_cmp(a);
+    let (high, below) = if high_rank < 0.0 {
+        (f64::INFINITY, &mut buf[..])
+    } else {
+        let (_, &mut high, below) = buf.select_nth_unstable_by(high_rank as usize, descending);
+        (high, below)
+    };
+    let low_rank = low_rank - high_rank.max(-1.0) - 1.0;
+    let low = if low_rank >= below.len() as f64 {
+        f64::NEG_INFINITY
+    } else {
+        *below.select_nth_unstable_by(low_rank as usize, descending).1
+    };
+    if low == high {
+        // A run of equal errors spans the bracket: a tie straddles τ.
+        return None;
+    }
+
+    // The bracket should hold about `len · (low_rank − high_rank) / m`
+    // errors; one twice that size has missed, and a pass without a
+    // data-dependent branch needs its room set in advance (and one slot for
+    // the write every error makes).
+    let room = 2 * (len as f64 * (2.0 * margin + 1.0) / m) as usize;
+    buf.clear();
+    buf.resize(room + 1, 0.0);
+    let (mut above, mut inside) = (0, 0);
+    for &error in errors {
+        above += usize::from(error > high);
+        buf[inside] = error;
+        inside += usize::from((error <= high) & (error >= low));
+        if inside == room {
+            return None;
+        }
+    }
+    buf.truncate(inside);
+    let rank = t.checked_sub(above + 1).filter(|&rank| rank < inside)?;
+    let (_, &mut tau, rest) = buf.select_nth_unstable_by(rank, descending);
+    (!rest.contains(&tau)).then_some(tau)
+}
+
+/// Introselect over `(error, position)` pairs: overwrites the `t` picks
+/// (`0 < t < len`) with `+∞` and returns `+∞`.
+fn introselect(errors: &mut [f64], t: usize, pairs: &mut Vec<(f64, usize)>) -> f64 {
+    pairs.clear();
+    pairs.extend(errors.iter().copied().zip(0..));
+    pairs.select_nth_unstable_by(t - 1, |a, b| {
+        b.0.partial_cmp(&a.0).expect("merging errors are finite")
+    });
+    for &(_, pos) in &pairs[..t] {
+        errors[pos] = f64::INFINITY;
+    }
+    f64::INFINITY
+}
+
 /// Applies a round's decisions to `items` in place: group `u` (the `g` items
-/// from `u·g`) is copied through unchanged when `errors[u]` is [`KEPT`] and
+/// from `u·g`) is copied through unchanged when `errors[u] ≥ tau` and
 /// replaced by `merge(group)` otherwise; items after the last full group are
 /// carried over. Writes never overtake reads, so no second list is needed.
-#[inline]
 pub(crate) fn compact_groups<T: Copy>(
     items: &mut Vec<T>,
     g: usize,
     errors: &[f64],
+    tau: f64,
     merge: impl Fn(&[T]) -> T,
 ) {
     let mut write = 0;
     for (u, &error) in errors.iter().enumerate() {
         let read = u * g;
-        if error == KEPT {
+        if error >= tau {
             items.copy_within(read..read + g, write);
             write += g;
         } else {
@@ -174,10 +272,11 @@ mod tests {
         mask
     }
 
-    fn marked(values: &[f64], t: usize) -> Vec<bool> {
+    /// The positions [`keep_threshold`] keeps, the errors it leaves, and its path.
+    fn kept(values: &[f64], t: usize) -> (Vec<bool>, Vec<f64>, Path) {
         let mut errors = values.to_vec();
-        mark_top_t(&mut errors, t, &mut Vec::new());
-        errors.iter().map(|&e| e == KEPT).collect()
+        let (tau, path) = keep_threshold(&mut errors, t, &mut SelectBuffers::default());
+        (errors.iter().map(|&e| e >= tau).collect(), errors, path)
     }
 
     fn lcg_values(mut seed: u64, len: usize) -> Vec<f64> {
@@ -187,17 +286,17 @@ mod tests {
     #[test]
     fn selects_the_largest_values() {
         let v = [5.0, 1.0, 9.0, 3.0, 7.0];
-        assert_eq!(marked(&v, 2), vec![false, false, true, false, true]);
+        assert_eq!(kept(&v, 2).0, vec![false, false, true, false, true]);
     }
 
     #[test]
     fn edge_cases() {
         let v = [1.0, 2.0];
-        assert_eq!(marked(&v, 0), vec![false, false]);
-        assert_eq!(marked(&v, 2), vec![true, true]);
-        assert_eq!(marked(&v, 5), vec![true, true]);
-        assert!(marked(&[], 3).is_empty());
-        assert_eq!(marked(&[2.0; 4], 2).iter().filter(|&&m| m).count(), 2, "ties");
+        assert_eq!(kept(&v, 0).0, vec![false, false]);
+        assert_eq!(kept(&v, 2).0, vec![true, true]);
+        assert_eq!(kept(&v, 5).0, vec![true, true]);
+        assert!(kept(&[], 3).0.is_empty());
+        assert_eq!(kept(&[2.0; 4], 2).0.iter().filter(|&&m| m).count(), 2, "ties");
     }
 
     #[test]
@@ -205,27 +304,20 @@ mod tests {
         let v = lcg_values(1234567, 257);
         for t in [0, 1, 5, 64, 200, 257, 300] {
             // With distinct values the selection is unique.
-            assert_eq!(marked(&v, t), top_t_mask_by_sort(&v, t), "mismatch for t = {t}");
+            assert_eq!(kept(&v, t).0, top_t_mask_by_sort(&v, t), "mismatch for t = {t}");
         }
     }
 
-    /// The bits `mark_top_t` leaves, and the bits the oracle's mask gives.
-    fn marked_and_expected_bits(values: &[f64], t: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut errors = values.to_vec();
-        mark_top_t(&mut errors, t, &mut Vec::new());
-        let mask = top_t_mask(values, t);
-        let expected = values.iter().zip(mask).map(|(&v, kept)| if kept { KEPT } else { v });
-        (errors.iter().map(|e| e.to_bits()).collect(), expected.map(f64::to_bits).collect())
-    }
-
-    /// `mark_top_t` must choose exactly the positions the indirect selection
-    /// chooses, ties included, and leave every other bit alone: the merging
-    /// outputs depend on it. Small `t` next to `len` takes the threshold, and
-    /// its introselect fallback when a tie straddles it.
+    /// The positions with error `≥ τ` must be exactly the ones the indirect
+    /// selection chooses, ties included, and every other error must keep its
+    /// bits: the merging outputs depend on it. Small `t` next to `len` takes
+    /// the heap, larger `t` on long inputs the sample, and each falls back to
+    /// introselect when a tie straddles `τ` or the sample misses.
     #[test]
-    fn marks_exactly_the_indirect_selection() {
+    fn keeps_exactly_the_indirect_selection() {
         let mut cases: Vec<Vec<f64>> = Vec::new();
-        for len in [1, 2, 7, 16, 17, 33, 64, 65, 500, 4_096, 4_099, 16_384] {
+        let lengths = [1, 2, 7, 16, 17, 33, 64, 65, 500, 4_096, 4_099, 16_384, 1 << 15, 1 << 17];
+        for len in lengths {
             cases.push(lcg_values(len as u64, len));
             cases.push(vec![3.5; len]);
             cases.push(vec![0.0; len]);
@@ -253,34 +345,79 @@ mod tests {
         for pos in [5, 77, 6_000, 8_191] {
             straddled[pos] = 5.0;
         }
-        assert!(unique_top_t(&straddled, 7, &mut Vec::new()));
-        assert!(!unique_top_t(&straddled, 5, &mut Vec::new()));
+        assert_eq!(heap_threshold(&straddled, 7, &mut Vec::new()), Some(5.0));
+        assert_eq!(heap_threshold(&straddled, 5, &mut Vec::new()), None);
         // A tie at the largest error stops the pass, at 9.0 after a prefix.
-        assert!(!unique_top_t(&straddled, 1, &mut Vec::new()));
+        assert_eq!(heap_threshold(&straddled, 1, &mut Vec::new()), None);
         cases.push(straddled);
         // 9.0 evicts one 5.0 and the other becomes the least: the evicted
         // 5.0 ties it, and nothing after them rises above it.
         let mut evicted_tie = vec![5.0, 5.0, 9.0];
         evicted_tie.extend(lcg_values(3, 200));
-        assert!(!unique_top_t(&evicted_tie, 2, &mut Vec::new()));
+        assert_eq!(heap_threshold(&evicted_tie, 2, &mut Vec::new()), None);
         cases.push(evicted_tie);
         // Ties at zero open the errors, then distinct values clear them.
         let mut flat_start = vec![0.0; 2_000];
         flat_start.extend(lcg_values(5, 6_192).iter().map(|v| v + 1.0));
-        assert!(unique_top_t(&flat_start, 65, &mut Vec::new()));
+        assert!(heap_threshold(&flat_start, 65, &mut Vec::new()).is_some());
         cases.push(flat_start);
         // Two distinct errors, periodically: the top set always straddles a tie.
         let periodic: Vec<f64> =
             (0..8_192).map(|i| [12.5, 18.0][usize::from(i % 11 < 5)]).collect();
-        assert!(!unique_top_t(&periodic, 65, &mut Vec::new()));
+        assert_eq!(heap_threshold(&periodic, 65, &mut Vec::new()), None);
         cases.push(periodic);
 
+        // Distinct errors whose largest repeat at the sample stride: every
+        // sampled error is a peak, so the sample brackets a far too large τ.
+        let len = 1 << 17;
+        let stride = len / SAMPLE;
+        let mut peaks = lcg_values(11, len);
+        for (i, e) in peaks.iter_mut().enumerate().step_by(stride) {
+            *e += 2.0 + i as f64;
+        }
+        for t in [len / 64 + 1, len / 4, len / 2] {
+            assert_eq!(sampled_threshold(&peaks, t, &mut Vec::new()), None, "t = {t}");
+            assert_eq!(kept(&peaks, t).2, Path::Introselect, "t = {t}");
+        }
+        cases.push(peaks);
+        // Noise with about 3000 copies of the median value: a tie straddles the
+        // half and a few ranks either side, and the sample brackets it.
+        let mut median_tie = lcg_values(13, len);
+        for e in median_tie.iter_mut().step_by(43) {
+            *e = 0.5;
+        }
+        let above = median_tie.iter().filter(|&&e| e > 0.5).count();
+        let at_least = median_tie.iter().filter(|&&e| e >= 0.5).count();
+        assert!(above < len / 2 - 5 && at_least > len / 2 + 5, "{above}, {at_least}");
+        for t in [len / 2 - 5, len / 2] {
+            assert_eq!(sampled_threshold(&median_tie, t, &mut Vec::new()), None, "t = {t}");
+            assert_eq!(kept(&median_tie, t).2, Path::Introselect, "t = {t}");
+        }
+        cases.push(median_tie);
+
+        let mut paths = Vec::new();
         for values in &cases {
             let len = values.len();
             let small = [1, 3, 5, 7, 65, len / 64, len / 64 + 1];
-            for t in small.into_iter().chain([0, len / 3, len / 2, len - 1, len, len + 3]) {
-                let (got, want) = marked_and_expected_bits(values, t);
-                assert_eq!(got, want, "len {len}, t = {t}");
+            let large = [len / 4, len / 3, len / 2, len - 1, len, len + 3];
+            for t in small.into_iter().chain([0]).chain(large) {
+                let (kept, errors, path) = kept(values, t);
+                let want = top_t_mask(values, t);
+                assert_eq!(kept, want, "len {len}, t = {t}, {path:?}");
+                for ((&got, &was), kept) in errors.iter().zip(values).zip(want) {
+                    assert!(kept || got.to_bits() == was.to_bits(), "len {len}, t = {t}");
+                }
+                paths.push(path);
+            }
+        }
+        for path in [Path::Trivial, Path::Heap, Path::Sample, Path::Introselect] {
+            assert!(paths.contains(&path), "{path:?} never ran");
+        }
+        // The sample runs on random errors from `4 · SAMPLE` of them on.
+        for len in [4 * SAMPLE, 1 << 17] {
+            let random = lcg_values(len as u64, len);
+            for t in [len / 64 + 1, len / 4, len / 3, len / 2] {
+                assert_eq!(kept(&random, t).2, Path::Sample, "len {len}, t = {t}");
             }
         }
     }
@@ -289,10 +426,10 @@ mod tests {
     fn compaction_merges_unkept_groups_and_carries_the_tail() {
         let sum = |g: &[u32]| g.iter().sum::<u32>();
         let mut items = vec![1, 2, 3, 4, 5, 6, 7];
-        compact_groups(&mut items, 2, &[0.5, KEPT, 0.0], sum);
+        compact_groups(&mut items, 2, &[0.5, 3.0, 0.0], 1.0, sum);
         assert_eq!(items, vec![3, 3, 4, 11, 7]);
         let mut items = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        compact_groups(&mut items, 3, &[KEPT, 2.0], sum);
+        compact_groups(&mut items, 3, &[f64::INFINITY, 2.0], f64::INFINITY, sum);
         assert_eq!(items, vec![1, 2, 3, 15, 7, 8]);
     }
 }

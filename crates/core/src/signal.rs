@@ -208,7 +208,7 @@ impl DiscreteFunction for Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{initial_segments, Segment};
+    use crate::segment::Segment;
 
     #[test]
     fn dense_and_sparse_views_agree() {
@@ -225,10 +225,10 @@ mod tests {
         assert_eq!(dense.l2_norm_squared(), 1.5 * 1.5 + 2.5 * 2.5);
     }
 
-    /// The segments the rounds read, and [`initial_segments`], are the exact
-    /// segmentation a walk over the domain finds, bit for bit.
+    /// The segments the rounds read are the exact segmentation a walk over
+    /// the domain finds, bit for bit.
     #[test]
-    fn segments_match_initial_segments() {
+    fn segments_match_a_walk_over_the_domain() {
         let cases = [
             (1, vec![]),
             (1, vec![(0, -0.0)]),
@@ -240,34 +240,34 @@ mod tests {
             (9, (0..9).map(|i| (i, i as f64)).collect()),
         ];
         let bits = |segs: &[Segment]| -> Vec<_> {
-            segs.iter().map(|s| (s.start, s.end, s.sum.to_bits(), s.sum_sq.to_bits())).collect()
+            segs.iter().map(|s| (s.end, s.sum.to_bits(), s.sum_sq.to_bits())).collect()
         };
         // A point per entry and one zero run per maximal stretch without one.
         let walk = |q: &SparseFunction| {
-            let (mut segments, mut run_start) = (Vec::new(), None);
+            let (mut segments, mut in_run) = (Vec::new(), false);
             let mut entries = q.entries().iter().peekable();
             for i in 0..q.domain() {
                 match entries.next_if(|&&(j, _)| j == i) {
                     Some(&(_, v)) => {
-                        if let Some(start) = run_start.take() {
-                            segments.push(Segment::zero(start, i - 1));
+                        if std::mem::take(&mut in_run) {
+                            segments.push(Segment::zero(i - 1));
                         }
                         segments.push(Segment::point(i, v));
                     }
-                    None => _ = run_start.get_or_insert(i),
+                    None => in_run = true,
                 }
             }
-            if let Some(start) = run_start {
-                segments.push(Segment::zero(start, q.domain() - 1));
+            if in_run {
+                segments.push(Segment::zero(q.domain() - 1));
             }
             segments
         };
+        let read = |signal: &Signal| signal.segments().iter().collect::<Vec<_>>();
         for (domain, entries) in cases {
             let q = SparseFunction::new(domain, entries).unwrap();
             let signal = Signal::from_sparse(q.clone());
             let want = walk(&q);
-            assert_eq!(bits(&signal.segments().to_vec()), bits(&want), "{q:?}");
-            assert_eq!(bits(&initial_segments(&q)), bits(&want), "{q:?}");
+            assert_eq!(bits(&read(&signal)), bits(&want), "{q:?}");
             assert_eq!(signal.segments().len(), want.len(), "{q:?}");
         }
 
@@ -275,7 +275,7 @@ mod tests {
         let dense = Signal::from_slice(&values).unwrap();
         let points: Vec<_> =
             values.iter().enumerate().map(|(i, &v)| Segment::point(i, v)).collect();
-        assert_eq!(bits(&dense.segments().to_vec()), bits(&points));
+        assert_eq!(bits(&read(&dense)), bits(&points));
         assert_eq!(dense.segments().len(), values.len());
     }
 

@@ -8,8 +8,10 @@
 //! first eight inputs' constants were captured from the copy-per-round loops
 //! the in-place rounds replaced; `ties` and `sparse-edges` and the report
 //! counts were captured from the in-place rounds before the first round read
-//! its input directly. If one fails after an *intentional* algorithm change,
-//! re-derive them with
+//! its input directly; `stride-peaks` and `sparse-gaps` and their report
+//! counts were captured from the rounds over 32-byte segments with a keep
+//! mask, before they moved to 24-byte segments and a keep threshold. If one
+//! fails after an *intentional* algorithm change, re-derive them with
 //! `cargo test --release --test merging_golden -- --ignored --nocapture`
 //! and update them in the same commit.
 
@@ -66,6 +68,33 @@ fn sparse_edges(domain: usize) -> SparseFunction {
     SparseFunction::new(domain, entries).unwrap()
 }
 
+/// Plateau noise whose pair errors peak once per `stride` pairs: a strided
+/// sample of the first round's pair errors sees only the peaks.
+fn stride_peaks(seed: u64, n: usize, stride: usize) -> Vec<f64> {
+    let mut values = plateau(seed, n, 16);
+    for block in values.chunks_mut(2 * stride) {
+        block[1] += 500.0 + block[0];
+    }
+    values
+}
+
+/// `entries` values over `domain` with gaps of every scale: gap `i` is drawn
+/// from `[2^j, 2^(j+1))` for `j = i mod 21`, so runs of zeros from none to two
+/// million indices sit side by side.
+fn sparse_gaps(seed: u64, domain: usize, entries: usize) -> SparseFunction {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values = plateau(seed, entries, 8);
+    let mut next = 0;
+    let mut out = Vec::with_capacity(entries);
+    for (i, v) in values.into_iter().enumerate() {
+        out.push((next, if i % 13 == 0 { -v } else { v }));
+        let scale = 1usize << (i % 21);
+        next += scale + rng.gen_range(0..scale);
+    }
+    assert!(next <= domain);
+    SparseFunction::new(domain, out).unwrap()
+}
+
 /// The golden inputs, by name.
 fn inputs() -> Vec<(&'static str, Signal)> {
     let dense = |values: Vec<f64>| Signal::from_dense(values).unwrap();
@@ -82,6 +111,10 @@ fn inputs() -> Vec<(&'static str, Signal)> {
         // from the first round on.
         ("ties", dense((0..1 << 15).map(|i| ((i * 5) % 11) as f64).collect())),
         ("sparse-edges", Signal::from_sparse(sparse_edges(1 << 16))),
+        // The first round's 2^16 pair errors peak every 32 pairs, the stride
+        // of a 2048-error sample: a threshold guessed from that sample misses.
+        ("stride-peaks", dense(stride_peaks(32, 1 << 17, 32))),
+        ("sparse-gaps", Signal::from_sparse(sparse_gaps(30, 1 << 30, 3_000))),
     ]
 }
 
@@ -148,7 +181,7 @@ fn print_merging_checksums() {
 }
 
 /// `(input, [merging, fastmerging, hierarchical])` checksums.
-const GOLDEN: [(&str, [u64; 3]); 10] = [
+const GOLDEN: [(&str, [u64; 3]); 12] = [
     ("plateau", [0x677c868f2af8c8cd, 0x44e521df9cdefe91, 0xcada386559df8171]),
     ("sparse", [0x53c095efadb856b9, 0xea00e233ac11b1f5, 0x29a5d35f2d052a9a]),
     ("hist", [0xd37cf04231ee9c2d, 0xcad59ae85d7dc76c, 0x91d699cce1e205f4]),
@@ -159,10 +192,12 @@ const GOLDEN: [(&str, [u64; 3]); 10] = [
     ("periodic", [0x3a2614907eef0226, 0x8bd10233e77cdbe7, 0x202ccea70b33bf57]),
     ("ties", [0xdb927d0a3bccb936, 0x93c3b3f3f2dd7247, 0x10bc3cffe32d7ce9]),
     ("sparse-edges", [0x389be7c233482671, 0xe2bdee9356b7f879, 0x174ae2dac1fa1d79]),
+    ("stride-peaks", [0xd45c50481490e447, 0x7ab283fa267979f6, 0x80d509f731138ea7]),
+    ("sparse-gaps", [0xd476ac8ee4704206, 0xe1add7338883c454, 0x1fb7e2cf8b03c20d]),
 ];
 
 /// `(input, reports(input))`, captured with the golden checksums.
-const REPORTS: [(&str, [[usize; 4]; 3]); 10] = [
+const REPORTS: [(&str, [[usize; 4]; 3]); 12] = [
     ("plateau", [[65536, 16, 11, 2730], [65536, 16, 13, 321], [65536, 12, 8, 1638]]),
     ("sparse", [[2049, 11, 9, 85], [2049, 11, 10, 10], [2049, 7, 5, 51]]),
     ("hist", [[1000, 10, 8, 41], [1000, 10, 10, 4], [1000, 6, 4, 25]]),
@@ -173,6 +208,8 @@ const REPORTS: [(&str, [[usize; 4]; 3]); 10] = [
     ("periodic", [[5001, 13, 10, 208], [5001, 13, 11, 24], [5001, 8, 5, 125]]),
     ("ties", [[32768, 15, 11, 1365], [32768, 15, 12, 160], [32768, 11, 7, 819]]),
     ("sparse-edges", [[5187, 13, 10, 216], [5187, 13, 11, 25], [5187, 9, 6, 129]]),
+    ("stride-peaks", [[131072, 17, 12, 5461], [131072, 17, 13, 642], [131072, 13, 8, 3276]]),
+    ("sparse-gaps", [[5857, 13, 10, 244], [5857, 13, 11, 28], [5857, 9, 6, 146]]),
 ];
 
 #[test]
