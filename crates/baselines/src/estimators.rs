@@ -64,16 +64,18 @@ impl Estimator for ExactDp {
     }
 }
 
-/// The `(1 + δ)`-approximate compressed-row DP in the spirit of AHIST [GKS06]
-/// as an [`Estimator`] (`δ` comes from
-/// [`EstimatorBuilder::approx_delta`]).
+/// The approximation parameter `δ` of the AHIST-style approximate DP.
+const GKS_DELTA: f64 = 0.1;
+
+/// The `(1 + δ)`-approximate compressed-row DP in the spirit of AHIST
+/// \[GKS06\] as an [`Estimator`], with `δ = 0.1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GksQuantile {
     builder: EstimatorBuilder,
 }
 
 impl GksQuantile {
-    /// An approximate-DP estimator with the builder's `k` and `approx_delta`.
+    /// An approximate-DP estimator with the builder's `k`.
     pub fn new(builder: EstimatorBuilder) -> Self {
         Self { builder }
     }
@@ -86,7 +88,7 @@ impl Estimator for GksQuantile {
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         let k = self.builder.k();
-        let fit = approx_dp(&signal.dense_values(), k, self.builder.approx_delta_value())?;
+        let fit = approx_dp(&signal.dense_values(), k, GKS_DELTA)?;
         Ok(synopsis(self.name(), k, fit))
     }
 }

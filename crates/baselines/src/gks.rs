@@ -1,5 +1,5 @@
 //! An approximate V-optimal dynamic program in the spirit of AHIST-S /
-//! AHIST-L-Δ of Guha, Koudas and Shim [GKS06].
+//! AHIST-L-Δ of Guha, Koudas and Shim \[GKS06\].
 //!
 //! The exact DP row `dp[j][·]` is a non-decreasing function of the prefix
 //! length. AHIST-style algorithms exploit this by *compressing* each row: only

@@ -12,13 +12,13 @@
 //! * [`dual_greedy`] — the linear-time greedy algorithm for the dual problem of
 //!   [JKM+98] with a binary-search primal wrapper (`dual` in Table 1);
 //! * [`gks`] — a `(1 + δ)`-approximate compressed-row DP in the spirit of
-//!   AHIST-S / AHIST-L-Δ [GKS06];
+//!   AHIST-S / AHIST-L-Δ \[GKS06\];
 //! * [`equal_width`], [`equal_mass`], [`greedy_split`] — classical non-optimal
 //!   baselines used as sanity floors and ablation points.
 //!
 //! All baselines consume a dense signal `&[f64]` and a piece budget `k` and
 //! return a [`FitResult`] holding the constructed
-//! [`Histogram`](hist_core::Histogram) and its squared `ℓ₂` error.
+//! [`Histogram`] and its squared `ℓ₂` error.
 
 pub mod dual_greedy;
 pub mod equal_mass;

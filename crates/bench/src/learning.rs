@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The three estimators plotted in the paper's Figure 2.
-pub fn figure2_estimators(k: usize) -> Vec<Box<dyn Estimator>> {
+fn figure2_estimators(k: usize) -> Vec<Box<dyn Estimator>> {
     let builder = EstimatorBuilder::new(k);
     [EstimatorKind::ExactDp, EstimatorKind::Merging, EstimatorKind::Merging2]
         .into_iter()
@@ -39,7 +39,7 @@ pub struct LearningDataset {
 
 /// The three learning data sets of Section 5.2: the Figure 1 signals,
 /// subsampled to a support of roughly 1000 and normalized.
-pub fn figure2_datasets() -> Vec<LearningDataset> {
+fn figure2_datasets() -> Vec<LearningDataset> {
     let hist = datasets::to_distribution(&datasets::hist_dataset()).expect("valid signal");
     let poly = datasets::subsample_to_distribution(&datasets::poly_dataset(), 4).expect("valid");
     let dow = datasets::subsample_to_distribution(&datasets::dow_dataset(), 16).expect("valid");

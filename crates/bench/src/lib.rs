@@ -3,17 +3,16 @@
 //! The experiment harness of the reproduction: shared runners for every table
 //! and figure of the paper's evaluation (Section 5) plus the ablations listed
 //! in `DESIGN.md`. The binaries in `src/bin/` print the paper's tables and
-//! write CSVs under `out/`; the Criterion benchmarks in `benches/` measure the
-//! same code paths with statistical rigor.
+//! write CSVs under `out/`.
 //!
-//! | Paper artifact | Runner | Binary | Criterion bench |
-//! |---|---|---|---|
-//! | Figure 1 (data sets) | [`offline::figure1`] | `figure1` | — |
-//! | Table 1 (offline approximation) | [`offline::table1`] | `table1` | `table1_offline` |
-//! | Figure 2 (learning curves) | [`learning::figure2`] | `figure2` | `figure2_learning` |
-//! | Theorem 2.2 demo (Pareto) | [`pareto::pareto_experiment`] | `pareto` | `multiscale` |
-//! | Theorem 2.3 demo (piecewise poly) | [`polyexp::poly_experiment`] | `poly_experiment` | `polyfit` |
-//! | Ablations (δ/γ, fastmerging, DPs) | [`ablation`] | `ablation` | `merging`, `baselines`, `sampling` |
+//! | Paper artifact | Runner | Binary |
+//! |---|---|---|
+//! | Figure 1 (data sets) | [`offline::figure1`] | `figure1` |
+//! | Table 1 (offline approximation) | [`offline::table1`] | `table1` |
+//! | Figure 2 (learning curves) | [`learning::figure2`] | `figure2` |
+//! | Theorem 2.2 demo (Pareto) | [`pareto::pareto_experiment`] | `pareto` |
+//! | Theorem 2.3 demo (piecewise poly) | [`polyexp::poly_experiment`] | `poly_experiment` |
+//! | Ablations (δ/γ, fastmerging, DPs) | [`ablation`] | `ablation` |
 
 pub mod ablation;
 pub mod learning;

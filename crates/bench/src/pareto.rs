@@ -4,7 +4,7 @@
 //! the guarantee `2·opt_k`.
 //!
 //! The per-`k` extraction goes through the unified
-//! [`Hierarchical`](approx_hist::Hierarchical) estimator; the raw curve uses
+//! [`Hierarchical`] estimator; the raw curve uses
 //! its [`fit_hierarchy`](approx_hist::Hierarchical::fit_hierarchy) extension
 //! (the Pareto sweep is the one capability a single fitted synopsis
 //! intentionally does not carry).

@@ -6,7 +6,7 @@
 //! synopsis for the same space; this experiment quantifies that claim on the
 //! smooth `poly` and `dow` signals and on the piecewise-constant `hist` signal
 //! (where degree 0 is expected to win). Fits run through the unified
-//! [`PiecewisePoly`](approx_hist::PiecewisePoly) estimator.
+//! [`PiecewisePoly`] estimator.
 
 use approx_hist::{Estimator, EstimatorBuilder, PiecewisePoly, Signal};
 use hist_datasets as datasets;

@@ -1,7 +1,6 @@
 //! Minimal wall-clock timing helper for the experiment binaries.
 //!
-//! Criterion handles the statistically careful measurements in `benches/`; the
-//! experiment binaries only need a rough but stable wall-clock number per
+//! The experiment binaries only need a rough but stable wall-clock number per
 //! algorithm (the paper averages fast algorithms over up to 10⁴ trials — we do
 //! the same adaptively).
 

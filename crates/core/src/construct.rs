@@ -25,11 +25,8 @@ use crate::error::Result;
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
-use crate::partition::Partition;
-use crate::segment::{
-    merge_rounds, segments_to_histogram, segments_to_partition, Segment, Segments,
-};
-use crate::sparse::{validate_dense, SparseFunction};
+use crate::segment::{merge_rounds, segments_to_histogram, Segment, Segments};
+use crate::sparse::SparseFunction;
 
 /// Summary statistics of one run of the merging algorithm, useful for
 /// diagnostics, tests and the ablation experiments.
@@ -49,12 +46,6 @@ pub fn construct_histogram(q: &SparseFunction, params: &MergingParams) -> Result
     Ok(construct_histogram_with_report(q, params)?.0)
 }
 
-/// Runs Algorithm 1 and returns only the final partition.
-pub fn construct_partition(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_segments(Segments::Sparse(q), params);
-    Ok(segments_to_partition(q.domain(), segments))
-}
-
 /// Runs Algorithm 1 and additionally returns a [`MergingReport`].
 pub fn construct_histogram_with_report(
     q: &SparseFunction,
@@ -62,15 +53,6 @@ pub fn construct_histogram_with_report(
 ) -> Result<(Histogram, MergingReport)> {
     let (segments, report) = merge_segments(Segments::Sparse(q), params);
     Ok((segments_to_histogram(q.domain(), &segments), report))
-}
-
-/// Convenience wrapper for dense inputs: the signal is treated as an `n`-sparse
-/// function (this is the "offline" setting of the paper's experiments), read
-/// in place.
-pub fn construct_histogram_dense(values: &[f64], params: &MergingParams) -> Result<Histogram> {
-    validate_dense(values, "construct_histogram_dense")?;
-    let (segments, _) = merge_segments(Segments::Dense(values), params);
-    Ok(segments_to_histogram(values.len(), &segments))
 }
 
 /// The merging loop behind every Algorithm 1 entry point: pair rounds over
@@ -173,21 +155,6 @@ mod tests {
         assert!(report.rounds >= 4);
         // And never more than log2(s) + 1 rounds.
         assert!(report.rounds <= 9);
-    }
-
-    #[test]
-    fn dense_wrapper_matches_sparse_path() {
-        let values: Vec<f64> = (0..64).map(|i| ((i / 8) % 3) as f64 * 2.0).collect();
-        let params = MergingParams::paper_defaults(3).unwrap();
-        let a = construct_histogram_dense(&values, &params).unwrap();
-        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
-        let b = construct_histogram(&q, &params).unwrap();
-        assert_eq!(a, b);
-        // Input is checked as `SparseFunction::from_dense_keep_zeros` checks it.
-        let empty = construct_histogram_dense(&[], &params);
-        assert!(matches!(empty, Err(crate::Error::EmptyDomain)), "{empty:?}");
-        let nan = construct_histogram_dense(&[1.0, f64::NAN], &params);
-        assert!(matches!(nan, Err(crate::Error::NonFiniteValue { .. })), "{nan:?}");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 use crate::error::{Error, Result};
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
-use crate::sparse::SparseFunction;
 
 /// Tolerance used when validating that a pmf sums to one.
-pub const MASS_TOLERANCE: f64 = 1e-9;
+pub(crate) const MASS_TOLERANCE: f64 = 1e-9;
 
 /// A probability distribution over `[0, n)`, stored densely.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +21,7 @@ impl Distribution {
     /// Validates and wraps a probability mass function.
     ///
     /// All entries must be finite and non-negative and the total mass must be
-    /// within [`MASS_TOLERANCE`] of 1.
+    /// within `1e-9` of 1.
     pub fn new(pmf: Vec<f64>) -> Result<Self> {
         if pmf.is_empty() {
             return Err(Error::EmptyDomain);
@@ -120,13 +119,8 @@ impl Distribution {
             .collect()
     }
 
-    /// The distribution viewed as a sparse function (zero entries dropped).
-    pub fn to_sparse(&self) -> SparseFunction {
-        SparseFunction::from_dense(&self.pmf).expect("validated pmf is a valid sparse function")
-    }
-
     /// Squared `ℓ₂` distance to another distribution over the same domain.
-    pub fn l2_distance_squared(&self, other: &Distribution) -> Result<f64> {
+    pub(crate) fn l2_distance_squared(&self, other: &Distribution) -> Result<f64> {
         if self.pmf.len() != other.pmf.len() {
             return Err(Error::InvalidParameter {
                 name: "other",
@@ -274,11 +268,5 @@ mod tests {
         let d = Distribution::from_histogram(&h).unwrap();
         assert!((d.total_mass() - 1.0).abs() < 1e-12);
         assert!((d.prob(0) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparse_conversion_drops_zeros() {
-        let d = Distribution::new(vec![0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(d.to_sparse().sparsity(), 1);
     }
 }

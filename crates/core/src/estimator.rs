@@ -77,7 +77,6 @@ pub struct EstimatorBuilder {
     fail_prob: f64,
     samples: Option<usize>,
     seed: u64,
-    approx_delta: f64,
     chunk_len: Option<usize>,
     threads: Option<usize>,
 }
@@ -95,7 +94,6 @@ impl EstimatorBuilder {
             fail_prob: 0.1,
             samples: None,
             seed: 2015,
-            approx_delta: 0.1,
             chunk_len: None,
             threads: None,
         }
@@ -156,12 +154,6 @@ impl EstimatorBuilder {
         self
     }
 
-    /// Sets the approximation parameter of the AHIST-style approximate DP.
-    pub fn approx_delta(mut self, delta: f64) -> Self {
-        self.approx_delta = delta;
-        self
-    }
-
     /// Sets the chunk length of the chunked/streaming estimators (`hist-stream`):
     /// how many signal values each per-chunk sub-fit covers. Unset means the
     /// fitter picks a heuristic chunk length from the domain size.
@@ -204,12 +196,6 @@ impl EstimatorBuilder {
     #[inline]
     pub fn seed_value(&self) -> u64 {
         self.seed
-    }
-
-    /// Approximation parameter of the approximate DP.
-    #[inline]
-    pub fn approx_delta_value(&self) -> f64 {
-        self.approx_delta
     }
 
     /// Sets the worker-thread count of the parallel estimators (`hist-stream`'s

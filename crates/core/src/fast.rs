@@ -22,10 +22,7 @@ use crate::error::Result;
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
-use crate::partition::Partition;
-use crate::segment::{
-    merge_rounds, segments_to_histogram, segments_to_partition, Segment, Segments,
-};
+use crate::segment::{merge_rounds, segments_to_histogram, Segment, Segments};
 use crate::sparse::SparseFunction;
 
 /// Summary statistics of one run of the `fastmerging` algorithm.
@@ -44,12 +41,6 @@ pub struct FastMergingReport {
 /// Runs the `fastmerging` variant and returns the output histogram.
 pub fn construct_histogram_fast(q: &SparseFunction, params: &MergingParams) -> Result<Histogram> {
     Ok(construct_histogram_fast_with_report(q, params)?.0)
-}
-
-/// Runs the `fastmerging` variant and returns only the final partition.
-pub fn construct_partition_fast(q: &SparseFunction, params: &MergingParams) -> Result<Partition> {
-    let (segments, _) = merge_groups(Segments::Sparse(q), params);
-    Ok(segments_to_partition(q.domain(), segments))
 }
 
 /// Runs the `fastmerging` variant and additionally returns a [`FastMergingReport`].

@@ -6,10 +6,10 @@ use crate::interval::Interval;
 
 /// A real-valued function on the discrete domain `[0, n)`.
 ///
-/// Implemented by [`DenseFunction`], [`crate::sparse::SparseFunction`],
+/// Implemented by dense vectors and slices, [`crate::sparse::SparseFunction`],
 /// [`crate::histogram::Histogram`], [`crate::piecewise_poly::PiecewisePolynomial`]
-/// and [`crate::distribution::Distribution`], so that norms and distances can be
-/// computed uniformly.
+/// and [`crate::distribution::Distribution`], so that values and masses can be
+/// read uniformly.
 pub trait DiscreteFunction {
     /// Size `n` of the domain `[0, n)`.
     fn domain(&self) -> usize;
@@ -36,13 +36,13 @@ pub trait DiscreteFunction {
 
 /// A dense function represented by a vector of length `n`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseFunction {
+pub(crate) struct DenseFunction {
     values: Vec<f64>,
 }
 
 impl DenseFunction {
     /// Wraps a vector of values. All values must be finite and the vector non-empty.
-    pub fn new(values: Vec<f64>) -> Result<Self> {
+    pub(crate) fn new(values: Vec<f64>) -> Result<Self> {
         if values.is_empty() {
             return Err(Error::EmptyDomain);
         }
@@ -52,23 +52,10 @@ impl DenseFunction {
         Ok(Self { values })
     }
 
-    /// The all-zeros function on a domain of size `n`.
-    pub fn zeros(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(Error::EmptyDomain);
-        }
-        Ok(Self { values: vec![0.0; n] })
-    }
-
     /// Read-only access to the underlying values.
     #[inline]
-    pub fn values(&self) -> &[f64] {
+    pub(crate) fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Consumes the function and returns the underlying vector.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
     }
 }
 
@@ -139,13 +126,6 @@ mod tests {
         assert!(DenseFunction::new(vec![]).is_err());
         assert!(DenseFunction::new(vec![1.0, f64::NAN]).is_err());
         assert!(DenseFunction::new(vec![f64::INFINITY]).is_err());
-    }
-
-    #[test]
-    fn zeros_constructor() {
-        let z = DenseFunction::zeros(4).unwrap();
-        assert_eq!(z.total_mass(), 0.0);
-        assert!(DenseFunction::zeros(0).is_err());
     }
 
     #[test]

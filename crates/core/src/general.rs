@@ -21,16 +21,6 @@ use crate::segment::{with_starts, Segments};
 use crate::select::{compact_groups, keep_threshold, SelectBuffers};
 use crate::sparse::SparseFunction;
 
-/// One interval of the working partition of the generalized algorithm together
-/// with the oracle error of fitting it with a single function from the class.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GeneralPiece {
-    /// The covered interval.
-    pub interval: Interval,
-    /// Squared `ℓ₂` error of the oracle's best fit on this interval.
-    pub sse: f64,
-}
-
 /// Summary statistics of one run of the generalized merging algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeneralMergingReport {

@@ -46,28 +46,10 @@ impl HierarchyLevel {
         Self { partition, values, sse }
     }
 
-    /// The partition of `[0, n)` at this level.
-    #[inline]
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
     /// Number of intervals at this level.
     #[inline]
     pub fn num_pieces(&self) -> usize {
         self.partition.len()
-    }
-
-    /// Flattening value (interval mean of the input) on each interval.
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Total squared `ℓ₂` flattening error `‖q̄_I − q‖₂²` at this level.
-    #[inline]
-    pub fn sse(&self) -> f64 {
-        self.sse
     }
 
     /// `ℓ₂` flattening error `‖q̄_I − q‖₂` at this level — the error estimate
@@ -93,12 +75,6 @@ pub struct HierarchicalHistogram {
 }
 
 impl HierarchicalHistogram {
-    /// Domain size `n` of the underlying signal.
-    #[inline]
-    pub fn domain(&self) -> usize {
-        self.domain
-    }
-
     /// Number of levels in the hierarchy (at least 1).
     #[inline]
     pub fn num_levels(&self) -> usize {
@@ -112,15 +88,9 @@ impl HierarchicalHistogram {
         &self.levels
     }
 
-    /// The `j`-th level.
-    #[inline]
-    pub fn level(&self, j: usize) -> &HierarchyLevel {
-        &self.levels[j]
-    }
-
     /// Index of the first (coarsest-grained) level with at most `max_pieces`
     /// intervals, or the last level if every level is larger.
-    pub fn level_for_pieces(&self, max_pieces: usize) -> usize {
+    pub(crate) fn level_for_pieces(&self, max_pieces: usize) -> usize {
         self.levels
             .iter()
             .position(|level| level.num_pieces() <= max_pieces)
@@ -130,12 +100,14 @@ impl HierarchicalHistogram {
     /// The level promised by Theorem 3.5 for target piece count `k`: the first
     /// level with at most `8k` intervals. Its flattening error is at most
     /// `2·opt_k`.
-    pub fn level_for_k(&self, k: usize) -> &HierarchyLevel {
+    pub(crate) fn level_for_k(&self, k: usize) -> &HierarchyLevel {
         &self.levels[self.level_for_pieces(max_pieces_for_k(k))]
     }
 
-    /// Convenience wrapper around [`Self::level_for_k`] returning the histogram
-    /// and its `ℓ₂` error (the estimate `e_t` of Theorem 2.2).
+    /// The level promised by Theorem 3.5 for target piece count `k` (the
+    /// first level with at most `8k` intervals, whose flattening error is at
+    /// most `2·opt_k`), as its histogram and `ℓ₂` error (the estimate `e_t`
+    /// of Theorem 2.2).
     pub fn histogram_for_k(&self, k: usize) -> (Histogram, f64) {
         let level = self.level_for_k(k);
         (level.histogram(), level.error())
@@ -196,6 +168,9 @@ pub(crate) fn histogram_for_k(domain: usize, src: Segments<'_>, k: usize) -> His
 mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
+    use crate::interval::Interval;
+    use crate::oracle::{ConstantOracle, ProjectionOracle};
+    use crate::prefix::DensePrefix;
     use crate::test_support::{lcg, opt_k_sse};
 
     #[test]
@@ -206,12 +181,12 @@ mod tests {
         let hier = construct_hierarchical_histogram(&q).unwrap();
 
         assert!(hier.num_levels() >= 2);
-        assert_eq!(hier.level(0).num_pieces(), 512);
-        assert!(hier.level(0).sse() < 1e-15, "level 0 is the exact segmentation");
+        assert_eq!(hier.levels()[0].num_pieces(), 512);
+        assert!(hier.levels()[0].sse < 1e-15, "level 0 is the exact segmentation");
         assert!(hier.levels().last().unwrap().num_pieces() < 8);
         for w in hier.levels().windows(2) {
             assert!(w[1].num_pieces() < w[0].num_pieces(), "levels must shrink");
-            assert!(w[1].sse() + 1e-12 >= w[0].sse(), "coarser levels cannot have smaller error");
+            assert!(w[1].sse + 1e-12 >= w[0].sse, "coarser levels cannot have smaller error");
         }
     }
 
@@ -273,7 +248,7 @@ mod tests {
         let q = SparseFunction::new(10, vec![(2, 1.0), (7, 2.0)]).unwrap();
         let hier = construct_hierarchical_histogram(&q).unwrap();
         assert_eq!(hier.num_levels(), 1);
-        assert_eq!(hier.level(0).partition().domain(), 10);
+        assert_eq!(hier.levels()[0].partition.domain(), 10);
     }
 
     #[test]
@@ -302,7 +277,7 @@ mod tests {
         for k in [usize::MAX / 8 + 1, usize::MAX] {
             assert_eq!(hier.level_for_k(k).num_pieces(), 4_096, "k = {k}");
             let fit = Hierarchical::new(EstimatorBuilder::new(k)).fit(&signal).unwrap();
-            assert_eq!(fit.histogram().unwrap(), &hier.level(0).histogram(), "k = {k}");
+            assert_eq!(fit.histogram().unwrap(), &hier.levels()[0].histogram(), "k = {k}");
         }
     }
 
@@ -314,5 +289,27 @@ mod tests {
         // Requesting an impossible budget of 0 pieces falls back to the coarsest level.
         let idx = hier.level_for_pieces(0);
         assert_eq!(idx, hier.num_levels() - 1);
+    }
+
+    #[test]
+    fn overflowing_sums_read_as_infinite_error() {
+        // Σq² and (Σq)² of every pair overflow, so the one-pass formula meets
+        // ∞ − ∞; the error must read +∞, never 0.
+        let values: Vec<f64> = (0..64).map(|i| [1e154, 1.2e154][i % 2]).collect();
+        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+        let hier = construct_hierarchical_histogram(&q).unwrap();
+        for (j, level) in hier.levels().iter().enumerate() {
+            let h = level.histogram();
+            let two_pass: f64 =
+                h.to_dense().iter().zip(&values).map(|(a, b)| (a - b) * (a - b)).sum();
+            assert!(level.sse >= two_pass, "level {j}: sse {} < {two_pass}", level.sse);
+        }
+        let pair = Interval::new(0, 1).unwrap();
+        let oracle = ConstantOracle::new();
+        assert!(oracle.project_error(&q, pair).unwrap() > 0.0);
+        assert!(oracle.project(&q, pair).unwrap().1 > 0.0);
+        let prefix = DensePrefix::new(&values).unwrap();
+        assert!(prefix.sse(pair) > 0.0);
+        assert!(prefix.sse(Interval::new(0, 63).unwrap()) > 0.0);
     }
 }

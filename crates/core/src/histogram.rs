@@ -75,24 +75,8 @@ impl Histogram {
     }
 
     /// Total mass `Σ_i h(i) = Σ_j |I_j| · v_j`.
-    pub fn mass(&self) -> f64 {
+    pub(crate) fn mass(&self) -> f64 {
         self.pieces().map(|(iv, v)| iv.len() as f64 * v).sum()
-    }
-
-    /// Squared `ℓ₂` norm `Σ_i h(i)² = Σ_j |I_j| · v_j²`.
-    pub fn l2_norm_squared(&self) -> f64 {
-        self.pieces().map(|(iv, v)| iv.len() as f64 * v * v).sum()
-    }
-
-    /// Rescales all values by `scale`.
-    pub fn scaled(&self, scale: f64) -> Result<Self> {
-        if !scale.is_finite() {
-            return Err(Error::NonFiniteValue { context: "Histogram::scaled" });
-        }
-        Ok(Self {
-            partition: self.partition.clone(),
-            values: self.values.iter().map(|v| v * scale).collect(),
-        })
     }
 
     /// Clamps negative values to zero and rescales so the total mass is 1,
@@ -142,7 +126,7 @@ impl Histogram {
     /// Uses `Σ_i (h(i) − q(i))² = Σ_j [ |I_j| v_j² − 2 v_j S_j + T_j ]` where
     /// `S_j`, `T_j` are the sum and sum of squares of `q` over interval `I_j`;
     /// runs in `O(k + s)` time after an `O(s)` prefix-sum pass.
-    pub fn l2_distance_squared_sparse(&self, q: &SparseFunction) -> Result<f64> {
+    pub(crate) fn l2_distance_squared_sparse(&self, q: &SparseFunction) -> Result<f64> {
         if q.domain() != self.partition.domain() {
             return Err(Error::InvalidParameter {
                 name: "q",
@@ -171,38 +155,6 @@ impl Histogram {
     /// `ℓ₂` distance (not squared) to a sparse signal.
     pub fn l2_distance_sparse(&self, q: &SparseFunction) -> Result<f64> {
         Ok(self.l2_distance_squared_sparse(q)?.sqrt())
-    }
-
-    /// Exact squared `ℓ₂` distance between two histograms over the same domain.
-    ///
-    /// Computed piece-by-piece on the common refinement, in `O(k₁ + k₂)` time.
-    pub fn l2_distance_squared_histogram(&self, other: &Histogram) -> Result<f64> {
-        if self.partition.domain() != other.partition.domain() {
-            return Err(Error::InvalidParameter {
-                name: "other",
-                reason: "histograms are defined over different domains".into(),
-            });
-        }
-        let mut total = 0.0;
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut pos = 0usize;
-        let n = self.partition.domain();
-        while pos < n {
-            let a = self.partition.interval(i);
-            let b = other.partition.interval(j);
-            let end = a.end().min(b.end());
-            let len = (end - pos + 1) as f64;
-            let d = self.values[i] - other.values[j];
-            total += len * d * d;
-            pos = end + 1;
-            if a.end() == end {
-                i += 1;
-            }
-            if b.end() == end {
-                j += 1;
-            }
-        }
-        Ok(total)
     }
 }
 
@@ -276,7 +228,6 @@ mod tests {
         assert_eq!(dense[3], 1.0);
         assert_eq!(dense[6], 2.0);
         assert_eq!(dense[8], 3.0);
-        assert!((h.l2_norm_squared() - dense.iter().map(|v| v * v).sum::<f64>()).abs() < 1e-12);
     }
 
     #[test]
@@ -292,20 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn distance_between_histograms() {
-        let a = Histogram::from_breakpoints(8, &[4], vec![1.0, 3.0]).unwrap();
-        let b = Histogram::from_breakpoints(8, &[2, 6], vec![1.0, 2.0, 3.0]).unwrap();
-        let naive: f64 =
-            a.to_dense().iter().zip(b.to_dense()).map(|(x, y)| (x - y) * (x - y)).sum();
-        assert!((a.l2_distance_squared_histogram(&b).unwrap() - naive).abs() < 1e-12);
-        assert!((b.l2_distance_squared_histogram(&a).unwrap() - naive).abs() < 1e-12);
-    }
-
-    #[test]
     fn distance_domain_mismatch_errors() {
         let a = Histogram::constant(5, 1.0).unwrap();
-        let b = Histogram::constant(6, 1.0).unwrap();
-        assert!(a.l2_distance_squared_histogram(&b).is_err());
         assert!(a.l2_distance_squared_dense(&[0.0; 6]).is_err());
     }
 
@@ -321,13 +260,6 @@ mod tests {
         let z = Histogram::constant(5, 0.0).unwrap().normalized().unwrap();
         assert!((z.mass() - 1.0).abs() < 1e-12);
         assert!((z.value(2) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaling() {
-        let h = simple().scaled(2.0).unwrap();
-        assert_eq!(h.value(0), 2.0);
-        assert!(simple().scaled(f64::NAN).is_err());
     }
 
     #[test]

@@ -39,12 +39,12 @@ impl Interval {
 
     /// The single-point interval `[i, i]`.
     #[inline]
-    pub fn point(i: usize) -> Self {
+    pub(crate) fn point(i: usize) -> Self {
         Self { start: i, end: i }
     }
 
     /// The full domain `[0, n)` as an interval `[0, n - 1]`.
-    pub fn full(n: usize) -> Result<Self> {
+    pub(crate) fn full(n: usize) -> Result<Self> {
         if n == 0 {
             return Err(Error::EmptyDomain);
         }
@@ -77,33 +77,14 @@ impl Interval {
 
     /// Whether `i` lies inside the interval.
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.start <= i && i <= self.end
-    }
-
-    /// Whether `self` is fully contained in `other`.
-    #[inline]
-    pub fn is_subset_of(&self, other: &Interval) -> bool {
-        other.start <= self.start && self.end <= other.end
-    }
-
-    /// Whether the two intervals share at least one index.
-    #[inline]
-    pub fn overlaps(&self, other: &Interval) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
-    /// Whether `other` starts exactly one past `self` (so the two can be merged
-    /// into a single contiguous interval).
-    #[inline]
-    pub fn is_adjacent_before(&self, other: &Interval) -> bool {
-        self.end + 1 == other.start
     }
 
     /// Merges two intervals that are adjacent or overlapping, returning their union.
     ///
     /// Returns an error if the union would not be contiguous.
-    pub fn union(&self, other: &Interval) -> Result<Interval> {
+    pub(crate) fn union(&self, other: &Interval) -> Result<Interval> {
         let (a, b) = if self.start <= other.start { (self, other) } else { (other, self) };
         if a.end + 1 < b.start {
             return Err(Error::InvalidInterval {
@@ -117,7 +98,7 @@ impl Interval {
     }
 
     /// Intersection of two intervals, or `None` if they are disjoint.
-    pub fn intersection(&self, other: &Interval) -> Option<Interval> {
+    pub(crate) fn intersection(&self, other: &Interval) -> Option<Interval> {
         let start = self.start.max(other.start);
         let end = self.end.min(other.end);
         if start <= end {
@@ -125,21 +106,6 @@ impl Interval {
         } else {
             None
         }
-    }
-
-    /// Splits the interval into `([start, at], [at + 1, end])`.
-    ///
-    /// Returns an error unless `start ≤ at < end`.
-    pub fn split_at(&self, at: usize) -> Result<(Interval, Interval)> {
-        if at < self.start || at >= self.end {
-            return Err(Error::InvalidInterval {
-                reason: format!(
-                    "split point {at} not strictly inside [{}, {}]",
-                    self.start, self.end
-                ),
-            });
-        }
-        Ok((Interval { start: self.start, end: at }, Interval { start: at + 1, end: self.end }))
     }
 
     /// Iterator over the indices contained in the interval.
@@ -182,19 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_subset() {
+    fn contains() {
         let outer = Interval::new(1, 8).unwrap();
-        let inner = Interval::new(3, 5).unwrap();
-        assert!(inner.is_subset_of(&outer));
-        assert!(!outer.is_subset_of(&inner));
         assert!(outer.contains(1) && outer.contains(8) && !outer.contains(9));
+        assert!(!outer.contains(0));
     }
 
     #[test]
     fn union_of_adjacent_intervals() {
         let a = Interval::new(0, 3).unwrap();
         let b = Interval::new(4, 7).unwrap();
-        assert!(a.is_adjacent_before(&b));
         assert_eq!(a.union(&b).unwrap(), Interval::new(0, 7).unwrap());
         assert_eq!(b.union(&a).unwrap(), Interval::new(0, 7).unwrap());
     }
@@ -207,24 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_intersection() {
+    fn intersection() {
         let a = Interval::new(0, 5).unwrap();
         let b = Interval::new(4, 9).unwrap();
         let c = Interval::new(7, 9).unwrap();
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
         assert_eq!(a.intersection(&b), Some(Interval::new(4, 5).unwrap()));
         assert_eq!(a.intersection(&c), None);
-    }
-
-    #[test]
-    fn split() {
-        let i = Interval::new(2, 6).unwrap();
-        let (l, r) = i.split_at(4).unwrap();
-        assert_eq!(l, Interval::new(2, 4).unwrap());
-        assert_eq!(r, Interval::new(5, 6).unwrap());
-        assert!(i.split_at(6).is_err());
-        assert!(i.split_at(1).is_err());
     }
 
     #[test]

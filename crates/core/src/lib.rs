@@ -7,10 +7,10 @@
 //! The crate provides:
 //!
 //! * a small data model for discrete one-dimensional signals — [`Interval`],
-//!   [`Partition`], [`SparseFunction`], [`DenseFunction`], [`Histogram`],
+//!   [`Partition`], [`SparseFunction`], [`Histogram`],
 //!   [`PiecewisePolynomial`] and [`Distribution`];
-//! * prefix-sum statistics ([`DensePrefix`], [`SparsePrefix`]) giving `O(1)`
-//!   interval means and squared flattening errors;
+//! * dense prefix sums ([`DensePrefix`]) giving `O(1)` interval sums and
+//!   squared flattening errors;
 //! * **Algorithm 1** ([`construct_histogram`]): iterative greedy pair merging that
 //!   outputs a `(2 + 2/δ)k + γ`-piece histogram with error at most
 //!   `√(1+δ)·opt_k` in input-sparsity time (Theorems 3.3 and 3.4);
@@ -62,13 +62,11 @@ pub mod general;
 pub mod hierarchical;
 pub mod histogram;
 pub mod interval;
-pub mod norms;
 pub mod oracle;
 pub mod params;
 pub mod partition;
 pub mod piecewise_poly;
 pub mod prefix;
-pub mod query;
 mod segment;
 mod select;
 pub mod signal;
@@ -78,33 +76,24 @@ pub mod synopsis;
 #[cfg(test)]
 mod test_support;
 
-pub use construct::{
-    construct_histogram, construct_histogram_dense, construct_histogram_with_report,
-    construct_partition, MergingReport,
-};
+pub use construct::{construct_histogram, construct_histogram_with_report, MergingReport};
 pub use distribution::Distribution;
 pub use error::{Error, Result};
 pub use estimator::{Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical};
-pub use fast::{
-    construct_histogram_fast, construct_histogram_fast_with_report, construct_partition_fast,
-    FastMergingReport,
-};
-pub use function::{DenseFunction, DiscreteFunction};
-pub use general::{
-    construct_general, construct_general_with_report, GeneralMergingReport, GeneralPiece,
-};
+pub use fast::{construct_histogram_fast, construct_histogram_fast_with_report, FastMergingReport};
+pub use function::DiscreteFunction;
+pub use general::{construct_general, construct_general_with_report, GeneralMergingReport};
 pub use hierarchical::{construct_hierarchical_histogram, HierarchicalHistogram, HierarchyLevel};
 pub use histogram::Histogram;
 pub use interval::Interval;
-pub use norms::{l1_distance, l2_distance, l2_distance_squared, l2_norm, linf_distance};
 pub use oracle::{ConstantOracle, ProjectionOracle};
 pub use params::MergingParams;
 pub use partition::Partition;
 pub use piecewise_poly::{PiecewisePolynomial, PolynomialPiece};
-pub use prefix::{DensePrefix, SparsePrefix};
+pub use prefix::DensePrefix;
 pub use signal::Signal;
 pub use sparse::SparseFunction;
-pub use stats::{flatten, flatten_dense, flattening_sse, interval_mean, interval_sse};
+pub use stats::{flatten, flatten_dense};
 pub use synopsis::{FittedModel, MergeStats, Synopsis};
 
 // Thread-safety audit: the whole data model is plain owned data (no `Rc`, no
@@ -123,7 +112,7 @@ const _: () = {
     assert_send_sync::<Partition>();
     assert_send_sync::<Interval>();
     assert_send_sync::<SparseFunction>();
-    assert_send_sync::<DenseFunction>();
+    assert_send_sync::<function::DenseFunction>();
     assert_send_sync::<Distribution>();
     assert_send_sync::<EstimatorBuilder>();
     assert_send_sync::<Error>();

@@ -19,6 +19,7 @@ use crate::error::Result;
 use crate::interval::Interval;
 use crate::piecewise_poly::PolynomialPiece;
 use crate::sparse::SparseFunction;
+use crate::stats::sse_from_sums;
 
 /// A projection oracle for a class of functions on intervals of `[0, n)`.
 ///
@@ -65,15 +66,14 @@ impl ProjectionOracle for ConstantOracle {
         let sum_sq: f64 = entries.iter().map(|&(_, v)| v * v).sum();
         let len = interval.len() as f64;
         let mean = sum / len;
-        let sse = (sum_sq - sum * sum / len).max(0.0);
-        Ok((PolynomialPiece::constant(interval, mean)?, sse))
+        Ok((PolynomialPiece::constant(interval, mean)?, sse_from_sums(sum, sum_sq, len)))
     }
 
     fn project_error(&self, q: &SparseFunction, interval: Interval) -> Result<f64> {
         let entries = q.entries_in(interval);
         let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
         let sum_sq: f64 = entries.iter().map(|&(_, v)| v * v).sum();
-        Ok((sum_sq - sum * sum / interval.len() as f64).max(0.0))
+        Ok(sse_from_sums(sum, sum_sq, interval.len() as f64))
     }
 
     fn name(&self) -> &'static str {
@@ -84,7 +84,8 @@ impl ProjectionOracle for ConstantOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{interval_mean, interval_sse};
+    use crate::stats::interval_mean;
+    use crate::test_support::two_pass_sse;
 
     #[test]
     fn constant_oracle_matches_flattening_statistics() {
@@ -98,7 +99,7 @@ mod tests {
                 assert_eq!(piece.interval(), iv);
                 assert_eq!(piece.degree(), 0);
                 assert!((piece.coefficients()[0] - interval_mean(&dense, iv)).abs() < 1e-12);
-                assert!((sse - interval_sse(&dense, iv)).abs() < 1e-12);
+                assert!((sse - two_pass_sse(&dense[iv.as_range()])).abs() < 1e-12);
                 assert!((oracle.project_error(&q, iv).unwrap() - sse).abs() < 1e-15);
             }
         }

@@ -62,12 +62,6 @@ impl MergingParams {
         Self::new(k, delta, gamma)
     }
 
-    /// Target number of pieces `k`.
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Approximation/size trade-off parameter `δ`.
     #[inline]
     pub fn delta(&self) -> f64 {
@@ -82,13 +76,13 @@ impl MergingParams {
 
     /// The merging loop continues while more than this many intervals remain:
     /// `(2 + 2/δ)·k + γ` (line 11 of Algorithm 1), rounded down.
-    pub fn max_intervals(&self) -> usize {
+    pub(crate) fn max_intervals(&self) -> usize {
         ((2.0 + 2.0 / self.delta) * self.k as f64 + self.gamma).floor() as usize
     }
 
     /// Number of candidate pairs kept (not merged) per iteration:
     /// `(1 + 1/δ)·k` (line 16 of Algorithm 1), rounded up and at least 1.
-    pub fn keep_count(&self) -> usize {
+    pub(crate) fn keep_count(&self) -> usize {
         (((1.0 + 1.0 / self.delta) * self.k as f64).ceil() as usize).max(1)
     }
 
@@ -102,11 +96,6 @@ impl MergingParams {
     /// Guaranteed multiplicative error bound `√(1 + δ)` of Theorem 3.3.
     pub fn error_ratio_bound(&self) -> f64 {
         (1.0 + self.delta).sqrt()
-    }
-
-    /// Returns a copy with a different `k`.
-    pub fn with_k(&self, k: usize) -> Result<Self> {
-        Self::new(k, self.delta, self.gamma)
     }
 }
 
@@ -127,7 +116,6 @@ mod tests {
     #[test]
     fn paper_defaults_produce_roughly_2k_pieces() {
         let p = MergingParams::paper_defaults(10).unwrap();
-        assert_eq!(p.k(), 10);
         assert_eq!(p.delta(), 1000.0);
         // (2 + 2/1000)·10 + 1 = 21.02 → 21 intervals allowed, i.e. 2k + 1.
         assert_eq!(p.max_intervals(), 21);
@@ -153,8 +141,5 @@ mod tests {
         // (1 + 0.5)·3 = 4.5 → 5
         assert_eq!(p.keep_count(), 5);
         assert!(p.output_pieces_bound() >= p.max_intervals());
-        let p2 = p.with_k(7).unwrap();
-        assert_eq!(p2.k(), 7);
-        assert_eq!(p2.delta(), 2.0);
     }
 }

@@ -147,7 +147,7 @@ impl Partition {
 
     /// Size of the underlying domain.
     #[inline]
-    pub fn domain(&self) -> usize {
+    pub(crate) fn domain(&self) -> usize {
         self.domain
     }
 
@@ -163,12 +163,6 @@ impl Partition {
         false
     }
 
-    /// The intervals, in domain order.
-    #[inline]
-    pub fn intervals(&self) -> &[Interval] {
-        &self.intervals
-    }
-
     /// Iterator over the intervals in domain order.
     pub fn iter(&self) -> impl Iterator<Item = &Interval> {
         self.intervals.iter()
@@ -176,12 +170,12 @@ impl Partition {
 
     /// The interval at position `idx`.
     #[inline]
-    pub fn interval(&self, idx: usize) -> Interval {
+    pub(crate) fn interval(&self, idx: usize) -> Interval {
         self.intervals[idx]
     }
 
     /// Index of the interval containing domain point `i` (binary search, `O(log |I|)`).
-    pub fn locate(&self, i: usize) -> Result<usize> {
+    pub(crate) fn locate(&self, i: usize) -> Result<usize> {
         if i >= self.domain {
             return Err(Error::IndexOutOfRange { index: i, domain: self.domain });
         }
@@ -193,51 +187,6 @@ impl Partition {
     /// The interior breakpoints of the partition: the start of every interval but the first.
     pub fn breakpoints(&self) -> Vec<usize> {
         self.intervals.iter().skip(1).map(|iv| iv.start()).collect()
-    }
-
-    /// Returns `true` if every interval of `self` is contained in a single
-    /// interval of `coarser` (i.e. `self` refines `coarser`).
-    pub fn refines(&self, coarser: &Partition) -> bool {
-        if self.domain != coarser.domain {
-            return false;
-        }
-        let mut cj = 0usize;
-        for iv in &self.intervals {
-            while cj < coarser.len() && coarser.intervals[cj].end() < iv.end() {
-                cj += 1;
-            }
-            if cj >= coarser.len() || !iv.is_subset_of(&coarser.intervals[cj]) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The number of intervals of `self` that are *not* contained in any single
-    /// interval of `other` — i.e. the intervals straddling a "jump" of `other`
-    /// (the set `J` in the proof of Theorem 3.3).
-    pub fn count_straddling(&self, other: &Partition) -> usize {
-        self.intervals
-            .iter()
-            .filter(|iv| {
-                let j = other.locate(iv.start()).expect("same domain");
-                !iv.is_subset_of(&other.intervals[j])
-            })
-            .count()
-    }
-
-    /// The common refinement of two partitions over the same domain.
-    pub fn common_refinement(&self, other: &Partition) -> Result<Partition> {
-        if self.domain != other.domain {
-            return Err(Error::InvalidPartition {
-                reason: format!("domains differ: {} vs {}", self.domain, other.domain),
-            });
-        }
-        let mut breaks: Vec<usize> =
-            self.breakpoints().into_iter().chain(other.breakpoints()).collect();
-        breaks.sort_unstable();
-        breaks.dedup();
-        Partition::from_breakpoints(self.domain, &breaks)
     }
 }
 
@@ -293,7 +242,7 @@ mod tests {
         assert_eq!(Partition::trivial(5).unwrap().len(), 1);
         let s = Partition::singletons(4).unwrap();
         assert_eq!(s.len(), 4);
-        assert!(s.intervals().iter().all(|i| i.len() == 1));
+        assert!(s.iter().all(|i| i.len() == 1));
     }
 
     #[test]
@@ -337,26 +286,6 @@ mod tests {
         assert_eq!(p.locate(5).unwrap(), 1);
         assert_eq!(p.locate(9).unwrap(), 2);
         assert!(p.locate(10).is_err());
-    }
-
-    #[test]
-    fn refinement_relations() {
-        let fine = Partition::from_breakpoints(10, &[2, 4, 6, 8]).unwrap();
-        let coarse = Partition::from_breakpoints(10, &[4, 8]).unwrap();
-        assert!(fine.refines(&coarse));
-        assert!(!coarse.refines(&fine));
-        assert!(fine.refines(&fine));
-        assert_eq!(coarse.count_straddling(&fine), 2);
-        assert_eq!(fine.count_straddling(&coarse), 0);
-    }
-
-    #[test]
-    fn common_refinement() {
-        let a = Partition::from_breakpoints(10, &[3, 7]).unwrap();
-        let b = Partition::from_breakpoints(10, &[5]).unwrap();
-        let r = a.common_refinement(&b).unwrap();
-        assert_eq!(r.breakpoints(), vec![3, 5, 7]);
-        assert!(r.refines(&a) && r.refines(&b));
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl PolynomialPiece {
     }
 
     /// A constant piece (degree 0).
-    pub fn constant(interval: Interval, value: f64) -> Result<Self> {
+    pub(crate) fn constant(interval: Interval, value: f64) -> Result<Self> {
         Self::new(interval, vec![value])
     }
 
@@ -50,7 +50,7 @@ impl PolynomialPiece {
 
     /// Degree of this piece (0 for an empty or constant coefficient list).
     #[inline]
-    pub fn degree(&self) -> usize {
+    pub(crate) fn degree(&self) -> usize {
         self.coefficients.len().saturating_sub(1)
     }
 

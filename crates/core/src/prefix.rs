@@ -3,14 +3,14 @@
 //! Both the merging algorithms and the baseline dynamic programs need the
 //! quantities `Σ_{i∈I} q(i)` and `Σ_{i∈I} q(i)²` for many intervals `I`. The
 //! paper precomputes partial sums `r_j`, `t_j` over the sparse support
-//! (Algorithm 1, lines 6–7); [`SparsePrefix`] is that structure. The exact
+//! (Algorithm 1, lines 6–7); `SparsePrefix` is that structure. The exact
 //! dynamic-programming baselines work over the dense domain and use
 //! [`DensePrefix`].
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::interval::Interval;
 use crate::sparse::SparseFunction;
+use crate::stats::sse_from_sums;
 
 /// Prefix sums over a dense signal: `O(n)` construction, `O(1)` interval queries.
 #[derive(Debug, Clone)]
@@ -44,54 +44,38 @@ impl DensePrefix {
         Ok(Self { cum, cum_sq })
     }
 
-    /// Domain size `n`.
-    #[inline]
-    pub fn domain(&self) -> usize {
-        self.cum.len() - 1
-    }
-
     /// `Σ_{i∈[a, b]} q(i)` for the half-open pair `(a, b)` given as an [`Interval`].
     #[inline]
-    pub fn sum(&self, interval: Interval) -> f64 {
+    pub(crate) fn sum(&self, interval: Interval) -> f64 {
         self.cum[interval.end() + 1] - self.cum[interval.start()]
     }
 
     /// `Σ_{i∈[a, b]} q(i)²`.
     #[inline]
-    pub fn sum_squares(&self, interval: Interval) -> f64 {
+    pub(crate) fn sum_squares(&self, interval: Interval) -> f64 {
         self.cum_sq[interval.end() + 1] - self.cum_sq[interval.start()]
     }
 
-    /// Half-open variants used by the dynamic programs: sum over `[lo, hi)`.
+    /// Sum over the half-open range `[lo, hi)`.
     #[inline]
-    pub fn sum_range(&self, lo: usize, hi: usize) -> f64 {
+    fn sum_range(&self, lo: usize, hi: usize) -> f64 {
         debug_assert!(lo <= hi && hi < self.cum.len());
         self.cum[hi] - self.cum[lo]
     }
 
     /// Sum of squares over the half-open range `[lo, hi)`.
     #[inline]
-    pub fn sum_squares_range(&self, lo: usize, hi: usize) -> f64 {
+    fn sum_squares_range(&self, lo: usize, hi: usize) -> f64 {
         debug_assert!(lo <= hi && hi < self.cum_sq.len());
         self.cum_sq[hi] - self.cum_sq[lo]
     }
 
-    /// Mean of the signal over `interval` (the best constant fit, Definition 3.1).
-    #[inline]
-    pub fn mean(&self, interval: Interval) -> f64 {
-        self.sum(interval) / interval.len() as f64
-    }
-
     /// Sum-of-squared-errors of the best constant fit over `interval`:
-    /// `err_q(I) = Σ_{i∈I} (q(i) − µ_q(I))² = Σ q² − (Σ q)²/|I|`.
-    ///
-    /// Clamped at zero to guard against negative values from floating-point
-    /// cancellation.
+    /// `err_q(I) = Σ_{i∈I} (q(i) − µ_q(I))² = Σ q² − (Σ q)²/|I|`, clamped at
+    /// zero; `+∞` when both terms overflow.
     #[inline]
     pub fn sse(&self, interval: Interval) -> f64 {
-        let s = self.sum(interval);
-        let s2 = self.sum_squares(interval);
-        (s2 - s * s / interval.len() as f64).max(0.0)
+        sse_from_sums(self.sum(interval), self.sum_squares(interval), interval.len() as f64)
     }
 
     /// SSE over the half-open range `[lo, hi)`; `0.0` for an empty range.
@@ -100,9 +84,7 @@ impl DensePrefix {
         if hi <= lo {
             return 0.0;
         }
-        let s = self.sum_range(lo, hi);
-        let s2 = self.sum_squares_range(lo, hi);
-        (s2 - s * s / (hi - lo) as f64).max(0.0)
+        sse_from_sums(self.sum_range(lo, hi), self.sum_squares_range(lo, hi), (hi - lo) as f64)
     }
 }
 
@@ -112,8 +94,7 @@ impl DensePrefix {
 /// queries by support-position range cost `O(1)`. The merging algorithms track
 /// support positions explicitly and therefore only pay the `O(1)` cost.
 #[derive(Debug, Clone)]
-pub struct SparsePrefix {
-    domain: usize,
+pub(crate) struct SparsePrefix {
     /// Sorted support indices, length `s`.
     indices: Vec<usize>,
     /// `cum[j] = Σ_{u < j} y_u`, length `s + 1`.
@@ -124,7 +105,7 @@ pub struct SparsePrefix {
 
 impl SparsePrefix {
     /// Builds the partial-sum arrays `r_j`, `t_j` of Algorithm 1.
-    pub fn new(q: &SparseFunction) -> Self {
+    pub(crate) fn new(q: &SparseFunction) -> Self {
         let s = q.sparsity();
         let mut indices = Vec::with_capacity(s);
         let mut cum = Vec::with_capacity(s + 1);
@@ -139,23 +120,11 @@ impl SparsePrefix {
             cum.push(acc);
             cum_sq.push(acc_sq);
         }
-        Self { domain: DiscreteFunction::domain(q), indices, cum, cum_sq }
-    }
-
-    /// Domain size `n` of the underlying function.
-    #[inline]
-    pub fn domain(&self) -> usize {
-        self.domain
-    }
-
-    /// Sparsity `s` of the underlying function.
-    #[inline]
-    pub fn sparsity(&self) -> usize {
-        self.indices.len()
+        Self { indices, cum, cum_sq }
     }
 
     /// The range of support positions whose indices fall inside `interval`.
-    pub fn support_range(&self, interval: Interval) -> std::ops::Range<usize> {
+    pub(crate) fn support_range(&self, interval: Interval) -> std::ops::Range<usize> {
         let lo = self.indices.partition_point(|&i| i < interval.start());
         let hi = self.indices.partition_point(|&i| i <= interval.end());
         lo..hi
@@ -163,38 +132,31 @@ impl SparsePrefix {
 
     /// Sum of values at support positions `[lo, hi)`.
     #[inline]
-    pub fn sum_by_pos(&self, lo: usize, hi: usize) -> f64 {
+    fn sum_by_pos(&self, lo: usize, hi: usize) -> f64 {
         self.cum[hi] - self.cum[lo]
     }
 
     /// Sum of squared values at support positions `[lo, hi)`.
     #[inline]
-    pub fn sum_squares_by_pos(&self, lo: usize, hi: usize) -> f64 {
+    fn sum_squares_by_pos(&self, lo: usize, hi: usize) -> f64 {
         self.cum_sq[hi] - self.cum_sq[lo]
     }
 
     /// `Σ_{i∈I} q(i)` (zero entries contribute nothing).
-    pub fn sum(&self, interval: Interval) -> f64 {
+    pub(crate) fn sum(&self, interval: Interval) -> f64 {
         let r = self.support_range(interval);
         self.sum_by_pos(r.start, r.end)
     }
 
     /// `Σ_{i∈I} q(i)²`.
-    pub fn sum_squares(&self, interval: Interval) -> f64 {
+    pub(crate) fn sum_squares(&self, interval: Interval) -> f64 {
         let r = self.support_range(interval);
         self.sum_squares_by_pos(r.start, r.end)
     }
 
     /// Mean `µ_q(I)` of the function over `interval` (including implicit zeros).
-    pub fn mean(&self, interval: Interval) -> f64 {
+    pub(crate) fn mean(&self, interval: Interval) -> f64 {
         self.sum(interval) / interval.len() as f64
-    }
-
-    /// Sum-of-squared-errors `err_q(I)` of the best constant fit over `interval`.
-    pub fn sse(&self, interval: Interval) -> f64 {
-        let s = self.sum(interval);
-        let s2 = self.sum_squares(interval);
-        (s2 - s * s / interval.len() as f64).max(0.0)
     }
 }
 
@@ -210,7 +172,6 @@ mod tests {
     fn dense_prefix_sums_match_naive() {
         let values = vec![1.0, -2.0, 3.0, 0.5, 4.0, -1.0];
         let p = DensePrefix::new(&values).unwrap();
-        assert_eq!(p.domain(), 6);
         for a in 0..values.len() {
             for b in a..values.len() {
                 let interval = iv(a, b);
@@ -247,15 +208,14 @@ mod tests {
         let q = SparseFunction::from_dense(&dense).unwrap();
         let sp = SparsePrefix::new(&q);
         let dp = DensePrefix::new(&dense).unwrap();
-        assert_eq!(sp.sparsity(), 3);
-        assert_eq!(sp.domain(), 8);
         for a in 0..dense.len() {
             for b in a..dense.len() {
                 let interval = iv(a, b);
                 assert!((sp.sum(interval) - dp.sum(interval)).abs() < 1e-12);
                 assert!((sp.sum_squares(interval) - dp.sum_squares(interval)).abs() < 1e-12);
-                assert!((sp.sse(interval) - dp.sse(interval)).abs() < 1e-9);
-                assert!((sp.mean(interval) - dp.mean(interval)).abs() < 1e-12);
+                assert!(
+                    (sp.mean(interval) - dp.sum(interval) / interval.len() as f64).abs() < 1e-12
+                );
             }
         }
     }

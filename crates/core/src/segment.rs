@@ -29,6 +29,7 @@ use crate::interval::Interval;
 use crate::partition::Partition;
 use crate::select::{keep_threshold, SelectBuffers};
 use crate::sparse::SparseFunction;
+use crate::stats::sse_from_sums;
 
 /// One interval of the working partition, with the sum and sum of squares of
 /// the input function over it. The interval ends at `end` and starts one past
@@ -79,7 +80,7 @@ impl Segment {
     /// `start`.
     #[inline]
     pub(crate) fn sse(self, start: usize) -> f64 {
-        (self.sum_sq - self.sum * self.sum / self.len(start)).max(0.0)
+        sse_from_sums(self.sum, self.sum_sq, self.len(start))
     }
 
     /// The merging error `e_u` of Algorithm 1 when this segment is a merged
@@ -523,7 +524,7 @@ mod tests {
         assert_eq!(ends, [1, 2, 3, 4, 5, 7]);
         assert!(with_starts(segs.iter().copied()).all(|(start, s)| s.sse(start) == 0.0));
         assert_eq!(segments_to_histogram(8, &segs).to_dense(), dense);
-        let zero = SparseFunction::zero(5).unwrap();
+        let zero = SparseFunction::new(5, Vec::new()).unwrap();
         assert_eq!(Segments::Sparse(&zero).iter().collect::<Vec<_>>(), [Segment::zero(4)]);
     }
 
@@ -572,7 +573,7 @@ mod tests {
         let dense_inputs =
             [noise(1), noise(2), noise(3), noise(4_099), noise(70_001), signed_zeros, huge];
         let sparse_inputs = [
-            SparseFunction::zero(9).unwrap(),
+            SparseFunction::new(9, Vec::new()).unwrap(),
             SparseFunction::new(1 << 20, (0..1_000).map(|i| (i * i, i as f64 - 500.0)).collect())
                 .unwrap(),
             SparseFunction::new(

@@ -26,8 +26,8 @@ enum Repr {
     Dense(DenseFunction),
 }
 
-/// A discrete signal `q : [0, n) → ℝ`, the input of every [`Estimator`]
-/// (crate::Estimator).
+/// A discrete signal `q : [0, n) → ℝ`, the input of every
+/// [`Estimator`](crate::Estimator).
 ///
 /// A `Signal` is either sparse or dense internally; both views are available
 /// through [`Signal::as_sparse`] and [`Signal::dense_values`], with the
@@ -89,17 +89,8 @@ impl Signal {
     }
 
     /// Whether the stored representation is sparse.
-    pub fn is_sparse(&self) -> bool {
+    pub(crate) fn is_sparse(&self) -> bool {
         matches!(self.repr, Repr::Sparse(_))
-    }
-
-    /// Number of stored entries: the sparsity `s` for sparse signals, `n` for
-    /// dense ones.
-    pub fn sparsity(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(q) => q.sparsity(),
-            Repr::Dense(f) => f.domain(),
-        }
     }
 
     /// The sparse view of the signal. Borrows when the signal is stored
@@ -133,7 +124,7 @@ impl Signal {
     }
 
     /// Sum of all values.
-    pub fn mass(&self) -> f64 {
+    pub(crate) fn mass(&self) -> f64 {
         match &self.repr {
             Repr::Sparse(q) => q.sum(),
             Repr::Dense(f) => f.values().iter().sum(),
@@ -152,12 +143,6 @@ impl Signal {
 impl From<SparseFunction> for Signal {
     fn from(q: SparseFunction) -> Self {
         Self::from_sparse(q)
-    }
-}
-
-impl From<DenseFunction> for Signal {
-    fn from(f: DenseFunction) -> Self {
-        Self { repr: Repr::Dense(f), num_samples: None }
     }
 }
 
@@ -287,7 +272,7 @@ mod tests {
         assert!((signal.value(3) - 0.75).abs() < 1e-12);
         assert!((signal.value(7) - 0.25).abs() < 1e-12);
         assert!((signal.mass() - 1.0).abs() < 1e-12);
-        assert_eq!(signal.sparsity(), 2);
+        assert_eq!(signal.as_sparse().sparsity(), 2);
     }
 
     #[test]

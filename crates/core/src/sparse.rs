@@ -49,7 +49,7 @@ impl SparseFunction {
 
     /// Builds a sparse function from unsorted pairs, sorting them and summing
     /// duplicates (useful when accumulating counts).
-    pub fn from_unsorted(domain: usize, mut pairs: Vec<(usize, f64)>) -> Result<Self> {
+    pub(crate) fn from_unsorted(domain: usize, mut pairs: Vec<(usize, f64)>) -> Result<Self> {
         if domain == 0 {
             return Err(Error::EmptyDomain);
         }
@@ -87,14 +87,6 @@ impl SparseFunction {
         Ok(Self { domain: values.len(), entries: values.iter().copied().enumerate().collect() })
     }
 
-    /// The all-zero function on `[0, n)`.
-    pub fn zero(domain: usize) -> Result<Self> {
-        if domain == 0 {
-            return Err(Error::EmptyDomain);
-        }
-        Ok(Self { domain, entries: Vec::new() })
-    }
-
     /// Number of stored entries (the sparsity `s`).
     #[inline]
     pub fn sparsity(&self) -> usize {
@@ -103,18 +95,13 @@ impl SparseFunction {
 
     /// The stored `(index, value)` pairs, sorted by index.
     #[inline]
-    pub fn entries(&self) -> &[(usize, f64)] {
+    pub(crate) fn entries(&self) -> &[(usize, f64)] {
         &self.entries
     }
 
     /// Iterator over the stored `(index, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.entries.iter().copied()
-    }
-
-    /// The support (indices of stored entries).
-    pub fn support(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entries.iter().map(|&(i, _)| i)
     }
 
     /// Sum of all stored values.
@@ -123,13 +110,13 @@ impl SparseFunction {
     }
 
     /// Sum of squares of all stored values.
-    pub fn sum_squares(&self) -> f64 {
+    pub(crate) fn sum_squares(&self) -> f64 {
         self.entries.iter().map(|&(_, v)| v * v).sum()
     }
 
     /// Position range (into [`Self::entries`]) of the entries whose indices lie
     /// inside `interval`.
-    pub fn support_range(&self, interval: Interval) -> std::ops::Range<usize> {
+    pub(crate) fn support_range(&self, interval: Interval) -> std::ops::Range<usize> {
         let lo = self.entries.partition_point(|&(i, _)| i < interval.start());
         let hi = self.entries.partition_point(|&(i, _)| i <= interval.end());
         lo..hi
@@ -138,22 +125,6 @@ impl SparseFunction {
     /// The entries whose indices lie inside `interval`.
     pub fn entries_in(&self, interval: Interval) -> &[(usize, f64)] {
         &self.entries[self.support_range(interval)]
-    }
-
-    /// Multiplies every value by `scale`, returning a new function.
-    pub fn scaled(&self, scale: f64) -> Result<Self> {
-        if !scale.is_finite() {
-            return Err(Error::NonFiniteValue { context: "SparseFunction::scaled" });
-        }
-        Ok(Self {
-            domain: self.domain,
-            entries: self.entries.iter().map(|&(i, v)| (i, v * scale)).collect(),
-        })
-    }
-
-    /// Squared `ℓ₂` norm `Σ_i q(i)²`.
-    pub fn l2_norm_squared(&self) -> f64 {
-        self.sum_squares()
     }
 }
 
@@ -238,7 +209,6 @@ mod tests {
         let q = SparseFunction::new(6, vec![(1, 3.0), (4, -1.0)]).unwrap();
         assert_eq!(q.sum(), 2.0);
         assert_eq!(q.sum_squares(), 10.0);
-        assert_eq!(q.l2_norm_squared(), 10.0);
         assert_eq!(q.total_mass(), 2.0);
     }
 
@@ -254,16 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn scaling() {
-        let q = SparseFunction::new(4, vec![(0, 2.0), (3, 4.0)]).unwrap();
-        let half = q.scaled(0.5).unwrap();
-        assert_eq!(half.entries(), &[(0, 1.0), (3, 2.0)]);
-        assert!(q.scaled(f64::INFINITY).is_err());
-    }
-
-    #[test]
     fn zero_function() {
-        let z = SparseFunction::zero(7).unwrap();
+        let z = SparseFunction::new(7, Vec::new()).unwrap();
         assert_eq!(z.sparsity(), 0);
         assert_eq!(z.value(3), 0.0);
         assert_eq!(z.to_dense(), vec![0.0; 7]);

@@ -17,35 +17,22 @@ use crate::prefix::SparsePrefix;
 use crate::sparse::SparseFunction;
 
 /// Mean `µ_q(I)` of a dense signal over an interval.
-pub fn interval_mean(values: &[f64], interval: Interval) -> f64 {
+pub(crate) fn interval_mean(values: &[f64], interval: Interval) -> f64 {
     let sum: f64 = values[interval.as_range()].iter().sum();
     sum / interval.len() as f64
 }
 
-/// Squared error `err_q(I)` of the best constant fit of a dense signal on an interval.
-pub fn interval_sse(values: &[f64], interval: Interval) -> f64 {
-    let mean = interval_mean(values, interval);
-    values[interval.as_range()]
-        .iter()
-        .map(|v| {
-            let d = v - mean;
-            d * d
-        })
-        .sum()
-}
-
-/// Mean `µ_q(I)` of a sparse signal over an interval (implicit zeros included).
-pub fn interval_mean_sparse(q: &SparseFunction, interval: Interval) -> f64 {
-    let sum: f64 = q.entries_in(interval).iter().map(|&(_, v)| v).sum();
-    sum / interval.len() as f64
-}
-
-/// Squared error `err_q(I)` of the best constant fit of a sparse signal on an interval.
-pub fn interval_sse_sparse(q: &SparseFunction, interval: Interval) -> f64 {
-    let entries = q.entries_in(interval);
-    let sum: f64 = entries.iter().map(|&(_, v)| v).sum();
-    let sum_sq: f64 = entries.iter().map(|&(_, v)| v * v).sum();
-    (sum_sq - sum * sum / interval.len() as f64).max(0.0)
+/// `err_q(I) = Σq² − (Σq)²/|I|` from an interval's sums and length: the one
+/// copy of the formula behind every merging error and prefix SSE, clamped at
+/// zero against cancellation. `(Σq)²/|I|` is capped at `f64::MAX`, so when
+/// both terms overflow the error reads `+∞` (the most costly an interval can
+/// be) where `∞ − ∞` would be a NaN that the clamp turns into 0. The cap is
+/// one compare-and-select (`minsd` on x86-64) and keeps every finite bit.
+#[inline]
+pub(crate) fn sse_from_sums(sum: f64, sum_sq: f64, len: f64) -> f64 {
+    let mean_sq = sum * sum / len;
+    let mean_sq = if mean_sq < f64::MAX { mean_sq } else { f64::MAX };
+    (sum_sq - mean_sq).max(0.0)
 }
 
 /// The flattening `q̄_I` of a sparse signal over a partition (Definition 3.1):
@@ -84,23 +71,11 @@ pub fn flatten_dense(values: &[f64], partition: &Partition) -> Result<Histogram>
     Histogram::new(partition.clone(), vals)
 }
 
-/// Total squared error of the flattening of `q` over `partition`:
-/// `‖q̄_I − q‖₂² = Σ_j err_q(I_j)`.
-pub fn flattening_sse(q: &SparseFunction, partition: &Partition) -> Result<f64> {
-    if q.domain() != partition.domain() {
-        return Err(Error::InvalidParameter {
-            name: "partition",
-            reason: "domain mismatch".into(),
-        });
-    }
-    let prefix = SparsePrefix::new(q);
-    Ok(partition.iter().map(|&iv| prefix.sse(iv)).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
+    use crate::test_support::two_pass_sse;
 
     fn iv(a: usize, b: usize) -> Interval {
         Interval::new(a, b).unwrap()
@@ -111,22 +86,9 @@ mod tests {
         let values = vec![1.0, 3.0, 5.0, 7.0];
         assert_eq!(interval_mean(&values, iv(0, 3)), 4.0);
         assert_eq!(interval_mean(&values, iv(1, 2)), 4.0);
-        let sse = interval_sse(&values, iv(0, 3));
+        let sse = two_pass_sse(&values[iv(0, 3).as_range()]);
         assert!((sse - (9.0 + 1.0 + 1.0 + 9.0)).abs() < 1e-12);
-        assert_eq!(interval_sse(&values, iv(2, 2)), 0.0);
-    }
-
-    #[test]
-    fn means_and_errors_sparse_match_dense() {
-        let dense = vec![0.0, 2.0, 0.0, 4.0, 0.0, 0.0];
-        let q = SparseFunction::from_dense(&dense).unwrap();
-        for a in 0..dense.len() {
-            for b in a..dense.len() {
-                let i = iv(a, b);
-                assert!((interval_mean_sparse(&q, i) - interval_mean(&dense, i)).abs() < 1e-12);
-                assert!((interval_sse_sparse(&q, i) - interval_sse(&dense, i)).abs() < 1e-12);
-            }
-        }
+        assert_eq!(two_pass_sse(&values[iv(2, 2).as_range()]), 0.0);
     }
 
     #[test]
@@ -137,7 +99,6 @@ mod tests {
         let p = h.partition().clone();
         let flat = flatten(&q, &p).unwrap();
         assert!((flat.l2_distance_squared_sparse(&q).unwrap()).abs() < 1e-12);
-        assert!((flattening_sse(&q, &p).unwrap()).abs() < 1e-12);
     }
 
     #[test]
@@ -146,7 +107,7 @@ mod tests {
         let q = SparseFunction::from_dense(&dense).unwrap();
         let p = Partition::from_breakpoints(6, &[2, 4]).unwrap();
         let flat = flatten(&q, &p).unwrap();
-        let sse = flattening_sse(&q, &p).unwrap();
+        let sse: f64 = p.iter().map(|&iv| two_pass_sse(&dense[iv.as_range()])).sum();
         assert!((flat.l2_distance_squared_dense(&dense).unwrap() - sse).abs() < 1e-9);
 
         let flat_d = flatten_dense(&dense, &p).unwrap();
@@ -174,7 +135,6 @@ mod tests {
         let q = SparseFunction::from_dense(&[1.0, 2.0]).unwrap();
         let p = Partition::trivial(3).unwrap();
         assert!(flatten(&q, &p).is_err());
-        assert!(flattening_sse(&q, &p).is_err());
         assert!(flatten_dense(&[1.0, 2.0], &p).is_err());
     }
 }

@@ -144,7 +144,7 @@ struct MergeCandidate {
 
 impl PartialEq for MergeCandidate {
     fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost
+        self.cmp(other).is_eq()
     }
 }
 
@@ -159,7 +159,10 @@ impl PartialOrd for MergeCandidate {
 impl Ord for MergeCandidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: `BinaryHeap` is a max-heap, we want the cheapest merge.
-        other.cost.partial_cmp(&self.cost).expect("merge costs are finite")
+        // `total_cmp` orders finite costs as `<` does (a cost is never −0.0)
+        // and keeps the order total when an overflowed piece makes a cost NaN;
+        // the merged histogram's non-finite check then reports the overflow.
+        other.cost.total_cmp(&self.cost)
     }
 }
 
@@ -1625,6 +1628,18 @@ mod tests {
         assert_eq!(h.partition().breakpoints(), vec![3], "low group {{0, 10, 11}} vs {{30}}");
         assert!((h.values()[0] - 7.0).abs() < 1e-9);
         assert_eq!(h.values()[1], 30.0);
+    }
+
+    #[test]
+    fn merge_of_overflowing_masses_is_a_typed_error() {
+        // Piece masses 2·1e308 overflow, so merge costs read NaN; piece masses
+        // 1e308 are finite, but the sum of two is not.
+        for (domain, cut) in [(4, 2), (2, 1)] {
+            let h = Histogram::from_breakpoints(domain, &[cut], vec![1e308, 1e308]).unwrap();
+            let a = Synopsis::new("huge", 2, FittedModel::Histogram(h));
+            let err = a.merge(&a, 1).unwrap_err();
+            assert!(matches!(err, Error::NonFiniteValue { .. }), "domain {domain}: {err:?}");
+        }
     }
 
     #[test]

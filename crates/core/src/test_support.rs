@@ -34,6 +34,14 @@ pub(crate) fn opt_k_sse(values: &[f64], k: usize) -> f64 {
     prev[n]
 }
 
+/// Squared error of the best constant fit of `values`, in two passes (the
+/// mean, then the squared deviations): the reference the one-pass
+/// `Σq² − (Σq)²/n` formula is checked against.
+pub(crate) fn two_pass_sse(values: &[f64]) -> f64 {
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    values.iter().map(|v| (v - mean) * (v - mean)).sum()
+}
+
 /// A deterministic pseudo-random value in `[0, 1)` (no external RNG needed).
 pub(crate) fn lcg(seed: &mut u64) -> f64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -1,5 +1,5 @@
 //! The blocking client: one TCP connection, batch helpers mirroring the
-//! [`Synopsis`](hist_core::Synopsis) query API, addressed at one key of the
+//! [`Synopsis`] query API, addressed at one key of the
 //! server's multi-tenant store map.
 //!
 //! Every answer comes back [`Stamped`] with the epoch it was computed at

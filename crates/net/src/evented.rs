@@ -7,7 +7,7 @@
 //! [`polling::Poller`] and a slab of connection states keyed by slot index.
 //! Readable wakeups append bytes to a per-connection read buffer and
 //! *pipeline*: every complete frame in the buffer is answered in one pass,
-//! on the loop thread, through the [`Responder`] core, and the responses
+//! on the loop thread, through the `Responder` core, and the responses
 //! are encoded in order into one staging buffer that is flushed before the
 //! loop moves on.
 //!
@@ -20,7 +20,7 @@
 //! ## Waiting
 //!
 //! After a wait that returned events, the loop polls with a zero timeout,
-//! yielding the CPU between polls, for up to [`READ_SPIN`] before it blocks
+//! yielding the CPU between polls, for up to `READ_SPIN` before it blocks
 //! for [`ServerConfig::poll_interval`] again. A closed-loop client sends its
 //! next request microseconds after the last answer, and a loop parked in the
 //! kernel must then be woken by the scheduler, whose placement of the two

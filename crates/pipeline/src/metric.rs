@@ -40,8 +40,7 @@ pub struct MetricPipeline {
 impl MetricPipeline {
     /// A cumulative lane for `key`: chunks of `chunk_len` values fitted by
     /// `inner` at piece budget `k`, published into the store by merging
-    /// (re-merged to `2k + 1` pieces, overridable via
-    /// [`MetricPipeline::with_merge_budget`]).
+    /// (re-merged to `2k + 1` pieces).
     pub fn cumulative(
         key: impl Into<String>,
         inner: Box<dyn Estimator>,
@@ -82,13 +81,6 @@ impl MetricPipeline {
             publishes: 0,
             last_epoch: 0,
         })
-    }
-
-    /// Overrides the piece budget store merges re-merge down to (cumulative
-    /// lane only; the windowed lane publishes whole synopses).
-    pub fn with_merge_budget(mut self, budget: usize) -> Self {
-        self.merge_budget = budget;
-        self
     }
 
     /// Consumes a batch of events, publishing into `map` at the lane's

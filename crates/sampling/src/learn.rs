@@ -90,7 +90,7 @@ pub fn learn_histogram_from_samples(
 }
 
 /// Stage 2 on an already-materialized empirical distribution `p̂_m` (stored as
-/// a sparse function); the entry point of the [`SampleLearner`]
+/// a sparse function); the entry point of the [`SampleLearner`](crate::SampleLearner)
 /// (crate::SampleLearner) estimator when the signal carries its own samples.
 pub fn learn_histogram_from_empirical(
     empirical: &hist_core::SparseFunction,

@@ -35,7 +35,7 @@ pub fn two_point_pair(n: usize, epsilon: f64) -> Result<(Distribution, Distribut
 
 /// The information-theoretic sample lower bound
 /// `m ≥ log(1/δ) / (4·h²(p₁, p₂))` implied by the Hellinger-distance argument
-/// (Theorem 4.7 of [BY02], as used in the proof of Theorem 3.2).
+/// (Theorem 4.7 of \[BY02\], as used in the proof of Theorem 3.2).
 pub fn hellinger_lower_bound(p1: &Distribution, p2: &Distribution, delta: f64) -> Result<usize> {
     if !(0.0..0.5).contains(&delta) || delta <= 0.0 {
         return Err(Error::InvalidParameter {

@@ -31,10 +31,10 @@ use crate::store::{Snapshot, SynopsisStore};
 /// addresses this one, and [`StoreMap::with_initial`] seeds it.
 pub const DEFAULT_KEY: &str = "default";
 
-/// Default number of shards (must be a power of two): enough that 8–16
+/// Number of shards (a power of two, so a hash masks to a shard): enough that 8–16
 /// serving threads rarely collide on a shard lock, cheap enough to hold in
 /// an empty map.
-const DEFAULT_SHARDS: usize = 64;
+const SHARDS: usize = 64;
 
 type Shard = RwLock<HashMap<String, Arc<SynopsisStore>>>;
 
@@ -112,16 +112,9 @@ impl Default for StoreMap {
 }
 
 impl StoreMap {
-    /// An empty map with the default shard count.
+    /// An empty map.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty map with at least `shards` shards (rounded up to a power of
-    /// two, minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        Self { shards: (0..count).map(|_| Shard::default()).collect() }
+        Self { shards: (0..SHARDS).map(|_| Shard::default()).collect() }
     }
 
     /// A map already serving `synopsis` at [`DEFAULT_KEY`], epoch 1 — the
@@ -367,19 +360,22 @@ mod tests {
 
     #[test]
     fn listing_and_eviction_cover_every_shard() {
-        let map = StoreMap::with_shards(4);
-        // More keys than shards, so listing must cross shard boundaries.
-        for i in 0..32 {
-            map.publish(&format!("key/{i:02}"), syn(4, i as f64 + 1.0)).unwrap();
+        let map = StoreMap::new();
+        // Far more keys than shards, so every shard holds some and listing
+        // must cross shard boundaries.
+        for i in 0..1024 {
+            map.publish(&format!("key/{i:04}"), syn(4, i as f64 + 1.0)).unwrap();
         }
+        assert_eq!(map.shards.len(), SHARDS);
+        assert!(map.shards.iter().all(|shard| !shard.read().unwrap().is_empty()));
         let keys = map.keys();
-        assert_eq!(keys.len(), 32);
+        assert_eq!(keys.len(), 1024);
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys list in sorted order");
-        assert_eq!(map.len(), 32);
-        assert!(map.drop_key("key/07"));
-        assert!(!map.drop_key("key/07"), "double drop reports absence");
-        assert_eq!(map.len(), 31);
-        assert!(!map.contains_key("key/07"));
+        assert_eq!(map.len(), 1024);
+        assert!(map.drop_key("key/0007"));
+        assert!(!map.drop_key("key/0007"), "double drop reports absence");
+        assert_eq!(map.len(), 1023);
+        assert!(!map.contains_key("key/0007"));
     }
 
     #[test]

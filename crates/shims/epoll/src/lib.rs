@@ -1,6 +1,6 @@
 //! Offline stand-in for the `polling` crate: the readiness-polling subset
 //! this workspace uses (the build environment has no crates.io access), in
-//! the spirit of the `rand`/`criterion` shims.
+//! the spirit of the `rand` shim.
 //!
 //! A [`Poller`] watches a set of file descriptors for read/write readiness
 //! through Linux epoll(7): `O(ready)` wakeups, the path behind the server's

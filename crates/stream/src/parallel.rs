@@ -1,13 +1,13 @@
 //! Parallel chunked construction: fit chunks on scoped worker threads,
 //! tree-merge the results.
 //!
-//! [`ParallelChunkedFitter`] is [`ChunkedFitter`](crate::ChunkedFitter) with
+//! [`ParallelChunkedFitter`] is [`ChunkedFitter`] with
 //! the per-chunk fits actually running concurrently on
 //! [`std::thread::scope`] workers (no external thread-pool dependency). The
 //! chunking, the per-chunk estimator and the merge tree are *identical* to
 //! the sequential fitter, and the worker partition is deterministic
 //! (contiguous blocks of chunks, joined in order), so the fitted output is
-//! **bit-identical** to [`ChunkedFitter`](crate::ChunkedFitter) for the same
+//! **bit-identical** to [`ChunkedFitter`] for the same
 //! chunk length — thread count only changes how construction is scheduled,
 //! never what it produces. That equivalence is what the workspace-level
 //! determinism suite asserts across 1, 2 and 8 threads.
@@ -25,7 +25,7 @@ use crate::ChunkedFitter;
 /// Wraps any inner [`Estimator`] (`Send + Sync` is a supertrait, so every
 /// estimator can fit chunks from worker threads). `fit` splits the
 /// signal's dense view into contiguous chunks exactly like the sequential
-/// [`ChunkedFitter`](crate::ChunkedFitter), distributes the chunks over up to
+/// [`ChunkedFitter`], distributes the chunks over up to
 /// `threads` workers in contiguous blocks, joins the per-chunk synopses back
 /// in domain order and tree-merges them down to `2k + 1` pieces.
 ///
@@ -91,7 +91,7 @@ impl ParallelChunkedFitter {
     /// The worker count a fit over `chunks` chunks will actually use: the
     /// configured thread count (or the available parallelism when unset),
     /// capped at one worker per chunk.
-    pub fn worker_count(&self, chunks: usize) -> usize {
+    fn worker_count(&self, chunks: usize) -> usize {
         let configured = self.threads.unwrap_or_else(|| {
             std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
         });

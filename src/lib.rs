@@ -144,8 +144,8 @@ pub use hist_stream::{
 
 // The shared data model.
 pub use hist_core::{
-    DenseFunction, DiscreteFunction, Distribution, Error, Histogram, Interval, MergingParams,
-    Partition, PiecewisePolynomial, Result, SparseFunction,
+    DiscreteFunction, Distribution, Error, Histogram, Interval, MergingParams, Partition,
+    PiecewisePolynomial, Result, SparseFunction,
 };
 
 /// Every estimator the facade can instantiate, for registry-style dispatch
