@@ -17,7 +17,7 @@ use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
 
 /// Result of one greedy sweep for the dual problem.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DualSweep {
+pub(crate) struct DualSweep {
     /// The produced partition.
     pub partition: Partition,
     /// Total squared error of flattening over the partition.
@@ -27,7 +27,7 @@ pub struct DualSweep {
 /// One `O(n)` greedy sweep with per-piece squared-error threshold `tau_sq`:
 /// every produced piece has flattening SSE at most `tau_sq` (single points are
 /// always admissible).
-pub fn greedy_sweep(values: &[f64], tau_sq: f64) -> Result<DualSweep> {
+pub(crate) fn greedy_sweep(values: &[f64], tau_sq: f64) -> Result<DualSweep> {
     if values.is_empty() {
         return Err(Error::EmptyDomain);
     }

@@ -6,33 +6,54 @@
 //! `dp[j][i] = min_b dp[j−1][b] + sse(b, i)` is evaluated with `O(1)` interval
 //! costs from a [`DensePrefix`], giving `O(n²·k)` time and `O(n·k)` memory for
 //! the backtracking table.
-//!
-//! A row-parallel variant splits each row's `i`-loop across threads with
-//! `std::thread::scope`; the rows themselves are inherently sequential.
 
 use crate::FitResult;
 use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
 
-/// Minimum number of cells per thread before the parallel variant actually
-/// spawns threads; below this the sequential loop is faster.
-const PARALLEL_MIN_CELLS_PER_THREAD: usize = 1 << 14;
-
 /// Computes the exact V-optimal `k`-histogram of a dense signal in `O(n²·k)`
 /// time (the `exactdp` baseline).
 pub fn exact_histogram(values: &[f64], k: usize) -> Result<FitResult> {
-    exact_histogram_impl(values, k, 1)
-}
+    validate(values, k)?;
+    let n = values.len();
+    let k = k.min(n);
+    let prefix = DensePrefix::new(values)?;
 
-/// Row-parallel variant of [`exact_histogram`] using up to `threads` worker
-/// threads per DP row. Produces exactly the same histogram.
-pub fn exact_histogram_parallel(values: &[f64], k: usize, threads: usize) -> Result<FitResult> {
-    exact_histogram_impl(values, k, threads.max(1))
+    // dp rows: prev[i] = best SSE for the first i points with (j-1) pieces.
+    let mut prev = vec![f64::INFINITY; n + 1];
+    prev[0] = 0.0;
+    let mut curr = vec![f64::INFINITY; n + 1];
+    // choice[j-1][i] = optimal last-piece start for dp[j][i].
+    let mut choice = vec![vec![0usize; n + 1]; k];
+
+    for (j, row) in choice.iter_mut().enumerate() {
+        curr[0] = if j == 0 { 0.0 } else { f64::INFINITY };
+        compute_row(&prefix, &prev, &mut curr[1..], &mut row[1..]);
+        std::mem::swap(&mut prev, &mut curr);
+    }
+
+    // Backtrack the optimal boundaries.
+    let sse = prev[n];
+    let mut breaks = Vec::with_capacity(k);
+    let mut i = n;
+    let mut j = k;
+    while j > 0 && i > 0 {
+        let b = choice[j - 1][i];
+        if b > 0 {
+            breaks.push(b);
+        }
+        i = b;
+        j -= 1;
+    }
+    breaks.reverse();
+    let partition = Partition::from_breakpoints(n, &breaks)?;
+    let histogram = flatten_dense(values, &partition)?;
+    Ok(FitResult { histogram, sse })
 }
 
 /// The optimal squared error `opt_j²` for every piece budget `j = 1, …, k`
 /// (useful for Pareto-curve experiments). `O(n²·k)` time, `O(n)` memory.
 #[allow(clippy::needless_range_loop)]
-pub fn opt_sse_table(values: &[f64], k: usize) -> Result<Vec<f64>> {
+pub(crate) fn opt_sse_table(values: &[f64], k: usize) -> Result<Vec<f64>> {
     validate(values, k)?;
     let n = values.len();
     let prefix = DensePrefix::new(values)?;
@@ -81,61 +102,11 @@ fn validate(values: &[f64], k: usize) -> Result<()> {
     Ok(())
 }
 
-#[allow(clippy::needless_range_loop)]
-fn exact_histogram_impl(values: &[f64], k: usize, threads: usize) -> Result<FitResult> {
-    validate(values, k)?;
-    let n = values.len();
-    let k = k.min(n);
-    let prefix = DensePrefix::new(values)?;
-
-    // dp rows: prev[i] = best SSE for the first i points with (j-1) pieces.
-    let mut prev = vec![f64::INFINITY; n + 1];
-    prev[0] = 0.0;
-    let mut curr = vec![f64::INFINITY; n + 1];
-    // choice[j-1][i] = optimal last-piece start for dp[j][i].
-    let mut choice = vec![vec![0usize; n + 1]; k];
-
-    for j in 0..k {
-        curr[0] = if j == 0 { 0.0 } else { f64::INFINITY };
-        let use_threads = threads > 1 && n * n / threads.max(1) >= PARALLEL_MIN_CELLS_PER_THREAD;
-        if use_threads {
-            compute_row_parallel(&prefix, &prev, &mut curr[1..], &mut choice[j][1..], threads);
-        } else {
-            compute_row(&prefix, &prev, &mut curr[1..], &mut choice[j][1..], 0);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-
-    // Backtrack the optimal boundaries.
-    let sse = prev[n];
-    let mut breaks = Vec::with_capacity(k);
-    let mut i = n;
-    let mut j = k;
-    while j > 0 && i > 0 {
-        let b = choice[j - 1][i];
-        if b > 0 {
-            breaks.push(b);
-        }
-        i = b;
-        j -= 1;
-    }
-    breaks.reverse();
-    let partition = Partition::from_breakpoints(n, &breaks)?;
-    let histogram = flatten_dense(values, &partition)?;
-    Ok(FitResult { histogram, sse })
-}
-
-/// Fills `curr[i - 1 - offset]` / `choice[i - 1 - offset]` for the cells
-/// `i = offset + 1 ..= offset + curr.len()` of one DP row.
-fn compute_row(
-    prefix: &DensePrefix,
-    prev: &[f64],
-    curr: &mut [f64],
-    choice: &mut [usize],
-    offset: usize,
-) {
+/// Fills `curr[i - 1]` / `choice[i - 1]` for the cells `i = 1 ..= curr.len()`
+/// of one DP row.
+fn compute_row(prefix: &DensePrefix, prev: &[f64], curr: &mut [f64], choice: &mut [usize]) {
     for (slot, (c, ch)) in curr.iter_mut().zip(choice.iter_mut()).enumerate() {
-        let i = offset + slot + 1;
+        let i = slot + 1;
         let mut best = f64::INFINITY;
         let mut best_b = 0usize;
         for (b, &p) in prev.iter().enumerate().take(i) {
@@ -150,26 +121,6 @@ fn compute_row(
         *c = best;
         *ch = best_b;
     }
-}
-
-fn compute_row_parallel(
-    prefix: &DensePrefix,
-    prev: &[f64],
-    curr: &mut [f64],
-    choice: &mut [usize],
-    threads: usize,
-) {
-    let n = curr.len();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, (curr_chunk, choice_chunk)) in
-            curr.chunks_mut(chunk).zip(choice.chunks_mut(chunk)).enumerate()
-        {
-            scope.spawn(move || {
-                compute_row(prefix, prev, curr_chunk, choice_chunk, t * chunk);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -235,19 +186,6 @@ mod tests {
         }
         let fit = exact_histogram(&values, 2).unwrap();
         assert!((fit.sse - best).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut seed = 99u64;
-        let values: Vec<f64> = (0..300).map(|_| lcg(&mut seed) * 7.0).collect();
-        let seq = exact_histogram(&values, 7).unwrap();
-        let par = exact_histogram_parallel(&values, 7, 4).unwrap();
-        assert!((seq.sse - par.sse).abs() < 1e-12);
-        assert_eq!(
-            seq.histogram.partition().breakpoints(),
-            par.histogram.partition().breakpoints()
-        );
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! implemented from scratch on top of `hist-core`:
 //!
 //! * [`exact_dp`] — the exact V-optimal dynamic program of Jagadish et
-//!   al. [JKM+98] (`exactdp` in the paper's Table 1), `O(n²·k)` time, plus a
-//!   row-parallel variant;
+//!   al. [JKM+98] (`exactdp` in the paper's Table 1), `O(n²·k)` time;
 //! * [`pruned_dp`] — an exact DP with branch-and-bound pruning of the inner
 //!   scan (our extension, used to obtain exact optima at full scale in
 //!   practical time and to cross-check the naive DP);
@@ -53,14 +52,14 @@ impl FitResult {
     }
 }
 
-pub use dual_greedy::{dual_histogram, greedy_sweep, DualSweep};
+pub use dual_greedy::dual_histogram;
 pub use equal_mass::equal_mass_histogram;
 pub use equal_width::equal_width_histogram;
 pub use estimators::{DualGreedy, EqualMass, EqualWidth, ExactDp, GksQuantile, GreedySplit};
-pub use exact_dp::{exact_histogram, exact_histogram_parallel, opt_sse, opt_sse_table};
+pub use exact_dp::{exact_histogram, opt_sse};
 pub use gks::approx_dp;
 pub use greedy_split::greedy_split_histogram;
-pub use pruned_dp::{exact_histogram_pruned, opt_sse_pruned};
+pub use pruned_dp::exact_histogram_pruned;
 
 #[cfg(test)]
 mod tests {

@@ -87,24 +87,18 @@ pub fn exact_histogram_pruned(values: &[f64], k: usize) -> Result<FitResult> {
     Ok(FitResult { histogram, sse })
 }
 
-/// The optimal squared error `opt_k²` computed by the pruned DP.
-pub fn opt_sse_pruned(values: &[f64], k: usize) -> Result<f64> {
-    Ok(exact_histogram_pruned(values, k)?.sse)
-}
-
-/// Returns `true` when the pruned DP and the naive DP agree on the optimum up
-/// to numerical tolerance — used by integration tests and the ablation
-/// experiment.
-pub fn agrees_with_naive(values: &[f64], k: usize, tolerance: f64) -> Result<bool> {
-    let pruned = exact_histogram_pruned(values, k)?.sse;
-    let naive = crate::exact_dp::opt_sse(values, k)?;
-    Ok((pruned - naive).abs() <= tolerance * (1.0 + naive))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact_dp;
+
+    /// Whether the pruned DP and the naive DP agree on the optimum up to
+    /// `tolerance` (relative to `1 + opt`).
+    fn agrees_with_naive(values: &[f64], k: usize, tolerance: f64) -> Result<bool> {
+        let pruned = exact_histogram_pruned(values, k)?.sse;
+        let naive = exact_dp::opt_sse(values, k)?;
+        Ok((pruned - naive).abs() <= tolerance * (1.0 + naive))
+    }
 
     fn lcg(seed: &mut u64) -> f64 {
         *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

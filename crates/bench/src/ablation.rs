@@ -1,11 +1,11 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md`:
+//! The three ablation experiments of the design choices:
 //!
 //! * the `δ` (approximation vs pieces) and `γ` (time vs pieces) trade-offs of
-//!   Algorithm 1,
-//! * pair merging vs aggressive group merging (`merging` vs `fastmerging`),
+//!   Algorithm 1 ([`parameter_sweep`]),
+//! * pair merging vs aggressive group merging (`merging` vs `fastmerging`,
+//!   [`merging_strategies`]),
 //! * the naive exact DP vs the pruned exact DP (identical optimum, different
-//!   running time),
-//! * linear-time selection vs sort-based selection inside the merging loop.
+//!   running time, [`exact_dp_comparison`]).
 
 use crate::timing::time_algorithm;
 use approx_hist::{Estimator, EstimatorBuilder, ExactDp, Signal};

@@ -1,6 +1,6 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md`:
-//! the `δ`/`γ` trade-offs of Algorithm 1, pair merging versus aggressive group
-//! merging, and the naive versus the pruned exact DP.
+//! The three ablation experiments: the `δ`/`γ` trade-offs of Algorithm 1,
+//! pair merging versus aggressive group merging, and the naive versus the
+//! pruned exact DP.
 //!
 //! Usage:
 //! ```text

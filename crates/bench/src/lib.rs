@@ -1,8 +1,8 @@
 //! # hist-bench
 //!
 //! The experiment harness of the reproduction: shared runners for every table
-//! and figure of the paper's evaluation (Section 5) plus the ablations listed
-//! in `DESIGN.md`. The binaries in `src/bin/` print the paper's tables and
+//! and figure of the paper's evaluation (Section 5) plus three ablations
+//! ([`ablation`]). The binaries in `src/bin/` print the paper's tables and
 //! write CSVs under `out/`.
 //!
 //! | Paper artifact | Runner | Binary |

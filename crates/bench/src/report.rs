@@ -7,7 +7,7 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// The directory experiment CSVs are written to.
 pub fn out_dir() -> PathBuf {
@@ -92,12 +92,6 @@ pub fn emit(
     Ok(path)
 }
 
-/// Returns true when the given CSV path exists and is non-empty — used by the
-/// integration tests of the harness.
-pub fn csv_exists(path: &Path) -> bool {
-    fs::metadata(path).map(|m| m.len() > 0).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +125,6 @@ mod tests {
         let path =
             write_csv("unit_test.csv", &["a", "b"], &[vec!["1".to_string(), "2".to_string()]])
                 .unwrap();
-        assert!(csv_exists(&path));
         let contents = std::fs::read_to_string(&path).unwrap();
         assert_eq!(contents.trim(), "a,b\n1,2");
         std::env::remove_var("HIST_BENCH_OUT_DIR");

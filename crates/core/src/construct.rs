@@ -41,12 +41,7 @@ pub struct MergingReport {
 }
 
 /// Runs Algorithm 1 and returns the output histogram (the flattening of `q`
-/// over the final partition).
-pub fn construct_histogram(q: &SparseFunction, params: &MergingParams) -> Result<Histogram> {
-    Ok(construct_histogram_with_report(q, params)?.0)
-}
-
-/// Runs Algorithm 1 and additionally returns a [`MergingReport`].
+/// over the final partition) with its [`MergingReport`].
 pub fn construct_histogram_with_report(
     q: &SparseFunction,
     params: &MergingParams,
@@ -91,7 +86,7 @@ mod tests {
         let dense = h.to_dense();
         let q = SparseFunction::from_dense_keep_zeros(&dense).unwrap();
         let params = MergingParams::new(3, 1.0, 1.0).unwrap();
-        let out = construct_histogram(&q, &params).unwrap();
+        let out = construct_histogram_with_report(&q, &params).unwrap().0;
         assert!(out.l2_distance_squared_dense(&dense).unwrap() < 1e-18);
         assert!(out.num_pieces() <= params.output_pieces_bound());
     }
@@ -111,7 +106,7 @@ mod tests {
         let q = SparseFunction::from_dense_keep_zeros(&noisy).unwrap();
         for delta in [0.5, 1.0, 4.0, 1000.0] {
             let params = MergingParams::new(k, delta, 1.0).unwrap();
-            let out = construct_histogram(&q, &params).unwrap();
+            let out = construct_histogram_with_report(&q, &params).unwrap().0;
             assert!(
                 out.num_pieces() <= params.output_pieces_bound(),
                 "pieces {} exceed bound {} for delta {delta}",
@@ -162,7 +157,7 @@ mod tests {
         let values = vec![1.0, 2.0, 3.0, 4.0];
         let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
         let params = MergingParams::new(1, 0.5, 0.0).unwrap();
-        let out = construct_histogram(&q, &params).unwrap();
+        let out = construct_histogram_with_report(&q, &params).unwrap().0;
         assert!(out.num_pieces() <= params.output_pieces_bound());
     }
 

@@ -9,9 +9,10 @@
 //! examples) dispatch over `&dyn Estimator` and treat every algorithm — the
 //! merging algorithms here, the exact DPs in `hist-baselines`, the polynomial
 //! fitter in `hist-poly`, the sample learners in `hist-sampling` — uniformly.
-//! [`EstimatorBuilder`] subsumes the per-algorithm parameter structs
-//! (`MergingParams`, the learners' configs) behind one builder-style surface;
-//! each adapter reads the knobs it cares about and ignores the rest.
+//! [`EstimatorBuilder`] subsumes the per-algorithm parameters (`MergingParams`
+//! and the learners' `ε`, `δ`, sample count and seed) behind one
+//! builder-style surface; each adapter reads the knobs it cares about and
+//! ignores the rest.
 
 use crate::construct::merge_segments;
 use crate::error::{Error, Result};

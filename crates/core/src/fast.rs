@@ -38,12 +38,8 @@ pub struct FastMergingReport {
     pub max_group_size: usize,
 }
 
-/// Runs the `fastmerging` variant and returns the output histogram.
-pub fn construct_histogram_fast(q: &SparseFunction, params: &MergingParams) -> Result<Histogram> {
-    Ok(construct_histogram_fast_with_report(q, params)?.0)
-}
-
-/// Runs the `fastmerging` variant and additionally returns a [`FastMergingReport`].
+/// Runs the `fastmerging` variant and returns the output histogram with its
+/// [`FastMergingReport`].
 pub fn construct_histogram_fast_with_report(
     q: &SparseFunction,
     params: &MergingParams,
@@ -97,7 +93,7 @@ pub(crate) fn merge_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::construct_histogram;
+    use crate::construct::construct_histogram_with_report;
     use crate::function::DiscreteFunction;
     use crate::test_support::{lcg, opt_k_sse};
 
@@ -153,8 +149,8 @@ mod tests {
         let q = SparseFunction::from_dense_keep_zeros(&noisy).unwrap();
 
         let params = MergingParams::new(k, 1.0, 1.0).unwrap();
-        let fast = construct_histogram_fast(&q, &params).unwrap();
-        let pair = construct_histogram(&q, &params).unwrap();
+        let fast = construct_histogram_fast_with_report(&q, &params).unwrap().0;
+        let pair = construct_histogram_with_report(&q, &params).unwrap().0;
         let opt = opt_k_sse(&noisy, k);
 
         let fast_sse = fast.l2_distance_squared_dense(&noisy).unwrap();
@@ -172,7 +168,7 @@ mod tests {
         let dense = h.to_dense();
         let q = SparseFunction::from_dense_keep_zeros(&dense).unwrap();
         let params = MergingParams::new(4, 1.0, 1.0).unwrap();
-        let out = construct_histogram_fast(&q, &params).unwrap();
+        let out = construct_histogram_fast_with_report(&q, &params).unwrap().0;
         assert!(out.l2_distance_squared_dense(&dense).unwrap() < 1e-15);
     }
 

@@ -97,7 +97,7 @@ fn union(pair: &[Interval]) -> Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::construct::construct_histogram;
+    use crate::construct::construct_histogram_with_report;
     use crate::function::DiscreteFunction;
     use crate::oracle::ConstantOracle;
     use crate::partition::Partition;
@@ -122,7 +122,7 @@ mod tests {
         let params = MergingParams::new(3, 1.0, 1.0).unwrap();
 
         let general = construct_general(&q, &params, &ConstantOracle::new()).unwrap();
-        let direct = construct_histogram(&q, &params).unwrap();
+        let direct = construct_histogram_with_report(&q, &params).unwrap().0;
 
         assert_eq!(general.num_pieces(), direct.num_pieces());
         // Piece values and boundaries must coincide: the selection is identical.
@@ -142,7 +142,7 @@ mod tests {
         let params = MergingParams::new(4, 1.0, 1.0).unwrap();
         let (general, report) =
             construct_general_with_report(&q, &params, &ConstantOracle::new()).unwrap();
-        let direct = construct_histogram(&q, &params).unwrap();
+        let direct = construct_histogram_with_report(&q, &params).unwrap().0;
         assert!(report.final_intervals <= params.output_pieces_bound());
         let ends = |p: &Partition| p.iter().map(|i| i.end()).collect::<Vec<_>>();
         let general_ends: Vec<usize> =

@@ -11,12 +11,12 @@
 //!   [`PiecewisePolynomial`] and [`Distribution`];
 //! * dense prefix sums ([`DensePrefix`]) giving `O(1)` interval sums and
 //!   squared flattening errors;
-//! * **Algorithm 1** ([`construct_histogram`]): iterative greedy pair merging that
+//! * **Algorithm 1** ([`construct_histogram_with_report`]): iterative greedy pair merging that
 //!   outputs a `(2 + 2/δ)k + γ`-piece histogram with error at most
 //!   `√(1+δ)·opt_k` in input-sparsity time (Theorems 3.3 and 3.4);
 //! * **Algorithm 2** ([`construct_hierarchical_histogram`]): the multi-scale variant
 //!   producing good approximations for *every* `k` simultaneously (Theorem 3.5);
-//! * the `fastmerging` variant ([`construct_histogram_fast`]) that merges larger
+//! * the `fastmerging` variant ([`construct_histogram_fast_with_report`]) that merges larger
 //!   groups per round (Section 5.1 of the paper);
 //! * the generalized merging algorithm ([`construct_general`]) parameterized by a
 //!   [`ProjectionOracle`], which underlies the piecewise-polynomial extension of
@@ -76,11 +76,11 @@ pub mod synopsis;
 #[cfg(test)]
 mod test_support;
 
-pub use construct::{construct_histogram, construct_histogram_with_report, MergingReport};
+pub use construct::{construct_histogram_with_report, MergingReport};
 pub use distribution::Distribution;
 pub use error::{Error, Result};
 pub use estimator::{Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical};
-pub use fast::{construct_histogram_fast, construct_histogram_fast_with_report, FastMergingReport};
+pub use fast::{construct_histogram_fast_with_report, FastMergingReport};
 pub use function::DiscreteFunction;
 pub use general::{construct_general, construct_general_with_report, GeneralMergingReport};
 pub use hierarchical::{construct_hierarchical_histogram, HierarchicalHistogram, HierarchyLevel};

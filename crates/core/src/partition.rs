@@ -157,7 +157,8 @@ impl Partition {
         self.intervals.len()
     }
 
-    /// `true` iff the partition has exactly one interval.
+    /// Always `false`: a partition covers a non-empty domain, so it holds at
+    /// least one interval ([`Partition::trivial`] holds exactly one).
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
@@ -235,6 +236,13 @@ mod tests {
         assert!(Partition::new(10, vec![iv(0, 8)]).is_err());
         assert!(Partition::new(10, vec![]).is_err());
         assert!(Partition::new(0, vec![]).is_err());
+    }
+
+    #[test]
+    fn a_one_interval_partition_is_not_empty() {
+        let p = Partition::trivial(7).unwrap();
+        assert_eq!(p.len(), 1);
+        assert!(!p.is_empty());
     }
 
     #[test]

@@ -57,9 +57,12 @@ impl Signal {
         Self::from_dense(values.to_vec())
     }
 
-    /// Builds the (normalized) empirical distribution `p̂_m` of a sample
-    /// multiset over `[0, domain)`: the value at index `i` is the fraction of
-    /// samples equal to `i`. The resulting signal is at most `m`-sparse.
+    /// Builds the empirical distribution `p̂_m` of a sample multiset over
+    /// `[0, domain)`: the value at index `i` is `c_i as f64 / m as f64`, where
+    /// `c_i` counts the samples equal to `i` (one division per distinct
+    /// value, so `p̂_m` has the same bits however the samples are ordered).
+    /// The resulting signal is at most `m`-sparse; building it sorts a copy of
+    /// the samples, `O(m log m)`.
     pub fn from_samples(domain: usize, samples: &[usize]) -> Result<Self> {
         if samples.is_empty() {
             return Err(Error::InvalidParameter {
@@ -67,9 +70,12 @@ impl Signal {
                 reason: "at least one sample is required".into(),
             });
         }
-        let weight = 1.0 / samples.len() as f64;
-        let pairs: Vec<(usize, f64)> = samples.iter().map(|&s| (s, weight)).collect();
-        let sparse = SparseFunction::from_unsorted(domain, pairs)?;
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let m = sorted.len() as f64;
+        let entries: Vec<(usize, f64)> =
+            sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as f64 / m)).collect();
+        let sparse = SparseFunction::new(domain, entries)?;
         Ok(Self { repr: Repr::Sparse(sparse), num_samples: Some(samples.len()) })
     }
 
@@ -266,21 +272,23 @@ mod tests {
 
     #[test]
     fn samples_become_the_empirical_distribution() {
-        let signal = Signal::from_samples(10, &[3, 3, 7, 3]).unwrap();
-        assert_eq!(signal.num_samples(), Some(4));
+        let signal = Signal::from_samples(10, &[3, 7, 3, 1, 3]).unwrap();
+        assert_eq!(signal.num_samples(), Some(5));
         assert_eq!(signal.domain(), 10);
-        assert!((signal.value(3) - 0.75).abs() < 1e-12);
-        assert!((signal.value(7) - 0.25).abs() < 1e-12);
+        assert_eq!(signal.as_sparse().entries(), &[(1, 1.0 / 5.0), (3, 3.0 / 5.0), (7, 1.0 / 5.0)]);
         assert!((signal.mass() - 1.0).abs() < 1e-12);
-        assert_eq!(signal.as_sparse().sparsity(), 2);
     }
 
     #[test]
     fn invalid_inputs_are_rejected() {
         assert!(Signal::from_dense(vec![]).is_err());
         assert!(Signal::from_dense(vec![f64::NAN]).is_err());
-        assert!(Signal::from_samples(10, &[]).is_err());
-        assert!(Signal::from_samples(5, &[5]).is_err());
+        assert!(matches!(Signal::from_samples(10, &[]), Err(Error::InvalidParameter { .. })));
+        assert!(matches!(
+            Signal::from_samples(5, &[1, 5]),
+            Err(Error::IndexOutOfRange { index: 5, domain: 5 })
+        ));
+        assert!(matches!(Signal::from_samples(0, &[0]), Err(Error::EmptyDomain)));
     }
 
     #[test]

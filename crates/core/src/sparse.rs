@@ -47,29 +47,6 @@ impl SparseFunction {
         Ok(Self { domain, entries })
     }
 
-    /// Builds a sparse function from unsorted pairs, sorting them and summing
-    /// duplicates (useful when accumulating counts).
-    pub(crate) fn from_unsorted(domain: usize, mut pairs: Vec<(usize, f64)>) -> Result<Self> {
-        if domain == 0 {
-            return Err(Error::EmptyDomain);
-        }
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            if i >= domain {
-                return Err(Error::IndexOutOfRange { index: i, domain });
-            }
-            if !v.is_finite() {
-                return Err(Error::NonFiniteValue { context: "SparseFunction::from_unsorted" });
-            }
-            match entries.last_mut() {
-                Some(last) if last.0 == i => last.1 += v,
-                _ => entries.push((i, v)),
-            }
-        }
-        Ok(Self { domain, entries })
-    }
-
     /// Builds a sparse function from a dense vector, dropping exact zeros.
     pub fn from_dense(values: &[f64]) -> Result<Self> {
         validate_dense(values, "SparseFunction::from_dense")?;
@@ -182,12 +159,6 @@ mod tests {
         assert!(SparseFunction::new(5, vec![(2, 1.0), (1, 2.0)]).is_err());
         assert!(SparseFunction::new(5, vec![(2, f64::NAN)]).is_err());
         assert!(SparseFunction::new(5, vec![(0, 1.0), (4, 2.0)]).is_ok());
-    }
-
-    #[test]
-    fn from_unsorted_merges_duplicates() {
-        let q = SparseFunction::from_unsorted(10, vec![(3, 1.0), (1, 2.0), (3, 0.5)]).unwrap();
-        assert_eq!(q.entries(), &[(1, 2.0), (3, 1.5)]);
     }
 
     #[test]

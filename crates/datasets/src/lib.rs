@@ -7,7 +7,7 @@
 //! * [`hist_dataset`] — noisy 10-piece histogram, `n = 1000`;
 //! * [`poly_dataset`] — noisy degree-5 polynomial, `n = 4000`;
 //! * [`dow_dataset`] — a Dow-Jones-like geometric random walk, `n = 16384`
-//!   (substitute for the non-redistributable DJIA series; see `DESIGN.md`);
+//!   (substitute for the non-redistributable DJIA series; see [`timeseries`]);
 //! * [`normalize`] — normalization and subsampling into the `hist'`, `poly'`
 //!   and `dow'` learning distributions of Section 5.2;
 //! * [`families`] — Zipf frequency columns, Gaussian mixtures, steps with
@@ -24,14 +24,12 @@ pub mod timeseries;
 
 pub use families::{gaussian_mixture, steps_with_spikes, zipf_frequencies};
 pub use noise::{add_gaussian_noise, GaussianNoise};
-pub use normalize::{subsample, subsample_to_distribution, to_distribution};
+pub use normalize::{subsample_to_distribution, to_distribution};
 pub use synthetic::{
     hist_dataset, hist_dataset_with, poly_dataset, poly_dataset_with, HistDatasetParams,
     PolyDatasetParams,
 };
-pub use timeseries::{
-    dow_dataset, dow_dataset_with_length, geometric_random_walk, DowDatasetParams,
-};
+pub use timeseries::{dow_dataset, dow_dataset_with_length, DowDatasetParams};
 
 /// The three offline data sets of Figure 1 in one call:
 /// `(hist, poly, dow)` with their default parameters.

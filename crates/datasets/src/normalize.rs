@@ -18,7 +18,7 @@ pub fn to_distribution(values: &[f64]) -> Result<Distribution> {
 
 /// Keeps every `factor`-th sample of the signal (uniformly spaced subsampling),
 /// as used to build the `poly'` (factor 4) and `dow'` (factor 16) data sets.
-pub fn subsample(values: &[f64], factor: usize) -> Result<Vec<f64>> {
+pub(crate) fn subsample(values: &[f64], factor: usize) -> Result<Vec<f64>> {
     if values.is_empty() {
         return Err(Error::EmptyDomain);
     }

@@ -6,7 +6,7 @@
 //! drift and volatility calibrated to reproduce the plotted range and the
 //! qualitative character of the series: smooth-but-rough, long trends, no
 //! natural piecewise-constant structure. This preserves exactly the properties
-//! the experiments exercise (see `DESIGN.md`, substitution table).
+//! the experiments exercise.
 
 use crate::noise::GaussianNoise;
 use rand::rngs::StdRng;
@@ -40,7 +40,7 @@ impl Default for DowDatasetParams {
 /// with per-step volatility `volatility`, linearly corrected so the series
 /// starts at `start` and ends at `end` exactly. All intermediate roughness and
 /// trend structure of a geometric random walk is preserved.
-pub fn geometric_random_walk(params: &DowDatasetParams) -> Vec<f64> {
+pub(crate) fn geometric_random_walk(params: &DowDatasetParams) -> Vec<f64> {
     let DowDatasetParams { n, start, end, volatility, seed } = *params;
     let n = n.max(1);
     let start = start.max(f64::MIN_POSITIVE);

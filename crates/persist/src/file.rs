@@ -1,7 +1,8 @@
-//! File-level helpers: save/load each container kind with an atomic
-//! write-then-rename, so a crash mid-save leaves the previous snapshot
-//! intact instead of a torn file (a torn file would be *detected* by the
-//! CRC trailer, but detection is worse than never corrupting the file).
+//! File-level helpers: save/load the synopsis, store-snapshot and store-map
+//! containers with an atomic write-then-rename, so a crash mid-save leaves
+//! the previous snapshot intact instead of a torn file (a torn file would be
+//! *detected* by the CRC trailer, but detection is worse than never
+//! corrupting the file).
 //! The temp file is synced before the rename and its directory after it,
 //! so this holds across power loss too, not only across process crashes.
 
@@ -12,9 +13,8 @@ use std::path::{Path, PathBuf};
 use hist_core::Synopsis;
 
 use crate::codec::{
-    decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,
-    encode_store_map, encode_store_snapshot, encode_stream_checkpoint, encode_synopsis,
-    StoreMapEntry, StoreMapSnapshot, StoreSnapshot, StreamCheckpoint,
+    decode_store_map, decode_store_snapshot, decode_synopsis, encode_store_map,
+    encode_store_snapshot, encode_synopsis, StoreMapEntry, StoreMapSnapshot, StoreSnapshot,
 };
 use crate::error::PersistResult;
 
@@ -103,21 +103,6 @@ pub fn load_store_map(path: impl AsRef<Path>) -> PersistResult<StoreMapSnapshot>
     Ok(decode_store_map(&fs::read(path)?)?)
 }
 
-/// Saves a streaming checkpoint to `path` as an `AHISTCKP` container
-/// (atomic replace).
-pub fn save_stream_checkpoint(
-    path: impl AsRef<Path>,
-    checkpoint: &StreamCheckpoint,
-) -> PersistResult<()> {
-    write_atomic(path.as_ref(), &encode_stream_checkpoint(checkpoint))
-}
-
-/// Loads the streaming checkpoint previously saved with
-/// [`save_stream_checkpoint`].
-pub fn load_stream_checkpoint(path: impl AsRef<Path>) -> PersistResult<StreamCheckpoint> {
-    Ok(decode_stream_checkpoint(&fs::read(path)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,7 +176,6 @@ mod tests {
         let path = scratch_dir("missing").join("nope.synopsis");
         assert!(matches!(load_synopsis(&path), Err(PersistError::Io(_))));
         assert!(matches!(load_store_snapshot(&path), Err(PersistError::Io(_))));
-        assert!(matches!(load_stream_checkpoint(&path), Err(PersistError::Io(_))));
     }
 
     #[test]
@@ -206,23 +190,12 @@ mod tests {
     }
 
     #[test]
-    fn store_and_checkpoint_files_round_trip() {
+    fn store_snapshot_files_round_trip() {
         let dir = scratch_dir("containers");
         let store_path = dir.join("store.snapshot");
         save_store_snapshot(&store_path, 7, Some(&synopsis())).unwrap();
         let loaded = load_store_snapshot(&store_path).unwrap();
         assert_eq!(loaded.epoch, 7);
         assert_eq!(loaded.synopsis.unwrap(), synopsis());
-
-        let ckpt_path = dir.join("stream.checkpoint");
-        let checkpoint = StreamCheckpoint {
-            budget: 3,
-            chunk_len: 16,
-            pushed: 20,
-            tail: vec![1.0, 2.0, 3.0, 4.0],
-            levels: vec![Some(synopsis())],
-        };
-        save_stream_checkpoint(&ckpt_path, &checkpoint).unwrap();
-        assert_eq!(load_stream_checkpoint(&ckpt_path).unwrap(), checkpoint);
     }
 }

@@ -77,6 +77,6 @@ pub use codec::{
 pub use crc32::crc32;
 pub use error::{CodecError, CodecResult, PersistError, PersistResult};
 pub use file::{
-    load_store_map, load_store_snapshot, load_stream_checkpoint, load_synopsis, save_store_map,
-    save_store_snapshot, save_stream_checkpoint, save_synopsis,
+    load_store_map, load_store_snapshot, load_synopsis, save_store_map, save_store_snapshot,
+    save_synopsis,
 };

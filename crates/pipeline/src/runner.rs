@@ -28,18 +28,6 @@ pub struct PipelineReport {
     pub elapsed: Duration,
 }
 
-impl PipelineReport {
-    /// Sustained ingest rate over the run, in events per second.
-    pub fn events_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 /// A set of metric lanes and their event sources, driven round-robin into a
 /// shared [`StoreMap`] — synchronously ([`TelemetryPipeline::run_until`]) or
 /// on a background ingest thread ([`TelemetryPipeline::spawn`]) while the

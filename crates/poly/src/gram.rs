@@ -147,13 +147,6 @@ impl GramBasis {
     }
 }
 
-/// Convenience wrapper mirroring the paper's `EvaluateGram(x, d, b)`: the values
-/// of the orthonormal Gram basis of degree `≤ degree` on `{0, …, len − 1}` at
-/// the point `x`.
-pub fn evaluate_gram(x: usize, degree: usize, len: usize) -> Result<Vec<f64>> {
-    Ok(GramBasis::new(len, degree)?.evaluate(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +221,7 @@ mod tests {
         assert!(GramBasis::new(0, 0).is_err());
         assert!(GramBasis::new(3, 3).is_err());
         assert!(GramBasis::new(3, 2).is_ok());
-        assert!(evaluate_gram(0, 5, 4).is_err());
+        assert!(GramBasis::new(4, 5).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The crate provides:
 //!
-//! * [`GramBasis`] / [`evaluate_gram`] — the discrete Chebyshev (Gram)
+//! * [`GramBasis`] — the discrete Chebyshev (Gram)
 //!   orthonormal polynomial basis on an interval, evaluated by a numerically
 //!   stable three-term recurrence (the paper's `EvaluateGram`);
 //! * [`fit_polynomial`] / [`FitPolyOracle`] — the `FitPoly_d` projection oracle
@@ -41,6 +41,6 @@ pub mod piecewise;
 
 pub use estimator::PiecewisePoly;
 pub use fitpoly::{fit_polynomial, fit_to_piece, FitPolyOracle, PolynomialFit};
-pub use gram::{evaluate_gram, GramBasis};
+pub use gram::GramBasis;
 pub use lsq::least_squares_fit;
 pub use piecewise::{fit_piecewise_polynomial, fit_piecewise_polynomial_with_report};

@@ -1,12 +1,19 @@
-//! [`Estimator`] adapter for the agnostic sample learner of Theorem 2.1.
+//! The two-stage agnostic histogram learner of Theorem 2.1 as an
+//! [`Estimator`], and the sample size of Lemma 3.1.
+//!
+//! Stage 1 draws `m = O(ε⁻²·log(1/δ))` samples and forms the empirical
+//! distribution `p̂_m` ([`Signal::from_samples`]); stage 2 post-processes
+//! `p̂_m` with the merging algorithm ([`GreedyMerging`], or [`FastMerging`] for
+//! [`SampleLearner::fast`]) in `O(m)` time. With probability `≥ 1 − δ` the
+//! output is an `O(k)`-histogram `h` with `‖h − p‖₂ ≤ 2·opt_k + ε`.
 
-use hist_core::{Distribution, Estimator, EstimatorBuilder, FittedModel, Result, Signal, Synopsis};
+use hist_core::{
+    Distribution, Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Result, Signal, Synopsis,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::alias::AliasSampler;
-use crate::empirical::sample_complexity;
-use crate::learn::{learn_histogram_from_samples, LearnerConfig, MergingVariant};
 
 /// The two-stage agnostic histogram learner as an [`Estimator`].
 ///
@@ -15,39 +22,27 @@ use crate::learn::{learn_histogram_from_samples, LearnerConfig, MergingVariant};
 ///   samples arriving from an external source.
 /// * Any other signal is treated as the (unnormalized) probability weights of
 ///   the unknown distribution: the learner normalizes it, draws its own
-///   `m = O(ε⁻²·log(1/δ))` samples (deterministically, from
+///   [`SampleLearner::sample_size`] samples (deterministically, from
 ///   [`EstimatorBuilder::seed`]), and learns from those — the full Theorem 2.1
 ///   pipeline, never reading the signal beyond sampling.
+///
+/// Either way the fit is the merging estimator on `p̂_m`, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleLearner {
     builder: EstimatorBuilder,
-    variant: MergingVariant,
+    fast: bool,
 }
 
 impl SampleLearner {
     /// A learner post-processing with pair merging (Algorithm 1).
     pub fn new(builder: EstimatorBuilder) -> Self {
-        Self { builder, variant: MergingVariant::Pairs }
+        Self { builder, fast: false }
     }
 
     /// A learner post-processing with aggressive group merging
     /// (`fastmerging`).
     pub fn fast(builder: EstimatorBuilder) -> Self {
-        Self { builder, variant: MergingVariant::Groups }
-    }
-
-    /// The learner configuration, reusing the builder's merging knobs
-    /// verbatim; errors on invalid merging parameters.
-    fn config(&self) -> Result<LearnerConfig> {
-        let merging = self.builder.merging_params()?;
-        Ok(LearnerConfig {
-            k: self.builder.k(),
-            epsilon: self.builder.learner_epsilon(),
-            delta: self.builder.learner_fail_prob(),
-            merge_delta: merging.delta(),
-            merge_gamma: merging.gamma(),
-            variant: self.variant,
-        })
+        Self { builder, fast: true }
     }
 
     /// The number of samples this learner draws when it has to sample itself.
@@ -60,27 +55,40 @@ impl SampleLearner {
 
 impl Estimator for SampleLearner {
     fn name(&self) -> &'static str {
-        match self.variant {
-            MergingVariant::Pairs => "sample-learner",
-            MergingVariant::Groups => "sample-learner-fast",
+        if self.fast {
+            "sample-learner-fast"
+        } else {
+            "sample-learner"
         }
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
         self.builder.validate()?;
-        let config = self.config()?;
-        let learned = if let Some(m) = signal.num_samples() {
-            // Stage 2 only: the signal already is the empirical distribution.
-            crate::learn::learn_histogram_from_empirical(signal.as_sparse().as_ref(), m, &config)?
+        let drawn;
+        let empirical = if signal.num_samples().is_some() {
+            signal
         } else {
             let p = Distribution::from_weights(&signal.dense_values())?;
-            let sampler = AliasSampler::new(&p)?;
             let mut rng = StdRng::seed_from_u64(self.builder.seed_value());
-            let samples = sampler.sample_many(self.sample_size(), &mut rng);
-            learn_histogram_from_samples(signal.domain(), &samples, &config)?
+            let samples = AliasSampler::new(&p)?.sample_many(self.sample_size(), &mut rng);
+            drawn = Signal::from_samples(signal.domain(), &samples)?;
+            &drawn
         };
-        Ok(Synopsis::new(self.name(), self.builder.k(), FittedModel::Histogram(learned.histogram)))
+        if self.fast {
+            FastMerging::named(self.name(), self.builder).fit(empirical)
+        } else {
+            GreedyMerging::named(self.name(), self.builder).fit(empirical)
+        }
     }
+}
+
+/// The number of samples `m = ⌈(c/ε²)·ln(e/δ)⌉` prescribed by Lemma 3.1 /
+/// Theorem 2.1 (we use the explicit constant `c = 1`, which the McDiarmid
+/// argument in the paper supports for `η = 3ε/4`).
+pub fn sample_complexity(epsilon: f64, delta: f64) -> usize {
+    let eps = epsilon.clamp(1e-9, 1.0);
+    let del = delta.clamp(1e-12, 1.0);
+    ((1.0 / (eps * eps)) * (1.0 + (1.0 / del).ln())).ceil() as usize
 }
 
 #[cfg(test)]
@@ -152,6 +160,17 @@ mod tests {
         let learner = SampleLearner::fast(EstimatorBuilder::new(4).samples(2_000));
         assert_eq!(learner.name(), "sample-learner-fast");
         let signal = Signal::from_dense(step_weights()).unwrap();
-        assert!(learner.fit(&signal).is_ok());
+        assert_eq!(learner.fit(&signal).unwrap().estimator(), "sample-learner-fast");
+    }
+
+    #[test]
+    fn sample_complexity_scales_as_expected() {
+        let base = sample_complexity(0.1, 0.1);
+        assert!(base >= 100, "1/ε² factor");
+        // Halving ε quadruples the sample size.
+        assert!(sample_complexity(0.05, 0.1) >= 4 * base - 4);
+        // Smaller δ only costs logarithmically.
+        assert!(sample_complexity(0.1, 0.01) < 3 * base);
+        assert!(sample_complexity(0.1, 0.01) > base);
     }
 }

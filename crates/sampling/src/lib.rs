@@ -1,25 +1,26 @@
 //! # hist-sampling
 //!
-//! The random-sampling substrate and the agnostic learners of the PODS 2015
-//! histogram paper:
+//! The random-sampling side of the PODS 2015 histogram paper:
 //!
 //! * [`AliasSampler`] / [`InverseCdfSampler`] — draw i.i.d. samples from a data
 //!   distribution (`O(1)` and `O(log n)` per sample respectively);
-//! * [`EmpiricalDistribution`] and [`sample_complexity`] — the empirical
-//!   distribution `p̂_m` and the `O(ε⁻²·log(1/δ))` sample bound of Lemma 3.1;
-//! * [`learn_histogram`] — the two-stage histogram learner of **Theorem 2.1**;
-//! * [`MultiScaleLearner`] — the multi-scale learner of **Theorem 2.2**;
-//! * [`learn_piecewise_polynomial`] — the piecewise-polynomial learner of
-//!   **Theorem 2.3**;
-//! * [`minimax`] — the two-point construction and Hellinger lower bound of
-//!   **Theorem 3.2**;
-//! * [`StreamingSketch`] — a mergeable streaming count sketch that extends the
-//!   batch learners to per-partition sample streams (this reproduction's
-//!   extension; the Theorem 2.1 guarantees carry over verbatim).
+//! * [`sample_complexity`] — the `O(ε⁻²·log(1/δ))` sample bound of Lemma 3.1;
+//! * [`SampleLearner`] — the two-stage histogram learner of **Theorem 2.1** as
+//!   an [`Estimator`](hist_core::Estimator) that draws its own samples;
+//! * [`two_point_pair`], [`sample_lower_bound`] and [`distinguish`] — the
+//!   two-point construction and Hellinger lower bound of **Theorem 3.2**.
+//!
+//! Every learner of the paper is the same two stages: draw `m` samples, form
+//! the empirical distribution `p̂_m` with
+//! [`Signal::from_samples`](hist_core::Signal::from_samples), and fit `p̂_m`
+//! with an estimator. Theorem 2.1 fits it with `GreedyMerging` or
+//! `FastMerging`, Theorem 2.2 with `Hierarchical::fit_hierarchy` (a good
+//! histogram for every `k` at once), and Theorem 2.3 with hist-poly's
+//! `PiecewisePoly`.
 //!
 //! ```
-//! use hist_core::Distribution;
-//! use hist_sampling::{learn_histogram, LearnerConfig};
+//! use hist_core::{Distribution, Estimator, EstimatorBuilder, GreedyMerging, Hierarchical, Signal};
+//! use hist_sampling::{sample_complexity, AliasSampler};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -27,34 +28,27 @@
 //! let weights: Vec<f64> = (0..50).map(|i| if i < 20 { 3.0 } else { 1.0 }).collect();
 //! let p = Distribution::from_weights(&weights).unwrap();
 //!
-//! let mut rng = StdRng::seed_from_u64(0);
-//! let learned = learn_histogram(&p, &LearnerConfig::paper(2, 0.05, 0.1), &mut rng).unwrap();
-//! // With the paper's merging parameters the output has O(k) pieces.
-//! assert!(learned.histogram.num_pieces() <= 8);
+//! // Stage 1: m = O(ε⁻²·log(1/δ)) samples form p̂_m.
+//! let m = sample_complexity(0.05, 0.1);
+//! let samples = AliasSampler::new(&p).unwrap().sample_many(m, &mut StdRng::seed_from_u64(0));
+//! let empirical = Signal::from_samples(50, &samples).unwrap();
+//!
+//! // Stage 2 of Theorem 2.1: with the paper's merging parameters the output
+//! // has O(k) pieces.
+//! let learned = GreedyMerging::new(EstimatorBuilder::new(2)).fit(&empirical).unwrap();
+//! assert!(learned.num_pieces() <= 8);
+//!
+//! // Stage 2 of Theorem 2.2: one hierarchy answers every k, with at most 8k
+//! // pieces and an error estimate against p̂_m.
+//! let hierarchy = Hierarchical::new(EstimatorBuilder::new(2)).fit_hierarchy(&empirical).unwrap();
+//! let (h, _estimate) = hierarchy.histogram_for_k(2);
+//! assert!(h.num_pieces() <= 16);
 //! ```
 
-pub mod alias;
-pub mod empirical;
-pub mod estimator;
-pub mod learn;
-pub mod minimax;
-pub mod multiscale;
-pub mod poly_learn;
-pub mod streaming;
+mod alias;
+mod estimator;
+mod minimax;
 
 pub use alias::{AliasSampler, InverseCdfSampler};
-pub use empirical::{sample_complexity, EmpiricalDistribution};
-pub use estimator::SampleLearner;
-pub use learn::{
-    learn_histogram, learn_histogram_from_empirical, learn_histogram_from_samples,
-    learn_histogram_with_sample_size, LearnedHistogram, LearnerConfig, MergingVariant,
-};
-pub use minimax::{
-    distinguish, hellinger_lower_bound, sample_lower_bound, two_point_pair, DistinguisherVerdict,
-};
-pub use multiscale::MultiScaleLearner;
-pub use poly_learn::{
-    learn_piecewise_polynomial, learn_piecewise_polynomial_from_samples,
-    LearnedPiecewisePolynomial, PolyLearnerConfig,
-};
-pub use streaming::StreamingSketch;
+pub use estimator::{sample_complexity, SampleLearner};
+pub use minimax::{distinguish, sample_lower_bound, two_point_pair, DistinguisherVerdict};

@@ -36,7 +36,11 @@ pub fn two_point_pair(n: usize, epsilon: f64) -> Result<(Distribution, Distribut
 /// The information-theoretic sample lower bound
 /// `m ≥ log(1/δ) / (4·h²(p₁, p₂))` implied by the Hellinger-distance argument
 /// (Theorem 4.7 of \[BY02\], as used in the proof of Theorem 3.2).
-pub fn hellinger_lower_bound(p1: &Distribution, p2: &Distribution, delta: f64) -> Result<usize> {
+pub(crate) fn hellinger_lower_bound(
+    p1: &Distribution,
+    p2: &Distribution,
+    delta: f64,
+) -> Result<usize> {
     if !(0.0..0.5).contains(&delta) || delta <= 0.0 {
         return Err(Error::InvalidParameter {
             name: "delta",
@@ -49,7 +53,7 @@ pub fn hellinger_lower_bound(p1: &Distribution, p2: &Distribution, delta: f64) -
 }
 
 /// The sample lower bound for learning to `ℓ₂` accuracy `ε` with confidence
-/// `1 − δ`: instantiates [`hellinger_lower_bound`] on the two-point pair, which
+/// `1 − δ`: instantiates the Hellinger bound on the two-point pair, which
 /// scales as `Ω(ε⁻²·log(1/δ))`.
 pub fn sample_lower_bound(epsilon: f64, delta: f64) -> Result<usize> {
     let (p1, p2) = two_point_pair(2, epsilon)?;

@@ -63,8 +63,12 @@
 //!   and piecewise-polynomial fitting (Section 4);
 //! * [`baselines`] (`hist-baselines`) — the exact V-optimal DP, the dual
 //!   greedy, an AHIST-style approximate DP and trivial baselines;
-//! * [`sampling`] (`hist-sampling`) — samplers, empirical distributions and
-//!   the agnostic learners of Theorems 2.1–2.3;
+//! * [`sampling`] (`hist-sampling`) — samplers, the sample bound of
+//!   Lemma 3.1, the self-sampling [`SampleLearner`] and the lower bound of
+//!   Theorem 3.2. The learners of Theorems 2.1–2.3 are the estimators above
+//!   fitted to [`Signal::from_samples`] (the empirical distribution `p̂_m`):
+//!   merging for 2.1, [`Hierarchical::fit_hierarchy`] for 2.2 and
+//!   [`PiecewisePoly`] for 2.3;
 //! * [`datasets`] (`hist-datasets`) — the evaluation workloads (Figure 1) and
 //!   additional synthetic families;
 //! * [`stream`] (`hist-stream`) — mergeable & streaming synopses:

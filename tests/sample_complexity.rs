@@ -4,9 +4,9 @@
 
 use approx_hist::sampling::{
     distinguish, sample_complexity, sample_lower_bound, two_point_pair, AliasSampler,
-    DistinguisherVerdict, EmpiricalDistribution,
+    DistinguisherVerdict,
 };
-use approx_hist::Distribution;
+use approx_hist::{Distribution, Signal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,8 +24,9 @@ fn lemma_3_1_empirical_distribution_concentrates() {
         let trials = 10;
         for _ in 0..trials {
             let samples = sampler.sample_many(m, &mut rng);
-            let emp = EmpiricalDistribution::from_samples(500, &samples).unwrap();
-            if emp.l2_distance_to(&p).unwrap() > eps {
+            let emp = Signal::from_samples(500, &samples).unwrap();
+            let emp = Distribution::new(emp.dense_values().into_owned()).unwrap();
+            if emp.l2_distance(&p).unwrap() > eps {
                 failures += 1;
             }
         }
