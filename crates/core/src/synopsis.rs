@@ -11,7 +11,7 @@
 //! Synopses are also *mergeable*: [`Synopsis::merge`] concatenates two
 //! synopses fitted on adjacent chunks of a signal and re-merges the result
 //! down to a piece budget, which is what the `hist-stream` crate builds its
-//! chunked/streaming/sliding-window fitters on. For serving-style workloads,
+//! chunked and streaming fitters on. For serving-style workloads,
 //! [`Synopsis::mass_batch`], [`Synopsis::quantile_batch`] and
 //! [`Synopsis::cdf_batch`] answer many queries per call.
 //!

@@ -11,10 +11,9 @@
 //!                             sections            before trailer
 //! ```
 //!
-//! Four container kinds share the frame, distinguished by their magic:
+//! Three container kinds share the frame, distinguished by their magic:
 //!
 //! * `AHISTSYN` — one [`Synopsis`] ([`encode_synopsis`]/[`decode_synopsis`]);
-//! * `AHISTSTO` — a [`StoreSnapshot`]: serving epoch plus optional synopsis;
 //! * `AHISTCKP` — a [`StreamCheckpoint`]: the resumable state of a one-pass
 //!   streaming build;
 //! * `AHISTMAP` — a [`StoreMapSnapshot`]: a whole keyed tenant map,
@@ -38,8 +37,6 @@ use crate::wire::{put_f64, put_u16, put_u32, put_u64, Reader};
 
 /// Magic bytes opening a single-synopsis container.
 pub const SYNOPSIS_MAGIC: [u8; 8] = *b"AHISTSYN";
-/// Magic bytes opening a store-snapshot container (epoch + synopsis).
-pub const STORE_MAGIC: [u8; 8] = *b"AHISTSTO";
 /// Magic bytes opening a streaming-checkpoint container.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"AHISTCKP";
 /// Magic bytes opening a keyed store-map container (many keyed stores).
@@ -86,6 +83,7 @@ const KNOWN_NAMES: [&str; 23] = [
     "chunked",
     "parallel-chunked",
     "streaming",
+    // No estimator writes this name any more, but saved maps may hold it.
     "sliding-window",
     "merged",
     "oracle",
@@ -277,50 +275,6 @@ fn read_synopsis_payload(reader: &mut Reader<'_>) -> CodecResult<Synopsis> {
         FittedModel::Polynomial(PiecewisePolynomial::new(domain, decoded)?)
     };
     Ok(Synopsis::from_parts(name, target_k, model)?)
-}
-
-// ---------------------------------------------------------------------------
-// Store-snapshot container.
-// ---------------------------------------------------------------------------
-
-/// The persisted state of a serving store: the last published epoch and, if
-/// the store was non-empty, the synopsis it served.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreSnapshot {
-    /// Last published epoch at save time (0 for a never-published store).
-    pub epoch: u64,
-    /// The served synopsis, or `None` for an empty store.
-    pub synopsis: Option<Synopsis>,
-}
-
-/// Encodes a store snapshot into a self-contained `AHISTSTO` container.
-pub fn encode_store_snapshot(epoch: u64, synopsis: Option<&Synopsis>) -> Vec<u8> {
-    let mut out = open_frame(STORE_MAGIC);
-    put_u64(&mut out, epoch);
-    match synopsis {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            let blob = encode_synopsis(s);
-            put_u64(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
-        }
-    }
-    seal(out)
-}
-
-/// Decodes an `AHISTSTO` container produced by [`encode_store_snapshot`].
-pub fn decode_store_snapshot(bytes: &[u8]) -> CodecResult<StoreSnapshot> {
-    let payload = check_envelope(bytes, &STORE_MAGIC)?;
-    let mut reader = Reader::new(payload);
-    let epoch = reader.u64()?;
-    let synopsis = match reader.u8()? {
-        0 => None,
-        1 => Some(decode_synopsis(reader.section("store synopsis")?)?),
-        found => return Err(CodecError::InvalidTag { what: "store synopsis presence", found }),
-    };
-    reader.finish()?;
-    Ok(StoreSnapshot { epoch, synopsis })
 }
 
 // ---------------------------------------------------------------------------
@@ -603,18 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn store_snapshot_round_trips() {
-        let snapshot = decode_store_snapshot(&encode_store_snapshot(0, None)).unwrap();
-        assert_eq!(snapshot, StoreSnapshot { epoch: 0, synopsis: None });
-
-        let synopsis = histogram_synopsis();
-        let bytes = encode_store_snapshot(42, Some(&synopsis));
-        let snapshot = decode_store_snapshot(&bytes).unwrap();
-        assert_eq!(snapshot.epoch, 42);
-        assert_bit_identical(snapshot.synopsis.as_ref().unwrap(), &synopsis);
-    }
-
-    #[test]
     fn stream_checkpoint_round_trips() {
         let checkpoint = StreamCheckpoint {
             budget: 5,
@@ -640,11 +582,10 @@ mod tests {
     #[test]
     fn container_kinds_reject_each_other() {
         let synopsis_bytes = encode_synopsis(&histogram_synopsis());
-        assert!(matches!(decode_store_snapshot(&synopsis_bytes), Err(CodecError::BadMagic)));
         assert!(matches!(decode_stream_checkpoint(&synopsis_bytes), Err(CodecError::BadMagic)));
         assert!(matches!(decode_store_map(&synopsis_bytes), Err(CodecError::BadMagic)));
-        let store_bytes = encode_store_snapshot(1, None);
-        assert!(matches!(decode_synopsis(&store_bytes), Err(CodecError::BadMagic)));
+        let map_bytes = encode_store_map(&[]).unwrap();
+        assert!(matches!(decode_synopsis(&map_bytes), Err(CodecError::BadMagic)));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! File-level helpers: save/load the synopsis, store-snapshot and store-map
-//! containers with an atomic write-then-rename, so a crash mid-save leaves
+//! File-level helpers: save/load the synopsis and store-map containers with an atomic write-then-rename, so a crash mid-save leaves
 //! the previous snapshot intact instead of a torn file (a torn file would be
 //! *detected* by the CRC trailer, but detection is worse than never
 //! corrupting the file).
@@ -13,8 +12,8 @@ use std::path::{Path, PathBuf};
 use hist_core::Synopsis;
 
 use crate::codec::{
-    decode_store_map, decode_store_snapshot, decode_synopsis, encode_store_map,
-    encode_store_snapshot, encode_synopsis, StoreMapEntry, StoreMapSnapshot, StoreSnapshot,
+    decode_store_map, decode_synopsis, encode_store_map, encode_synopsis, StoreMapEntry,
+    StoreMapSnapshot,
 };
 use crate::error::PersistResult;
 
@@ -74,21 +73,6 @@ pub fn save_synopsis(path: impl AsRef<Path>, synopsis: &Synopsis) -> PersistResu
 /// Loads the synopsis previously saved to `path` with [`save_synopsis`].
 pub fn load_synopsis(path: impl AsRef<Path>) -> PersistResult<Synopsis> {
     Ok(decode_synopsis(&fs::read(path)?)?)
-}
-
-/// Saves a store snapshot (epoch + optional synopsis) to `path` as an
-/// `AHISTSTO` container (atomic replace).
-pub fn save_store_snapshot(
-    path: impl AsRef<Path>,
-    epoch: u64,
-    synopsis: Option<&Synopsis>,
-) -> PersistResult<()> {
-    write_atomic(path.as_ref(), &encode_store_snapshot(epoch, synopsis))
-}
-
-/// Loads the store snapshot previously saved with [`save_store_snapshot`].
-pub fn load_store_snapshot(path: impl AsRef<Path>) -> PersistResult<StoreSnapshot> {
-    Ok(decode_store_snapshot(&fs::read(path)?)?)
 }
 
 /// Saves a keyed store map to `path` as an `AHISTMAP` container (atomic
@@ -175,7 +159,7 @@ mod tests {
     fn missing_files_surface_io_errors() {
         let path = scratch_dir("missing").join("nope.synopsis");
         assert!(matches!(load_synopsis(&path), Err(PersistError::Io(_))));
-        assert!(matches!(load_store_snapshot(&path), Err(PersistError::Io(_))));
+        assert!(matches!(load_store_map(&path), Err(PersistError::Io(_))));
     }
 
     #[test]
@@ -187,15 +171,5 @@ mod tests {
         bytes[mid] ^= 0x80;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(load_synopsis(&path), Err(PersistError::Codec(_))));
-    }
-
-    #[test]
-    fn store_snapshot_files_round_trip() {
-        let dir = scratch_dir("containers");
-        let store_path = dir.join("store.snapshot");
-        save_store_snapshot(&store_path, 7, Some(&synopsis())).unwrap();
-        let loaded = load_store_snapshot(&store_path).unwrap();
-        assert_eq!(loaded.epoch, 7);
-        assert_eq!(loaded.synopsis.unwrap(), synopsis());
     }
 }

@@ -16,12 +16,11 @@
 //! ## Format
 //!
 //! Every container is `magic (8) | version (u16 LE) | payload | crc32 (u32
-//! LE)`, with four container kinds distinguished by magic:
+//! LE)`, with three container kinds distinguished by magic:
 //!
 //! | magic      | contents                                                 |
 //! |------------|----------------------------------------------------------|
 //! | `AHISTSYN` | one [`Synopsis`](hist_core::Synopsis)                    |
-//! | `AHISTSTO` | a [`StoreSnapshot`]: serving epoch + optional synopsis   |
 //! | `AHISTCKP` | a [`StreamCheckpoint`]: resumable streaming-build state  |
 //! | `AHISTMAP` | a [`StoreMapSnapshot`]: a whole keyed tenant map         |
 //!
@@ -68,15 +67,11 @@ pub mod file;
 pub mod wire;
 
 pub use codec::{
-    decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,
-    encode_store_map, encode_store_snapshot, encode_stream_checkpoint, encode_synopsis,
-    validate_key, StoreMapEntry, StoreMapSnapshot, StoreSnapshot, StreamCheckpoint,
-    CHECKPOINT_MAGIC, FALLBACK_NAME, FORMAT_VERSION, MAP_MAGIC, MAX_KEY_BYTES, STORE_MAGIC,
+    decode_store_map, decode_stream_checkpoint, decode_synopsis, encode_store_map,
+    encode_stream_checkpoint, encode_synopsis, validate_key, StoreMapEntry, StoreMapSnapshot,
+    StreamCheckpoint, CHECKPOINT_MAGIC, FALLBACK_NAME, FORMAT_VERSION, MAP_MAGIC, MAX_KEY_BYTES,
     SYNOPSIS_MAGIC,
 };
 pub use crc32::crc32;
 pub use error::{CodecError, CodecResult, PersistError, PersistResult};
-pub use file::{
-    load_store_map, load_store_snapshot, load_synopsis, save_store_map, save_store_snapshot,
-    save_synopsis,
-};
+pub use file::{load_store_map, load_synopsis, save_store_map, save_synopsis};

@@ -7,10 +7,10 @@
 //!
 //! ```text
 //!   EventSource ──► MetricPipeline ──► StoreMap ──► HistServer ──► HistClient
-//!   (synthetic      (StreamingBuilder/  (keyed,      (wire v4)      (live
-//!    events,         SlidingWindow;      epoch-                      p50/p99/
-//!    seekable)       chunk fits)         stamped)                    p999)
-//!        │                │  update_merge / publish        ▲
+//!   (synthetic      (StreamingBuilder;  (keyed,      (wire v4)      (live
+//!    events,         chunk fits)         epoch-                      p50/p99/
+//!    seekable)                           stamped)                    p999)
+//!        │                │  update_merge                  ▲
 //!        │                └── checkpoint ──► resume ───────┘
 //!        └── one lane per metric, all lanes on one ingest thread
 //! ```
@@ -20,18 +20,17 @@
 //!   exact suffix an uninterrupted run would have consumed.
 //! * [`MetricPipeline`] — one metric's lane: a cumulative
 //!   [`StreamingBuilder`](hist_stream::StreamingBuilder) whose completed
-//!   chunks are merged into the store one epoch at a time, or a windowed
-//!   [`SlidingWindow`](hist_stream::SlidingWindow) re-publishing its merged
-//!   synopsis each bucket. Cumulative lanes checkpoint/resume bit-identically
-//!   *without* touching the serving store — kill the ingester, the server
-//!   keeps answering from published epochs, resume, and every subsequent
-//!   answer is the one the uninterrupted run would have served.
+//!   chunks are merged into the store one epoch at a time. Lanes
+//!   checkpoint/resume bit-identically *without* touching the serving
+//!   store — kill the ingester, the server keeps answering from published
+//!   epochs, resume, and every subsequent answer is the one the
+//!   uninterrupted run would have served.
 //! * [`TelemetryPipeline`] — drives many lanes round-robin into one shared
 //!   [`StoreMap`](hist_serve::StoreMap), synchronously or on a background
 //!   ingest thread ([`IngestHandle`]), while the map is concurrently served
 //!   over the wire.
 //!
-//! The publish cadence (chunk/bucket length) is the freshness/accuracy knob:
+//! The publish cadence (chunk length) is the freshness/accuracy knob:
 //! shorter chunks mint epochs more often but spend more merge error per
 //! event — `BENCH_pipeline.json` quantifies the trade-off. Each store
 //! reports the merge error it has accumulated

@@ -1,38 +1,28 @@
-//! One metric's ingest lane: a streaming builder (or sliding window) whose
-//! completed chunks are published into the keyed serving store.
+//! One metric's ingest lane: a streaming builder whose completed chunks are
+//! merged into the keyed serving store.
 
 use hist_core::{Error, Estimator, Result, Synopsis};
 use hist_serve::{validate_key, StoreMap};
-use hist_stream::{merge_budget, SlidingWindow, StreamingBuilder};
-
-/// How a metric's synopsis tracks its stream.
-enum Lane {
-    /// Everything since stream start: a [`StreamingBuilder`] whose completed
-    /// chunk synopses are merged into the store (`update_merge`), one epoch
-    /// per chunk — the store's left-deep merge chain *is* the served
-    /// synopsis. Checkpointable: the builder round-trips through
-    /// `checkpoint`/`resume` bit-identically.
-    Cumulative(StreamingBuilder),
-    /// The last `bucket_len · num_buckets` values only: a [`SlidingWindow`]
-    /// whose merged synopsis is re-published (`publish`, replacing the
-    /// served one) every time a bucket completes.
-    Windowed(SlidingWindow),
-}
+use hist_stream::{merge_budget, StreamingBuilder};
 
 /// One metric flowing through the telemetry pipeline: values in, epochs out.
 ///
-/// The publish cadence is the chunk (or bucket) length: every `chunk_len`
-/// ingested events the store sees one new epoch. Shorter chunks mean fresher
-/// served answers but more merges (and merge error) per event — the
+/// A lane summarizes everything since stream start: a [`StreamingBuilder`]
+/// whose completed chunk synopses are merged into the store
+/// (`update_merge`), one epoch per chunk, so the store's left-deep merge
+/// chain *is* the served synopsis. The builder round-trips through
+/// [`MetricPipeline::checkpoint`] and [`MetricPipeline::resume_cumulative`]
+/// bit-identically.
+///
+/// The publish cadence is the chunk length: every `chunk_len` ingested
+/// events the store sees one new epoch. Shorter chunks mean fresher served
+/// answers but more merges (and merge error) per event — the
 /// cadence/accuracy trade-off `BENCH_pipeline.json` quantifies.
 pub struct MetricPipeline {
     key: String,
     merge_budget: usize,
-    lane: Lane,
+    builder: StreamingBuilder,
     scratch: Vec<Synopsis>,
-    /// Events consumed, mirroring the lane's own accounting (the windowed
-    /// lane forgets evicted values, so it cannot be asked).
-    consumed: usize,
     publishes: u64,
     last_epoch: u64,
 }
@@ -52,39 +42,15 @@ impl MetricPipeline {
         Ok(Self {
             key,
             merge_budget: merge_budget(k),
-            lane: Lane::Cumulative(StreamingBuilder::new(inner, k, chunk_len)?),
+            builder: StreamingBuilder::new(inner, k, chunk_len)?,
             scratch: Vec::new(),
-            consumed: 0,
             publishes: 0,
             last_epoch: 0,
         })
     }
 
-    /// A windowed lane for `key`: a sliding window of `num_buckets` buckets
-    /// of `bucket_len` values, re-publishing its merged synopsis whenever a
-    /// bucket completes.
-    pub fn windowed(
-        key: impl Into<String>,
-        inner: Box<dyn Estimator>,
-        k: usize,
-        bucket_len: usize,
-        num_buckets: usize,
-    ) -> Result<Self> {
-        let key = key.into();
-        validate_key(&key)?;
-        Ok(Self {
-            key,
-            merge_budget: merge_budget(k),
-            lane: Lane::Windowed(SlidingWindow::new(inner, k, bucket_len, num_buckets)?),
-            scratch: Vec::new(),
-            consumed: 0,
-            publishes: 0,
-            last_epoch: 0,
-        })
-    }
-
-    /// Consumes a batch of events, publishing into `map` at the lane's
-    /// cadence; returns how many epochs this batch minted.
+    /// Consumes a batch of events, merging every completed chunk into `map`;
+    /// returns how many epochs this batch minted.
     ///
     /// Failure semantics compose from the layers below: a non-finite value
     /// rejects the whole batch before anything is consumed
@@ -92,62 +58,35 @@ impl MetricPipeline {
     /// before a mid-batch fit failure are still published, the failed chunk
     /// stays queued in the builder, and the next `ingest` retries it.
     pub fn ingest(&mut self, map: &StoreMap, values: &[f64]) -> Result<u64> {
-        let minted = match &mut self.lane {
-            Lane::Cumulative(builder) => {
-                self.scratch.clear();
-                let drained =
-                    builder.extend_collecting_chunks(values, &mut Some(&mut self.scratch));
-                // Chunks that completed are real even when a later chunk in
-                // the same batch failed to fit: publish them first, then
-                // surface the error (the builder holds the rest for retry).
-                let mut minted = 0;
-                for chunk in self.scratch.drain(..) {
-                    self.last_epoch = map.update_merge(&self.key, &chunk, self.merge_budget)?;
-                    self.publishes += 1;
-                    minted += 1;
-                }
-                self.consumed = builder.len();
-                drained?;
-                minted
-            }
-            Lane::Windowed(window) => {
-                let before = self.consumed / window.bucket_len();
-                window.extend(values)?;
-                self.consumed += values.len();
-                if self.consumed / window.bucket_len() > before {
-                    self.last_epoch = map.publish(&self.key, window.synopsis()?)?;
-                    self.publishes += 1;
-                    1
-                } else {
-                    0
-                }
-            }
-        };
+        self.scratch.clear();
+        let drained = self.builder.extend_collecting_chunks(values, &mut Some(&mut self.scratch));
+        // Chunks that completed are real even when a later chunk in the same
+        // batch failed to fit: publish them first, then surface the error
+        // (the builder holds the rest for retry).
+        let mut minted = 0;
+        for chunk in self.scratch.drain(..) {
+            self.last_epoch = map.update_merge(&self.key, &chunk, self.merge_budget)?;
+            self.publishes += 1;
+            minted += 1;
+        }
+        drained?;
         Ok(minted)
     }
 
-    /// Serializes the resumable ingest state (cumulative lane only): the
-    /// underlying [`StreamingBuilder::checkpoint`] container. The store is
-    /// *not* part of the checkpoint — it lives on in the serving process,
-    /// which is the whole point of killing only the ingester.
+    /// Serializes the resumable ingest state: the underlying
+    /// [`StreamingBuilder::checkpoint`] container. The store is *not* part
+    /// of the checkpoint — it lives on in the serving process, which is the
+    /// whole point of killing only the ingester.
     pub fn checkpoint(&self) -> Result<Vec<u8>> {
-        match &self.lane {
-            Lane::Cumulative(builder) => Ok(builder.checkpoint()),
-            Lane::Windowed(_) => Err(Error::InvalidParameter {
-                name: "lane",
-                reason: "windowed lanes are not checkpointable: rebuild the window by \
-                         replaying the last capacity() events of the stream"
-                    .into(),
-            }),
-        }
+        Ok(self.builder.checkpoint())
     }
 
-    /// Reconstructs a cumulative lane from a [`MetricPipeline::checkpoint`],
-    /// ready to continue publishing into the same (still-running) store:
-    /// `consumed()` tells the caller where to seek the event source, and the
-    /// publish counter resumes from the number of chunks the dead ingester
-    /// already published (completed chunks and consumed events are recorded
-    /// in the same checkpoint, so none is counted twice).
+    /// Reconstructs a lane from a [`MetricPipeline::checkpoint`], ready to
+    /// continue publishing into the same (still-running) store: `consumed()`
+    /// tells the caller where to seek the event source, and the publish
+    /// counter resumes from the number of chunks the dead ingester already
+    /// published (completed chunks and consumed events are recorded in the
+    /// same checkpoint, so none is counted twice).
     pub fn resume_cumulative(
         key: impl Into<String>,
         inner: Box<dyn Estimator>,
@@ -160,9 +99,8 @@ impl MetricPipeline {
         Ok(Self {
             key,
             merge_budget: merge_budget(builder.budget()),
-            consumed: builder.len(),
             publishes: builder.chunks_completed() as u64,
-            lane: Lane::Cumulative(builder),
+            builder,
             scratch: Vec::new(),
             last_epoch: 0,
         })
@@ -177,12 +115,11 @@ impl MetricPipeline {
     /// Total events consumed by this lane.
     #[inline]
     pub fn consumed(&self) -> usize {
-        self.consumed
+        self.builder.len()
     }
 
-    /// Epochs minted by this lane so far (chunks merged or windows
-    /// re-published). After a resume, continues from the dead ingester's
-    /// count.
+    /// Epochs minted by this lane so far (one per chunk merged). After a
+    /// resume, continues from the dead ingester's count.
     #[inline]
     pub fn publishes(&self) -> u64 {
         self.publishes
@@ -198,9 +135,6 @@ impl MetricPipeline {
     /// summarizes — the ingest-side ground truth the served (merged) synopsis
     /// approximates. Errors while no value has been consumed.
     pub fn synopsis(&self) -> Result<Synopsis> {
-        match &self.lane {
-            Lane::Cumulative(builder) => builder.synopsis(),
-            Lane::Windowed(window) => window.synopsis(),
-        }
+        self.builder.synopsis()
     }
 }

@@ -14,15 +14,20 @@
 //!   merge a new adjacent-chunk synopsis into the served one
 //!   ([`Synopsis::merge`](hist_core::Synopsis::merge)) and publish the
 //!   result under live query traffic, counting merges, merged mass and the
-//!   accumulated merge error in its [`MergeCounters`]. The store is durable:
-//!   [`SynopsisStore::save`] persists the served synopsis plus its epoch
-//!   (via the `hist-persist` binary format) and [`SynopsisStore::open`]
-//!   warm-starts a store across a process restart with the epoch sequence
-//!   continuing monotonically.
+//!   accumulated merge error in its [`MergeCounters`].
 //! * [`StoreMap`] — the multi-tenant layer: many keyed [`SynopsisStore`]s
 //!   behind a shard-by-key-hash array of locks, with per-key
-//!   publish/update/snapshot, key listing and eviction, and whole-map
-//!   persistence (`AHISTMAP`) with per-key epochs monotone across restarts.
+//!   publish/update/snapshot and key listing and eviction. It is the durable
+//!   form of serving state: [`StoreMap::save`] persists every key's epoch
+//!   and served synopsis as one `AHISTMAP` file (via the `hist-persist`
+//!   binary format), and [`StoreMap::open`] warm-starts the map across a
+//!   process restart with every key's epoch sequence continuing
+//!   monotonically.
+//!
+//! A panic on one caller's thread does not take a store or a shard down
+//! with it: the locks guard `Arc` snapshots, epochs and counters that no
+//! writer leaves half-updated, so a poisoned lock is recovered, not
+//! propagated.
 //!
 //! Serving is merge-only: the paper's merging output is itself mergeable,
 //! so each [`Synopsis::merge`](hist_core::Synopsis::merge) of adjacent

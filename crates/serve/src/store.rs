@@ -10,11 +10,31 @@
 //! for an `Arc` clone or a pointer store — never across merge work.
 
 use std::ops::Deref;
-use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use hist_core::{Error, Result, Synopsis};
-use hist_persist::{load_store_snapshot, save_store_snapshot, PersistResult};
+use hist_persist::PersistResult;
+
+// The serving locks recover from poisoning: they guard `Arc` snapshots,
+// epochs, counters and the keyed map's `HashMap`s, and no writer leaves any
+// of them half-updated if it panics (a merge changes nothing until it
+// returns). One panicking caller must not take its store, or a whole shard
+// of the key space, down with it.
+
+/// Read-locks `lock`, recovering the guard if a panicking thread poisoned it.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, recovering the guard if a panicking thread poisoned it.
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Locks `mutex`, recovering the guard if a panicking thread poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An epoch-stamped, immutable view of the synopsis a [`SynopsisStore`]
 /// served at some instant.
@@ -139,7 +159,7 @@ impl SynopsisStore {
     /// The snapshot currently served: an `Arc` clone plus its epoch, or
     /// `None` before the first publish. Never blocks on writer merge work.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.current.read().expect("store lock poisoned").clone()
+        read(&self.current).clone()
     }
 
     /// The epoch of the currently served snapshot (0 before the first
@@ -174,7 +194,7 @@ impl SynopsisStore {
                 reason: "the merge budget must be at least 1".into(),
             });
         }
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = lock(&self.writer);
         let next = match self.snapshot() {
             Some(current) => {
                 let (merged, stats) = current.merge_with_stats(chunk, budget)?;
@@ -189,8 +209,7 @@ impl SynopsisStore {
         };
         writer.epoch += 1;
         let epoch = writer.epoch;
-        *self.current.write().expect("store lock poisoned") =
-            Some(Snapshot { epoch, synopsis: next.into_shared() });
+        *write(&self.current) = Some(Snapshot { epoch, synopsis: next.into_shared() });
         Ok(epoch)
     }
 
@@ -199,59 +218,28 @@ impl SynopsisStore {
     /// byproduct of the merge [`SynopsisStore::update_merge`] performs
     /// anyway ([`Synopsis::merge_with_stats`]).
     pub fn merge_counters(&self) -> MergeCounters {
-        self.writer.lock().expect("writer lock poisoned").counters
-    }
-
-    /// Persists the store to `path` as an `AHISTSTO` container (atomic
-    /// write-then-rename; see `hist-persist`): the last published epoch plus
-    /// the currently served synopsis, if any.
-    ///
-    /// The saved epoch and synopsis always belong together even under
-    /// concurrent publishes: the writer mutex is held just long enough to
-    /// capture the `(epoch, Arc<Synopsis>)` pair, and the encode plus disk
-    /// I/O happen after it is released, so writers stall for a pointer copy
-    /// — not for the filesystem. Readers are never blocked at all. Each save
-    /// writes its own uniquely named temp sibling before renaming, so
-    /// concurrent saves to the same path each land whole.
-    pub fn save(&self, path: impl AsRef<Path>) -> PersistResult<()> {
-        let (epoch, snapshot) = self.persisted_state();
-        save_store_snapshot(path, epoch, snapshot.as_ref().map(|s| s.synopsis().as_ref()))
+        lock(&self.writer).counters
     }
 
     /// Captures the `(last published epoch, served snapshot)` pair that
-    /// [`SynopsisStore::save`] would persist, consistent even under
-    /// concurrent publishes: the writer mutex is held just long enough for
-    /// the capture (install/update_merge write both fields under that lock),
-    /// so callers can encode or ship the pair without stalling writers.
-    pub fn persisted_state(&self) -> (u64, Option<Snapshot>) {
-        let writer = self.writer.lock().expect("writer lock poisoned");
+    /// [`StoreMap::save`](crate::StoreMap::save) persists, consistent even
+    /// under concurrent publishes: the writer mutex is held just long enough
+    /// for the capture (install/update_merge write both fields under that
+    /// lock), so the encode and disk I/O never stall writers.
+    pub(crate) fn persisted_state(&self) -> (u64, Option<Snapshot>) {
+        let writer = lock(&self.writer);
         (writer.epoch, self.snapshot())
     }
 
-    /// Reopens a store previously [`SynopsisStore::save`]d: the returned
-    /// store serves the persisted synopsis at the persisted epoch, and every
-    /// later publish continues the epoch sequence — epochs are monotone
-    /// *across* restarts, so readers comparing epochs never mistake a
-    /// pre-restart snapshot for a newer one.
-    ///
-    /// A saved-empty store reopens empty (readers see `None`) but still
-    /// resumes its epoch counter. Persisted epochs in the upper half of the
-    /// `u64` range are rejected as forged: no real store ever publishes
+    /// Rebuilds a store from persisted parts for
+    /// [`StoreMap::open`](crate::StoreMap::open): serving `synopsis` (if
+    /// any) at `epoch`, with later publishes continuing the epoch sequence,
+    /// so epochs are monotone *across* restarts. A key saved empty reopens
+    /// empty but still resumes its epoch counter. Epochs in the upper half
+    /// of the `u64` range are rejected as forged: no real store publishes
     /// 2⁶³ times, and accepting one would let the counter overflow (and
     /// epochs jump backwards) after enough later publishes.
-    pub fn open(path: impl AsRef<Path>) -> PersistResult<Self> {
-        let persisted = load_store_snapshot(path)?;
-        Self::resume(persisted.epoch, persisted.synopsis)
-    }
-
-    /// Rebuilds a store from persisted parts: serving `synopsis` (if any) at
-    /// `epoch`, with later publishes continuing the epoch sequence. This is
-    /// the validation funnel shared by [`SynopsisStore::open`] and the keyed
-    /// [`StoreMap`](crate::StoreMap): epochs in the upper half of the `u64`
-    /// range are rejected as forged — no real store publishes 2⁶³ times, and
-    /// accepting one would let the counter overflow (and epochs jump
-    /// backwards) after enough later publishes.
-    pub fn resume(epoch: u64, synopsis: Option<Synopsis>) -> PersistResult<Self> {
+    pub(crate) fn resume(epoch: u64, synopsis: Option<Synopsis>) -> PersistResult<Self> {
         if epoch > u64::MAX / 2 {
             return Err(hist_persist::CodecError::Invalid(hist_core::Error::InvalidParameter {
                 name: "epoch",
@@ -260,30 +248,43 @@ impl SynopsisStore {
             .into());
         }
         let store = Self::new();
-        store.writer.lock().expect("writer lock poisoned").epoch = epoch;
+        lock(&store.writer).epoch = epoch;
         if let Some(synopsis) = synopsis {
-            *store.current.write().expect("store lock poisoned") =
-                Some(Snapshot { epoch, synopsis: synopsis.into_shared() });
+            *write(&store.current) = Some(Snapshot { epoch, synopsis: synopsis.into_shared() });
         }
         Ok(store)
     }
 
     fn install(&self, synopsis: Arc<Synopsis>) -> u64 {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = lock(&self.writer);
         // A direct publish replaces the served synopsis wholesale, so the
         // merge error restarts from it.
         writer.counters.merge_error = 0.0;
         writer.epoch += 1;
         let epoch = writer.epoch;
-        *self.current.write().expect("store lock poisoned") = Some(Snapshot { epoch, synopsis });
+        *write(&self.current) = Some(Snapshot { epoch, synopsis });
         epoch
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hist_core::{Estimator, EstimatorBuilder, GreedyMerging, Signal};
+
+    /// Poisons `store`'s writer mutex: a thread panics while holding it.
+    pub(crate) fn poison_writer(store: &SynopsisStore) {
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = store.writer.lock();
+                    panic!("a writer panics while holding the writer mutex");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(store.writer.is_poisoned());
+    }
 
     fn fit_values(values: Vec<f64>) -> Synopsis {
         GreedyMerging::new(EstimatorBuilder::new(3))
@@ -355,68 +356,6 @@ mod tests {
         assert_eq!(republished.merge_error, 0.0, "a direct publish restarts the merge error");
         assert_eq!(republished.merges, 24, "lifetime counters survive a publish");
         assert_eq!(republished.merged_mass, merged.merged_mass);
-    }
-
-    #[test]
-    fn save_and_open_preserve_epoch_and_synopsis() {
-        let dir = std::env::temp_dir().join("hist-serve-tests").join("save-open");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("store.snapshot");
-
-        let store = SynopsisStore::with_initial(step_chunk(1.0));
-        store.update_merge(&step_chunk(2.0), 7).unwrap();
-        store.update_merge(&step_chunk(3.0), 7).unwrap();
-        let saved_epoch = store.epoch();
-        let saved_mass = store.snapshot().unwrap().total_mass();
-        store.save(&path).unwrap();
-
-        // Reopen: same epoch, same synopsis, and the epoch sequence resumes
-        // monotonically rather than restarting at 1.
-        let reopened = SynopsisStore::open(&path).unwrap();
-        let snapshot = reopened.snapshot().expect("persisted synopsis");
-        assert_eq!(snapshot.epoch(), saved_epoch);
-        assert_eq!(reopened.epoch(), saved_epoch);
-        assert_eq!(snapshot.total_mass(), saved_mass);
-        assert_eq!(snapshot.domain(), 3 * 64);
-        let next = reopened.update_merge(&step_chunk(4.0), 7).unwrap();
-        assert_eq!(next, saved_epoch + 1, "epochs must continue across restarts");
-    }
-
-    #[test]
-    fn empty_stores_round_trip_their_epoch_counter() {
-        let dir = std::env::temp_dir().join("hist-serve-tests").join("empty");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("store.snapshot");
-
-        // Never-published store: epoch 0, no synopsis.
-        SynopsisStore::new().save(&path).unwrap();
-        let reopened = SynopsisStore::open(&path).unwrap();
-        assert!(reopened.snapshot().is_none());
-        assert_eq!(reopened.epoch(), 0);
-        assert_eq!(reopened.publish(step_chunk(1.0)), 1);
-
-        // Opening garbage or a missing file is a typed error, not a panic.
-        assert!(SynopsisStore::open(dir.join("missing.snapshot")).is_err());
-        std::fs::write(&path, b"AHISTSTO but corrupted").unwrap();
-        assert!(SynopsisStore::open(&path).is_err());
-    }
-
-    #[test]
-    fn forged_epochs_near_the_counter_limit_are_rejected() {
-        // A hand-forged snapshot with an absurd epoch must not open: the next
-        // publish would overflow the counter and epochs would go backwards.
-        let dir = std::env::temp_dir().join("hist-serve-tests").join("forged-epoch");
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("forged.snapshot");
-        let bytes = hist_persist::encode_store_snapshot(u64::MAX, Some(&step_chunk(1.0)));
-        std::fs::write(&path, bytes).unwrap();
-        assert!(SynopsisStore::open(&path).is_err());
-
-        // The largest accepted epoch still opens and publishes fine.
-        let bytes = hist_persist::encode_store_snapshot(u64::MAX / 2, Some(&step_chunk(1.0)));
-        std::fs::write(&path, bytes).unwrap();
-        let store = SynopsisStore::open(&path).unwrap();
-        assert_eq!(store.publish(step_chunk(2.0)), u64::MAX / 2 + 1);
     }
 
     #[test]

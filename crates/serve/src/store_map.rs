@@ -25,7 +25,7 @@ use std::sync::{Arc, RwLock};
 use hist_core::{Error, Result, Synopsis};
 use hist_persist::{load_store_map, save_store_map, PersistResult, StoreMapEntry};
 
-use crate::store::{Snapshot, SynopsisStore};
+use crate::store::{read, write, Snapshot, SynopsisStore};
 
 /// The key single-store traffic targets: a client that never picks a key
 /// addresses this one, and [`StoreMap::with_initial`] seeds it.
@@ -139,7 +139,7 @@ impl StoreMap {
 
     /// The store behind `key`, if present.
     pub fn store(&self, key: &str) -> Option<Arc<SynopsisStore>> {
-        self.shard(key).read().expect("shard lock poisoned").get(key).cloned()
+        read(self.shard(key)).get(key).cloned()
     }
 
     /// The store behind `key`, created empty on first use. Fails only on an
@@ -149,7 +149,7 @@ impl StoreMap {
         if let Some(store) = self.store(key) {
             return Ok(store);
         }
-        let mut shard = self.shard(key).write().expect("shard lock poisoned");
+        let mut shard = write(self.shard(key));
         Ok(Arc::clone(shard.entry(key.to_owned()).or_default()))
     }
 
@@ -210,9 +210,7 @@ impl StoreMap {
         let mut keys: Vec<String> = self
             .shards
             .iter()
-            .flat_map(|shard| {
-                shard.read().expect("shard lock poisoned").keys().cloned().collect::<Vec<_>>()
-            })
+            .flat_map(|shard| read(shard).keys().cloned().collect::<Vec<_>>())
             .collect();
         keys.sort_unstable();
         keys
@@ -220,19 +218,19 @@ impl StoreMap {
 
     /// Number of keys present.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().expect("shard lock poisoned").len()).sum()
+        self.shards.iter().map(|shard| read(shard).len()).sum()
     }
 
     /// Whether no keys are present.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.read().expect("shard lock poisoned").is_empty())
+        self.shards.iter().all(|shard| read(shard).is_empty())
     }
 
     /// Evicts `key` and its store; returns whether it existed. Readers
     /// holding a snapshot of the dropped store keep it alive until they let
     /// go — eviction never tears an in-flight query.
     pub fn drop_key(&self, key: &str) -> bool {
-        self.shard(key).write().expect("shard lock poisoned").remove(key).is_some()
+        write(self.shard(key)).remove(key).is_some()
     }
 
     /// Largest per-key epoch across the map (0 for an empty map): the
@@ -240,14 +238,7 @@ impl StoreMap {
     pub fn max_epoch(&self) -> u64 {
         self.shards
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .expect("shard lock poisoned")
-                    .values()
-                    .map(|store| store.epoch())
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|shard| read(shard).values().map(|store| store.epoch()).collect::<Vec<_>>())
             .max()
             .unwrap_or(0)
     }
@@ -259,7 +250,7 @@ impl StoreMap {
         let mut stats = StoreMapStats::default();
         let mut min_epoch = u64::MAX;
         for shard in self.shards.iter() {
-            let guard = shard.read().expect("shard lock poisoned");
+            let guard = read(shard);
             for store in guard.values() {
                 stats.keys += 1;
                 let epoch = store.epoch();
@@ -290,7 +281,7 @@ impl StoreMap {
     pub fn save(&self, path: impl AsRef<Path>) -> PersistResult<()> {
         let mut entries = Vec::new();
         for shard in self.shards.iter() {
-            let guard = shard.read().expect("shard lock poisoned");
+            let guard = read(shard);
             for (key, store) in guard.iter() {
                 let (epoch, snapshot) = store.persisted_state();
                 entries.push(StoreMapEntry {
@@ -305,18 +296,17 @@ impl StoreMap {
 
     /// Reopens a map previously [`StoreMap::save`]d: every key serves its
     /// persisted synopsis at its persisted epoch, and each key's epoch
-    /// sequence continues monotonically across the restart. Per-key forged
-    /// epochs (upper half of the `u64` range) are rejected exactly as
-    /// [`SynopsisStore::open`] rejects them.
+    /// sequence continues monotonically across the restart. A key saved
+    /// with an epoch but no synopsis reopens empty and resumes its epoch
+    /// counter. Per-key forged epochs (upper half of the `u64` range) are
+    /// rejected: no real store publishes 2⁶³ times, and accepting one would
+    /// let the counter overflow after enough later publishes.
     pub fn open(path: impl AsRef<Path>) -> PersistResult<Self> {
         let persisted = load_store_map(path)?;
         let map = Self::new();
         for entry in persisted.entries {
             let store = SynopsisStore::resume(entry.epoch, entry.synopsis)?;
-            map.shard(&entry.key)
-                .write()
-                .expect("shard lock poisoned")
-                .insert(entry.key, Arc::new(store));
+            write(map.shard(&entry.key)).insert(entry.key, Arc::new(store));
         }
         Ok(map)
     }
@@ -434,16 +424,46 @@ mod tests {
     }
 
     #[test]
-    fn forged_per_key_epochs_fail_to_open() {
-        let dir = std::env::temp_dir().join("hist-serve-tests").join("store-map-forged");
+    fn a_poisoned_shard_lock_and_writer_mutex_keep_serving() {
+        let dir = std::env::temp_dir().join("hist-serve-tests").join("store-map-poisoned");
         std::fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("forged.snapshot");
-        let entries = vec![StoreMapEntry {
-            key: "evil".into(),
-            epoch: u64::MAX,
-            synopsis: Some(syn(8, 1.0)),
-        }];
-        std::fs::write(&path, hist_persist::encode_store_map(&entries).unwrap()).unwrap();
-        assert!(StoreMap::open(&path).is_err());
+        let path = dir.join("map.snapshot");
+
+        let map = StoreMap::new();
+        map.publish("victim", syn(8, 1.0)).unwrap();
+        let shard = map.shard("victim");
+        let neighbour = (0..)
+            .map(|i| format!("neighbour/{i}"))
+            .find(|key| std::ptr::eq(map.shard(key), shard))
+            .expect("some key shares the victim's shard");
+        map.publish(&neighbour, syn(8, 2.0)).unwrap();
+
+        // One thread panics holding the victim store's writer mutex, another
+        // holding the write guard of the shard both keys live in.
+        crate::store::tests::poison_writer(&map.store("victim").unwrap());
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = shard.write();
+                    panic!("a writer panics while holding the shard lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(shard.is_poisoned());
+
+        assert_eq!(map.publish("victim", syn(8, 3.0)).unwrap(), 2);
+        assert_eq!(map.update_merge("victim", &syn(8, 1.0), 4).unwrap(), 3);
+        assert_eq!(map.update_merge(&neighbour, &syn(8, 1.0), 4).unwrap(), 2);
+        assert_eq!(map.snapshot("victim").unwrap().domain(), 16);
+        assert_eq!(map.snapshot(&neighbour).unwrap().domain(), 16);
+        let mut keys = vec!["victim".to_owned(), neighbour.clone()];
+        keys.sort_unstable();
+        assert_eq!(map.keys(), keys);
+
+        map.save(&path).unwrap();
+        let reopened = StoreMap::open(&path).unwrap();
+        assert_eq!(reopened.epoch("victim"), 3);
+        assert_eq!(reopened.epoch(&neighbour), 2);
     }
 }

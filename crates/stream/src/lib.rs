@@ -22,10 +22,8 @@
 //!   checkpointable mid-stream: [`StreamingBuilder::checkpoint`] serializes
 //!   the resumable state (via the `hist-persist` binary format) and
 //!   [`StreamingBuilder::resume`] continues the build in another process
-//!   with bit-identical final output;
-//! * [`SlidingWindow`] — maintain a synopsis of (approximately) the last `W`
-//!   values of an unbounded stream by keeping per-bucket sub-synopses and
-//!   evicting + re-merging as the window advances.
+//!   with bit-identical final output. Its completed chunks are what a
+//!   serving store folds in with `update_merge`, one epoch per chunk.
 //!
 //! All three produce an ordinary [`Synopsis`](hist_core::Synopsis), so the
 //! serving side (`mass`, `cdf`, `quantile`, the batched variants) is exactly
@@ -56,35 +54,14 @@
 //! assert!(direct.l2_error(&signal).unwrap() < 1e-9);
 //! assert!(chunked.l2_error(&signal).unwrap() < 1e-9);
 //! ```
-//!
-//! ## Example: maintaining a sliding window
-//!
-//! ```
-//! use hist_core::{EstimatorBuilder, GreedyMerging};
-//! use hist_stream::SlidingWindow;
-//!
-//! let inner = Box::new(GreedyMerging::new(EstimatorBuilder::new(4)));
-//! // 8 buckets of 64 values: a window of the last ~512 values.
-//! let mut window = SlidingWindow::new(inner, 4, 64, 8).unwrap();
-//! for i in 0..2_000u32 {
-//!     window.push((i % 97) as f64).unwrap();
-//! }
-//! let synopsis = window.synopsis().unwrap();
-//! assert_eq!(synopsis.domain(), window.len());
-//! assert!(window.len() >= window.capacity());
-//! let median = synopsis.quantile(0.5).unwrap();
-//! assert!(median < synopsis.domain());
-//! ```
 
 pub mod chunked;
 pub mod parallel;
-pub mod sliding;
 pub mod streaming;
 
 pub use chunked::{default_chunk_len, tree_merge, ChunkedFitter};
 pub use parallel::ParallelChunkedFitter;
-pub use sliding::SlidingWindow;
-pub use streaming::{StreamingBuilder, StreamingMerging};
+pub use streaming::StreamingBuilder;
 
 /// The piece budget used for intermediate and final merge steps: `2k + 1`,
 /// mirroring the `O(k)` piece inflation Algorithm 1 trades for speed and
@@ -94,59 +71,4 @@ pub use streaming::{StreamingBuilder, StreamingMerging};
 #[inline]
 pub fn merge_budget(k: usize) -> usize {
     2 * k + 1
-}
-
-#[cfg(test)]
-pub(crate) mod testutil {
-    //! Shared failure-injection estimator for the wedge-fix regression tests
-    //! of [`crate::StreamingBuilder`] and [`crate::SlidingWindow`].
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use hist_core::{Error, Estimator, EstimatorBuilder, GreedyMerging, Result, Signal, Synopsis};
-
-    /// An estimator that fails the next `deny` fits on command, then behaves
-    /// exactly like [`GreedyMerging`]. The shared handles let a test inject a
-    /// failure while the builder owns the estimator.
-    pub(crate) struct FallibleEstimator {
-        inner: GreedyMerging,
-        deny: Arc<AtomicU64>,
-        fits: Arc<AtomicU64>,
-    }
-
-    impl FallibleEstimator {
-        /// A fallible estimator plus its `(deny, fit counter)` control
-        /// handles: store `n` into `deny` to make the next `n` fits fail.
-        pub(crate) fn with_handles(
-            k: usize,
-        ) -> (Box<dyn Estimator>, Arc<AtomicU64>, Arc<AtomicU64>) {
-            let deny = Arc::new(AtomicU64::new(0));
-            let fits = Arc::new(AtomicU64::new(0));
-            let estimator = Self {
-                inner: GreedyMerging::new(EstimatorBuilder::new(k)),
-                deny: Arc::clone(&deny),
-                fits: Arc::clone(&fits),
-            };
-            (Box::new(estimator), deny, fits)
-        }
-    }
-
-    impl Estimator for FallibleEstimator {
-        fn name(&self) -> &'static str {
-            "fallible"
-        }
-
-        fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-            self.fits.fetch_add(1, Ordering::SeqCst);
-            if self.deny.load(Ordering::SeqCst) > 0 {
-                self.deny.fetch_sub(1, Ordering::SeqCst);
-                return Err(Error::InvalidParameter {
-                    name: "fallible",
-                    reason: "injected fit failure".into(),
-                });
-            }
-            self.inner.fit(signal)
-        }
-    }
 }

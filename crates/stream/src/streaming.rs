@@ -8,12 +8,11 @@
 //! merge-sort runs). After `n` values the builder holds at most
 //! `⌈log₂(n / chunk_len)⌉ + 1` partial synopses of `O(k)` pieces each.
 
-use hist_core::{Error, Estimator, EstimatorBuilder, GreedyMerging, Result, Signal, Synopsis};
+use hist_core::{Error, Estimator, Result, Signal, Synopsis};
 use hist_persist::{
     decode_stream_checkpoint, encode_stream_checkpoint, CodecError, CodecResult, StreamCheckpoint,
 };
 
-use crate::chunked::default_chunk_len;
 use crate::merge_budget;
 
 /// Incremental, single-pass synopsis construction over a value stream.
@@ -324,50 +323,59 @@ impl StreamingBuilder {
     }
 }
 
-/// The streaming construction as a registry [`Estimator`]: feeds the
-/// signal's dense view through a [`StreamingBuilder`] whose chunks are
-/// fitted by Algorithm 1 ([`GreedyMerging`]) with the builder's parameters.
-///
-/// Chunk length comes from [`EstimatorBuilder::chunk_len`], defaulting to
-/// the [`default_chunk_len`] heuristic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingMerging {
-    builder: EstimatorBuilder,
-}
-
-impl StreamingMerging {
-    /// A streaming estimator configured from the shared builder.
-    pub fn new(builder: EstimatorBuilder) -> Self {
-        Self { builder }
-    }
-}
-
-impl Estimator for StreamingMerging {
-    fn name(&self) -> &'static str {
-        "streaming"
-    }
-
-    fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        self.builder.validate()?;
-        let values = signal.dense_values();
-        let chunk_len =
-            self.builder.chunk_len_value().unwrap_or_else(|| default_chunk_len(values.len()));
-        let mut stream = StreamingBuilder::new(
-            Box::new(GreedyMerging::new(self.builder)),
-            self.builder.k(),
-            chunk_len,
-        )?;
-        stream.extend(&values)?;
-        stream.synopsis()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use hist_core::{EstimatorBuilder, GreedyMerging};
+
     use super::*;
 
     fn inner(k: usize) -> Box<dyn Estimator> {
         Box::new(GreedyMerging::new(EstimatorBuilder::new(k)))
+    }
+
+    /// An estimator that fails the next `deny` fits on command, then behaves
+    /// exactly like [`GreedyMerging`]. The shared handles let a test inject a
+    /// failure while the builder owns the estimator.
+    struct FallibleEstimator {
+        inner: GreedyMerging,
+        deny: Arc<AtomicU64>,
+        fits: Arc<AtomicU64>,
+    }
+
+    impl FallibleEstimator {
+        /// A fallible estimator plus its `(deny, fit counter)` control
+        /// handles: store `n` into `deny` to make the next `n` fits fail.
+        fn with_handles(k: usize) -> (Box<dyn Estimator>, Arc<AtomicU64>, Arc<AtomicU64>) {
+            let deny = Arc::new(AtomicU64::new(0));
+            let fits = Arc::new(AtomicU64::new(0));
+            let estimator = Self {
+                inner: GreedyMerging::new(EstimatorBuilder::new(k)),
+                deny: Arc::clone(&deny),
+                fits: Arc::clone(&fits),
+            };
+            (Box::new(estimator), deny, fits)
+        }
+    }
+
+    impl Estimator for FallibleEstimator {
+        fn name(&self) -> &'static str {
+            "fallible"
+        }
+
+        fn fit(&self, signal: &Signal) -> Result<Synopsis> {
+            self.fits.fetch_add(1, Ordering::SeqCst);
+            if self.deny.load(Ordering::SeqCst) > 0 {
+                self.deny.fetch_sub(1, Ordering::SeqCst);
+                return Err(Error::InvalidParameter {
+                    name: "fallible",
+                    reason: "injected fit failure".into(),
+                });
+            }
+            self.inner.fit(signal)
+        }
     }
 
     #[test]
@@ -485,10 +493,8 @@ mod tests {
     /// chunk formation never fired again. The `>=` drain retries instead.
     #[test]
     fn failed_fit_leaves_builder_resumable_not_wedged() {
-        use std::sync::atomic::Ordering;
-
         let values: Vec<f64> = (0..160).map(|i| ((i * 11) % 17) as f64).collect();
-        let (fallible, deny, _fits) = crate::testutil::FallibleEstimator::with_handles(4);
+        let (fallible, deny, _fits) = FallibleEstimator::with_handles(4);
         let mut stream = StreamingBuilder::new(fallible, 4, 16).unwrap();
         stream.extend(&values[..15]).unwrap();
 
@@ -524,10 +530,8 @@ mod tests {
     /// bit-identically to an uninterrupted build.
     #[test]
     fn checkpoint_after_failed_fit_resumes_bit_identically() {
-        use std::sync::atomic::Ordering;
-
         let values: Vec<f64> = (0..96).map(|i| ((i * 7) % 23) as f64 * 0.5).collect();
-        let (fallible, deny, _fits) = crate::testutil::FallibleEstimator::with_handles(3);
+        let (fallible, deny, _fits) = FallibleEstimator::with_handles(3);
         let mut stream = StreamingBuilder::new(fallible, 3, 16).unwrap();
         stream.extend(&values[..31]).unwrap();
         deny.store(1, Ordering::SeqCst);
@@ -556,8 +560,6 @@ mod tests {
     /// every value (queued for retry) and reports the error.
     #[test]
     fn extend_failure_semantics_are_all_or_nothing() {
-        use std::sync::atomic::Ordering;
-
         // Non-finite anywhere → typed error, nothing consumed.
         let mut stream = StreamingBuilder::new(inner(3), 3, 8).unwrap();
         stream.extend(&[1.0, 2.0, 3.0]).unwrap();
@@ -568,7 +570,7 @@ mod tests {
         // Mid-slice fit failure → error reported, but the whole slice is
         // consumed and the failed chunk is queued for retry.
         let values: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
-        let (fallible, deny, fits) = crate::testutil::FallibleEstimator::with_handles(3);
+        let (fallible, deny, fits) = FallibleEstimator::with_handles(3);
         let mut stream = StreamingBuilder::new(fallible, 3, 8).unwrap();
         deny.store(1, Ordering::SeqCst);
         assert!(stream.extend(&values).is_err());

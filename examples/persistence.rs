@@ -1,5 +1,5 @@
 //! The persistence layer end to end: fit a synopsis, save it to disk, load
-//! it back bit-identically, warm-start a serving store across a simulated
+//! it back bit-identically, warm-start a keyed serving map across a simulated
 //! restart, and stop/resume a one-pass streaming build from a checkpoint.
 //!
 //! ```text
@@ -8,7 +8,7 @@
 
 use approx_hist::{
     load_synopsis, save_synopsis, Estimator, EstimatorBuilder, EstimatorKind, GreedyMerging,
-    Interval, Signal, StreamingBuilder, SynopsisStore,
+    Interval, Signal, StoreMap, StreamingBuilder, DEFAULT_KEY,
 };
 
 fn signal(n: usize) -> Signal {
@@ -49,21 +49,20 @@ fn main() {
         fitted.quantile(0.5).expect("positive mass"),
     );
 
-    // --- Serving restart: save the live store, "crash", reopen warm.
-    let store = SynopsisStore::with_initial(fitted);
-    for round in 0..3 {
+    // --- Serving restart: save the live map, "crash", reopen warm.
+    let map = StoreMap::with_initial(fitted);
+    for _ in 0..3 {
         let chunk =
             GreedyMerging::new(EstimatorBuilder::new(k)).fit(&signal(n / 4)).expect("chunk fit");
-        store.update_merge(&chunk, 2 * k + 1).expect("positive budget");
-        let _ = round;
+        map.update_merge(DEFAULT_KEY, &chunk, 2 * k + 1).expect("positive budget");
     }
-    let store_path = dir.join("store.snapshot");
-    store.save(&store_path).expect("save store");
-    let epoch_before = store.epoch();
-    drop(store); // the process "restarts" here
+    let map_path = dir.join("store.ahistmap");
+    map.save(&map_path).expect("save map");
+    let epoch_before = map.epoch(DEFAULT_KEY);
+    drop(map); // the process "restarts" here
 
-    let reopened = SynopsisStore::open(&store_path).expect("open store");
-    let snapshot = reopened.snapshot().expect("warm start");
+    let reopened = StoreMap::open(&map_path).expect("open map");
+    let snapshot = reopened.snapshot(DEFAULT_KEY).expect("warm start");
     assert_eq!(snapshot.epoch(), epoch_before);
     println!(
         "store:     reopened at epoch {} (saved at {epoch_before}), domain {}, {} pieces",
@@ -72,7 +71,7 @@ fn main() {
         snapshot.num_pieces(),
     );
     let fresh = GreedyMerging::new(EstimatorBuilder::new(k)).fit(&signal(n / 4)).expect("fit");
-    let next = reopened.update_merge(&fresh, 2 * k + 1).expect("positive budget");
+    let next = reopened.update_merge(DEFAULT_KEY, &fresh, 2 * k + 1).expect("positive budget");
     assert_eq!(next, epoch_before + 1, "epochs continue across restarts");
     println!("store:     next publish -> epoch {next} (monotone across the restart)");
 

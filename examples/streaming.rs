@@ -1,13 +1,12 @@
 //! Mergeable & streaming synopses end to end: fit a signal in shards and
-//! tree-merge the per-shard synopses, consume the same signal as a one-pass
-//! stream, and maintain a sliding window over a drifting stream — then serve
-//! batched queries from the merged synopsis.
+//! tree-merge the per-shard synopses, and consume the same signal as a
+//! one-pass stream — then serve batched queries from the merged synopsis.
 //!
 //! ```text
-//! cargo run --release --example streaming_window
+//! cargo run --release --example streaming
 //! ```
 
-use approx_hist::stream::{ChunkedFitter, SlidingWindow, StreamingBuilder};
+use approx_hist::stream::{ChunkedFitter, StreamingBuilder};
 use approx_hist::{Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal};
 
 fn main() {
@@ -42,20 +41,6 @@ fn main() {
         streamed.num_pieces(),
         streamed.l2_error(&signal).expect("same domain"),
         stream.num_partials(),
-    );
-
-    // --- Sliding window: the last ~2048 values of a drifting stream.
-    let mut window = SlidingWindow::new(inner(), k, 256, 8).expect("valid configuration");
-    for i in 0..3 * n {
-        let drift = (i / n) as f64 * 5.0;
-        window.push(drift + values[i % n]).expect("finite value");
-    }
-    let windowed = window.synopsis().expect("non-empty window");
-    println!(
-        "window:    covers last {} values, {} pieces, median index {}",
-        window.len(),
-        windowed.num_pieces(),
-        windowed.quantile(0.5).expect("positive mass"),
     );
 
     // --- Batched serving straight off the merged synopsis.

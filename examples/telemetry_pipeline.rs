@@ -1,5 +1,5 @@
 //! The live telemetry pipeline end to end: a background ingest thread drives
-//! synthetic event streams through streaming builders, publishing windowed
+//! synthetic event streams through streaming builders, merging their chunk
 //! synopses into a keyed store that a wire server answers from the whole
 //! time — then the ingester is killed mid-stream, the server keeps serving,
 //! and a checkpoint/resume restart carries on as if nothing happened.
@@ -27,9 +27,8 @@ fn main() {
     // The shared store: ingest publishes into it, the server reads from it.
     let map = Arc::new(StoreMap::new());
 
-    // Two metric lanes: a cumulative one (everything since stream start,
-    // merged chunk by chunk) and a sliding window (the last 8 buckets only,
-    // re-published whenever a bucket completes).
+    // Two metric lanes, each summarizing everything since stream start,
+    // merged into the store chunk by chunk.
     let mut pipeline = TelemetryPipeline::new(Arc::clone(&map)).with_batch(CHUNK);
     let latency = EventSource::synthetic("api/latency", 42, 4 * CHUNK).expect("source");
     pipeline.add_lane(
@@ -38,7 +37,7 @@ fn main() {
     );
     pipeline.add_lane(
         EventSource::synthetic("api/errors", 7, 4 * CHUNK).expect("source"),
-        MetricPipeline::windowed("api/errors", estimator(), K, CHUNK, 8).expect("lane"),
+        MetricPipeline::cumulative("api/errors", estimator(), K, CHUNK).expect("lane"),
     );
 
     // Serve the map over the wire while ingest runs.
@@ -67,7 +66,7 @@ fn main() {
     // resume point (consumed events, completed chunks, buffered tail).
     let dead = handle.join().expect("ingest thread");
     let (_, lane) = &dead.lanes()[0];
-    let checkpoint = lane.checkpoint().expect("cumulative lanes checkpoint");
+    let checkpoint = lane.checkpoint().expect("lanes checkpoint");
     let consumed = lane.consumed();
     let during_outage = client.quantile_batch(&[0.5, 0.99, 0.999]).expect("still serving");
     println!(

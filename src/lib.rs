@@ -74,25 +74,24 @@
 //! * [`stream`] (`hist-stream`) — mergeable & streaming synopses:
 //!   [`ChunkedFitter`] (sharded fit-per-chunk + tree merge),
 //!   [`ParallelChunkedFitter`] (the same construction on scoped worker
-//!   threads, bit-identical output), [`StreamingBuilder`] (one-pass
-//!   construction) and [`SlidingWindow`] (bucketed window maintenance),
-//!   built on [`Synopsis::merge`](hist_core::Synopsis::merge);
+//!   threads, bit-identical output) and [`StreamingBuilder`] (one-pass
+//!   construction), built on [`Synopsis::merge`](hist_core::Synopsis::merge);
 //! * [`serve`] (`hist-serve`) — the concurrent serving layer:
 //!   [`SynopsisStore`] (epoch/snapshot store with wait-free reads under a
-//!   background writer's merges, durable via `save`/`open`), the multi-tenant
-//!   [`StoreMap`] (many keyed stores behind sharded locks, with per-key
-//!   merges, key listing/eviction and whole-map persistence), whose [`Snapshot`]s answer batch queries directly with
-//!   the synopsis' own batch kernels;
+//!   background writer's merges) and the multi-tenant [`StoreMap`] (many
+//!   keyed stores behind sharded locks, with per-key merges, key
+//!   listing/eviction and whole-map persistence via `save`/`open`), whose
+//!   [`Snapshot`]s answer batch queries directly with the synopsis' own
+//!   batch kernels;
 //! * [`persist`] (`hist-persist`) — the persistent synopsis format: a
 //!   versioned, CRC-checked binary codec ([`encode_synopsis`] /
 //!   [`decode_synopsis`], panic-free on arbitrary bytes) with file helpers
-//!   ([`save_synopsis`] / [`load_synopsis`]), powering store snapshots on
-//!   disk, the keyed `AHISTMAP` store-map container and streaming
-//!   checkpoint/resume;
+//!   ([`save_synopsis`] / [`load_synopsis`]), powering the keyed `AHISTMAP`
+//!   store-map container on disk and streaming checkpoint/resume;
 //! * [`pipeline`] (`hist-pipeline`) — the live telemetry pipeline chaining
 //!   all of the above end to end: deterministic seekable [`EventSource`]s,
-//!   per-metric ingest lanes ([`MetricPipeline`], cumulative chunks merged
-//!   via `update_merge` or sliding windows re-published per bucket) and the
+//!   per-metric ingest lanes ([`MetricPipeline`], chunks merged into the
+//!   store via `update_merge`, one epoch per chunk) and the
 //!   multi-lane [`TelemetryPipeline`] ingest thread, with crash/resume of
 //!   the ingester that leaves served answers bit-identical;
 //! * [`net`] (`hist-net`) — the network serving layer: a length-prefixed,
@@ -129,10 +128,9 @@ pub use hist_net::{
     SynopsisStats,
 };
 pub use hist_persist::{
-    decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,
-    encode_store_map, encode_store_snapshot, encode_stream_checkpoint, encode_synopsis,
-    load_store_map, load_synopsis, save_store_map, save_synopsis, CodecError, PersistError,
-    StoreMapEntry, StoreMapSnapshot, StoreSnapshot, StreamCheckpoint,
+    decode_store_map, decode_stream_checkpoint, decode_synopsis, encode_store_map,
+    encode_stream_checkpoint, encode_synopsis, load_store_map, load_synopsis, save_store_map,
+    save_synopsis, CodecError, PersistError, StoreMapEntry, StoreMapSnapshot, StreamCheckpoint,
 };
 pub use hist_pipeline::{
     EventSource, IngestHandle, MetricPipeline, PipelineReport, TelemetryPipeline,
@@ -142,9 +140,7 @@ pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
     MergeCounters, Snapshot, StoreMap, StoreMapStats, SynopsisStore, DEFAULT_KEY,
 };
-pub use hist_stream::{
-    ChunkedFitter, ParallelChunkedFitter, SlidingWindow, StreamingBuilder, StreamingMerging,
-};
+pub use hist_stream::{ChunkedFitter, ParallelChunkedFitter, StreamingBuilder};
 
 // The shared data model.
 pub use hist_core::{
@@ -190,8 +186,6 @@ pub enum EstimatorKind {
     /// worker threads — bit-identical to [`EstimatorKind::Chunked`] for the
     /// same chunking (`hist-stream`).
     ParallelChunked,
-    /// One-pass streaming construction via a merge hierarchy (`hist-stream`).
-    Streaming,
 }
 
 impl EstimatorKind {
@@ -234,7 +228,6 @@ impl EstimatorKind {
                 }
                 Box::new(fitter)
             }
-            EstimatorKind::Streaming => Box::new(StreamingMerging::new(builder)),
         }
     }
 
@@ -257,7 +250,6 @@ impl EstimatorKind {
             EstimatorKind::SampleLearner,
             EstimatorKind::Chunked,
             EstimatorKind::ParallelChunked,
-            EstimatorKind::Streaming,
         ]
     }
 }

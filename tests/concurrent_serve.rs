@@ -1,6 +1,7 @@
 //! Multi-thread stress test for the serving layer: writer threads
-//! `update_merge`-ing fresh chunks into a [`SynopsisStore`] while reader
-//! threads hammer snapshots with seeded cdf/quantile/mass batches.
+//! `update_merge`-ing fresh chunks into a [`SynopsisStore`] (or the keys of
+//! a saved and reopened [`StoreMap`]) while reader threads hammer snapshots
+//! with seeded cdf/quantile/mass batches.
 //!
 //! Every snapshot a reader observes must be a *complete* synopsis satisfying
 //! the harness invariants (cdf monotone, quantile∘cdf inversion, mass
@@ -14,8 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use approx_hist::{
-    Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal, StreamingBuilder, Synopsis,
-    SynopsisStore,
+    Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal, StoreMap, StreamingBuilder,
+    Synopsis, SynopsisStore,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,26 +173,35 @@ fn saved_store_reopens_consistently_under_concurrent_stress() {
     let _gate = common::stress_gate();
     let dir = std::env::temp_dir().join("approx-hist-tests").join("stress-reopen");
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let warm_path = dir.join("warm.snapshot");
-    let live_path = dir.join("live.snapshot");
+    let warm_path = dir.join("warm.ahistmap");
+    let live_path = dir.join("live.ahistmap");
+    let keys: Vec<String> = (0..3).map(|i| format!("stress/{i}")).collect();
 
-    // Build up a store with some merge history and persist it.
-    let store = SynopsisStore::with_initial(chunk_pool(7).pop().unwrap());
-    for chunk in chunk_pool(8) {
-        store.update_merge(&chunk, BUDGET).unwrap();
+    // Build up a keyed map with some merge history on every key (a different
+    // amount per key) and persist it.
+    let map = StoreMap::new();
+    for (i, key) in keys.iter().enumerate() {
+        map.publish(key, chunk_pool(7).pop().unwrap()).unwrap();
+        for chunk in &chunk_pool(8)[..3 + 2 * i] {
+            map.update_merge(key, chunk, BUDGET).unwrap();
+        }
     }
-    let saved_epoch = store.epoch();
-    let saved_domain = store.snapshot().unwrap().domain();
-    store.save(&warm_path).unwrap();
-    drop(store); // the serving process "restarts" here
+    let saved_epochs: Vec<u64> = keys.iter().map(|key| map.epoch(key)).collect();
+    let saved_domains: Vec<usize> =
+        keys.iter().map(|key| map.snapshot(key).unwrap().domain()).collect();
+    map.save(&warm_path).unwrap();
+    drop(map); // the serving process "restarts" here
 
-    // Reopen warm and put the revived store under the full stress harness:
-    // writers keep merging, readers assert snapshot invariants and epoch
-    // monotonicity *continuing from the persisted epoch*, and a saver thread
-    // keeps persisting the live store the whole time.
-    let store = Arc::new(SynopsisStore::open(&warm_path).unwrap());
-    assert_eq!(store.epoch(), saved_epoch, "warm start serves the persisted epoch");
-    assert_eq!(store.snapshot().unwrap().domain(), saved_domain);
+    // Reopen warm and put the revived map under the full stress harness:
+    // writers keep merging into every key, readers assert snapshot
+    // invariants and per-key epoch monotonicity *continuing from the
+    // persisted epochs*, and a saver thread keeps persisting the live map
+    // the whole time.
+    let map = Arc::new(StoreMap::open(&warm_path).unwrap());
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(map.epoch(key), saved_epochs[i], "{key}: warm start serves the saved epoch");
+        assert_eq!(map.snapshot(key).unwrap().domain(), saved_domains[i]);
+    }
 
     let done = Arc::new(AtomicBool::new(false));
     let deadline = Instant::now() + Duration::from_millis(300);
@@ -200,27 +210,32 @@ fn saved_store_reopens_consistently_under_concurrent_stress() {
     std::thread::scope(|scope| {
         let mut writers = Vec::new();
         for w in 0..WRITERS {
-            let store = Arc::clone(&store);
+            let (map, keys, saved_epochs) = (Arc::clone(&map), &keys, &saved_epochs);
             writers.push(scope.spawn(move || {
                 let pool = chunk_pool(100 + w);
-                let mut merges = 0usize;
-                while Instant::now() < deadline || merges < min_merges {
-                    let epoch = store.update_merge(&pool[merges % pool.len()], BUDGET).unwrap();
-                    assert!(epoch > saved_epoch, "writer {w}: epoch fell below the warm start");
-                    merges += 1;
+                let mut merges = vec![0usize; keys.len()];
+                let mut total = 0usize;
+                while Instant::now() < deadline || total < min_merges {
+                    // Writers rotate over the keys from different offsets,
+                    // so every key sees concurrent writers.
+                    let i = (w + total) % keys.len();
+                    let epoch =
+                        map.update_merge(&keys[i], &pool[total % pool.len()], BUDGET).unwrap();
+                    assert!(epoch > saved_epochs[i], "writer {w}: epoch fell below the warm start");
+                    merges[i] += 1;
+                    total += 1;
                 }
                 merges
             }));
         }
 
         let saver = {
-            let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
+            let (map, done) = (Arc::clone(&map), Arc::clone(&done));
             let live_path = live_path.clone();
             scope.spawn(move || {
                 let mut saves = 0usize;
                 while !done.load(Ordering::Acquire) {
-                    store.save(&live_path).unwrap();
+                    map.save(&live_path).unwrap();
                     saves += 1;
                 }
                 saves
@@ -229,57 +244,77 @@ fn saved_store_reopens_consistently_under_concurrent_stress() {
 
         let mut readers = Vec::new();
         for r in 0..READERS {
-            let store = Arc::clone(&store);
-            let done = Arc::clone(&done);
+            let (map, done, keys) = (Arc::clone(&map), Arc::clone(&done), &keys);
+            let mut last_epochs = saved_epochs.clone();
             readers.push(scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xA11C_E000 + r as u64);
-                let mut last_epoch = saved_epoch;
+                let mut reads = 0usize;
                 while !done.load(Ordering::Acquire) {
-                    let snapshot = store.snapshot().expect("warm-started store");
+                    let i = (r + reads) % keys.len();
+                    let snapshot = map.snapshot(&keys[i]).expect("warm-started key");
                     assert!(
-                        snapshot.epoch() >= last_epoch,
-                        "reader {r}: epoch went backwards across the reopen \
-                         ({} < {last_epoch})",
-                        snapshot.epoch()
+                        snapshot.epoch() >= last_epochs[i],
+                        "reader {r}: {} epoch went backwards across the reopen ({} < {})",
+                        keys[i],
+                        snapshot.epoch(),
+                        last_epochs[i]
                     );
-                    last_epoch = snapshot.epoch();
+                    last_epochs[i] = snapshot.epoch();
                     assert_snapshot_invariants(r, &snapshot, &mut rng);
+                    reads += 1;
                 }
-                last_epoch
             }));
         }
 
-        let total_merges: usize = writers.into_iter().map(|w| w.join().expect("writer")).sum();
+        let mut merges = vec![0usize; keys.len()];
+        for writer in writers {
+            for (total, n) in merges.iter_mut().zip(writer.join().expect("writer")) {
+                *total += n;
+            }
+        }
         done.store(true, Ordering::Release);
         let saves = saver.join().expect("saver");
         for reader in readers {
             reader.join().expect("reader");
         }
 
-        // Exact accounting across the restart: every merge bumped the epoch
-        // once, starting from the persisted value; domains concatenated.
-        assert_eq!(store.epoch(), saved_epoch + total_merges as u64, "lost updates after reopen");
-        assert_eq!(
-            store.snapshot().unwrap().domain(),
-            saved_domain + CHUNK_DOMAIN * total_merges,
-            "merged domains must concatenate across the restart"
-        );
-        assert!(saves >= 1, "the saver thread never persisted the live store");
+        // Exact accounting across the restart: every merge bumped its key's
+        // epoch once, starting from the persisted value; domains
+        // concatenated.
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(
+                map.epoch(key),
+                saved_epochs[i] + merges[i] as u64,
+                "{key}: lost updates after reopen"
+            );
+            assert_eq!(
+                map.snapshot(key).unwrap().domain(),
+                saved_domains[i] + CHUNK_DOMAIN * merges[i],
+                "{key}: merged domains must concatenate across the restart"
+            );
+        }
+        assert!(saves >= 1, "the saver thread never persisted the live map");
     });
 
-    // The last mid-stress save is itself a consistent, reopenable snapshot.
-    let reopened = SynopsisStore::open(&live_path).unwrap();
-    let snapshot = reopened.snapshot().expect("mid-stress save holds a synopsis");
-    assert!(snapshot.epoch() >= saved_epoch);
-    assert!(snapshot.epoch() <= store.epoch());
-    assert_eq!(snapshot.epoch(), reopened.epoch());
+    // The last mid-stress save is itself a consistent, reopenable map, and
+    // each key's epoch sequence continues from the value it saved.
+    let reopened = StoreMap::open(&live_path).unwrap();
+    assert_eq!(reopened.keys(), keys);
     let mut rng = StdRng::seed_from_u64(0x00FF_10AD);
-    assert_snapshot_invariants(999, &snapshot, &mut rng);
-    assert_eq!(
-        snapshot.domain() % CHUNK_DOMAIN,
-        0,
-        "a torn save could not hold a whole number of merged chunks"
-    );
+    for (i, key) in keys.iter().enumerate() {
+        let snapshot = reopened.snapshot(key).expect("mid-stress save holds a synopsis");
+        assert!(snapshot.epoch() >= saved_epochs[i]);
+        assert!(snapshot.epoch() <= map.epoch(key));
+        assert_eq!(snapshot.epoch(), reopened.epoch(key));
+        assert_snapshot_invariants(999, &snapshot, &mut rng);
+        assert_eq!(
+            snapshot.domain() % CHUNK_DOMAIN,
+            0,
+            "{key}: a torn save could not hold a whole number of merged chunks"
+        );
+        let next = reopened.update_merge(key, &chunk_pool(9)[0], BUDGET).unwrap();
+        assert_eq!(next, snapshot.epoch() + 1, "{key}: epochs continue across the reopen");
+    }
 }
 
 #[test]

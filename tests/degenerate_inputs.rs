@@ -6,7 +6,10 @@
 
 mod common;
 
-use approx_hist::{DiscreteFunction, EstimatorBuilder, Interval, Signal};
+use approx_hist::{
+    DiscreteFunction, EstimatorBuilder, EstimatorKind, GreedyMerging, Interval, Signal,
+    StreamingBuilder,
+};
 use common::fixture_builder;
 
 /// Queries every fitted synopsis must answer sanely, whatever the input was.
@@ -134,7 +137,6 @@ fn tree_merge_rejects_zero_budgets() {
     // synopsis was passed (no pairwise merge ever validated the budget),
     // letting callers build a degenerate empty synopsis downstream.
     use approx_hist::stream::{tree_merge, ChunkedFitter};
-    use approx_hist::{EstimatorKind, GreedyMerging};
 
     let signal = Signal::from_dense((0..32).map(|i| (i % 4) as f64 + 1.0).collect()).unwrap();
     let inner = || Box::new(GreedyMerging::new(fixture_builder().with_k(3)));
@@ -156,24 +158,23 @@ fn tree_merge_rejects_zero_budgets() {
 
 #[test]
 fn tiny_domains_fit_with_every_chunking() {
-    // Streaming/chunked estimators must cope with chunk lengths larger than,
-    // equal to and far smaller than the domain.
-    let signal = Signal::from_dense(vec![1.0, 5.0, 5.0]).unwrap();
+    // Chunked estimators and the one-pass streaming builder must cope with
+    // chunk lengths larger than, equal to and far smaller than the domain.
+    let values = [1.0, 5.0, 5.0];
+    let signal = Signal::from_dense(values.to_vec()).unwrap();
     for chunk_len in [1usize, 2, 3, 64] {
         let builder = EstimatorBuilder::new(2).chunk_len(chunk_len);
-        for kind in [
-            approx_hist::EstimatorKind::Chunked,
-            approx_hist::EstimatorKind::ParallelChunked,
-            approx_hist::EstimatorKind::Streaming,
-        ] {
+        let mut stream =
+            StreamingBuilder::new(Box::new(GreedyMerging::new(builder)), 2, chunk_len).unwrap();
+        stream.extend(&values).unwrap();
+        let mut fits = vec![("streaming", stream.synopsis().unwrap())];
+        for kind in [EstimatorKind::Chunked, EstimatorKind::ParallelChunked] {
             let estimator = kind.build(builder);
-            let synopsis = estimator.fit(&signal).unwrap();
-            assert_eq!(synopsis.domain(), 3, "{}/chunk {chunk_len}", estimator.name());
-            assert!(
-                synopsis.l2_error(&signal).unwrap() < 1e-9,
-                "{}/chunk {chunk_len}",
-                estimator.name()
-            );
+            fits.push((estimator.name(), estimator.fit(&signal).unwrap()));
+        }
+        for (name, synopsis) in fits {
+            assert_eq!(synopsis.domain(), 3, "{name}/chunk {chunk_len}");
+            assert!(synopsis.l2_error(&signal).unwrap() < 1e-9, "{name}/chunk {chunk_len}");
         }
     }
 }

@@ -102,7 +102,7 @@ fn error_bounds_hold_relative_to_the_exact_dp() {
             // Tree-merged per-chunk merging fits: bounded-error composition of
             // the merging guarantee (see hist-stream). The parallel fitter is
             // bit-identical to the sequential chunked one.
-            "chunked" | "parallel-chunked" | "streaming" => 3.0,
+            "chunked" | "parallel-chunked" => 3.0,
             // Theorem 3.5: ≤ 2·opt at ≤ 8k pieces.
             "hierarchical" => 2.0 + 1e-9,
             // (1 + δ)-approximate DP with δ = 0.1.

@@ -14,6 +14,10 @@
 //!   hostile count's command.
 //! * **Scale** — a 100 000-key map encodes, saves, loads and reopens within
 //!   a generous wall-clock bound, so the per-key open path stays linear.
+//! * **Epochs across restarts** — a forged epoch past `u64::MAX / 2` is
+//!   rejected while the largest accepted one opens and keeps publishing, and
+//!   a key saved with an epoch but no synopsis reopens empty with its epoch
+//!   counter intact.
 //! * **Phantom keys** — a failed `update_merge` (zero budget, bad key) on a
 //!   fresh key creates nothing: `keys()` never shows it.
 //! * **Drop-while-merging** — `drop_key` racing per-key `update_merge`s and
@@ -29,8 +33,8 @@ use approx_hist::persist::{
     crc32, decode_store_map, encode_store_map, CodecError, FORMAT_VERSION, MAP_MAGIC, MAX_KEY_BYTES,
 };
 use approx_hist::{
-    Error, Estimator, FittedModel, GreedyMerging, Histogram, StoreMap, StoreMapEntry, Synopsis,
-    DEFAULT_KEY,
+    Error, Estimator, FittedModel, GreedyMerging, Histogram, PersistError, StoreMap, StoreMapEntry,
+    Synopsis, DEFAULT_KEY,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -380,6 +384,55 @@ fn a_hundred_thousand_keys_save_and_open_within_bound() {
         open_elapsed.as_secs() < 60,
         "opening {KEYS} keys took {open_elapsed:?} — the open path regressed"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forged_epochs_near_the_counter_limit_are_rejected() {
+    // A hand-forged map with an absurd epoch must not open: the next publish
+    // would overflow the counter and epochs would go backwards.
+    let dir = temp_dir("keyed-store-forged-epoch");
+    let path = dir.join("forged.ahistmap");
+    let forged = |epoch: u64| {
+        let entry = StoreMapEntry { key: "evil".into(), epoch, synopsis: Some(tiny_synopsis(1)) };
+        encode_store_map(&[entry]).expect("valid entry")
+    };
+    std::fs::write(&path, forged(u64::MAX)).unwrap();
+    assert!(StoreMap::open(&path).is_err());
+
+    // The largest accepted epoch still opens and publishes fine.
+    std::fs::write(&path, forged(u64::MAX / 2)).unwrap();
+    let map = StoreMap::open(&path).unwrap();
+    assert_eq!(map.epoch("evil"), u64::MAX / 2);
+    assert_eq!(map.publish("evil", tiny_synopsis(2)).unwrap(), u64::MAX / 2 + 1);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_key_saved_empty_reopens_empty_and_resumes_its_epoch_counter() {
+    let dir = temp_dir("keyed-store-empty-key");
+    let path = dir.join("map.ahistmap");
+
+    // A key with an epoch but no synopsis, beside a never-published one.
+    let entries = [
+        StoreMapEntry { key: "emptied".into(), epoch: 5, synopsis: None },
+        StoreMapEntry { key: "fresh".into(), epoch: 0, synopsis: None },
+    ];
+    std::fs::write(&path, encode_store_map(&entries).unwrap()).unwrap();
+    let map = StoreMap::open(&path).unwrap();
+    assert_eq!(map.keys(), ["emptied", "fresh"]);
+    for (key, epoch) in [("emptied", 5), ("fresh", 0)] {
+        assert!(map.snapshot(key).is_none(), "{key}: reopens serving nothing");
+        let next = map.publish(key, tiny_synopsis(3)).unwrap();
+        assert_eq!(next, epoch + 1, "{key}: the epoch counter resumes after the reopen");
+    }
+
+    // Opening a missing file or garbage is a typed error, not a panic.
+    assert!(matches!(StoreMap::open(dir.join("missing.ahistmap")), Err(PersistError::Io(_))));
+    std::fs::write(&path, b"AHISTMAP but corrupted").unwrap();
+    assert!(matches!(StoreMap::open(&path), Err(PersistError::Codec(_))));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

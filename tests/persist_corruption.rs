@@ -10,8 +10,8 @@
 //! exercised, not just the checksum), and seeded random byte soup.
 
 use approx_hist::persist::{
-    crc32, decode_store_map, decode_store_snapshot, decode_stream_checkpoint, decode_synopsis,
-    encode_synopsis, CodecError, FORMAT_VERSION, SYNOPSIS_MAGIC,
+    crc32, decode_store_map, decode_stream_checkpoint, decode_synopsis, encode_synopsis,
+    CodecError, FORMAT_VERSION, SYNOPSIS_MAGIC,
 };
 use approx_hist::{FittedModel, Histogram, Interval, PiecewisePolynomial, Synopsis};
 use hist_core::PolynomialPiece;
@@ -85,7 +85,6 @@ fn empty_and_wrong_magic_buffers_produce_distinct_typed_errors() {
     assert!(matches!(decode_synopsis(&wrong), Err(CodecError::BadMagic)));
 
     // A different container kind is also a wrong magic for this decoder.
-    assert!(matches!(decode_store_snapshot(&histogram_fixture()), Err(CodecError::BadMagic)));
     assert!(matches!(decode_stream_checkpoint(&histogram_fixture()), Err(CodecError::BadMagic)));
     assert!(matches!(decode_store_map(&histogram_fixture()), Err(CodecError::BadMagic)));
 
@@ -238,7 +237,6 @@ fn seeded_random_byte_soup_never_panics() {
         let len = rng.gen_range(0..256);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
         let _ = decode_synopsis(&bytes);
-        let _ = decode_store_snapshot(&bytes);
         let _ = decode_stream_checkpoint(&bytes);
         let _ = decode_store_map(&bytes);
 

@@ -1,5 +1,5 @@
 //! End-to-end acceptance suite for the live telemetry pipeline
-//! (`hist-pipeline`): synthetic events → windowed/cumulative synopses →
+//! (`hist-pipeline`): synthetic events → chunk synopses merged per metric →
 //! keyed store → wire serving, with crash/resume.
 //!
 //! * **Quantile tracking** — served p50/p99/p999 fetched through a
@@ -343,50 +343,6 @@ fn checkpoint_resume_bit_identity_at_every_split_point() {
             "split {split}: resumed checkpoint bytes diverged"
         );
     }
-
-    drop(client);
-    server.shutdown();
-}
-
-/// A windowed lane re-publishes its merged window every completed bucket and
-/// serves the last `bucket_len · num_buckets` values only.
-#[test]
-fn windowed_lane_republishes_and_serves_the_window() {
-    const K: usize = 4;
-    const BUCKET: usize = 128;
-    const BUCKETS: usize = 4;
-    let key = "win/latency";
-    let inner = || Box::new(GreedyMerging::new(EstimatorBuilder::new(K)));
-
-    let map = Arc::new(StoreMap::new());
-    let mut server = spawn_server(Arc::clone(&map));
-    let mut client =
-        HistClient::connect(server.local_addr()).expect("connect").with_key(key).expect("key");
-
-    let source = EventSource::synthetic(key, 3, 1_024).expect("source");
-    let lane = MetricPipeline::windowed(key, inner(), K, BUCKET, BUCKETS).expect("lane");
-    let mut pipeline = TelemetryPipeline::new(Arc::clone(&map)).with_batch(BUCKET);
-    pipeline.add_lane(source, lane);
-
-    let report = pipeline.run_until(8 * BUCKET).expect("ingest");
-    assert_eq!(report.events, 8 * BUCKET as u64);
-    assert_eq!(report.publishes, 8, "one re-publish per completed bucket");
-
-    let snap = map.snapshot(key).expect("published");
-    assert_eq!(snap.epoch(), 8);
-    assert_eq!(snap.synopsis().domain(), BUCKET * BUCKETS, "serves the window only");
-
-    // The served synopsis IS the lane's current window, bit for bit, and the
-    // wire answers come from it.
-    let lane = &pipeline.lanes()[0].1;
-    assert_eq!(
-        encode_synopsis(snap.synopsis()),
-        encode_synopsis(&lane.synopsis().expect("window synopsis"))
-    );
-    let served = client.quantile_batch(&PS).expect("windowed quantiles");
-    assert_eq!(served.epoch, 8);
-    let local = snap.synopsis().quantile_batch(&PS).expect("local quantiles");
-    assert_eq!(served.value, local);
 
     drop(client);
     server.shutdown();
