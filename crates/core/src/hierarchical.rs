@@ -3,7 +3,8 @@
 //!
 //! A single `O(s)`-time pass over an `s`-sparse signal produces a *hierarchy* of
 //! partitions `I_0, I_1, …, I_L`, each obtained from the previous one by merging
-//! a quarter of the interval pairs (the ones with the smallest merging errors).
+//! half of its interval pairs (the ones with the smallest merging errors), so
+//! each level has about 3/4 of its predecessor's intervals.
 //! Theorem 3.5 guarantees that for every `1 ≤ k ≤ s` there is a level `I_j` with
 //! at most `8k` intervals whose flattening has error at most `2·opt_k`.
 //!
@@ -123,9 +124,9 @@ impl HierarchicalHistogram {
 /// Runs Algorithm 2 on an `s`-sparse signal.
 ///
 /// Starting from the exact `O(s)`-piece segmentation, each iteration pairs up
-/// consecutive intervals, keeps the quarter of pairs with the largest merging
-/// errors unmerged, merges the remaining pairs, and records the resulting
-/// level. The loop stops when fewer than 8 intervals remain. Total running
+/// consecutive intervals, keeps the half of the pairs with the largest merging
+/// errors unmerged (`len / 4` pairs of a level of `len` intervals), merges the
+/// other half, and records the resulting level, about 3/4 as long. The loop stops when fewer than 8 intervals remain. Total running
 /// time and memory are `O(s)` (the level sizes decay geometrically).
 pub fn construct_hierarchical_histogram(q: &SparseFunction) -> Result<HierarchicalHistogram> {
     Ok(hierarchy(q.domain(), Segments::Sparse(q)))

@@ -14,14 +14,26 @@
 //! round shape under Algorithms 1 and 2 and `fastmerging`. Each round keeps
 //! the `keep` groups of `g` whose merging errors are at least the threshold
 //! `select::keep_threshold` returns (the tie rule the golden tests pin bit
-//! for bit) and merges every other full group into one segment. One emit step
+//! for bit) and merges every other full group into one segment. An emit step
 //! writes the next level: the first round reads `I₀` from the signal into a
 //! buffer about `1/g` of its length, every later round rewrites that buffer
-//! in place. The round's plan for the next level is known before it emits
-//! (its length follows from `keep`), so the emit step also folds each segment
-//! it writes into the next round's running group and writes that round's
-//! errors. Only the first round reads its level twice (once for its errors,
-//! once to emit); every later round reads its level once.
+//! in place. The emit step has two shapes, chosen by the share of groups the
+//! round keeps:
+//!
+//! * **Fused** (rounds that keep few groups: Algorithm 1, `fastmerging`).
+//!   A kept group is a rare, well-predicted branch. The round's plan for the
+//!   next level is known before it emits (its length follows from `keep`),
+//!   so the emit step also folds each segment it writes into the next
+//!   round's running group and writes that round's errors. Only the first
+//!   round reads its level twice (once for its errors, once to emit).
+//! * **Pairs** (pair rounds that keep at least `1/8` of their pairs:
+//!   Algorithm 2 keeps half, so each decision is a coin flip). Each pair is
+//!   emitted with no branch on its decision: the first segment or the pair's
+//!   merge is written at the write cursor, the second segment after it, and
+//!   the cursor advances past what is kept. The next round's errors come
+//!   from one pass over the level just written.
+
+use std::hint::select_unpredictable;
 
 use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
@@ -61,6 +73,18 @@ impl Segment {
     #[inline]
     fn merged(self, next: Segment) -> Segment {
         Segment { end: next.end, sum: self.sum + next.sum, sum_sq: self.sum_sq + next.sum_sq }
+    }
+
+    /// `self` if `keep`, else its merge with `next`, chosen field by field
+    /// with no branch on `keep` (a whole-segment select goes through memory).
+    #[inline]
+    fn kept_or_merged(self, next: Segment, keep: bool) -> Segment {
+        let merged = self.merged(next);
+        Segment {
+            end: select_unpredictable(keep, self.end, merged.end),
+            sum: select_unpredictable(keep, self.sum, merged.sum),
+            sum_sq: select_unpredictable(keep, self.sum_sq, merged.sum_sq),
+        }
     }
 
     /// Number of domain indices covered when the segment starts at `start`.
@@ -234,14 +258,13 @@ fn rounds_from<S: Iterator<Item = Segment> + Clone>(
     };
     let mut buffers = SelectBuffers::default();
     // The first round's errors: a pass over the source, with no level behind.
-    let mut errors = match g {
-        2 => group_errors::<2>(src.clone(), len, g),
-        _ => group_errors::<0>(src.clone(), len, g),
-    };
+    let mut errors = Vec::new();
+    group_errors(src.clone(), len, g, &mut errors);
 
     let out_len = merged_len(len, g, keep);
     let mut next = plan(out_len);
-    let first = Fresh { src, out: Vec::with_capacity(out_len) };
+    // One spare slot: a pair emit writes both segments of a pair it merges.
+    let first = Fresh { src, out: Vec::with_capacity(out_len + 1) };
     let mut segments = round(first, len, g, keep, next, &mut errors, &mut buffers).out;
     visit(&segments, &errors);
 
@@ -264,6 +287,12 @@ trait Level {
     fn merge(&mut self, g: usize) -> Segment;
     /// Reads the next `n` segments and writes them through, returning them.
     fn copy(&mut self, n: usize) -> &[Segment];
+    /// Reads the next pair and writes it through if `keep`, merged otherwise,
+    /// with no branch on `keep`: it writes the first segment or the merge,
+    /// then the second segment one after it, and advances past what it kept.
+    fn pair(&mut self, keep: bool);
+    /// The segments written so far.
+    fn written(&self) -> &[Segment];
 }
 
 /// The first round: reads the signal's `I₀`, writes a new buffer.
@@ -285,6 +314,19 @@ impl<S: Iterator<Item = Segment>> Level for Fresh<S> {
         let at = self.out.len();
         self.out.extend(self.src.by_ref().take(n));
         &self.out[at..]
+    }
+
+    #[inline]
+    fn pair(&mut self, keep: bool) {
+        let a = self.src.next().expect("a full pair remains");
+        let b = self.src.next().expect("a full pair remains");
+        self.out.push(a.kept_or_merged(b, keep));
+        self.out.push(b);
+        self.out.truncate(self.out.len() - usize::from(!keep));
+    }
+
+    fn written(&self) -> &[Segment] {
+        &self.out
     }
 }
 
@@ -313,6 +355,19 @@ impl Level for InPlace<'_> {
         self.write += n;
         &self.segments[at..at + n]
     }
+
+    #[inline]
+    fn pair(&mut self, keep: bool) {
+        let (a, b) = (self.segments[self.read], self.segments[self.read + 1]);
+        self.read += 2;
+        self.segments[self.write] = a.kept_or_merged(b, keep);
+        self.segments[self.write + 1] = b;
+        self.write += 1 + usize::from(keep);
+    }
+
+    fn written(&self) -> &[Segment] {
+        &self.segments[..self.write]
+    }
 }
 
 /// One round over a `level` of `len` segments whose group errors are
@@ -333,6 +388,15 @@ fn round<L: Level>(
 ) -> L {
     let (tau, _) = keep_threshold(errors, keep, buffers);
     let groups = len / g;
+    if g == 2 && keep.saturating_mul(DENSE_KEEPS) >= groups {
+        let level = emit_pairs(level, len, tau, errors);
+        let written = level.written();
+        match next {
+            Some((g, _)) => group_errors(written.iter().copied(), written.len(), g, errors),
+            None => errors.clear(),
+        }
+        return level;
+    }
     let next_g = next.map_or(usize::MAX, |(g, _)| g);
     let next_groups = merged_len(len, g, keep) / next_g;
     // A next group at least as large as this round's completes at most once
@@ -348,6 +412,25 @@ fn round<L: Level>(
     debug_assert_eq!(written, next_groups);
     errors.copy_within(base..base + next_groups, 0);
     errors.truncate(next_groups);
+    level
+}
+
+/// A pair round whose keeps are at least `1 / DENSE_KEEPS` of its pairs
+/// (Algorithm 2 keeps half) emits with [`emit_pairs`]: its keep decisions
+/// are too dense for a branch on them to be predicted. Rounds that keep few
+/// pairs (Algorithm 1, `fastmerging`) predict that branch well and keep the
+/// fused [`emit`].
+const DENSE_KEEPS: usize = 8;
+
+/// The emit step of a round of pairs with dense keeps: writes the next level
+/// through `level` with one [`Level::pair`] per pair and carries an odd
+/// segment over. The next round's errors are left to a pass over the level.
+#[inline]
+fn emit_pairs<L: Level>(mut level: L, len: usize, tau: f64, errors: &[f64]) -> L {
+    for &error in errors {
+        level.pair(error >= tau);
+    }
+    level.copy(len % 2);
     level
 }
 
@@ -386,23 +469,31 @@ fn emit<const G: usize, const H: usize, L: Level>(
     (level, next.written)
 }
 
-/// The merging error of each full group of `g` among the first `len`
-/// segments of `src`, with `G` as in [`emit`].
-fn group_errors<const G: usize>(
+/// Fills `errors` with the merging error of each full group of `g` among the
+/// first `len` segments of `src`.
+fn group_errors(src: impl Iterator<Item = Segment>, len: usize, g: usize, errors: &mut Vec<f64>) {
+    match g {
+        2 => group_errors_of::<2>(src, len, g, errors),
+        _ => group_errors_of::<0>(src, len, g, errors),
+    }
+}
+
+/// [`group_errors`], with `G` as in [`emit`].
+fn group_errors_of<const G: usize>(
     mut src: impl Iterator<Item = Segment>,
     len: usize,
     g: usize,
-) -> Vec<f64> {
+    errors: &mut Vec<f64>,
+) {
     let g = if G == 0 { g } else { G };
     let mut start = 0;
-    (0..len / g)
-        .map(|_| {
-            let run = merge_run(src.by_ref().take(g));
-            let error = run.error(start);
-            start = run.end + 1;
-            error
-        })
-        .collect()
+    errors.clear();
+    errors.extend((0..len / g).map(|_| {
+        let run = merge_run(src.by_ref().take(g));
+        let error = run.error(start);
+        start = run.end + 1;
+        error
+    }));
 }
 
 /// The running group of the next round: every segment a round writes is
@@ -544,6 +635,102 @@ mod tests {
             merged.error(run[0].0).to_bits()
         };
         starts.chunks_exact(g).map(group).collect()
+    }
+
+    /// A segment's fields as bits, so equal levels are equal bit for bit.
+    fn bits(level: &[Segment]) -> Vec<(usize, u64, u64)> {
+        level.iter().map(|s| (s.end, s.sum.to_bits(), s.sum_sq.to_bits())).collect()
+    }
+
+    /// A pair round done naively: a fresh error pass, the `keep` largest
+    /// errors found by a sort (they must be tie-free, so the set is unique),
+    /// and the next level rebuilt pair by pair.
+    fn reference_pair_round(level: &[Segment], keep: usize) -> Vec<Segment> {
+        let errors: Vec<f64> = error_pass(level, 2).into_iter().map(f64::from_bits).collect();
+        let mut order: Vec<usize> = (0..errors.len()).collect();
+        order.sort_by(|&a, &b| errors[b].total_cmp(&errors[a]));
+        if (1..errors.len()).contains(&keep) {
+            let (least_kept, most_merged) = (errors[order[keep - 1]], errors[order[keep]]);
+            assert!(least_kept > most_merged, "a tie at the threshold: {least_kept}");
+        }
+        let mut kept = vec![false; errors.len()];
+        for &u in order.iter().take(keep) {
+            kept[u] = true;
+        }
+        let mut next = Vec::new();
+        let pairs = level.chunks_exact(2);
+        let tail = pairs.remainder();
+        for (pair, kept) in pairs.zip(kept) {
+            match kept {
+                true => next.extend_from_slice(pair),
+                false => next.push(pair[0].merged(pair[1])),
+            }
+        }
+        next.extend_from_slice(tail);
+        next
+    }
+
+    /// Every pair round, with the branch-free pair emit or the fused one,
+    /// writes exactly the level and the next round's errors a naive
+    /// reference round finds, bit for bit: under keep shares of half the
+    /// pairs, exactly at the pair emit's gate, one below it, and a fixed 65,
+    /// on dense and sparse sources with odd lengths and zero runs.
+    #[test]
+    fn pair_rounds_match_a_naive_reference_round() {
+        let mut seed = 11u64;
+        let mut noise = |len: usize| -> Vec<f64> { (0..len).map(|_| lcg(&mut seed)).collect() };
+        let dense_inputs = [noise(1), noise(3), noise(17), noise(4_099), noise(70_001)];
+        let mut seed = 5u64;
+        let mut at = 0;
+        let gaps: Vec<(usize, f64)> = (0..30_001)
+            .map(|_| {
+                at += 1 + (lcg(&mut seed) * 6.0) as usize;
+                (at, 1.0 + lcg(&mut seed))
+            })
+            .collect();
+        let sparse_inputs = [
+            SparseFunction::new(
+                1 << 20,
+                (1..1_000).map(|i| (i * i, lcg(&mut seed) - 0.5)).collect(),
+            )
+            .unwrap(),
+            SparseFunction::new(at + 2, gaps).unwrap(),
+        ];
+        let mut sources: Vec<Segments> = dense_inputs.iter().map(|v| Segments::Dense(v)).collect();
+        sources.extend(sparse_inputs.iter().map(Segments::Sparse));
+
+        type Plan = fn(usize) -> Option<(usize, usize)>;
+        let at_gate = |len: usize| (len / 2).div_ceil(DENSE_KEEPS);
+        let plans: [Plan; 4] = [
+            |len| (len >= 8).then_some((2, len / 4)),
+            |len| (len >= 16).then_some((2, (len / 2).div_ceil(DENSE_KEEPS))),
+            |len| (len >= 16).then(|| (2, (len / 2).div_ceil(DENSE_KEEPS) - 1)),
+            |len| (len / 2 > 65).then_some((2, 65)),
+        ];
+        let (mut pair_emits, mut fused_emits) = (0, 0);
+        for src in sources {
+            for plan in plans {
+                let mut want: Vec<Segment> = src.iter().collect();
+                let mut rounds = 0;
+                merge_rounds(src, plan, |level, errors| {
+                    let (g, keep) = plan(want.len()).expect("a round ran");
+                    assert_eq!(g, 2);
+                    if keep >= at_gate(want.len()) {
+                        pair_emits += 1;
+                    } else {
+                        fused_emits += 1;
+                    }
+                    rounds += 1;
+                    want = reference_pair_round(&want, keep);
+                    assert_eq!(bits(level), bits(&want), "round {rounds}");
+                    let want_errors = plan(want.len()).map_or(Vec::new(), |_| error_pass(&want, 2));
+                    let got: Vec<u64> = errors.iter().map(|e| e.to_bits()).collect();
+                    assert_eq!(got, want_errors, "round {rounds}");
+                });
+                assert_eq!(rounds > 0, plan(src.len()).is_some());
+            }
+        }
+        assert!(pair_emits > 0 && fused_emits > 0, "{pair_emits} pair, {fused_emits} fused");
     }
 
     /// The errors every round's emit step writes for the next round are,

@@ -5,7 +5,8 @@
 //! with the largest merging errors. [`keep_threshold`] returns a threshold
 //! `τ`: a candidate is kept exactly when its error is `≥ τ`, so a round needs
 //! no mask and no marking pass. Where the paper uses linear-time selection,
-//! three ways find `τ`:
+//! four ways find `τ`, each tried when the one before it does not apply or
+//! gives up:
 //!
 //! * **Heap** (`t` at most 1/64 of the candidates, the first rounds of
 //!   Algorithm 1): one pass with a size-`t` min-heap finds the `t`-th largest
@@ -16,19 +17,22 @@
 //!   gives two values that bracket `τ` with high probability; one pass counts
 //!   the errors above the bracket and collects the few inside it, and a
 //!   selection over those finds `τ`.
-//! * **Introselect**, when neither applies, the sample misses or a tie
-//!   straddles `τ`: `select_nth_unstable_by` over a reused buffer of
-//!   `(error, position)` pairs. Ties at the threshold fall where
-//!   introselect's comparisons put them: exactly the positions an indirect
-//!   selection over a position array picks. The picks are overwritten with
-//!   `+∞` and `τ = +∞`.
+//! * **Values**: the errors are copied into a reused buffer of values,
+//!   `select_nth_unstable_by` puts the `t`-th largest `τ` in place, and no
+//!   value below it may equal `τ`. This selects over 8-byte values where
+//!   introselect moves 16-byte pairs.
+//! * **Introselect**, when a tie straddles `τ`: `select_nth_unstable_by` over
+//!   a reused buffer of `(error, position)` pairs. Ties at the threshold fall
+//!   where introselect's comparisons put them: exactly the positions an
+//!   indirect selection over a position array picks. The picks are
+//!   overwritten with `+∞` and `τ = +∞`.
 //!
-//! When the heap or the sample finds `τ` and no error below the top `t`
-//! equals it, the top-`t` set is unique, so any exact selection, introselect
-//! included, picks it. On quantized input the heap pass gives up as soon as
-//! its tie is at the largest error seen, and the sample gives up before its
-//! pass when its bracket is one value, so a fallback there costs introselect
-//! plus a short prefix.
+//! When the heap, the sample or the values find `τ` and no error below the
+//! top `t` equals it, the top-`t` set is unique, so any exact selection,
+//! introselect included, picks it. On quantized input the heap pass gives up
+//! as soon as its tie is at the largest error seen, and the sample gives up
+//! before its pass when its bracket is one value; a tie there costs the
+//! values selection and introselect.
 
 /// Which way [`keep_threshold`] found its threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +41,7 @@ pub(crate) enum Path {
     Trivial,
     Heap,
     Sample,
+    Values,
     Introselect,
 }
 
@@ -50,8 +55,8 @@ const HEAP_RATIO: usize = 64;
 /// stride is at least 4: with a stride of 2 it is no faster than introselect.
 const SAMPLE: usize = 2048;
 
-/// The selection's reused buffers: the heap, sample or bracket values, and
-/// the fallback's `(error, position)` pairs.
+/// The selection's reused buffers: the heap, sample, bracket or copied
+/// values, and the fallback's `(error, position)` pairs.
 #[derive(Default)]
 pub(crate) struct SelectBuffers {
     values: Vec<f64>,
@@ -84,7 +89,9 @@ pub(crate) fn keep_threshold(
     } else {
         None
     };
-    found.unwrap_or_else(|| (introselect(errors, t, &mut buffers.pairs), Path::Introselect))
+    found
+        .or_else(|| values_threshold(errors, t, &mut buffers.values).map(|tau| (tau, Path::Values)))
+        .unwrap_or_else(|| (introselect(errors, t, &mut buffers.pairs), Path::Introselect))
 }
 
 /// The `t`-th largest error (`0 < t < len`) if no error outside the `t`
@@ -192,6 +199,16 @@ fn sampled_threshold(errors: &[f64], t: usize, buf: &mut Vec<f64>) -> Option<f64
     buf.truncate(inside);
     let rank = t.checked_sub(above + 1).filter(|&rank| rank < inside)?;
     let (_, &mut tau, rest) = buf.select_nth_unstable_by(rank, descending);
+    (!rest.contains(&tau)).then_some(tau)
+}
+
+/// The `t`-th largest error (`0 < t < len`) if the top-`t` set is unique,
+/// found by a selection over a copy of the errors; `None` if a tie straddles
+/// it.
+fn values_threshold(errors: &[f64], t: usize, values: &mut Vec<f64>) -> Option<f64> {
+    values.clear();
+    values.extend_from_slice(errors);
+    let (_, &mut tau, rest) = values.select_nth_unstable_by(t - 1, |a, b| b.total_cmp(a));
     (!rest.contains(&tau)).then_some(tau)
 }
 
@@ -368,7 +385,8 @@ mod tests {
         cases.push(periodic);
 
         // Distinct errors whose largest repeat at the sample stride: every
-        // sampled error is a peak, so the sample brackets a far too large τ.
+        // sampled error is a peak, so the sample brackets a far too large τ;
+        // the errors are distinct, so the values find it.
         let len = 1 << 17;
         let stride = len / SAMPLE;
         let mut peaks = lcg_values(11, len);
@@ -377,7 +395,7 @@ mod tests {
         }
         for t in [len / 64 + 1, len / 4, len / 2] {
             assert_eq!(sampled_threshold(&peaks, t, &mut Vec::new()), None, "t = {t}");
-            assert_eq!(kept(&peaks, t).2, Path::Introselect, "t = {t}");
+            assert_eq!(kept(&peaks, t).2, Path::Values, "t = {t}");
         }
         cases.push(peaks);
         // Noise with about 3000 copies of the median value: a tie straddles the
@@ -410,7 +428,7 @@ mod tests {
                 paths.push(path);
             }
         }
-        for path in [Path::Trivial, Path::Heap, Path::Sample, Path::Introselect] {
+        for path in [Path::Trivial, Path::Heap, Path::Sample, Path::Values, Path::Introselect] {
             assert!(paths.contains(&path), "{path:?} never ran");
         }
         // The sample runs on random errors from `4 · SAMPLE` of them on.
@@ -419,6 +437,38 @@ mod tests {
             for t in [len / 64 + 1, len / 4, len / 3, len / 2] {
                 assert_eq!(kept(&random, t).2, Path::Sample, "len {len}, t = {t}");
             }
+        }
+    }
+
+    /// Between the heap's share and the sample's minimum length, tie-free
+    /// errors are selected by the values alone, which keep exactly the
+    /// indirect selection and leave every error as it was. A tie at `τ`
+    /// still reaches introselect.
+    #[test]
+    fn values_selection_keeps_the_indirect_selection_and_defers_ties() {
+        for len in [65, 500, 4_099, 4 * SAMPLE - 1] {
+            let values = lcg_values(17 * len as u64, len);
+            for t in [len / HEAP_RATIO + 1, len / 4, len / 2, len - 1] {
+                let (kept, errors, path) = kept(&values, t);
+                assert_eq!(path, Path::Values, "len {len}, t = {t}");
+                assert_eq!(kept, top_t_mask(&values, t), "len {len}, t = {t}");
+                assert!(errors.iter().zip(&values).all(|(e, v)| e.to_bits() == v.to_bits()));
+            }
+        }
+        // Noise with three copies of 0.75: the `t`-th largest is a copy with
+        // the others below the top `t` for `t = above + 1`, and none is for
+        // `t = above + 3`.
+        let mut tied = lcg_values(23, 4_099);
+        for pos in [7, 2_000, 4_098] {
+            tied[pos] = 0.75;
+        }
+        let above = tied.iter().filter(|&&e| e > 0.75).count();
+        assert_eq!(values_threshold(&tied, above + 1, &mut Vec::new()), None);
+        assert_eq!(values_threshold(&tied, above + 3, &mut Vec::new()), Some(0.75));
+        for (t, want) in [(above + 1, Path::Introselect), (above + 3, Path::Values)] {
+            let (kept, _, path) = kept(&tied, t);
+            assert_eq!(path, want, "t = {t}");
+            assert_eq!(kept, top_t_mask(&tied, t), "t = {t}");
         }
     }
 

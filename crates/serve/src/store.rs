@@ -10,6 +10,7 @@
 //! for an `Arc` clone or a pointer store — never across merge work.
 
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use hist_core::{Error, Result, Synopsis};
@@ -87,14 +88,6 @@ pub struct MergeCounters {
     pub merge_error: f64,
 }
 
-/// What a writer holds its mutex over: the last published epoch and the
-/// merge accounting that advances with it.
-#[derive(Debug, Default)]
-struct WriterState {
-    epoch: u64,
-    counters: MergeCounters,
-}
-
 /// A read-mostly store for the synopsis a query layer is currently serving,
 /// supporting atomic replacement under live traffic.
 ///
@@ -137,10 +130,14 @@ struct WriterState {
 #[derive(Debug, Default)]
 pub struct SynopsisStore {
     current: RwLock<Option<Snapshot>>,
-    /// Last published epoch and merge accounting; holding this lock
-    /// serializes the whole read-modify-publish cycle of a writer, so
-    /// concurrent `update_merge` calls never lose each other's chunks.
-    writer: Mutex<WriterState>,
+    /// The last published epoch, which a reopened store resumes even when it
+    /// serves nothing. Written only under the writer mutex, so publishes
+    /// never lose an increment; read without it.
+    epoch: AtomicU64,
+    /// Merge accounting; holding this lock serializes the whole
+    /// read-modify-publish cycle of a writer, so concurrent `update_merge`
+    /// calls never lose each other's chunks.
+    writer: Mutex<MergeCounters>,
 }
 
 impl SynopsisStore {
@@ -162,10 +159,12 @@ impl SynopsisStore {
         read(&self.current).clone()
     }
 
-    /// The epoch of the currently served snapshot (0 before the first
-    /// publish). Epochs increase strictly with every publish.
+    /// The last published epoch (0 before the first publish): the epoch of
+    /// the served snapshot, or the one a store reopened without a synopsis
+    /// resumes from. Epochs increase strictly with every publish. Never
+    /// blocks on a writer.
     pub fn epoch(&self) -> u64 {
-        self.snapshot().map_or(0, |s| s.epoch())
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Atomically replaces the served synopsis with a fully built one and
@@ -194,11 +193,10 @@ impl SynopsisStore {
                 reason: "the merge budget must be at least 1".into(),
             });
         }
-        let mut writer = lock(&self.writer);
+        let mut counters = lock(&self.writer);
         let next = match self.snapshot() {
             Some(current) => {
                 let (merged, stats) = current.merge_with_stats(chunk, budget)?;
-                let counters = &mut writer.counters;
                 counters.merges += 1;
                 counters.merged_mass += stats.incoming_mass;
                 counters.merge_error += stats.l2_delta;
@@ -207,10 +205,7 @@ impl SynopsisStore {
             // First publish: the chunk itself is the baseline.
             None => chunk.clone(),
         };
-        writer.epoch += 1;
-        let epoch = writer.epoch;
-        *write(&self.current) = Some(Snapshot { epoch, synopsis: next.into_shared() });
-        Ok(epoch)
+        Ok(self.serve_next(&counters, next.into_shared()))
     }
 
     /// The store's merge accounting: merges absorbed, merged mass, and the
@@ -218,7 +213,7 @@ impl SynopsisStore {
     /// byproduct of the merge [`SynopsisStore::update_merge`] performs
     /// anyway ([`Synopsis::merge_with_stats`]).
     pub fn merge_counters(&self) -> MergeCounters {
-        lock(&self.writer).counters
+        *lock(&self.writer)
     }
 
     /// Captures the `(last published epoch, served snapshot)` pair that
@@ -227,8 +222,8 @@ impl SynopsisStore {
     /// for the capture (install/update_merge write both fields under that
     /// lock), so the encode and disk I/O never stall writers.
     pub(crate) fn persisted_state(&self) -> (u64, Option<Snapshot>) {
-        let writer = lock(&self.writer);
-        (writer.epoch, self.snapshot())
+        let _writer = lock(&self.writer);
+        (self.epoch(), self.snapshot())
     }
 
     /// Rebuilds a store from persisted parts for
@@ -247,22 +242,27 @@ impl SynopsisStore {
             })
             .into());
         }
-        let store = Self::new();
-        lock(&store.writer).epoch = epoch;
-        if let Some(synopsis) = synopsis {
-            *write(&store.current) = Some(Snapshot { epoch, synopsis: synopsis.into_shared() });
-        }
-        Ok(store)
+        let current = synopsis.map(|s| Snapshot { epoch, synopsis: s.into_shared() });
+        Ok(Self { current: RwLock::new(current), epoch: AtomicU64::new(epoch), ..Self::default() })
     }
 
     fn install(&self, synopsis: Arc<Synopsis>) -> u64 {
-        let mut writer = lock(&self.writer);
+        let mut counters = lock(&self.writer);
         // A direct publish replaces the served synopsis wholesale, so the
         // merge error restarts from it.
-        writer.counters.merge_error = 0.0;
-        writer.epoch += 1;
-        let epoch = writer.epoch;
+        counters.merge_error = 0.0;
+        self.serve_next(&counters, synopsis)
+    }
+
+    /// Serves `synopsis` at the next epoch and returns it. `_writer` is the
+    /// held writer mutex: it makes the read-increment-write of the epoch one
+    /// step. The snapshot is installed before the epoch is stored, so a
+    /// reader that sees an epoch then takes a snapshot sees that epoch's
+    /// synopsis or a later one.
+    fn serve_next(&self, _writer: &MutexGuard<'_, MergeCounters>, synopsis: Arc<Synopsis>) -> u64 {
+        let epoch = self.epoch.load(Ordering::Relaxed) + 1;
         *write(&self.current) = Some(Snapshot { epoch, synopsis });
+        self.epoch.store(epoch, Ordering::Release);
         epoch
     }
 }

@@ -425,6 +425,7 @@ fn a_key_saved_empty_reopens_empty_and_resumes_its_epoch_counter() {
     assert_eq!(map.keys(), ["emptied", "fresh"]);
     for (key, epoch) in [("emptied", 5), ("fresh", 0)] {
         assert!(map.snapshot(key).is_none(), "{key}: reopens serving nothing");
+        assert_eq!(map.epoch(key), epoch, "{key}: reads the epoch it was saved at");
         let next = map.publish(key, tiny_synopsis(3)).unwrap();
         assert_eq!(next, epoch + 1, "{key}: the epoch counter resumes after the reopen");
     }
