@@ -140,7 +140,7 @@ fn max_pieces_for_k(k: usize) -> usize {
 
 /// The hierarchy's round plan: pairs, keeping a quarter of the intervals'
 /// count (half the pairs), while at least 8 intervals remain.
-fn plan(len: usize) -> Option<(usize, usize)> {
+pub(crate) fn plan(len: usize) -> Option<(usize, usize)> {
     (len >= 8).then_some((2, len / 4))
 }
 

@@ -32,6 +32,20 @@
 //!   merge is written at the write cursor, the second segment after it, and
 //!   the cursor advances past what is kept. The next round's errors come
 //!   from one pass over the level just written.
+//!
+//! Every per-element loop reads a slice and writes by index. The first
+//! round's errors of a dense signal come from `chunks_exact` groups (pairs
+//! as `[f64; 2]`) of the values, and its emit step reads the values as
+//! slices, each point's end being its index. A sparse signal's first round
+//! reads its runs in order. Either way level 1 is written by index into a
+//! buffer allocated and zero-filled to its length up front, as later rounds
+//! write in place, so no write checks a capacity. Errors over a written level come from
+//! `chunks_exact` groups of it, each starting one past the previous group's
+//! end. A sparse `I₀`'s length is counted from the gaps between adjacent
+//! entries, with no walk of its runs. The pair error passes have no branch,
+//! so they vectorize: each error comes with whether its term stayed below
+//! the cap (`stats::sse_below_cap`), and a pass that met a capped term is
+//! redone on the exact path.
 
 use std::hint::select_unpredictable;
 
@@ -41,7 +55,7 @@ use crate::interval::Interval;
 use crate::partition::Partition;
 use crate::select::{keep_threshold, SelectBuffers};
 use crate::sparse::SparseFunction;
-use crate::stats::sse_from_sums;
+use crate::stats::{sse_below_cap, sse_from_sums};
 
 /// One interval of the working partition, with the sum and sum of squares of
 /// the input function over it. The interval ends at `end` and starts one past
@@ -115,6 +129,14 @@ impl Segment {
     fn error(self, start: usize) -> f64 {
         self.sse(start).min(f64::MAX)
     }
+
+    /// [`Self::error`] with no branch, and whether it is exact: it is
+    /// unless a term reached `f64::MAX` (see `stats::sse_below_cap`).
+    #[inline]
+    fn error_below_cap(self, start: usize) -> (f64, bool) {
+        let (sse, below) = sse_below_cap(self.sum, self.sum_sq, self.len(start));
+        (sse.min(f64::MAX), below)
+    }
 }
 
 /// Each segment of a contiguous list with the first domain index it covers.
@@ -141,27 +163,33 @@ pub(crate) enum Segments<'a> {
 }
 
 impl<'a> Segments<'a> {
-    /// Number of segments in `I₀`.
+    /// Number of segments in `I₀`. For a sparse signal: its entries, plus a
+    /// zero run before every entry that does not directly follow its
+    /// predecessor (or index 0) and one after the last entry if it is not
+    /// at the domain's end, counted with no branch per entry and no walk of
+    /// the runs.
     pub(crate) fn len(self) -> usize {
-        match self {
-            Segments::Dense(values) => values.len(),
-            Segments::Sparse(q) => SparseRuns::new(q).count(),
-        }
+        let q = match self {
+            Segments::Dense(values) => return values.len(),
+            Segments::Sparse(q) => q,
+        };
+        let entries = q.entries();
+        let (Some(&(first, _)), Some(&(last, _))) = (entries.first(), entries.last()) else {
+            return 1;
+        };
+        let gaps: usize = entries.windows(2).map(|w| usize::from(w[1].0 - w[0].0 > 1)).sum();
+        entries.len() + gaps + usize::from(first > 0) + usize::from(last + 1 < q.domain())
     }
 
     /// The segments of `I₀`, in order.
     pub(crate) fn iter(self) -> impl Iterator<Item = Segment> + Clone + 'a {
         let (dense, sparse) = match self {
-            Segments::Dense(values) => (Some(dense_points(values)), None),
+            Segments::Dense(values) => (Some(values.iter().enumerate()), None),
             Segments::Sparse(q) => (None, Some(SparseRuns::new(q))),
         };
-        dense.into_iter().flatten().chain(sparse.into_iter().flatten())
+        let points = dense.into_iter().flatten().map(|(i, &v)| Segment::point(i, v));
+        points.chain(sparse.into_iter().flatten())
     }
-}
-
-/// [`Segments::Dense`]'s segments.
-fn dense_points(values: &[f64]) -> impl Iterator<Item = Segment> + Clone + '_ {
-    values.iter().enumerate().map(|(i, &v)| Segment::point(i, v))
 }
 
 /// [`Segments::Sparse`]'s segments: the zero run before each entry, the
@@ -219,6 +247,16 @@ fn merge_run(mut run: impl Iterator<Item = Segment>) -> Segment {
     run.fold(first, Segment::merged)
 }
 
+/// [`merge_run`] over the points of a dense run of values starting at
+/// `start`: the same sums, folded in the same order, with the end taken from
+/// the run's length.
+#[inline]
+fn merge_points(start: usize, run: &[f64]) -> Segment {
+    let (&first, rest) = run.split_first().expect("runs are non-empty");
+    let (sum, sum_sq) = rest.iter().fold((first, first * first), |(s, q), &v| (s + v, q + v * v));
+    Segment { end: start + rest.len(), sum, sum_sq }
+}
+
 /// Length of a level of `len` segments after a round that keeps `keep`
 /// groups of `g` and merges every other full group.
 fn merged_len(len: usize, g: usize, keep: usize) -> usize {
@@ -235,37 +273,40 @@ fn merged_len(len: usize, g: usize, keep: usize) -> usize {
 /// full-length `I₀` is never built unless no round runs.
 pub(crate) fn merge_rounds(
     src: Segments<'_>,
-    plan: impl FnMut(usize) -> Option<(usize, usize)>,
+    mut plan: impl FnMut(usize) -> Option<(usize, usize)>,
     visit: impl FnMut(&[Segment], &[f64]),
 ) -> (Vec<Segment>, usize) {
     let len = src.len();
+    let Some(first) = plan(len) else {
+        return (src.iter().collect(), len);
+    };
     // One dispatch per fit: every round below is monomorphic in its source.
     let level = match src {
-        Segments::Dense(values) => rounds_from(dense_points(values), len, plan, visit),
-        Segments::Sparse(q) => rounds_from(SparseRuns::new(q), len, plan, visit),
+        Segments::Dense(values) => rounds_from(Points { values, at: 0 }, len, first, plan, visit),
+        Segments::Sparse(q) => rounds_from(SparseRuns::new(q), len, first, plan, visit),
     };
     (level, len)
 }
 
-fn rounds_from<S: Iterator<Item = Segment> + Clone>(
+fn rounds_from<S: Source>(
     src: S,
     len: usize,
+    (g, keep): (usize, usize),
     mut plan: impl FnMut(usize) -> Option<(usize, usize)>,
     mut visit: impl FnMut(&[Segment], &[f64]),
 ) -> Vec<Segment> {
-    let Some((g, keep)) = plan(len) else {
-        return src.collect();
-    };
     let mut buffers = SelectBuffers::default();
     // The first round's errors: a pass over the source, with no level behind.
     let mut errors = Vec::new();
-    group_errors(src.clone(), len, g, &mut errors);
+    src.group_errors(len, g, &mut errors);
 
     let out_len = merged_len(len, g, keep);
     let mut next = plan(out_len);
     // One spare slot: a pair emit writes both segments of a pair it merges.
-    let first = Fresh { src, out: Vec::with_capacity(out_len + 1) };
-    let mut segments = round(first, len, g, keep, next, &mut errors, &mut buffers).out;
+    let mut segments = vec![Segment::zero(0); out_len + 1];
+    let level = Fresh { src, out: &mut segments, write: 0 };
+    let written = round(level, len, g, keep, next, &mut errors, &mut buffers).write;
+    segments.truncate(written);
     visit(&segments, &errors);
 
     while let Some((g, keep)) = next {
@@ -277,6 +318,83 @@ fn rounds_from<S: Iterator<Item = Segment> + Clone>(
         visit(&segments, &errors);
     }
     segments
+}
+
+/// A cursor over a signal's `I₀`, which the first round reads in order.
+trait Source {
+    /// Reads the next `g` segments and returns their merge.
+    fn merge(&mut self, g: usize) -> Segment;
+    /// Reads the next segment.
+    fn next(&mut self) -> Segment;
+    /// Fills `errors` with the merging error of each full group of `g` in
+    /// `I₀`, which has `len` segments, without moving the cursor.
+    fn group_errors(&self, len: usize, g: usize, errors: &mut Vec<f64>);
+}
+
+/// [`Segments::Dense`]'s `I₀` from index `at` on: each value is a point
+/// whose end is its index.
+struct Points<'a> {
+    values: &'a [f64],
+    at: usize,
+}
+
+impl Source for Points<'_> {
+    #[inline]
+    fn merge(&mut self, g: usize) -> Segment {
+        let s = merge_points(self.at, &self.values[self.at..self.at + g]);
+        self.at += g;
+        s
+    }
+
+    #[inline]
+    fn next(&mut self) -> Segment {
+        let s = Segment::point(self.at, self.values[self.at]);
+        self.at += 1;
+        s
+    }
+
+    fn group_errors(&self, len: usize, g: usize, errors: &mut Vec<f64>) {
+        let values = &self.values[..len];
+        errors.clear();
+        match g {
+            2 => {
+                let pairs = values.as_chunks().0;
+                let mut exact = true;
+                errors.extend(pairs.iter().map(|pair: &[f64; 2]| {
+                    let (error, below) = merge_points(0, pair).error_below_cap(0);
+                    exact &= below;
+                    error
+                }));
+                if !exact {
+                    errors.clear();
+                    errors.extend(pairs.iter().map(|pair| merge_points(0, pair).error(0)));
+                }
+            }
+            _ => errors.extend(values.chunks_exact(g).map(|run| merge_points(0, run).error(0))),
+        }
+    }
+}
+
+impl Source for SparseRuns<'_> {
+    #[inline]
+    fn merge(&mut self, g: usize) -> Segment {
+        let first = Source::next(self);
+        (1..g).fold(first, |run, _| run.merged(Source::next(self)))
+    }
+
+    #[inline]
+    fn next(&mut self) -> Segment {
+        Iterator::next(self).expect("reads stay within I₀")
+    }
+
+    fn group_errors(&self, len: usize, g: usize, errors: &mut Vec<f64>) {
+        let mut src = self.clone();
+        errors.clear();
+        match g {
+            2 => errors.extend((0..len / 2).map(chained(|_| Source::merge(&mut src, 2)))),
+            _ => errors.extend((0..len / g).map(chained(|_| Source::merge(&mut src, g)))),
+        }
+    }
 }
 
 /// Where a round reads its level and writes the next one. Writes never
@@ -295,38 +413,43 @@ trait Level {
     fn written(&self) -> &[Segment];
 }
 
-/// The first round: reads the signal's `I₀`, writes a new buffer.
-struct Fresh<S> {
+/// The first round: reads the signal's `I₀` from `src`, writes level 1 by
+/// index into a buffer sized for it.
+struct Fresh<'a, S> {
     src: S,
-    out: Vec<Segment>,
+    out: &'a mut [Segment],
+    write: usize,
 }
 
-impl<S: Iterator<Item = Segment>> Level for Fresh<S> {
+impl<S: Source> Level for Fresh<'_, S> {
     #[inline]
     fn merge(&mut self, g: usize) -> Segment {
-        let s = merge_run(self.src.by_ref().take(g));
-        self.out.push(s);
+        let s = self.src.merge(g);
+        self.out[self.write] = s;
+        self.write += 1;
         s
     }
 
     #[inline]
     fn copy(&mut self, n: usize) -> &[Segment] {
-        let at = self.out.len();
-        self.out.extend(self.src.by_ref().take(n));
-        &self.out[at..]
+        let at = self.write;
+        for slot in &mut self.out[at..at + n] {
+            *slot = self.src.next();
+        }
+        self.write += n;
+        &self.out[at..at + n]
     }
 
     #[inline]
     fn pair(&mut self, keep: bool) {
-        let a = self.src.next().expect("a full pair remains");
-        let b = self.src.next().expect("a full pair remains");
-        self.out.push(a.kept_or_merged(b, keep));
-        self.out.push(b);
-        self.out.truncate(self.out.len() - usize::from(!keep));
+        let (a, b) = (self.src.next(), self.src.next());
+        self.out[self.write] = a.kept_or_merged(b, keep);
+        self.out[self.write + 1] = b;
+        self.write += 1 + usize::from(keep);
     }
 
     fn written(&self) -> &[Segment] {
-        &self.out
+        &self.out[..self.write]
     }
 }
 
@@ -392,7 +515,7 @@ fn round<L: Level>(
         let level = emit_pairs(level, len, tau, errors);
         let written = level.written();
         match next {
-            Some((g, _)) => group_errors(written.iter().copied(), written.len(), g, errors),
+            Some((g, _)) => group_errors(written, g, errors),
             None => errors.clear(),
         }
         return level;
@@ -469,31 +592,43 @@ fn emit<const G: usize, const H: usize, L: Level>(
     (level, next.written)
 }
 
-/// Fills `errors` with the merging error of each full group of `g` among the
-/// first `len` segments of `src`.
-fn group_errors(src: impl Iterator<Item = Segment>, len: usize, g: usize, errors: &mut Vec<f64>) {
+/// Fills `errors` with the merging error of each full group of `g` in
+/// `level`.
+fn group_errors(level: &[Segment], g: usize, errors: &mut Vec<f64>) {
+    errors.clear();
     match g {
-        2 => group_errors_of::<2>(src, len, g, errors),
-        _ => group_errors_of::<0>(src, len, g, errors),
+        2 => {
+            let pairs = level.as_chunks().0;
+            let (mut start, mut exact) = (0, true);
+            errors.extend(pairs.iter().map(|&[a, b]| {
+                let run = a.merged(b);
+                let (error, below) = run.error_below_cap(start);
+                (start, exact) = (run.end + 1, exact & below);
+                error
+            }));
+            if !exact {
+                errors.clear();
+                errors.extend(pairs.iter().map(chained(|&[a, b]: &[Segment; 2]| a.merged(b))));
+            }
+        }
+        _ => errors.extend(
+            level.chunks_exact(g).map(chained(|run: &[Segment]| merge_run(run.iter().copied()))),
+        ),
     }
 }
 
-/// [`group_errors`], with `G` as in [`emit`].
-fn group_errors_of<const G: usize>(
-    mut src: impl Iterator<Item = Segment>,
-    len: usize,
-    g: usize,
-    errors: &mut Vec<f64>,
-) {
-    let g = if G == 0 { g } else { G };
+/// Maps each of a level's groups, in order, to its merging error, where
+/// `merge` merges a group: each group starts one past the previous group's
+/// end. The start is the closure's own, so it stays in a register.
+#[inline]
+fn chained<G>(mut merge: impl FnMut(G) -> Segment) -> impl FnMut(G) -> f64 {
     let mut start = 0;
-    errors.clear();
-    errors.extend((0..len / g).map(|_| {
-        let run = merge_run(src.by_ref().take(g));
+    move |group| {
+        let run = merge(group);
         let error = run.error(start);
         start = run.end + 1;
         error
-    }));
+    }
 }
 
 /// The running group of the next round: every segment a round writes is
@@ -592,7 +727,8 @@ pub(crate) fn segments_to_histogram(domain: usize, segments: &[Segment]) -> Hist
 mod tests {
     use super::*;
     use crate::fast::group_size;
-    use crate::test_support::lcg;
+    use crate::params::MergingParams;
+    use crate::test_support::{lcg, two_pass_sse};
 
     #[test]
     fn segment_statistics() {
@@ -603,6 +739,126 @@ mod tests {
         assert_eq!((m.end, m.sum, m.sum_sq), (1, 4.0, 10.0));
         // err over {1, 3}: mean 2, sse = 1 + 1 = 2.
         assert!((m.sse(0) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_merged_segment_whose_square_of_sums_overflows_reads_its_true_error() {
+        // (Σq)² overflows, Σq² does not: the error is the two-pass 7.5e303.
+        let values = [6.5e153, 6.5e153, 6.5e153, 6.6e153];
+        let merged = merge_run(Segments::Dense(&values).iter());
+        let want = two_pass_sse(&values);
+        assert!((merged.sse(0) - want).abs() <= 1e-9 * want, "{} vs {want}", merged.sse(0));
+        assert!((merge_points(0, &values).sse(0) - want).abs() <= 1e-9 * want);
+    }
+
+    /// `Segments::len` counts exactly the segments `Segments::iter` yields.
+    #[test]
+    fn sparse_length_counts_every_run() {
+        let cases: [(usize, &[usize]); 9] = [
+            (1, &[]),
+            (9, &[]),
+            (1, &[0]),
+            (9, &[0]),
+            (9, &[8]),
+            (9, &[4]),
+            (9, &[0, 1, 2, 8]),
+            (9, &[1, 2, 4, 7]),
+            (9, &(0..9).collect::<Vec<_>>()),
+        ];
+        for (domain, at) in cases {
+            let q = SparseFunction::new(domain, at.iter().map(|&i| (i, 1.0)).collect()).unwrap();
+            let src = Segments::Sparse(&q);
+            assert_eq!(src.len(), src.iter().count(), "domain {domain}, entries at {at:?}");
+        }
+        let mut seed = 17u64;
+        let mut at = 0;
+        let gaps: Vec<(usize, f64)> = (0..5_000)
+            .map(|_| {
+                at += 1 + (lcg(&mut seed) * 3.0) as usize;
+                (at, lcg(&mut seed))
+            })
+            .collect();
+        for domain in [at + 1, at + 2, at + 100] {
+            let q = SparseFunction::new(domain, gaps.clone()).unwrap();
+            assert_eq!(Segments::Sparse(&q).len(), Segments::Sparse(&q).iter().count());
+        }
+    }
+
+    type Plan = Box<dyn FnMut(usize) -> Option<(usize, usize)>>;
+
+    /// The round plans of Algorithm 1, `fastmerging` and Algorithm 2, the
+    /// plans of the tests below, pairs and groups of 3 down to a level of
+    /// one group, and one round whose group is longer than its level: each
+    /// fresh, as a fit starts them.
+    fn identity_plans() -> Vec<Plan> {
+        let params = MergingParams::new(2, 1.0, 1.0).unwrap();
+        let (max, keep) = (params.max_intervals().max(1), params.keep_count());
+        let mut fired = false;
+        vec![
+            Box::new(move |len| (len > max && len / 2 > keep).then_some((2, keep))),
+            Box::new(move |len| {
+                let g = group_size(len, keep);
+                (len > max && len / g > keep).then_some((g, keep))
+            }),
+            Box::new(crate::hierarchical::plan),
+            Box::new(|len| (len > 200 && len / 2 > 65).then_some((2, 65))),
+            Box::new(|len| (len >= 16).then(|| (2, (len / 2).div_ceil(DENSE_KEEPS) - 1))),
+            Box::new(|len| {
+                let g = group_size(len, 65);
+                (len > 200 && len / g > 65).then_some((g, 65))
+            }),
+            Box::new(|len| (len >= 2).then_some((2, len / 4))),
+            Box::new(|len| (len >= 3).then_some((3, len / 9))),
+            Box::new(move |len| (!std::mem::replace(&mut fired, true)).then_some((len + 2, 1))),
+        ]
+    }
+
+    /// Every level a fit's rounds write over `src`, with the errors written
+    /// for the round after it, as bits; then the last level and `I₀`'s length.
+    type Rounds = (Vec<(Vec<(usize, u64, u64)>, Vec<u64>)>, Vec<(usize, u64, u64)>, usize);
+
+    fn rounds(src: Segments<'_>, plan: Plan) -> Rounds {
+        let mut levels = Vec::new();
+        let (last, len) = merge_rounds(src, plan, |level, errors| {
+            levels.push((bits(level), errors.iter().map(|e| e.to_bits()).collect()));
+        });
+        (levels, bits(&last), len)
+    }
+
+    /// A dense signal and the same values stored sparse with every zero kept
+    /// have the same `I₀`, so every round over them writes the same level
+    /// and the same errors, bit for bit, under every plan: the dense rounds
+    /// read the values as slices, the sparse ones through their runs (whose
+    /// first error pass has no branch-free form to redo).
+    #[test]
+    fn dense_and_kept_zeros_sparse_sources_run_identical_rounds() {
+        let mut seed = 23u64;
+        let mut noise = |len: usize| -> Vec<f64> { (0..len).map(|_| lcg(&mut seed)).collect() };
+        let signed_zeros: Vec<f64> = (0..1_001)
+            .map(|i| match i % 5 {
+                0 | 3 => -0.0,
+                1 => 0.0,
+                _ => (i % 7) as f64 - 3.0,
+            })
+            .collect();
+        let mut inputs: Vec<Vec<f64>> =
+            [1, 2, 3, 4, 5, 7, 63, 64, 65, 127, 129, 1_001, 4_097].map(&mut noise).into();
+        inputs.push(signed_zeros);
+        inputs.push(vec![-0.0; 33]);
+        // Sums whose squares overflow beside finite sums of squares.
+        inputs.push((0..1_001).map(|i| 9.4e153 + (i % 3) as f64 * 1e151).collect());
+        inputs.push((0..1_001).map(|i| 6.5e153 + (i % 3) as f64 * 5e151).collect());
+        let mut checked = 0;
+        for values in &inputs {
+            let sparse = SparseFunction::from_dense_keep_zeros(values).unwrap();
+            for (dense_plan, sparse_plan) in identity_plans().into_iter().zip(identity_plans()) {
+                let dense = rounds(Segments::Dense(values), dense_plan);
+                let want = rounds(Segments::Sparse(&sparse), sparse_plan);
+                assert_eq!(dense, want, "{} values", values.len());
+                checked += dense.0.len();
+            }
+        }
+        assert!(checked > 100, "{checked} rounds compared");
     }
 
     #[test]
@@ -735,9 +991,9 @@ mod tests {
 
     /// The errors every round's emit step writes for the next round are,
     /// bit for bit, the errors a fresh pass over the level it wrote finds:
-    /// on dense and sparse sources with odd lengths, carried tails, zero runs
-    /// and zeros of both signs, under pair, hierarchical and `fastmerging`
-    /// plans.
+    /// on dense and sparse sources with odd lengths, carried tails, zero runs,
+    /// zeros of both signs and sums whose squares overflow, under pair,
+    /// hierarchical and `fastmerging` plans.
     #[test]
     fn next_round_errors_equal_a_fresh_error_pass() {
         let mut seed = 3u64;
@@ -757,8 +1013,22 @@ mod tests {
             .enumerate()
             .map(|(i, v)| [1e154, -1e154][i % 2] * (1.0 + v))
             .collect();
-        let dense_inputs =
-            [noise(1), noise(2), noise(3), noise(4_099), noise(70_001), signed_zeros, huge];
+        // Sums whose squares overflow beside finite sums of squares, in
+        // pairs of points (`larger`) or in longer runs (`large`): pair
+        // passes meet capped terms and redo their errors on the exact path.
+        let large: Vec<f64> = (0..4_097).map(|i| 6.5e153 + (i % 3) as f64 * 5e151).collect();
+        let larger: Vec<f64> = (0..4_097).map(|i| 9.4e153 + (i % 3) as f64 * 1e151).collect();
+        let dense_inputs = [
+            noise(1),
+            noise(2),
+            noise(3),
+            noise(4_099),
+            noise(70_001),
+            signed_zeros,
+            huge,
+            large,
+            larger,
+        ];
         let sparse_inputs = [
             SparseFunction::new(9, Vec::new()).unwrap(),
             SparseFunction::new(1 << 20, (0..1_000).map(|i| (i * i, i as f64 - 500.0)).collect())

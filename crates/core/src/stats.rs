@@ -24,15 +24,38 @@ pub(crate) fn interval_mean(values: &[f64], interval: Interval) -> f64 {
 
 /// `err_q(I) = Σq² − (Σq)²/|I|` from an interval's sums and length: the one
 /// copy of the formula behind every merging error and prefix SSE, clamped at
-/// zero against cancellation. `(Σq)²/|I|` is capped at `f64::MAX`, so when
-/// both terms overflow the error reads `+∞` (the most costly an interval can
-/// be) where `∞ − ∞` would be a NaN that the clamp turns into 0. The cap is
-/// one compare-and-select (`minsd` on x86-64) and keeps every finite bit.
+/// zero against cancellation. A `(Σq)²/|I|` of at least `f64::MAX` takes a
+/// cold branch ([`capped_sse`]); below it every bit is the plain formula's.
 #[inline]
 pub(crate) fn sse_from_sums(sum: f64, sum_sq: f64, len: f64) -> f64 {
+    match sse_below_cap(sum, sum_sq, len) {
+        (sse, true) => sse,
+        _ => capped_sse(sum, sum_sq, len),
+    }
+}
+
+/// [`sse_from_sums`] with no branch, and whether `(Σq)²/|I|` stayed below
+/// `f64::MAX`: if it did, the value is [`sse_from_sums`]'s bit for bit. A
+/// loop of these vectorizes where one of [`sse_from_sums`] does not, and
+/// redoes its values with [`sse_from_sums`] in the rare case one did not.
+#[inline]
+pub(crate) fn sse_below_cap(sum: f64, sum_sq: f64, len: f64) -> (f64, bool) {
     let mean_sq = sum * sum / len;
-    let mean_sq = if mean_sq < f64::MAX { mean_sq } else { f64::MAX };
-    (sum_sq - mean_sq).max(0.0)
+    let below = mean_sq < f64::MAX;
+    ((sum_sq - if below { mean_sq } else { f64::MAX }).max(0.0), below)
+}
+
+/// [`sse_from_sums`] where `(Σq)²/|I|` reads at least `f64::MAX`. If `(Σq)²`
+/// overflowed, the term is taken as `Σq · (Σq/|I|)`, which stays finite
+/// whenever the quotient itself is, so a finite `Σq²` beside it still gives
+/// the true error rather than 0. The term is then capped at `f64::MAX`, so
+/// when both overflow the error reads `+∞` (the most costly an interval can
+/// be) where `∞ − ∞` would be a NaN that the clamp turns into 0.
+#[cold]
+fn capped_sse(sum: f64, sum_sq: f64, len: f64) -> f64 {
+    let mean_sq = sum * sum / len;
+    let mean_sq = if mean_sq == f64::INFINITY { sum * (sum / len) } else { mean_sq };
+    (sum_sq - mean_sq.min(f64::MAX)).max(0.0)
 }
 
 /// The flattening `q̄_I` of a sparse signal over a partition (Definition 3.1):
@@ -75,6 +98,7 @@ pub fn flatten_dense(values: &[f64], partition: &Partition) -> Result<Histogram>
 mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
+    use crate::prefix::DensePrefix;
     use crate::test_support::two_pass_sse;
 
     fn iv(a: usize, b: usize) -> Interval {
@@ -89,6 +113,17 @@ mod tests {
         let sse = two_pass_sse(&values[iv(0, 3).as_range()]);
         assert!((sse - (9.0 + 1.0 + 1.0 + 9.0)).abs() < 1e-12);
         assert_eq!(two_pass_sse(&values[iv(2, 2).as_range()]), 0.0);
+    }
+
+    #[test]
+    fn a_finite_sum_of_squares_beside_an_overflowed_square_of_the_sum() {
+        // (Σq)² overflows, Σq² does not: the error is the true 7.5e303, not 0.
+        let values = [6.5e153, 6.5e153, 6.5e153, 6.6e153];
+        let want = two_pass_sse(&values);
+        assert!((want - 7.5e303).abs() <= 1e-9 * 7.5e303, "{want}");
+        let prefix = DensePrefix::new(&values).unwrap();
+        let got = prefix.sse(iv(0, 3));
+        assert!((got - want).abs() <= 1e-9 * want, "{got} vs {want}");
     }
 
     #[test]

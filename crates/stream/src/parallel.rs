@@ -111,21 +111,25 @@ impl ParallelChunkedFitter {
         if workers <= 1 {
             return self.sequential.fit_chunks(signal);
         }
-        // Contiguous blocks of chunks per worker, joined in spawn order: the
-        // flattened result is in domain order regardless of which worker
-        // finishes first, and any error surfaces as the *first* failing
-        // chunk — the same one the sequential fitter would report.
+        // Contiguous blocks of chunks per worker: the calling thread fits the
+        // first block while `workers - 1` spawned threads fit the rest, and
+        // the blocks are joined in order. The flattened result is in domain
+        // order regardless of which worker finishes first, and any error
+        // surfaces as the *first* failing chunk — the same one the
+        // sequential fitter would report.
         let block = chunks.len().div_ceil(workers);
+        let fit_block = |group: &[&[f64]]| -> Vec<Result<Synopsis>> {
+            group.iter().map(|chunk| self.sequential.fit_one(chunk)).collect()
+        };
+        let (first, rest) = chunks.split_at(block);
         let fits: Vec<Result<Synopsis>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .chunks(block)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group.iter().map(|chunk| self.sequential.fit_one(chunk)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("chunk-fit worker panicked")).collect()
+            let handles: Vec<_> =
+                rest.chunks(block).map(|group| scope.spawn(move || fit_block(group))).collect();
+            let mut fits = fit_block(first);
+            for handle in handles {
+                fits.extend(handle.join().expect("chunk-fit worker panicked"));
+            }
+            fits
         });
         fits.into_iter().collect()
     }
