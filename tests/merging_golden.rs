@@ -2,15 +2,20 @@
 //! `merging`, `fastmerging` and `hierarchical` fit over a set of seeded,
 //! Table 1, tie-heavy and sparse edge-case inputs, so a change to the merge
 //! rounds that moves one boundary or one value bit anywhere fails here, and
-//! the round counts of Algorithm 1's and `fastmerging`'s reports.
+//! the round counts of Algorithm 1's and `fastmerging`'s reports. The
+//! piecewise-polynomial fits of Section 4 (`PiecewisePoly` at degrees 0, 1
+//! and 3) are pinned over the same inputs and builders.
 //!
-//! The checksum is FNV-1a over each piece's interval end and value bits. The
+//! The checksum is FNV-1a over each piece's interval end and value bits (for
+//! a polynomial, each piece's end and then its coefficients' bits). The
 //! first eight inputs' constants were captured from the copy-per-round loops
 //! the in-place rounds replaced; `ties` and `sparse-edges` and the report
 //! counts were captured from the in-place rounds before the first round read
 //! its input directly; `stride-peaks` and `sparse-gaps` and their report
 //! counts were captured from the rounds over 32-byte segments with a keep
-//! mask, before they moved to 24-byte segments and a keep threshold. If one
+//! mask, before they moved to 24-byte segments and a keep threshold. The
+//! polynomial checksums were captured from the generic projection-oracle
+//! loop, before `PiecewisePoly` ran its own rounds. If one
 //! fails after an *intentional* algorithm change, re-derive them with
 //! `cargo test --release --test merging_golden -- --ignored --nocapture`
 //! and update them in the same commit.
@@ -21,8 +26,8 @@ use approx_hist::core::{
 };
 use approx_hist::datasets::{dow_dataset, hist_dataset, poly_dataset};
 use approx_hist::{
-    Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, Histogram, Signal,
-    SparseFunction,
+    Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, Histogram,
+    PiecewisePoly, PiecewisePolynomial, Signal, SparseFunction,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,16 +137,31 @@ fn estimator(algo: &str, builder: EstimatorBuilder) -> Box<dyn Estimator> {
     }
 }
 
-/// Folds a histogram into an FNV-1a state: every interval end, then every
-/// value's bits.
-fn fnv(mut hash: u64, h: &Histogram) -> u64 {
-    let ends = h.partition().iter().map(|i| i.end() as u64);
-    for word in ends.chain(h.values().iter().map(|v| v.to_bits())) {
+/// Folds words into an FNV-1a state, byte by byte.
+fn fnv_words(mut hash: u64, words: impl Iterator<Item = u64>) -> u64 {
+    for word in words {
         for byte in word.to_le_bytes() {
             hash = (hash ^ byte as u64).wrapping_mul(0x100_0000_01b3);
         }
     }
     hash
+}
+
+/// Folds a histogram into an FNV-1a state: every interval end, then every
+/// value's bits.
+fn fnv(hash: u64, h: &Histogram) -> u64 {
+    let ends = h.partition().iter().map(|i| i.end() as u64);
+    fnv_words(hash, ends.chain(h.values().iter().map(|v| v.to_bits())))
+}
+
+/// Folds a piecewise polynomial into an FNV-1a state: per piece, its
+/// interval end, then its coefficients' bits.
+fn fnv_poly(hash: u64, p: &PiecewisePolynomial) -> u64 {
+    let words = p.pieces().iter().flat_map(|piece| {
+        let end = std::iter::once(piece.interval().end() as u64);
+        end.chain(piece.coefficients().iter().map(|c| c.to_bits()))
+    });
+    fnv_words(hash, words)
 }
 
 /// The checksum of `algo`'s fits of `signal` under every builder.
@@ -153,6 +173,18 @@ fn checksum(algo: &str, signal: &Signal) -> u64 {
 }
 
 const ALGOS: [&str; 3] = ["merging", "fastmerging", "hierarchical"];
+
+/// The polynomial degrees `PiecewisePoly` is pinned at.
+const DEGREES: [usize; 3] = [0, 1, 3];
+
+/// The checksum of `PiecewisePoly`'s degree-`degree` fits of `signal` under
+/// every builder.
+fn poly_checksum(degree: usize, signal: &Signal) -> u64 {
+    builders().into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, builder| {
+        let synopsis = PiecewisePoly::new(builder.degree(degree)).fit(signal).unwrap();
+        fnv_poly(hash, synopsis.polynomial().expect("polynomial fits are piecewise polynomials"))
+    })
+}
 
 /// `[initial_intervals, rounds, fastmerging rounds, max_group_size]` of the
 /// reports Algorithm 1 and `fastmerging` give for `signal` under every builder.
@@ -177,6 +209,13 @@ fn print_merging_checksums() {
     }
     for (name, signal) in inputs() {
         println!("(\"{name}\", {:?}),", reports(&signal));
+    }
+    for (name, signal) in inputs() {
+        let sums: Vec<String> = DEGREES
+            .iter()
+            .map(|&degree| format!("0x{:016x}", poly_checksum(degree, &signal)))
+            .collect();
+        println!("(\"{name}\", [{}]),", sums.join(", "));
     }
 }
 
@@ -219,6 +258,36 @@ fn merging_fits_match_the_committed_checksums() {
         for (algo, want) in ALGOS.iter().zip(sums) {
             let got = checksum(algo, &signal);
             assert_eq!(got, want, "{name}/{algo}: checksum 0x{got:016x} != golden 0x{want:016x}");
+        }
+    }
+}
+
+/// `(input, [degree 0, degree 1, degree 3])` checksums of `PiecewisePoly`.
+const POLY_GOLDEN: [(&str, [u64; 3]); 12] = [
+    ("plateau", [0x76ece864d65db802, 0x80ea9172bfab1e9b, 0x3e72e2a378119ffd]),
+    ("sparse", [0x6aa3b2a5e533fdc2, 0x6dd48c52d2ad4ba4, 0x5db47be040c2f559]),
+    ("hist", [0x7c03682257eb9bf3, 0x9b59543e1125efbc, 0xc0da4e0fe35c577d]),
+    ("poly", [0xa36f4ce2feeaf93c, 0x21bcde28cec0f2fa, 0x01e60773c6175862]),
+    ("dow", [0xd5c89dbaa523c5b1, 0x97046120d5489928, 0x26b8941221038744]),
+    ("steps", [0xb93196f36852433c, 0x529883eadc66299e, 0xe2177a94c6881eb7]),
+    ("zeros", [0xc8677fd5a27fabe2, 0x69b1a01b1ac88fe2, 0x7bac73aa404bc662]),
+    ("periodic", [0x4cbfe6e6c26b42ce, 0xaee947e241ada339, 0x207d391e33273688]),
+    ("ties", [0x4fce09e76ab83dc7, 0xa9ef00c132ea6885, 0xbfde10b27156a23f]),
+    ("sparse-edges", [0x4867b89eb0b0d4e2, 0x9c3046273b8f6ff8, 0x4bdf898494b687ef]),
+    ("stride-peaks", [0x6fac86759ad7ebec, 0x0e114dd297cf783e, 0xa06ddb4c2ee3ee46]),
+    ("sparse-gaps", [0xdef81244f795018d, 0xed8a5bdb4c6a2a8b, 0xbf500374651e3d37]),
+];
+
+#[test]
+fn polynomial_fits_match_the_committed_checksums() {
+    for ((name, signal), (golden_name, sums)) in inputs().into_iter().zip(POLY_GOLDEN) {
+        assert_eq!(name, golden_name);
+        for (degree, want) in DEGREES.into_iter().zip(sums) {
+            let got = poly_checksum(degree, &signal);
+            assert_eq!(
+                got, want,
+                "{name}/degree {degree}: checksum 0x{got:016x} != golden 0x{want:016x}"
+            );
         }
     }
 }
