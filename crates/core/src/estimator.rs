@@ -7,8 +7,8 @@
 //!
 //! The [`Estimator`] trait is object safe, so harnesses (benches, servers,
 //! examples) dispatch over `&dyn Estimator` and treat every algorithm — the
-//! merging algorithms here, the exact DPs in `hist-baselines`, the polynomial
-//! fitter in `hist-poly`, the sample learners in `hist-sampling` — uniformly.
+//! merging algorithms and the polynomial fitter here, the exact DPs in
+//! `hist-baselines`, the sample learners in `hist-sampling` — uniformly.
 //! [`EstimatorBuilder`] subsumes the per-algorithm parameters (`MergingParams`
 //! and the learners' `ε`, `δ`, sample count and seed) behind one
 //! builder-style surface; each adapter reads the knobs it cares about and
@@ -17,9 +17,13 @@
 use crate::construct::merge_segments;
 use crate::error::{Error, Result};
 use crate::fast::merge_groups;
+use crate::function::DiscreteFunction;
 use crate::hierarchical::{hierarchy, histogram_for_k, HierarchicalHistogram};
+use crate::interval::Interval;
 use crate::params::MergingParams;
-use crate::segment::segments_to_histogram;
+use crate::piecewise_poly::{fit_polynomial, PiecewisePolynomial};
+use crate::segment::{segments_to_histogram, with_starts, Segments};
+use crate::select::{keep_threshold, SelectBuffers};
 use crate::signal::Signal;
 use crate::synopsis::{FittedModel, Synopsis};
 
@@ -358,10 +362,95 @@ impl Estimator for Hierarchical {
     }
 }
 
+/// The highest polynomial degree [`PiecewisePoly`] fits: the Gram recurrence
+/// in double precision loses orthogonality beyond it, and the paper's
+/// experiments only use small constant degrees.
+const MAX_POLY_DEGREE: usize = 16;
+
+/// Piecewise polynomials (Theorem 4.1, Corollary 4.1) as an [`Estimator`]:
+/// Algorithm 1's pair rounds with the error of the best degree-`d`
+/// polynomial on each pair (the projection `FitPoly_d` of Theorem 4.2) in
+/// place of the flattening error. The output has `(2 + 2/δ)k + γ` degree-`d`
+/// pieces, with error within `√(1+δ)` of the best `k`-piece degree-`d`
+/// piecewise polynomial.
+///
+/// The degree comes from [`EstimatorBuilder::degree`] and is at most 16;
+/// degree 0 makes this estimator equivalent to [`GreedyMerging`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PiecewisePoly {
+    builder: EstimatorBuilder,
+}
+
+impl PiecewisePoly {
+    /// A piecewise-polynomial estimator with the builder's `k` and degree.
+    pub fn new(builder: EstimatorBuilder) -> Self {
+        Self { builder }
+    }
+}
+
+impl Estimator for PiecewisePoly {
+    fn name(&self) -> &'static str {
+        "piecewise-poly"
+    }
+
+    fn fit(&self, signal: &Signal) -> Result<Synopsis> {
+        let params = self.builder.merging_params()?;
+        let degree = self.builder.poly_degree();
+        if degree > MAX_POLY_DEGREE {
+            return Err(Error::InvalidParameter {
+                name: "degree",
+                reason: format!(
+                    "degree {degree} exceeds the supported maximum of {MAX_POLY_DEGREE}"
+                ),
+            });
+        }
+        let q = signal.as_sparse();
+        let mut intervals: Vec<Interval> = with_starts(Segments::Sparse(&q).iter())
+            .map(|(start, s)| Interval::new_unchecked(start, s.end))
+            .collect();
+        let (max_intervals, keep) = (params.max_intervals().max(1), params.keep_count());
+        let (mut errors, mut buffers) = (Vec::new(), SelectBuffers::default());
+        while intervals.len() > max_intervals && intervals.len() / 2 > keep {
+            errors.clear();
+            // Kept finite, as the selection needs (`f64::MAX` ranks as `+∞`).
+            errors.extend(intervals.chunks_exact(2).map(|pair| {
+                let union = Interval::new_unchecked(pair[0].start(), pair[1].end());
+                fit_polynomial(&q, union, degree).sse.min(f64::MAX)
+            }));
+            let (tau, _) = keep_threshold(&mut errors, keep, &mut buffers);
+            // Keep the pairs with error `≥ τ`, merge the rest, carry an odd
+            // tail; writes never overtake reads.
+            let mut write = 0;
+            for (u, &error) in errors.iter().enumerate() {
+                let (left, right) = (intervals[2 * u], intervals[2 * u + 1]);
+                if error >= tau {
+                    intervals[write..write + 2].copy_from_slice(&[left, right]);
+                    write += 2;
+                } else {
+                    intervals[write] = Interval::new_unchecked(left.start(), right.end());
+                    write += 1;
+                }
+            }
+            if intervals.len() % 2 == 1 {
+                intervals[write] = intervals[intervals.len() - 1];
+                write += 1;
+            }
+            intervals.truncate(write);
+        }
+        let pieces = intervals
+            .iter()
+            .map(|&interval| fit_polynomial(&q, interval, degree).to_piece())
+            .collect::<Result<_>>()?;
+        let fitted = PiecewisePolynomial::new(q.domain(), pieces)?;
+        Ok(Synopsis::new(self.name(), self.builder.k(), FittedModel::Polynomial(fitted)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::DiscreteFunction;
+    use crate::sparse::SparseFunction;
+    use crate::test_support::lcg;
 
     fn step_signal() -> Signal {
         let values: Vec<f64> = (0..240)
@@ -440,5 +529,130 @@ mod tests {
         let signal = step_signal();
         let synopsis = GreedyMerging::new(EstimatorBuilder::new(3)).fit(&signal).unwrap();
         assert!((synopsis.total_mass() - signal.total_mass()).abs() < 1e-6);
+    }
+
+    /// A signal of `pieces` random polynomial segments of the given degree.
+    fn piecewise_poly_signal(n: usize, pieces: usize, degree: usize, seed: &mut u64) -> Vec<f64> {
+        let mut values = vec![0.0; n];
+        let piece_len = n / pieces;
+        for p in 0..pieces {
+            let start = p * piece_len;
+            let end = if p + 1 == pieces { n } else { (p + 1) * piece_len };
+            let coeffs: Vec<f64> = (0..=degree).map(|_| 4.0 * (lcg(seed) - 0.5)).collect();
+            for (offset, v) in values[start..end].iter_mut().enumerate() {
+                let x = offset as f64 / piece_len as f64;
+                *v = coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c);
+            }
+        }
+        values
+    }
+
+    fn polynomial_fit(signal: &Signal, builder: EstimatorBuilder) -> PiecewisePolynomial {
+        let synopsis = PiecewisePoly::new(builder).fit(signal).unwrap();
+        synopsis.polynomial().expect("a piecewise-poly synopsis").clone()
+    }
+
+    #[test]
+    fn piecewise_poly_recovers_piecewise_polynomial_signals_exactly() {
+        let mut seed = 13u64;
+        for degree in 0..=3usize {
+            let values = piecewise_poly_signal(400, 4, degree, &mut seed);
+            let builder = EstimatorBuilder::new(4).merge_delta(1.0).merge_gamma(1.0);
+            let out = polynomial_fit(&Signal::from_slice(&values).unwrap(), builder.degree(degree));
+            let err = out.l2_distance_squared_dense(&values).unwrap();
+            assert!(err < 1e-6, "degree {degree}: residual {err}");
+            assert!(out.num_pieces() <= builder.merging_params().unwrap().output_pieces_bound());
+            assert!(out.degree() <= degree);
+        }
+    }
+
+    #[test]
+    fn piecewise_poly_higher_degree_never_hurts_much() {
+        let mut seed = 29u64;
+        let values: Vec<f64> =
+            (0..600).map(|i| (i as f64 / 60.0 * 1.3).sin() * 5.0 + 0.1 * lcg(&mut seed)).collect();
+        let signal = Signal::from_slice(&values).unwrap();
+        let errors: Vec<f64> = (0..=3usize)
+            .map(|d| polynomial_fit(&signal, EstimatorBuilder::new(5).degree(d)))
+            .map(|out| out.l2_distance_dense(&values).unwrap())
+            .collect();
+        // The smooth sine is captured dramatically better by cubic pieces than
+        // by constant pieces for the same piece budget.
+        assert!(errors[3] < 0.5 * errors[0], "errors: {errors:?}");
+    }
+
+    #[test]
+    fn piecewise_poly_recovers_smooth_quadratics_and_serves_queries() {
+        let values: Vec<f64> = (0..200)
+            .map(|i| {
+                let x = (i as f64 - 100.0) / 40.0;
+                (1.0 - x * x).max(0.0) + 0.5
+            })
+            .collect();
+        let signal = Signal::from_dense(values).unwrap();
+        let synopsis = PiecewisePoly::new(EstimatorBuilder::new(3).degree(2)).fit(&signal).unwrap();
+        assert_eq!(synopsis.estimator(), "piecewise-poly");
+        assert!(synopsis.l2_error(&signal).unwrap() < 0.5);
+        assert!(synopsis.cdf(199).unwrap() > 0.999);
+        let median = synopsis.quantile(0.5).unwrap();
+        assert!((60..140).contains(&median), "median {median} of a centered bump");
+    }
+
+    #[test]
+    fn piecewise_poly_on_a_sparse_huge_domain_stays_input_sparsity() {
+        // Fitting and serving must not touch the full domain: a 30-sparse
+        // signal over 10M points fits and answers queries through closed-form
+        // polynomial piece sums (a per-index walk would take seconds here).
+        let n = 10_000_000usize;
+        let entries: Vec<(usize, f64)> =
+            (0..30).map(|i| (i * 333_331, (i % 5) as f64 + 0.5)).collect();
+        let signal = Signal::from_sparse(SparseFunction::new(n, entries).unwrap());
+        let builder = EstimatorBuilder::new(5).degree(2);
+        let synopsis = PiecewisePoly::new(builder).fit(&signal).unwrap();
+        assert_eq!(synopsis.domain(), n);
+        let bound = builder.merging_params().unwrap().output_pieces_bound();
+        assert!(synopsis.num_pieces() <= bound);
+        let full = Interval::new(0, n - 1).unwrap();
+        assert!((synopsis.mass(full).unwrap() - synopsis.total_mass()).abs() < 1e-6);
+        let median = synopsis.quantile(0.5).unwrap();
+        assert!(synopsis.cdf(median).unwrap() >= 0.5 - 1e-9);
+    }
+
+    #[test]
+    fn piecewise_poly_keeps_small_sparse_inputs_exact() {
+        // Fewer initial intervals than the budget: no round runs, and the
+        // initial segmentation reproduces the signal exactly.
+        let q = SparseFunction::new(10_000, vec![(17, 2.0), (4_000, 5.0)]).unwrap();
+        let out = polynomial_fit(&Signal::from_sparse(q.clone()), EstimatorBuilder::new(10));
+        assert!(out.l2_distance_squared_sparse(&q).unwrap() < 1e-18);
+    }
+
+    /// Pair errors whose energies overflow all read `+∞` and tie; the rounds
+    /// must still keep exactly `keep` pairs each, as Algorithm 1 does.
+    #[test]
+    fn piecewise_poly_at_degree_zero_merges_overflowing_errors_like_algorithm_1() {
+        let mut seed = 5u64;
+        let values: Vec<f64> =
+            (0..1_001).map(|i| [1e154, -1e154][i % 2] * (1.0 + lcg(&mut seed))).collect();
+        let signal = Signal::from_slice(&values).unwrap();
+        let builder = EstimatorBuilder::new(4).merge_delta(1.0).merge_gamma(1.0).degree(0);
+        let poly = polynomial_fit(&signal, builder);
+        let greedy = GreedyMerging::new(builder).fit(&signal).unwrap();
+        let histogram = greedy.histogram().unwrap();
+        assert!(poly.num_pieces() <= builder.merging_params().unwrap().output_pieces_bound());
+        let ends = poly.pieces().iter().map(|p| p.interval().end());
+        assert!(ends.eq(histogram.partition().iter().map(|i| i.end())));
+        for (piece, &value) in poly.pieces().iter().zip(histogram.values()) {
+            let got = piece.coefficients()[0];
+            assert!((got - value).abs() <= 1e-9 * value.abs(), "{got} vs {value}");
+        }
+    }
+
+    #[test]
+    fn piecewise_poly_rejects_degrees_beyond_the_gram_recurrence() {
+        let signal = step_signal();
+        assert!(PiecewisePoly::new(EstimatorBuilder::new(3).degree(16)).fit(&signal).is_ok());
+        assert!(PiecewisePoly::new(EstimatorBuilder::new(3).degree(17)).fit(&signal).is_err());
+        assert!(PiecewisePoly::new(EstimatorBuilder::new(0)).fit(&signal).is_err());
     }
 }

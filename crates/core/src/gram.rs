@@ -17,12 +17,9 @@
 //! projection of an `s`-sparse signal costs `O(d·s)` inner-product work —
 //! matching (and slightly improving on) the `O(d²·s)` bound of Theorem 4.2.
 
-use hist_core::{Error, Result};
-
 /// The orthonormal Gram polynomial basis of degree `≤ degree` on the point set
 /// `{0, 1, …, len − 1}`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GramBasis {
+pub(crate) struct GramBasis {
     len: usize,
     degree: usize,
     /// `inv_norms[r] = 1 / √W_r`.
@@ -30,22 +27,11 @@ pub struct GramBasis {
 }
 
 impl GramBasis {
-    /// Creates the basis for an interval of `len` points and maximal degree
-    /// `degree`. Requires `len ≥ 1` and `degree < len` (a degree-`d` polynomial
-    /// on fewer than `d + 1` points is not identifiable).
-    pub fn new(len: usize, degree: usize) -> Result<Self> {
-        if len == 0 {
-            return Err(Error::EmptyDomain);
-        }
-        if degree >= len {
-            return Err(Error::InvalidParameter {
-                name: "degree",
-                reason: format!(
-                    "degree {degree} requires at least {} points, got {len}",
-                    degree + 1
-                ),
-            });
-        }
+    /// The basis for an interval of `len` points and maximal degree `degree`.
+    /// Requires `degree < len` (a degree-`d` polynomial on fewer than `d + 1`
+    /// points is not identifiable).
+    pub(crate) fn new(len: usize, degree: usize) -> Self {
+        debug_assert!(degree < len, "degree {degree} needs more than {len} points");
         let n = len as f64;
         let mut inv_norms = Vec::with_capacity(degree + 1);
         // W_0 = N; W_r = W_{r-1} · (N² − r²) · (2r − 1) / (2r + 1).
@@ -56,31 +42,13 @@ impl GramBasis {
             w *= (n * n - rf * rf) * (2.0 * rf - 1.0) / (2.0 * rf + 1.0);
             inv_norms.push(1.0 / w.sqrt());
         }
-        Ok(Self { len, degree, inv_norms })
-    }
-
-    /// Number of points of the underlying interval.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The basis is never empty; provided for API symmetry.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Maximal degree of the basis.
-    #[inline]
-    pub fn degree(&self) -> usize {
-        self.degree
+        Self { len, degree, inv_norms }
     }
 
     /// Evaluates the orthonormal basis `φ_0(x), …, φ_d(x)` at the local
     /// coordinate `x ∈ {0, …, len − 1}` into `out` (which must have length
     /// `degree + 1`). Runs in `O(d)` time.
-    pub fn evaluate_into(&self, x: usize, out: &mut [f64]) {
+    pub(crate) fn evaluate_into(&self, x: usize, out: &mut [f64]) {
         debug_assert!(x < self.len);
         debug_assert_eq!(out.len(), self.degree + 1);
         let n = self.len as f64;
@@ -101,18 +69,11 @@ impl GramBasis {
         }
     }
 
-    /// Evaluates the orthonormal basis at `x`, allocating the output vector.
-    pub fn evaluate(&self, x: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.degree + 1];
-        self.evaluate_into(x, &mut out);
-        out
-    }
-
     /// Local monomial coefficients of each basis polynomial: `coeffs[r][j]` is
     /// the coefficient of `x^j` in `φ_r(x)`. Runs in `O(d²)` time; used to
     /// convert a Gram-coefficient fit into a
-    /// [`hist_core::PolynomialPiece`].
-    pub fn monomial_coefficients(&self) -> Vec<Vec<f64>> {
+    /// [`PolynomialPiece`](crate::PolynomialPiece).
+    pub(crate) fn monomial_coefficients(&self) -> Vec<Vec<f64>> {
         let n = self.len as f64;
         let d = self.degree;
         // Raw (unnormalized) t_r coefficients via the same recurrence.
@@ -151,10 +112,17 @@ impl GramBasis {
 mod tests {
     use super::*;
 
+    /// `φ_0(x), …, φ_d(x)` in a fresh vector.
+    fn evaluate(basis: &GramBasis, x: usize) -> Vec<f64> {
+        let mut out = vec![0.0; basis.degree + 1];
+        basis.evaluate_into(x, &mut out);
+        out
+    }
+
     fn inner(basis: &GramBasis, r: usize, t: usize) -> f64 {
-        (0..basis.len())
+        (0..basis.len)
             .map(|x| {
-                let v = basis.evaluate(x);
+                let v = evaluate(basis, x);
                 v[r] * v[t]
             })
             .sum()
@@ -164,7 +132,7 @@ mod tests {
     fn basis_is_orthonormal() {
         for &len in &[1usize, 2, 5, 17, 64, 257] {
             let degree = 6.min(len - 1);
-            let basis = GramBasis::new(len, degree).unwrap();
+            let basis = GramBasis::new(len, degree);
             for r in 0..=degree {
                 for t in 0..=degree {
                     let ip = inner(&basis, r, t);
@@ -180,31 +148,31 @@ mod tests {
 
     #[test]
     fn degree_zero_is_the_normalized_constant() {
-        let basis = GramBasis::new(10, 0).unwrap();
+        let basis = GramBasis::new(10, 0);
         for x in 0..10 {
-            assert!((basis.evaluate(x)[0] - 0.1f64.sqrt()).abs() < 1e-12);
+            assert!((evaluate(&basis, x)[0] - 0.1f64.sqrt()).abs() < 1e-12);
         }
     }
 
     #[test]
     fn degree_one_is_a_centered_line() {
-        let basis = GramBasis::new(9, 1).unwrap();
+        let basis = GramBasis::new(9, 1);
         // φ_1 is odd around the midpoint x = 4.
-        let v_lo = basis.evaluate(0)[1];
-        let v_hi = basis.evaluate(8)[1];
+        let v_lo = evaluate(&basis, 0)[1];
+        let v_hi = evaluate(&basis, 8)[1];
         assert!((v_lo + v_hi).abs() < 1e-12);
-        assert!((basis.evaluate(4)[1]).abs() < 1e-12);
+        assert!((evaluate(&basis, 4)[1]).abs() < 1e-12);
     }
 
     #[test]
     fn monomial_coefficients_match_pointwise_evaluation() {
         for &len in &[4usize, 9, 33] {
             let degree = 3.min(len - 1);
-            let basis = GramBasis::new(len, degree).unwrap();
+            let basis = GramBasis::new(len, degree);
             let coeffs = basis.monomial_coefficients();
             assert_eq!(coeffs.len(), degree + 1);
             for x in 0..len {
-                let direct = basis.evaluate(x);
+                let direct = evaluate(&basis, x);
                 for r in 0..=degree {
                     let horner = coeffs[r].iter().rev().fold(0.0, |acc, &c| acc * x as f64 + c);
                     assert!(
@@ -217,18 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_invalid_parameters() {
-        assert!(GramBasis::new(0, 0).is_err());
-        assert!(GramBasis::new(3, 3).is_err());
-        assert!(GramBasis::new(3, 2).is_ok());
-        assert!(GramBasis::new(4, 5).is_err());
-    }
-
-    #[test]
     fn large_interval_stays_finite_and_orthonormal_on_low_degrees() {
-        let basis = GramBasis::new(16_384, 5).unwrap();
+        let basis = GramBasis::new(16_384, 5);
         for x in [0usize, 1, 8_191, 16_383] {
-            for v in basis.evaluate(x) {
+            for v in evaluate(&basis, x) {
                 assert!(v.is_finite());
             }
         }
@@ -237,7 +197,7 @@ mod tests {
         let mut ip01 = 0.0;
         let mut ip11 = 0.0;
         for x in 0..16_384 {
-            let v = basis.evaluate(x);
+            let v = evaluate(&basis, x);
             ip00 += v[0] * v[0];
             ip01 += v[0] * v[1];
             ip11 += v[1] * v[1];

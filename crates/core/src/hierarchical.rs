@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use crate::function::DiscreteFunction;
     use crate::interval::Interval;
-    use crate::oracle::{ConstantOracle, ProjectionOracle};
+    use crate::piecewise_poly::fit_polynomial;
     use crate::prefix::DensePrefix;
     use crate::test_support::{lcg, opt_k_sse};
 
@@ -306,9 +306,7 @@ mod tests {
             assert!(level.sse >= two_pass, "level {j}: sse {} < {two_pass}", level.sse);
         }
         let pair = Interval::new(0, 1).unwrap();
-        let oracle = ConstantOracle::new();
-        assert!(oracle.project_error(&q, pair).unwrap() > 0.0);
-        assert!(oracle.project(&q, pair).unwrap().1 > 0.0);
+        assert!(fit_polynomial(&q, pair, 0).sse > 0.0);
         let prefix = DensePrefix::new(&values).unwrap();
         assert!(prefix.sse(pair) > 0.0);
         assert!(prefix.sse(Interval::new(0, 63).unwrap()) > 0.0);

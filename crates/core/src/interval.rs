@@ -81,22 +81,6 @@ impl Interval {
         self.start <= i && i <= self.end
     }
 
-    /// Merges two intervals that are adjacent or overlapping, returning their union.
-    ///
-    /// Returns an error if the union would not be contiguous.
-    pub(crate) fn union(&self, other: &Interval) -> Result<Interval> {
-        let (a, b) = if self.start <= other.start { (self, other) } else { (other, self) };
-        if a.end + 1 < b.start {
-            return Err(Error::InvalidInterval {
-                reason: format!(
-                    "intervals [{}, {}] and [{}, {}] are not contiguous",
-                    a.start, a.end, b.start, b.end
-                ),
-            });
-        }
-        Ok(Interval { start: a.start, end: a.end.max(b.end) })
-    }
-
     /// Intersection of two intervals, or `None` if they are disjoint.
     pub(crate) fn intersection(&self, other: &Interval) -> Option<Interval> {
         let start = self.start.max(other.start);
@@ -152,21 +136,6 @@ mod tests {
         let outer = Interval::new(1, 8).unwrap();
         assert!(outer.contains(1) && outer.contains(8) && !outer.contains(9));
         assert!(!outer.contains(0));
-    }
-
-    #[test]
-    fn union_of_adjacent_intervals() {
-        let a = Interval::new(0, 3).unwrap();
-        let b = Interval::new(4, 7).unwrap();
-        assert_eq!(a.union(&b).unwrap(), Interval::new(0, 7).unwrap());
-        assert_eq!(b.union(&a).unwrap(), Interval::new(0, 7).unwrap());
-    }
-
-    #[test]
-    fn union_of_disjoint_intervals_fails() {
-        let a = Interval::new(0, 2).unwrap();
-        let b = Interval::new(5, 7).unwrap();
-        assert!(a.union(&b).is_err());
     }
 
     #[test]

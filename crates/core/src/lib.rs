@@ -18,9 +18,10 @@
 //!   producing good approximations for *every* `k` simultaneously (Theorem 3.5);
 //! * the `fastmerging` variant ([`construct_histogram_fast_with_report`]) that merges larger
 //!   groups per round (Section 5.1 of the paper);
-//! * the generalized merging algorithm ([`construct_general`]) parameterized by a
-//!   [`ProjectionOracle`], which underlies the piecewise-polynomial extension of
-//!   Section 4 (implemented in the companion crate `hist-poly`);
+//! * the piecewise-polynomial extension of Section 4 ([`PiecewisePoly`]):
+//!   Algorithm 1's rounds with the error of the best degree-`d` polynomial on
+//!   each pair, projected in the discrete Chebyshev (Gram) basis
+//!   (Theorems 4.1 and 4.2, Corollary 4.1);
 //! * the **unified estimation API** — [`Signal`], [`Estimator`],
 //!   [`EstimatorBuilder`] and [`Synopsis`] — one trait every construction
 //!   algorithm in the workspace implements, so harnesses dispatch over
@@ -58,11 +59,10 @@ pub mod error;
 pub mod estimator;
 pub mod fast;
 pub mod function;
-pub mod general;
+mod gram;
 pub mod hierarchical;
 pub mod histogram;
 pub mod interval;
-pub mod oracle;
 pub mod params;
 pub mod partition;
 pub mod piecewise_poly;
@@ -79,14 +79,14 @@ mod test_support;
 pub use construct::{construct_histogram_with_report, MergingReport};
 pub use distribution::Distribution;
 pub use error::{Error, Result};
-pub use estimator::{Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical};
+pub use estimator::{
+    Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, PiecewisePoly,
+};
 pub use fast::{construct_histogram_fast_with_report, FastMergingReport};
 pub use function::DiscreteFunction;
-pub use general::{construct_general, construct_general_with_report, GeneralMergingReport};
 pub use hierarchical::{construct_hierarchical_histogram, HierarchicalHistogram, HierarchyLevel};
 pub use histogram::Histogram;
 pub use interval::Interval;
-pub use oracle::{ConstantOracle, ProjectionOracle};
 pub use params::MergingParams;
 pub use partition::Partition;
 pub use piecewise_poly::{PiecewisePolynomial, PolynomialPiece};

@@ -2,13 +2,79 @@
 //!
 //! A `(k, d)`-piecewise polynomial has `k` interval pieces and agrees with a
 //! degree-`d` polynomial on each piece (histograms are the special case
-//! `d = 0`). The fitting algorithm lives in the `hist-poly` crate; this module
-//! only provides the container type so it can be shared across crates.
+//! `d = 0`).
+//!
+//! This module also holds `FitPoly_d` (Theorem 4.2), the projection of a
+//! sparse signal restricted to an interval onto the degree-`d` polynomials
+//! that [`PiecewisePoly`](crate::PiecewisePoly) merges with. The projection is
+//! computed in the orthonormal Gram basis of the interval: the coefficient of
+//! `φ_r` is `a_r = Σ_i q(i)·φ_r(i − a)` (only nonzero entries of `q`
+//! contribute), and by Parseval's identity the squared projection error is
+//! `Σ_i q(i)² − Σ_r a_r²`. For an interval containing `s_I` nonzeros the cost
+//! is `O(d·s_I)` for the coefficients plus `O(d²)` to convert the fit to local
+//! monomial coefficients, matching the `O(d²·s)` bound of Theorem 4.2.
 
 use crate::error::{Error, Result};
 use crate::function::DiscreteFunction;
+use crate::gram::GramBasis;
 use crate::interval::Interval;
 use crate::sparse::SparseFunction;
+
+/// The degree-`d` polynomial fit of a signal on one interval, expressed in the
+/// orthonormal Gram basis of that interval.
+pub(crate) struct PolynomialFit {
+    pub(crate) interval: Interval,
+    /// Coefficients `a_0, …, a_d` in the orthonormal Gram basis.
+    pub(crate) gram_coefficients: Vec<f64>,
+    /// Squared `ℓ₂` error of the fit on the interval.
+    pub(crate) sse: f64,
+}
+
+/// Projects `q` restricted to `interval` onto degree-`≤ degree` polynomials.
+///
+/// The effective degree is capped at `|I| − 1` (a polynomial on `|I|` points
+/// needs at most that degree to interpolate exactly). An error whose energies
+/// both overflow (`∞ − ∞`) reads `+∞`, the costliest an interval can be.
+pub(crate) fn fit_polynomial(
+    q: &SparseFunction,
+    interval: Interval,
+    degree: usize,
+) -> PolynomialFit {
+    let len = interval.len();
+    let effective_degree = degree.min(len - 1);
+    let basis = GramBasis::new(len, effective_degree);
+
+    let mut coefficients = vec![0.0; effective_degree + 1];
+    let mut signal_energy = 0.0;
+    let mut scratch = vec![0.0; effective_degree + 1];
+    for &(i, y) in q.entries_in(interval) {
+        basis.evaluate_into(i - interval.start(), &mut scratch);
+        for (a, phi) in coefficients.iter_mut().zip(&scratch) {
+            *a += y * phi;
+        }
+        signal_energy += y * y;
+    }
+    let fit_energy: f64 = coefficients.iter().map(|a| a * a).sum();
+    let sse = signal_energy - fit_energy;
+    let sse = if sse.is_nan() { f64::INFINITY } else { sse.max(0.0) };
+    PolynomialFit { interval, gram_coefficients: coefficients, sse }
+}
+
+impl PolynomialFit {
+    /// The fit as a [`PolynomialPiece`] with local monomial coefficients
+    /// (coefficient `j` multiplies `(i − a)^j`).
+    pub(crate) fn to_piece(&self) -> Result<PolynomialPiece> {
+        let degree = self.gram_coefficients.len() - 1;
+        let basis_monomials = GramBasis::new(self.interval.len(), degree).monomial_coefficients();
+        let mut coefficients = vec![0.0; degree + 1];
+        for (a, mono) in self.gram_coefficients.iter().zip(&basis_monomials) {
+            for (j, &c) in mono.iter().enumerate() {
+                coefficients[j] += a * c;
+            }
+        }
+        PolynomialPiece::new(self.interval, coefficients)
+    }
+}
 
 /// One polynomial piece: an interval together with monomial coefficients in the
 /// *local* coordinate `x = i − interval.start()`.
@@ -29,11 +95,6 @@ impl PolynomialPiece {
             return Err(Error::NonFiniteValue { context: "PolynomialPiece::new" });
         }
         Ok(Self { interval, coefficients })
-    }
-
-    /// A constant piece (degree 0).
-    pub(crate) fn constant(interval: Interval, value: f64) -> Result<Self> {
-        Self::new(interval, vec![value])
     }
 
     /// The interval this piece covers.
@@ -182,9 +243,179 @@ impl DiscreteFunction for PiecewisePolynomial {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{lcg, least_squares_fit};
 
     fn iv(a: usize, b: usize) -> Interval {
         Interval::new(a, b).unwrap()
+    }
+
+    /// A deterministic pseudo-random value in `[lo, hi)`.
+    fn uniform(seed: &mut u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * lcg(seed)
+    }
+
+    /// A deterministic pseudo-random index in `lo..hi`.
+    fn index(seed: &mut u64, lo: usize, hi: usize) -> usize {
+        lo + (lcg(seed) * (hi - lo) as f64) as usize
+    }
+
+    fn sse_of_piece(piece: &PolynomialPiece, values: &[f64], interval: Interval) -> f64 {
+        interval
+            .indices()
+            .map(|i| {
+                let d = piece.evaluate(i) - values[i];
+                d * d
+            })
+            .sum()
+    }
+
+    #[test]
+    fn exact_fit_of_polynomial_signals() {
+        // A cubic signal must be fitted exactly at degree 3 (and higher).
+        let n = 200;
+        let values: Vec<f64> = (0..n)
+            .map(|i| {
+                let x = i as f64 / 10.0;
+                0.5 * x * x * x - 2.0 * x * x + 3.0 * x - 7.0
+            })
+            .collect();
+        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+        let interval = iv(0, n - 1);
+        for degree in 3..=5usize {
+            let fit = fit_polynomial(&q, interval, degree);
+            assert!(fit.sse < 1e-6, "degree {degree}: sse {}", fit.sse);
+            let piece = fit.to_piece().unwrap();
+            assert!(sse_of_piece(&piece, &values, interval) < 1e-5);
+        }
+        // A degree-2 fit cannot be exact.
+        assert!(fit_polynomial(&q, interval, 2).sse > 1.0);
+    }
+
+    #[test]
+    fn matches_naive_least_squares() {
+        let mut seed = 77u64;
+        let values: Vec<f64> =
+            (0..60).map(|i| (i as f64 / 7.0).sin() * 4.0 + lcg(&mut seed)).collect();
+        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+        for (a, b) in [(0usize, 59usize), (5, 40), (17, 23), (0, 3)] {
+            let interval = iv(a, b);
+            for degree in 0..=3usize {
+                let fit = fit_polynomial(&q, interval, degree);
+                let piece = fit.to_piece().unwrap();
+                let (lsq_piece, lsq_sse) = least_squares_fit(&values, interval, degree).unwrap();
+                assert!(
+                    (fit.sse - lsq_sse).abs() < 1e-6 * (1.0 + lsq_sse),
+                    "interval [{a},{b}], degree {degree}: gram sse {} vs lsq sse {lsq_sse}",
+                    fit.sse
+                );
+                for i in interval.indices() {
+                    assert!(
+                        (piece.evaluate(i) - lsq_piece.evaluate(i)).abs() < 1e-5,
+                        "pointwise mismatch at {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_projection_matches_least_squares() {
+        // The Gram projection and the dense least-squares reference agree on
+        // every random signal, interval and degree.
+        let mut seed = 0x61u64;
+        for case in 0..48 {
+            let n = index(&mut seed, 8, 60);
+            let values: Vec<f64> = (0..n).map(|_| uniform(&mut seed, -5.0, 5.0)).collect();
+            let degree = index(&mut seed, 0, 4);
+            let split = uniform(&mut seed, 0.1, 0.9);
+            let a = (split * (n as f64 / 2.0)) as usize;
+            let b = n - 1 - (0.3 * split * n as f64) as usize;
+            if b <= a {
+                continue;
+            }
+            let interval = iv(a, b);
+            let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+            let fit = fit_polynomial(&q, interval, degree);
+            let (_, lsq_sse) = least_squares_fit(&values, interval, degree).unwrap();
+            assert!(
+                (fit.sse - lsq_sse).abs() <= 1e-6 * (1.0 + lsq_sse),
+                "case {case}: gram {} vs least squares {lsq_sse}",
+                fit.sse
+            );
+        }
+    }
+
+    #[test]
+    fn projection_error_is_monotone_in_degree() {
+        // Projection error never increases with the degree (nested classes).
+        let mut seed = 0x62u64;
+        for _ in 0..48 {
+            let n = index(&mut seed, 10, 50);
+            let values: Vec<f64> = (0..n).map(|_| uniform(&mut seed, 0.0, 3.0)).collect();
+            let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+            let mut previous = f64::INFINITY;
+            for degree in 0..5usize {
+                let fit = fit_polynomial(&q, iv(0, n - 1), degree);
+                assert!(fit.sse <= previous + 1e-9);
+                previous = fit.sse;
+            }
+        }
+    }
+
+    #[test]
+    fn reported_error_matches_the_materialized_piece() {
+        // The materialized piece evaluates to the error the projection reports.
+        let mut seed = 0x63u64;
+        for case in 0..48 {
+            let n = index(&mut seed, 6, 40);
+            let values: Vec<f64> = (0..n).map(|_| uniform(&mut seed, -2.0, 2.0)).collect();
+            let degree = index(&mut seed, 0, 3);
+            let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
+            let interval = iv(0, n - 1);
+            let fit = fit_polynomial(&q, interval, degree);
+            let direct = sse_of_piece(&fit.to_piece().unwrap(), &values, interval);
+            assert!((fit.sse - direct).abs() <= 1e-5 * (1.0 + direct), "case {case}");
+        }
+    }
+
+    #[test]
+    fn degree_zero_reduces_to_flattening() {
+        let values = vec![0.0, 1.0, 5.0, 2.0, 0.0, 0.0, 3.0];
+        let q = SparseFunction::from_dense(&values).unwrap();
+        let fit = fit_polynomial(&q, iv(1, 5), 0);
+        let mean = (1.0 + 5.0 + 2.0) / 5.0;
+        assert!((fit.to_piece().unwrap().evaluate(3) - mean).abs() < 1e-12);
+        let expected_sse: f64 =
+            [1.0, 5.0, 2.0, 0.0, 0.0].iter().map(|v| (v - mean) * (v - mean)).sum();
+        assert!((fit.sse - expected_sse).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sparse_entries_only_contribute_where_present() {
+        // On an interval with a single nonzero, the implicit zeros pull the
+        // best line towards zero everywhere else.
+        let q = SparseFunction::new(100, vec![(50, 4.0)]).unwrap();
+        let interval = iv(40, 60);
+        let fit = fit_polynomial(&q, interval, 1);
+        let direct = sse_of_piece(&fit.to_piece().unwrap(), &q.to_dense(), interval);
+        assert!((fit.sse - direct).abs() < 1e-9);
+    }
+
+    #[test]
+    fn degree_is_capped_by_interval_length() {
+        // Only 2 points: an exact (degree ≤ 1) interpolation is possible.
+        let q = SparseFunction::new(10, vec![(2, 1.0), (3, 5.0)]).unwrap();
+        let fit = fit_polynomial(&q, iv(2, 3), 7);
+        assert_eq!(fit.gram_coefficients.len(), 2);
+        assert!(fit.sse < 1e-12);
+    }
+
+    #[test]
+    fn projection_error_never_negative() {
+        let q = SparseFunction::from_dense_keep_zeros(&[0.25; 64]).unwrap();
+        let fit = fit_polynomial(&q, iv(0, 63), 4);
+        assert!(fit.sse >= 0.0);
+        assert!(fit.sse < 1e-10);
     }
 
     #[test]
@@ -199,7 +430,7 @@ mod tests {
 
     #[test]
     fn constant_piece() {
-        let p = PolynomialPiece::constant(iv(0, 4), 2.5).unwrap();
+        let p = PolynomialPiece::new(iv(0, 4), vec![2.5]).unwrap();
         assert_eq!(p.degree(), 0);
         assert_eq!(p.evaluate(2), 2.5);
     }
@@ -209,8 +440,8 @@ mod tests {
         let good = PiecewisePolynomial::new(
             6,
             vec![
-                PolynomialPiece::constant(iv(0, 2), 1.0).unwrap(),
-                PolynomialPiece::constant(iv(3, 5), 2.0).unwrap(),
+                PolynomialPiece::new(iv(0, 2), vec![1.0]).unwrap(),
+                PolynomialPiece::new(iv(3, 5), vec![2.0]).unwrap(),
             ],
         );
         assert!(good.is_ok());
@@ -218,14 +449,14 @@ mod tests {
         let gap = PiecewisePolynomial::new(
             6,
             vec![
-                PolynomialPiece::constant(iv(0, 2), 1.0).unwrap(),
-                PolynomialPiece::constant(iv(4, 5), 2.0).unwrap(),
+                PolynomialPiece::new(iv(0, 2), vec![1.0]).unwrap(),
+                PolynomialPiece::new(iv(4, 5), vec![2.0]).unwrap(),
             ],
         );
         assert!(gap.is_err());
 
         let short =
-            PiecewisePolynomial::new(6, vec![PolynomialPiece::constant(iv(0, 2), 1.0).unwrap()]);
+            PiecewisePolynomial::new(6, vec![PolynomialPiece::new(iv(0, 2), vec![1.0]).unwrap()]);
         assert!(short.is_err());
         assert!(PiecewisePolynomial::new(0, vec![]).is_err());
     }

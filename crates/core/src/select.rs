@@ -1,5 +1,4 @@
-//! Linear-time selection of the largest merging errors, and the in-place
-//! compaction the generalized merging applies a round's decisions with.
+//! Linear-time selection of the largest merging errors.
 //!
 //! Each round keeps the `t` candidates (pairs, or groups in `fastmerging`)
 //! with the largest merging errors. [`keep_threshold`] returns a threshold
@@ -226,34 +225,6 @@ fn introselect(errors: &mut [f64], t: usize, pairs: &mut Vec<(f64, usize)>) -> f
     f64::INFINITY
 }
 
-/// Applies a round's decisions to `items` in place: group `u` (the `g` items
-/// from `u·g`) is copied through unchanged when `errors[u] ≥ tau` and
-/// replaced by `merge(group)` otherwise; items after the last full group are
-/// carried over. Writes never overtake reads, so no second list is needed.
-pub(crate) fn compact_groups<T: Copy>(
-    items: &mut Vec<T>,
-    g: usize,
-    errors: &[f64],
-    tau: f64,
-    merge: impl Fn(&[T]) -> T,
-) {
-    let mut write = 0;
-    for (u, &error) in errors.iter().enumerate() {
-        let read = u * g;
-        if error >= tau {
-            items.copy_within(read..read + g, write);
-            write += g;
-        } else {
-            items[write] = merge(&items[read..read + g]);
-            write += 1;
-        }
-    }
-    let tail = errors.len() * g;
-    let carried = items.len() - tail;
-    items.copy_within(tail.., write);
-    items.truncate(write + carried);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,16 +441,5 @@ mod tests {
             assert_eq!(path, want, "t = {t}");
             assert_eq!(kept, top_t_mask(&tied, t), "t = {t}");
         }
-    }
-
-    #[test]
-    fn compaction_merges_unkept_groups_and_carries_the_tail() {
-        let sum = |g: &[u32]| g.iter().sum::<u32>();
-        let mut items = vec![1, 2, 3, 4, 5, 6, 7];
-        compact_groups(&mut items, 2, &[0.5, 3.0, 0.0], 1.0, sum);
-        assert_eq!(items, vec![3, 3, 4, 11, 7]);
-        let mut items = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        compact_groups(&mut items, 3, &[f64::INFINITY, 2.0], f64::INFINITY, sum);
-        assert_eq!(items, vec![1, 2, 3, 15, 7, 8]);
     }
 }

@@ -1285,7 +1285,7 @@ mod tests {
         // Linear ramp 0..10 on [0, 9], constant 5 on [10, 19].
         let pieces = vec![
             PolynomialPiece::new(Interval::new(0, 9).unwrap(), vec![0.0, 1.0]).unwrap(),
-            PolynomialPiece::constant(Interval::new(10, 19).unwrap(), 5.0).unwrap(),
+            PolynomialPiece::new(Interval::new(10, 19).unwrap(), vec![5.0]).unwrap(),
         ];
         let p = PiecewisePolynomial::new(20, pieces).unwrap();
         Synopsis::new("poly", 2, FittedModel::Polynomial(p))

@@ -14,6 +14,11 @@ use hist_stream::{merge_budget, StreamingBuilder};
 /// [`MetricPipeline::checkpoint`] and [`MetricPipeline::resume_cumulative`]
 /// bit-identically.
 ///
+/// A lane owns its key from epoch 0, so the key's epoch counts the chunks
+/// merged into it. A resumed lane fences by that count: chunks the store
+/// already holds are skipped, not merged again, so every chunk is merged
+/// exactly once across an ingester crash.
+///
 /// The publish cadence is the chunk length: every `chunk_len` ingested
 /// events the store sees one new epoch. Shorter chunks mean fresher served
 /// answers but more merges (and merge error) per event — the
@@ -25,6 +30,8 @@ pub struct MetricPipeline {
     scratch: Vec<Synopsis>,
     publishes: u64,
     last_epoch: u64,
+    /// Chunks `1..=fence` are already in the store and are not merged again.
+    fence: u64,
 }
 
 impl MetricPipeline {
@@ -46,11 +53,13 @@ impl MetricPipeline {
             scratch: Vec::new(),
             publishes: 0,
             last_epoch: 0,
+            fence: 0,
         })
     }
 
     /// Consumes a batch of events, merging every completed chunk into `map`;
-    /// returns how many epochs this batch minted.
+    /// returns how many epochs this batch minted. After a resume, chunks the
+    /// store already holds count as published but mint nothing.
     ///
     /// Failure semantics compose from the layers below: a non-finite value
     /// rejects the whole batch before anything is consumed
@@ -65,9 +74,11 @@ impl MetricPipeline {
         // (the builder holds the rest for retry).
         let mut minted = 0;
         for chunk in self.scratch.drain(..) {
-            self.last_epoch = map.update_merge(&self.key, &chunk, self.merge_budget)?;
+            if self.publishes >= self.fence {
+                self.last_epoch = map.update_merge(&self.key, &chunk, self.merge_budget)?;
+                minted += 1;
+            }
             self.publishes += 1;
-            minted += 1;
         }
         drained?;
         Ok(minted)
@@ -82,12 +93,21 @@ impl MetricPipeline {
     }
 
     /// Reconstructs a lane from a [`MetricPipeline::checkpoint`], ready to
-    /// continue publishing into the same (still-running) store: `consumed()`
-    /// tells the caller where to seek the event source, and the publish
-    /// counter resumes from the number of chunks the dead ingester already
-    /// published (completed chunks and consumed events are recorded in the
-    /// same checkpoint, so none is counted twice).
+    /// continue publishing into `map`, the store the dead ingester published
+    /// into: `consumed()` tells the caller where to seek the event source,
+    /// and the publish counter resumes from the checkpoint's completed
+    /// chunks.
+    ///
+    /// The dead ingester may have published chunks after its checkpoint. The
+    /// builder is deterministic, so the resumed lane completes the same
+    /// chunks again; every one numbered at or below the key's epoch in `map`
+    /// is already in the store and is skipped, not merged. A store epoch
+    /// below the checkpoint's completed chunks is an
+    /// [`Error::InvalidParameter`] named `"store"`: the store lost chunks
+    /// (say, it was reopened from an older save), and the caller must seek
+    /// the source back.
     pub fn resume_cumulative(
+        map: &StoreMap,
         key: impl Into<String>,
         inner: Box<dyn Estimator>,
         bytes: &[u8],
@@ -96,13 +116,24 @@ impl MetricPipeline {
         validate_key(&key)?;
         let builder = StreamingBuilder::resume(inner, bytes)
             .map_err(|e| Error::InvalidParameter { name: "checkpoint", reason: e.to_string() })?;
+        let (publishes, fence) = (builder.chunks_completed() as u64, map.epoch(&key));
+        if fence < publishes {
+            return Err(Error::InvalidParameter {
+                name: "store",
+                reason: format!(
+                    "key {key:?} is at epoch {fence}, behind the checkpoint's {publishes} \
+                     published chunks: the store lost chunks"
+                ),
+            });
+        }
         Ok(Self {
             key,
             merge_budget: merge_budget(builder.budget()),
-            publishes: builder.chunks_completed() as u64,
+            publishes,
             builder,
             scratch: Vec::new(),
             last_epoch: 0,
+            fence,
         })
     }
 
@@ -118,8 +149,9 @@ impl MetricPipeline {
         self.builder.len()
     }
 
-    /// Epochs minted by this lane so far (one per chunk merged). After a
-    /// resume, continues from the dead ingester's count.
+    /// Chunks in the store so far, one epoch each. After a resume, continues
+    /// from the checkpoint's count, and a chunk the store already held counts
+    /// when the lane completes it again.
     #[inline]
     pub fn publishes(&self) -> u64 {
         self.publishes

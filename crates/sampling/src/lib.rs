@@ -15,8 +15,8 @@
 //! [`Signal::from_samples`](hist_core::Signal::from_samples), and fit `p̂_m`
 //! with an estimator. Theorem 2.1 fits it with `GreedyMerging` or
 //! `FastMerging`, Theorem 2.2 with `Hierarchical::fit_hierarchy` (a good
-//! histogram for every `k` at once), and Theorem 2.3 with hist-poly's
-//! `PiecewisePoly`.
+//! histogram for every `k` at once), and Theorem 2.3 with
+//! [`PiecewisePoly`](hist_core::PiecewisePoly).
 //!
 //! ```
 //! use hist_core::{Distribution, Estimator, EstimatorBuilder, GreedyMerging, Hierarchical, Signal};

@@ -80,8 +80,8 @@ fn main() {
     // --- Phase 3: resume into the SAME live store. The source seeks to the
     // checkpoint's consumed-event count and replays the identical suffix, so
     // served answers continue exactly as an uninterrupted run's would.
-    let resumed =
-        MetricPipeline::resume_cumulative("api/latency", estimator(), &checkpoint).expect("resume");
+    let resumed = MetricPipeline::resume_cumulative(&map, "api/latency", estimator(), &checkpoint)
+        .expect("resume");
     let mut replay = latency;
     replay.seek(resumed.consumed());
     let mut restarted = TelemetryPipeline::new(Arc::clone(&map)).with_batch(CHUNK);

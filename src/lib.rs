@@ -57,10 +57,10 @@
 //! This facade crate re-exports the whole workspace behind one dependency:
 //!
 //! * [`core`](mod@core) (`hist-core`) — the data model, the merging
-//!   algorithms (Algorithm 1, Algorithm 2, `fastmerging`, the generalized
-//!   oracle-driven merging) and the `Signal`/`Estimator`/`Synopsis` API;
-//! * [`poly`] (`hist-poly`) — discrete Chebyshev (Gram) polynomial projection
-//!   and piecewise-polynomial fitting (Section 4);
+//!   algorithms (Algorithm 1, Algorithm 2, `fastmerging`), the
+//!   piecewise-polynomial fitter of Section 4 ([`PiecewisePoly`]: Algorithm 1's
+//!   rounds over the discrete Chebyshev (Gram) projection) and the
+//!   `Signal`/`Estimator`/`Synopsis` API;
 //! * [`baselines`] (`hist-baselines`) — the exact V-optimal DP, the dual
 //!   greedy, an AHIST-style approximate DP and trivial baselines;
 //! * [`sampling`] (`hist-sampling`) — samplers, the sample bound of
@@ -112,7 +112,6 @@ pub use hist_datasets as datasets;
 pub use hist_net as net;
 pub use hist_persist as persist;
 pub use hist_pipeline as pipeline;
-pub use hist_poly as poly;
 pub use hist_sampling as sampling;
 pub use hist_serve as serve;
 pub use hist_stream as stream;
@@ -121,7 +120,7 @@ pub use hist_stream as stream;
 pub use hist_baselines::{DualGreedy, EqualMass, EqualWidth, ExactDp, GksQuantile, GreedySplit};
 pub use hist_core::{
     Estimator, EstimatorBuilder, FastMerging, FittedModel, GreedyMerging, Hierarchical, MergeStats,
-    Signal, Synopsis,
+    PiecewisePoly, Signal, Synopsis,
 };
 pub use hist_net::{
     ErrorCode, HistClient, HistServer, NetError, ServerConfig, Stamped, StoreStats, StoreWideStats,
@@ -135,7 +134,6 @@ pub use hist_persist::{
 pub use hist_pipeline::{
     EventSource, IngestHandle, MetricPipeline, PipelineReport, TelemetryPipeline,
 };
-pub use hist_poly::PiecewisePoly;
 pub use hist_sampling::SampleLearner;
 pub use hist_serve::{
     MergeCounters, Snapshot, StoreMap, StoreMapStats, SynopsisStore, DEFAULT_KEY,
@@ -162,7 +160,8 @@ pub enum EstimatorKind {
     FastMerging2,
     /// Algorithm 2, serving the level for the builder's `k`.
     Hierarchical,
-    /// The generalized merging algorithm with the degree-`d` oracle.
+    /// Piecewise degree-`d` polynomials: Algorithm 1's rounds over the Gram
+    /// projection (Section 4).
     PiecewisePoly,
     /// Exact V-optimal DP (pruned; identical optimum, practical time).
     ExactDp,

@@ -23,6 +23,11 @@
 //!   multi-chunk stream (mid-tail, chunk boundaries, carry cascades), while
 //!   a live server keeps answering from previously published synopses
 //!   unperturbed throughout the sweep.
+//! * **Exactly-once merges** — a lane killed at any point after its last
+//!   checkpoint, with chunks published since, resumes into the same store
+//!   without merging those chunks again: the store's synopsis bits and epoch
+//!   equal an uninterrupted run's. A store behind the checkpoint (reopened
+//!   from an older save) is a typed error.
 
 mod common;
 
@@ -32,10 +37,12 @@ use std::time::{Duration, Instant};
 use approx_hist::datasets::gaussian_mixture;
 use approx_hist::persist::encode_synopsis;
 use approx_hist::{
-    EstimatorBuilder, EventSource, GreedyMerging, HistClient, MetricPipeline, Signal, StoreMap,
-    TelemetryPipeline,
+    Error, EstimatorBuilder, EventSource, GreedyMerging, HistClient, MetricPipeline, Signal,
+    StoreMap, TelemetryPipeline,
 };
 use common::{spawn_server, FIXTURE_K};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The served quantiles of the acceptance suite.
 const PS: [f64; 3] = [0.5, 0.99, 0.999];
@@ -211,8 +218,8 @@ fn killed_ingester_resumes_and_serves_identical_answers() {
 
     // Resume from the checkpoint into the SAME live store; seek the source
     // to the checkpoint's consumed-event count.
-    let resumed =
-        MetricPipeline::resume_cumulative(key, fixture_inner(), &checkpoint).expect("resume");
+    let resumed = MetricPipeline::resume_cumulative(&map_a, key, fixture_inner(), &checkpoint)
+        .expect("resume");
     assert_eq!(resumed.consumed(), split);
     assert_eq!(resumed.publishes(), published_at_kill);
     let mut replay = source.clone();
@@ -323,7 +330,8 @@ fn checkpoint_resume_bit_identity_at_every_split_point() {
         assert_eq!(live.epoch, baseline.epoch, "split {split}: served epoch perturbed");
         assert_eq!(live.value, baseline.value, "split {split}: served answers perturbed");
 
-        let mut resumed = MetricPipeline::resume_cumulative(&key, inner(), &bytes).expect("resume");
+        let mut resumed =
+            MetricPipeline::resume_cumulative(&map, &key, inner(), &bytes).expect("resume");
         assert_eq!(resumed.consumed(), split, "split {split}: consumed count lost");
         assert_eq!(
             resumed.publishes(),
@@ -346,4 +354,94 @@ fn checkpoint_resume_bit_identity_at_every_split_point() {
 
     drop(client);
     server.shutdown();
+}
+
+/// Ingests `values` into `lane` in seeded ragged batches of 1 to 40 events.
+fn ingest_ragged(lane: &mut MetricPipeline, map: &StoreMap, values: &[f64], rng: &mut StdRng) {
+    let mut rest = values;
+    while !rest.is_empty() {
+        let (batch, tail) = rest.split_at(rng.gen_range(1..=40).min(rest.len()));
+        lane.ingest(map, batch).expect("ingest");
+        rest = tail;
+    }
+}
+
+/// The crash window between a publish and the next checkpoint: for every
+/// checkpoint position and every later kill position, the lane publishes
+/// the chunks it completes after its checkpoint, dies, and resumes from that
+/// checkpoint into the same store. The resumed lane must skip those chunks,
+/// not merge them twice: the store ends bit-identical to an uninterrupted
+/// run's, synopsis and epoch.
+#[test]
+fn a_crash_after_publishing_past_the_checkpoint_merges_every_chunk_once() {
+    const K: usize = 4;
+    const CHUNK: usize = 16;
+    const N: usize = 96;
+    let inner = || Box::new(GreedyMerging::new(EstimatorBuilder::new(K)));
+    let block = EventSource::synthetic("window", 13, N).expect("source").prefix(N);
+    let mut rng = StdRng::seed_from_u64(0xc4a5);
+
+    let reference_map = StoreMap::new();
+    let mut reference = MetricPipeline::cumulative("w", inner(), K, CHUNK).expect("lane");
+    reference.ingest(&reference_map, &block).expect("reference ingest");
+    let reference_served = reference_map.snapshot("w").expect("reference served");
+    let reference_bytes = encode_synopsis(reference_served.synopsis());
+    assert_eq!(reference_served.epoch(), (N / CHUNK) as u64);
+
+    for checkpoint_at in 0..=N {
+        for kill_at in checkpoint_at..=N {
+            let case = format!("checkpoint at {checkpoint_at}, kill at {kill_at}");
+            let map = StoreMap::new();
+            let mut lane = MetricPipeline::cumulative("w", inner(), K, CHUNK).expect("lane");
+            ingest_ragged(&mut lane, &map, &block[..checkpoint_at], &mut rng);
+            let bytes = lane.checkpoint().expect("checkpoint");
+            ingest_ragged(&mut lane, &map, &block[checkpoint_at..kill_at], &mut rng);
+            assert_eq!(map.epoch("w"), (kill_at / CHUNK) as u64, "{case}");
+            drop(lane); // the crash: everything since the checkpoint is lost
+
+            let mut resumed =
+                MetricPipeline::resume_cumulative(&map, "w", inner(), &bytes).expect("resume");
+            assert_eq!(resumed.consumed(), checkpoint_at, "{case}");
+            ingest_ragged(&mut resumed, &map, &block[checkpoint_at..], &mut rng);
+            let served = map.snapshot("w").expect("served");
+            assert_eq!(served.epoch(), reference_served.epoch(), "{case}: epoch");
+            assert_eq!(encode_synopsis(served.synopsis()), reference_bytes, "{case}: synopsis");
+            assert_eq!(resumed.publishes(), reference.publishes(), "{case}: publishes");
+        }
+    }
+}
+
+/// A store reopened from a save older than the lane's checkpoint lost the
+/// chunks published in between: resuming into it is a typed error, not a
+/// silent gap in the served synopsis.
+#[test]
+fn a_store_behind_the_checkpoint_is_a_typed_error() {
+    const CHUNK: usize = 16;
+    let inner = || Box::new(GreedyMerging::new(EstimatorBuilder::new(4)));
+    let block = EventSource::synthetic("stale", 17, 3 * CHUNK).expect("source").prefix(3 * CHUNK);
+    let dir = std::env::temp_dir().join("approx-hist-tests").join("pipeline-stale-store");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("map.ahistmap");
+
+    let map = StoreMap::new();
+    let mut lane = MetricPipeline::cumulative("s", inner(), 4, CHUNK).expect("lane");
+    lane.ingest(&map, &block[..CHUNK]).expect("first chunk");
+    map.save(&path).expect("save at epoch 1");
+    lane.ingest(&map, &block[CHUNK..]).expect("two more chunks");
+    let bytes = lane.checkpoint().expect("checkpoint after 3 chunks");
+
+    let stale = StoreMap::open(&path).expect("reopen the older save");
+    assert_eq!(stale.epoch("s"), 1);
+    let err = MetricPipeline::resume_cumulative(&stale, "s", inner(), &bytes).err();
+    assert!(
+        matches!(err, Some(Error::InvalidParameter { name: "store", .. })),
+        "a store behind the checkpoint must be a typed error, got {err:?}"
+    );
+    let fresh = StoreMap::new();
+    let err = MetricPipeline::resume_cumulative(&fresh, "s", inner(), &bytes).err();
+    assert!(matches!(err, Some(Error::InvalidParameter { name: "store", .. })), "{err:?}");
+    // The live store holds all three chunks: resuming into it is fine.
+    let resumed = MetricPipeline::resume_cumulative(&map, "s", inner(), &bytes).expect("resume");
+    assert_eq!(resumed.publishes(), 3);
+    std::fs::remove_dir_all(&dir).expect("remove the temp dir");
 }

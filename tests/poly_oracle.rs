@@ -1,107 +1,46 @@
-//! Integration tests for the piecewise-polynomial pipeline (Section 4):
-//! the Gram projection oracle against the naive least-squares reference, the
-//! generalized merging algorithm with different oracles, and randomized checks
-//! of the projection optimality. Fits go through the unified `PiecewisePoly`
-//! estimator; the projection-oracle internals keep their dedicated API.
+//! Integration tests for the piecewise-polynomial fitter of Section 4
+//! (`PiecewisePoly`): exact recovery of piecewise-polynomial signals, its
+//! degree-0 equivalence with Algorithm 1 on the Figure 1 datasets, and its
+//! advantage over histograms on smooth data. The Gram projection itself is
+//! checked against a least-squares reference in hist-core's unit tests.
 
-use approx_hist::core::{construct_general, ConstantOracle};
-use approx_hist::poly::{fit_polynomial, fit_to_piece, least_squares_fit, FitPolyOracle};
-use approx_hist::{
-    DiscreteFunction, Estimator, EstimatorBuilder, GreedyMerging, Interval, PiecewisePoly, Signal,
-    SparseFunction,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use approx_hist::datasets::{dow_dataset, hist_dataset, poly_dataset};
+use approx_hist::{Estimator, EstimatorBuilder, GreedyMerging, PiecewisePoly, Signal};
 
 #[test]
-fn gram_projection_matches_least_squares() {
-    // The Gram projection and the dense least-squares reference agree on every
-    // random signal, interval and degree.
-    let mut rng = StdRng::seed_from_u64(0x61);
-    for case in 0..48 {
-        let n = rng.gen_range(8usize..60);
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-        let degree = rng.gen_range(0usize..4);
-        let split = rng.gen_range(0.1..0.9);
-        let a = (split * (n as f64 / 2.0)) as usize;
-        let b = n - 1 - (0.3 * split * n as f64) as usize;
-        if b <= a {
-            continue;
+fn degree_zero_piecewise_poly_partitions_like_greedy_merging() {
+    // At degree 0 the Gram projection's error is the flattening error, so the
+    // rounds keep the same pairs as Algorithm 1: the same partition, with
+    // each piece's constant the interval mean up to rounding.
+    for (name, values) in
+        [("hist", hist_dataset()), ("poly", poly_dataset()), ("dow", dow_dataset())]
+    {
+        let signal = Signal::from_slice(&values).unwrap();
+        for k in [2, 5, 10, 20, 50] {
+            let builder = EstimatorBuilder::new(k).degree(0);
+            let poly = PiecewisePoly::new(builder).fit(&signal).unwrap();
+            let greedy = GreedyMerging::new(builder).fit(&signal).unwrap();
+            let (poly, histogram) = (poly.polynomial().unwrap(), greedy.histogram().unwrap());
+            let ends = poly.pieces().iter().map(|p| p.interval().end());
+            assert!(
+                ends.eq(histogram.partition().iter().map(|i| i.end())),
+                "{name}, k = {k}: partitions differ"
+            );
+            for (piece, &value) in poly.pieces().iter().zip(histogram.values()) {
+                let got = piece.coefficients()[0];
+                assert!(
+                    (got - value).abs() <= 1e-9 * value.abs(),
+                    "{name}, k = {k}: {got} vs {value}"
+                );
+            }
         }
-        let interval = Interval::new(a, b).unwrap();
-
-        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
-        let fit = fit_polynomial(&q, interval, degree).unwrap();
-        let (_, lsq_sse) = least_squares_fit(&values, interval, degree).unwrap();
-        assert!(
-            (fit.sse() - lsq_sse).abs() <= 1e-6 * (1.0 + lsq_sse),
-            "case {case}: gram {} vs least squares {}",
-            fit.sse(),
-            lsq_sse
-        );
-    }
-}
-
-#[test]
-fn projection_error_is_monotone_in_degree() {
-    // Projection error never increases with the degree (nested function classes).
-    let mut rng = StdRng::seed_from_u64(0x62);
-    for _ in 0..48 {
-        let n = rng.gen_range(10usize..50);
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..3.0)).collect();
-        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
-        let interval = Interval::new(0, n - 1).unwrap();
-        let mut previous = f64::INFINITY;
-        for degree in 0..5usize {
-            let fit = fit_polynomial(&q, interval, degree).unwrap();
-            assert!(fit.sse() <= previous + 1e-9);
-            previous = fit.sse();
-        }
-    }
-}
-
-#[test]
-fn reported_error_matches_the_materialized_piece() {
-    // The materialized piece evaluates to the same error the oracle reported.
-    let mut rng = StdRng::seed_from_u64(0x63);
-    for case in 0..48 {
-        let n = rng.gen_range(6usize..40);
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let degree = rng.gen_range(0usize..3);
-        let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
-        let interval = Interval::new(0, n - 1).unwrap();
-        let fit = fit_polynomial(&q, interval, degree).unwrap();
-        let piece = fit_to_piece(&fit).unwrap();
-        let direct: f64 = interval
-            .indices()
-            .map(|i| {
-                let d = piece.evaluate(i) - values[i];
-                d * d
-            })
-            .sum();
-        assert!((fit.sse() - direct).abs() <= 1e-5 * (1.0 + direct), "case {case}");
-    }
-}
-
-#[test]
-fn generalized_merging_with_constant_oracle_equals_algorithm_1() {
-    let values = approx_hist::datasets::hist_dataset();
-    let signal = Signal::from_slice(&values).unwrap();
-    let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
-    let params = EstimatorBuilder::new(10).merging_params().unwrap();
-
-    let general = construct_general(&q, &params, &ConstantOracle::new()).unwrap();
-    let direct = GreedyMerging::new(EstimatorBuilder::new(10)).fit(&signal).unwrap();
-    assert_eq!(general.num_pieces(), direct.num_pieces());
-    for i in (0..values.len()).step_by(7) {
-        assert!((general.value(i) - direct.value(i)).abs() < 1e-9);
     }
 }
 
 #[test]
 fn degree_d_oracle_fits_piecewise_degree_d_signals_exactly() {
-    // A 3-piece piecewise-quadratic signal must be recovered exactly by the
-    // generalized merging algorithm with the degree-2 oracle.
+    // A 3-piece piecewise-quadratic signal must be recovered exactly at
+    // degree 2.
     let n = 300;
     let values: Vec<f64> = (0..n)
         .map(|i| {
@@ -114,25 +53,16 @@ fn degree_d_oracle_fits_piecewise_degree_d_signals_exactly() {
             }
         })
         .collect();
-    let q = SparseFunction::from_dense_keep_zeros(&values).unwrap();
     let signal = Signal::from_slice(&values).unwrap();
     let builder = EstimatorBuilder::new(3).merge_delta(1.0).merge_gamma(1.0).degree(2);
-    let params = builder.merging_params().unwrap();
-
-    let oracle = FitPolyOracle::new(2).unwrap();
-    let fitted = construct_general(&q, &params, &oracle).unwrap();
-    let sse = fitted.l2_distance_squared_dense(&values).unwrap();
-    assert!(sse < 1e-6, "piecewise-quadratic signal not recovered, sse {sse}");
-
-    // The unified estimator produces the same quality.
     let synopsis = PiecewisePoly::new(builder).fit(&signal).unwrap();
-    let err = synopsis.l2_error(&signal).unwrap();
-    assert!(err * err < 1e-6, "estimator sse {}", err * err);
+    let sse = synopsis.polynomial().unwrap().l2_distance_squared_dense(&values).unwrap();
+    assert!(sse < 1e-6, "piecewise-quadratic signal not recovered, sse {sse}");
 }
 
 #[test]
 fn piecewise_polynomials_beat_histograms_on_smooth_data_at_equal_budget() {
-    let values = approx_hist::datasets::poly_dataset();
+    let values = poly_dataset();
     let signal = Signal::from_slice(&values).unwrap();
 
     // Histogram with ~25 pieces ≈ 50 parameters.
