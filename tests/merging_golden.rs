@@ -4,7 +4,10 @@
 //! rounds that moves one boundary or one value bit anywhere fails here, and
 //! the round counts of Algorithm 1's and `fastmerging`'s reports. The
 //! piecewise-polynomial fits of Section 4 (`PiecewisePoly` at degrees 0, 1
-//! and 3) are pinned over the same inputs and builders.
+//! and 3) are pinned over the same inputs and builders. Every baseline of
+//! the registry (both exact DPs, `dual`, `gks`, equi-width, equi-depth and
+//! greedy splitting) is pinned at `k` = 5 and 10 over the shared fixture
+//! signals and the Table 1 `hist` and `poly` data.
 //!
 //! The checksum is FNV-1a over each piece's interval end and value bits (for
 //! a polynomial, each piece's end and then its coefficients' bits). The
@@ -15,10 +18,14 @@
 //! counts were captured from the rounds over 32-byte segments with a keep
 //! mask, before they moved to 24-byte segments and a keep threshold. The
 //! polynomial checksums were captured from the generic projection-oracle
-//! loop, before `PiecewisePoly` ran its own rounds. If one
+//! loop, before `PiecewisePoly` ran its own rounds. The baseline checksums
+//! were captured while the baselines still computed and returned their own
+//! squared errors, before they became estimator-only. If one
 //! fails after an *intentional* algorithm change, re-derive them with
 //! `cargo test --release --test merging_golden -- --ignored --nocapture`
 //! and update them in the same commit.
+
+mod common;
 
 use approx_hist::core::{
     construct_hierarchical_histogram, construct_histogram_fast_with_report,
@@ -26,8 +33,8 @@ use approx_hist::core::{
 };
 use approx_hist::datasets::{dow_dataset, hist_dataset, poly_dataset};
 use approx_hist::{
-    Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, Histogram,
-    PiecewisePoly, PiecewisePolynomial, Signal, SparseFunction,
+    Estimator, EstimatorBuilder, EstimatorKind, FastMerging, GreedyMerging, Hierarchical,
+    Histogram, PiecewisePoly, PiecewisePolynomial, Signal, SparseFunction,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,6 +193,38 @@ fn poly_checksum(degree: usize, signal: &Signal) -> u64 {
     })
 }
 
+/// The baseline registry kinds, in hashing order.
+const BASELINES: [EstimatorKind; 7] = [
+    EstimatorKind::ExactDp,
+    EstimatorKind::ExactDpNaive,
+    EstimatorKind::Dual,
+    EstimatorKind::Gks,
+    EstimatorKind::EqualWidth,
+    EstimatorKind::EqualMass,
+    EstimatorKind::GreedySplit,
+];
+
+/// The baselines' inputs: the shared fixture signals, then the Table 1
+/// `hist` and `poly` data.
+fn baseline_inputs() -> Vec<(&'static str, Signal)> {
+    let mut inputs = common::fixture_signals();
+    inputs.push(("hist", Signal::from_dense(hist_dataset()).unwrap()));
+    inputs.push(("poly", Signal::from_dense(poly_dataset()).unwrap()));
+    inputs
+}
+
+/// The checksum of `kind`'s fits of `signal` at `k` = 5 and 10. A rejected
+/// fit (equi-depth buckets of `poly`, which has negative values) folds one
+/// all-ones word instead.
+fn baseline_checksum(kind: EstimatorKind, signal: &Signal) -> u64 {
+    [5, 10].into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, k| {
+        match kind.build(EstimatorBuilder::new(k)).fit(signal) {
+            Ok(synopsis) => fnv(hash, synopsis.histogram().expect("baseline fits are histograms")),
+            Err(_) => fnv_words(hash, std::iter::once(u64::MAX)),
+        }
+    })
+}
+
 /// `[initial_intervals, rounds, fastmerging rounds, max_group_size]` of the
 /// reports Algorithm 1 and `fastmerging` give for `signal` under every builder.
 fn reports(signal: &Signal) -> [[usize; 4]; 3] {
@@ -214,6 +253,13 @@ fn print_merging_checksums() {
         let sums: Vec<String> = DEGREES
             .iter()
             .map(|&degree| format!("0x{:016x}", poly_checksum(degree, &signal)))
+            .collect();
+        println!("(\"{name}\", [{}]),", sums.join(", "));
+    }
+    for (name, signal) in baseline_inputs() {
+        let sums: Vec<String> = BASELINES
+            .iter()
+            .map(|&kind| format!("0x{:016x}", baseline_checksum(kind, &signal)))
             .collect();
         println!("(\"{name}\", [{}]),", sums.join(", "));
     }
@@ -316,6 +362,106 @@ fn hierarchical_fit_serves_the_hierarchy_level_for_k() {
             let seed = 0xcbf2_9ce4_8422_2325;
             assert_eq!(fnv(seed, got), fnv(seed, &want), "{name}: k = {k} level differs");
             assert_eq!(got, &want, "{name}: k = {k} level differs");
+        }
+    }
+}
+
+/// `(input, [exactdp, exactdp-naive, dual, gks, equalwidth, equalmass,
+/// greedysplit])` checksums over `k` = 5 and 10.
+const BASELINE_GOLDEN: [(&str, [u64; 7]); 7] = [
+    (
+        "steps",
+        [
+            0x44b8c47e3a132215,
+            0xb6bccf908cfeb991,
+            0x44b8c47e3a132215,
+            0xae0298b1bf98f224,
+            0x554866c722d9e1d8,
+            0x207295999deee402,
+            0x44145e048416f4d0,
+        ],
+    ),
+    (
+        "noisy-steps",
+        [
+            0x4cb418c9af176302,
+            0x4cb418c9af176302,
+            0x5aa6c69b9dd4d917,
+            0x7c41d2cebcbb4671,
+            0x7f849f75efe6ba89,
+            0x6e7f1d94ed3e681c,
+            0xd1e2d542e3e03c42,
+        ],
+    ),
+    (
+        "ramp",
+        [
+            0xef5859901f22efe8,
+            0xef5859901f22efe8,
+            0xef5859901f22efe8,
+            0xef5859901f22efe8,
+            0xef5859901f22efe8,
+            0xf72834028f0337c9,
+            0x2ea503b9cb526bbd,
+        ],
+    ),
+    (
+        "spike",
+        [
+            0xd5408f6bdb48c905,
+            0xa374e8096c57b919,
+            0xd5408f6bdb48c905,
+            0x99b2fea9461fc9e4,
+            0xdb0943726c6ff2d7,
+            0xe10771f7a6e3c3af,
+            0x28806f144bfab35f,
+        ],
+    ),
+    (
+        "flat",
+        [
+            0xc413d08baad99a75,
+            0xa706ad725f92da6e,
+            0xc413d08baad99a75,
+            0x640709ffc3272993,
+            0xbb78bc58856c0ff4,
+            0xbb78bc58856c0ff4,
+            0xab11fd950d345345,
+        ],
+    ),
+    (
+        "hist",
+        [
+            0x55b98757c012822b,
+            0x55b98757c012822b,
+            0x57013b7267f433d1,
+            0x1058e75606806b14,
+            0x8f853b6c0e51134f,
+            0xaed525715f443015,
+            0x7fdd92a828509f78,
+        ],
+    ),
+    (
+        "poly",
+        [
+            0xa84b994632fdf770,
+            0xa84b994632fdf770,
+            0xd77ede235105ec9b,
+            0xe1312305fcb3cfec,
+            0xb20841cd4f65b28c,
+            0xd6607508f5a1e855,
+            0xafd3aad8651631c8,
+        ],
+    ),
+];
+
+#[test]
+fn baseline_fits_match_the_committed_checksums() {
+    for ((name, signal), (golden, sums)) in baseline_inputs().into_iter().zip(BASELINE_GOLDEN) {
+        assert_eq!(name, golden);
+        for (kind, want) in BASELINES.into_iter().zip(sums) {
+            let got = baseline_checksum(kind, &signal);
+            assert_eq!(got, want, "{name}/{kind:?}: checksum 0x{got:016x} != golden 0x{want:016x}");
         }
     }
 }
