@@ -6,31 +6,18 @@
 //! but they do not minimize the `ℓ₂` error and thus trail the merging algorithm
 //! and the exact DP on most signals.
 
-use crate::FitResult;
-use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
+use hist_core::{Error, Partition, Result};
 
-/// Builds the equi-depth `k`-histogram of a non-negative dense signal: the
-/// `j`-th boundary is the first index at which the running mass exceeds
-/// `j/k` of the total (`O(n)` time).
+/// The pieces of the equi-depth `k`-histogram of a non-negative dense
+/// signal: the `j`-th boundary is the first index at which the running mass
+/// exceeds `j/k` of the total (`O(n)` time).
 ///
 /// Degenerate inputs are handled deliberately: a *heavy hitter* index that
 /// crosses several quantile thresholds at once (e.g. all the mass in one
 /// bucket) is isolated in its own singleton bucket, a massless signal falls
 /// back to equal-width boundaries, and `k ≥ n` returns the exact singleton
-/// partition.
-pub fn equal_mass_histogram(values: &[f64], k: usize) -> Result<FitResult> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "the number of histogram pieces must be at least 1".into(),
-        });
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "equal_mass" });
-    }
+/// partition. A signal with a negative value is rejected.
+pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
     if values.iter().any(|&v| v < 0.0) {
         return Err(Error::InvalidParameter {
             name: "values",
@@ -42,8 +29,7 @@ pub fn equal_mass_histogram(values: &[f64], k: usize) -> Result<FitResult> {
     let total: f64 = values.iter().sum();
     if k == n {
         // Piece budget covers every index: the singleton partition is exact.
-        let histogram = flatten_dense(values, &Partition::singletons(n)?)?;
-        return Ok(FitResult { histogram, sse: 0.0 });
+        return Partition::singletons(n);
     }
 
     let mut breaks = Vec::with_capacity(k - 1);
@@ -76,16 +62,13 @@ pub fn equal_mass_histogram(values: &[f64], k: usize) -> Result<FitResult> {
         breaks = partition.breakpoints();
     }
 
-    let partition = Partition::from_breakpoints(n, &breaks)?;
-    let prefix = DensePrefix::new(values)?;
-    let histogram = flatten_dense(values, &partition)?;
-    let sse = partition.iter().map(|iv| prefix.sse(*iv)).sum();
-    Ok(FitResult { histogram, sse })
+    Partition::from_breakpoints(n, &breaks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::residual;
 
     #[test]
     fn boundaries_track_the_mass() {
@@ -95,39 +78,30 @@ mod tests {
         for (i, v) in values.iter_mut().enumerate().skip(50) {
             *v = 1.0 + (i % 3) as f64;
         }
-        let fit = equal_mass_histogram(&values, 5).unwrap();
-        let breaks = fit.histogram.partition().breakpoints();
+        let pieces = partition(&values, 5).unwrap();
+        let breaks = pieces.breakpoints();
         assert!(
             breaks.iter().all(|&b| b >= 50),
             "breaks {breaks:?} should sit in the massive half"
         );
-        assert!(fit.histogram.num_pieces() <= 5);
+        assert!(pieces.len() <= 5);
     }
 
     #[test]
     fn uniform_signal_gives_uniform_buckets() {
         let values = vec![1.0; 60];
-        let fit = equal_mass_histogram(&values, 6).unwrap();
-        assert_eq!(fit.histogram.num_pieces(), 6);
-        assert!(fit.sse < 1e-15);
-        let breaks = fit.histogram.partition().breakpoints();
-        assert_eq!(breaks, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
-    fn error_is_consistent_with_the_histogram() {
-        let values: Vec<f64> = (0..77).map(|i| ((i * 31) % 11) as f64).collect();
-        let fit = equal_mass_histogram(&values, 7).unwrap();
-        let direct = fit.histogram.l2_distance_squared_dense(&values).unwrap();
-        assert!((fit.sse - direct).abs() < 1e-9);
+        let pieces = partition(&values, 6).unwrap();
+        assert_eq!(pieces.len(), 6);
+        assert!(residual(&values, &pieces) < 1e-15);
+        assert_eq!(pieces.breakpoints(), vec![10, 20, 30, 40, 50]);
     }
 
     #[test]
     fn zero_mass_falls_back_to_equal_width() {
         let values = vec![0.0; 30];
-        let fit = equal_mass_histogram(&values, 3).unwrap();
-        assert_eq!(fit.histogram.num_pieces(), 3);
-        assert_eq!(fit.sse, 0.0);
+        let pieces = partition(&values, 3).unwrap();
+        assert_eq!(pieces.len(), 3);
+        assert_eq!(residual(&values, &pieces), 0.0);
     }
 
     #[test]
@@ -136,26 +110,19 @@ mod tests {
         // be isolated instead of smeared over a wide piece.
         let mut values = vec![0.0; 64];
         values[17] = 250.0;
-        let fit = equal_mass_histogram(&values, 5).unwrap();
-        let breaks = fit.histogram.partition().breakpoints();
+        let pieces = partition(&values, 5).unwrap();
+        let breaks = pieces.breakpoints();
         assert!(breaks.contains(&17) && breaks.contains(&18), "breaks {breaks:?}");
-        assert!(fit.sse < 1e-12, "isolating the spike makes the fit exact");
+        assert!(residual(&values, &pieces) < 1e-12, "isolating the spike makes the fit exact");
     }
 
     #[test]
     fn budgets_at_or_beyond_the_domain_are_exact() {
         let values: Vec<f64> = (0..12).map(|i| (i % 4) as f64 + 0.5).collect();
         for k in [12, 20] {
-            let fit = equal_mass_histogram(&values, k).unwrap();
-            assert_eq!(fit.histogram.num_pieces(), 12);
-            assert_eq!(fit.sse, 0.0);
+            let pieces = partition(&values, k).unwrap();
+            assert_eq!(pieces.len(), 12);
+            assert_eq!(residual(&values, &pieces), 0.0);
         }
-    }
-
-    #[test]
-    fn rejects_negative_signals_and_bad_parameters() {
-        assert!(equal_mass_histogram(&[-1.0, 2.0], 2).is_err());
-        assert!(equal_mass_histogram(&[], 2).is_err());
-        assert!(equal_mass_histogram(&[1.0], 0).is_err());
     }
 }

@@ -5,52 +5,31 @@
 //! data-adaptive algorithm should beat it on signals whose structure is not
 //! aligned with a uniform grid.
 
-use crate::FitResult;
-use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
+use hist_core::{Partition, Result};
 
-/// Builds the equi-width `k`-histogram of a dense signal (`O(n)` time).
-pub fn equal_width_histogram(values: &[f64], k: usize) -> Result<FitResult> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "the number of histogram pieces must be at least 1".into(),
-        });
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "equal_width" });
-    }
+/// The pieces of the equi-width `k`-histogram of a dense signal (`O(n)` time).
+pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
     let n = values.len();
-    let partition = Partition::equal_width(n, k.min(n))?;
-    let prefix = DensePrefix::new(values)?;
-    let histogram = flatten_dense(values, &partition)?;
-    let sse = partition.iter().map(|iv| prefix.sse(*iv)).sum();
-    Ok(FitResult { histogram, sse })
+    Partition::equal_width(n, k.min(n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_dp;
+    use crate::test_support::{optimum, residual};
 
     #[test]
-    fn produces_k_pieces_and_consistent_error() {
+    fn produces_k_pieces() {
         let values: Vec<f64> = (0..100).map(|i| (i % 10) as f64).collect();
-        let fit = equal_width_histogram(&values, 10).unwrap();
-        assert_eq!(fit.histogram.num_pieces(), 10);
-        let direct = fit.histogram.l2_distance_squared_dense(&values).unwrap();
-        assert!((fit.sse - direct).abs() < 1e-9);
+        assert_eq!(partition(&values, 10).unwrap().len(), 10);
     }
 
     #[test]
     fn never_beats_the_exact_optimum() {
         let values: Vec<f64> = (0..90).map(|i| ((i * 13) % 7) as f64).collect();
         for k in [2usize, 5, 9] {
-            let fit = equal_width_histogram(&values, k).unwrap();
-            let opt = exact_dp::opt_sse(&values, k).unwrap();
-            assert!(fit.sse + 1e-12 >= opt);
+            let sse = residual(&values, &partition(&values, k).unwrap());
+            assert!(sse + 1e-12 >= optimum(&values, k));
         }
     }
 
@@ -58,14 +37,6 @@ mod tests {
     fn aligned_step_signal_is_recovered() {
         // Steps exactly aligned with the uniform grid are captured perfectly.
         let values: Vec<f64> = (0..40).map(|i| (i / 10) as f64).collect();
-        let fit = equal_width_histogram(&values, 4).unwrap();
-        assert!(fit.sse < 1e-15);
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        assert!(equal_width_histogram(&[], 3).is_err());
-        assert!(equal_width_histogram(&[1.0], 0).is_err());
-        assert!(equal_width_histogram(&[f64::NAN], 1).is_err());
+        assert!(residual(&values, &partition(&values, 4).unwrap()) < 1e-15);
     }
 }

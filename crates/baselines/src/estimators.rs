@@ -1,23 +1,37 @@
 //! [`Estimator`] adapters for every baseline algorithm, so benches and tests
-//! dispatch over `&dyn Estimator` instead of calling the per-algorithm
-//! functions directly.
+//! dispatch over `&dyn Estimator`.
 //!
-//! All baselines operate on the dense view of the [`Signal`] and respect the
-//! piece budget `k` of the [`EstimatorBuilder`] exactly (unlike the merging
-//! algorithms, which trade extra pieces for speed and accuracy).
+//! Each algorithm module picks a [`Partition`] of a dense slice for a piece
+//! budget `k ≥ 1`; `fit_partition` checks the budget, hands the algorithm
+//! the dense view of the [`Signal`] and flattens the signal over the chosen
+//! pieces. Every baseline respects the piece budget `k` of the
+//! [`EstimatorBuilder`] exactly (unlike the merging algorithms, which trade
+//! extra pieces for speed and accuracy).
 
-use hist_core::{Estimator, EstimatorBuilder, FittedModel, Result, Signal, Synopsis};
+use hist_core::{
+    flatten_dense, Error, Estimator, EstimatorBuilder, FittedModel, Partition, Result, Signal,
+    Synopsis,
+};
 
-use crate::dual_greedy::dual_histogram;
-use crate::equal_mass::equal_mass_histogram;
-use crate::equal_width::equal_width_histogram;
-use crate::exact_dp::exact_histogram;
-use crate::gks::approx_dp;
-use crate::greedy_split::greedy_split_histogram;
-use crate::pruned_dp::exact_histogram_pruned;
+use crate::{dual_greedy, equal_mass, equal_width, exact_dp, gks, greedy_split, pruned_dp};
 
-fn synopsis(name: &'static str, k: usize, fit: crate::FitResult) -> Synopsis {
-    Synopsis::new(name, k, FittedModel::Histogram(fit.histogram))
+/// Fits `signal` with the pieces `partition` picks for its dense values and
+/// `k`, and wraps the flattened histogram as `name`'s synopsis.
+fn fit_partition(
+    name: &'static str,
+    k: usize,
+    signal: &Signal,
+    partition: impl FnOnce(&[f64], usize) -> Result<Partition>,
+) -> Result<Synopsis> {
+    if k == 0 {
+        return Err(Error::InvalidParameter {
+            name: "k",
+            reason: "the number of histogram pieces must be at least 1".into(),
+        });
+    }
+    let values = signal.dense_values();
+    let histogram = flatten_dense(&values, &partition(&values, k)?)?;
+    Ok(Synopsis::new(name, k, FittedModel::Histogram(histogram)))
 }
 
 /// The exact V-optimal dynamic program of [JKM+98] as an [`Estimator`].
@@ -53,14 +67,8 @@ impl Estimator for ExactDp {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let values = signal.dense_values();
-        let k = self.builder.k();
-        let fit = if self.naive {
-            exact_histogram(&values, k)?
-        } else {
-            exact_histogram_pruned(&values, k)?
-        };
-        Ok(synopsis(self.name(), k, fit))
+        let partition = if self.naive { exact_dp::partition } else { pruned_dp::partition };
+        fit_partition(self.name(), self.builder.k(), signal, partition)
     }
 }
 
@@ -87,9 +95,9 @@ impl Estimator for GksQuantile {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let k = self.builder.k();
-        let fit = approx_dp(&signal.dense_values(), k, GKS_DELTA)?;
-        Ok(synopsis(self.name(), k, fit))
+        fit_partition(self.name(), self.builder.k(), signal, |values, k| {
+            gks::partition(values, k, GKS_DELTA)
+        })
     }
 }
 
@@ -113,8 +121,7 @@ impl Estimator for DualGreedy {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let k = self.builder.k();
-        Ok(synopsis(self.name(), k, dual_histogram(&signal.dense_values(), k)?))
+        fit_partition(self.name(), self.builder.k(), signal, dual_greedy::partition)
     }
 }
 
@@ -137,8 +144,7 @@ impl Estimator for EqualWidth {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let k = self.builder.k();
-        Ok(synopsis(self.name(), k, equal_width_histogram(&signal.dense_values(), k)?))
+        fit_partition(self.name(), self.builder.k(), signal, equal_width::partition)
     }
 }
 
@@ -161,8 +167,7 @@ impl Estimator for EqualMass {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let k = self.builder.k();
-        Ok(synopsis(self.name(), k, equal_mass_histogram(&signal.dense_values(), k)?))
+        fit_partition(self.name(), self.builder.k(), signal, equal_mass::partition)
     }
 }
 
@@ -186,8 +191,7 @@ impl Estimator for GreedySplit {
     }
 
     fn fit(&self, signal: &Signal) -> Result<Synopsis> {
-        let k = self.builder.k();
-        Ok(synopsis(self.name(), k, greedy_split_histogram(&signal.dense_values(), k)?))
+        fit_partition(self.name(), self.builder.k(), signal, greedy_split::partition)
     }
 }
 

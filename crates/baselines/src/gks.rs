@@ -18,31 +18,11 @@
 //! within a few per mill of the optimum at the cost of being much slower than
 //! the merging algorithm).
 
-use crate::FitResult;
-use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
+use hist_core::{DensePrefix, Partition, Result};
 
-/// Computes a `(1 + δ)`-approximate V-optimal `k`-histogram with a
+/// The pieces of a `(1 + δ)`-approximate V-optimal `k`-histogram, from a
 /// compressed-row dynamic program.
-pub fn approx_dp(values: &[f64], k: usize, delta: f64) -> Result<FitResult> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "the number of histogram pieces must be at least 1".into(),
-        });
-    }
-    if !delta.is_finite() || delta <= 0.0 {
-        return Err(Error::InvalidParameter {
-            name: "delta",
-            reason: format!("the approximation parameter must be positive, got {delta}"),
-        });
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "gks::approx_dp" });
-    }
-
+pub(crate) fn partition(values: &[f64], k: usize, delta: f64) -> Result<Partition> {
     let n = values.len();
     let k = k.min(n);
     let prefix = DensePrefix::new(values)?;
@@ -107,10 +87,7 @@ pub fn approx_dp(values: &[f64], k: usize, delta: f64) -> Result<FitResult> {
     }
     breaks.reverse();
     breaks.dedup();
-    let partition = Partition::from_breakpoints(n, &breaks)?;
-    let histogram = flatten_dense(values, &partition)?;
-    let sse = partition.iter().map(|iv| prefix.sse(*iv)).sum();
-    Ok(FitResult { histogram, sse })
+    Partition::from_breakpoints(n, &breaks)
 }
 
 /// Compresses a non-decreasing DP row into candidate boundary positions: for
@@ -145,13 +122,8 @@ fn compress_row(row: &[f64], delta_row: f64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_dp;
-    use hist_core::{DiscreteFunction, Histogram};
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
+    use crate::test_support::{lcg, optimum, residual};
+    use hist_core::{flatten_dense, DiscreteFunction, Histogram};
 
     #[test]
     fn close_to_the_exact_optimum() {
@@ -163,16 +135,15 @@ mod tests {
             })
             .collect();
         for k in [3usize, 6, 10] {
-            let approx = approx_dp(&values, k, 0.1).unwrap();
-            let exact = exact_dp::opt_sse(&values, k).unwrap();
-            assert!(approx.sse + 1e-12 >= exact, "approx cannot beat the optimum");
+            let pieces = partition(&values, k, 0.1).unwrap();
+            let approx = residual(&values, &pieces);
+            let exact = optimum(&values, k);
+            assert!(approx + 1e-12 >= exact, "approx cannot beat the optimum");
             assert!(
-                approx.sse <= (1.0 + 0.25) * exact + 1e-9,
-                "k={k}: approx {} too far above optimum {}",
-                approx.sse,
-                exact
+                approx <= (1.0 + 0.25) * exact + 1e-9,
+                "k={k}: approx {approx} too far above optimum {exact}"
             );
-            assert!(approx.histogram.num_pieces() <= k);
+            assert!(pieces.len() <= k);
         }
     }
 
@@ -180,30 +151,20 @@ mod tests {
     fn recovers_clean_step_signals_exactly() {
         let truth = Histogram::from_breakpoints(150, &[50, 100], vec![1.0, 4.0, 2.0]).unwrap();
         let dense = truth.to_dense();
-        let fit = approx_dp(&dense, 3, 0.05).unwrap();
-        assert!(fit.sse < 1e-12);
+        assert!(residual(&dense, &partition(&dense, 3, 0.05).unwrap()) < 1e-12);
     }
 
     #[test]
     fn smaller_delta_tracks_the_optimum_more_tightly() {
         let mut seed = 83u64;
         let values: Vec<f64> = (0..300).map(|_| lcg(&mut seed) * 6.0).collect();
-        let exact = exact_dp::opt_sse(&values, 8).unwrap();
-        let loose = approx_dp(&values, 8, 1.0).unwrap();
-        let tight = approx_dp(&values, 8, 0.01).unwrap();
-        assert!(loose.sse + 1e-12 >= exact);
-        assert!(tight.sse + 1e-12 >= exact);
+        let exact = optimum(&values, 8);
+        let loose = residual(&values, &partition(&values, 8, 1.0).unwrap());
+        let tight = residual(&values, &partition(&values, 8, 0.01).unwrap());
+        assert!(loose + 1e-12 >= exact);
+        assert!(tight + 1e-12 >= exact);
         // A very fine compression grid must stay within a few percent of the optimum.
-        assert!(tight.sse <= 1.05 * exact + 1e-9, "tight {} vs exact {exact}", tight.sse);
-    }
-
-    #[test]
-    fn sse_matches_reported_histogram() {
-        let mut seed = 12u64;
-        let values: Vec<f64> = (0..100).map(|_| lcg(&mut seed)).collect();
-        let fit = approx_dp(&values, 5, 0.1).unwrap();
-        let direct = fit.histogram.l2_distance_squared_dense(&values).unwrap();
-        assert!((fit.sse - direct).abs() < 1e-9);
+        assert!(tight <= 1.05 * exact + 1e-9, "tight {tight} vs exact {exact}");
     }
 
     #[test]
@@ -221,18 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_inputs() {
-        assert!(approx_dp(&[], 3, 0.1).is_err());
-        assert!(approx_dp(&[1.0], 0, 0.1).is_err());
-        assert!(approx_dp(&[1.0], 1, 0.0).is_err());
-        assert!(approx_dp(&[f64::NAN], 1, 0.1).is_err());
-    }
-
-    #[test]
     fn k_equal_one_is_the_global_mean() {
         let values = vec![1.0, 3.0, 5.0, 7.0];
-        let fit = approx_dp(&values, 1, 0.5).unwrap();
-        assert_eq!(fit.histogram.num_pieces(), 1);
-        assert!((fit.histogram.values()[0] - 4.0).abs() < 1e-12);
+        let pieces = partition(&values, 1, 0.5).unwrap();
+        assert_eq!(pieces.len(), 1);
+        assert!((flatten_dense(&values, &pieces).unwrap().values()[0] - 4.0).abs() < 1e-12);
     }
 }

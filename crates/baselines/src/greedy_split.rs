@@ -8,23 +8,10 @@
 //! near-linear time (`O(n·log n + n·k)` here) but carries no approximation
 //! guarantee — a greedy split can never be undone.
 
-use crate::FitResult;
-use hist_core::{flatten_dense, DensePrefix, Error, Interval, Partition, Result};
+use hist_core::{DensePrefix, Interval, Partition, Result};
 
-/// Builds a `k`-histogram by top-down greedy splitting.
-pub fn greedy_split_histogram(values: &[f64], k: usize) -> Result<FitResult> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "the number of histogram pieces must be at least 1".into(),
-        });
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "greedy_split" });
-    }
+/// The pieces top-down greedy splitting picks for a `k`-histogram.
+pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
     let n = values.len();
     let k = k.min(n);
     let prefix = DensePrefix::new(values)?;
@@ -47,11 +34,7 @@ pub fn greedy_split_histogram(values: &[f64], k: usize) -> Result<FitResult> {
         pieces.insert(idx + 1, right);
     }
 
-    let intervals: Vec<Interval> = pieces.iter().map(|(iv, _)| *iv).collect();
-    let partition = Partition::new(n, intervals)?;
-    let histogram = flatten_dense(values, &partition)?;
-    let sse = pieces.iter().map(|(_, e)| e).sum();
-    Ok(FitResult { histogram, sse })
+    Partition::new(n, pieces.into_iter().map(|(iv, _)| iv).collect())
 }
 
 /// Splits `interval` at the position minimizing the total error of the two
@@ -80,21 +63,16 @@ fn best_split(prefix: &DensePrefix, interval: Interval) -> ((Interval, f64), (In
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_dp;
+    use crate::test_support::{lcg, optimum, residual};
     use hist_core::{DiscreteFunction, Histogram};
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
-    }
 
     #[test]
     fn recovers_clean_step_signals() {
         let truth = Histogram::from_breakpoints(80, &[20, 55], vec![4.0, 1.0, 7.0]).unwrap();
         let dense = truth.to_dense();
-        let fit = greedy_split_histogram(&dense, 3).unwrap();
-        assert!(fit.sse < 1e-12);
-        assert_eq!(fit.histogram.num_pieces(), 3);
+        let pieces = partition(&dense, 3).unwrap();
+        assert!(residual(&dense, &pieces) < 1e-12);
+        assert_eq!(pieces.len(), 3);
     }
 
     #[test]
@@ -104,11 +82,11 @@ mod tests {
         let prefix = DensePrefix::new(&values).unwrap();
         let total = prefix.sse_range(0, values.len());
         for k in [2usize, 4, 8] {
-            let fit = greedy_split_histogram(&values, k).unwrap();
-            let opt = exact_dp::opt_sse(&values, k).unwrap();
-            assert!(fit.sse + 1e-12 >= opt);
-            assert!(fit.sse <= total + 1e-12);
-            assert_eq!(fit.histogram.num_pieces(), k);
+            let pieces = partition(&values, k).unwrap();
+            let sse = residual(&values, &pieces);
+            assert!(sse + 1e-12 >= optimum(&values, k));
+            assert!(sse <= total + 1e-12);
+            assert_eq!(pieces.len(), k);
         }
     }
 
@@ -118,32 +96,17 @@ mod tests {
         let values: Vec<f64> = (0..200).map(|_| lcg(&mut seed)).collect();
         let mut last = f64::INFINITY;
         for k in [1usize, 2, 4, 8, 16, 32] {
-            let fit = greedy_split_histogram(&values, k).unwrap();
-            assert!(fit.sse <= last + 1e-12);
-            last = fit.sse;
+            let sse = residual(&values, &partition(&values, k).unwrap());
+            assert!(sse <= last + 1e-12);
+            last = sse;
         }
-    }
-
-    #[test]
-    fn sse_matches_histogram_residual() {
-        let values: Vec<f64> = (0..64).map(|i| ((i * 5) % 9) as f64).collect();
-        let fit = greedy_split_histogram(&values, 6).unwrap();
-        let direct = fit.histogram.l2_distance_squared_dense(&values).unwrap();
-        assert!((fit.sse - direct).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        assert!(greedy_split_histogram(&[], 1).is_err());
-        assert!(greedy_split_histogram(&[1.0], 0).is_err());
-        assert!(greedy_split_histogram(&[f64::NEG_INFINITY], 1).is_err());
     }
 
     #[test]
     fn k_larger_than_n_is_clamped() {
         let values = vec![1.0, 5.0];
-        let fit = greedy_split_histogram(&values, 9).unwrap();
-        assert_eq!(fit.histogram.num_pieces(), 2);
-        assert!(fit.sse < 1e-15);
+        let pieces = partition(&values, 9).unwrap();
+        assert_eq!(pieces.len(), 2);
+        assert!(residual(&values, &pieces) < 1e-15);
     }
 }

@@ -1,7 +1,7 @@
 //! Exact V-optimal dynamic programming with branch-and-bound pruning.
 //!
-//! The naive DP of [`crate::exact_dp`] evaluates every possible start position
-//! `b` of the last piece for every prefix length `i`, costing `Θ(n²·k)` overall.
+//! The naive DP of `exact_dp` evaluates every possible start position `b` of
+//! the last piece for every prefix length `i`, costing `Θ(n²·k)` overall.
 //! This variant computes *exactly* the same optimum but scans the candidate
 //! starts from `i − 1` downwards and stops as soon as the interval cost
 //! `w(b, i)` alone reaches the best total found so far: because DP values are
@@ -14,25 +14,12 @@
 //! practical in well under a second while remaining provably exact — the test
 //! suite cross-checks it against the naive DP.
 
-use crate::FitResult;
-use hist_core::{flatten_dense, DensePrefix, Error, Partition, Result};
+use hist_core::{DensePrefix, Partition, Result};
 
-/// Computes the exact V-optimal `k`-histogram with a pruned DP scan.
-/// Produces the same optimum as [`crate::exact_dp::exact_histogram`], usually
-/// one to two orders of magnitude faster.
-pub fn exact_histogram_pruned(values: &[f64], k: usize) -> Result<FitResult> {
-    if values.is_empty() {
-        return Err(Error::EmptyDomain);
-    }
-    if k == 0 {
-        return Err(Error::InvalidParameter {
-            name: "k",
-            reason: "the number of histogram pieces must be at least 1".into(),
-        });
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(Error::NonFiniteValue { context: "pruned_dp" });
-    }
+/// The pieces of the exact V-optimal `k`-histogram, from a pruned DP scan:
+/// the same optimum as the naive DP, usually one to two orders of magnitude
+/// faster.
+pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
     let n = values.len();
     let k = k.min(n);
     let prefix = DensePrefix::new(values)?;
@@ -66,7 +53,6 @@ pub fn exact_histogram_pruned(values: &[f64], k: usize) -> Result<FitResult> {
         std::mem::swap(&mut prev, &mut curr);
     }
 
-    let sse = prev[n].max(0.0);
     // Backtrack: `usize::MAX` marks "no new boundary introduced at this level".
     let mut breaks = Vec::with_capacity(k);
     let mut i = n;
@@ -82,27 +68,20 @@ pub fn exact_histogram_pruned(values: &[f64], k: usize) -> Result<FitResult> {
     }
     breaks.reverse();
     breaks.dedup();
-    let partition = Partition::from_breakpoints(n, &breaks)?;
-    let histogram = flatten_dense(values, &partition)?;
-    Ok(FitResult { histogram, sse })
+    Partition::from_breakpoints(n, &breaks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_dp;
+    use crate::test_support::{lcg, optimum, residual};
 
     /// Whether the pruned DP and the naive DP agree on the optimum up to
     /// `tolerance` (relative to `1 + opt`).
-    fn agrees_with_naive(values: &[f64], k: usize, tolerance: f64) -> Result<bool> {
-        let pruned = exact_histogram_pruned(values, k)?.sse;
-        let naive = exact_dp::opt_sse(values, k)?;
-        Ok((pruned - naive).abs() <= tolerance * (1.0 + naive))
-    }
-
-    fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((*seed >> 11) as f64) / (1u64 << 53) as f64
+    fn agrees_with_naive(values: &[f64], k: usize, tolerance: f64) -> bool {
+        let pruned = residual(values, &partition(values, k).unwrap());
+        let naive = optimum(values, k);
+        (pruned - naive).abs() <= tolerance * (1.0 + naive)
     }
 
     #[test]
@@ -111,16 +90,7 @@ mod tests {
         for n in [1usize, 2, 7, 40, 120] {
             let values: Vec<f64> = (0..n).map(|_| lcg(&mut seed) * 5.0).collect();
             for k in [1usize, 2, 3, 8] {
-                let pruned = exact_histogram_pruned(&values, k).unwrap();
-                let naive = exact_dp::exact_histogram(&values, k).unwrap();
-                assert!(
-                    (pruned.sse - naive.sse).abs() < 1e-9 * (1.0 + naive.sse),
-                    "n={n}, k={k}: pruned {} vs naive {}",
-                    pruned.sse,
-                    naive.sse
-                );
-                let residual = pruned.histogram.l2_distance_squared_dense(&values).unwrap();
-                assert!((residual - pruned.sse).abs() < 1e-9 * (1.0 + pruned.sse));
+                assert!(agrees_with_naive(&values, k, 1e-9), "n={n}, k={k}");
             }
         }
     }
@@ -135,7 +105,7 @@ mod tests {
             })
             .collect();
         for k in 1..=10usize {
-            assert!(agrees_with_naive(&values, k, 1e-9).unwrap(), "k = {k}");
+            assert!(agrees_with_naive(&values, k, 1e-9), "k = {k}");
         }
     }
 
@@ -148,25 +118,17 @@ mod tests {
                 trend + lcg(&mut seed)
             })
             .collect();
-        let fit = exact_histogram_pruned(&values, 20).unwrap();
-        assert!(fit.histogram.num_pieces() <= 20);
-        assert!(fit.sse.is_finite());
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        assert!(exact_histogram_pruned(&[], 1).is_err());
-        assert!(exact_histogram_pruned(&[1.0], 0).is_err());
-        assert!(exact_histogram_pruned(&[f64::INFINITY], 1).is_err());
+        let pieces = partition(&values, 20).unwrap();
+        assert!(pieces.len() <= 20);
+        assert!(residual(&values, &pieces).is_finite());
     }
 
     #[test]
     fn k_equals_one_and_k_equals_n() {
         let values = vec![1.0, 4.0, 2.0, 8.0];
-        let one = exact_histogram_pruned(&values, 1).unwrap();
+        let one = residual(&values, &partition(&values, 1).unwrap());
         let prefix = DensePrefix::new(&values).unwrap();
-        assert!((one.sse - prefix.sse_range(0, 4)).abs() < 1e-12);
-        let full = exact_histogram_pruned(&values, 4).unwrap();
-        assert!(full.sse < 1e-12);
+        assert!((one - prefix.sse_range(0, 4)).abs() < 1e-12);
+        assert!(residual(&values, &partition(&values, 4).unwrap()) < 1e-12);
     }
 }

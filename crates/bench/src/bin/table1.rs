@@ -11,7 +11,8 @@
 //! the naive `O(n²k)` DP on every data set (slow at paper scale); by default
 //! the pruned exact DP is used on `dow` (identical optimum, practical time).
 //! `--all-baselines` adds the extra baselines (`gks`, equi-width, equi-depth,
-//! greedy splitting) to every data set.
+//! greedy splitting) to every data set; equi-depth only where the data set is
+//! non-negative.
 
 use hist_bench::offline::{
     extra_baseline_estimators, run_offline, table1_datasets, table1_estimators,
@@ -35,7 +36,10 @@ fn main() {
         let naive = naive_dp || spec.values.len() <= 4_096;
         let mut estimators = table1_estimators(spec.k, naive);
         if all_baselines {
-            estimators.extend(extra_baseline_estimators(spec.k));
+            // Equi-depth buckets need non-negative mass; `poly` dips below zero.
+            let non_negative = spec.values.iter().all(|&v| v >= 0.0);
+            let extra = extra_baseline_estimators(spec.k).into_iter();
+            estimators.extend(extra.filter(|e| non_negative || e.name() != "equalmass"));
         }
         let results = run_offline(&spec.values, &estimators);
         let rows: Vec<Vec<String>> = results

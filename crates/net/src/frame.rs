@@ -21,7 +21,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
-use hist_persist::crc32::crc32;
+use hist_persist::wire::{self, seal_envelope};
 use hist_persist::CodecError;
 
 use crate::error::{NetError, NetResult};
@@ -64,8 +64,7 @@ pub fn seal_message(op: u8, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     out.push(op);
     out.extend_from_slice(payload);
-    let crc = crc32(&out[LENGTH_PREFIX_BYTES..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal_envelope(&mut out, LENGTH_PREFIX_BYTES);
     out
 }
 
@@ -73,32 +72,8 @@ pub fn seal_message(op: u8, payload: &[u8]) -> Vec<u8> {
 /// (exactly [`PROTOCOL_VERSION`]), CRC trailer. Returns the op byte and the
 /// payload.
 pub fn check_envelope(frame: &[u8]) -> Result<(u8, &[u8]), CodecError> {
-    if frame.len() < NET_MAGIC.len() {
-        if *frame == NET_MAGIC[..frame.len()] {
-            return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: frame.len() });
-        }
-        return Err(CodecError::BadMagic);
-    }
-    if frame[..8] != NET_MAGIC[..] {
-        return Err(CodecError::BadMagic);
-    }
-    if frame.len() < 10 {
-        return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: frame.len() });
-    }
-    let found = u16::from_le_bytes([frame[8], frame[9]]);
-    if found != PROTOCOL_VERSION {
-        return Err(CodecError::UnsupportedVersion { found, supported: PROTOCOL_VERSION });
-    }
-    if frame.len() < ENVELOPE_BYTES {
-        return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: frame.len() });
-    }
-    let content = &frame[..frame.len() - 4];
-    let stored = u32::from_le_bytes(frame[frame.len() - 4..].try_into().expect("4 trailer bytes"));
-    let computed = crc32(content);
-    if stored != computed {
-        return Err(CodecError::ChecksumMismatch { stored, computed });
-    }
-    Ok((frame[10], &content[11..]))
+    let body = wire::check_envelope(frame, &NET_MAGIC, PROTOCOL_VERSION, ENVELOPE_BYTES)?;
+    Ok((body[0], &body[1..]))
 }
 
 /// Splits a complete wire message (length prefix included) into op and

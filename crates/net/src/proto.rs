@@ -26,8 +26,7 @@
 //! (the addressed key's epoch; store-wide answers carry the largest per-key
 //! epoch), so a client can order responses across reconnects and publishes.
 
-use hist_persist::crc32::crc32;
-use hist_persist::wire::{put_f64, put_u64, Reader};
+use hist_persist::wire::{put_f64, put_u64, seal_envelope, Reader};
 use hist_persist::{CodecError, CodecResult};
 
 use crate::frame::{seal_message, split_message, LENGTH_PREFIX_BYTES, NET_MAGIC, PROTOCOL_VERSION};
@@ -424,8 +423,7 @@ pub fn encode_response_into(response: &Response, out: &mut Vec<u8>) {
     // frame = magic + version + op + payload + the 4-byte CRC trailer below.
     let frame_len = out.len() - start - LENGTH_PREFIX_BYTES + 4;
     out[start..start + LENGTH_PREFIX_BYTES].copy_from_slice(&(frame_len as u32).to_le_bytes());
-    let crc = crc32(&out[start + LENGTH_PREFIX_BYTES..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    seal_envelope(out, start + LENGTH_PREFIX_BYTES);
 }
 
 fn write_response_payload(response: &Response, payload: &mut Vec<u8>) {
@@ -692,6 +690,7 @@ pub fn decode_response(message: &[u8]) -> CodecResult<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hist_persist::crc32::crc32;
     use hist_serve::DEFAULT_KEY;
 
     fn round_trip_request(request: Request) {

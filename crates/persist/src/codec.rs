@@ -31,9 +31,8 @@ use hist_core::{
     PolynomialPiece, Synopsis,
 };
 
-use crate::crc32::crc32;
 use crate::error::{CodecError, CodecResult};
-use crate::wire::{put_f64, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{check_envelope, put_f64, put_u16, put_u32, put_u64, seal_envelope, Reader};
 
 /// Magic bytes opening a single-synopsis container.
 pub const SYNOPSIS_MAGIC: [u8; 8] = *b"AHISTSYN";
@@ -113,41 +112,8 @@ fn open_frame(magic: [u8; 8]) -> Vec<u8> {
 
 /// Appends the CRC-32 trailer over everything written so far.
 fn seal(mut out: Vec<u8>) -> Vec<u8> {
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
+    seal_envelope(&mut out, 0);
     out
-}
-
-/// Verifies the frame (magic, version, CRC trailer) and returns the payload.
-fn check_envelope<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> CodecResult<&'a [u8]> {
-    if bytes.len() < magic.len() {
-        // A strict prefix of the magic is a truncated container; anything
-        // else never was one.
-        if *bytes == magic[..bytes.len()] {
-            return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: bytes.len() });
-        }
-        return Err(CodecError::BadMagic);
-    }
-    if bytes[..8] != magic[..] {
-        return Err(CodecError::BadMagic);
-    }
-    if bytes.len() < 10 {
-        return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: bytes.len() });
-    }
-    let found = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if found != FORMAT_VERSION {
-        return Err(CodecError::UnsupportedVersion { found, supported: FORMAT_VERSION });
-    }
-    if bytes.len() < ENVELOPE_BYTES {
-        return Err(CodecError::Truncated { needed: ENVELOPE_BYTES, available: bytes.len() });
-    }
-    let content = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 trailer bytes"));
-    let computed = crc32(content);
-    if stored != computed {
-        return Err(CodecError::ChecksumMismatch { stored, computed });
-    }
-    Ok(&content[10..])
 }
 
 // ---------------------------------------------------------------------------
@@ -202,7 +168,7 @@ fn write_synopsis_payload(out: &mut Vec<u8>, synopsis: &Synopsis) {
 /// Total on arbitrary bytes: every failure is a typed [`CodecError`], never a
 /// panic, and no allocation exceeds the input length.
 pub fn decode_synopsis(bytes: &[u8]) -> CodecResult<Synopsis> {
-    let payload = check_envelope(bytes, &SYNOPSIS_MAGIC)?;
+    let payload = check_envelope(bytes, &SYNOPSIS_MAGIC, FORMAT_VERSION, ENVELOPE_BYTES)?;
     let mut reader = Reader::new(payload);
     let synopsis = read_synopsis_payload(&mut reader)?;
     reader.finish()?;
@@ -355,7 +321,7 @@ pub fn encode_store_map(entries: &[StoreMapEntry]) -> CodecResult<Vec<u8>> {
 /// valid UTF-8 within the length cap and strictly ascending (which also
 /// rules out duplicates), so any decoded map re-encodes to the same bytes.
 pub fn decode_store_map(bytes: &[u8]) -> CodecResult<StoreMapSnapshot> {
-    let payload = check_envelope(bytes, &MAP_MAGIC)?;
+    let payload = check_envelope(bytes, &MAP_MAGIC, FORMAT_VERSION, ENVELOPE_BYTES)?;
     let mut reader = Reader::new(payload);
     // Smallest possible entry: key section (8 + 1) + epoch (8) + presence (1).
     let count = reader.count("store-map entries", 18)?;
@@ -438,7 +404,7 @@ pub fn encode_stream_checkpoint(checkpoint: &StreamCheckpoint) -> Vec<u8> {
 /// matching `2^i · chunk_len`, totals matching `pushed` — live in
 /// `StreamingBuilder::resume`, which knows the builder's invariants.
 pub fn decode_stream_checkpoint(bytes: &[u8]) -> CodecResult<StreamCheckpoint> {
-    let payload = check_envelope(bytes, &CHECKPOINT_MAGIC)?;
+    let payload = check_envelope(bytes, &CHECKPOINT_MAGIC, FORMAT_VERSION, ENVELOPE_BYTES)?;
     let mut reader = Reader::new(payload);
     let budget = reader.usize64("budget")?;
     let chunk_len = reader.usize64("chunk_len")?;

@@ -8,9 +8,64 @@
 //! bytes is *total*. The [`Reader`] is the single funnel for that guarantee:
 //! every read is bounds-checked, and every count prefix is validated against
 //! the bytes actually remaining *before* any allocation is sized from it, so
-//! a forged huge length can never drive an over-allocation.
+//! a forged huge length can never drive an over-allocation. The envelope
+//! itself — magic, version, CRC-32 trailer — is sealed and checked here
+//! too, by [`seal_envelope`] and [`check_envelope`], for the persist
+//! containers and the wire frames alike.
 
+use crate::crc32::crc32;
 use crate::error::{CodecError, CodecResult};
+
+/// Bytes of the envelope's head: magic (8) + version (2).
+const HEAD_BYTES: usize = 10;
+
+/// Appends the CRC-32 trailer over the envelope — magic, version, payload —
+/// that opens at `out[start]`.
+pub fn seal_envelope(out: &mut Vec<u8>, start: usize) {
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// Verifies an envelope — `magic`, exactly `version`, at least `min_len`
+/// bytes (head and trailer included, at least 14) and the CRC-32 trailer —
+/// and returns the bytes between the head and the trailer.
+pub fn check_envelope<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u16,
+    min_len: usize,
+) -> CodecResult<&'a [u8]> {
+    debug_assert!(min_len >= HEAD_BYTES + 4);
+    let truncated = || CodecError::Truncated { needed: min_len, available: bytes.len() };
+    if bytes.len() < magic.len() {
+        // A strict prefix of the magic is a truncated envelope; anything
+        // else never was one.
+        if *bytes == magic[..bytes.len()] {
+            return Err(truncated());
+        }
+        return Err(CodecError::BadMagic);
+    }
+    if bytes[..8] != magic[..] {
+        return Err(CodecError::BadMagic);
+    }
+    if bytes.len() < HEAD_BYTES {
+        return Err(truncated());
+    }
+    let found = u16::from_le_bytes([bytes[8], bytes[9]]);
+    if found != version {
+        return Err(CodecError::UnsupportedVersion { found, supported: version });
+    }
+    if bytes.len() < min_len {
+        return Err(truncated());
+    }
+    let content = &bytes[..bytes.len() - 4];
+    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 trailer bytes"));
+    let computed = crc32(content);
+    if stored != computed {
+        return Err(CodecError::ChecksumMismatch { stored, computed });
+    }
+    Ok(&content[HEAD_BYTES..])
+}
 
 /// Appends a `u16` in little-endian byte order.
 pub fn put_u16(out: &mut Vec<u8>, v: u16) {

@@ -126,3 +126,16 @@ fn dual_histogram_respects_piece_budgets_on_random_signals() {
         assert!(synopsis.num_pieces() <= k, "case {case}");
     }
 }
+
+#[test]
+fn dual_recovers_a_step_signal_at_every_scale() {
+    // Runs of 16 at levels 1, 2, 3, 1: the dual greedy's one-piece shortcut
+    // is for constant signals only, whatever the signal's scale.
+    let steps: Vec<f64> = (0..64).map(|i| [1.0, 2.0, 3.0, 1.0][i / 16]).collect();
+    for scale in [1.0, 1e-3, 1e-6, 1e-9] {
+        let signal = Signal::from_dense(steps.iter().map(|v| v * scale).collect()).unwrap();
+        let synopsis = fit(EstimatorKind::Dual, &signal, 4);
+        let breaks = synopsis.histogram().unwrap().partition().breakpoints();
+        assert_eq!(breaks, [16, 32, 48], "scale {scale}");
+    }
+}

@@ -7,7 +7,7 @@
 mod common;
 
 use approx_hist::{
-    DiscreteFunction, EstimatorBuilder, EstimatorKind, GreedyMerging, Interval, Signal,
+    DiscreteFunction, Error, EstimatorBuilder, EstimatorKind, GreedyMerging, Interval, Signal,
     StreamingBuilder,
 };
 use common::fixture_builder;
@@ -129,6 +129,26 @@ fn zero_signals_fit_and_report_no_mass() {
         assert!(synopsis.cdf(5).is_err(), "{}: cdf of a zero synopsis", estimator.name());
         assert_eq!(synopsis.mass(Interval::new(0, 31).unwrap()).unwrap(), 0.0);
     }
+}
+
+#[test]
+fn zero_piece_budgets_and_negative_equal_mass_signals_are_typed_errors() {
+    let signal = common::noisy_steps(3, 64, 4, 0.1);
+    for kind in EstimatorKind::all() {
+        // The chunked estimators name the tree merge's budget.
+        let want = match kind {
+            EstimatorKind::Chunked | EstimatorKind::ParallelChunked => "budget",
+            _ => "k",
+        };
+        match kind.build(fixture_builder().with_k(0)).fit(&signal).err() {
+            Some(Error::InvalidParameter { name, .. }) => assert_eq!(name, want, "{kind:?}"),
+            other => panic!("{kind:?}: k = 0 gave {other:?}"),
+        }
+    }
+    // Equi-depth buckets need non-negative mass.
+    let negative = Signal::from_dense(vec![1.0, -2.0, 3.0, 4.0]).unwrap();
+    let fit = EstimatorKind::EqualMass.build(fixture_builder()).fit(&negative);
+    assert!(matches!(fit, Err(Error::InvalidParameter { name: "values", .. })));
 }
 
 #[test]
