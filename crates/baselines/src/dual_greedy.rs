@@ -14,12 +14,10 @@
 
 use hist_core::{DensePrefix, Partition, Result};
 
-/// One `O(n)` greedy sweep with per-piece squared-error threshold `tau_sq`:
-/// every produced piece has flattening SSE at most `tau_sq` (single points are
-/// always admissible).
-fn greedy_sweep(values: &[f64], tau_sq: f64) -> Result<Partition> {
-    let n = values.len();
-    let prefix = DensePrefix::new(values)?;
+/// One `O(n)` greedy sweep over the `n` values behind `prefix` with per-piece
+/// squared-error threshold `tau_sq`: every produced piece has flattening SSE
+/// at most `tau_sq` (single points are always admissible).
+fn greedy_sweep(prefix: &DensePrefix, n: usize, tau_sq: f64) -> Result<Partition> {
     let mut breaks = Vec::new();
     let mut piece_start = 0usize;
     for i in 1..=n {
@@ -36,21 +34,22 @@ fn greedy_sweep(values: &[f64], tau_sq: f64) -> Result<Partition> {
 /// over the per-piece threshold until the sweep uses at most `k` pieces
 /// (`O(n·log(range/precision))` time).
 pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
+    let n = values.len();
     if values.iter().all(|&v| v == values[0]) {
         // The whole signal is constant: one piece suffices.
-        return Partition::trivial(values.len());
+        return Partition::trivial(n);
     }
     let prefix = DensePrefix::new(values)?;
-    let total_sse = prefix.sse_range(0, values.len());
+    let total_sse = prefix.sse_range(0, n);
 
     // Invariant: `hi` always yields at most k pieces (the full-signal SSE does),
     // `lo` may not. Shrink the bracket by a fixed number of halvings.
     let mut lo = 0.0f64;
     let mut hi = total_sse;
-    let mut best = greedy_sweep(values, hi)?;
+    let mut best = greedy_sweep(&prefix, n, hi)?;
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        let sweep = greedy_sweep(values, mid)?;
+        let sweep = greedy_sweep(&prefix, n, mid)?;
         if sweep.len() <= k {
             hi = mid;
             best = sweep;
@@ -61,7 +60,7 @@ pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
     if best.len() > k {
         // Even the full-signal error split the signal: rounding in the prefix
         // sums of a numerically constant signal. One piece meets that error.
-        return Partition::trivial(values.len());
+        return Partition::trivial(n);
     }
     Ok(best)
 }
@@ -70,7 +69,6 @@ pub(crate) fn partition(values: &[f64], k: usize) -> Result<Partition> {
 mod tests {
     use super::*;
     use crate::test_support::{lcg, optimum, residual};
-    use hist_core::{DiscreteFunction, Histogram};
 
     #[test]
     fn sweep_respects_the_per_piece_budget() {
@@ -78,7 +76,7 @@ mod tests {
         let values: Vec<f64> = (0..200).map(|_| lcg(&mut seed) * 4.0).collect();
         let prefix = DensePrefix::new(&values).unwrap();
         for tau in [0.05, 0.5, 5.0, 50.0] {
-            let sweep = greedy_sweep(&values, tau).unwrap();
+            let sweep = greedy_sweep(&prefix, values.len(), tau).unwrap();
             for iv in sweep.iter() {
                 let cost = prefix.sse(*iv);
                 assert!(
@@ -93,9 +91,10 @@ mod tests {
     fn larger_budgets_give_fewer_pieces() {
         let mut seed = 21u64;
         let values: Vec<f64> = (0..400).map(|_| lcg(&mut seed) * 2.0).collect();
+        let prefix = DensePrefix::new(&values).unwrap();
         let mut last_pieces = usize::MAX;
         for tau in [0.01, 0.1, 1.0, 10.0, 100.0] {
-            let sweep = greedy_sweep(&values, tau).unwrap();
+            let sweep = greedy_sweep(&prefix, values.len(), tau).unwrap();
             assert!(sweep.len() <= last_pieces);
             last_pieces = sweep.len();
         }
@@ -117,8 +116,7 @@ mod tests {
 
     #[test]
     fn close_to_optimal_on_clean_step_signals() {
-        let truth = Histogram::from_breakpoints(120, &[40, 80], vec![1.0, 6.0, 3.0]).unwrap();
-        let dense = truth.to_dense();
+        let dense = [vec![1.0; 40], vec![6.0; 40], vec![3.0; 40]].concat();
         assert!(residual(&dense, &partition(&dense, 3).unwrap()) < 1e-12);
     }
 

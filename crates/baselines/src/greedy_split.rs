@@ -64,12 +64,10 @@ fn best_split(prefix: &DensePrefix, interval: Interval) -> ((Interval, f64), (In
 mod tests {
     use super::*;
     use crate::test_support::{lcg, optimum, residual};
-    use hist_core::{DiscreteFunction, Histogram};
 
     #[test]
     fn recovers_clean_step_signals() {
-        let truth = Histogram::from_breakpoints(80, &[20, 55], vec![4.0, 1.0, 7.0]).unwrap();
-        let dense = truth.to_dense();
+        let dense = [vec![4.0; 20], vec![1.0; 35], vec![7.0; 25]].concat();
         let pieces = partition(&dense, 3).unwrap();
         assert!(residual(&dense, &pieces) < 1e-12);
         assert_eq!(pieces.len(), 3);

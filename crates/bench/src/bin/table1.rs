@@ -11,11 +11,11 @@
 //! the naive `O(n²k)` DP on every data set (slow at paper scale); by default
 //! the pruned exact DP is used on `dow` (identical optimum, practical time).
 //! `--all-baselines` adds the extra baselines (`gks`, equi-width, equi-depth,
-//! greedy splitting) to every data set; equi-depth only where the data set is
-//! non-negative.
+//! greedy splitting) to every data set. A fit the estimator rejects (equi-depth
+//! on the negative values of `poly`) is printed with its error and gets no row.
 
 use hist_bench::offline::{
-    extra_baseline_estimators, run_offline, table1_datasets, table1_estimators,
+    extra_baseline_estimators, run_offline, table1_datasets, table1_estimators, OfflineRun,
 };
 use hist_bench::report::{emit, fmt_float};
 
@@ -36,12 +36,9 @@ fn main() {
         let naive = naive_dp || spec.values.len() <= 4_096;
         let mut estimators = table1_estimators(spec.k, naive);
         if all_baselines {
-            // Equi-depth buckets need non-negative mass; `poly` dips below zero.
-            let non_negative = spec.values.iter().all(|&v| v >= 0.0);
-            let extra = extra_baseline_estimators(spec.k).into_iter();
-            estimators.extend(extra.filter(|e| non_negative || e.name() != "equalmass"));
+            estimators.extend(extra_baseline_estimators(spec.k));
         }
-        let results = run_offline(&spec.values, &estimators);
+        let OfflineRun { rows: results, rejected } = run_offline(&spec.values, &estimators);
         let rows: Vec<Vec<String>> = results
             .iter()
             .map(|r| {
@@ -62,5 +59,8 @@ fn main() {
             &rows,
         )
         .expect("writing the CSV succeeds");
+        for (name, err) in &rejected {
+            println!("{name} rejected {}: {err}", spec.name);
+        }
     }
 }

@@ -9,9 +9,7 @@
 //! together with the `opt_k` reference line (the error of the best
 //! `k`-histogram fit to the true distribution).
 
-use approx_hist::{
-    DiscreteFunction, Distribution, Estimator, EstimatorBuilder, EstimatorKind, Signal, Synopsis,
-};
+use approx_hist::{Distribution, Estimator, EstimatorBuilder, EstimatorKind, Signal, Synopsis};
 use hist_datasets as datasets;
 use hist_sampling::AliasSampler;
 use rand::rngs::StdRng;
@@ -120,7 +118,7 @@ pub fn run_learning_experiment(
         for trial in 0..trials {
             let mut rng = StdRng::seed_from_u64(seed ^ (m as u64) << 20 ^ trial as u64);
             let samples = sampler.sample_many(m, &mut rng);
-            let signal = Signal::from_samples(dataset.distribution.domain(), &samples)
+            let signal = Signal::from_samples(dataset.distribution.pmf().len(), &samples)
                 .expect("non-empty sample set");
             for (e_idx, estimator) in estimators.iter().enumerate() {
                 let synopsis = estimator.fit(&signal).expect("valid empirical signal");
@@ -192,9 +190,9 @@ mod tests {
     fn figure2_datasets_match_the_paper_description() {
         let sets = figure2_datasets();
         assert_eq!(sets.len(), 3);
-        assert_eq!(sets[0].distribution.domain(), 1_000);
-        assert_eq!(sets[1].distribution.domain(), 1_000);
-        assert_eq!(sets[2].distribution.domain(), 1_024);
+        assert_eq!(sets[0].distribution.pmf().len(), 1_000);
+        assert_eq!(sets[1].distribution.pmf().len(), 1_000);
+        assert_eq!(sets[2].distribution.pmf().len(), 1_024);
         assert_eq!(sets[2].k, 50);
     }
 

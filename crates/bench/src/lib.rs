@@ -24,6 +24,6 @@ pub mod timing;
 
 pub use offline::{
     extra_baseline_estimators, run_offline, table1, table1_datasets, table1_estimators,
-    OfflineResult,
+    OfflineResult, OfflineRun,
 };
 pub use timing::time_algorithm;

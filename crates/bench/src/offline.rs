@@ -9,7 +9,7 @@
 //! reports.
 
 use crate::timing::time_algorithm;
-use approx_hist::{Estimator, EstimatorBuilder, EstimatorKind, Signal};
+use approx_hist::{Error, Estimator, EstimatorBuilder, EstimatorKind, Signal};
 use hist_datasets as datasets;
 
 /// The six estimators of the paper's Table 1 (with the pruned exact DP
@@ -89,27 +89,45 @@ pub struct OfflineResult {
     pub relative_time: f64,
 }
 
+/// The outcome of [`run_offline`] on one data set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OfflineRun {
+    /// One row per estimator that fitted the signal, in estimator order.
+    pub rows: Vec<OfflineResult>,
+    /// The name and typed error of each estimator that rejected the signal.
+    pub rejected: Vec<(String, Error)>,
+}
+
 /// Fits every estimator to one dense signal and assembles the Table 1 rows:
 /// errors are reported relative to the first exact estimator in the batch (or
 /// to the best achieved error if none is exact), times relative to the
-/// fastest.
-pub fn run_offline(values: &[f64], estimators: &[Box<dyn Estimator>]) -> Vec<OfflineResult> {
+/// fastest. An estimator that rejects the signal (e.g. equal-mass buckets on
+/// negative values) gets no row; it is reported with its typed error instead.
+pub fn run_offline(values: &[f64], estimators: &[Box<dyn Estimator>]) -> OfflineRun {
     let signal = Signal::from_slice(values).expect("finite signal");
     let mut raw: Vec<(String, usize, f64, f64)> = Vec::with_capacity(estimators.len());
+    let mut rejected = Vec::new();
     for estimator in estimators {
-        let (synopsis, elapsed) = time_algorithm(|| estimator.fit(&signal).expect("valid input"));
-        let error = synopsis.l2_error(&signal).expect("synopsis lives on the signal's domain");
-        raw.push((estimator.name().to_string(), synopsis.num_pieces(), error, elapsed * 1e3));
+        let name = estimator.name().to_string();
+        match time_algorithm(|| estimator.fit(&signal)) {
+            (Ok(synopsis), elapsed) => {
+                let error =
+                    synopsis.l2_error(&signal).expect("synopsis lives on the signal's domain");
+                raw.push((name, synopsis.num_pieces(), error, elapsed * 1e3));
+            }
+            (Err(err), _) => rejected.push((name, err)),
+        }
     }
 
-    let reference_error = estimators
+    let reference_error = raw
         .iter()
-        .position(|e| e.name().starts_with("exactdp"))
-        .map(|idx| raw[idx].2)
+        .find(|r| r.0.starts_with("exactdp"))
+        .map(|r| r.2)
         .unwrap_or_else(|| raw.iter().map(|r| r.2).fold(f64::INFINITY, f64::min));
     let fastest = raw.iter().map(|r| r.3).fold(f64::INFINITY, f64::min).max(f64::MIN_POSITIVE);
 
-    raw.into_iter()
+    let rows = raw
+        .into_iter()
         .map(|(algorithm, pieces, error, time_ms)| OfflineResult {
             algorithm,
             pieces,
@@ -118,14 +136,15 @@ pub fn run_offline(values: &[f64], estimators: &[Box<dyn Estimator>]) -> Vec<Off
             time_ms,
             relative_time: time_ms / fastest,
         })
-        .collect()
+        .collect();
+    OfflineRun { rows, rejected }
 }
 
 /// The full Table 1: every data set with the paper's six estimators.
 pub fn table1(
     paper_scale: bool,
     use_naive_exact_everywhere: bool,
-) -> Vec<(DatasetSpec, Vec<OfflineResult>)> {
+) -> Vec<(DatasetSpec, OfflineRun)> {
     let specs = table1_datasets(paper_scale);
     specs
         .into_iter()
@@ -133,8 +152,8 @@ pub fn table1(
             // The naive DP is affordable on hist/poly; on dow it is opt-in.
             let naive = use_naive_exact_everywhere || spec.values.len() <= 4_096;
             let estimators = table1_estimators(spec.k, naive);
-            let results = run_offline(&spec.values, &estimators);
-            (spec, results)
+            let run = run_offline(&spec.values, &estimators);
+            (spec, run)
         })
         .collect()
 }
@@ -171,8 +190,9 @@ mod tests {
             EstimatorKind::Merging2.build(builder),
             EstimatorKind::Dual.build(builder),
         ];
-        let rows = run_offline(&values, &estimators);
+        let OfflineRun { rows, rejected } = run_offline(&values, &estimators);
         assert_eq!(rows.len(), 4);
+        assert!(rejected.is_empty());
         // The exact algorithm has relative error 1 by definition.
         assert!((rows[0].relative_error - 1.0).abs() < 1e-12);
         // merging uses roughly 2k+1 pieces and can therefore beat the exact k-piece optimum.
@@ -186,6 +206,22 @@ mod tests {
         // Relative times are normalized to the fastest row.
         let min_rel = rows.iter().map(|r| r.relative_time).fold(f64::INFINITY, f64::min);
         assert!((min_rel - 1.0).abs() < 1e-9);
+    }
+
+    /// Equal-mass buckets reject `poly`'s negative values: the rejection is
+    /// reported and the other estimators still get their rows.
+    #[test]
+    fn a_rejected_fit_is_reported_without_a_row() {
+        let values = datasets::poly_dataset();
+        let builder = EstimatorBuilder::new(10);
+        let estimators =
+            vec![EstimatorKind::EqualMass.build(builder), EstimatorKind::Merging.build(builder)];
+        let OfflineRun { rows, rejected } = run_offline(&values, &estimators);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].algorithm, "merging");
+        assert_eq!(rejected.len(), 1);
+        assert_eq!(rejected[0].0, "equalmass");
+        assert!(matches!(rejected[0].1, Error::InvalidParameter { .. }), "{:?}", rejected[0].1);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   for the parameterization of Corollary 3.1.
 
 use crate::error::Result;
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::segment::{merge_rounds, segments_to_histogram, Segment, Segments};
@@ -76,7 +75,6 @@ pub(crate) fn merge_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::DiscreteFunction;
     use crate::test_support::{lcg, opt_k_sse};
 
     #[test]

@@ -5,7 +5,6 @@
 //! function; sampling utilities live in the `hist-sampling` crate.
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 
 /// Tolerance used when validating that a pmf sums to one.
@@ -168,26 +167,6 @@ impl Distribution {
     }
 }
 
-impl DiscreteFunction for Distribution {
-    #[inline]
-    fn domain(&self) -> usize {
-        self.pmf.len()
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> f64 {
-        self.pmf[i]
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        self.pmf.clone()
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.pmf.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +245,7 @@ mod tests {
     fn from_histogram() {
         let h = Histogram::from_breakpoints(4, &[2], vec![0.3, 0.2]).unwrap();
         let d = Distribution::from_histogram(&h).unwrap();
-        assert!((d.total_mass() - 1.0).abs() < 1e-12);
+        assert!((d.pmf().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((d.prob(0) - 0.3).abs() < 1e-12);
     }
 }

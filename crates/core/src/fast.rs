@@ -19,7 +19,6 @@
 //! at most `(δ/k)·opt_k²` error.
 
 use crate::error::Result;
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::params::MergingParams;
 use crate::segment::{merge_rounds, segments_to_histogram, Segment, Segments};
@@ -94,7 +93,6 @@ pub(crate) fn merge_groups(
 mod tests {
     use super::*;
     use crate::construct::construct_histogram_with_report;
-    use crate::function::DiscreteFunction;
     use crate::test_support::{lcg, opt_k_sse};
 
     #[test]

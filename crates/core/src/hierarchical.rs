@@ -21,7 +21,6 @@
 //! given piece budget `k` (Theorem 2.2).
 
 use crate::error::Result;
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::partition::Partition;
 use crate::segment::{
@@ -168,7 +167,6 @@ pub(crate) fn histogram_for_k(domain: usize, src: Segments<'_>, k: usize) -> His
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::DiscreteFunction;
     use crate::interval::Interval;
     use crate::piecewise_poly::fit_polynomial;
     use crate::prefix::DensePrefix;

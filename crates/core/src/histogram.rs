@@ -7,7 +7,6 @@
 //! harness.
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::interval::Interval;
 use crate::partition::Partition;
 use crate::prefix::SparsePrefix;
@@ -51,6 +50,12 @@ impl Histogram {
         Self::new(Partition::from_breakpoints(domain, breaks)?, values)
     }
 
+    /// Size `n` of the domain `[0, n)`.
+    #[inline]
+    pub fn domain(&self) -> usize {
+        self.partition.domain()
+    }
+
     /// The underlying partition.
     #[inline]
     pub fn partition(&self) -> &Partition {
@@ -74,9 +79,15 @@ impl Histogram {
         self.partition.iter().copied().zip(self.values.iter().copied())
     }
 
-    /// Total mass `Σ_i h(i) = Σ_j |I_j| · v_j`.
-    pub(crate) fn mass(&self) -> f64 {
-        self.pieces().map(|(iv, v)| iv.len() as f64 * v).sum()
+    /// Materializes the histogram as a dense vector of length `n`.
+    pub(crate) fn to_dense(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.partition.domain()];
+        for (iv, v) in self.pieces() {
+            for slot in &mut out[iv.as_range()] {
+                *slot = v;
+            }
+        }
+        out
     }
 
     /// Clamps negative values to zero and rescales so the total mass is 1,
@@ -158,42 +169,6 @@ impl Histogram {
     }
 }
 
-impl DiscreteFunction for Histogram {
-    #[inline]
-    fn domain(&self) -> usize {
-        self.partition.domain()
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        let idx = self.partition.locate(i).expect("index inside domain");
-        self.values[idx]
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.partition.domain()];
-        for (iv, v) in self.pieces() {
-            for slot in &mut out[iv.as_range()] {
-                *slot = v;
-            }
-        }
-        out
-    }
-
-    fn interval_sum(&self, interval: Interval) -> f64 {
-        let mut total = 0.0;
-        for (iv, v) in self.pieces() {
-            if let Some(overlap) = iv.intersection(&interval) {
-                total += overlap.len() as f64 * v;
-            }
-        }
-        total
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.mass()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,10 +182,7 @@ mod tests {
         let h = simple();
         assert_eq!(h.num_pieces(), 3);
         assert_eq!(h.domain(), 10);
-        assert_eq!(h.value(0), 1.0);
-        assert_eq!(h.value(4), 2.0);
-        assert_eq!(h.value(9), 3.0);
-        assert_eq!(h.mass(), 4.0 * 1.0 + 3.0 * 2.0 + 3.0 * 3.0);
+        assert_eq!(h.values(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -224,10 +196,7 @@ mod tests {
     fn dense_roundtrip() {
         let h = simple();
         let dense = h.to_dense();
-        assert_eq!(dense.len(), 10);
-        assert_eq!(dense[3], 1.0);
-        assert_eq!(dense[6], 2.0);
-        assert_eq!(dense[8], 3.0);
+        assert_eq!(dense, [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
     }
 
     #[test]
@@ -252,20 +221,13 @@ mod tests {
     fn normalization_produces_distribution() {
         let h = Histogram::from_breakpoints(4, &[2], vec![-1.0, 3.0]).unwrap();
         let n = h.normalized().unwrap();
-        assert!((n.mass() - 1.0).abs() < 1e-12);
+        assert!((n.to_dense().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(n.values().iter().all(|&v| v >= 0.0));
-        assert_eq!(n.value(0), 0.0);
+        assert_eq!(n.values()[0], 0.0);
 
         // All-zero histogram falls back to uniform.
         let z = Histogram::constant(5, 0.0).unwrap().normalized().unwrap();
-        assert!((z.mass() - 1.0).abs() < 1e-12);
-        assert!((z.value(2) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn interval_sum_across_pieces() {
-        let h = simple();
-        // Indices 3..=5: one index at value 1.0, two at 2.0.
-        assert!((h.interval_sum(Interval::new(3, 5).unwrap()) - 5.0).abs() < 1e-12);
+        assert!((z.to_dense().iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((z.values()[0] - 0.2).abs() < 1e-12);
     }
 }

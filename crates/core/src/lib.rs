@@ -58,7 +58,6 @@ pub mod distribution;
 pub mod error;
 pub mod estimator;
 pub mod fast;
-pub mod function;
 mod gram;
 pub mod hierarchical;
 pub mod histogram;
@@ -83,7 +82,6 @@ pub use estimator::{
     Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, PiecewisePoly,
 };
 pub use fast::{construct_histogram_fast_with_report, FastMergingReport};
-pub use function::DiscreteFunction;
 pub use hierarchical::{construct_hierarchical_histogram, HierarchicalHistogram, HierarchyLevel};
 pub use histogram::Histogram;
 pub use interval::Interval;
@@ -112,7 +110,6 @@ const _: () = {
     assert_send_sync::<Partition>();
     assert_send_sync::<Interval>();
     assert_send_sync::<SparseFunction>();
-    assert_send_sync::<function::DenseFunction>();
     assert_send_sync::<Distribution>();
     assert_send_sync::<EstimatorBuilder>();
     assert_send_sync::<Error>();

@@ -15,7 +15,6 @@
 //! monomial coefficients, matching the `O(d²·s)` bound of Theorem 4.2.
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::gram::GramBasis;
 use crate::interval::Interval;
 use crate::sparse::SparseFunction;
@@ -161,6 +160,12 @@ impl PiecewisePolynomial {
         Ok(Self { domain, pieces })
     }
 
+    /// Size `n` of the domain `[0, n)`.
+    #[inline]
+    pub fn domain(&self) -> usize {
+        self.domain
+    }
+
     /// The pieces in domain order.
     #[inline]
     pub fn pieces(&self) -> &[PolynomialPiece] {
@@ -182,6 +187,17 @@ impl PiecewisePolynomial {
     /// — the space measure `k(d + 1)` used in the paper.
     pub fn parameter_count(&self) -> usize {
         self.pieces.iter().map(|p| p.coefficients.len().max(1)).sum()
+    }
+
+    /// Materializes the function as a dense vector of length `n`.
+    pub(crate) fn to_dense(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.domain];
+        for piece in &self.pieces {
+            for i in piece.interval.indices() {
+                out[i] = piece.evaluate(i);
+            }
+        }
+        out
     }
 
     /// Exact squared `ℓ₂` distance to a dense signal (`O(n·d)` time).
@@ -215,28 +231,6 @@ impl PiecewisePolynomial {
     /// `ℓ₂` distance (not squared) to a dense signal.
     pub fn l2_distance_dense(&self, values: &[f64]) -> Result<f64> {
         Ok(self.l2_distance_squared_dense(values)?.sqrt())
-    }
-}
-
-impl DiscreteFunction for PiecewisePolynomial {
-    #[inline]
-    fn domain(&self) -> usize {
-        self.domain
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        let pos = self.pieces.partition_point(|p| p.interval.end() < i);
-        self.pieces[pos].evaluate(i)
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.domain];
-        for piece in &self.pieces {
-            for i in piece.interval.indices() {
-                out[i] = piece.evaluate(i);
-            }
-        }
-        out
     }
 }
 
@@ -471,10 +465,6 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(f.value(0), 1.0);
-        assert_eq!(f.value(1), 2.0);
-        assert_eq!(f.value(2), 0.0);
-        assert_eq!(f.value(4), 4.0);
         assert_eq!(f.to_dense(), vec![1.0, 2.0, 0.0, 2.0, 4.0]);
         assert_eq!(f.degree(), 1);
         assert_eq!(f.parameter_count(), 4);

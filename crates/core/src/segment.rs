@@ -49,7 +49,6 @@
 
 use std::hint::select_unpredictable;
 
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
 use crate::partition::Partition;

@@ -15,15 +15,13 @@
 use std::borrow::Cow;
 
 use crate::error::{Error, Result};
-use crate::function::{DenseFunction, DiscreteFunction};
-use crate::interval::Interval;
 use crate::segment::Segments;
-use crate::sparse::SparseFunction;
+use crate::sparse::{validate_dense, SparseFunction};
 
 #[derive(Debug, Clone, PartialEq)]
 enum Repr {
     Sparse(SparseFunction),
-    Dense(DenseFunction),
+    Dense(Vec<f64>),
 }
 
 /// A discrete signal `q : [0, n) → ℝ`, the input of every
@@ -49,7 +47,8 @@ impl Signal {
 
     /// Wraps a dense vector of finite values.
     pub fn from_dense(values: Vec<f64>) -> Result<Self> {
-        Ok(Self { repr: Repr::Dense(DenseFunction::new(values)?), num_samples: None })
+        validate_dense(&values, "Signal::from_dense")?;
+        Ok(Self { repr: Repr::Dense(values), num_samples: None })
     }
 
     /// Copies a dense slice of finite values.
@@ -83,7 +82,7 @@ impl Signal {
     pub fn domain(&self) -> usize {
         match &self.repr {
             Repr::Sparse(q) => q.domain(),
-            Repr::Dense(f) => f.domain(),
+            Repr::Dense(f) => f.len(),
         }
     }
 
@@ -106,7 +105,7 @@ impl Signal {
         match &self.repr {
             Repr::Sparse(q) => Cow::Borrowed(q),
             Repr::Dense(f) => Cow::Owned(
-                SparseFunction::from_dense_keep_zeros(f.values())
+                SparseFunction::from_dense_keep_zeros(f)
                     .expect("dense signals are validated at construction"),
             ),
         }
@@ -117,7 +116,7 @@ impl Signal {
     pub(crate) fn segments(&self) -> Segments<'_> {
         match &self.repr {
             Repr::Sparse(q) => Segments::Sparse(q),
-            Repr::Dense(f) => Segments::Dense(f.values()),
+            Repr::Dense(f) => Segments::Dense(f),
         }
     }
 
@@ -125,15 +124,7 @@ impl Signal {
     pub fn dense_values(&self) -> Cow<'_, [f64]> {
         match &self.repr {
             Repr::Sparse(q) => Cow::Owned(q.to_dense()),
-            Repr::Dense(f) => Cow::Borrowed(f.values()),
-        }
-    }
-
-    /// Sum of all values.
-    pub(crate) fn mass(&self) -> f64 {
-        match &self.repr {
-            Repr::Sparse(q) => q.sum(),
-            Repr::Dense(f) => f.values().iter().sum(),
+            Repr::Dense(f) => Cow::Borrowed(f),
         }
     }
 
@@ -141,7 +132,7 @@ impl Signal {
     pub fn l2_norm_squared(&self) -> f64 {
         match &self.repr {
             Repr::Sparse(q) => q.sum_squares(),
-            Repr::Dense(f) => f.values().iter().map(|v| v * v).sum(),
+            Repr::Dense(f) => f.iter().map(|v| v * v).sum(),
         }
     }
 }
@@ -168,34 +159,6 @@ impl TryFrom<&[f64]> for Signal {
     }
 }
 
-impl DiscreteFunction for Signal {
-    fn domain(&self) -> usize {
-        Signal::domain(self)
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        match &self.repr {
-            Repr::Sparse(q) => q.value(i),
-            Repr::Dense(f) => f.value(i),
-        }
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        self.dense_values().into_owned()
-    }
-
-    fn interval_sum(&self, interval: Interval) -> f64 {
-        match &self.repr {
-            Repr::Sparse(q) => q.interval_sum(interval),
-            Repr::Dense(f) => f.interval_sum(interval),
-        }
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.mass()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +175,7 @@ mod tests {
         assert_eq!(dense.as_sparse().as_ref(), sparse.as_sparse().as_ref());
         assert!(!dense.is_sparse());
         assert!(sparse.is_sparse());
-        assert_eq!(dense.mass(), 4.0);
+        assert_eq!(dense.dense_values().iter().sum::<f64>(), 4.0);
         assert_eq!(dense.l2_norm_squared(), 1.5 * 1.5 + 2.5 * 2.5);
     }
 
@@ -276,7 +239,26 @@ mod tests {
         assert_eq!(signal.num_samples(), Some(5));
         assert_eq!(signal.domain(), 10);
         assert_eq!(signal.as_sparse().entries(), &[(1, 1.0 / 5.0), (3, 3.0 / 5.0), (7, 1.0 / 5.0)]);
-        assert!((signal.mass() - 1.0).abs() < 1e-12);
+        assert!((signal.as_sparse().sum() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_function_basics() {
+        let f = Signal::from_dense(vec![1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(f.domain(), 3);
+        assert_eq!(f.dense_values().as_ref(), &[1.0, 2.0, 3.0]);
+        assert_eq!(f.dense_values().iter().sum::<f64>(), 6.0);
+    }
+
+    #[test]
+    fn rejects_empty_and_non_finite() {
+        assert!(matches!(Signal::from_dense(vec![]), Err(Error::EmptyDomain)));
+        for bad in [vec![1.0, f64::NAN], vec![f64::INFINITY]] {
+            assert!(matches!(
+                Signal::from_dense(bad),
+                Err(Error::NonFiniteValue { context: "Signal::from_dense" })
+            ));
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! exactly the representation assumed by Algorithm 1 of the paper.
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::interval::Interval;
 
 /// A sparse function over `[0, n)`, stored as sorted `(index, value)` pairs.
@@ -64,6 +63,21 @@ impl SparseFunction {
         Ok(Self { domain: values.len(), entries: values.iter().copied().enumerate().collect() })
     }
 
+    /// Size `n` of the domain `[0, n)`.
+    #[inline]
+    pub(crate) fn domain(&self) -> usize {
+        self.domain
+    }
+
+    /// Materializes the function as a dense vector of length `n`.
+    pub(crate) fn to_dense(&self) -> Vec<f64> {
+        let mut dense = vec![0.0; self.domain];
+        for &(i, v) in &self.entries {
+            dense[i] = v;
+        }
+        dense
+    }
+
     /// Number of stored entries (the sparsity `s`).
     #[inline]
     pub fn sparsity(&self) -> usize {
@@ -105,36 +119,6 @@ impl SparseFunction {
     }
 }
 
-impl DiscreteFunction for SparseFunction {
-    #[inline]
-    fn domain(&self) -> usize {
-        self.domain
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        match self.entries.binary_search_by_key(&i, |&(idx, _)| idx) {
-            Ok(pos) => self.entries[pos].1,
-            Err(_) => 0.0,
-        }
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        let mut dense = vec![0.0; self.domain];
-        for &(i, v) in &self.entries {
-            dense[i] = v;
-        }
-        dense
-    }
-
-    fn interval_sum(&self, interval: Interval) -> f64 {
-        self.entries_in(interval).iter().map(|&(_, v)| v).sum()
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.sum()
-    }
-}
-
 /// Checks that a dense signal is non-empty and finite; `context` names the
 /// caller in the error.
 pub(crate) fn validate_dense(values: &[f64], context: &'static str) -> Result<()> {
@@ -167,8 +151,6 @@ mod tests {
         let q = SparseFunction::from_dense(&dense).unwrap();
         assert_eq!(q.sparsity(), 2);
         assert_eq!(q.to_dense(), dense);
-        assert_eq!(q.value(1), 1.5);
-        assert_eq!(q.value(0), 0.0);
 
         let q_all = SparseFunction::from_dense_keep_zeros(&dense).unwrap();
         assert_eq!(q_all.sparsity(), 5);
@@ -180,7 +162,6 @@ mod tests {
         let q = SparseFunction::new(6, vec![(1, 3.0), (4, -1.0)]).unwrap();
         assert_eq!(q.sum(), 2.0);
         assert_eq!(q.sum_squares(), 10.0);
-        assert_eq!(q.total_mass(), 2.0);
     }
 
     #[test]
@@ -189,7 +170,6 @@ mod tests {
         let iv = Interval::new(3, 8).unwrap();
         assert_eq!(q.support_range(iv), 1..3);
         assert_eq!(q.entries_in(iv), &[(4, 2.0), (7, 3.0)]);
-        assert_eq!(q.interval_sum(iv), 5.0);
         let empty = Interval::new(2, 3).unwrap();
         assert_eq!(q.entries_in(empty), &[]);
     }
@@ -198,7 +178,6 @@ mod tests {
     fn zero_function() {
         let z = SparseFunction::new(7, Vec::new()).unwrap();
         assert_eq!(z.sparsity(), 0);
-        assert_eq!(z.value(3), 0.0);
         assert_eq!(z.to_dense(), vec![0.0; 7]);
     }
 }

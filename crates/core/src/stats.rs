@@ -9,7 +9,6 @@
 //! each `I_j`.
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
 use crate::partition::Partition;
@@ -97,7 +96,6 @@ pub fn flatten_dense(values: &[f64], partition: &Partition) -> Result<Histogram>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::DiscreteFunction;
     use crate::prefix::DensePrefix;
     use crate::test_support::two_pass_sse;
 

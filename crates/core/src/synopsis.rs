@@ -32,7 +32,6 @@
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::function::DiscreteFunction;
 use crate::histogram::Histogram;
 use crate::interval::Interval;
 use crate::piecewise_poly::PiecewisePolynomial;
@@ -383,13 +382,6 @@ impl FittedModel {
                     upto_hi - poly_prefix_sum(piece.coefficients(), lo - 1)
                 }
             }
-        }
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        match self {
-            FittedModel::Histogram(h) => h.value(i),
-            FittedModel::Polynomial(p) => p.value(i),
         }
     }
 
@@ -762,6 +754,14 @@ impl Synopsis {
     /// the estimated table size.
     pub fn total_mass(&self) -> f64 {
         self.raw_mass
+    }
+
+    /// The model materialized as a dense vector of length `n`.
+    pub fn to_dense(&self) -> Vec<f64> {
+        match &self.model {
+            FittedModel::Histogram(h) => h.to_dense(),
+            FittedModel::Polynomial(p) => p.to_dense(),
+        }
     }
 
     /// Estimated mass `Σ_{i ∈ R} h(i)` over an index range — the classical
@@ -1249,27 +1249,6 @@ impl Synopsis {
     }
 }
 
-impl DiscreteFunction for Synopsis {
-    fn domain(&self) -> usize {
-        Synopsis::domain(self)
-    }
-
-    fn value(&self, i: usize) -> f64 {
-        self.model.value(i)
-    }
-
-    fn to_dense(&self) -> Vec<f64> {
-        match &self.model {
-            FittedModel::Histogram(h) => h.to_dense(),
-            FittedModel::Polynomial(p) => p.to_dense(),
-        }
-    }
-
-    fn total_mass(&self) -> f64 {
-        self.raw_mass
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,9 +1274,10 @@ mod tests {
     fn mass_matches_pointwise_sums() {
         for synopsis in [histogram_synopsis(), polynomial_synopsis()] {
             let n = synopsis.domain();
+            let dense = synopsis.to_dense();
             for (a, b) in [(0usize, n - 1), (0, n / 2), (n / 4, n - 1), (3, 3)] {
                 let range = Interval::new(a, b).unwrap();
-                let direct: f64 = range.indices().map(|i| synopsis.value(i)).sum();
+                let direct: f64 = dense[range.as_range()].iter().sum();
                 assert!((synopsis.mass(range).unwrap() - direct).abs() < 1e-9, "range [{a}, {b}]");
             }
             assert!(
@@ -1358,10 +1338,11 @@ mod tests {
         let synopsis = histogram_synopsis();
         let values: Vec<f64> = (0..50).map(|i| (i % 7) as f64).collect();
         let signal = Signal::from_slice(&values).unwrap();
-        let direct: f64 = values
+        let direct: f64 = synopsis
+            .to_dense()
             .iter()
-            .enumerate()
-            .map(|(i, &v)| (synopsis.value(i) - v) * (synopsis.value(i) - v))
+            .zip(&values)
+            .map(|(h, v)| (h - v) * (h - v))
             .sum::<f64>()
             .sqrt();
         assert!((synopsis.l2_error(&signal).unwrap() - direct).abs() < 1e-9);

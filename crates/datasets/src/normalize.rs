@@ -42,13 +42,12 @@ mod tests {
     use super::*;
     use crate::synthetic::{hist_dataset, poly_dataset};
     use crate::timeseries::dow_dataset;
-    use hist_core::DiscreteFunction;
 
     #[test]
     fn normalization_produces_a_valid_distribution() {
         let d = to_distribution(&[1.0, 3.0, 0.0, -0.5, 4.0]).unwrap();
-        assert_eq!(d.domain(), 5);
-        assert!((d.total_mass() - 1.0).abs() < 1e-12);
+        assert_eq!(d.pmf().len(), 5);
+        assert!((d.pmf().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(d.prob(3), 0.0, "negative entries are clamped");
         assert!((d.prob(1) - 3.0 / 8.0).abs() < 1e-12);
     }
@@ -67,16 +66,16 @@ mod tests {
     fn paper_learning_datasets_have_support_around_1000() {
         // hist' : n = 1000 (no subsampling), poly' : 4000 / 4, dow' : 16384 / 16.
         let hist_prime = to_distribution(&hist_dataset()).unwrap();
-        assert_eq!(hist_prime.domain(), 1_000);
+        assert_eq!(hist_prime.pmf().len(), 1_000);
 
         let poly_prime = subsample_to_distribution(&poly_dataset(), 4).unwrap();
-        assert_eq!(poly_prime.domain(), 1_000);
+        assert_eq!(poly_prime.pmf().len(), 1_000);
 
         let dow_prime = subsample_to_distribution(&dow_dataset(), 16).unwrap();
-        assert_eq!(dow_prime.domain(), 1_024);
+        assert_eq!(dow_prime.pmf().len(), 1_024);
 
         for d in [&hist_prime, &poly_prime, &dow_prime] {
-            assert!((d.total_mass() - 1.0).abs() < 1e-9);
+            assert!((d.pmf().iter().sum::<f64>() - 1.0).abs() < 1e-9);
             assert!(d.pmf().iter().all(|&p| p >= 0.0));
         }
     }

@@ -27,8 +27,7 @@
 //! a freshly fitted one (bit-identical query results included).
 
 use hist_core::{
-    DiscreteFunction as _, FittedModel, Histogram, Interval, Partition, PiecewisePolynomial,
-    PolynomialPiece, Synopsis,
+    FittedModel, Histogram, Interval, Partition, PiecewisePolynomial, PolynomialPiece, Synopsis,
 };
 
 use crate::error::{CodecError, CodecResult};

@@ -90,42 +90,35 @@ impl AliasSampler {
     }
 }
 
-/// An inverse-CDF sampler: `O(n)` preprocessing, `O(log n)` per sample.
-/// Slower than [`AliasSampler`] but trivially auditable; the two cross-check
-/// each other in the statistical tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InverseCdfSampler {
-    cdf: Vec<f64>,
-}
-
-impl InverseCdfSampler {
-    /// Builds the cumulative distribution table.
-    pub fn new(dist: &Distribution) -> Result<Self> {
-        if dist.pmf().is_empty() {
-            return Err(Error::EmptyDomain);
-        }
-        Ok(Self { cdf: dist.cdf() })
-    }
-
-    /// Draws one sample by binary search over the CDF.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
-            Ok(idx) | Err(idx) => idx.min(self.cdf.len() - 1),
-        }
-    }
-
-    /// Draws `m` i.i.d. samples.
-    pub fn sample_many<R: Rng + ?Sized>(&self, m: usize, rng: &mut R) -> Vec<usize> {
-        (0..m).map(|_| self.sample(rng)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// An inverse-CDF sampler: `O(log n)` per sample by binary search over
+    /// the CDF. Slower than [`AliasSampler`] but trivially auditable, so it
+    /// cross-checks the alias tables statistically.
+    struct InverseCdfSampler {
+        cdf: Vec<f64>,
+    }
+
+    impl InverseCdfSampler {
+        fn new(dist: &Distribution) -> Self {
+            Self { cdf: dist.cdf() }
+        }
+
+        fn sample_many(&self, m: usize, rng: &mut StdRng) -> Vec<usize> {
+            (0..m)
+                .map(|_| {
+                    let u: f64 = rng.gen();
+                    match self.cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite cdf")) {
+                        Ok(idx) | Err(idx) => idx.min(self.cdf.len() - 1),
+                    }
+                })
+                .collect()
+        }
+    }
 
     fn frequencies(samples: &[usize], n: usize) -> Vec<f64> {
         let mut counts = vec![0usize; n];
@@ -151,7 +144,7 @@ mod tests {
     #[test]
     fn inverse_cdf_sampler_matches_the_target_distribution() {
         let dist = Distribution::new(vec![0.1, 0.0, 0.6, 0.3]).unwrap();
-        let sampler = InverseCdfSampler::new(&dist).unwrap();
+        let sampler = InverseCdfSampler::new(&dist);
         let mut rng = StdRng::seed_from_u64(11);
         let samples = sampler.sample_many(200_000, &mut rng);
         let freq = frequencies(&samples, 4);
@@ -165,7 +158,7 @@ mod tests {
         let dist = Distribution::from_weights(&[3.0, 1.0, 1.0, 5.0, 0.0, 2.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let a = AliasSampler::new(&dist).unwrap().sample_many(100_000, &mut rng);
-        let b = InverseCdfSampler::new(&dist).unwrap().sample_many(100_000, &mut rng);
+        let b = InverseCdfSampler::new(&dist).sample_many(100_000, &mut rng);
         let fa = frequencies(&a, 6);
         let fb = frequencies(&b, 6);
         for i in 0..6 {

@@ -94,7 +94,6 @@ pub fn sample_complexity(epsilon: f64, delta: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hist_core::DiscreteFunction;
 
     fn step_weights() -> Vec<f64> {
         (0..120)

@@ -2,8 +2,8 @@
 //!
 //! The random-sampling side of the PODS 2015 histogram paper:
 //!
-//! * [`AliasSampler`] / [`InverseCdfSampler`] — draw i.i.d. samples from a data
-//!   distribution (`O(1)` and `O(log n)` per sample respectively);
+//! * [`AliasSampler`] — draws i.i.d. samples from a data distribution in
+//!   `O(1)` per sample;
 //! * [`sample_complexity`] — the `O(ε⁻²·log(1/δ))` sample bound of Lemma 3.1;
 //! * [`SampleLearner`] — the two-stage histogram learner of **Theorem 2.1** as
 //!   an [`Estimator`](hist_core::Estimator) that draws its own samples;
@@ -49,6 +49,6 @@ mod alias;
 mod estimator;
 mod minimax;
 
-pub use alias::{AliasSampler, InverseCdfSampler};
+pub use alias::AliasSampler;
 pub use estimator::{sample_complexity, SampleLearner};
 pub use minimax::{distinguish, sample_lower_bound, two_point_pair, DistinguisherVerdict};

@@ -13,7 +13,7 @@
 //! ```
 
 use approx_hist::datasets::zipf_frequencies;
-use approx_hist::{DiscreteFunction, Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal};
+use approx_hist::{Estimator, EstimatorBuilder, GreedyMerging, Interval, Signal};
 
 /// Exact range count from the raw column.
 fn exact_range_count(column: &[f64], range: Interval) -> f64 {
@@ -69,11 +69,11 @@ fn main() {
         synopsis.cdf(1_000).expect("in domain"),
     );
 
-    // The synopsis is also a bona fide discrete function: point lookups work too.
+    // A point lookup is a one-item range count.
     let hot_item = (0..n).max_by(|&a, &b| column[a].partial_cmp(&column[b]).unwrap()).unwrap();
     println!(
         "hottest item {hot_item}: true count {:.0}, synopsis estimate {:.0}",
         column[hot_item],
-        synopsis.value(hot_item)
+        synopsis.mass(Interval::new(hot_item, hot_item).expect("in domain")).expect("in domain")
     );
 }

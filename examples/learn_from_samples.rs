@@ -13,8 +13,7 @@
 use approx_hist::datasets::{dow_dataset, subsample_to_distribution};
 use approx_hist::sampling::{sample_complexity, AliasSampler};
 use approx_hist::{
-    DiscreteFunction, Distribution, Estimator, EstimatorBuilder, EstimatorKind, SampleLearner,
-    Signal, Synopsis,
+    Distribution, Estimator, EstimatorBuilder, EstimatorKind, SampleLearner, Signal, Synopsis,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +33,7 @@ fn main() {
     // The information-theoretically required sample size for ε = 0.01, δ = 0.05.
     println!(
         "domain size n = {}, target pieces k = {k}, m(ε=0.01, δ=0.05) = {}",
-        p.domain(),
+        p.pmf().len(),
         sample_complexity(0.01, 0.05)
     );
 
@@ -56,7 +55,7 @@ fn main() {
         // Samples arrive from an external source (here: the alias sampler);
         // stage 2 fits their empirical distribution.
         let samples = sampler.sample_many(m, &mut rng);
-        let signal = Signal::from_samples(p.domain(), &samples).expect("non-empty samples");
+        let signal = Signal::from_samples(p.pmf().len(), &samples).expect("non-empty samples");
         let synopsis = merging.fit(&signal).expect("valid empirical signal");
         let error = l2_error(&synopsis, &p);
         println!("{m:>10}  {error:>12.5}  {:>12.3}  {:>8}", error / opt_k, synopsis.num_pieces());

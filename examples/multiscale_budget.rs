@@ -13,7 +13,7 @@
 
 use approx_hist::datasets::{dow_dataset, subsample_to_distribution};
 use approx_hist::sampling::{sample_complexity, AliasSampler};
-use approx_hist::{DiscreteFunction, Estimator, EstimatorBuilder, Hierarchical, Signal};
+use approx_hist::{Estimator, EstimatorBuilder, Hierarchical, Signal};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,13 +24,13 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let sampler = AliasSampler::new(&p).expect("valid distribution");
     let samples = sampler.sample_many(sample_complexity(0.005, 0.05), &mut rng);
-    let empirical = Signal::from_samples(p.domain(), &samples).expect("non-empty samples");
+    let empirical = Signal::from_samples(p.pmf().len(), &samples).expect("non-empty samples");
     let hierarchical = Hierarchical::new(EstimatorBuilder::new(50));
     let hierarchy = hierarchical.fit_hierarchy(&empirical).expect("valid empirical signal");
 
     println!(
         "domain n = {}, samples drawn m = {}, hierarchy levels = {}",
-        p.domain(),
+        p.pmf().len(),
         samples.len(),
         hierarchy.num_levels()
     );
@@ -49,14 +49,7 @@ fn main() {
     for budget in [0.02f64, 0.01, 0.005, 0.002] {
         match hierarchy.levels().iter().rev().find(|level| level.error() <= budget) {
             Some(level) => {
-                let true_error: f64 = level
-                    .histogram()
-                    .to_dense()
-                    .iter()
-                    .zip(p.pmf())
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
+                let true_error = level.histogram().l2_distance_dense(p.pmf()).expect("same domain");
                 println!("{budget:>10.3}  {:>8}  {true_error:>12.5}", level.num_pieces());
             }
             None => println!("{budget:>10.3}  {:>8}  {:>12}", "-", "infeasible"),

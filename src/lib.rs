@@ -142,8 +142,8 @@ pub use hist_stream::{ChunkedFitter, ParallelChunkedFitter, StreamingBuilder};
 
 // The shared data model.
 pub use hist_core::{
-    DiscreteFunction, Distribution, Error, Histogram, Interval, MergingParams, Partition,
-    PiecewisePolynomial, Result, SparseFunction,
+    Distribution, Error, Histogram, Interval, MergingParams, Partition, PiecewisePolynomial,
+    Result, SparseFunction,
 };
 
 /// Every estimator the facade can instantiate, for registry-style dispatch

@@ -7,8 +7,7 @@
 mod common;
 
 use approx_hist::{
-    DiscreteFunction, Error, EstimatorBuilder, EstimatorKind, GreedyMerging, Interval, Signal,
-    StreamingBuilder,
+    Error, EstimatorBuilder, EstimatorKind, GreedyMerging, Interval, Signal, StreamingBuilder,
 };
 use common::fixture_builder;
 
@@ -54,7 +53,7 @@ fn single_point_signals_fit_everywhere() {
         assert_eq!(synopsis.num_pieces(), 1, "{}: a 1-domain fit has 1 piece", estimator.name());
         if estimator.name() != "sample-learner" {
             assert!(
-                (synopsis.value(0) - 42.0).abs() < 1e-9,
+                (synopsis.to_dense()[0] - 42.0).abs() < 1e-9,
                 "{}: single-point fits are exact",
                 estimator.name()
             );

@@ -6,9 +6,10 @@
 use approx_hist::datasets::{self, gaussian_mixture, steps_with_spikes, zipf_frequencies};
 use approx_hist::sampling::AliasSampler;
 use approx_hist::{
-    DiscreteFunction, Distribution, Estimator, EstimatorBuilder, EstimatorKind, Hierarchical,
-    Interval, PiecewisePoly, SampleLearner, Signal,
+    Distribution, Estimator, EstimatorBuilder, EstimatorKind, Hierarchical, Interval,
+    PiecewisePoly, SampleLearner, Signal,
 };
+use hist_bench::offline::{run_offline, OfflineRun};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,13 +55,8 @@ fn sample_then_learn_all_three_synopsis_kinds() {
 
     // (3) Piecewise-quadratic fit of the same empirical signal.
     let pp = PiecewisePoly::new(EstimatorBuilder::new(6).degree(2)).fit(&empirical).unwrap();
-    let pp_err: f64 = (0..800)
-        .map(|i| {
-            let d = pp.value(i) - p.prob(i);
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt();
+    let pp_err: f64 =
+        pp.to_dense().iter().zip(p.pmf()).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
     // The mixture is smooth, so quadratic pieces should do at least as well as
     // the histogram at a comparable budget.
     assert!(pp_err < 2.0 * hist_err + 0.02, "piecewise poly error {pp_err} vs hist {hist_err}");
@@ -75,7 +71,7 @@ fn spiky_signals_keep_their_spikes() {
     let synopsis = EstimatorKind::Merging.build(EstimatorBuilder::new(30)).fit(&signal).unwrap();
 
     let max_true = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let max_hist = (0..values.len()).map(|i| synopsis.value(i)).fold(f64::NEG_INFINITY, f64::max);
+    let max_hist = synopsis.to_dense().into_iter().fold(f64::NEG_INFINITY, f64::max);
     assert!(
         max_hist > 0.3 * max_true,
         "the largest spike ({max_true}) was flattened down to {max_hist}"
@@ -93,8 +89,9 @@ fn figure1_datasets_flow_through_the_harness_runners() {
         EstimatorKind::Merging.build(builder),
         EstimatorKind::Dual.build(builder),
     ];
-    let rows = hist_bench::offline::run_offline(&hist, &estimators);
+    let OfflineRun { rows, rejected } = run_offline(&hist, &estimators);
     assert_eq!(rows.len(), 3);
+    assert!(rejected.is_empty());
     assert!((rows[0].relative_error - 1.0).abs() < 1e-12);
     assert!(rows.iter().all(|r| r.time_ms > 0.0 && r.error.is_finite()));
     // merging must be the fastest of the three by a wide margin.
@@ -118,7 +115,7 @@ fn learned_synopses_round_trip_through_distribution_normalization() {
 
     let as_distribution = learned.histogram().expect("histogram synopsis").normalized().unwrap();
     let renormalized = Distribution::from_histogram(&as_distribution).unwrap();
-    assert!((renormalized.total_mass() - 1.0).abs() < 1e-9);
+    assert!((renormalized.pmf().iter().sum::<f64>() - 1.0).abs() < 1e-9);
     let resampler = AliasSampler::new(&renormalized).unwrap();
     let more = resampler.sample_many(1_000, &mut rng);
     assert_eq!(more.len(), 1_000);

@@ -9,8 +9,7 @@
 //! `tests/prop_harness.rs` — add new assertions there, not here.
 
 use approx_hist::{
-    all_estimators, DiscreteFunction, Estimator, EstimatorBuilder, EstimatorKind, Signal,
-    SparseFunction, Synopsis,
+    all_estimators, Estimator, EstimatorBuilder, EstimatorKind, Signal, SparseFunction, Synopsis,
 };
 
 const K: usize = 5;
@@ -80,9 +79,9 @@ fn error_bounds_hold_relative_to_the_exact_dp() {
             // The learner normalizes the signal into a distribution and
             // approximates *that*; ℓ₂ errors scale linearly, so compare on the
             // normalized axis (Theorem 2.1: ≤ 2·opt + ε plus sampling noise).
-            let total = signal.total_mass();
-            let normalized =
-                Signal::from_dense(signal.to_dense().iter().map(|v| v / total).collect()).unwrap();
+            let dense = signal.dense_values();
+            let total: f64 = dense.iter().sum();
+            let normalized = Signal::from_dense(dense.iter().map(|v| v / total).collect()).unwrap();
             let err = synopsis.l2_error(&normalized).unwrap();
             assert!(
                 err <= 2.0 * opt / total + 0.02,
@@ -129,7 +128,7 @@ fn error_bounds_hold_relative_to_the_exact_dp() {
 fn sparse_and_dense_views_of_the_same_signal_agree() {
     let dense_signal = common_signal();
     let sparse_signal = Signal::from_sparse(
-        SparseFunction::from_dense_keep_zeros(&dense_signal.to_dense()).unwrap(),
+        SparseFunction::from_dense_keep_zeros(&dense_signal.dense_values()).unwrap(),
     );
     for kind in [EstimatorKind::Merging, EstimatorKind::ExactDp, EstimatorKind::Dual] {
         let estimator = kind.build(builder());

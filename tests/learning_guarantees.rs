@@ -7,14 +7,14 @@
 
 use approx_hist::sampling::{sample_complexity, AliasSampler};
 use approx_hist::{
-    DiscreteFunction, Distribution, Estimator, EstimatorBuilder, EstimatorKind, FastMerging,
-    GreedyMerging, Hierarchical, Histogram, PiecewisePoly, SampleLearner, Signal, Synopsis,
+    Distribution, Estimator, EstimatorBuilder, EstimatorKind, FastMerging, GreedyMerging,
+    Hierarchical, Histogram, PiecewisePoly, SampleLearner, Signal, Synopsis,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn l2_to_distribution(h: &Histogram, p: &Distribution) -> f64 {
-    h.to_dense().iter().zip(p.pmf()).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+    h.l2_distance_dense(p.pmf()).unwrap()
 }
 
 fn synopsis_error(synopsis: &Synopsis, p: &Distribution) -> f64 {
@@ -29,7 +29,7 @@ fn polynomial_error(synopsis: &Synopsis, p: &Distribution) -> f64 {
 /// distribution `p̂_m`.
 fn empirical(p: &Distribution, m: usize, rng: &mut StdRng) -> Signal {
     let samples = AliasSampler::new(p).unwrap().sample_many(m, rng);
-    Signal::from_samples(p.domain(), &samples).unwrap()
+    Signal::from_samples(p.pmf().len(), &samples).unwrap()
 }
 
 /// A 6-piece histogram distribution over a domain of 600.
