@@ -33,8 +33,7 @@ fn main() {
     );
 
     for spec in table1_datasets(paper_scale) {
-        let naive = naive_dp || spec.values.len() <= 4_096;
-        let mut estimators = table1_estimators(spec.k, naive);
+        let mut estimators = table1_estimators(&spec, naive_dp);
         if all_baselines {
             estimators.extend(extra_baseline_estimators(spec.k));
         }

@@ -8,7 +8,7 @@
 //! | Paper artifact | Runner | Binary |
 //! |---|---|---|
 //! | Figure 1 (data sets) | [`offline::figure1`] | `figure1` |
-//! | Table 1 (offline approximation) | [`offline::table1`] | `table1` |
+//! | Table 1 (offline approximation) | [`offline::run_offline`] | `table1` |
 //! | Figure 2 (learning curves) | [`learning::figure2`] | `figure2` |
 //! | Theorem 2.2 demo (Pareto) | [`pareto::pareto_experiment`] | `pareto` |
 //! | Theorem 2.3 demo (piecewise poly) | [`polyexp::poly_experiment`] | `poly_experiment` |
@@ -23,7 +23,7 @@ pub mod report;
 pub mod timing;
 
 pub use offline::{
-    extra_baseline_estimators, run_offline, table1, table1_datasets, table1_estimators,
-    OfflineResult, OfflineRun,
+    extra_baseline_estimators, run_offline, table1_datasets, table1_estimators, OfflineResult,
+    OfflineRun,
 };
 pub use timing::time_algorithm;

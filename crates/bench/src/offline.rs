@@ -12,12 +12,14 @@ use crate::timing::time_algorithm;
 use approx_hist::{Error, Estimator, EstimatorBuilder, EstimatorKind, Signal};
 use hist_datasets as datasets;
 
-/// The six estimators of the paper's Table 1 (with the pruned exact DP
-/// standing in for `exactdp` when `use_naive_exact` is off — same optimum,
-/// practical running time at `n = 16384`).
-pub fn table1_estimators(k: usize, use_naive_exact: bool) -> Vec<Box<dyn Estimator>> {
-    let builder = EstimatorBuilder::new(k);
-    let exact = if use_naive_exact { EstimatorKind::ExactDpNaive } else { EstimatorKind::ExactDp };
+/// The six estimators of the paper's Table 1 for one data set, at its `k`.
+/// The naive `O(n²k)` DP is `exactdp` on data sets of at most 4096 points,
+/// or everywhere with `naive_everywhere`; otherwise the pruned exact DP
+/// stands in (same optimum, practical running time at `n = 16384`).
+pub fn table1_estimators(spec: &DatasetSpec, naive_everywhere: bool) -> Vec<Box<dyn Estimator>> {
+    let builder = EstimatorBuilder::new(spec.k);
+    let naive = naive_everywhere || spec.values.len() <= 4_096;
+    let exact = if naive { EstimatorKind::ExactDpNaive } else { EstimatorKind::ExactDp };
     [
         exact,
         EstimatorKind::Merging,
@@ -140,24 +142,6 @@ pub fn run_offline(values: &[f64], estimators: &[Box<dyn Estimator>]) -> Offline
     OfflineRun { rows, rejected }
 }
 
-/// The full Table 1: every data set with the paper's six estimators.
-pub fn table1(
-    paper_scale: bool,
-    use_naive_exact_everywhere: bool,
-) -> Vec<(DatasetSpec, OfflineRun)> {
-    let specs = table1_datasets(paper_scale);
-    specs
-        .into_iter()
-        .map(|spec| {
-            // The naive DP is affordable on hist/poly; on dow it is opt-in.
-            let naive = use_naive_exact_everywhere || spec.values.len() <= 4_096;
-            let estimators = table1_estimators(spec.k, naive);
-            let run = run_offline(&spec.values, &estimators);
-            (spec, run)
-        })
-        .collect()
-}
-
 /// The Figure 1 payload: `(name, signal)` for the three data sets.
 pub fn figure1(paper_scale: bool) -> Vec<(String, Vec<f64>)> {
     table1_datasets(paper_scale).into_iter().map(|spec| (spec.name, spec.values)).collect()
@@ -169,14 +153,17 @@ mod tests {
 
     #[test]
     fn estimator_names_match_the_paper() {
-        let set = table1_estimators(10, true);
+        let specs = table1_datasets(true);
+        let set = table1_estimators(&specs[0], false);
         assert_eq!(set.len(), 6);
         let names: Vec<&str> = set.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,
             ["exactdp-naive", "merging", "merging2", "fastmerging", "fastmerging2", "dual"]
         );
-        assert_eq!(table1_estimators(10, false)[0].name(), "exactdp");
+        // The naive DP is opt-in past 4096 points (the full `dow`).
+        assert_eq!(table1_estimators(&specs[2], false)[0].name(), "exactdp");
+        assert_eq!(table1_estimators(&specs[2], true)[0].name(), "exactdp-naive");
         assert_eq!(extra_baseline_estimators(10).len(), 4);
     }
 

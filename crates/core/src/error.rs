@@ -1,6 +1,22 @@
-//! Error types shared across the `hist-core` crate.
+//! Error types shared across the `hist-core` crate, and the one range of
+//! values a signal or histogram may hold.
 
 use std::fmt;
+
+/// The largest magnitude a signal or histogram value may have: `2^400`
+/// (≈ 2.6e120). On a domain of at most `2^64` points, `(Σq)² ≤ 2^928`,
+/// `Σq² ≤ 2^864` and a Ward merge cost is at most `2^866`, so no error the
+/// algorithms compute can overflow; a power of two, so no interval mean
+/// summed directly rounds past it.
+pub const VALUE_BOUND: f64 = f64::from_bits((1023 + 400) << 52);
+
+/// Whether `v` is admitted: finite with `|v| ≤ VALUE_BOUND` (NaN is not).
+/// Every constructor taking signal or histogram values checks each with
+/// this and rejects the input with [`Error::NonFiniteValue`] otherwise.
+#[inline]
+pub fn is_admitted(v: f64) -> bool {
+    v.abs() <= VALUE_BOUND
+}
 
 /// Errors produced by constructors and algorithms in this crate.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,9 +54,11 @@ pub enum Error {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// A value is not finite (NaN or infinity) where a finite value is required.
+    /// A value is NaN or infinite where a finite value is required, or, for
+    /// a signal or histogram value, lies outside the admitted range
+    /// `|v| ≤ VALUE_BOUND` (see [`is_admitted`]).
     NonFiniteValue {
-        /// Where the non-finite value was encountered.
+        /// Where the value was encountered.
         context: &'static str,
     },
 }
@@ -64,7 +82,7 @@ impl fmt::Display for Error {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
             Error::NonFiniteValue { context } => {
-                write!(f, "non-finite value encountered in {context}")
+                write!(f, "non-finite or out-of-range value (admitted: |v| ≤ 2^400) in {context}")
             }
         }
     }

@@ -10,7 +10,7 @@ use crate::error::{Error, Result};
 use crate::interval::Interval;
 use crate::partition::Partition;
 use crate::prefix::SparsePrefix;
-use crate::sparse::SparseFunction;
+use crate::sparse::{validate_dense, SparseFunction};
 
 /// A piecewise-constant function: a partition of `[0, n)` together with one
 /// value per interval.
@@ -21,7 +21,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Builds a histogram from a partition and one value per interval.
+    /// Builds a histogram from a partition and one admitted value
+    /// ([`crate::is_admitted`]) per interval.
     pub fn new(partition: Partition, values: Vec<f64>) -> Result<Self> {
         if values.len() != partition.len() {
             return Err(Error::InvalidParameter {
@@ -33,9 +34,7 @@ impl Histogram {
                 ),
             });
         }
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteValue { context: "Histogram::new" });
-        }
+        validate_dense(&values, "Histogram::new")?;
         Ok(Self { partition, values })
     }
 
@@ -188,8 +187,7 @@ mod tests {
     #[test]
     fn construction_rejects_mismatch() {
         let p = Partition::from_breakpoints(10, &[5]).unwrap();
-        assert!(Histogram::new(p.clone(), vec![1.0]).is_err());
-        assert!(Histogram::new(p, vec![1.0, f64::NAN]).is_err());
+        assert!(Histogram::new(p, vec![1.0]).is_err());
     }
 
     #[test]

@@ -77,7 +77,7 @@ mod test_support;
 
 pub use construct::{construct_histogram_with_report, MergingReport};
 pub use distribution::Distribution;
-pub use error::{Error, Result};
+pub use error::{is_admitted, Error, Result, VALUE_BOUND};
 pub use estimator::{
     Estimator, EstimatorBuilder, FastMerging, GreedyMerging, Hierarchical, PiecewisePoly,
 };
@@ -91,7 +91,7 @@ pub use piecewise_poly::{PiecewisePolynomial, PolynomialPiece};
 pub use prefix::DensePrefix;
 pub use signal::Signal;
 pub use sparse::SparseFunction;
-pub use stats::{flatten, flatten_dense};
+pub use stats::flatten_dense;
 pub use synopsis::{FittedModel, MergeStats, Synopsis};
 
 // Thread-safety audit: the whole data model is plain owned data (no `Rc`, no

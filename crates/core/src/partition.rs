@@ -3,7 +3,7 @@
 //! A [`Partition`] is the combinatorial object produced by the merging
 //! algorithms of the paper: an ordered list of disjoint intervals whose union
 //! is the whole domain. A `k`-histogram is the flattening of a function over a
-//! partition with `k` intervals (see [`crate::stats::flatten`]).
+//! partition with `k` intervals (see [`crate::stats::flatten_dense`]).
 
 use crate::error::{Error, Result};
 use crate::interval::Interval;

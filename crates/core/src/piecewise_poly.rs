@@ -32,8 +32,8 @@ pub(crate) struct PolynomialFit {
 /// Projects `q` restricted to `interval` onto degree-`≤ degree` polynomials.
 ///
 /// The effective degree is capped at `|I| − 1` (a polynomial on `|I|` points
-/// needs at most that degree to interpolate exactly). An error whose energies
-/// both overflow (`∞ − ∞`) reads `+∞`, the costliest an interval can be.
+/// needs at most that degree to interpolate exactly). The error is clamped at
+/// zero against cancellation; admitted values keep both energies finite.
 pub(crate) fn fit_polynomial(
     q: &SparseFunction,
     interval: Interval,
@@ -54,8 +54,7 @@ pub(crate) fn fit_polynomial(
         signal_energy += y * y;
     }
     let fit_energy: f64 = coefficients.iter().map(|a| a * a).sum();
-    let sse = signal_energy - fit_energy;
-    let sse = if sse.is_nan() { f64::INFINITY } else { sse.max(0.0) };
+    let sse = (signal_energy - fit_energy).max(0.0);
     PolynomialFit { interval, gram_coefficients: coefficients, sse }
 }
 
@@ -89,6 +88,9 @@ pub struct PolynomialPiece {
 
 impl PolynomialPiece {
     /// Creates a piece from an interval and local monomial coefficients.
+    /// They must be finite but are not held to the admitted value range: a
+    /// least-squares fit of admitted data can have monomial coefficients
+    /// past [`crate::VALUE_BOUND`] (an endpoint overshoot at high degree).
     pub fn new(interval: Interval, coefficients: Vec<f64>) -> Result<Self> {
         if coefficients.iter().any(|c| !c.is_finite()) {
             return Err(Error::NonFiniteValue { context: "PolynomialPiece::new" });

@@ -7,9 +7,9 @@
 //! dynamic-programming baselines work over the dense domain and use
 //! [`DensePrefix`].
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::interval::Interval;
-use crate::sparse::SparseFunction;
+use crate::sparse::{validate_dense, SparseFunction};
 use crate::stats::sse_from_sums;
 
 /// Prefix sums over a dense signal: `O(n)` construction, `O(1)` interval queries.
@@ -22,20 +22,16 @@ pub struct DensePrefix {
 }
 
 impl DensePrefix {
-    /// Builds prefix sums for a dense signal.
+    /// Builds prefix sums for a dense signal of admitted values
+    /// ([`crate::is_admitted`]).
     pub fn new(values: &[f64]) -> Result<Self> {
-        if values.is_empty() {
-            return Err(Error::EmptyDomain);
-        }
+        validate_dense(values, "DensePrefix::new")?;
         let mut cum = Vec::with_capacity(values.len() + 1);
         let mut cum_sq = Vec::with_capacity(values.len() + 1);
         cum.push(0.0);
         cum_sq.push(0.0);
         let (mut s, mut s2) = (0.0f64, 0.0f64);
         for &v in values {
-            if !v.is_finite() {
-                return Err(Error::NonFiniteValue { context: "DensePrefix::new" });
-            }
             s += v;
             s2 += v * v;
             cum.push(s);
@@ -72,7 +68,7 @@ impl DensePrefix {
 
     /// Sum-of-squared-errors of the best constant fit over `interval`:
     /// `err_q(I) = Σ_{i∈I} (q(i) − µ_q(I))² = Σ q² − (Σ q)²/|I|`, clamped at
-    /// zero; `+∞` when both terms overflow.
+    /// zero.
     #[inline]
     pub fn sse(&self, interval: Interval) -> f64 {
         sse_from_sums(self.sum(interval), self.sum_squares(interval), interval.len() as f64)
@@ -153,11 +149,6 @@ impl SparsePrefix {
         let r = self.support_range(interval);
         self.sum_squares_by_pos(r.start, r.end)
     }
-
-    /// Mean `µ_q(I)` of the function over `interval` (including implicit zeros).
-    pub(crate) fn mean(&self, interval: Interval) -> f64 {
-        self.sum(interval) / interval.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +190,6 @@ mod tests {
     #[test]
     fn dense_prefix_rejects_bad_input() {
         assert!(DensePrefix::new(&[]).is_err());
-        assert!(DensePrefix::new(&[1.0, f64::NAN]).is_err());
     }
 
     #[test]
@@ -213,9 +203,6 @@ mod tests {
                 let interval = iv(a, b);
                 assert!((sp.sum(interval) - dp.sum(interval)).abs() < 1e-12);
                 assert!((sp.sum_squares(interval) - dp.sum_squares(interval)).abs() < 1e-12);
-                assert!(
-                    (sp.mean(interval) - dp.sum(interval) / interval.len() as f64).abs() < 1e-12
-                );
             }
         }
     }

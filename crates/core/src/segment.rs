@@ -42,10 +42,8 @@
 //! write in place, so no write checks a capacity. Errors over a written level come from
 //! `chunks_exact` groups of it, each starting one past the previous group's
 //! end. A sparse `I₀`'s length is counted from the gaps between adjacent
-//! entries, with no walk of its runs. The pair error passes have no branch,
-//! so they vectorize: each error comes with whether its term stayed below
-//! the cap (`stats::sse_below_cap`), and a pass that met a capped term is
-//! redone on the exact path.
+//! entries, with no walk of its runs. Pair error passes map `[_; 2]` chunks
+//! with no branch, so they vectorize; the general arm costs pairs 3–9%.
 
 use std::hint::select_unpredictable;
 
@@ -54,7 +52,7 @@ use crate::interval::Interval;
 use crate::partition::Partition;
 use crate::select::{keep_threshold, SelectBuffers};
 use crate::sparse::SparseFunction;
-use crate::stats::{sse_below_cap, sse_from_sums};
+use crate::stats::sse_from_sums;
 
 /// One interval of the working partition, with the sum and sum of squares of
 /// the input function over it. The interval ends at `end` and starts one past
@@ -114,27 +112,11 @@ impl Segment {
     }
 
     /// Squared error `err_q(I)` of flattening this segment, when it starts at
-    /// `start`.
+    /// `start`: the merging error `e_u` of Algorithm 1 when the segment is a
+    /// merged group.
     #[inline]
     pub(crate) fn sse(self, start: usize) -> f64 {
         sse_from_sums(self.sum, self.sum_sq, self.len(start))
-    }
-
-    /// The merging error `e_u` of Algorithm 1 when this segment is a merged
-    /// group starting at `start`: its [`Self::sse`], with an error whose
-    /// squares overflowed kept finite (`f64::MAX` ranks as `+∞` did), so the
-    /// `+∞` the selection marks its picks with stays apart from every error.
-    #[inline]
-    fn error(self, start: usize) -> f64 {
-        self.sse(start).min(f64::MAX)
-    }
-
-    /// [`Self::error`] with no branch, and whether it is exact: it is
-    /// unless a term reached `f64::MAX` (see `stats::sse_below_cap`).
-    #[inline]
-    fn error_below_cap(self, start: usize) -> (f64, bool) {
-        let (sse, below) = sse_below_cap(self.sum, self.sum_sq, self.len(start));
-        (sse.min(f64::MAX), below)
     }
 }
 
@@ -356,20 +338,8 @@ impl Source for Points<'_> {
         let values = &self.values[..len];
         errors.clear();
         match g {
-            2 => {
-                let pairs = values.as_chunks().0;
-                let mut exact = true;
-                errors.extend(pairs.iter().map(|pair: &[f64; 2]| {
-                    let (error, below) = merge_points(0, pair).error_below_cap(0);
-                    exact &= below;
-                    error
-                }));
-                if !exact {
-                    errors.clear();
-                    errors.extend(pairs.iter().map(|pair| merge_points(0, pair).error(0)));
-                }
-            }
-            _ => errors.extend(values.chunks_exact(g).map(|run| merge_points(0, run).error(0))),
+            2 => errors.extend(values.as_chunks::<2>().0.iter().map(|p| merge_points(0, p).sse(0))),
+            _ => errors.extend(values.chunks_exact(g).map(|run| merge_points(0, run).sse(0))),
         }
     }
 }
@@ -596,20 +566,8 @@ fn emit<const G: usize, const H: usize, L: Level>(
 fn group_errors(level: &[Segment], g: usize, errors: &mut Vec<f64>) {
     errors.clear();
     match g {
-        2 => {
-            let pairs = level.as_chunks().0;
-            let (mut start, mut exact) = (0, true);
-            errors.extend(pairs.iter().map(|&[a, b]| {
-                let run = a.merged(b);
-                let (error, below) = run.error_below_cap(start);
-                (start, exact) = (run.end + 1, exact & below);
-                error
-            }));
-            if !exact {
-                errors.clear();
-                errors.extend(pairs.iter().map(chained(|&[a, b]: &[Segment; 2]| a.merged(b))));
-            }
-        }
+        2 => errors
+            .extend(level.as_chunks().0.iter().map(chained(|&[a, b]: &[Segment; 2]| a.merged(b)))),
         _ => errors.extend(
             level.chunks_exact(g).map(chained(|run: &[Segment]| merge_run(run.iter().copied()))),
         ),
@@ -624,7 +582,7 @@ fn chained<G>(mut merge: impl FnMut(G) -> Segment) -> impl FnMut(G) -> f64 {
     let mut start = 0;
     move |group| {
         let run = merge(group);
-        let error = run.error(start);
+        let error = run.sse(start);
         start = run.end + 1;
         error
     }
@@ -664,7 +622,7 @@ impl<const H: usize> NextErrors<H> {
         }
         self.count += 1;
         if self.count == self.g {
-            errors[self.base + self.written] = self.run.error(self.start);
+            errors[self.base + self.written] = self.run.sse(self.start);
             self.written += 1;
             self.count = 0;
         }
@@ -689,7 +647,7 @@ impl<const H: usize> NextErrors<H> {
         let mut groups = rest.chunks_exact(g);
         for group in &mut groups {
             let run = merge_run(group.iter().copied());
-            errors[self.base + self.written] = run.error(self.run.end.wrapping_add(1));
+            errors[self.base + self.written] = run.sse(self.run.end.wrapping_add(1));
             self.written += 1;
             self.run = run;
         }
@@ -725,6 +683,7 @@ pub(crate) fn segments_to_histogram(domain: usize, segments: &[Segment]) -> Hist
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::VALUE_BOUND;
     use crate::fast::group_size;
     use crate::params::MergingParams;
     use crate::test_support::{lcg, two_pass_sse};
@@ -741,13 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn a_merged_segment_whose_square_of_sums_overflows_reads_its_true_error() {
-        // (Σq)² overflows, Σq² does not: the error is the two-pass 7.5e303.
-        let values = [6.5e153, 6.5e153, 6.5e153, 6.6e153];
-        let merged = merge_run(Segments::Dense(&values).iter());
+    fn a_merged_segment_at_the_range_bound_reads_its_two_pass_error() {
+        // Every sum here is exact: the error is the two-pass 0.1875·B².
+        let b = VALUE_BOUND;
+        let values = [b, b, b, b / 2.0];
         let want = two_pass_sse(&values);
-        assert!((merged.sse(0) - want).abs() <= 1e-9 * want, "{} vs {want}", merged.sse(0));
-        assert!((merge_points(0, &values).sse(0) - want).abs() <= 1e-9 * want);
+        assert_eq!(want, 0.1875 * b * b);
+        assert_eq!(merge_run(Segments::Dense(&values).iter()).sse(0), want);
+        assert_eq!(merge_points(0, &values).sse(0), want);
     }
 
     /// `Segments::len` counts exactly the segments `Segments::iter` yields.
@@ -844,9 +804,9 @@ mod tests {
             [1, 2, 3, 4, 5, 7, 63, 64, 65, 127, 129, 1_001, 4_097].map(&mut noise).into();
         inputs.push(signed_zeros);
         inputs.push(vec![-0.0; 33]);
-        // Sums whose squares overflow beside finite sums of squares.
-        inputs.push((0..1_001).map(|i| 9.4e153 + (i % 3) as f64 * 1e151).collect());
-        inputs.push((0..1_001).map(|i| 6.5e153 + (i % 3) as f64 * 5e151).collect());
+        // Values at the range bound, and all-tied pair errors.
+        inputs.push((0..1_001).map(|i| VALUE_BOUND * [1.0, -1.0, 0.5][i % 3]).collect());
+        inputs.push((0..1_001).map(|i| [1.0, -1.0][i % 2]).collect());
         let mut checked = 0;
         for values in &inputs {
             let sparse = SparseFunction::from_dense_keep_zeros(values).unwrap();
@@ -887,7 +847,7 @@ mod tests {
         let starts: Vec<(usize, Segment)> = with_starts(level.iter().copied()).collect();
         let group = |run: &[(usize, Segment)]| {
             let merged = run[1..].iter().fold(run[0].1, |m, &(_, s)| m.merged(s));
-            merged.error(run[0].0).to_bits()
+            merged.sse(run[0].0).to_bits()
         };
         starts.chunks_exact(g).map(group).collect()
     }
@@ -991,7 +951,7 @@ mod tests {
     /// The errors every round's emit step writes for the next round are,
     /// bit for bit, the errors a fresh pass over the level it wrote finds:
     /// on dense and sparse sources with odd lengths, carried tails, zero runs,
-    /// zeros of both signs and sums whose squares overflow, under pair,
+    /// zeros of both signs, ties and values at the range bound, under pair,
     /// hierarchical and `fastmerging` plans.
     #[test]
     fn next_round_errors_equal_a_fresh_error_pass() {
@@ -1004,19 +964,11 @@ mod tests {
                 _ => (i % 5) as f64 - 2.0,
             })
             .collect();
-        // Squares that sum past `f64::MAX` beside small sums: the first
-        // round's pair errors all overflow to the same capped value, and
-        // their tie sends it to introselect.
-        let huge: Vec<f64> = noise(9_001)
-            .iter()
-            .enumerate()
-            .map(|(i, v)| [1e154, -1e154][i % 2] * (1.0 + v))
-            .collect();
-        // Sums whose squares overflow beside finite sums of squares, in
-        // pairs of points (`larger`) or in longer runs (`large`): pair
-        // passes meet capped terms and redo their errors on the exact path.
-        let large: Vec<f64> = (0..4_097).map(|i| 6.5e153 + (i % 3) as f64 * 5e151).collect();
-        let larger: Vec<f64> = (0..4_097).map(|i| 9.4e153 + (i % 3) as f64 * 1e151).collect();
+        // Alternating ±1: every first-round pair error ties (introselect).
+        let tied: Vec<f64> = (0..9_001).map(|i| [1.0, -1.0][i % 2]).collect();
+        // The `ties` golden's quantized values, and values at the range bound.
+        let quantized: Vec<f64> = (0..4_097).map(|i| ((5 * i) % 11) as f64).collect();
+        let bound: Vec<f64> = (0..4_097).map(|i| VALUE_BOUND * [1.0, -1.0, 0.5][i % 3]).collect();
         let dense_inputs = [
             noise(1),
             noise(2),
@@ -1024,9 +976,9 @@ mod tests {
             noise(4_099),
             noise(70_001),
             signed_zeros,
-            huge,
-            large,
-            larger,
+            tied,
+            quantized,
+            bound,
         ];
         let sparse_inputs = [
             SparseFunction::new(9, Vec::new()).unwrap(),

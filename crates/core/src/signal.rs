@@ -45,13 +45,13 @@ impl Signal {
         Self { repr: Repr::Sparse(q), num_samples: None }
     }
 
-    /// Wraps a dense vector of finite values.
+    /// Wraps a dense vector of admitted values ([`crate::is_admitted`]).
     pub fn from_dense(values: Vec<f64>) -> Result<Self> {
         validate_dense(&values, "Signal::from_dense")?;
         Ok(Self { repr: Repr::Dense(values), num_samples: None })
     }
 
-    /// Copies a dense slice of finite values.
+    /// Copies a dense slice of admitted values ([`crate::is_admitted`]).
     pub fn from_slice(values: &[f64]) -> Result<Self> {
         Self::from_dense(values.to_vec())
     }
@@ -263,8 +263,6 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        assert!(Signal::from_dense(vec![]).is_err());
-        assert!(Signal::from_dense(vec![f64::NAN]).is_err());
         assert!(matches!(Signal::from_samples(10, &[]), Err(Error::InvalidParameter { .. })));
         assert!(matches!(
             Signal::from_samples(5, &[1, 5]),

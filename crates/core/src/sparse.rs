@@ -4,7 +4,7 @@
 //! with the sorted list of nonzero entries `(i_1, y_1), …, (i_s, y_s)` —
 //! exactly the representation assumed by Algorithm 1 of the paper.
 
-use crate::error::{Error, Result};
+use crate::error::{is_admitted, Error, Result};
 use crate::interval::Interval;
 
 /// A sparse function over `[0, n)`, stored as sorted `(index, value)` pairs.
@@ -22,8 +22,8 @@ impl SparseFunction {
     /// Builds a sparse function from `(index, value)` pairs.
     ///
     /// The pairs must be strictly increasing in index, all indices must lie in
-    /// `[0, domain)` and all values must be finite. Zero values are kept as
-    /// given (use [`SparseFunction::from_dense`] to drop them).
+    /// `[0, domain)` and all values must be admitted ([`is_admitted`]). Zero
+    /// values are kept as given (use [`SparseFunction::from_dense`] to drop them).
     pub fn new(domain: usize, entries: Vec<(usize, f64)>) -> Result<Self> {
         if domain == 0 {
             return Err(Error::EmptyDomain);
@@ -33,7 +33,7 @@ impl SparseFunction {
             if i >= domain {
                 return Err(Error::IndexOutOfRange { index: i, domain });
             }
-            if !v.is_finite() {
+            if !is_admitted(v) {
                 return Err(Error::NonFiniteValue { context: "SparseFunction::new" });
             }
             if let Some(p) = prev {
@@ -119,13 +119,13 @@ impl SparseFunction {
     }
 }
 
-/// Checks that a dense signal is non-empty and finite; `context` names the
-/// caller in the error.
+/// Checks that a dense signal is non-empty and every value is admitted
+/// ([`is_admitted`]); `context` names the caller in the error.
 pub(crate) fn validate_dense(values: &[f64], context: &'static str) -> Result<()> {
     if values.is_empty() {
         return Err(Error::EmptyDomain);
     }
-    if values.iter().any(|v| !v.is_finite()) {
+    if !values.iter().copied().all(is_admitted) {
         return Err(Error::NonFiniteValue { context });
     }
     Ok(())
@@ -141,7 +141,6 @@ mod tests {
         assert!(SparseFunction::new(5, vec![(5, 1.0)]).is_err());
         assert!(SparseFunction::new(5, vec![(1, 1.0), (1, 2.0)]).is_err());
         assert!(SparseFunction::new(5, vec![(2, 1.0), (1, 2.0)]).is_err());
-        assert!(SparseFunction::new(5, vec![(2, f64::NAN)]).is_err());
         assert!(SparseFunction::new(5, vec![(0, 1.0), (4, 2.0)]).is_ok());
     }
 

@@ -159,8 +159,9 @@ impl Ord for MergeCandidate {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: `BinaryHeap` is a max-heap, we want the cheapest merge.
         // `total_cmp` orders finite costs as `<` does (a cost is never −0.0)
-        // and keeps the order total when an overflowed piece makes a cost NaN;
-        // the merged histogram's non-finite check then reports the overflow.
+        // and keeps the order total when a polynomial piece's overflowed mass
+        // makes a cost NaN (admitted histogram values keep every cost finite);
+        // the merged histogram's range check then reports the overflow.
         other.cost.total_cmp(&self.cost)
     }
 }
@@ -630,7 +631,8 @@ impl Synopsis {
     /// Unlike [`Synopsis::new`] (whose inputs come from a fitter and are
     /// trusted), this constructor treats the parts as *untrusted*: it rejects
     /// a zero piece budget and any model whose cumulative masses overflow to
-    /// a non-finite value, so a synopsis rebuilt from decoded bytes satisfies
+    /// a non-finite value (only a polynomial's can: its coefficients are not
+    /// range-checked), so a synopsis rebuilt from decoded bytes satisfies
     /// exactly the invariants a fitted one does. The precomputed serving
     /// state ([`Synopsis::boundary_masses`], the raw total mass) is
     /// recomputed from the model with the same arithmetic as `new`, which is
@@ -1611,13 +1613,20 @@ mod tests {
         assert_eq!(h.values()[1], 30.0);
     }
 
+    /// The polynomial model `c` on `[0, cut)` and on `[cut, domain)`.
+    fn constant_polynomial(domain: usize, cut: usize, c: f64) -> FittedModel {
+        let pieces = [(0, cut - 1), (cut, domain - 1)]
+            .map(|(a, b)| PolynomialPiece::new(Interval::new(a, b).unwrap(), vec![c]).unwrap());
+        FittedModel::Polynomial(PiecewisePolynomial::new(domain, pieces.into()).unwrap())
+    }
+
     #[test]
-    fn merge_of_overflowing_masses_is_a_typed_error() {
-        // Piece masses 2·1e308 overflow, so merge costs read NaN; piece masses
-        // 1e308 are finite, but the sum of two is not.
+    fn merge_of_overflowing_polynomial_masses_is_a_typed_error() {
+        // Polynomial coefficients are not range-checked. Piece masses 2·1e308
+        // overflow, so merge costs read NaN; piece masses 1e308 are finite,
+        // but the sum of two is not.
         for (domain, cut) in [(4, 2), (2, 1)] {
-            let h = Histogram::from_breakpoints(domain, &[cut], vec![1e308, 1e308]).unwrap();
-            let a = Synopsis::new("huge", 2, FittedModel::Histogram(h));
+            let a = Synopsis::new("huge", 2, constant_polynomial(domain, cut, 1e308));
             let err = a.merge(&a, 1).unwrap_err();
             assert!(matches!(err, Error::NonFiniteValue { .. }), "domain {domain}: {err:?}");
         }
@@ -1682,12 +1691,12 @@ mod tests {
         let h = Histogram::constant(4, 1.0).unwrap();
         assert!(Synopsis::from_parts("test", 0, FittedModel::Histogram(h)).is_err());
 
-        // Finite per-piece values whose cumulative mass overflows to infinity
-        // must be rejected: the model passes Histogram::new, only the
-        // synopsis-level invariant catches it.
-        let overflow = Histogram::constant(usize::MAX >> 16, f64::MAX).unwrap();
+        // Finite polynomial coefficients whose cumulative mass overflows to
+        // infinity must be rejected: the model passes PolynomialPiece::new,
+        // only the synopsis-level invariant catches it.
+        let overflow = constant_polynomial(2, 1, 1e308);
         assert!(matches!(
-            Synopsis::from_parts("test", 1, FittedModel::Histogram(overflow)),
+            Synopsis::from_parts("test", 2, overflow),
             Err(Error::NonFiniteValue { .. })
         ));
     }

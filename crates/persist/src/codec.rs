@@ -27,7 +27,8 @@
 //! a freshly fitted one (bit-identical query results included).
 
 use hist_core::{
-    FittedModel, Histogram, Interval, Partition, PiecewisePolynomial, PolynomialPiece, Synopsis,
+    is_admitted, FittedModel, Histogram, Interval, Partition, PiecewisePolynomial, PolynomialPiece,
+    Synopsis,
 };
 
 use crate::error::{CodecError, CodecResult};
@@ -398,7 +399,7 @@ pub fn encode_stream_checkpoint(checkpoint: &StreamCheckpoint) -> Vec<u8> {
 
 /// Decodes an `AHISTCKP` container produced by [`encode_stream_checkpoint`].
 ///
-/// Structural validation only (finite tail values, bounded counts, valid
+/// Structural validation only (admitted tail values, bounded counts, valid
 /// nested synopses); the cross-field consistency checks — level domains
 /// matching `2^i · chunk_len`, totals matching `pushed` — live in
 /// `StreamingBuilder::resume`, which knows the builder's invariants.
@@ -412,7 +413,7 @@ pub fn decode_stream_checkpoint(bytes: &[u8]) -> CodecResult<StreamCheckpoint> {
     let mut tail = Vec::with_capacity(tail_len);
     for _ in 0..tail_len {
         let v = reader.f64()?;
-        if !v.is_finite() {
+        if !is_admitted(v) {
             return Err(CodecError::NonFiniteValue { what: "tail value" });
         }
         tail.push(v);

@@ -73,9 +73,10 @@ pub enum CodecError {
         reason: &'static str,
     },
     /// A decoded floating-point field is NaN or infinite where the data
-    /// model requires a finite value.
+    /// model requires a finite value, or lies outside the admitted value
+    /// range (`hist_core::is_admitted`) where it requires an admitted one.
     NonFiniteValue {
-        /// Which field was non-finite.
+        /// Which field was rejected.
         what: &'static str,
     },
     /// The bytes decoded structurally but violate a data-model invariant
@@ -112,7 +113,7 @@ impl fmt::Display for CodecError {
             CodecError::NonUtf8Name => write!(f, "estimator name is not valid UTF-8"),
             CodecError::InvalidKey { reason } => write!(f, "invalid store-map key: {reason}"),
             CodecError::NonFiniteValue { what } => {
-                write!(f, "{what} is NaN or infinite")
+                write!(f, "{what} is not finite with |v| ≤ 2^400")
             }
             CodecError::Invalid(inner) => write!(f, "decoded data violates an invariant: {inner}"),
         }

@@ -61,8 +61,9 @@ impl MetricPipeline {
     /// returns how many epochs this batch minted. After a resume, chunks the
     /// store already holds count as published but mint nothing.
     ///
-    /// Failure semantics compose from the layers below: a non-finite value
-    /// rejects the whole batch before anything is consumed
+    /// Failure semantics compose from the layers below: a value outside the
+    /// admitted range ([`hist_core::is_admitted`]) rejects the whole batch
+    /// before anything is consumed
     /// ([`StreamingBuilder::extend`] is all-or-nothing); chunks completed
     /// before a mid-batch fit failure are still published, the failed chunk
     /// stays queued in the builder, and the next `ingest` retries it.
