@@ -82,7 +82,7 @@ impl fmt::Display for Error {
                 write!(f, "invalid parameter `{name}`: {reason}")
             }
             Error::NonFiniteValue { context } => {
-                write!(f, "non-finite or out-of-range value (admitted: |v| ≤ 2^400) in {context}")
+                write!(f, "value not finite with |v| ≤ {VALUE_BOUND:e} in {context}")
             }
         }
     }

@@ -187,7 +187,8 @@ mod tests {
     #[test]
     fn construction_rejects_mismatch() {
         let p = Partition::from_breakpoints(10, &[5]).unwrap();
-        assert!(Histogram::new(p, vec![1.0]).is_err());
+        assert!(Histogram::new(p.clone(), vec![1.0]).is_err());
+        assert!(Histogram::new(p, vec![1.0, f64::NAN]).is_err());
     }
 
     #[test]

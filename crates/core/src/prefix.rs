@@ -190,6 +190,7 @@ mod tests {
     #[test]
     fn dense_prefix_rejects_bad_input() {
         assert!(DensePrefix::new(&[]).is_err());
+        assert!(DensePrefix::new(&[1.0, f64::NAN]).is_err());
     }
 
     #[test]

@@ -263,6 +263,8 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
+        assert!(Signal::from_dense(vec![]).is_err());
+        assert!(Signal::from_dense(vec![f64::NAN]).is_err());
         assert!(matches!(Signal::from_samples(10, &[]), Err(Error::InvalidParameter { .. })));
         assert!(matches!(
             Signal::from_samples(5, &[1, 5]),

@@ -141,6 +141,7 @@ mod tests {
         assert!(SparseFunction::new(5, vec![(5, 1.0)]).is_err());
         assert!(SparseFunction::new(5, vec![(1, 1.0), (1, 2.0)]).is_err());
         assert!(SparseFunction::new(5, vec![(2, 1.0), (1, 2.0)]).is_err());
+        assert!(SparseFunction::new(5, vec![(2, f64::NAN)]).is_err());
         assert!(SparseFunction::new(5, vec![(0, 1.0), (4, 2.0)]).is_ok());
     }
 

@@ -25,6 +25,11 @@
 //! is reserved, and all model-level invariants are re-validated through the
 //! `hist-core` constructors, so a decoded synopsis is indistinguishable from
 //! a freshly fitted one (bit-identical query results included).
+//!
+//! Histogram and checkpoint-tail values must be admitted
+//! ([`hist_core::is_admitted`]), so an older file holding a finite value past
+//! `VALUE_BOUND` no longer decodes: it fails with [`CodecError::NonFiniteValue`]
+//! (tail) or [`CodecError::Invalid`] wrapping `Error::NonFiniteValue`.
 
 use hist_core::{
     is_admitted, FittedModel, Histogram, Interval, Partition, PiecewisePolynomial, PolynomialPiece,

@@ -113,7 +113,7 @@ impl fmt::Display for CodecError {
             CodecError::NonUtf8Name => write!(f, "estimator name is not valid UTF-8"),
             CodecError::InvalidKey { reason } => write!(f, "invalid store-map key: {reason}"),
             CodecError::NonFiniteValue { what } => {
-                write!(f, "{what} is not finite with |v| ≤ 2^400")
+                write!(f, "{what} is not finite with |v| ≤ {:e}", hist_core::VALUE_BOUND)
             }
             CodecError::Invalid(inner) => write!(f, "decoded data violates an invariant: {inner}"),
         }

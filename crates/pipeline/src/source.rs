@@ -153,5 +153,6 @@ mod tests {
     #[test]
     fn hostile_blocks_are_rejected() {
         assert!(EventSource::from_block("empty", vec![]).is_err());
+        assert!(EventSource::from_block("nan", vec![1.0, f64::NAN]).is_err());
     }
 }

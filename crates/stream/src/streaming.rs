@@ -482,9 +482,10 @@ mod tests {
     fn invalid_streams_are_rejected() {
         assert!(StreamingBuilder::new(inner(3), 0, 8).is_err());
         assert!(StreamingBuilder::new(inner(3), 3, 0).is_err());
-        let stream = StreamingBuilder::new(inner(3), 3, 8).unwrap();
+        let mut stream = StreamingBuilder::new(inner(3), 3, 8).unwrap();
         assert!(stream.is_empty());
         assert!(stream.synopsis().is_err());
+        assert!(stream.push(f64::NAN).is_err());
     }
 
     fn boundary_bits(s: &Synopsis) -> Vec<u64> {
@@ -558,12 +559,18 @@ mod tests {
         );
     }
 
-    /// `extend` consumes all or nothing: a mid-slice fit failure still
-    /// consumes every value (queued for retry) and reports the error. (A
-    /// slice with a value outside the admitted range is rejected untouched:
-    /// the root `value_range` suite checks that over the whole range.)
+    /// `extend` consumes all or nothing: a value outside the admitted range
+    /// anywhere rejects the whole slice untouched; a mid-slice fit failure
+    /// still consumes every value (queued for retry) and reports the error.
     #[test]
     fn extend_failure_semantics_are_all_or_nothing() {
+        // Non-admitted anywhere → typed error, nothing consumed.
+        let mut stream = StreamingBuilder::new(inner(3), 3, 8).unwrap();
+        stream.extend(&[1.0, 2.0, 3.0]).unwrap();
+        assert!(stream.extend(&[4.0, f64::NAN, 6.0]).is_err());
+        assert_eq!(stream.len(), 3, "rejected slice is not consumed at all");
+        assert_eq!(stream.buffered(), 3);
+
         // Mid-slice fit failure → error reported, but the whole slice is
         // consumed and the failed chunk is queued for retry.
         let values: Vec<f64> = (0..40).map(|i| (i % 5) as f64).collect();
